@@ -28,26 +28,11 @@ from .errors import (
     EmptyResultError,
     ValidationError,
 )
-from .explain import build_report, accumulate_attention, lime_explain
-from .explain import DEFAULT_KERNEL_WIDTH, DEFAULT_RIDGE_LAMBDA, DEFAULT_SAMPLES
-from .model import (
-    MODES,
-    Batch,
-    EncoderParams,
-    ModelConfig,
-    build_batch,
-    encoder_forward,
-    load_checkpoint,
-    random_params,
-    save_checkpoint,
-)
-from .numerics import softmax_rows
-from .numerics.gradcheck import grad_check_report
-from .numerics import autodiff as ad
-from .tokenizer import Vocab, build_vocab, encode
+from .explain import DEFAULT_KERNEL_WIDTH, DEFAULT_RIDGE_LAMBDA, DEFAULT_SAMPLES, explain_sentence
+from .model import MODES, ModelConfig, gradcheck_mode, load_checkpoint, save_checkpoint
+from .tokenizer import Vocab, build_vocab
 
 GRADCHECK_TOLERANCE = 1e-4
-GRADCHECK_MAX_ENTRIES = 48
 
 
 def _write_json(path: Path, obj) -> None:
@@ -278,17 +263,10 @@ def cmd_lexicon(args) -> int:
 # explain
 # ---------------------------------------------------------------------------
 
-def _predicted_class_prob(params: EncoderParams, batch: Batch, class_idx: int) -> float:
-    result = encoder_forward(params, batch, train=False)
-    probs = softmax_rows(result.logits.value)
-    return float(probs[0, class_idx])
-
-
 def cmd_explain(args) -> int:
     db = feat.FeatureDb.load_jsonl(_require_file(args.features, "feature db"))
     params = load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
     vocab = Vocab.load(_require_file(args.vocab, "vocab"))
-    cfg = params.cfg
     out = _out_dir(args.out)
 
     sentence_ids = [sid.strip() for sid in args.ids.split(",") if sid.strip()]
@@ -297,38 +275,14 @@ def cmd_explain(args) -> int:
 
     overlaps = []
     for sid in sentence_ids:
-        rec = db.get(sid)
-        layout = encode(rec.tokens, vocab, cfg.max_len)
-        words = rec.tokens[: layout.word_count]
-        batch = build_batch([layout], cfg, [sid], db, labels=[rec.label])
-        result = encoder_forward(params, batch, train=False)
-        predicted = int(result.predictions()[0])
-
-        attn_scores = accumulate_attention(result.traces[0], layout, words)
-
-        def predict_fn(kept_words: list[str], keep_mask: np.ndarray) -> float:
-            idx = np.flatnonzero(keep_mask)
-            sub = feat.CognitiveRecord(
-                sentence_id=sid,
-                tokens=[words[i] for i in idx],
-                label=rec.label,
-                n_fixations=rec.n_fixations[idx],
-                eye_tokens=rec.eye_tokens[idx],
-                eeg_tokens=rec.eeg_tokens[idx],
-                sentence_eeg=rec.sentence_eeg,
-            )
-            sub_layout = encode(sub.tokens, vocab, cfg.max_len)
-            sub_batch = build_batch([sub_layout], cfg, [sid], feat.FeatureDb([sub]))
-            return _predicted_class_prob(params, sub_batch, predicted)
-
-        lime_scores = lime_explain(
-            predict_fn, words,
+        report = explain_sentence(
+            params, db, vocab, sid,
+            k=args.k,
             n_samples=args.n_samples,
             kernel_width=args.kernel_width,
             ridge_lambda=args.ridge_lambda,
             seed=args.seed,
         )
-        report = build_report(sid, predicted, attn_scores, lime_scores, layout, k=args.k)
         overlaps.append(report.overlap)
 
         _write_json(out / f"explain_{sid}.json", report.to_dict())
@@ -337,7 +291,8 @@ def cmd_explain(args) -> int:
             writer.writerow(["word", "attention_score", "lime_weight"])
             for word, attn, lime in report.heatmap_rows():
                 writer.writerow([word, repr(attn), repr(lime)])
-        print(f"{sid}: predicted class {predicted}, overlap@{args.k} = {report.overlap:.2f}")
+        print(f"{sid}: predicted class {report.predicted_class}, "
+              f"overlap@{args.k} = {report.overlap:.2f}")
 
     _write_json(out / "explain_summary.json", {
         "k": args.k,
@@ -352,66 +307,6 @@ def cmd_explain(args) -> int:
 # ---------------------------------------------------------------------------
 # gradcheck
 # ---------------------------------------------------------------------------
-
-def _gradcheck_batch(cfg: ModelConfig, seed: int) -> Batch:
-    """Two short sentences exercising every feature path, deterministic."""
-    from .numerics.rng import SeededRng
-    from .tokenizer import encode as _encode
-
-    rng = SeededRng(seed).derive("gradcheck-data")
-    word_ids = [f"w{i}" for i in range(6)]
-    vocab = build_vocab([word_ids])
-    sentences = [word_ids[:5], word_ids[2:6]]
-    records = []
-    for i, words in enumerate(sentences):
-        n = len(words)
-        records.append(feat.CognitiveRecord(
-            sentence_id=f"g{i}",
-            tokens=words,
-            label=i % cfg.n_classes,
-            n_fixations=[0, 1, 2, 3, 2][:n],
-            eye_tokens=rng.integers(0, 101, size=n),
-            eeg_tokens=rng.integers(0, 101, size=n),
-            sentence_eeg=rng.normal(0.0, 1.0, size=cfg.eeg_channels),
-        ))
-    db = feat.FeatureDb(records)
-    layouts = [_encode(r.tokens, vocab, cfg.max_len) for r in records]
-    return build_batch(layouts, cfg, [r.sentence_id for r in records], db,
-                       labels=[r.label for r in records])
-
-
-def gradcheck_mode(mode: str, seed: int = 0, layers: int = 2, heads: int = 2,
-                   d_model: int = 16, d_ff: int = 32, max_len: int = 16,
-                   max_entries: int | None = GRADCHECK_MAX_ENTRIES) -> dict[str, float]:
-    """Finite-difference report for one augmentation mode (dropout forced 0).
-
-    Parameters are redrawn at O(0.3) magnitude: at the tiny training init
-    the attention is near-uniform and true gradients shrink toward the
-    central-difference noise floor, which would measure the probe rather
-    than the backward pass.
-    """
-    from .numerics.rng import SeededRng
-
-    cfg = ModelConfig(
-        vocab_size=110, n_classes=4, layers=layers, heads=heads, d_model=d_model,
-        d_ff=d_ff, max_len=max_len, eeg_channels=4, dropout=0.0, mode=mode,
-    )
-    batch = _gradcheck_batch(cfg, seed)
-    params = random_params(cfg, seed)
-    prng = SeededRng(seed).derive("gradcheck-point")
-    for p in params.all():
-        if p.name.endswith(".gamma"):
-            p.value[:] = prng.normal(1.0, 0.2, p.value.shape)
-        else:
-            p.value[:] = prng.normal(0.0, 0.3, p.value.shape)
-
-    def loss_fn():
-        result = encoder_forward(params, batch, train=False)
-        return ad.cross_entropy_mean(result.logits, batch.labels)
-
-    return grad_check_report(loss_fn, params.all(), eps=1e-5,
-                             max_entries_per_param=max_entries)
-
 
 def cmd_gradcheck(args) -> int:
     if args.layers > 2 or args.d_model > 32:

@@ -6,7 +6,8 @@ columns are excluded, CLS/SEP participate in accumulation but never in
 keyword ranking. The LIME-style explainer perturbs a sentence by randomly
 removing words, weights each perturbation by an exponential kernel over the
 cosine distance from the full sentence, and fits a weighted ridge surrogate
-whose coefficients score the words.
+whose coefficients score the words. `explain_sentence` runs both on one
+sentence of a feature database and reports their top-k agreement.
 """
 
 from __future__ import annotations
@@ -19,9 +20,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .model import AttentionTrace
+from .features import CognitiveRecord, FeatureDb
+from .model import AttentionTrace, EncoderParams, build_batch, encoder_forward
+from .numerics import autodiff as ad
 from .numerics.rng import SeededRng
-from .tokenizer import TokenizedSentence
+from .tokenizer import TokenizedSentence, Vocab, encode
 
 log = logging.getLogger(__name__)
 
@@ -211,3 +214,54 @@ def build_report(
         k=k,
         overlap=correlate(attention_top, lime_top, k),
     )
+
+
+def class_probability(logits: np.ndarray, class_idx: int) -> float:
+    """Softmax probability of class_idx in the first row of logits."""
+    if np.isnan(logits).any():
+        raise NumericError("class probability received NaN logits")
+    return float(ad.softmax(logits)[0, class_idx])
+
+
+def explain_sentence(
+    params: EncoderParams,
+    db: FeatureDb,
+    vocab: Vocab,
+    sentence_id: str,
+    k: int = 5,
+    n_samples: int = DEFAULT_SAMPLES,
+    kernel_width: float = DEFAULT_KERNEL_WIDTH,
+    ridge_lambda: float = DEFAULT_RIDGE_LAMBDA,
+    seed: int = 0,
+) -> ExplanationReport:
+    """Attention and LIME explanations of the model's predicted class for one sentence.
+
+    A LIME perturbation drops words together with their aligned eye/EEG
+    features; the sentence EEG vector is kept whole.
+    """
+    cfg = params.cfg
+    rec = db.get(sentence_id)
+    layout = encode(rec.tokens, vocab, cfg.max_len)
+    words = rec.tokens[: layout.word_count]
+    result = encoder_forward(params, build_batch([layout], cfg, [sentence_id], db))
+    predicted = int(result.predictions()[0])
+    attn_scores = accumulate_attention(result.traces[0], layout, words)
+
+    def predict_fn(_kept_words: list[str], keep_mask: np.ndarray) -> float:
+        idx = np.flatnonzero(keep_mask)
+        sub = CognitiveRecord(
+            sentence_id=sentence_id,
+            tokens=[words[i] for i in idx],
+            label=rec.label,
+            n_fixations=rec.n_fixations[idx],
+            eye_tokens=rec.eye_tokens[idx],
+            eeg_tokens=rec.eeg_tokens[idx],
+            sentence_eeg=rec.sentence_eeg,
+        )
+        sub_layout = encode(sub.tokens, vocab, cfg.max_len)
+        sub_batch = build_batch([sub_layout], cfg, [sentence_id], FeatureDb([sub]))
+        return class_probability(encoder_forward(params, sub_batch).logits.value, predicted)
+
+    lime_scores = lime_explain(predict_fn, words, n_samples=n_samples, kernel_width=kernel_width,
+                               ridge_lambda=ridge_lambda, seed=seed)
+    return build_report(sentence_id, predicted, attn_scores, lime_scores, layout, k=k)

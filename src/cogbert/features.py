@@ -16,10 +16,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
-from .errors import FeatureLookupError, ValidationError
+from .errors import DataError, FeatureLookupError, ValidationError
 from .numerics.rng import SeededRng
 from .tokenizer import MASK_KEEP, MASK_SUPPRESS, TokenizedSentence
 
@@ -130,10 +131,45 @@ class CognitiveRecord:
                           ("eeg_tokens", self.eeg_tokens)):
             if len(arr) != n:
                 raise ValidationError(f"{self.sentence_id}: {name} not aligned with tokens")
+        for name, arr in (("eye_tokens", self.eye_tokens), ("eeg_tokens", self.eeg_tokens)):
+            if arr.min(initial=0) < 0 or arr.max(initial=0) > TOKEN_SCALE:
+                raise ValidationError(
+                    f"{self.sentence_id}: {name} outside 0..{TOKEN_SCALE}: "
+                    f"[{arr.min()}, {arr.max()}]"
+                )
+        if not np.isfinite(self.sentence_eeg).all():
+            raise ValidationError(f"{self.sentence_id}: sentence_eeg holds non-finite values")
+
+
+def _read_jsonl(path: str | Path, id_key: str, parse: Callable[[dict], object]) -> list:
+    """parse() each non-empty line of a JSON-lines file.
+
+    Any failure (bad JSON, missing key, wrong type, rejected value) becomes a
+    DataError naming path:line and, when the line parsed, its record id.
+    """
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not a UTF-8 JSON-lines file: {exc}") from None
+    items = []
+    for lineno, line in enumerate(lines, start=1):
+        if not line:
+            continue
+        obj = None
+        try:
+            obj = json.loads(line)
+            items.append(parse(obj))
+        except (ValueError, KeyError, TypeError) as exc:
+            where = f"{path}:{lineno}"
+            if isinstance(obj, dict) and id_key in obj:
+                where += f" ({id_key} {obj[id_key]!r})"
+            detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+            raise DataError(f"{where}: {detail}") from None
+    return items
 
 
 class FeatureDb:
-    """Immutable sentence-id -> CognitiveRecord map with ordered batch lookup."""
+    """Immutable sentence-id -> CognitiveRecord map."""
 
     def __init__(self, records: list[CognitiveRecord] | dict[str, CognitiveRecord]):
         if isinstance(records, dict):
@@ -156,10 +192,6 @@ class FeatureDb:
         except KeyError:
             raise FeatureLookupError(f"no cognitive record for sentence id {sentence_id!r}") from None
 
-    def lookup_batch(self, sentence_ids: list[str]) -> list[CognitiveRecord]:
-        """Records in the exact order requested."""
-        return [self.get(sid) for sid in sentence_ids]
-
     def save_jsonl(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             for rec in self._records.values():
@@ -175,21 +207,15 @@ class FeatureDb:
 
     @classmethod
     def load_jsonl(cls, path: str | Path) -> "FeatureDb":
-        records = []
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
-            if not line:
-                continue
-            obj = json.loads(line)
-            records.append(CognitiveRecord(
-                sentence_id=obj["id"],
-                tokens=obj["tokens"],
-                label=int(obj["label"]),
-                n_fixations=obj["n_fixations"],
-                eye_tokens=obj["eye_tokens"],
-                eeg_tokens=obj["eeg_tokens"],
-                sentence_eeg=obj["sentence_eeg"],
-            ))
-        return cls(records)
+        return cls(_read_jsonl(path, "id", lambda obj: CognitiveRecord(
+            sentence_id=obj["id"],
+            tokens=obj["tokens"],
+            label=int(obj["label"]),
+            n_fixations=obj["n_fixations"],
+            eye_tokens=obj["eye_tokens"],
+            eeg_tokens=obj["eeg_tokens"],
+            sentence_eeg=obj["sentence_eeg"],
+        )))
 
 
 # ---------------------------------------------------------------------------
@@ -338,15 +364,14 @@ class EEGLexicon:
 
     @classmethod
     def load_jsonl(cls, path: str | Path) -> "EEGLexicon":
-        vectors: dict[str, np.ndarray] = {}
-        counts: dict[str, int] = {}
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
-            if not line:
-                continue
-            obj = json.loads(line)
-            vectors[obj["word"]] = np.asarray(obj["vector"], dtype=np.float64)
-            counts[obj["word"]] = int(obj["count"])
-        return cls(vectors, counts)
+        def entry(obj: dict) -> tuple[str, np.ndarray, int]:
+            vector = np.asarray(obj["vector"], dtype=np.float64)
+            if vector.ndim != 1 or not np.isfinite(vector).all():
+                raise ValidationError("vector must be a flat list of finite numbers")
+            return obj["word"], vector, int(obj["count"])
+
+        entries = _read_jsonl(path, "word", entry)
+        return cls({w: v for w, v, _ in entries}, {w: c for w, _, c in entries})
 
 
 def build_lexicon(measurements: list[SentenceMeasurement]) -> EEGLexicon:
@@ -543,21 +568,15 @@ def save_measurements(measurements: list[SentenceMeasurement], path: str | Path)
 
 
 def load_measurements(path: str | Path) -> list[SentenceMeasurement]:
-    measurements = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line:
-            continue
-        obj = json.loads(line)
-        measurements.append(SentenceMeasurement(
-            sentence_id=obj["id"],
-            words=obj["words"],
-            label=int(obj["label"]),
-            fixations=[
-                WordFixation(n_fixations=f["n"], ffd=f["ffd"], trt=f["trt"],
-                             gd=f["gd"], gpt=f["gpt"], sfd=f["sfd"])
-                for f in obj["fixations"]
-            ],
-            word_eeg=[None if e is None else WordEEG(np.asarray(e)) for e in obj["word_eeg"]],
-            sentence_bands=np.asarray(obj["sentence_bands"]),
-        ))
-    return measurements
+    return _read_jsonl(path, "id", lambda obj: SentenceMeasurement(
+        sentence_id=obj["id"],
+        words=obj["words"],
+        label=int(obj["label"]),
+        fixations=[
+            WordFixation(n_fixations=f["n"], ffd=f["ffd"], trt=f["trt"],
+                         gd=f["gd"], gpt=f["gpt"], sfd=f["sfd"])
+            for f in obj["fixations"]
+        ],
+        word_eeg=[None if e is None else WordEEG(np.asarray(e)) for e in obj["word_eeg"]],
+        sentence_bands=np.asarray(obj["sentence_bands"]),
+    ))

@@ -1,36 +1,2 @@
-"""Dense linear algebra, activations, losses, autodiff, and gradient checking."""
-
-from .autodiff import Node, Parameter, backward
-from .gradcheck import grad_check, grad_check_report
-from .ops import (
-    Tensor2D,
-    as_tensor2d,
-    cross_entropy,
-    gelu,
-    gelu_grad,
-    layer_norm,
-    layer_norm_rows,
-    log_softmax,
-    matmul,
-    softmax_rows,
-)
-from .rng import SeededRng
-
-__all__ = [
-    "Node",
-    "Parameter",
-    "SeededRng",
-    "Tensor2D",
-    "as_tensor2d",
-    "backward",
-    "cross_entropy",
-    "gelu",
-    "gelu_grad",
-    "grad_check",
-    "grad_check_report",
-    "layer_norm",
-    "layer_norm_rows",
-    "log_softmax",
-    "matmul",
-    "softmax_rows",
-]
+"""Reverse-mode autodiff (autodiff), finite-difference gradient checking
+(gradcheck) and seeded RNG with labeled substreams (rng)."""

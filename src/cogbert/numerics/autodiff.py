@@ -3,7 +3,7 @@
 A forward pass builds a small graph of `Node`s; `backward` runs the tape in
 reverse topological order and accumulates gradients into `Parameter.grad`.
 Every backward rule here is hand-derived and covered by finite-difference
-checks in the test suite (see gradcheck.grad_check).
+checks in the test suite (see gradcheck.grad_check_report).
 
 Constant inputs (feature tokens, masks, dropout masks) enter the graph as
 parameterless leaves; their gradients are computed but never consumed.
@@ -17,7 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ShapeError
-from . import ops
+
+# GELU tanh-approximation constants.
+_GELU_C = math.sqrt(2.0 / math.pi)
+_GELU_A = 0.044715
 
 
 @dataclass
@@ -131,23 +134,10 @@ def add_bias(x: Node, b: Node) -> Node:
     return out
 
 
-def add_const(x: Node, c: np.ndarray) -> Node:
-    """Add a constant (broadcastable) array, e.g. an additive attention mask."""
-    out = Node(x.value + c, (x,))
-    out.bwd = lambda g: _acc(x, g)
-    return out
-
-
 def mul_const(x: Node, c: np.ndarray) -> Node:
     """Elementwise multiply by a constant (broadcastable) array."""
     out = Node(x.value * c, (x,))
     out.bwd = lambda g: _acc(x, g * c)
-    return out
-
-
-def scale(x: Node, s: float) -> Node:
-    out = Node(x.value * s, (x,))
-    out.bwd = lambda g: _acc(x, g * s)
     return out
 
 
@@ -168,29 +158,35 @@ def linear(x: Node, w: Node, b: Node) -> Node:
     return add_bias(matmul(x, w), b)
 
 
-def transpose(x: Node) -> Node:
-    out = Node(x.value.T.copy(), (x,))
-    out.bwd = lambda g: _acc(x, g.T)
-    return out
+def _gelu(x: np.ndarray) -> np.ndarray:
+    """GELU via the tanh approximation 0.5*x*(1 + tanh(c*(x + a*x^3)))."""
+    return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + _GELU_A * x * x * x)))
+
+
+def _gelu_grad(x: np.ndarray) -> np.ndarray:
+    """Analytic derivative of the tanh-approximated GELU."""
+    u = _GELU_C * (x + _GELU_A * x * x * x)
+    t = np.tanh(u)
+    du = _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
+    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
 
 
 def gelu(x: Node) -> Node:
-    out = Node(ops.gelu(x.value), (x,))
-    out.bwd = lambda g: _acc(x, g * ops.gelu_grad(x.value))
+    out = Node(_gelu(x.value), (x,))
+    out.bwd = lambda g: _acc(x, g * _gelu_grad(x.value))
     return out
 
 
-def softmax_rows(x: Node) -> Node:
-    y = ops.softmax_rows(x.value)
-    out = Node(y, (x,))
+def softmax(scores: np.ndarray) -> np.ndarray:
+    """Plain-numpy softmax over the last axis, with max subtraction.
 
-    def bwd(g):
-        # dX = Y * (g - sum_j g_j Y_j) per row
-        dot = (g * y).sum(axis=1, keepdims=True)
-        _acc(x, y * (g - dot))
-
-    out.bwd = bwd
-    return out
+    Not a tape op: it serves attention (whose backward is fused into
+    multi_head_attention) and detached class probabilities. Entries as
+    negative as -10000 (additive attention masks) underflow to exact zero.
+    """
+    shifted = scores - scores.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def layer_norm_rows(x: Node, gamma: Node, beta: Node, eps: float = 1e-5) -> Node:
@@ -265,34 +261,12 @@ def concat_cols(a: Node, b: Node) -> Node:
     return out
 
 
-def slice_cols(x: Node, c0: int, c1: int) -> Node:
-    out = Node(x.value[:, c0:c1].copy(), (x,))
-
-    def bwd(g):
-        if x.grad is None:
-            x.grad = np.zeros_like(x.value)
-        x.grad[:, c0:c1] += g
-
-    out.bwd = bwd
-    return out
-
-
 def dropout(x: Node, rate: float, rng) -> Node:
     """Inverted dropout; identity when rate == 0. rng is a SeededRng."""
     if rate == 0.0:
         return x
     keep = (rng.random(x.value.shape) >= rate).astype(np.float64) / (1.0 - rate)
     return mul_const(x, keep)
-
-
-def sum_all(x: Node) -> Node:
-    out = Node(np.array([[x.value.sum()]]), (x,))
-    out.bwd = lambda g: _acc(x, np.full_like(x.value, g[0, 0]))
-    return out
-
-
-def mean_all(x: Node) -> Node:
-    return scale(sum_all(x), 1.0 / x.value.size)
 
 
 def multi_head_attention(
@@ -316,10 +290,7 @@ def multi_head_attention(
         return m.reshape(n_batch, seq, n_heads, hd).transpose(0, 2, 1, 3)
 
     qh, kh, vh = split(q.value), split(k.value), split(v.value)
-    scores = qh @ kh.transpose(0, 1, 3, 2) * inv_scale + mask[:, None, None, :]
-    shifted = scores - scores.max(axis=3, keepdims=True)
-    e = np.exp(shifted)
-    probs = e / e.sum(axis=3, keepdims=True)
+    probs = softmax(qh @ kh.transpose(0, 1, 3, 2) * inv_scale + mask[:, None, None, :])
     ctx = probs @ vh
     out = Node(ctx.transpose(0, 2, 1, 3).reshape(n_batch * seq, d), (q, k, v))
 

@@ -33,7 +33,7 @@ def grad_check_report(
     are below 1e-8, where the absolute difference is used instead.
     """
     if not 1e-6 <= eps <= 1e-4:
-        raise ValidationError(f"grad_check eps must lie in [1e-6, 1e-4], got {eps}")
+        raise ValidationError(f"gradient check eps must lie in [1e-6, 1e-4], got {eps}")
 
     for p in params:
         p.zero_grad()
@@ -65,14 +65,3 @@ def grad_check_report(
         # Restore accumulated analytic grads so callers can inspect them.
         np.copyto(p.grad, analytic[p.name])
     return report
-
-
-def grad_check(
-    loss_fn: Callable[[], Node],
-    params: Sequence[Parameter],
-    eps: float = 1e-5,
-    max_entries_per_param: int | None = None,
-) -> float:
-    """Worst error across all checked parameter entries."""
-    report = grad_check_report(loss_fn, params, eps, max_entries_per_param)
-    return max(report.values()) if report else 0.0

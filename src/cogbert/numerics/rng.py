@@ -48,9 +48,6 @@ class SeededRng:
     def random(self, size=None):
         return self.gen.random(size)
 
-    def shuffle(self, x) -> None:
-        self.gen.shuffle(x)
-
     def permutation(self, n: int) -> np.ndarray:
         return self.gen.permutation(n)
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import DataError, ValidationError
 
 log = logging.getLogger(__name__)
 
@@ -55,24 +55,27 @@ class Vocab:
     def id_of(self, word: str) -> int:
         return self.word_to_id.get(word, UNK_ID)
 
-    def word_of(self, token_id: int) -> str:
-        return self.id_to_word[token_id]
-
     def save(self, path: str | Path) -> None:
         lines = [f"{w}\t{i}" for w, i in sorted(self.word_to_id.items(), key=lambda kv: kv[1])]
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocab":
+        try:
+            lines = Path(path).read_text(encoding="utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not a UTF-8 vocab file: {exc}") from None
         word_to_id: dict[str, int] = {}
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
+        for lineno, line in enumerate(lines, start=1):
             if not line:
                 continue
-            word, _, ident = line.rpartition("\t")
+            word, tab, ident = line.rpartition("\t")
+            if not tab or not ident.isdecimal():
+                raise DataError(f"{path}:{lineno}: not a 'word<TAB>id' vocab line: {line[:60]!r}")
             word_to_id[word] = int(ident)
         for name, ident in RESERVED.items():
             if word_to_id.get(name) != ident:
-                raise ValidationError(f"vocab file missing reserved token {name}={ident}")
+                raise DataError(f"{path}: vocab file missing reserved token {name}={ident}")
         return cls(word_to_id, {i: w for w, i in word_to_id.items()})
 
 
@@ -109,7 +112,6 @@ class TokenizedSentence:
 
     ids: np.ndarray
     base_mask: np.ndarray
-    token_type_ids: np.ndarray
     word_count: int
     n_truncated: int = 0
 
@@ -146,12 +148,7 @@ def encode(words: list[str], vocab: Vocab, max_len: int = 64) -> TokenizedSenten
     return TokenizedSentence(
         ids=ids,
         base_mask=mask,
-        token_type_ids=np.zeros(max_len, dtype=np.int64),
         word_count=len(words),
         n_truncated=n_truncated,
     )
 
-
-def decode(sentence: TokenizedSentence, vocab: Vocab) -> list[str]:
-    """Inverse of encode for the content positions."""
-    return [vocab.word_of(int(sentence.ids[p])) for p in sentence.content_positions()]

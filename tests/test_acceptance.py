@@ -13,8 +13,8 @@ import time
 import numpy as np
 import pytest
 
-from cogbert.cli import gradcheck_mode, main as cli_main
-from cogbert.explain import accumulate_attention, build_report, lime_explain
+from cogbert.cli import main as cli_main
+from cogbert.explain import accumulate_attention, explain_sentence, lime_explain
 from cogbert.features import (
     FeatureDb,
     SynthConfig,
@@ -39,10 +39,10 @@ from cogbert.model import (
     embedding_sum,
     encoder_forward,
     fuse_pooled,
+    gradcheck_mode,
     random_params,
 )
 from cogbert.numerics import autodiff as ad
-from cogbert.numerics import softmax_rows
 from cogbert.numerics.rng import SeededRng
 from cogbert.tokenizer import build_vocab, encode
 from cogbert.training import Metrics, TrainConfig, evaluate, make_examples, split, train
@@ -439,34 +439,11 @@ def test_c10_explainer_correlation():
         for ex in test_ex:
             if checked >= 25:
                 break
-            batch = build_batch([ex.sentence], cfg, [ex.sentence_id], db,
-                                labels=[ex.label])
-            result = encoder_forward(params, batch)
-            predicted = int(result.predictions()[0])
-            if predicted != ex.label:
+            report = explain_sentence(params, db, vocab, ex.sentence_id,
+                                      k=5, n_samples=200, seed=10)
+            if report.predicted_class != ex.label:
                 continue
             checked += 1
-            words = ex.words[: ex.sentence.word_count]
-            attn = accumulate_attention(result.traces[0], ex.sentence, words)
-
-            rec = db.get(ex.sentence_id)
-
-            def predict_fn(kept, mask):
-                idx = np.flatnonzero(mask)
-                sub = CognitiveRecord(
-                    sentence_id=ex.sentence_id, tokens=[words[i] for i in idx],
-                    label=rec.label, n_fixations=rec.n_fixations[idx],
-                    eye_tokens=rec.eye_tokens[idx], eeg_tokens=rec.eeg_tokens[idx],
-                    sentence_eeg=rec.sentence_eeg)
-                layout = encode(sub.tokens, vocab, cfg.max_len)
-                sub_batch = build_batch([layout], cfg, [ex.sentence_id],
-                                        FeatureDb([sub]))
-                out = encoder_forward(params, sub_batch)
-                return float(softmax_rows(out.logits.value)[0, predicted])
-
-            lime = lime_explain(predict_fn, words, n_samples=200, seed=10)
-            report = build_report(ex.sentence_id, predicted, attn, lime,
-                                  ex.sentence, k=5)
             overlaps.append(report.overlap)
             planted = set(synth_cfg.keywords(ex.label))
             if planted & set(report.attention_top) and planted & set(report.lime_top):

@@ -5,20 +5,22 @@ import numpy as np
 import pytest
 
 from cogbert.numerics import autodiff as ad
-from cogbert.numerics.gradcheck import grad_check
+from cogbert.numerics.gradcheck import grad_check_report
 
 RNG = np.random.default_rng(20240902)
 
 
 def check(loss_fn, params, tol=1e-6):
-    assert grad_check(loss_fn, params, eps=1e-5) < tol
+    assert max(grad_check_report(loss_fn, params, eps=1e-5).values()) < tol
 
 
 def reducer(shape):
     """Scalar reduction through a frozen random projection, so the loss is
-    deterministic across the repeated evaluations grad_check makes."""
+    deterministic across the repeated evaluations grad_check_report makes.
+    Built from production ops only: ones(1, r) @ (node * w) @ ones(c, 1)."""
     w = RNG.normal(size=shape)
-    return lambda node: ad.sum_all(ad.mul_const(node, w))
+    rows, cols = np.ones((1, shape[0])), np.ones((shape[1], 1))
+    return lambda node: ad.matmul(ad.matmul(ad.const(rows), ad.mul_const(node, w)), ad.const(cols))
 
 
 class TestElementwiseOps:
@@ -35,20 +37,16 @@ class TestElementwiseOps:
         check(lambda: red(ad.add_bias(ad.leaf(x), ad.leaf(b))), [x, b])
 
     def test_mul_const_and_scale(self):
+        # A scalar constant is how mul_const scales (e.g. inverted dropout).
         x = ad.Parameter("x", RNG.normal(size=(3, 3)))
         c = RNG.normal(size=(3, 3))
         red = reducer((3, 3))
-        check(lambda: red(ad.scale(ad.mul_const(ad.leaf(x), c), 2.5)), [x])
+        check(lambda: red(ad.mul_const(ad.mul_const(ad.leaf(x), c), 2.5)), [x])
 
     def test_gelu(self):
         x = ad.Parameter("x", RNG.normal(size=(4, 4)))
-        check(lambda: ad.sum_all(ad.gelu(ad.leaf(x))), [x])
-
-    def test_add_const_passes_gradient_through(self):
-        x = ad.Parameter("x", RNG.normal(size=(2, 3)))
-        c = RNG.normal(size=(2, 3))
-        red = reducer((2, 3))
-        check(lambda: red(ad.add_const(ad.leaf(x), c)), [x])
+        red = reducer((4, 4))
+        check(lambda: red(ad.gelu(ad.leaf(x))), [x])
 
 
 class TestMatrixOps:
@@ -58,22 +56,11 @@ class TestMatrixOps:
         red = reducer((3, 2))
         check(lambda: red(ad.matmul(ad.leaf(a), ad.leaf(b))), [a, b])
 
-    def test_transpose(self):
-        x = ad.Parameter("x", RNG.normal(size=(3, 4)))
-        red = reducer((4, 3))
-        check(lambda: red(ad.transpose(ad.leaf(x))), [x])
-
-    def test_concat_and_slice_cols(self):
+    def test_concat_cols(self):
         a = ad.Parameter("a", RNG.normal(size=(3, 2)))
         b = ad.Parameter("b", RNG.normal(size=(3, 3)))
-
-        red = reducer((3, 3))
-
-        def loss():
-            joined = ad.concat_cols(ad.leaf(a), ad.leaf(b))
-            return red(ad.slice_cols(joined, 1, 4))
-
-        check(loss, [a, b])
+        red = reducer((3, 5))
+        check(lambda: red(ad.concat_cols(ad.leaf(a), ad.leaf(b))), [a, b])
 
     def test_gather_rows_with_repeats(self):
         table = ad.Parameter("t", RNG.normal(size=(6, 3)))
@@ -94,11 +81,6 @@ class TestMatrixOps:
 
 
 class TestNormalizers:
-    def test_softmax_rows(self):
-        x = ad.Parameter("x", RNG.normal(size=(4, 5)))
-        red = reducer((4, 5))
-        check(lambda: red(ad.softmax_rows(ad.leaf(x))), [x])
-
     def test_layer_norm_rows(self):
         x = ad.Parameter("x", RNG.normal(size=(5, 8)))
         g = ad.Parameter("g", RNG.normal(1.0, 0.3, size=(1, 8)))
@@ -171,12 +153,13 @@ class TestGraphBehavior:
 
     def test_diamond_graph(self):
         w = ad.Parameter("w", RNG.normal(size=(2, 2)))
+        red = reducer((2, 2))
 
         def loss():
             x = ad.leaf(w)
             left = ad.gelu(x)
-            right = ad.scale(x, 3.0)
-            return ad.sum_all(ad.add(left, right))
+            right = ad.mul_const(x, 3.0)
+            return red(ad.add(left, right))
 
         check(loss, [w])
 

@@ -230,6 +230,120 @@ class TestExplain:
         assert rc == 3
 
 
+class TestMalformedInputs:
+    """Corrupt checkpoints and data files exit 3 with a message naming the file."""
+
+    @staticmethod
+    def eval_args(synth_dir, trained_dir, out, features=None, checkpoint=None, vocab=None):
+        return [
+            "eval", "--features", str(features or synth_dir / "features.jsonl"),
+            "--checkpoint", str(checkpoint or trained_dir / "model.ckpt"),
+            "--vocab", str(vocab or trained_dir / "vocab.tsv"),
+            "--out", str(out),
+        ]
+
+    @staticmethod
+    def copy_checkpoint(trained_dir, tmp_path):
+        ckpt = tmp_path / "model.ckpt"
+        ckpt.write_bytes((trained_dir / "model.ckpt").read_bytes())
+        sidecar = tmp_path / "model.ckpt.config.json"
+        sidecar.write_text((trained_dir / "model.ckpt.config.json").read_text())
+        return ckpt, sidecar
+
+    def test_truncated_checkpoint_exits_3(self, trained_dir, synth_dir, tmp_path, capsys):
+        ckpt, _ = self.copy_checkpoint(trained_dir, tmp_path)
+        blob = ckpt.read_bytes()
+        n_tensors = int(blob[:blob.index(b"\n")].split()[-1])
+        header_len = sum(len(line) + 1 for line in blob.split(b"\n", n_tensors + 1)[:n_tensors + 1])
+        cuts = [0, 10, header_len // 2, header_len - 1, header_len, header_len + 100,
+                len(blob) - 8, len(blob) - 1]
+        for cut in cuts:
+            ckpt.write_bytes(blob[:cut])
+            rc = cli_main(self.eval_args(synth_dir, trained_dir, tmp_path / "o", checkpoint=ckpt))
+            err = capsys.readouterr().err
+            assert rc == 3, f"cut at {cut}: exit {rc}"
+            assert str(ckpt) in err, f"cut at {cut}: {err}"
+            if cut >= header_len:
+                assert "tensor" in err, f"cut at {cut}: {err}"
+
+    def test_malformed_sidecar_exits_3(self, trained_dir, synth_dir, tmp_path, capsys):
+        ckpt, sidecar = self.copy_checkpoint(trained_dir, tmp_path)
+        cfg = json.loads(sidecar.read_text())
+        dropped = {k: v for k, v in cfg.items() if k != "dropout"}
+        variants = {  # sidecar text -> what the message must say
+            json.dumps({**cfg, "colour": "blue"}): "unexpected: colour",
+            json.dumps(dropped): "missing: dropout",
+            json.dumps([cfg]): "JSON object",
+            "{": "not valid JSON",
+            json.dumps({**cfg, "layers": "two"}): "invalid model config",
+        }
+        for text, detail in variants.items():
+            sidecar.write_text(text)
+            rc = cli_main(self.eval_args(synth_dir, trained_dir, tmp_path / "o", checkpoint=ckpt))
+            err = capsys.readouterr().err
+            assert rc == 3, f"{detail}: exit {rc}"
+            assert str(sidecar) in err and detail in err, err
+
+    def test_truncated_features_exits_3(self, trained_dir, synth_dir, tmp_path, capsys):
+        text = (synth_dir / "features.jsonl").read_text()
+        lines = text.splitlines()
+        cut = len(lines[0]) + 1 + len(lines[1]) + 1 + len(lines[2]) // 2  # inside line 3
+        broken = tmp_path / "features.jsonl"
+        broken.write_text(text[:cut])
+        rc = cli_main(self.eval_args(synth_dir, trained_dir, tmp_path / "o", features=broken))
+        assert rc == 3
+        assert f"{broken}:3" in capsys.readouterr().err
+
+    def test_feature_db_as_vocab_exits_3(self, trained_dir, synth_dir, tmp_path, capsys):
+        features = synth_dir / "features.jsonl"
+        rc = cli_main(self.eval_args(synth_dir, trained_dir, tmp_path / "o", vocab=features))
+        assert rc == 3
+        assert f"{features}:1" in capsys.readouterr().err
+
+    def test_checkpoint_as_text_input_exits_3(self, trained_dir, synth_dir, tmp_path, capsys):
+        ckpt = trained_dir / "model.ckpt"
+        for flag in ("features", "vocab"):
+            rc = cli_main(self.eval_args(synth_dir, trained_dir, tmp_path / "o", **{flag: ckpt}))
+            assert rc == 3, flag
+            assert f"{ckpt}: not a UTF-8" in capsys.readouterr().err
+
+    def test_bad_feature_values_exit_3(self, synth_dir, tmp_path, capsys):
+        lines = (synth_dir / "features.jsonl").read_text().splitlines()
+        for field, value in (("sentence_eeg", float("nan")), ("eeg_tokens", 101),
+                             ("eye_tokens", -1)):
+            bad = json.loads(lines[4])
+            bad[field][0] = value
+            path = tmp_path / f"bad_{field}.jsonl"
+            path.write_text("\n".join(lines[:4] + [json.dumps(bad)] + lines[5:]) + "\n")
+            rc = cli_main(["train", "--features", str(path), "--out", str(tmp_path / "o"),
+                           "--mode", "pool_concat", "--print-config"])
+            err = capsys.readouterr().err
+            assert rc == 3, f"{field}: exit {rc}"
+            assert f"{path}:5 (id {bad['id']!r})" in err and field in err, err
+
+    def test_malformed_corpus_and_lexicon_exit_3(self, synth_dir, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text((synth_dir / "corpus.jsonl").read_text()[:200])
+        assert cli_main(["lexicon", "build", "--corpus", str(corpus),
+                         "--out", str(tmp_path / "x")]) == 3
+        assert f"{corpus}:1" in capsys.readouterr().err
+
+        lex = tmp_path / "lexicon.jsonl"
+        assert cli_main(["lexicon", "build", "--corpus", str(synth_dir / "corpus.jsonl"),
+                         "--out", str(lex)]) == 0
+        entries = [json.loads(line) for line in lex.read_text().splitlines()]
+        entries[2]["vector"][0] = float("nan")
+        bad_lex = tmp_path / "bad_lexicon.jsonl"
+        for text, where in ((lex.read_text()[:40], ":1"),
+                            ("".join(json.dumps(e) + "\n" for e in entries),
+                             f":3 (word {entries[2]['word']!r})")):
+            bad_lex.write_text(text)
+            assert cli_main(["lexicon", "apply", "--lexicon", str(bad_lex),
+                             "--features", str(synth_dir / "features.jsonl"),
+                             "--out", str(tmp_path / "y")]) == 3
+            assert f"{bad_lex}{where}" in capsys.readouterr().err
+
+
 class TestGradcheckCommand:
     def test_single_mode_passes(self, tmp_path, capsys):
         rc = cli_main(["gradcheck", "--mode", "none", "--out", str(tmp_path)])

@@ -6,6 +6,7 @@ import pytest
 
 from cogbert.errors import FeatureLookupError, ValidationError
 from cogbert.features import (
+    CognitiveRecord,
     EEGLexicon,
     FeatureDb,
     N_EEG_VECTORS,
@@ -336,13 +337,6 @@ class TestDeriveRecords:
 
 
 class TestFeatureDb:
-    def test_exact_lookup_and_batch_order(self):
-        _, db, _ = synth_generate(SynthConfig(n_sentences=16), seed=5)
-        ids = db.ids()
-        shuffled = [ids[3], ids[0], ids[7]]
-        records = db.lookup_batch(shuffled)
-        assert [r.sentence_id for r in records] == shuffled
-
     def test_missing_id_names_the_sentence(self):
         _, db, _ = synth_generate(SynthConfig(n_sentences=16), seed=5)
         with pytest.raises(FeatureLookupError, match="nope"):
@@ -361,6 +355,29 @@ class TestFeatureDb:
             np.testing.assert_array_equal(a.eye_tokens, b.eye_tokens)
             np.testing.assert_array_equal(a.eeg_tokens, b.eeg_tokens)
             np.testing.assert_array_equal(a.sentence_eeg, b.sentence_eeg)
+
+
+class TestCognitiveRecord:
+    @staticmethod
+    def record(**overrides):
+        fields = dict(sentence_id="r0", tokens=["a", "b"], label=0, n_fixations=[0, 2],
+                      eye_tokens=[0, 100], eeg_tokens=[0, 57], sentence_eeg=[0.5, -1.0])
+        fields.update(overrides)
+        return CognitiveRecord(**fields)
+
+    def test_token_range_bounds_accepted(self):
+        rec = self.record(eye_tokens=[0, 100], eeg_tokens=[100, 0])
+        assert rec.eye_tokens.tolist() == [0, 100]
+
+    def test_tokens_outside_range_rejected(self):
+        for field, bad in (("eye_tokens", [0, 101]), ("eeg_tokens", [-1, 3])):
+            with pytest.raises(ValidationError, match=f"r0: {field} outside 0..100"):
+                self.record(**{field: bad})
+
+    def test_non_finite_sentence_eeg_rejected(self):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValidationError, match="r0: sentence_eeg"):
+                self.record(sentence_eeg=[0.5, bad])
 
 
 class TestSynthGenerate:

@@ -20,8 +20,7 @@ from cogbert.model import (
     save_checkpoint,
 )
 from cogbert.numerics import autodiff as ad
-from cogbert.numerics import layer_norm_rows
-from cogbert.numerics.gradcheck import grad_check
+from cogbert.numerics.gradcheck import grad_check_report
 from cogbert.numerics.rng import SeededRng
 from cogbert.tokenizer import build_vocab, encode
 
@@ -169,9 +168,11 @@ class TestEmbedding:
         params["embed.position"].value[:] = 0.0
         ids = np.arange(cfg.max_len) % 10
         out = embed(params, ids).value
-        expected = layer_norm_rows(params["embed.word"].value[ids],
-                                   params["embed.ln.gamma"].value,
-                                   params["embed.ln.beta"].value)
+        rows = params["embed.word"].value[ids]
+        mean = rows.mean(axis=1, keepdims=True)
+        var = ((rows - mean) ** 2).mean(axis=1, keepdims=True)
+        expected = ((rows - mean) / np.sqrt(var + 1e-5) * params["embed.ln.gamma"].value
+                    + params["embed.ln.beta"].value)
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_zero_tokens_share_table_row(self):
@@ -270,7 +271,8 @@ class TestForward:
                 result = encoder_forward(params, batch)
                 return ad.cross_entropy_mean(result.logits, batch.labels)
 
-            assert grad_check(loss, params.all(), eps=1e-5, max_entries_per_param=12) < 1e-4
+            report = grad_check_report(loss, params.all(), eps=1e-5, max_entries_per_param=12)
+            assert max(report.values()) < 1e-4
 
 
 class TestFusion:

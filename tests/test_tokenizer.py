@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cogbert.errors import ValidationError
+from cogbert.errors import DataError, ValidationError
 from cogbert.tokenizer import (
     CLS_ID,
     MASK_KEEP,
@@ -13,7 +13,6 @@ from cogbert.tokenizer import (
     UNK_ID,
     Vocab,
     build_vocab,
-    decode,
     encode,
     preprocess,
 )
@@ -74,6 +73,14 @@ class TestBuildVocab:
         loaded = Vocab.load(path)
         assert loaded.word_to_id == vocab.word_to_id
 
+    def test_load_rejects_malformed_files(self, tmp_path):
+        path = tmp_path / "vocab.tsv"
+        for text, message in (("[PAD]\t0\nfox 7\n", r"vocab.tsv:2: not a 'word<TAB>id'"),
+                              ("[PAD]\t0\nfox\t7\n", r"vocab.tsv: .*missing reserved token")):
+            path.write_text(text)
+            with pytest.raises(DataError, match=message):
+                Vocab.load(path)
+
 
 class TestEncode:
     def setup_method(self):
@@ -113,14 +120,11 @@ class TestEncode:
                 expected = MASK_SUPPRESS if ts.ids[pos] == PAD_ID else MASK_KEEP
                 assert ts.base_mask[pos] == expected
 
-    def test_token_type_ids_all_zero(self):
-        ts = encode(["he"], self.vocab, max_len=5)
-        assert not ts.token_type_ids.any()
-
     def test_round_trip_for_in_vocab_sentences(self):
         words = ["the", "nobel", "prize"]
         ts = encode(words, self.vocab, max_len=10)
-        assert decode(ts, self.vocab) == words
+        content = [self.vocab.id_to_word[int(ts.ids[p])] for p in ts.content_positions()]
+        assert content == words
 
     def test_deterministic(self):
         a = encode(["he", "won"], self.vocab, max_len=8)
