@@ -29,14 +29,20 @@ from .errors import (
     ValidationError,
 )
 from .explain import DEFAULT_KERNEL_WIDTH, DEFAULT_RIDGE_LAMBDA, DEFAULT_SAMPLES, explain_sentence
-from .model import MODES, ModelConfig, gradcheck_mode, load_checkpoint, save_checkpoint
+from .files import atomic_open, write_text_atomic
+from .model import MODES, EncoderParams, ModelConfig, gradcheck_mode, load_checkpoint, save_checkpoint
 from .tokenizer import Vocab, build_vocab
 
 GRADCHECK_TOLERANCE = 1e-4
 
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    write_text_atomic(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+
+
+def _write_csv(path: Path, rows) -> None:
+    with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
 
 
 def _load_json_config(path: str | None, what: str) -> dict:
@@ -133,21 +139,20 @@ def _build_train_config(args) -> training.TrainConfig:
 
 
 def _report_csv(path: Path, mode: str, report: training.RunReport) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["mode", "run", "seed", "precision", "recall", "f1", "f1_std", "accuracy"])
-        for i, run in enumerate(report.runs):
-            m = run.metrics
-            writer.writerow([
-                mode, i, run.seed,
-                f"{m.precision:.4f}", f"{m.recall:.4f}", f"{m.f1:.4f}", "",
-                f"{m.accuracy:.4f}",
-            ])
-        writer.writerow([
-            mode, "mean", report.train_config["seed"],
-            f"{report.precision:.4f}", f"{report.recall:.4f}", f"{report.f1:.4f}",
-            f"{report.f1_std:.4f}", f"{report.accuracy:.4f}",
+    rows = [["mode", "run", "seed", "precision", "recall", "f1", "f1_std", "accuracy"]]
+    for i, run in enumerate(report.runs):
+        m = run.metrics
+        rows.append([
+            mode, i, run.seed,
+            f"{m.precision:.4f}", f"{m.recall:.4f}", f"{m.f1:.4f}", "",
+            f"{m.accuracy:.4f}",
         ])
+    rows.append([
+        mode, "mean", report.train_config["seed"],
+        f"{report.precision:.4f}", f"{report.recall:.4f}", f"{report.f1:.4f}",
+        f"{report.f1_std:.4f}", f"{report.accuracy:.4f}",
+    ])
+    _write_csv(path, rows)
 
 
 def cmd_train(args) -> int:
@@ -187,10 +192,21 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
+def _load_model_inputs(args) -> tuple[feat.FeatureDb, EncoderParams, Vocab]:
+    """Feature db, checkpoint and vocab of eval/explain, the vocab checked against the model."""
     db = feat.FeatureDb.load_jsonl(_require_file(args.features, "feature db"))
     params = load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
     vocab = Vocab.load(_require_file(args.vocab, "vocab"))
+    if vocab.size > params.cfg.vocab_size:
+        raise DataError(
+            f"vocab {args.vocab} assigns ids up to {vocab.size - 1}, but checkpoint "
+            f"{args.checkpoint} has only {params.cfg.vocab_size} word embeddings"
+        )
+    return db, params, vocab
+
+
+def cmd_eval(args) -> int:
+    db, params, vocab = _load_model_inputs(args)
     cfg = params.cfg
 
     out = _out_dir(args.out)
@@ -264,9 +280,7 @@ def cmd_lexicon(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_explain(args) -> int:
-    db = feat.FeatureDb.load_jsonl(_require_file(args.features, "feature db"))
-    params = load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
-    vocab = Vocab.load(_require_file(args.vocab, "vocab"))
+    db, params, vocab = _load_model_inputs(args)
     out = _out_dir(args.out)
 
     sentence_ids = [sid.strip() for sid in args.ids.split(",") if sid.strip()]
@@ -286,11 +300,10 @@ def cmd_explain(args) -> int:
         overlaps.append(report.overlap)
 
         _write_json(out / f"explain_{sid}.json", report.to_dict())
-        with open(out / f"heatmap_{sid}.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["word", "attention_score", "lime_weight"])
-            for word, attn, lime in report.heatmap_rows():
-                writer.writerow([word, repr(attn), repr(lime)])
+        _write_csv(out / f"heatmap_{sid}.csv", [
+            ["word", "attention_score", "lime_weight"],
+            *([word, repr(attn), repr(lime)] for word, attn, lime in report.heatmap_rows()),
+        ])
         print(f"{sid}: predicted class {report.predicted_class}, "
               f"overlap@{args.k} = {report.overlap:.2f}")
 
@@ -363,11 +376,8 @@ def cmd_report(args) -> int:
         raise EmptyResultError("no reports to aggregate")
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["mode", "repeats", "epochs", "seed",
-                         "precision", "recall", "f1", "f1_std", "accuracy"])
-        writer.writerows(rows)
+    _write_csv(out, [["mode", "repeats", "epochs", "seed",
+                      "precision", "recall", "f1", "f1_std", "accuracy"], *rows])
     print(f"wrote {len(rows)} rows to {out}")
     return 0
 

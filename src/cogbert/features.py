@@ -21,6 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DataError, FeatureLookupError, ValidationError
+from .files import atomic_open
 from .numerics.rng import SeededRng
 from .tokenizer import MASK_KEEP, MASK_SUPPRESS, TokenizedSentence
 
@@ -193,7 +194,7 @@ class FeatureDb:
             raise FeatureLookupError(f"no cognitive record for sentence id {sentence_id!r}") from None
 
     def save_jsonl(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path, "w", encoding="utf-8") as fh:
             for rec in self._records.values():
                 fh.write(json.dumps({
                     "id": rec.sentence_id,
@@ -207,15 +208,31 @@ class FeatureDb:
 
     @classmethod
     def load_jsonl(cls, path: str | Path) -> "FeatureDb":
-        return cls(_read_jsonl(path, "id", lambda obj: CognitiveRecord(
-            sentence_id=obj["id"],
-            tokens=obj["tokens"],
-            label=int(obj["label"]),
-            n_fixations=obj["n_fixations"],
-            eye_tokens=obj["eye_tokens"],
-            eeg_tokens=obj["eeg_tokens"],
-            sentence_eeg=obj["sentence_eeg"],
-        )))
+        """Read a feature db; every record must have the first record's EEG channel count."""
+        channels: list[int] = []
+
+        def record(obj: dict) -> CognitiveRecord:
+            rec = CognitiveRecord(
+                sentence_id=obj["id"],
+                tokens=obj["tokens"],
+                label=int(obj["label"]),
+                n_fixations=obj["n_fixations"],
+                eye_tokens=obj["eye_tokens"],
+                eeg_tokens=obj["eeg_tokens"],
+                sentence_eeg=obj["sentence_eeg"],
+            )
+            if rec.sentence_eeg.ndim != 1:
+                raise ValidationError("sentence_eeg must be a flat list of numbers")
+            if not channels:
+                channels.append(rec.sentence_eeg.shape[0])
+            elif rec.sentence_eeg.shape[0] != channels[0]:
+                raise ValidationError(
+                    f"sentence_eeg has {rec.sentence_eeg.shape[0]} channels, "
+                    f"the first record has {channels[0]}"
+                )
+            return rec
+
+        return cls(_read_jsonl(path, "id", record))
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +371,7 @@ class EEGLexicon:
         return word in self.vectors
 
     def save_jsonl(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path, "w", encoding="utf-8") as fh:
             for word in sorted(self.vectors):
                 fh.write(json.dumps({
                     "word": word,
@@ -551,7 +568,7 @@ def synth_generate(cfg: SynthConfig, seed: int) -> tuple[list[SentenceMeasuremen
 # ---------------------------------------------------------------------------
 
 def save_measurements(measurements: list[SentenceMeasurement], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         for m in measurements:
             fh.write(json.dumps({
                 "id": m.sentence_id,

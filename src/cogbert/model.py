@@ -16,6 +16,12 @@ first two layers. The pooled output is the raw CLS hidden state of the last
 layer (no extra pooler). Every forward pass records per-layer, per-head
 attention probabilities for the explanation pipeline. `gradcheck_mode`
 checks one mode's full backward pass against central differences.
+
+A batch runs at its own width T, not at max_len: `build_batch` cuts every
+position array to the longest real row (CLS + words + SEP) rounded up to a
+multiple of WIDTH_MULTIPLE. Padding keys carry a -10000 additive mask, so
+their attention weights are exactly zero in float64 and the positions cut
+away could not change any real row.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ import numpy as np
 
 from .errors import CheckpointError, ConfigError, ValidationError
 from .features import CognitiveRecord, FeatureDb, cognitive_mask
+from .files import atomic_open, write_text_atomic
 from .numerics import autodiff as ad
 from .numerics.autodiff import Node, Parameter
 from .numerics.gradcheck import grad_check_report
@@ -42,6 +49,9 @@ COG_TABLE_ROWS = 101  # cognitive tokens range over 0..100
 LN_EPS = 1e-5
 INIT_STD = 0.02
 GRADCHECK_MAX_ENTRIES = 48
+# numpy's pairwise sum keeps 8 partial sums: at a width that is a multiple of 8
+# the softmax reductions see the same partial sums as at max_len (bit-identical).
+WIDTH_MULTIPLE = 8
 
 
 @dataclass
@@ -111,9 +121,13 @@ class ModelConfig:
 
 @dataclass
 class AttentionTrace:
-    """Per-layer, per-head attention probabilities for one sentence."""
+    """Per-layer, per-head attention probabilities for one sentence.
 
-    probs: np.ndarray  # (layers, heads, max_len, max_len)
+    T is the width of the batch the sentence ran in (see build_batch);
+    probabilities on PAD columns are exactly zero.
+    """
+
+    probs: np.ndarray  # (layers, heads, T, T)
 
     @property
     def layers(self) -> int:
@@ -218,13 +232,12 @@ def save_checkpoint(params: EncoderParams, path: str | Path) -> None:
     names = params.names()
     header = [f"{_CKPT_MAGIC} {len(names)}"]
     header += [f"{n} {params[n].shape[0]} {params[n].shape[1]}" for n in names]
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(("\n".join(header) + "\n").encode("utf-8"))
         for n in names:
             fh.write(params[n].value.astype("<f8").tobytes(order="C"))
-    _sidecar_path(path).write_text(
-        json.dumps(params.cfg.to_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    write_text_atomic(_sidecar_path(path),
+                      json.dumps(params.cfg.to_dict(), sort_keys=True, indent=2) + "\n")
 
 
 def _load_sidecar(sidecar: Path) -> ModelConfig:
@@ -323,13 +336,17 @@ def init_params(cfg: ModelConfig, source: str = "random", seed: int = 0) -> Enco
 
 @dataclass
 class Batch:
-    """Model-ready arrays for a batch of tokenized sentences."""
+    """Model-ready arrays for a batch of tokenized sentences.
+
+    T is the batch width chosen by build_batch (at most max_len); every
+    position array has it as its second axis.
+    """
 
     sentence_ids: list[str]
     ids: np.ndarray              # (B, T) int token ids
     masks: np.ndarray            # (B, T) additive attention masks
-    eeg_tokens: np.ndarray | None
-    eye_tokens: np.ndarray | None
+    eeg_tokens: np.ndarray | None  # (B, T) EEG tokens, eeg modes only
+    eye_tokens: np.ndarray | None  # (B, T) eye tokens, eye modes only
     sent_eeg: np.ndarray | None  # (B, C)
     labels: np.ndarray | None
 
@@ -347,15 +364,21 @@ def build_batch(
 ) -> Batch:
     """Assemble ids, masks, and per-mode feature arrays for a forward pass.
 
-    CLS, SEP, and PAD positions carry cognitive token 0 (no measurement
-    exists for them); content positions take the record's values.
+    The arrays are cut to the batch width T: the longest real row
+    (word_count + 2) rounded up to a multiple of WIDTH_MULTIPLE, capped at
+    max_len. CLS, SEP, and PAD positions carry cognitive token 0 (no
+    measurement exists for them); content positions take the record's values.
     """
     if cfg.needs_features and db is None:
         raise ValidationError(f"mode {cfg.mode!r} requires a feature database")
     if db is not None and sentence_ids is None:
         raise ValidationError("sentence_ids are required to look up features")
 
-    n, t = len(sentences), cfg.max_len
+    for ts in sentences:
+        if ts.max_len != cfg.max_len:
+            raise ValidationError(f"sentence max_len {ts.max_len} != model max_len {cfg.max_len}")
+    longest = max((ts.word_count + 2 for ts in sentences), default=0)
+    n, t = len(sentences), min(cfg.max_len, -(-longest // WIDTH_MULTIPLE) * WIDTH_MULTIPLE)
     ids = np.zeros((n, t), dtype=np.int64)
     masks = np.zeros((n, t), dtype=np.float64)
     eeg = np.zeros((n, t), dtype=np.int64) if cfg.uses_eeg_tokens else None
@@ -363,10 +386,8 @@ def build_batch(
     sent = np.zeros((n, cfg.eeg_channels)) if cfg.uses_sentence_eeg else None
 
     for i, ts in enumerate(sentences):
-        if ts.max_len != t:
-            raise ValidationError(f"sentence max_len {ts.max_len} != model max_len {t}")
-        ids[i] = ts.ids
-        masks[i] = ts.base_mask
+        ids[i] = ts.ids[:t]
+        masks[i] = ts.base_mask[:t]
         if cfg.needs_features:
             rec = db.get(sentence_ids[i])
             wc = ts.word_count
@@ -376,7 +397,7 @@ def build_batch(
                 )
             content = slice(1, 1 + wc)
             if cfg.mode == "cog_mask":
-                masks[i] = cognitive_mask(rec.n_fixations[:wc], ts)
+                masks[i] = cognitive_mask(rec.n_fixations[:wc], ts)[:t]
             if eeg is not None:
                 eeg[i, content] = rec.eeg_tokens[:wc]
             if eye is not None:
@@ -440,17 +461,23 @@ def embed(
     eeg_tokens: np.ndarray | None = None,
     eye_tokens: np.ndarray | None = None,
     positions: np.ndarray | None = None,
-    train: bool = False,
-    rng: SeededRng | None = None,
 ) -> Node:
-    """Embedding sum, then layer norm, then (training only) dropout."""
-    cfg = params.cfg
+    """Embedding sum, then layer norm (encoder_forward applies the dropout)."""
     x = embedding_sum(params, ids, eeg_tokens, eye_tokens, positions)
-    x = ad.layer_norm_rows(x, ad.leaf(params["embed.ln.gamma"]),
-                           ad.leaf(params["embed.ln.beta"]), LN_EPS)
-    if train and cfg.dropout > 0.0:
-        x = ad.dropout(x, cfg.dropout, rng)
-    return x
+    return ad.layer_norm_rows(x, ad.leaf(params["embed.ln.gamma"]),
+                              ad.leaf(params["embed.ln.beta"]), LN_EPS)
+
+
+def _dropout(x: Node, n: int, cfg: ModelConfig, train: bool, rng: SeededRng | None) -> Node:
+    """Training-only dropout of n stacked sentences, masks drawn at max_len.
+
+    Drawing (n, max_len, d) and keeping each sentence's first T positions
+    leaves the dropout stream, and the mask of every kept element, the same
+    at any batch width T.
+    """
+    if not train or cfg.dropout == 0.0:
+        return x
+    return ad.dropout(x, cfg.dropout, rng, draw_shape=(n, cfg.max_len, x.value.shape[1]))
 
 
 def self_attention(
@@ -463,8 +490,8 @@ def self_attention(
 ) -> tuple[Node, np.ndarray]:
     """One multi-head self-attention block with residual and layer norm.
 
-    masks is (batch, max_len); returns the block output and the detached
-    attention probabilities (batch, heads, max_len, max_len).
+    masks is (batch, T); returns the block output and the detached
+    attention probabilities (batch, heads, T, T).
     """
     cfg = params.cfg
     p = f"layer{layer}."
@@ -473,21 +500,18 @@ def self_attention(
     v = ad.linear(x, ad.leaf(params[p + "attn.wv"]), ad.leaf(params[p + "attn.bv"]))
     ctx, probs = ad.multi_head_attention(q, k, v, masks, cfg.heads)
     ctx = ad.linear(ctx, ad.leaf(params[p + "attn.wo"]), ad.leaf(params[p + "attn.bo"]))
-    if train and cfg.dropout > 0.0:
-        ctx = ad.dropout(ctx, cfg.dropout, rng)
+    ctx = _dropout(ctx, masks.shape[0], cfg, train, rng)
     out = ad.layer_norm_rows(ad.add(x, ctx), ad.leaf(params[p + "ln1.gamma"]),
                              ad.leaf(params[p + "ln1.beta"]), LN_EPS)
     return out, probs
 
 
-def _feed_forward(x: Node, params: EncoderParams, layer: int,
+def _feed_forward(x: Node, n: int, params: EncoderParams, layer: int,
                   train: bool, rng: SeededRng | None) -> Node:
-    cfg = params.cfg
     p = f"layer{layer}."
     h = ad.gelu(ad.linear(x, ad.leaf(params[p + "ff.w1"]), ad.leaf(params[p + "ff.b1"])))
     h = ad.linear(h, ad.leaf(params[p + "ff.w2"]), ad.leaf(params[p + "ff.b2"]))
-    if train and cfg.dropout > 0.0:
-        h = ad.dropout(h, cfg.dropout, rng)
+    h = _dropout(h, n, params.cfg, train, rng)
     return ad.layer_norm_rows(ad.add(x, h), ad.leaf(params[p + "ln2.gamma"]),
                               ad.leaf(params[p + "ln2.beta"]), LN_EPS)
 
@@ -535,6 +559,8 @@ def classify(fused: Node, params: EncoderParams) -> Node:
 
 @dataclass
 class ForwardResult:
+    """Outputs of one forward pass; T is the batch width (batch.ids.shape[1])."""
+
     hidden: np.ndarray          # (B, T, d_model) final hidden states, detached
     pooled: Node                # (B, d_model) CLS rows
     logits: Node                # (B, n_classes)
@@ -563,13 +589,12 @@ def encoder_forward(
         eeg_tokens=None if batch.eeg_tokens is None else batch.eeg_tokens.reshape(-1),
         eye_tokens=None if batch.eye_tokens is None else batch.eye_tokens.reshape(-1),
         positions=np.tile(np.arange(t), n),
-        train=train,
-        rng=rng,
     )
+    x = _dropout(x, n, cfg, train, rng)
     layer_probs = []
     for layer in range(cfg.layers):
         x, probs = self_attention(x, batch.masks, params, layer, train, rng)
-        x = _feed_forward(x, params, layer, train, rng)
+        x = _feed_forward(x, n, params, layer, train, rng)
         layer_probs.append(probs)
 
     pooled = ad.select_rows(x, np.arange(n) * t)  # CLS position of each sentence

@@ -261,11 +261,20 @@ def concat_cols(a: Node, b: Node) -> Node:
     return out
 
 
-def dropout(x: Node, rate: float, rng) -> Node:
-    """Inverted dropout; identity when rate == 0. rng is a SeededRng."""
+def dropout(x: Node, rate: float, rng, draw_shape: tuple[int, int, int] | None = None) -> Node:
+    """Inverted dropout; identity when rate == 0. rng is a SeededRng.
+
+    With draw_shape (n, W, d), x holds n stacked blocks of T <= W rows each:
+    the uniforms are drawn at (n, W, d) and the first T rows of every block
+    are used, so the draw does not depend on T.
+    """
     if rate == 0.0:
         return x
-    keep = (rng.random(x.value.shape) >= rate).astype(np.float64) / (1.0 - rate)
+    if draw_shape is None:
+        u = rng.random(x.value.shape)
+    else:
+        u = rng.random(draw_shape)[:, : x.value.shape[0] // draw_shape[0]].reshape(x.value.shape)
+    keep = (u >= rate).astype(np.float64) / (1.0 - rate)
     return mul_const(x, keep)
 
 

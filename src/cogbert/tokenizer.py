@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, ValidationError
+from .files import write_text_atomic
 
 log = logging.getLogger(__name__)
 
@@ -57,7 +58,7 @@ class Vocab:
 
     def save(self, path: str | Path) -> None:
         lines = [f"{w}\t{i}" for w, i in sorted(self.word_to_id.items(), key=lambda kv: kv[1])]
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_text_atomic(path, "\n".join(lines) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocab":

@@ -104,7 +104,7 @@ def test_c02_mask_semantics():
             result = encoder_forward(params, batch)
             for b, trace in enumerate(result.traces):
                 layout = sentences[chunk][b]
-                pad = np.ones(cfg.max_len, dtype=bool)
+                pad = np.ones(trace.probs.shape[-1], dtype=bool)
                 pad[: layout.word_count + 2] = False
                 assert trace.probs[:, :, :, pad].max(initial=0.0) < 1e-4
                 if mode == "cog_mask":

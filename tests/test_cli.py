@@ -300,6 +300,19 @@ class TestMalformedInputs:
         assert rc == 3
         assert f"{features}:1" in capsys.readouterr().err
 
+    def test_vocab_larger_than_checkpoint_exits_3(self, trained_dir, synth_dir, tmp_path, capsys):
+        vocab = tmp_path / "vocab.tsv"
+        vocab.write_text((trained_dir / "vocab.tsv").read_text() + "stranger\t4000\n")
+        explain = ["explain", "--features", str(synth_dir / "features.jsonl"),
+                   "--checkpoint", str(trained_dir / "model.ckpt"), "--vocab", str(vocab),
+                   "--ids", "s0000", "--out", str(tmp_path / "e")]
+        for argv in (self.eval_args(synth_dir, trained_dir, tmp_path / "o", vocab=vocab), explain):
+            rc = cli_main(argv)
+            err = capsys.readouterr().err
+            assert rc == 3, f"{argv[0]}: exit {rc}"
+            assert str(vocab) in err and str(trained_dir / "model.ckpt") in err, err
+            assert "4000" in err, err
+
     def test_checkpoint_as_text_input_exits_3(self, trained_dir, synth_dir, tmp_path, capsys):
         ckpt = trained_dir / "model.ckpt"
         for flag in ("features", "vocab"):

@@ -1,10 +1,12 @@
 """Feature formulas against brute-force oracles, mask semantics, lexicon math,
 storage round trips, and the synthetic generator's contracts."""
 
+import json
+
 import numpy as np
 import pytest
 
-from cogbert.errors import FeatureLookupError, ValidationError
+from cogbert.errors import DataError, FeatureLookupError, ValidationError
 from cogbert.features import (
     CognitiveRecord,
     EEGLexicon,
@@ -355,6 +357,29 @@ class TestFeatureDb:
             np.testing.assert_array_equal(a.eye_tokens, b.eye_tokens)
             np.testing.assert_array_equal(a.eeg_tokens, b.eeg_tokens)
             np.testing.assert_array_equal(a.sentence_eeg, b.sentence_eeg)
+
+    def test_load_rejects_changed_channel_count(self, tmp_path):
+        _, db, _ = synth_generate(SynthConfig(n_sentences=16), seed=5)
+        path = tmp_path / "features.jsonl"
+        db.save_jsonl(path)
+        lines = path.read_text().splitlines()
+        bad = json.loads(lines[6])
+        bad["sentence_eeg"] = bad["sentence_eeg"][:5]
+        path.write_text("\n".join(lines[:6] + [json.dumps(bad)] + lines[7:]) + "\n")
+        with pytest.raises(DataError, match=rf"{path}:7 \(id '{bad['id']}'\): "
+                                            r"sentence_eeg has 5 channels, the first record has 8"):
+            FeatureDb.load_jsonl(path)
+
+    def test_save_leaves_no_temp_file_and_keeps_old_file_on_failure(self, tmp_path):
+        _, db, _ = synth_generate(SynthConfig(n_sentences=16), seed=5)
+        path = tmp_path / "features.jsonl"
+        db.save_jsonl(path)
+        before = path.read_bytes()
+        broken = FeatureDb({**{sid: db.get(sid) for sid in db.ids()}, "x": None})
+        with pytest.raises(AttributeError):
+            broken.save_jsonl(path)  # fails after writing 16 records
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["features.jsonl"]
 
 
 class TestCognitiveRecord:

@@ -1,12 +1,16 @@
 """Encoder contracts: config validation, init and checkpoints, embedding sums,
 attention mask semantics, pooled fusion math, and full-forward gradients."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from cogbert.errors import CheckpointError, ConfigError, FeatureLookupError, ValidationError
 from cogbert.features import CognitiveRecord, FeatureDb
 from cogbert.model import (
+    MODES,
+    WIDTH_MULTIPLE,
     ModelConfig,
     build_batch,
     classify,
@@ -22,7 +26,7 @@ from cogbert.model import (
 from cogbert.numerics import autodiff as ad
 from cogbert.numerics.gradcheck import grad_check_report
 from cogbert.numerics.rng import SeededRng
-from cogbert.tokenizer import build_vocab, encode
+from cogbert.tokenizer import MASK_SUPPRESS, PAD_ID, build_vocab, encode
 
 
 def tiny_cfg(**overrides):
@@ -215,7 +219,8 @@ class TestForward:
         result = encoder_forward(params, batch)
         assert len(result.traces) == batch.size
         for trace in result.traces:
-            assert trace.probs.shape == (cfg.layers, cfg.heads, cfg.max_len, cfg.max_len)
+            t = batch.ids.shape[1]
+            assert trace.probs.shape == (cfg.layers, cfg.heads, t, t)
             np.testing.assert_allclose(trace.probs.sum(axis=3), 1.0, atol=1e-6)
 
     def test_pad_columns_get_no_attention(self):
@@ -273,6 +278,118 @@ class TestForward:
 
             report = grad_check_report(loss, params.all(), eps=1e-5, max_entries_per_param=12)
             assert max(report.values()) < 1e-4
+
+
+WIDTH_WORDS = [f"w{i}" for i in range(30)]
+
+
+def width_batch(cfg, lengths, seed=0):
+    """A labelled batch whose sentences have the given word counts."""
+    corpus = [[WIDTH_WORDS[(i + j) % len(WIDTH_WORDS)] for j in range(n)]
+              for i, n in enumerate(lengths)]
+    vocab = build_vocab([WIDTH_WORDS])
+    records = make_records(cfg, corpus, seed)
+    layouts = [encode(r.tokens, vocab, cfg.max_len) for r in records]
+    return build_batch(layouts, cfg, [r.sentence_id for r in records], FeatureDb(records),
+                       labels=[r.label for r in records])
+
+
+def pad_to_max_len(batch, max_len):
+    """The full-width reference: ids 0, mask -10000, cognitive tokens 0 beyond T."""
+    n, t = batch.ids.shape
+
+    def widen(arr, fill):
+        if arr is None:
+            return None
+        out = np.full((n, max_len), fill, dtype=arr.dtype)
+        out[:, :t] = arr
+        return out
+
+    return dataclasses.replace(batch, ids=widen(batch.ids, PAD_ID),
+                               masks=widen(batch.masks, MASK_SUPPRESS),
+                               eeg_tokens=widen(batch.eeg_tokens, 0),
+                               eye_tokens=widen(batch.eye_tokens, 0))
+
+
+def spread_params(cfg, seed):
+    """O(0.3) parameters: sharp attention, so a leak of PAD mass would show."""
+    params = random_params(cfg, seed)
+    rng = SeededRng(seed).derive("spread")
+    for p in params.all():
+        p.value[:] = rng.normal(1.0 if p.name.endswith(".gamma") else 0.0, 0.3, p.value.shape)
+    return params
+
+
+class TestBatchWidth:
+    """A batch runs at its longest real row rounded up to 8, with max_len's results."""
+
+    def test_width_is_rounded_longest_row(self):
+        rng = SeededRng(21).derive("widths")
+        for max_len in (64, 12):
+            cfg = tiny_cfg(max_len=max_len)
+            for _ in range(30):
+                lengths = rng.integers(0, max_len - 1, size=int(rng.integers(1, 6)))
+                batch = width_batch(cfg, lengths.tolist())
+                t, longest = batch.ids.shape[1], int(lengths.max()) + 2
+                assert longest <= t <= max_len
+                assert t % WIDTH_MULTIPLE == 0 or t == max_len
+                assert t == min(max_len, -(-longest // WIDTH_MULTIPLE) * WIDTH_MULTIPLE)
+                assert batch.masks.shape == (len(lengths), t)
+
+    def test_all_modes_match_full_width_reference(self):
+        for mode in MODES:
+            cfg = tiny_cfg(mode=mode, max_len=64)
+            params = spread_params(cfg, seed=3)
+            batch = width_batch(cfg, [3, 13, 7, 0])
+            t = batch.ids.shape[1]
+            assert t == 16
+            trimmed = encoder_forward(params, batch)
+            full = encoder_forward(params, pad_to_max_len(batch, cfg.max_len))
+            np.testing.assert_array_equal(trimmed.logits.value, full.logits.value, err_msg=mode)
+            for a, b in zip(trimmed.traces, full.traces):
+                np.testing.assert_array_equal(a.probs, b.probs[..., :t, :t], err_msg=mode)
+
+    def test_sentence_does_not_depend_on_batch_peers(self):
+        """Hidden states match alone and beside longer peers; logits match across peers.
+
+        Logits are compared between batches of two or more: for a single row
+        numpy computes the classifier product as a matrix-vector product, whose
+        sum order may differ from the matrix-matrix one in the last bit.
+        """
+        for mode in MODES:
+            cfg = tiny_cfg(mode=mode, max_len=64)
+            params = spread_params(cfg, seed=5)
+            alone = encoder_forward(params, width_batch(cfg, [4]))
+            t = alone.hidden.shape[1]
+            logits = []
+            for peers in ([2], [25], [25, 9], [60, 1, 1]):
+                result = encoder_forward(params, width_batch(cfg, [4, *peers]))
+                np.testing.assert_array_equal(result.hidden[0, :t], alone.hidden[0], err_msg=mode)
+                np.testing.assert_array_equal(result.pooled.value[0], alone.pooled.value[0])
+                logits.append(result.logits.value[0])
+            for other in logits[1:]:
+                np.testing.assert_array_equal(other, logits[0], err_msg=mode)
+
+    def test_training_step_matches_full_width_reference(self):
+        for mode in ("eeg_embed", "cog_mask", "pool_add_nn"):
+            cfg = tiny_cfg(mode=mode, max_len=64, dropout=0.1)
+            params = spread_params(cfg, seed=7)
+            batch = width_batch(cfg, [3, 13, 7, 0])
+            grads, losses = [], []
+            for b in (batch, pad_to_max_len(batch, cfg.max_len)):
+                params.zero_grads()
+                result = encoder_forward(params, b, train=True, rng=SeededRng(11))
+                loss = ad.cross_entropy_mean(result.logits, b.labels)
+                ad.backward(loss)
+                losses.append(loss.item())
+                grads.append({p.name: p.grad.copy() for p in params.all()})
+            assert losses[0] == losses[1], mode
+            # Relative to the largest gradient entry: the key biases' true gradient
+            # is zero (softmax ignores a shift shared by all keys), so theirs is noise.
+            scale = max(np.abs(g).max() for g in grads[1].values())
+            for name, full in grads[1].items():
+                np.testing.assert_allclose(grads[0][name], full, rtol=1e-12, atol=1e-12 * scale,
+                                           err_msg=f"{mode} {name}")
 
 
 class TestFusion:
