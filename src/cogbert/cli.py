@@ -357,8 +357,9 @@ def cmd_gradcheck(args) -> int:
 def cmd_report(args) -> int:
     rows = []
     for path in args.inputs:
-        obj = json.loads(_require_file(path, "report").read_text(encoding="utf-8"))
+        report = _require_file(path, "report")
         try:
+            obj = json.loads(report.read_text(encoding="utf-8"))
             rows.append([
                 obj["model_config"]["mode"],
                 obj["train_config"]["repeats"],
@@ -372,6 +373,8 @@ def cmd_report(args) -> int:
             ])
         except KeyError as exc:
             raise DataError(f"{path} is not a run report (missing {exc})") from exc
+        except (TypeError, ValueError) as exc:  # not UTF-8, not JSON, or not an object
+            raise DataError(f"{path} is not a run report: {exc}") from exc
     if not rows:
         raise EmptyResultError("no reports to aggregate")
     out = Path(args.out)

@@ -83,7 +83,7 @@ def _cosine_distance_from_full(mask: np.ndarray) -> float:
 
 
 def lime_explain(
-    predict_fn: Callable[[list[str], np.ndarray], float],
+    predict_fn: Callable[[np.ndarray], float],
     words: Sequence[str],
     n_samples: int = DEFAULT_SAMPLES,
     kernel_width: float = DEFAULT_KERNEL_WIDTH,
@@ -92,9 +92,9 @@ def lime_explain(
 ) -> list[TokenScore]:
     """Per-word surrogate coefficients for predict_fn around this sentence.
 
-    predict_fn receives the perturbed word list plus its boolean keep-mask
-    (callers holding word-aligned features need the indices, not just the
-    words) and returns the probability of the class being explained. Each
+    predict_fn receives the boolean keep-mask of a perturbation (callers
+    holding word-aligned features need the indices, not just the kept words)
+    and returns the probability of the class being explained. Each
     word is kept independently with p=0.5; all-removed draws are redrawn.
     Sample weight = exp(-(100 * D)^2 / width^2) with D the cosine distance
     between the keep-mask and the full sentence.
@@ -114,10 +114,7 @@ def lime_explain(
             mask = (rng.random(n) < 0.5).astype(np.float64)
         masks[s] = mask
 
-    targets = np.array([
-        predict_fn([w for w, keep in zip(words, mask) if keep], mask.astype(bool))
-        for mask in masks
-    ])
+    targets = np.array([predict_fn(mask.astype(bool)) for mask in masks])
     distances = np.array([_cosine_distance_from_full(mask) for mask in masks])
     weights = np.exp(-((DISTANCE_SCALE * distances) ** 2) / kernel_width**2)
     coefs = weighted_ridge(masks, targets, weights, ridge_lambda)
@@ -247,7 +244,7 @@ def explain_sentence(
     predicted = int(result.predictions()[0])
     attn_scores = accumulate_attention(result.traces[0], layout, words)
 
-    def predict_fn(_kept_words: list[str], keep_mask: np.ndarray) -> float:
+    def predict_fn(keep_mask: np.ndarray) -> float:
         idx = np.flatnonzero(keep_mask)
         sub = CognitiveRecord(
             sentence_id=sentence_id,

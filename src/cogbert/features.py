@@ -304,10 +304,10 @@ def sentence_eeg(bands) -> np.ndarray:
 
 
 def cognitive_mask(n_fixations, layout: TokenizedSentence) -> np.ndarray:
-    """Additive attention mask from fixation counts.
+    """Additive attention mask over the layout's positions from fixation counts.
 
     Keeps (-0) tokens fixated more than once plus CLS and SEP; suppresses
-    (-10000) everything else, including once-fixated words and PAD.
+    (-10000) words fixated at most once. build_batch pads the mask.
     """
     n_fixations = np.asarray(n_fixations, dtype=np.int64)
     if len(n_fixations) != layout.word_count:
@@ -315,9 +315,9 @@ def cognitive_mask(n_fixations, layout: TokenizedSentence) -> np.ndarray:
             f"fixation counts ({len(n_fixations)}) not aligned with "
             f"{layout.word_count} content tokens"
         )
-    mask = np.full(layout.max_len, MASK_SUPPRESS, dtype=np.float64)
-    mask[0] = MASK_KEEP                      # CLS carries the classification signal
-    mask[layout.word_count + 1] = MASK_KEEP  # SEP stays attended, as in the base mask
+    mask = np.full(len(layout.ids), MASK_SUPPRESS, dtype=np.float64)
+    mask[0] = MASK_KEEP   # CLS carries the classification signal
+    mask[-1] = MASK_KEEP  # SEP stays attended, as without cog_mask
     for pos in layout.content_positions():
         if n_fixations[pos - 1] > 1:
             mask[pos] = MASK_KEEP
@@ -381,10 +381,19 @@ class EEGLexicon:
 
     @classmethod
     def load_jsonl(cls, path: str | Path) -> "EEGLexicon":
+        """Read a lexicon; every vector must have the first entry's length."""
+        lengths: list[int] = []
+
         def entry(obj: dict) -> tuple[str, np.ndarray, int]:
             vector = np.asarray(obj["vector"], dtype=np.float64)
             if vector.ndim != 1 or not np.isfinite(vector).all():
                 raise ValidationError("vector must be a flat list of finite numbers")
+            if not lengths:
+                lengths.append(len(vector))
+            elif len(vector) != lengths[0]:
+                raise ValidationError(
+                    f"vector has {len(vector)} channels, the first entry has {lengths[0]}"
+                )
             return obj["word"], vector, int(obj["count"])
 
         entries = _read_jsonl(path, "word", entry)

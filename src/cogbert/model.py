@@ -17,11 +17,11 @@ layer (no extra pooler). Every forward pass records per-layer, per-head
 attention probabilities for the explanation pipeline. `gradcheck_mode`
 checks one mode's full backward pass against central differences.
 
-A batch runs at its own width T, not at max_len: `build_batch` cuts every
-position array to the longest real row (CLS + words + SEP) rounded up to a
-multiple of WIDTH_MULTIPLE. Padding keys carry a -10000 additive mask, so
-their attention weights are exactly zero in float64 and the positions cut
-away could not change any real row.
+Sentences carry only their real tokens (CLS + words + SEP); `build_batch`
+alone pads. A batch runs at its own width T, not at max_len: the longest
+real row rounded up to a multiple of WIDTH_MULTIPLE. Padding keys carry a
+-10000 additive mask, so their attention weights are exactly zero in
+float64 and a wider batch could not change any real row.
 """
 
 from __future__ import annotations
@@ -39,7 +39,8 @@ from .numerics import autodiff as ad
 from .numerics.autodiff import Node, Parameter
 from .numerics.gradcheck import grad_check_report
 from .numerics.rng import SeededRng
-from .tokenizer import SEP_ID, TokenizedSentence, build_vocab, encode
+from .tokenizer import (MASK_KEEP, MASK_SUPPRESS, PAD_ID, SEP_ID, TokenizedSentence,
+                        build_vocab, encode)
 
 MODES = (
     "none", "eeg_embed", "eye_embed", "both_embed", "cog_mask",
@@ -339,7 +340,8 @@ class Batch:
     """Model-ready arrays for a batch of tokenized sentences.
 
     T is the batch width chosen by build_batch (at most max_len); every
-    position array has it as its second axis.
+    position array has it as its second axis. Positions beyond a sentence's
+    real row hold PAD_ID, a MASK_SUPPRESS mask and cognitive token 0.
     """
 
     sentence_ids: list[str]
@@ -362,12 +364,14 @@ def build_batch(
     db: FeatureDb | None = None,
     labels: list[int] | None = None,
 ) -> Batch:
-    """Assemble ids, masks, and per-mode feature arrays for a forward pass.
+    """Pad the sentences into ids, masks, and per-mode feature arrays.
 
-    The arrays are cut to the batch width T: the longest real row
-    (word_count + 2) rounded up to a multiple of WIDTH_MULTIPLE, capped at
-    max_len. CLS, SEP, and PAD positions carry cognitive token 0 (no
-    measurement exists for them); content positions take the record's values.
+    Every array is as wide as the batch width T: the longest sentence
+    (len(ids) = word_count + 2) rounded up to a multiple of WIDTH_MULTIPLE,
+    capped at max_len. Each sentence fills the first len(ids) positions of
+    its row; the rest is PAD_ID with a MASK_SUPPRESS mask. CLS, SEP, and PAD
+    positions carry cognitive token 0 (no measurement exists for them);
+    content positions take the record's values.
     """
     if cfg.needs_features and db is None:
         raise ValidationError(f"mode {cfg.mode!r} requires a feature database")
@@ -377,17 +381,18 @@ def build_batch(
     for ts in sentences:
         if ts.max_len != cfg.max_len:
             raise ValidationError(f"sentence max_len {ts.max_len} != model max_len {cfg.max_len}")
-    longest = max((ts.word_count + 2 for ts in sentences), default=0)
+    longest = max((len(ts.ids) for ts in sentences), default=0)
     n, t = len(sentences), min(cfg.max_len, -(-longest // WIDTH_MULTIPLE) * WIDTH_MULTIPLE)
-    ids = np.zeros((n, t), dtype=np.int64)
-    masks = np.zeros((n, t), dtype=np.float64)
+    ids = np.full((n, t), PAD_ID, dtype=np.int64)
+    masks = np.full((n, t), MASK_SUPPRESS, dtype=np.float64)
     eeg = np.zeros((n, t), dtype=np.int64) if cfg.uses_eeg_tokens else None
     eye = np.zeros((n, t), dtype=np.int64) if cfg.uses_eye_tokens else None
     sent = np.zeros((n, cfg.eeg_channels)) if cfg.uses_sentence_eeg else None
 
     for i, ts in enumerate(sentences):
-        ids[i] = ts.ids[:t]
-        masks[i] = ts.base_mask[:t]
+        real = slice(0, len(ts.ids))
+        ids[i, real] = ts.ids
+        masks[i, real] = MASK_KEEP
         if cfg.needs_features:
             rec = db.get(sentence_ids[i])
             wc = ts.word_count
@@ -397,7 +402,7 @@ def build_batch(
                 )
             content = slice(1, 1 + wc)
             if cfg.mode == "cog_mask":
-                masks[i] = cognitive_mask(rec.n_fixations[:wc], ts)[:t]
+                masks[i, real] = cognitive_mask(rec.n_fixations[:wc], ts)
             if eeg is not None:
                 eeg[i, content] = rec.eeg_tokens[:wc]
             if eye is not None:
@@ -430,28 +435,27 @@ def embedding_sum(
     ids: np.ndarray,
     eeg_tokens: np.ndarray | None = None,
     eye_tokens: np.ndarray | None = None,
-    positions: np.ndarray | None = None,
 ) -> Node:
-    """Pre-norm sum of word + position (+ EEG token)(+ eye token) table rows."""
+    """Pre-norm sum of word + position (+ EEG token)(+ eye token) table rows.
+
+    The token arrays are (B, T); row b*T + j of the result is sentence b at
+    position j.
+    """
     cfg = params.cfg
-    ids = np.asarray(ids, dtype=np.int64).reshape(-1)
-    if positions is None:
-        positions = np.tile(np.arange(cfg.max_len), len(ids) // cfg.max_len or 1)[: len(ids)]
     if cfg.uses_eeg_tokens != (eeg_tokens is not None):
         raise ValidationError(f"mode {cfg.mode!r}: EEG tokens required iff mode uses them")
     if cfg.uses_eye_tokens != (eye_tokens is not None):
         raise ValidationError(f"mode {cfg.mode!r}: eye tokens required iff mode uses them")
 
+    n, t = ids.shape
     x = ad.add(
-        ad.gather_rows(ad.leaf(params["embed.word"]), ids),
-        ad.gather_rows(ad.leaf(params["embed.position"]), positions),
+        ad.gather_rows(ad.leaf(params["embed.word"]), ids.reshape(-1)),
+        ad.gather_rows(ad.leaf(params["embed.position"]), np.tile(np.arange(t), n)),
     )
     if eeg_tokens is not None:
-        x = ad.add(x, ad.gather_rows(ad.leaf(params["embed.eeg"]),
-                                     np.asarray(eeg_tokens, dtype=np.int64).reshape(-1)))
+        x = ad.add(x, ad.gather_rows(ad.leaf(params["embed.eeg"]), eeg_tokens.reshape(-1)))
     if eye_tokens is not None:
-        x = ad.add(x, ad.gather_rows(ad.leaf(params["embed.eye"]),
-                                     np.asarray(eye_tokens, dtype=np.int64).reshape(-1)))
+        x = ad.add(x, ad.gather_rows(ad.leaf(params["embed.eye"]), eye_tokens.reshape(-1)))
     return x
 
 
@@ -460,10 +464,9 @@ def embed(
     ids: np.ndarray,
     eeg_tokens: np.ndarray | None = None,
     eye_tokens: np.ndarray | None = None,
-    positions: np.ndarray | None = None,
 ) -> Node:
     """Embedding sum, then layer norm (encoder_forward applies the dropout)."""
-    x = embedding_sum(params, ids, eeg_tokens, eye_tokens, positions)
+    x = embedding_sum(params, ids, eeg_tokens, eye_tokens)
     return ad.layer_norm_rows(x, ad.leaf(params["embed.ln.gamma"]),
                               ad.leaf(params["embed.ln.beta"]), LN_EPS)
 
@@ -583,13 +586,7 @@ def encoder_forward(
         raise ValidationError("training forward with dropout needs an rng")
     n, t = batch.ids.shape
 
-    x = embed(
-        params,
-        batch.ids.reshape(-1),
-        eeg_tokens=None if batch.eeg_tokens is None else batch.eeg_tokens.reshape(-1),
-        eye_tokens=None if batch.eye_tokens is None else batch.eye_tokens.reshape(-1),
-        positions=np.tile(np.arange(t), n),
-    )
+    x = embed(params, batch.ids, batch.eeg_tokens, batch.eye_tokens)
     x = _dropout(x, n, cfg, train, rng)
     layer_probs = []
     for layer in range(cfg.layers):

@@ -1,4 +1,4 @@
-"""Word-level tokenization with BERT-style special tokens and fixed-length padding.
+"""Word-level tokenization with BERT-style special tokens.
 
 Whole words are the token unit (no subword pieces) so that each token stays
 aligned one-to-one with its cognitive feature record. Reserved ids follow
@@ -104,28 +104,23 @@ def build_vocab(corpus: list[str] | list[list[str]], min_freq: int = 1) -> Vocab
 
 @dataclass
 class TokenizedSentence:
-    """Fixed-length id sequence: [CLS] words... [SEP] [PAD]...
+    """Id sequence [CLS] words... [SEP], with no padding.
 
-    base_mask is the additive attention mask (-0 at CLS/content/SEP,
-    -10000 at PAD). word_count is the number of content tokens kept;
-    n_truncated counts words dropped to fit max_len.
+    word_count is the number of content tokens kept and max_len the
+    position budget they were truncated to; build_batch pads to the batch
+    width.
     """
 
     ids: np.ndarray
-    base_mask: np.ndarray
     word_count: int
-    n_truncated: int = 0
-
-    @property
-    def max_len(self) -> int:
-        return len(self.ids)
+    max_len: int
 
     def content_positions(self) -> range:
-        """Positions holding real words (excludes CLS, SEP, PAD)."""
+        """Positions holding real words (excludes CLS and SEP)."""
         return range(1, 1 + self.word_count)
 
     def real_positions(self) -> range:
-        """Positions holding anything but PAD (includes CLS and SEP)."""
+        """Every position (CLS, words and SEP)."""
         return range(0, self.word_count + 2)
 
 
@@ -133,23 +128,8 @@ def encode(words: list[str], vocab: Vocab, max_len: int = 64) -> TokenizedSenten
     if max_len < 3:
         raise ValidationError(f"max_len must be >= 3, got {max_len}")
     capacity = max_len - 2
-    n_truncated = max(0, len(words) - capacity)
-    if n_truncated:
-        log.warning("truncating %d word(s) to fit max_len=%d", n_truncated, max_len)
+    if len(words) > capacity:
+        log.warning("truncating %d word(s) to fit max_len=%d", len(words) - capacity, max_len)
         words = words[:capacity]
-
-    ids = np.full(max_len, PAD_ID, dtype=np.int64)
-    ids[0] = CLS_ID
-    for pos, word in enumerate(words, start=1):
-        ids[pos] = vocab.id_of(word)
-    ids[len(words) + 1] = SEP_ID
-
-    mask = np.full(max_len, MASK_SUPPRESS, dtype=np.float64)
-    mask[: len(words) + 2] = MASK_KEEP
-    return TokenizedSentence(
-        ids=ids,
-        base_mask=mask,
-        word_count=len(words),
-        n_truncated=n_truncated,
-    )
-
+    ids = np.array([CLS_ID, *(vocab.id_of(w) for w in words), SEP_ID], dtype=np.int64)
+    return TokenizedSentence(ids=ids, word_count=len(words), max_len=max_len)

@@ -62,13 +62,12 @@ class Example:
     sentence_id: str
     sentence: TokenizedSentence
     label: int
-    words: list[str]
 
 
 def make_examples(db: FeatureDb, vocab: Vocab, max_len: int) -> list[Example]:
     """Encode every record in the feature database."""
     return [
-        Example(rec.sentence_id, encode(rec.tokens, vocab, max_len), rec.label, list(rec.tokens))
+        Example(rec.sentence_id, encode(rec.tokens, vocab, max_len), rec.label)
         for rec in (db.get(sid) for sid in db.ids())
     ]
 

@@ -232,15 +232,15 @@ def test_c04_structural_contracts():
                       eeg_channels=4, dropout=0.0, mode="both_embed")
     params = random_params(cfg, seed=3)
     rng = SeededRng(44).derive("embed")
-    ids = rng.integers(0, cfg.vocab_size, size=10)
-    eeg = rng.integers(0, 101, size=10)
-    eye = rng.integers(0, 101, size=10)
+    ids = rng.integers(0, cfg.vocab_size, size=(1, 10))
+    eeg = rng.integers(0, 101, size=(1, 10))
+    eye = rng.integers(0, 101, size=(1, 10))
     got = embedding_sum(params, ids, eeg, eye).value
     for pos in range(10):
-        expected = (params["embed.word"].value[ids[pos]]
+        expected = (params["embed.word"].value[ids[0, pos]]
                     + params["embed.position"].value[pos]
-                    + params["embed.eeg"].value[eeg[pos]]
-                    + params["embed.eye"].value[eye[pos]])
+                    + params["embed.eeg"].value[eeg[0, pos]]
+                    + params["embed.eye"].value[eye[0, pos]])
         np.testing.assert_allclose(got[pos], expected, atol=1e-12)
 
     passed(4, "structural contracts", "873/1536 at paper scale; embed sum <= 1e-12")
@@ -256,7 +256,7 @@ def test_c05_attention_accumulation():
         n_words = int(rng.integers(1, 9))
         layout = encode(words_pool[:n_words], vocab, max_len)
         scores = rng.normal(size=(layers, heads, max_len, max_len))
-        scores += np.where(layout.base_mask < 0, -np.inf, 0.0)
+        scores[..., len(layout.ids):] = -np.inf
         e = np.exp(scores - scores.max(axis=3, keepdims=True))
         trace = AttentionTrace(e / e.sum(axis=3, keepdims=True))
 
@@ -396,7 +396,7 @@ def test_c09_lime_fidelity():
         def teacher(mask):
             return float(1.0 / (1.0 + math.exp(-(np.asarray(mask) @ weights - weights.sum() / 2))))
 
-        scores = lime_explain(lambda kept, mask: teacher(mask.astype(float)),
+        scores = lime_explain(lambda mask: teacher(mask.astype(float)),
                               words, n_samples=300, seed=s)
         best = max(scores, key=lambda t: t.score)
         if best.word == words[int(np.argmax(weights))]:

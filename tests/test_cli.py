@@ -356,6 +356,22 @@ class TestMalformedInputs:
                              "--out", str(tmp_path / "y")]) == 3
             assert f"{bad_lex}{where}" in capsys.readouterr().err
 
+    def test_lexicon_with_short_vector_exits_3(self, synth_dir, tmp_path, capsys):
+        lex = tmp_path / "lexicon.jsonl"
+        assert cli_main(["lexicon", "build", "--corpus", str(synth_dir / "corpus.jsonl"),
+                         "--out", str(lex)]) == 0
+        entries = [json.loads(line) for line in lex.read_text().splitlines()]
+        n_channels = len(entries[0]["vector"])
+        entries[3]["vector"] = entries[3]["vector"][:5]
+        lex.write_text("".join(json.dumps(e) + "\n" for e in entries))
+        rc = cli_main(["lexicon", "apply", "--lexicon", str(lex),
+                       "--features", str(synth_dir / "features.jsonl"),
+                       "--out", str(tmp_path / "y")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert (f"{lex}:4 (word {entries[3]['word']!r}): vector has 5 channels, "
+                f"the first entry has {n_channels}") in err, err
+
 
 class TestGradcheckCommand:
     def test_single_mode_passes(self, tmp_path, capsys):
@@ -407,3 +423,16 @@ class TestReport:
         bogus.write_text("{}")
         rc = cli_main(["report", "--inputs", str(bogus), "--out", str(tmp_path / "c.csv")])
         assert rc == 3
+
+    def test_unreadable_report_exits_3(self, trained_dir, tmp_path, capsys):
+        good = trained_dir / "report.json"
+        bogus = tmp_path / "x.json"
+        for content in (b"not json {", b"[1, 2]", b'{"model_config": [1]}',
+                        b"\xff\xfe" + good.read_bytes()):
+            bogus.write_bytes(content)
+            rc = cli_main(["report", "--inputs", str(good), str(bogus),
+                           "--out", str(tmp_path / "c.csv")])
+            err = capsys.readouterr().err
+            assert rc == 3, f"{content[:12]!r}: exit {rc}"
+            assert f"{bogus} is not a run report" in err, err
+        assert not (tmp_path / "c.csv").exists()

@@ -30,10 +30,10 @@ def layout_for(n_words, max_len=12):
 
 
 def random_trace(layers, heads, layout, rng):
-    """Row-stochastic attention with exactly zero mass on PAD columns."""
+    """Row-stochastic attention over max_len positions, zero mass on PAD columns."""
     t = layout.max_len
     scores = rng.normal(size=(layers, heads, t, t))
-    scores = scores + np.where(layout.base_mask < 0, -np.inf, 0.0)
+    scores[..., len(layout.ids):] = -np.inf
     e = np.exp(scores - scores.max(axis=3, keepdims=True))
     return AttentionTrace(e / e.sum(axis=3, keepdims=True))
 
@@ -151,7 +151,7 @@ def exhaustive_surrogate(teacher, words, kernel_width, lam):
 class TestLime:
     def test_constant_model_gives_zero_coefficients(self):
         words = WORDS10[:6]
-        scores = lime_explain(lambda kept, mask: 0.42, words, n_samples=300, seed=1)
+        scores = lime_explain(lambda mask: 0.42, words, n_samples=300, seed=1)
         assert all(abs(s.score) < 1e-6 for s in scores)
 
     def test_dominant_word_wins_and_matches_exhaustive_fit(self):
@@ -163,7 +163,7 @@ class TestLime:
         def teacher_on_mask(mask):
             return float(1.0 / (1.0 + math.exp(-(mask @ weights - 1.0))))
 
-        def predict(kept, mask):
+        def predict(mask):
             return teacher_on_mask(mask.astype(float))
 
         scores = lime_explain(predict, words, n_samples=400, seed=3)
@@ -176,7 +176,7 @@ class TestLime:
     def test_same_seed_identical_coefficients(self):
         words = WORDS10[:5]
 
-        def predict(kept, mask):
+        def predict(mask):
             return float(mask.mean())
 
         a = lime_explain(predict, words, n_samples=100, seed=9)
@@ -185,11 +185,11 @@ class TestLime:
 
     def test_minimum_samples_enforced(self):
         with pytest.raises(ValidationError):
-            lime_explain(lambda kept, mask: 0.0, ["aa"], n_samples=5)
+            lime_explain(lambda mask: 0.0, ["aa"], n_samples=5)
 
     def test_empty_sentence_rejected(self):
         with pytest.raises(ValidationError):
-            lime_explain(lambda kept, mask: 0.0, [], n_samples=50)
+            lime_explain(lambda mask: 0.0, [], n_samples=50)
 
     def test_fit_invariant_under_sample_replication(self):
         rng = np.random.default_rng(11)

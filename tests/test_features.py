@@ -183,7 +183,7 @@ class TestCognitiveMask:
         layout = encode(["he", "won", "the", "nobel", "prize"], self.vocab, max_len=9)
         mask = cognitive_mask([0, 2, 1, 3, 2], layout)
         expected = [MASK_KEEP, MASK_SUPPRESS, MASK_KEEP, MASK_SUPPRESS,
-                    MASK_KEEP, MASK_KEEP, MASK_KEEP, MASK_SUPPRESS, MASK_SUPPRESS]
+                    MASK_KEEP, MASK_KEEP, MASK_KEEP]
         assert mask.tolist() == expected
 
     def test_zero_fixations_suppressed(self):
@@ -201,7 +201,7 @@ class TestCognitiveMask:
             n = int(rng.integers(1, 6))
             layout = encode(words[:n], self.vocab, max_len=8)
             mask = cognitive_mask(rng.integers(2, 9, size=n), layout)
-            np.testing.assert_array_equal(mask, layout.base_mask)
+            np.testing.assert_array_equal(mask, np.full(n + 2, MASK_KEEP))
 
     def test_misalignment_rejected(self):
         layout = encode(["he", "won"], self.vocab, max_len=6)
@@ -312,6 +312,21 @@ class TestLexicon:
         assert loaded.counts == lex.counts
         for w in lex.vectors:
             np.testing.assert_array_equal(loaded.vectors[w], lex.vectors[w])
+
+    def test_load_rejects_changed_vector_length(self, tmp_path):
+        rng = np.random.default_rng(62)
+        words = ["a", "b", "c", "d"]
+        lex = EEGLexicon(vectors={w: rng.normal(size=8) for w in words},
+                         counts={w: 1 for w in words})
+        path = tmp_path / "lexicon.jsonl"
+        lex.save_jsonl(path)
+        lines = path.read_text().splitlines()
+        bad = json.loads(lines[2])
+        bad["vector"] = bad["vector"][:5]
+        path.write_text("\n".join(lines[:2] + [json.dumps(bad)] + lines[3:]) + "\n")
+        with pytest.raises(DataError, match=rf"{path}:3 \(word 'c'\): "
+                                            r"vector has 5 channels, the first entry has 8"):
+            EEGLexicon.load_jsonl(path)
 
 
 class TestDeriveRecords:

@@ -26,7 +26,7 @@ from cogbert.model import (
 from cogbert.numerics import autodiff as ad
 from cogbert.numerics.gradcheck import grad_check_report
 from cogbert.numerics.rng import SeededRng
-from cogbert.tokenizer import MASK_SUPPRESS, PAD_ID, build_vocab, encode
+from cogbert.tokenizer import MASK_KEEP, MASK_SUPPRESS, PAD_ID, build_vocab, encode
 
 
 def tiny_cfg(**overrides):
@@ -151,28 +151,30 @@ class TestEmbedding:
         cfg = tiny_cfg(mode="both_embed")
         params = random_params(cfg, seed=5)
         rng = SeededRng(9).derive("ids")
-        ids = rng.integers(0, cfg.vocab_size, size=cfg.max_len)
-        eeg = rng.integers(0, 101, size=cfg.max_len)
-        eye = rng.integers(0, 101, size=cfg.max_len)
+        b, t = 3, cfg.max_len - 2
+        ids = rng.integers(0, cfg.vocab_size, size=(b, t))
+        eeg = rng.integers(0, 101, size=(b, t))
+        eye = rng.integers(0, 101, size=(b, t))
         out = embedding_sum(params, ids, eeg, eye).value
 
-        expected = np.zeros((cfg.max_len, cfg.d_model))
-        for pos in range(cfg.max_len):
-            expected[pos] = (
-                params["embed.word"].value[ids[pos]]
-                + params["embed.position"].value[pos]
-                + params["embed.eeg"].value[eeg[pos]]
-                + params["embed.eye"].value[eye[pos]]
-            )
+        expected = np.zeros((b * t, cfg.d_model))
+        for i in range(b):
+            for pos in range(t):
+                expected[i * t + pos] = (
+                    params["embed.word"].value[ids[i, pos]]
+                    + params["embed.position"].value[pos]
+                    + params["embed.eeg"].value[eeg[i, pos]]
+                    + params["embed.eye"].value[eye[i, pos]]
+                )
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_zeroed_position_table_leaves_normalized_word_rows(self):
         cfg = tiny_cfg(mode="none")
         params = random_params(cfg, seed=5)
         params["embed.position"].value[:] = 0.0
-        ids = np.arange(cfg.max_len) % 10
+        ids = np.arange(cfg.max_len)[None, :] % 10
         out = embed(params, ids).value
-        rows = params["embed.word"].value[ids]
+        rows = params["embed.word"].value[ids[0]]
         mean = rows.mean(axis=1, keepdims=True)
         var = ((rows - mean) ** 2).mean(axis=1, keepdims=True)
         expected = ((rows - mean) / np.sqrt(var + 1e-5) * params["embed.ln.gamma"].value
@@ -182,24 +184,25 @@ class TestEmbedding:
     def test_zero_tokens_share_table_row(self):
         cfg = tiny_cfg(mode="eeg_embed")
         params = random_params(cfg, seed=5)
-        ids = np.zeros(4, dtype=int)
-        eeg = np.zeros(4, dtype=int)
-        out = embedding_sum(params, ids, eeg, positions=np.zeros(4, dtype=int)).value
+        ids = np.zeros((4, 1), dtype=int)  # four sentences, all at position 0
+        eeg = np.zeros((4, 1), dtype=int)
+        out = embedding_sum(params, ids, eeg).value
         assert np.ptp(out, axis=0).max() == 0.0  # identical rows
 
     def test_token_out_of_range_is_index_error(self):
         cfg = tiny_cfg(mode="eeg_embed")
         params = random_params(cfg, seed=5)
         with pytest.raises(IndexError):
-            embedding_sum(params, np.zeros(2, dtype=int), np.array([0, 101]))
+            embedding_sum(params, np.zeros((1, 2), dtype=int), np.array([[0, 101]]))
 
     def test_token_arrays_present_iff_mode_requires(self):
         params_plain = random_params(tiny_cfg(mode="none"), seed=1)
         with pytest.raises(ValidationError):
-            embedding_sum(params_plain, np.zeros(2, dtype=int), eeg_tokens=np.zeros(2, dtype=int))
+            embedding_sum(params_plain, np.zeros((1, 2), dtype=int),
+                          eeg_tokens=np.zeros((1, 2), dtype=int))
         params_eeg = random_params(tiny_cfg(mode="eeg_embed"), seed=1)
         with pytest.raises(ValidationError):
-            embedding_sum(params_eeg, np.zeros(2, dtype=int))
+            embedding_sum(params_eeg, np.zeros((1, 2), dtype=int))
 
 
 class TestForward:
@@ -257,7 +260,7 @@ class TestForward:
         vocab = build_vocab([" ".join(words)])
         records = make_records(cfg, [words], seed=6)
         layout = encode(words, vocab, cfg.max_len)
-        assert layout.word_count == 3 and layout.n_truncated == 2
+        assert layout.word_count == 3 and layout.max_len == 5
         batch = build_batch([layout], cfg, ["t0"], FeatureDb(records))
         np.testing.assert_array_equal(batch.eeg_tokens[0, 1:4], records[0].eeg_tokens[:3])
         assert batch.eeg_tokens[0, 0] == 0 and batch.eeg_tokens[0, 4] == 0
@@ -335,6 +338,24 @@ class TestBatchWidth:
                 assert t % WIDTH_MULTIPLE == 0 or t == max_len
                 assert t == min(max_len, -(-longest // WIDTH_MULTIPLE) * WIDTH_MULTIPLE)
                 assert batch.masks.shape == (len(lengths), t)
+
+    def test_base_mask_marks_exactly_pad(self):
+        """Ids are PAD and the mask -10000 exactly beyond each sentence's real row."""
+        rng = np.random.default_rng(4)
+        for mode in ("none", "cog_mask"):
+            cfg = tiny_cfg(mode=mode)
+            for _ in range(50):
+                lengths = rng.integers(0, cfg.max_len - 1, size=int(rng.integers(1, 5)))
+                batch = width_batch(cfg, lengths.tolist(), seed=int(rng.integers(100)))
+                for i, n in enumerate(lengths):
+                    real = int(n) + 2
+                    assert (batch.ids[i, real:] == PAD_ID).all()
+                    assert (batch.masks[i, real:] == MASK_SUPPRESS).all()
+                    assert PAD_ID not in batch.ids[i, :real].tolist()
+                    if mode == "none":
+                        assert (batch.masks[i, :real] == MASK_KEEP).all()
+                    else:  # CLS and SEP always kept, words by fixation count
+                        assert batch.masks[i, 0] == batch.masks[i, real - 1] == MASK_KEEP
 
     def test_all_modes_match_full_width_reference(self):
         for mode in MODES:

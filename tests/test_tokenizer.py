@@ -6,8 +6,6 @@ import pytest
 from cogbert.errors import DataError, ValidationError
 from cogbert.tokenizer import (
     CLS_ID,
-    MASK_KEEP,
-    MASK_SUPPRESS,
     PAD_ID,
     SEP_ID,
     UNK_ID,
@@ -88,37 +86,37 @@ class TestEncode:
 
     def test_empty_sentence_layout(self):
         ts = encode([], self.vocab, max_len=6)
-        assert ts.ids.tolist() == [CLS_ID, SEP_ID, PAD_ID, PAD_ID, PAD_ID, PAD_ID]
-        assert ts.word_count == 0
+        assert ts.ids.tolist() == [CLS_ID, SEP_ID]
+        assert ts.word_count == 0 and ts.max_len == 6
 
     def test_two_word_layout(self):
         ts = encode(["he", "won"], self.vocab, max_len=6)
-        expected = [CLS_ID, self.vocab.id_of("he"), self.vocab.id_of("won"), SEP_ID, PAD_ID, PAD_ID]
+        expected = [CLS_ID, self.vocab.id_of("he"), self.vocab.id_of("won"), SEP_ID]
         assert ts.ids.tolist() == expected
+        assert ts.max_len == 6
 
     def test_oov_maps_to_unk(self):
         ts = encode(["zebra"], self.vocab, max_len=5)
         assert ts.ids[1] == UNK_ID
 
-    def test_truncation_recorded(self):
+    def test_truncation_recorded(self, caplog):
         ts = encode(["he", "won", "the", "nobel", "prize"], self.vocab, max_len=4)
-        assert ts.word_count == 2
-        assert ts.n_truncated == 3
-        assert ts.ids[3] == SEP_ID
+        assert ts.word_count == 2 and ts.max_len == 4
+        assert ts.ids.tolist() == [CLS_ID, self.vocab.id_of("he"), self.vocab.id_of("won"), SEP_ID]
+        assert "truncating 3 word(s) to fit max_len=4" in caplog.text
 
     def test_max_len_floor(self):
         with pytest.raises(ValidationError):
             encode(["he"], self.vocab, max_len=2)
 
-    def test_base_mask_marks_exactly_pad(self):
+    def test_never_emits_pad(self):
         rng = np.random.default_rng(4)
-        words = ["he", "won", "the", "nobel", "prize"]
+        words = ["he", "won", "the", "nobel", "prize", "zebra"]
         for _ in range(50):
-            n = int(rng.integers(0, 6))
-            ts = encode(words[:n], self.vocab, max_len=10)
-            for pos in range(10):
-                expected = MASK_SUPPRESS if ts.ids[pos] == PAD_ID else MASK_KEEP
-                assert ts.base_mask[pos] == expected
+            n = int(rng.integers(0, 7))
+            ts = encode(words[:n], self.vocab, max_len=int(rng.integers(3, 10)))
+            assert len(ts.ids) == ts.word_count + 2 <= ts.max_len
+            assert PAD_ID not in ts.ids.tolist()
 
     def test_round_trip_for_in_vocab_sentences(self):
         words = ["the", "nobel", "prize"]
@@ -130,4 +128,4 @@ class TestEncode:
         a = encode(["he", "won"], self.vocab, max_len=8)
         b = encode(["he", "won"], self.vocab, max_len=8)
         np.testing.assert_array_equal(a.ids, b.ids)
-        np.testing.assert_array_equal(a.base_mask, b.base_mask)
+        assert (a.word_count, a.max_len) == (b.word_count, b.max_len)
