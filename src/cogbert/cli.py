@@ -51,9 +51,11 @@ def _load_json_config(path: str | None, what: str) -> dict:
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"{what} config file {path} does not exist")
+    if not p.is_file():
+        raise ConfigError(f"{what} config {path} is not a regular file")
     try:
         obj = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8 or not JSON
         raise ConfigError(f"{what} config {path} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ConfigError(f"{what} config {path} must hold a JSON object")
@@ -70,6 +72,8 @@ def _require_file(path: str, what: str) -> Path:
     p = Path(path)
     if not p.exists():
         raise DataError(f"{what} file {path} does not exist")
+    if not p.is_file():
+        raise DataError(f"{what} {path} is not a regular file")
     return p
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import NumericError, ValidationError
 from .features import CognitiveRecord, FeatureDb
-from .model import AttentionTrace, EncoderParams, build_batch, encoder_forward
+from .model import EncoderParams, build_batch, encoder_forward
 from .numerics import autodiff as ad
 from .numerics.rng import SeededRng
 from .tokenizer import TokenizedSentence, Vocab, encode
@@ -42,19 +42,21 @@ class TokenScore:
 
 
 def accumulate_attention(
-    trace: AttentionTrace, layout: TokenizedSentence, words: Sequence[str]
+    attention: np.ndarray, layout: TokenizedSentence, words: Sequence[str]
 ) -> list[TokenScore]:
     """Incoming attention per token: sum over layers, heads, and source rows.
 
-    Restricted to real rows and columns (PAD excluded); includes CLS and SEP
-    entries so the scores account for all real attention mass.
+    attention is one sentence's (layers, heads, T, T) probabilities, T at
+    least its real length. The sum is restricted to real rows and columns
+    (PAD excluded); it includes CLS and SEP entries so the scores account
+    for all real attention mass.
     """
     if len(words) != layout.word_count:
         raise ValidationError(
             f"got {len(words)} words for a layout with {layout.word_count} content tokens"
         )
     real = np.asarray(layout.real_positions())
-    incoming = trace.probs[:, :, real][:, :, :, real].sum(axis=(0, 1, 2))
+    incoming = attention[:, :, real][:, :, :, real].sum(axis=(0, 1, 2))
     labels = ["[CLS]", *words, "[SEP]"]
     return [
         TokenScore(position=int(pos), word=labels[j], score=float(incoming[j]))
@@ -242,7 +244,7 @@ def explain_sentence(
     words = rec.tokens[: layout.word_count]
     result = encoder_forward(params, build_batch([layout], cfg, [sentence_id], db))
     predicted = int(result.predictions()[0])
-    attn_scores = accumulate_attention(result.traces[0], layout, words)
+    attn_scores = accumulate_attention(result.attention[0], layout, words)
 
     def predict_fn(keep_mask: np.ndarray) -> float:
         idx = np.flatnonzero(keep_mask)

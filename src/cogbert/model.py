@@ -13,9 +13,12 @@ Augmentation modes:
 
 The fusion NN maps C -> d_model -> d_model -> d_model with GELU after the
 first two layers. The pooled output is the raw CLS hidden state of the last
-layer (no extra pooler). Every forward pass records per-layer, per-head
-attention probabilities for the explanation pipeline. `gradcheck_mode`
-checks one mode's full backward pass against central differences.
+layer (no extra pooler). Every forward pass returns the per-layer, per-head
+attention probabilities of the whole batch as one (B, layers, heads, T, T)
+array for the explanation pipeline. The tape ops take the `Parameter`s
+directly as graph leaves, and backward accumulates into their `grad`.
+`gradcheck_mode` checks one mode's full backward pass against central
+differences.
 
 Sentences carry only their real tokens (CLS + words + SEP); `build_batch`
 alone pads. A batch runs at its own width T, not at max_len: the longest
@@ -118,25 +121,6 @@ class ModelConfig:
     @classmethod
     def from_dict(cls, obj: dict) -> "ModelConfig":
         return cls(**obj)
-
-
-@dataclass
-class AttentionTrace:
-    """Per-layer, per-head attention probabilities for one sentence.
-
-    T is the width of the batch the sentence ran in (see build_batch);
-    probabilities on PAD columns are exactly zero.
-    """
-
-    probs: np.ndarray  # (layers, heads, T, T)
-
-    @property
-    def layers(self) -> int:
-        return self.probs.shape[0]
-
-    @property
-    def heads(self) -> int:
-        return self.probs.shape[1]
 
 
 def _param_spec(cfg: ModelConfig) -> list[tuple[str, int, int, bool]]:
@@ -242,7 +226,7 @@ def save_checkpoint(params: EncoderParams, path: str | Path) -> None:
 
 
 def _load_sidecar(sidecar: Path) -> ModelConfig:
-    if not sidecar.exists():
+    if not sidecar.is_file():
         raise CheckpointError(f"missing config sidecar {sidecar}")
     try:
         obj = json.loads(sidecar.read_text(encoding="utf-8"))
@@ -267,7 +251,10 @@ def _load_sidecar(sidecar: Path) -> ModelConfig:
 def load_checkpoint(path: str | Path) -> EncoderParams:
     cfg = _load_sidecar(_sidecar_path(path))
 
-    blob = Path(path).read_bytes()
+    try:
+        blob = Path(path).read_bytes()
+    except IsADirectoryError:
+        raise CheckpointError(f"checkpoint {path} is not a regular file") from None
     try:
         first_nl = blob.index(b"\n")
         magic, count_s = blob[:first_nl].decode("utf-8").rsplit(" ", 1)
@@ -344,7 +331,6 @@ class Batch:
     real row hold PAD_ID, a MASK_SUPPRESS mask and cognitive token 0.
     """
 
-    sentence_ids: list[str]
     ids: np.ndarray              # (B, T) int token ids
     masks: np.ndarray            # (B, T) additive attention masks
     eeg_tokens: np.ndarray | None  # (B, T) EEG tokens, eeg modes only
@@ -416,7 +402,6 @@ def build_batch(
                 sent[i] = rec.sentence_eeg
 
     return Batch(
-        sentence_ids=list(sentence_ids) if sentence_ids else [f"b{i}" for i in range(n)],
         ids=ids,
         masks=masks,
         eeg_tokens=eeg,
@@ -449,13 +434,13 @@ def embedding_sum(
 
     n, t = ids.shape
     x = ad.add(
-        ad.gather_rows(ad.leaf(params["embed.word"]), ids.reshape(-1)),
-        ad.gather_rows(ad.leaf(params["embed.position"]), np.tile(np.arange(t), n)),
+        ad.gather_rows(params["embed.word"], ids.reshape(-1)),
+        ad.gather_rows(params["embed.position"], np.tile(np.arange(t), n)),
     )
     if eeg_tokens is not None:
-        x = ad.add(x, ad.gather_rows(ad.leaf(params["embed.eeg"]), eeg_tokens.reshape(-1)))
+        x = ad.add(x, ad.gather_rows(params["embed.eeg"], eeg_tokens.reshape(-1)))
     if eye_tokens is not None:
-        x = ad.add(x, ad.gather_rows(ad.leaf(params["embed.eye"]), eye_tokens.reshape(-1)))
+        x = ad.add(x, ad.gather_rows(params["embed.eye"], eye_tokens.reshape(-1)))
     return x
 
 
@@ -467,8 +452,7 @@ def embed(
 ) -> Node:
     """Embedding sum, then layer norm (encoder_forward applies the dropout)."""
     x = embedding_sum(params, ids, eeg_tokens, eye_tokens)
-    return ad.layer_norm_rows(x, ad.leaf(params["embed.ln.gamma"]),
-                              ad.leaf(params["embed.ln.beta"]), LN_EPS)
+    return ad.layer_norm_rows(x, params["embed.ln.gamma"], params["embed.ln.beta"], LN_EPS)
 
 
 def _dropout(x: Node, n: int, cfg: ModelConfig, train: bool, rng: SeededRng | None) -> Node:
@@ -498,32 +482,32 @@ def self_attention(
     """
     cfg = params.cfg
     p = f"layer{layer}."
-    q = ad.linear(x, ad.leaf(params[p + "attn.wq"]), ad.leaf(params[p + "attn.bq"]))
-    k = ad.linear(x, ad.leaf(params[p + "attn.wk"]), ad.leaf(params[p + "attn.bk"]))
-    v = ad.linear(x, ad.leaf(params[p + "attn.wv"]), ad.leaf(params[p + "attn.bv"]))
+    q = ad.linear(x, params[p + "attn.wq"], params[p + "attn.bq"])
+    k = ad.linear(x, params[p + "attn.wk"], params[p + "attn.bk"])
+    v = ad.linear(x, params[p + "attn.wv"], params[p + "attn.bv"])
     ctx, probs = ad.multi_head_attention(q, k, v, masks, cfg.heads)
-    ctx = ad.linear(ctx, ad.leaf(params[p + "attn.wo"]), ad.leaf(params[p + "attn.bo"]))
+    ctx = ad.linear(ctx, params[p + "attn.wo"], params[p + "attn.bo"])
     ctx = _dropout(ctx, masks.shape[0], cfg, train, rng)
-    out = ad.layer_norm_rows(ad.add(x, ctx), ad.leaf(params[p + "ln1.gamma"]),
-                             ad.leaf(params[p + "ln1.beta"]), LN_EPS)
+    out = ad.layer_norm_rows(ad.add(x, ctx), params[p + "ln1.gamma"], params[p + "ln1.beta"],
+                             LN_EPS)
     return out, probs
 
 
 def _feed_forward(x: Node, n: int, params: EncoderParams, layer: int,
                   train: bool, rng: SeededRng | None) -> Node:
     p = f"layer{layer}."
-    h = ad.gelu(ad.linear(x, ad.leaf(params[p + "ff.w1"]), ad.leaf(params[p + "ff.b1"])))
-    h = ad.linear(h, ad.leaf(params[p + "ff.w2"]), ad.leaf(params[p + "ff.b2"]))
+    h = ad.gelu(ad.linear(x, params[p + "ff.w1"], params[p + "ff.b1"]))
+    h = ad.linear(h, params[p + "ff.w2"], params[p + "ff.b2"])
     h = _dropout(h, n, params.cfg, train, rng)
-    return ad.layer_norm_rows(ad.add(x, h), ad.leaf(params[p + "ln2.gamma"]),
-                              ad.leaf(params[p + "ln2.beta"]), LN_EPS)
+    return ad.layer_norm_rows(ad.add(x, h), params[p + "ln2.gamma"], params[p + "ln2.beta"],
+                              LN_EPS)
 
 
 def _fusion_nn(params: EncoderParams, sent_eeg: np.ndarray) -> Node:
-    h = ad.linear(ad.const(sent_eeg), ad.leaf(params["fusion.w1"]), ad.leaf(params["fusion.b1"]))
+    h = ad.linear(ad.const(sent_eeg), params["fusion.w1"], params["fusion.b1"])
     h = ad.gelu(h)
-    h = ad.gelu(ad.linear(h, ad.leaf(params["fusion.w2"]), ad.leaf(params["fusion.b2"])))
-    return ad.linear(h, ad.leaf(params["fusion.w3"]), ad.leaf(params["fusion.b3"]))
+    h = ad.gelu(ad.linear(h, params["fusion.w2"], params["fusion.b2"]))
+    return ad.linear(h, params["fusion.w3"], params["fusion.b3"])
 
 
 def fuse_pooled(pooled: Node, sent_eeg: np.ndarray | None, params: EncoderParams) -> Node:
@@ -534,8 +518,6 @@ def fuse_pooled(pooled: Node, sent_eeg: np.ndarray | None, params: EncoderParams
     if sent_eeg is None:
         raise ValidationError(f"mode {cfg.mode!r} requires sentence EEG vectors")
     sent_eeg = np.asarray(sent_eeg, dtype=np.float64)
-    if sent_eeg.ndim == 1:
-        sent_eeg = sent_eeg[None, :]
     if sent_eeg.shape != (pooled.value.shape[0], cfg.eeg_channels):
         raise ValidationError(
             f"sentence EEG shape {sent_eeg.shape} does not match "
@@ -557,17 +539,21 @@ def classify(fused: Node, params: EncoderParams) -> Node:
         raise ValidationError(
             f"classifier expects {cfg.classifier_in_dim} inputs, got {fused.value.shape[1]}"
         )
-    return ad.linear(fused, ad.leaf(params["classifier.w"]), ad.leaf(params["classifier.b"]))
+    return ad.linear(fused, params["classifier.w"], params["classifier.b"])
 
 
 @dataclass
 class ForwardResult:
-    """Outputs of one forward pass; T is the batch width (batch.ids.shape[1])."""
+    """Outputs of one forward pass; T is the batch width (batch.ids.shape[1]).
+
+    `attention[b]` holds sentence b's per-layer, per-head attention
+    probabilities; they are exactly zero on its PAD columns.
+    """
 
     hidden: np.ndarray          # (B, T, d_model) final hidden states, detached
     pooled: Node                # (B, d_model) CLS rows
     logits: Node                # (B, n_classes)
-    traces: list[AttentionTrace]
+    attention: np.ndarray       # (B, layers, heads, T, T), detached
 
     def predictions(self) -> np.ndarray:
         """Argmax per row; ties resolve to the lowest class index."""
@@ -598,13 +584,11 @@ def encoder_forward(
     fused = fuse_pooled(pooled, batch.sent_eeg, params)
     logits = classify(fused, params)
 
-    stacked = np.stack(layer_probs, axis=0)  # (L, B, H, T, T)
-    traces = [AttentionTrace(stacked[:, i]) for i in range(n)]
     return ForwardResult(
         hidden=x.value.reshape(n, t, cfg.d_model),
         pooled=pooled,
         logits=logits,
-        traces=traces,
+        attention=np.stack(layer_probs, axis=1),
     )
 
 

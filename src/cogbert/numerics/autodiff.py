@@ -1,18 +1,19 @@
 """Minimal reverse-mode autodiff over 2-D float64 arrays.
 
-A forward pass builds a small graph of `Node`s; `backward` runs the tape in
-reverse topological order and accumulates gradients into `Parameter.grad`.
+A forward pass builds a small graph of `Node`s whose leaves are the
+`Parameter`s themselves; `backward` runs the tape in reverse topological
+order and every backward rule accumulates straight into its inputs' `grad`,
+so a parameter's `grad` holds the sum over all its uses until `zero_grad`.
 Every backward rule here is hand-derived and covered by finite-difference
 checks in the test suite (see gradcheck.grad_check_report).
 
 Constant inputs (feature tokens, masks, dropout masks) enter the graph as
-parameterless leaves; their gradients are computed but never consumed.
+`const` leaves; their gradients are computed but never consumed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,24 +24,40 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
 
-@dataclass
-class Parameter:
-    """A named trainable tensor with its gradient accumulator.
+class Node:
+    """One value in the computation graph."""
 
-    `decay` marks whether decoupled weight decay applies (True for weight
-    matrices and embeddings, False for biases and layer-norm scales/shifts).
+    __slots__ = ("value", "grad", "parents", "bwd")
+
+    def __init__(self, value, parents=(), bwd=None):
+        self.value = np.asarray(value, dtype=np.float64)
+        self.grad = None
+        self.parents = parents
+        self.bwd = bwd
+
+    def item(self) -> float:
+        return float(self.value.reshape(-1)[0])
+
+
+class Parameter(Node):
+    """A named trainable 2-D tensor: a graph leaf with a persistent gradient.
+
+    `grad` starts zeroed and backward adds every use's gradient into it;
+    `zero_grad` clears it. `decay` marks whether decoupled weight decay
+    applies (True for weight matrices and embeddings, False for biases and
+    layer-norm scales/shifts).
     """
 
-    name: str
-    value: np.ndarray
-    decay: bool = True
-    grad: np.ndarray = field(init=False)
+    __slots__ = ("name", "decay")
 
-    def __post_init__(self):
-        self.value = np.ascontiguousarray(self.value, dtype=np.float64)
-        if self.value.ndim != 2:
-            raise ShapeError(f"parameter {self.name!r} must be 2-D, got {self.value.shape}")
-        self.grad = np.zeros_like(self.value)
+    def __init__(self, name: str, value, decay: bool = True):
+        value = np.ascontiguousarray(value, dtype=np.float64)
+        if value.ndim != 2:
+            raise ShapeError(f"parameter {name!r} must be 2-D, got {value.shape}")
+        super().__init__(value)
+        self.name = name
+        self.decay = decay
+        self.grad = np.zeros_like(value)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -50,30 +67,16 @@ class Parameter:
         self.grad.fill(0.0)
 
 
-class Node:
-    """One value in the computation graph."""
-
-    __slots__ = ("value", "grad", "parents", "bwd", "param")
-
-    def __init__(self, value, parents=(), bwd=None, param: Parameter | None = None):
-        self.value = np.asarray(value, dtype=np.float64)
-        self.grad = None
-        self.parents = parents
-        self.bwd = bwd
-        self.param = param
-
-    def item(self) -> float:
-        return float(self.value.reshape(-1)[0])
+def _grad_buffer(node: Node) -> np.ndarray:
+    """node.grad, allocated as zeros on first use."""
+    if node.grad is None:
+        node.grad = np.zeros_like(node.value)
+    return node.grad
 
 
 def _acc(node: Node, g: np.ndarray) -> None:
-    if node.grad is None:
-        node.grad = np.zeros_like(node.value)
-    node.grad += g
-
-
-def leaf(param: Parameter) -> Node:
-    return Node(param.value, param=param)
+    buf = _grad_buffer(node)
+    buf += g
 
 
 def const(value) -> Node:
@@ -81,7 +84,7 @@ def const(value) -> Node:
 
 
 def backward(root: Node) -> None:
-    """Seed root with ones, run the tape, push leaf grads into parameters."""
+    """Seed root with ones and run the tape; gradients add into every node's grad."""
     order: list[Node] = []
     seen: set[int] = set()
     stack: list[tuple[Node, bool]] = [(root, False)]
@@ -98,14 +101,10 @@ def backward(root: Node) -> None:
             if id(p) not in seen:
                 stack.append((p, False))
 
-    root.grad = np.ones_like(root.value)
+    _acc(root, np.ones_like(root.value))
     for node in reversed(order):
-        if node.grad is None:
-            continue
-        if node.bwd is not None:
+        if node.grad is not None and node.bwd is not None:
             node.bwd(node.grad)
-        if node.param is not None:
-            node.param.grad += node.grad
 
 
 # ---------------------------------------------------------------------------
@@ -223,13 +222,7 @@ def gather_rows(table: Node, ids: np.ndarray) -> Node:
             f"[{ids.min()}, {ids.max()}]"
         )
     out = Node(table.value[ids], (table,))
-
-    def bwd(g):
-        if table.grad is None:
-            table.grad = np.zeros_like(table.value)
-        np.add.at(table.grad, ids, g)
-
-    out.bwd = bwd
+    out.bwd = lambda g: np.add.at(_grad_buffer(table), ids, g)
     return out
 
 
@@ -237,13 +230,7 @@ def select_rows(x: Node, idx: np.ndarray) -> Node:
     """Pick a subset of rows (e.g. the CLS position of each sentence)."""
     idx = np.asarray(idx, dtype=np.int64)
     out = Node(x.value[idx], (x,))
-
-    def bwd(g):
-        if x.grad is None:
-            x.grad = np.zeros_like(x.value)
-        np.add.at(x.grad, idx, g)
-
-    out.bwd = bwd
+    out.bwd = lambda g: np.add.at(_grad_buffer(x), idx, g)
     return out
 
 
@@ -261,19 +248,16 @@ def concat_cols(a: Node, b: Node) -> Node:
     return out
 
 
-def dropout(x: Node, rate: float, rng, draw_shape: tuple[int, int, int] | None = None) -> Node:
+def dropout(x: Node, rate: float, rng, draw_shape: tuple[int, int, int]) -> Node:
     """Inverted dropout; identity when rate == 0. rng is a SeededRng.
 
-    With draw_shape (n, W, d), x holds n stacked blocks of T <= W rows each:
+    x holds n stacked blocks of T <= W rows each and draw_shape is (n, W, d):
     the uniforms are drawn at (n, W, d) and the first T rows of every block
     are used, so the draw does not depend on T.
     """
     if rate == 0.0:
         return x
-    if draw_shape is None:
-        u = rng.random(x.value.shape)
-    else:
-        u = rng.random(draw_shape)[:, : x.value.shape[0] // draw_shape[0]].reshape(x.value.shape)
+    u = rng.random(draw_shape)[:, : x.value.shape[0] // draw_shape[0]].reshape(x.value.shape)
     keep = (u >= rate).astype(np.float64) / (1.0 - rate)
     return mul_const(x, keep)
 

@@ -32,7 +32,6 @@ from cogbert.features import (
     N_EEG_VECTORS,
 )
 from cogbert.model import (
-    AttentionTrace,
     MODES,
     ModelConfig,
     build_batch,
@@ -102,16 +101,16 @@ def test_c02_mask_semantics():
             chunk = slice(start, start + 20)
             batch = build_batch(sentences[chunk], cfg, ids[chunk], db)
             result = encoder_forward(params, batch)
-            for b, trace in enumerate(result.traces):
+            for b, attention in enumerate(result.attention):
                 layout = sentences[chunk][b]
-                pad = np.ones(trace.probs.shape[-1], dtype=bool)
+                pad = np.ones(attention.shape[-1], dtype=bool)
                 pad[: layout.word_count + 2] = False
-                assert trace.probs[:, :, :, pad].max(initial=0.0) < 1e-4
+                assert attention[:, :, :, pad].max(initial=0.0) < 1e-4
                 if mode == "cog_mask":
                     rec = db.get(ids[chunk][b])
                     for pos in range(1, layout.word_count + 1):
                         if rec.n_fixations[pos - 1] <= 1:
-                            assert trace.probs[:, :, :, pos].max() < 1e-4
+                            assert attention[:, :, :, pos].max() < 1e-4
     passed(2, "mask semantics", "100 sentences x {none, cog_mask}")
 
 
@@ -204,7 +203,7 @@ def test_c03_formula_oracles():
     params = random_params(cfg, seed=0)
     for _ in range(1000):
         pooled = rng.normal(size=(1, 16))
-        eeg = rng.normal(size=6)
+        eeg = rng.normal(size=(1, 6))
         out = fuse_pooled(ad.const(pooled), eeg, params)
         np.testing.assert_allclose(out.value, pooled * eeg.sum() / 16, atol=1e-9)
 
@@ -216,16 +215,16 @@ def test_c04_structural_contracts():
     paper = dict(vocab_size=110, n_classes=8, layers=1, heads=2, d_ff=8,
                  max_len=8, dropout=0.0, d_model=768, eeg_channels=105)
     cfg = ModelConfig(**{**paper, "mode": "pool_concat"})
-    out = fuse_pooled(ad.const(np.zeros((1, 768))), np.zeros(105), random_params(cfg, 0))
+    out = fuse_pooled(ad.const(np.zeros((1, 768))), np.zeros((1, 105)), random_params(cfg, 0))
     assert out.value.shape == (1, 873)
 
     cfg = ModelConfig(**{**paper, "mode": "pool_concat_nn"})
-    out = fuse_pooled(ad.const(np.zeros((1, 768))), np.zeros(105), random_params(cfg, 0))
+    out = fuse_pooled(ad.const(np.zeros((1, 768))), np.zeros((1, 105)), random_params(cfg, 0))
     assert out.value.shape == (1, 1536)
 
     desk = ModelConfig(vocab_size=120, n_classes=4, d_model=16, heads=2,
                        eeg_channels=4, dropout=0.0, mode="pool_concat")
-    out = fuse_pooled(ad.const(np.zeros((1, 16))), np.zeros(4), random_params(desk, 0))
+    out = fuse_pooled(ad.const(np.zeros((1, 16))), np.zeros((1, 4)), random_params(desk, 0))
     assert out.value.shape == (1, 20)
 
     cfg = ModelConfig(vocab_size=120, n_classes=4, d_model=16, heads=2, max_len=10,
@@ -258,21 +257,21 @@ def test_c05_attention_accumulation():
         scores = rng.normal(size=(layers, heads, max_len, max_len))
         scores[..., len(layout.ids):] = -np.inf
         e = np.exp(scores - scores.max(axis=3, keepdims=True))
-        trace = AttentionTrace(e / e.sum(axis=3, keepdims=True))
+        attention = e / e.sum(axis=3, keepdims=True)
 
-        got = accumulate_attention(trace, layout, words_pool[:n_words])
+        got = accumulate_attention(attention, layout, words_pool[:n_words])
         real = list(layout.real_positions())
         oracle = {j: 0.0 for j in real}
         for layer in range(layers):
             for head in range(heads):
                 for i in real:
                     for j in real:
-                        oracle[j] += trace.probs[layer, head, i, j]
+                        oracle[j] += attention[layer, head, i, j]
         for s in got:
             assert abs(s.score - oracle[s.position]) < 1e-12
         total = sum(s.score for s in got)
         assert abs(total - layers * heads * len(real)) < 1e-6
-    passed(5, "attention accumulation", "50 random traces")
+    passed(5, "attention accumulation", "50 random attention arrays")
 
 
 def test_c06_metrics_oracle():

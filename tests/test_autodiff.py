@@ -28,25 +28,25 @@ class TestElementwiseOps:
         a = ad.Parameter("a", RNG.normal(size=(3, 4)))
         b = ad.Parameter("b", RNG.normal(size=(3, 4)))
         red = reducer((3, 4))
-        check(lambda: red(ad.add(ad.leaf(a), ad.leaf(b))), [a, b])
+        check(lambda: red(ad.add(a, b)), [a, b])
 
     def test_add_bias(self):
         x = ad.Parameter("x", RNG.normal(size=(5, 4)))
         b = ad.Parameter("b", RNG.normal(size=(1, 4)))
         red = reducer((5, 4))
-        check(lambda: red(ad.add_bias(ad.leaf(x), ad.leaf(b))), [x, b])
+        check(lambda: red(ad.add_bias(x, b)), [x, b])
 
     def test_mul_const_and_scale(self):
         # A scalar constant is how mul_const scales (e.g. inverted dropout).
         x = ad.Parameter("x", RNG.normal(size=(3, 3)))
         c = RNG.normal(size=(3, 3))
         red = reducer((3, 3))
-        check(lambda: red(ad.mul_const(ad.mul_const(ad.leaf(x), c), 2.5)), [x])
+        check(lambda: red(ad.mul_const(ad.mul_const(x, c), 2.5)), [x])
 
     def test_gelu(self):
         x = ad.Parameter("x", RNG.normal(size=(4, 4)))
         red = reducer((4, 4))
-        check(lambda: red(ad.gelu(ad.leaf(x))), [x])
+        check(lambda: red(ad.gelu(x)), [x])
 
 
 class TestMatrixOps:
@@ -54,30 +54,30 @@ class TestMatrixOps:
         a = ad.Parameter("a", RNG.normal(size=(3, 5)))
         b = ad.Parameter("b", RNG.normal(size=(5, 2)))
         red = reducer((3, 2))
-        check(lambda: red(ad.matmul(ad.leaf(a), ad.leaf(b))), [a, b])
+        check(lambda: red(ad.matmul(a, b)), [a, b])
 
     def test_concat_cols(self):
         a = ad.Parameter("a", RNG.normal(size=(3, 2)))
         b = ad.Parameter("b", RNG.normal(size=(3, 3)))
         red = reducer((3, 5))
-        check(lambda: red(ad.concat_cols(ad.leaf(a), ad.leaf(b))), [a, b])
+        check(lambda: red(ad.concat_cols(a, b)), [a, b])
 
     def test_gather_rows_with_repeats(self):
         table = ad.Parameter("t", RNG.normal(size=(6, 3)))
         ids = np.array([0, 2, 2, 5, 0])
         red = reducer((5, 3))
-        check(lambda: red(ad.gather_rows(ad.leaf(table), ids)), [table])
+        check(lambda: red(ad.gather_rows(table, ids)), [table])
 
     def test_gather_rows_rejects_out_of_range(self):
         table = ad.Parameter("t", np.zeros((4, 2)))
         with pytest.raises(IndexError):
-            ad.gather_rows(ad.leaf(table), np.array([0, 4]))
+            ad.gather_rows(table, np.array([0, 4]))
 
     def test_select_rows(self):
         x = ad.Parameter("x", RNG.normal(size=(6, 3)))
         idx = np.array([0, 3])
         red = reducer((2, 3))
-        check(lambda: red(ad.select_rows(ad.leaf(x), idx)), [x])
+        check(lambda: red(ad.select_rows(x, idx)), [x])
 
 
 class TestNormalizers:
@@ -86,13 +86,12 @@ class TestNormalizers:
         g = ad.Parameter("g", RNG.normal(1.0, 0.3, size=(1, 8)))
         b = ad.Parameter("b", RNG.normal(size=(1, 8)))
         red = reducer((5, 8))
-        check(lambda: red(ad.layer_norm_rows(ad.leaf(x), ad.leaf(g), ad.leaf(b))),
-              [x, g, b])
+        check(lambda: red(ad.layer_norm_rows(x, g, b)), [x, g, b])
 
     def test_cross_entropy_mean(self):
         logits = ad.Parameter("l", RNG.normal(size=(6, 4)))
         labels = np.array([0, 3, 1, 1, 2, 0])
-        check(lambda: ad.cross_entropy_mean(ad.leaf(logits), labels), [logits])
+        check(lambda: ad.cross_entropy_mean(logits, labels), [logits])
 
 
 class TestAttention:
@@ -107,7 +106,7 @@ class TestAttention:
         red = reducer((batch * seq, d))
 
         def loss():
-            ctx, _ = ad.multi_head_attention(ad.leaf(q), ad.leaf(k), ad.leaf(v), mask, heads)
+            ctx, _ = ad.multi_head_attention(q, k, v, mask, heads)
             return red(ctx)
 
         check(loss, [q, k, v])
@@ -147,8 +146,7 @@ class TestGraphBehavior:
     def test_fanout_accumulates(self):
         # y = w + w: dy/dw must be 2, not 1.
         w = ad.Parameter("w", np.array([[1.5]]))
-        node = ad.leaf(w)
-        ad.backward(ad.add(node, node))
+        ad.backward(ad.add(w, w))
         assert w.grad[0, 0] == pytest.approx(2.0)
 
     def test_diamond_graph(self):
@@ -156,20 +154,57 @@ class TestGraphBehavior:
         red = reducer((2, 2))
 
         def loss():
-            x = ad.leaf(w)
-            left = ad.gelu(x)
-            right = ad.mul_const(x, 3.0)
+            left = ad.gelu(w)
+            right = ad.mul_const(w, 3.0)
             return red(ad.add(left, right))
 
         check(loss, [w])
 
+    def test_parameter_feeding_two_ops_gets_summed_gradient(self):
+        # w is the bias of add_bias and the gamma of layer_norm_rows in one graph.
+        x = ad.Parameter("x", RNG.normal(size=(5, 4)))
+        beta = ad.Parameter("beta", RNG.normal(size=(1, 4)))
+        w = ad.Parameter("w", RNG.normal(1.0, 0.3, size=(1, 4)))
+        red = reducer((5, 4))
+
+        def loss(bias, gamma):
+            return red(ad.layer_norm_rows(ad.add_bias(x, bias), gamma, beta))
+
+        check(lambda: loss(w, w), [x, beta, w])
+        # The same graph with two separate copies of w: their sum is w's gradient.
+        w_bias = ad.Parameter("w_bias", w.value.copy())
+        w_gamma = ad.Parameter("w_gamma", w.value.copy())
+        check(lambda: loss(w_bias, w_gamma), [w_bias, w_gamma])
+        assert np.abs(w_bias.grad).min() > 0 and np.abs(w_gamma.grad).min() > 0
+        np.testing.assert_allclose(w.grad, w_bias.grad + w_gamma.grad, rtol=1e-12, atol=1e-15)
+
+    def test_parameter_grad_accumulates_until_zero_grad(self):
+        w = ad.Parameter("w", RNG.normal(size=(3, 2)))
+        red = reducer((3, 2))
+
+        def loss():
+            return red(ad.gelu(ad.mul_const(w, 2.0)))
+
+        check(loss, [w])  # leaves the FD-checked gradient of one backward in w.grad
+        once = w.grad.copy()
+        buffer = w.grad
+        ad.backward(loss())
+        assert w.grad is buffer  # backward adds into the buffer, never replaces it
+        np.testing.assert_array_equal(w.grad, once + once)
+        ad.backward(loss())
+        np.testing.assert_allclose(w.grad, 3.0 * once, rtol=1e-15)
+        w.zero_grad()
+        np.testing.assert_array_equal(w.grad, 0.0)
+        ad.backward(loss())
+        np.testing.assert_array_equal(w.grad, once)
+
     def test_dropout_zero_rate_is_identity(self):
         x = ad.const(RNG.normal(size=(3, 3)))
-        assert ad.dropout(x, 0.0, None) is x
+        assert ad.dropout(x, 0.0, None, (1, 3, 3)) is x
 
     def test_dropout_scales_kept_entries(self):
         from cogbert.numerics.rng import SeededRng
         x = ad.const(np.ones((100, 10)))
-        out = ad.dropout(x, 0.5, SeededRng(0))
+        out = ad.dropout(x, 0.5, SeededRng(0), (1, 100, 10))
         values = np.unique(out.value)
         assert set(values.tolist()) <= {0.0, 2.0}

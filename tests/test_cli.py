@@ -53,6 +53,21 @@ class TestSynth:
         rc = cli_main(["synth", "--out", str(tmp_path / "o"), "--config", str(bad)])
         assert rc == 2
 
+    def test_unreadable_config_exits_2(self, synth_dir, tmp_path, capsys):
+        not_utf8 = tmp_path / "latin1.json"
+        not_utf8.write_bytes(b'{"n_sentences": 16, "note": "caf\xe9"}')
+        folder = tmp_path / "cfg_dir"
+        folder.mkdir()
+        features = str(synth_dir / "features.jsonl")
+        for path, detail in ((not_utf8, "is not valid JSON"), (folder, "is not a regular file")):
+            for argv in (["synth", "--out", str(tmp_path / "o"), "--config", str(path)],
+                         ["train", "--features", features, "--out", str(tmp_path / "t"),
+                          "--train-config", str(path), "--print-config"]):
+                rc = cli_main(argv)
+                err = capsys.readouterr().err
+                assert rc == 2, f"{argv[0]} {path.name}: exit {rc}"
+                assert f"config {path} {detail}" in err, err
+
     def test_print_config(self, tmp_path, capsys):
         rc = cli_main(["synth", "--out", str(tmp_path / "o"), "--print-config"])
         assert rc == 0
@@ -312,6 +327,37 @@ class TestMalformedInputs:
             assert rc == 3, f"{argv[0]}: exit {rc}"
             assert str(vocab) in err and str(trained_dir / "model.ckpt") in err, err
             assert "4000" in err, err
+
+    def test_directory_inputs_exit_3(self, trained_dir, synth_dir, model_config_path,
+                                     tmp_path, capsys):
+        folder = tmp_path / "a_directory"
+        folder.mkdir()
+        # a checkpoint reached through the train config, with a valid sidecar beside it
+        (tmp_path / "a_directory.config.json").write_text(
+            (trained_dir / "model.ckpt.config.json").read_text())
+        train_cfg = tmp_path / "train.json"
+        train_cfg.write_text(json.dumps({"init_source": str(folder)}))
+        commands = {
+            "report": ["report", "--inputs", str(folder), "--out", str(tmp_path / "c.csv")],
+            "train": ["train", "--features", str(folder), "--out", str(tmp_path / "t")],
+            "eval": self.eval_args(synth_dir, trained_dir, tmp_path / "o", vocab=folder),
+            "init_source": ["train", "--features", str(synth_dir / "features.jsonl"),
+                            "--config", str(model_config_path), "--train-config", str(train_cfg),
+                            "--repeats", "1", "--epochs", "1", "--out", str(tmp_path / "t")],
+        }
+        for name, argv in commands.items():
+            rc = cli_main(argv)
+            err = capsys.readouterr().err
+            assert rc == 3, f"{name}: exit {rc}"
+            assert f"{folder} is not a regular file" in err, f"{name}: {err}"
+
+        ckpt, sidecar = self.copy_checkpoint(trained_dir, tmp_path)
+        sidecar.unlink()
+        sidecar.mkdir()
+        rc = cli_main(self.eval_args(synth_dir, trained_dir, tmp_path / "o", checkpoint=ckpt))
+        err = capsys.readouterr().err
+        assert rc == 3, f"sidecar: exit {rc}"
+        assert f"missing config sidecar {sidecar}" in err, err
 
     def test_checkpoint_as_text_input_exits_3(self, trained_dir, synth_dir, tmp_path, capsys):
         ckpt = trained_dir / "model.ckpt"

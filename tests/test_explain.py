@@ -17,7 +17,6 @@ from cogbert.explain import (
     top_k,
     weighted_ridge,
 )
-from cogbert.model import AttentionTrace
 from cogbert.numerics.rng import SeededRng
 from cogbert.tokenizer import build_vocab, encode
 
@@ -29,24 +28,25 @@ def layout_for(n_words, max_len=12):
     return encode(WORDS10[:n_words], VOCAB, max_len)
 
 
-def random_trace(layers, heads, layout, rng):
-    """Row-stochastic attention over max_len positions, zero mass on PAD columns."""
+def random_attention(layers, heads, layout, rng):
+    """Row-stochastic (layers, heads, T, T) attention, T = max_len, zero mass on PAD columns."""
     t = layout.max_len
     scores = rng.normal(size=(layers, heads, t, t))
     scores[..., len(layout.ids):] = -np.inf
     e = np.exp(scores - scores.max(axis=3, keepdims=True))
-    return AttentionTrace(e / e.sum(axis=3, keepdims=True))
+    return e / e.sum(axis=3, keepdims=True)
 
 
-def accumulate_oracle(trace, layout):
+def accumulate_oracle(attention, layout):
     """Triple loop over (layer, head, row), summing real-token columns."""
     real = list(layout.real_positions())
     scores = {j: 0.0 for j in real}
-    for layer in range(trace.layers):
-        for head in range(trace.heads):
+    layers, heads = attention.shape[:2]
+    for layer in range(layers):
+        for head in range(heads):
             for i in real:
                 for j in real:
-                    scores[j] += trace.probs[layer, head, i, j]
+                    scores[j] += attention[layer, head, i, j]
     return scores
 
 
@@ -56,29 +56,29 @@ class TestAccumulateAttention:
         layout = layout_for(0, max_len=4)  # CLS and SEP only
         probs = np.zeros((1, 1, 4, 4))
         probs[0, 0, :2, :2] = [[0.5, 0.5], [0.2, 0.8]]
-        scores = accumulate_attention(AttentionTrace(probs), layout, [])
+        scores = accumulate_attention(probs, layout, [])
         assert [s.score for s in scores] == pytest.approx([0.7, 1.3])
 
     def test_identity_matrices_score_layers_times_heads(self):
         layout = layout_for(3, max_len=6)
         probs = np.tile(np.eye(6), (2, 2, 1, 1))
-        scores = accumulate_attention(AttentionTrace(probs), layout, WORDS10[:3])
+        scores = accumulate_attention(probs, layout, WORDS10[:3])
         assert all(s.score == pytest.approx(4.0) for s in scores)
 
     def test_uniform_attention_arithmetic(self):
         # 4 real tokens, uniform rows: every token collects L*H*n*(1/n) = 4.
         layout = layout_for(2, max_len=4)
         probs = np.full((2, 2, 4, 4), 0.25)
-        scores = accumulate_attention(AttentionTrace(probs), layout, WORDS10[:2])
+        scores = accumulate_attention(probs, layout, WORDS10[:2])
         assert all(s.score == pytest.approx(4.0) for s in scores)
 
     def test_matches_triple_loop_oracle(self):
         rng = np.random.default_rng(101)
         for _ in range(25):
             layout = layout_for(int(rng.integers(1, 9)), max_len=12)
-            trace = random_trace(2, 2, layout, rng)
-            scores = accumulate_attention(trace, layout, WORDS10[: layout.word_count])
-            oracle = accumulate_oracle(trace, layout)
+            attention = random_attention(2, 2, layout, rng)
+            scores = accumulate_attention(attention, layout, WORDS10[: layout.word_count])
+            oracle = accumulate_oracle(attention, layout)
             for s in scores:
                 assert s.score == pytest.approx(oracle[s.position], abs=1e-12)
 
@@ -86,17 +86,16 @@ class TestAccumulateAttention:
         rng = np.random.default_rng(103)
         for _ in range(25):
             layout = layout_for(int(rng.integers(1, 9)), max_len=12)
-            trace = random_trace(3, 2, layout, rng)
-            scores = accumulate_attention(trace, layout, WORDS10[: layout.word_count])
+            attention = random_attention(3, 2, layout, rng)
+            scores = accumulate_attention(attention, layout, WORDS10[: layout.word_count])
             total = sum(s.score for s in scores)
             n_real = layout.word_count + 2
             assert total == pytest.approx(3 * 2 * n_real, abs=1e-6)
 
     def test_word_count_mismatch_rejected(self):
         layout = layout_for(3)
-        trace = AttentionTrace(np.zeros((1, 1, 12, 12)))
         with pytest.raises(ValidationError):
-            accumulate_attention(trace, layout, ["one", "two"])
+            accumulate_attention(np.zeros((1, 1, 12, 12)), layout, ["one", "two"])
 
 
 class TestTopK:

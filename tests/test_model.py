@@ -220,31 +220,30 @@ class TestForward:
         params = random_params(cfg, seed=2)
         batch, _ = make_batch(cfg)
         result = encoder_forward(params, batch)
-        assert len(result.traces) == batch.size
-        for trace in result.traces:
-            t = batch.ids.shape[1]
-            assert trace.probs.shape == (cfg.layers, cfg.heads, t, t)
-            np.testing.assert_allclose(trace.probs.sum(axis=3), 1.0, atol=1e-6)
+        t = batch.ids.shape[1]
+        assert result.attention.shape == (batch.size, cfg.layers, cfg.heads, t, t)
+        np.testing.assert_allclose(result.attention.sum(axis=4), 1.0, atol=1e-6)
 
     def test_pad_columns_get_no_attention(self):
         cfg = tiny_cfg()
         params = random_params(cfg, seed=2)
         batch, _ = make_batch(cfg)
         result = encoder_forward(params, batch)
-        for i, trace in enumerate(result.traces):
+        for i, attention in enumerate(result.attention):
             pad = batch.masks[i] < 0
-            assert trace.probs[:, :, :, pad].max() < 1e-4
+            assert attention[:, :, :, pad].max() < 1e-4
 
     def test_cog_mask_suppresses_scarcely_fixated_tokens(self):
         cfg = tiny_cfg(mode="cog_mask")
         params = random_params(cfg, seed=2)
         batch, db = make_batch(cfg)
         result = encoder_forward(params, batch)
-        for i, trace in enumerate(result.traces):
-            rec = db.get(batch.sentence_ids[i])
+        # make_batch builds the db in batch order
+        for attention, sentence_id in zip(result.attention, db.ids(), strict=True):
+            rec = db.get(sentence_id)
             for pos, n_fix in enumerate(rec.n_fixations, start=1):
                 if n_fix <= 1:
-                    assert trace.probs[:, :, :, pos].max() < 1e-4
+                    assert attention[:, :, :, pos].max() < 1e-4
 
     def test_missing_record_names_sentence(self):
         cfg = tiny_cfg(mode="eeg_embed")
@@ -367,8 +366,8 @@ class TestBatchWidth:
             trimmed = encoder_forward(params, batch)
             full = encoder_forward(params, pad_to_max_len(batch, cfg.max_len))
             np.testing.assert_array_equal(trimmed.logits.value, full.logits.value, err_msg=mode)
-            for a, b in zip(trimmed.traces, full.traces):
-                np.testing.assert_array_equal(a.probs, b.probs[..., :t, :t], err_msg=mode)
+            np.testing.assert_array_equal(trimmed.attention, full.attention[..., :t, :t],
+                                          err_msg=mode)
 
     def test_sentence_does_not_depend_on_batch_peers(self):
         """Hidden states match alone and beside longer peers; logits match across peers.
@@ -418,14 +417,14 @@ class TestFusion:
         cfg = tiny_cfg(mode="pool_multiply", d_model=2, heads=1, eeg_channels=3)
         params = random_params(cfg, seed=1)
         pooled = ad.const(np.array([[1.0, 2.0]]))
-        out = fuse_pooled(pooled, np.array([0.5, 0.5, 1.0]), params)
+        out = fuse_pooled(pooled, np.array([[0.5, 0.5, 1.0]]), params)
         np.testing.assert_allclose(out.value, [[1.0, 2.0]], atol=1e-12)
 
     def test_multiply_zero_vector_annihilates(self):
         cfg = tiny_cfg(mode="pool_multiply")
         params = random_params(cfg, seed=1)
         pooled = ad.const(np.ones((1, cfg.d_model)))
-        out = fuse_pooled(pooled, np.zeros(cfg.eeg_channels), params)
+        out = fuse_pooled(pooled, np.zeros((1, cfg.eeg_channels)), params)
         np.testing.assert_array_equal(out.value, 0.0)
 
     def test_multiply_matches_closed_form_on_random_vectors(self):
@@ -434,7 +433,7 @@ class TestFusion:
         rng = SeededRng(14).derive("fusion")
         for _ in range(200):
             pooled = rng.normal(size=(1, cfg.d_model))
-            eeg = rng.normal(size=cfg.eeg_channels)
+            eeg = rng.normal(size=(1, cfg.eeg_channels))
             out = fuse_pooled(ad.const(pooled), eeg, params)
             expected = pooled * eeg.sum() / cfg.d_model
             np.testing.assert_allclose(out.value, expected, atol=1e-12)
@@ -445,7 +444,7 @@ class TestFusion:
                           dropout=0.0, mode="pool_concat")
         params = random_params(cfg, seed=0)
         pooled = ad.const(np.zeros((1, 768)))
-        out = fuse_pooled(pooled, np.zeros(105), params)
+        out = fuse_pooled(pooled, np.zeros((1, 105)), params)
         assert out.value.shape == (1, 873)
         assert cfg.classifier_in_dim == 873
 
@@ -453,7 +452,7 @@ class TestFusion:
                              d_model=768, d_ff=8, max_len=8, eeg_channels=105,
                              dropout=0.0, mode="pool_concat_nn")
         params_nn = random_params(cfg_nn, seed=0)
-        out_nn = fuse_pooled(ad.const(np.zeros((1, 768))), np.zeros(105), params_nn)
+        out_nn = fuse_pooled(ad.const(np.zeros((1, 768))), np.zeros((1, 105)), params_nn)
         assert out_nn.value.shape == (1, 1536)
         assert cfg_nn.classifier_in_dim == 1536
 
@@ -461,14 +460,17 @@ class TestFusion:
         cfg = tiny_cfg(mode="pool_add_nn")
         params = random_params(cfg, seed=1)
         out = fuse_pooled(ad.const(np.zeros((1, cfg.d_model))),
-                          np.ones(cfg.eeg_channels), params)
+                          np.ones((1, cfg.eeg_channels)), params)
         assert out.value.shape == (1, cfg.d_model)
 
     def test_channel_mismatch_rejected(self):
         cfg = tiny_cfg(mode="pool_concat")
         params = random_params(cfg, seed=1)
-        with pytest.raises(ValidationError):
-            fuse_pooled(ad.const(np.zeros((1, cfg.d_model))), np.zeros(7), params)
+        pooled = ad.const(np.zeros((1, cfg.d_model)))
+        # wrong channel count; a 1-D vector instead of (B, C)
+        for bad in (np.zeros((1, 7)), np.zeros(cfg.eeg_channels)):
+            with pytest.raises(ValidationError, match="does not match"):
+                fuse_pooled(pooled, bad, params)
 
     def test_passthrough_modes_leave_pooled_untouched(self):
         cfg = tiny_cfg(mode="cog_mask")

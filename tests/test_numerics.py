@@ -28,7 +28,7 @@ def gelu(x):
 def gelu_grad(x):
     """The gradient ad.gelu's backward rule pushes into its input."""
     p = Parameter("x", np.atleast_2d(x))
-    ad.backward(ad.gelu(ad.leaf(p)))
+    ad.backward(ad.gelu(p))
     return p.grad
 
 
@@ -184,7 +184,7 @@ class TestGradCheck:
         w = Parameter("w", np.array([[3.0]]))
 
         def loss():
-            return ad.matmul(ad.leaf(w), ad.leaf(w))  # w^2
+            return ad.matmul(w, w)  # w^2
 
         assert grad_check(loss, [w], eps=1e-5) < 1e-9
         assert w.grad[0, 0] == pytest.approx(6.0, abs=1e-12)
@@ -193,14 +193,14 @@ class TestGradCheck:
         w = Parameter("w", np.array([[0.5]]))
 
         def loss():
-            return ad.gelu(ad.leaf(w))
+            return ad.gelu(w)
 
         assert grad_check(loss, [w], eps=1e-5) < 1e-6
 
     def test_eps_window_enforced(self):
         w = Parameter("w", np.array([[1.0]]))
         with pytest.raises(ValidationError):
-            grad_check(lambda: ad.leaf(w), [w], eps=1e-2)
+            grad_check(lambda: w, [w], eps=1e-2)
 
     def test_nonfinite_loss_raises(self):
         w = Parameter("w", np.array([[0.0]]))
