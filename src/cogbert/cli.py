@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 import time
@@ -30,7 +31,8 @@ from .errors import (
 )
 from .explain import DEFAULT_KERNEL_WIDTH, DEFAULT_RIDGE_LAMBDA, DEFAULT_SAMPLES, explain_sentence
 from .files import atomic_open, write_text_atomic
-from .model import MODES, EncoderParams, ModelConfig, gradcheck_mode, load_checkpoint, save_checkpoint
+from .model import (MODES, EncoderParams, ModelConfig, gradcheck_mode, init_params, load_checkpoint,
+                    save_checkpoint)
 from .tokenizer import Vocab, build_vocab
 
 GRADCHECK_TOLERANCE = 1e-4
@@ -172,6 +174,8 @@ def cmd_train(args) -> int:
                          sort_keys=True, indent=2))
         return 0
 
+    if train_cfg.init_source != "random":
+        init_params(model_cfg, train_cfg.init_source)  # fail before anything is written
     out = _out_dir(args.out)
     examples = training.make_examples(db, vocab, model_cfg.max_len)
     train_ex, test_ex = training.split(examples, args.split_ratio, train_cfg.seed)
@@ -259,15 +263,7 @@ def cmd_lexicon(args) -> int:
         coverages[sid] = coverage
         if coverage == 0.0:
             print(f"warning: no lexicon coverage for {sid}; zero vector substituted")
-        records.append(feat.CognitiveRecord(
-            sentence_id=rec.sentence_id,
-            tokens=rec.tokens,
-            label=rec.label,
-            n_fixations=rec.n_fixations,
-            eye_tokens=rec.eye_tokens,
-            eeg_tokens=rec.eeg_tokens,
-            sentence_eeg=vec,
-        ))
+        records.append(dataclasses.replace(rec, sentence_eeg=vec))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     feat.FeatureDb(records).save_jsonl(out)

@@ -7,7 +7,9 @@ keyword ranking. The LIME-style explainer perturbs a sentence by randomly
 removing words, weights each perturbation by an exponential kernel over the
 cosine distance from the full sentence, and fits a weighted ridge surrogate
 whose coefficients score the words. `explain_sentence` runs both on one
-sentence of a feature database and reports their top-k agreement.
+sentence of a feature database and reports their top-k agreement; each
+perturbation is a word selection of that sentence's layout (`keep_words`),
+whose features build_batch reads from the sentence's one record.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .features import CognitiveRecord, FeatureDb
-from .model import EncoderParams, build_batch, encoder_forward
+from .features import FeatureDb
+from .model import EncoderParams, Example, build_batch, encoder_forward
 from .numerics import autodiff as ad
 from .numerics.rng import SeededRng
 from .tokenizer import TokenizedSentence, Vocab, encode
@@ -95,9 +97,10 @@ def lime_explain(
     """Per-word surrogate coefficients for predict_fn around this sentence.
 
     predict_fn receives the boolean keep-mask of a perturbation (callers
-    holding word-aligned features need the indices, not just the kept words)
-    and returns the probability of the class being explained. Each
-    word is kept independently with p=0.5; all-removed draws are redrawn.
+    holding word-aligned features need the indices, not just the kept words;
+    `keep_words` turns it into a layout) and returns the probability of the
+    class being explained. Each word is kept independently with p=0.5;
+    all-removed draws are redrawn.
     Sample weight = exp(-(100 * D)^2 / width^2) with D the cosine distance
     between the keep-mask and the full sentence.
     """
@@ -215,6 +218,17 @@ def build_report(
     )
 
 
+def keep_words(layout: TokenizedSentence, keep_mask: np.ndarray) -> TokenizedSentence:
+    """The layout with only the kept content words, still between CLS and SEP.
+
+    keep_mask has one entry per content word. Each kept word keeps its
+    record index in `words`, so build_batch gives it its own eye/EEG features.
+    """
+    idx = np.flatnonzero(keep_mask)
+    return TokenizedSentence(layout.ids[np.r_[0, idx + 1, -1]], layout.words[idx],
+                             layout.max_len)
+
+
 def class_probability(logits: np.ndarray, class_idx: int) -> float:
     """Softmax probability of class_idx in the first row of logits."""
     if np.isnan(logits).any():
@@ -235,31 +249,24 @@ def explain_sentence(
 ) -> ExplanationReport:
     """Attention and LIME explanations of the model's predicted class for one sentence.
 
-    A LIME perturbation drops words together with their aligned eye/EEG
-    features; the sentence EEG vector is kept whole.
+    The sentence is encoded once. A LIME perturbation is `keep_words` of that
+    layout, so it drops words together with their aligned eye/EEG features
+    (build_batch reads them from the same record); the sentence EEG vector
+    is kept whole. Every forward runs at batch 1.
     """
     cfg = params.cfg
     rec = db.get(sentence_id)
     layout = encode(rec.tokens, vocab, cfg.max_len)
     words = rec.tokens[: layout.word_count]
-    result = encoder_forward(params, build_batch([layout], cfg, [sentence_id], db))
+    full = Example(sentence_id, layout, rec.label)
+    result = encoder_forward(params, build_batch([full], cfg, db))
     predicted = int(result.predictions()[0])
     attn_scores = accumulate_attention(result.attention[0], layout, words)
 
     def predict_fn(keep_mask: np.ndarray) -> float:
-        idx = np.flatnonzero(keep_mask)
-        sub = CognitiveRecord(
-            sentence_id=sentence_id,
-            tokens=[words[i] for i in idx],
-            label=rec.label,
-            n_fixations=rec.n_fixations[idx],
-            eye_tokens=rec.eye_tokens[idx],
-            eeg_tokens=rec.eeg_tokens[idx],
-            sentence_eeg=rec.sentence_eeg,
-        )
-        sub_layout = encode(sub.tokens, vocab, cfg.max_len)
-        sub_batch = build_batch([sub_layout], cfg, [sentence_id], FeatureDb([sub]))
-        return class_probability(encoder_forward(params, sub_batch).logits.value, predicted)
+        sub = Example(sentence_id, keep_words(layout, keep_mask), rec.label)
+        return class_probability(encoder_forward(params, build_batch([sub], cfg, db)).logits.value,
+                                 predicted)
 
     lime_scores = lime_explain(predict_fn, words, n_samples=n_samples, kernel_width=kernel_width,
                                ridge_lambda=ridge_lambda, seed=seed)

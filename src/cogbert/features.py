@@ -181,9 +181,6 @@ class FeatureDb:
     def __len__(self) -> int:
         return len(self._records)
 
-    def __contains__(self, sentence_id: str) -> bool:
-        return sentence_id in self._records
-
     def ids(self) -> list[str]:
         return list(self._records)
 

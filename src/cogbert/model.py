@@ -168,9 +168,6 @@ class EncoderParams:
     def __getitem__(self, name: str) -> Parameter:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
     def all(self) -> list[Parameter]:
         return list(self._params.values())
 
@@ -299,6 +296,8 @@ def load_checkpoint(path: str | Path) -> EncoderParams:
                 f"{len(blob) - offset} left"
             )
         value = np.frombuffer(blob[offset:offset + nbytes], dtype="<f8").reshape(rows, cols)
+        if not np.isfinite(value).all():
+            raise CheckpointError(f"{path}: tensor {name} holds non-finite values")
         offset += nbytes
         params[name] = Parameter(name, value.copy(), decay=expected[name][2])
     if offset != len(blob):
@@ -313,7 +312,8 @@ def init_params(cfg: ModelConfig, source: str = "random", seed: int = 0) -> Enco
     loaded = load_checkpoint(source)
     if loaded.cfg != cfg:
         raise CheckpointError(
-            f"checkpoint config {loaded.cfg.to_dict()} does not match requested {cfg.to_dict()}"
+            f"checkpoint {source}: config {loaded.cfg.to_dict()} does not match requested "
+            f"{cfg.to_dict()}"
         )
     return loaded
 
@@ -321,6 +321,19 @@ def init_params(cfg: ModelConfig, source: str = "random", seed: int = 0) -> Enco
 # ---------------------------------------------------------------------------
 # Batch preparation
 # ---------------------------------------------------------------------------
+
+@dataclass
+class Example:
+    """A tokenized sentence with the id of its feature record and its label.
+
+    The id names the record whose features build_batch reads at
+    sentence.words; the sentence may keep any subset of the record's words.
+    """
+
+    sentence_id: str
+    sentence: TokenizedSentence
+    label: int
+
 
 @dataclass
 class Batch:
@@ -336,63 +349,58 @@ class Batch:
     eeg_tokens: np.ndarray | None  # (B, T) EEG tokens, eeg modes only
     eye_tokens: np.ndarray | None  # (B, T) eye tokens, eye modes only
     sent_eeg: np.ndarray | None  # (B, C)
-    labels: np.ndarray | None
+    labels: np.ndarray           # (B,) int class labels
 
     @property
     def size(self) -> int:
         return self.ids.shape[0]
 
 
-def build_batch(
-    sentences: list[TokenizedSentence],
-    cfg: ModelConfig,
-    sentence_ids: list[str] | None = None,
-    db: FeatureDb | None = None,
-    labels: list[int] | None = None,
-) -> Batch:
-    """Pad the sentences into ids, masks, and per-mode feature arrays.
+def build_batch(examples: list[Example], cfg: ModelConfig, db: FeatureDb | None = None) -> Batch:
+    """Pad the examples' sentences into ids, masks, per-mode feature arrays and labels.
 
     Every array is as wide as the batch width T: the longest sentence
     (len(ids) = word_count + 2) rounded up to a multiple of WIDTH_MULTIPLE,
     capped at max_len. Each sentence fills the first len(ids) positions of
     its row; the rest is PAD_ID with a MASK_SUPPRESS mask. CLS, SEP, and PAD
     positions carry cognitive token 0 (no measurement exists for them);
-    content positions take the record's values.
+    content position j + 1 takes the values of record word sentence.words[j].
     """
     if cfg.needs_features and db is None:
         raise ValidationError(f"mode {cfg.mode!r} requires a feature database")
-    if db is not None and sentence_ids is None:
-        raise ValidationError("sentence_ids are required to look up features")
 
-    for ts in sentences:
-        if ts.max_len != cfg.max_len:
-            raise ValidationError(f"sentence max_len {ts.max_len} != model max_len {cfg.max_len}")
-    longest = max((len(ts.ids) for ts in sentences), default=0)
-    n, t = len(sentences), min(cfg.max_len, -(-longest // WIDTH_MULTIPLE) * WIDTH_MULTIPLE)
+    for ex in examples:
+        if ex.sentence.max_len != cfg.max_len:
+            raise ValidationError(
+                f"sentence max_len {ex.sentence.max_len} != model max_len {cfg.max_len}")
+    longest = max((len(ex.sentence.ids) for ex in examples), default=0)
+    n, t = len(examples), min(cfg.max_len, -(-longest // WIDTH_MULTIPLE) * WIDTH_MULTIPLE)
     ids = np.full((n, t), PAD_ID, dtype=np.int64)
     masks = np.full((n, t), MASK_SUPPRESS, dtype=np.float64)
     eeg = np.zeros((n, t), dtype=np.int64) if cfg.uses_eeg_tokens else None
     eye = np.zeros((n, t), dtype=np.int64) if cfg.uses_eye_tokens else None
     sent = np.zeros((n, cfg.eeg_channels)) if cfg.uses_sentence_eeg else None
 
-    for i, ts in enumerate(sentences):
+    for i, ex in enumerate(examples):
+        ts = ex.sentence
         real = slice(0, len(ts.ids))
         ids[i, real] = ts.ids
         masks[i, real] = MASK_KEEP
         if cfg.needs_features:
-            rec = db.get(sentence_ids[i])
-            wc = ts.word_count
-            if len(rec.tokens) < wc:
+            rec = db.get(ex.sentence_id)
+            last = int(ts.words.max(initial=-1))
+            if last >= len(rec.tokens):
                 raise ValidationError(
-                    f"{rec.sentence_id}: record covers {len(rec.tokens)} words, sentence has {wc}"
+                    f"{rec.sentence_id}: record covers {len(rec.tokens)} words, "
+                    f"sentence reads word {last}"
                 )
-            content = slice(1, 1 + wc)
+            content = slice(1, 1 + ts.word_count)
             if cfg.mode == "cog_mask":
-                masks[i, real] = cognitive_mask(rec.n_fixations[:wc], ts)
+                masks[i, real] = cognitive_mask(rec.n_fixations[ts.words], ts)
             if eeg is not None:
-                eeg[i, content] = rec.eeg_tokens[:wc]
+                eeg[i, content] = rec.eeg_tokens[ts.words]
             if eye is not None:
-                eye[i, content] = rec.eye_tokens[:wc]
+                eye[i, content] = rec.eye_tokens[ts.words]
             if sent is not None:
                 if rec.sentence_eeg.shape != (cfg.eeg_channels,):
                     raise ValidationError(
@@ -407,7 +415,7 @@ def build_batch(
         eeg_tokens=eeg,
         eye_tokens=eye,
         sent_eeg=sent,
-        labels=None if labels is None else np.asarray(labels, dtype=np.int64),
+        labels=np.array([ex.label for ex in examples], dtype=np.int64),
     )
 
 
@@ -614,10 +622,9 @@ def _gradcheck_batch(cfg: ModelConfig, seed: int) -> Batch:
             eeg_tokens=rng.integers(0, 101, size=n),
             sentence_eeg=rng.normal(0.0, 1.0, size=cfg.eeg_channels),
         ))
-    db = FeatureDb(records)
-    layouts = [encode(r.tokens, vocab, cfg.max_len) for r in records]
-    return build_batch(layouts, cfg, [r.sentence_id for r in records], db,
-                       labels=[r.label for r in records])
+    examples = [Example(r.sentence_id, encode(r.tokens, vocab, cfg.max_len), r.label)
+                for r in records]
+    return build_batch(examples, cfg, FeatureDb(records))
 
 
 def gradcheck_mode(mode: str, seed: int = 0, layers: int = 2, heads: int = 2,

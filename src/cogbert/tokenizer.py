@@ -30,16 +30,6 @@ MASK_KEEP = 0.0        # "-0" in additive-mask terms
 MASK_SUPPRESS = -10000.0
 
 
-def preprocess(text: str) -> list[str]:
-    """Lowercase, strip punctuation (all non-alphanumerics), split on whitespace."""
-    cleaned = []
-    for raw in text.lower().split():
-        word = "".join(ch for ch in raw if ch.isalnum())
-        if word:
-            cleaned.append(word)
-    return cleaned
-
-
 @dataclass
 class Vocab:
     word_to_id: dict[str, int]
@@ -80,21 +70,19 @@ class Vocab:
         return cls(word_to_id, {i: w for w, i in word_to_id.items()})
 
 
-def build_vocab(corpus: list[str] | list[list[str]], min_freq: int = 1) -> Vocab:
-    """Assign ids by descending frequency, ties broken lexicographically.
+def build_vocab(corpus: list[list[str]]) -> Vocab:
+    """Assign ids to the words of the tokenized sentences by descending
+    frequency, ties broken lexicographically.
 
     Ids count up from 1 and skip the reserved range 100-102.
     """
     counts: Counter[str] = Counter()
-    for sentence in corpus:
-        words = preprocess(sentence) if isinstance(sentence, str) else sentence
+    for words in corpus:
         counts.update(words)
 
     word_to_id = dict(RESERVED)
     next_id = 1
     for word, _ in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])):
-        if counts[word] < min_freq:
-            continue
         while next_id in _RESERVED_IDS:
             next_id += 1
         word_to_id[word] = next_id
@@ -106,14 +94,21 @@ def build_vocab(corpus: list[str] | list[list[str]], min_freq: int = 1) -> Vocab
 class TokenizedSentence:
     """Id sequence [CLS] words... [SEP], with no padding.
 
-    word_count is the number of content tokens kept and max_len the
-    position budget they were truncated to; build_batch pads to the batch
-    width.
+    words[j] is the index, in the sentence's feature record, of the word at
+    content position j + 1: `encode` keeps a prefix (0, 1, ...), a LIME
+    perturbation keeps any increasing subset. build_batch reads each
+    position's features at that index. max_len is the position budget the
+    words were truncated to; build_batch pads to the batch width.
     """
 
     ids: np.ndarray
-    word_count: int
+    words: np.ndarray
     max_len: int
+
+    @property
+    def word_count(self) -> int:
+        """Number of content tokens (excludes CLS and SEP)."""
+        return len(self.words)
 
     def content_positions(self) -> range:
         """Positions holding real words (excludes CLS and SEP)."""
@@ -132,4 +127,4 @@ def encode(words: list[str], vocab: Vocab, max_len: int = 64) -> TokenizedSenten
         log.warning("truncating %d word(s) to fit max_len=%d", len(words) - capacity, max_len)
         words = words[:capacity]
     ids = np.array([CLS_ID, *(vocab.id_of(w) for w in words), SEP_ID], dtype=np.int64)
-    return TokenizedSentence(ids=ids, word_count=len(words), max_len=max_len)
+    return TokenizedSentence(ids=ids, words=np.arange(len(words)), max_len=max_len)

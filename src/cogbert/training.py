@@ -9,7 +9,6 @@ with the same master seed replay exactly.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -17,10 +16,10 @@ import numpy as np
 
 from .errors import NumericError, ValidationError
 from .features import FeatureDb
-from .model import Batch, EncoderParams, ModelConfig, build_batch, encoder_forward, init_params
+from .model import EncoderParams, Example, ModelConfig, build_batch, encoder_forward, init_params
 from .numerics import autodiff as ad
 from .numerics.rng import SeededRng
-from .tokenizer import TokenizedSentence, Vocab, encode
+from .tokenizer import Vocab, encode
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -49,19 +48,6 @@ class TrainConfig:
 
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "TrainConfig":
-        return cls(**obj)
-
-
-@dataclass
-class Example:
-    """A tokenized sentence ready for the model, with its id and label."""
-
-    sentence_id: str
-    sentence: TokenizedSentence
-    label: int
 
 
 def make_examples(db: FeatureDb, vocab: Vocab, max_len: int) -> list[Example]:
@@ -205,16 +191,6 @@ def _batches(examples: list[Example], order: np.ndarray, size: int):
         yield [examples[i] for i in order[start:start + size]]
 
 
-def _to_batch(chunk: list[Example], cfg: ModelConfig, db: FeatureDb | None) -> Batch:
-    return build_batch(
-        [ex.sentence for ex in chunk],
-        cfg,
-        sentence_ids=[ex.sentence_id for ex in chunk],
-        db=db,
-        labels=[ex.label for ex in chunk],
-    )
-
-
 def train(
     train_cfg: TrainConfig,
     model_cfg: ModelConfig,
@@ -240,7 +216,7 @@ def train(
         order = order_rng.permutation(len(examples))
         losses = []
         for chunk in _batches(examples, order, train_cfg.batch_size):
-            batch = _to_batch(chunk, model_cfg, db)
+            batch = build_batch(chunk, model_cfg, db)
             params.zero_grads()
             result = encoder_forward(params, batch, train=True, rng=dropout_rng)
             loss = ad.cross_entropy_mean(result.logits, batch.labels)
@@ -268,7 +244,7 @@ def evaluate(
     predictions = []
     for start in range(0, len(examples), batch_size):
         chunk = examples[start:start + batch_size]
-        result = encoder_forward(params, _to_batch(chunk, cfg, db), train=False)
+        result = encoder_forward(params, build_batch(chunk, cfg, db), train=False)
         predictions.extend(result.predictions().tolist())
     truth = [ex.label for ex in examples]
     return Metrics.from_predictions(truth, predictions, cfg.n_classes)
@@ -285,14 +261,12 @@ class RunResult:
 class RunReport:
     """Aggregation of n independent train+evaluate cycles.
 
-    wall_clock_s is informational only and deliberately excluded from the
-    serialized form so reports stay byte-reproducible across reruns.
+    It holds no timings, so reports stay byte-reproducible across reruns.
     """
 
     model_config: dict
     train_config: dict
     runs: list[RunResult]
-    wall_clock_s: float = 0.0
 
     def _mean(self, attr: str) -> float:
         return float(np.mean([getattr(r.metrics, attr) for r in self.runs]))
@@ -357,7 +331,6 @@ def repeat_runs(
     if n < 1:
         raise ValidationError("need at least one run")
     master = SeededRng(train_cfg.seed)
-    started = time.perf_counter()
     runs: list[RunResult] = []
     all_params: list[EncoderParams] = []
     for i in range(n):
@@ -370,7 +343,6 @@ def repeat_runs(
         model_config=model_cfg.to_dict(),
         train_config=train_cfg.to_dict(),
         runs=runs,
-        wall_clock_s=time.perf_counter() - started,
     )
     return report, all_params
 

@@ -33,6 +33,7 @@ from cogbert.features import (
 )
 from cogbert.model import (
     MODES,
+    Example,
     ModelConfig,
     build_batch,
     embedding_sum,
@@ -70,8 +71,8 @@ def test_c01_gradient_integrity():
 
 
 def _random_sentences(rng, n, cfg):
-    vocab = build_vocab([" ".join(f"w{i}" for i in range(40))])
-    sentences, ids, records = [], [], []
+    vocab = build_vocab([[f"w{i}" for i in range(40)]])
+    examples, records = [], []
     for i in range(n):
         length = int(rng.integers(1, cfg.max_len - 2))
         words = [f"w{int(rng.integers(40))}" for _ in range(length)]
@@ -83,9 +84,8 @@ def _random_sentences(rng, n, cfg):
             eeg_tokens=np.where(n_fix > 0, rng.integers(1, 101, length), 0),
             sentence_eeg=rng.normal(size=cfg.eeg_channels),
         ))
-        sentences.append(encode(words, vocab, cfg.max_len))
-        ids.append(f"r{i}")
-    return sentences, ids, FeatureDb(records)
+        examples.append(Example(f"r{i}", encode(words, vocab, cfg.max_len), 0))
+    return examples, FeatureDb(records)
 
 
 def test_c02_mask_semantics():
@@ -96,18 +96,17 @@ def test_c02_mask_semantics():
                           d_model=16, d_ff=32, max_len=12, eeg_channels=4,
                           dropout=0.0, mode=mode)
         params = random_params(cfg, seed=1)
-        sentences, ids, db = _random_sentences(rng, 100, cfg)
+        examples, db = _random_sentences(rng, 100, cfg)
         for start in range(0, 100, 20):
-            chunk = slice(start, start + 20)
-            batch = build_batch(sentences[chunk], cfg, ids[chunk], db)
-            result = encoder_forward(params, batch)
-            for b, attention in enumerate(result.attention):
-                layout = sentences[chunk][b]
+            chunk = examples[start:start + 20]
+            result = encoder_forward(params, build_batch(chunk, cfg, db))
+            for ex, attention in zip(chunk, result.attention, strict=True):
+                layout = ex.sentence
                 pad = np.ones(attention.shape[-1], dtype=bool)
                 pad[: layout.word_count + 2] = False
                 assert attention[:, :, :, pad].max(initial=0.0) < 1e-4
                 if mode == "cog_mask":
-                    rec = db.get(ids[chunk][b])
+                    rec = db.get(ex.sentence_id)
                     for pos in range(1, layout.word_count + 1):
                         if rec.n_fixations[pos - 1] <= 1:
                             assert attention[:, :, :, pos].max() < 1e-4
@@ -248,7 +247,7 @@ def test_c04_structural_contracts():
 def test_c05_attention_accumulation():
     """Accumulation equals the triple loop (1e-12) and conserves mass (1e-6)."""
     rng = np.random.default_rng(505)
-    vocab = build_vocab(["a b c d e f g h"])
+    vocab = build_vocab([["a", "b", "c", "d", "e", "f", "g", "h"]])
     words_pool = ["a", "b", "c", "d", "e", "f", "g", "h"]
     layers, heads, max_len = 2, 2, 12
     for _ in range(50):

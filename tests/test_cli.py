@@ -15,6 +15,7 @@ from cogbert.features import (
     lexicon_sentence_eeg,
     save_measurements,
 )
+from cogbert.model import load_checkpoint, save_checkpoint
 
 
 def sha256(path):
@@ -358,6 +359,42 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert rc == 3, f"sidecar: exit {rc}"
         assert f"missing config sidecar {sidecar}" in err, err
+
+    def test_bad_init_source_fails_before_any_output(self, trained_dir, synth_dir,
+                                                     model_config_path, tmp_path, capsys):
+        sources = {  # init_source -> (mode, what the message must say)
+            tmp_path / "absent.ckpt": ("none", "missing config sidecar"),
+            trained_dir / "model.ckpt": ("eeg_embed", "does not match requested"),
+        }
+        for source, (mode, detail) in sources.items():
+            train_cfg = tmp_path / "train.json"
+            train_cfg.write_text(json.dumps({"init_source": str(source)}))
+            out = tmp_path / "t"
+            rc = cli_main(["train", "--features", str(synth_dir / "features.jsonl"),
+                           "--config", str(model_config_path), "--train-config", str(train_cfg),
+                           "--mode", mode, "--repeats", "1", "--epochs", "1", "--out", str(out)])
+            captured = capsys.readouterr()
+            assert rc == 3, f"{source.name}: exit {rc}"
+            assert str(source) in captured.err and detail in captured.err, captured.err
+            assert "training mode" not in captured.out, captured.out
+            assert not out.exists()
+
+    def test_non_finite_checkpoint_exits_3(self, trained_dir, synth_dir, tmp_path, capsys):
+        ckpt, _ = self.copy_checkpoint(trained_dir, tmp_path)
+        params = load_checkpoint(ckpt)
+        explain = ["explain", "--features", str(synth_dir / "features.jsonl"),
+                   "--checkpoint", str(ckpt), "--vocab", str(trained_dir / "vocab.tsv"),
+                   "--ids", "s0000", "--out", str(tmp_path / "e")]
+        for bad in (np.nan, np.inf):
+            params["classifier.w"].value[0, 0] = bad
+            save_checkpoint(params, ckpt)
+            for argv in (self.eval_args(synth_dir, trained_dir, tmp_path / "o", checkpoint=ckpt),
+                         explain):
+                rc = cli_main(argv)
+                err = capsys.readouterr().err
+                assert rc == 3, f"{argv[0]} {bad}: exit {rc}"
+                assert f"{ckpt}: tensor classifier.w holds non-finite values" in err, err
+        assert not (tmp_path / "o").exists() and not (tmp_path / "e").exists()
 
     def test_checkpoint_as_text_input_exits_3(self, trained_dir, synth_dir, tmp_path, capsys):
         ckpt = trained_dir / "model.ckpt"

@@ -1,5 +1,6 @@
 """Explanation pipelines: accumulation against a triple-loop oracle, keyword
-ranking rules, surrogate fidelity against exhaustive enumeration, agreement."""
+ranking rules, surrogate fidelity against exhaustive enumeration, LIME
+perturbation batches against a per-sample record oracle, agreement."""
 
 import math
 
@@ -13,15 +14,18 @@ from cogbert.explain import (
     accumulate_attention,
     build_report,
     correlate,
+    keep_words,
     lime_explain,
     top_k,
     weighted_ridge,
 )
+from cogbert.features import CognitiveRecord, FeatureDb
+from cogbert.model import MODES, Example, ModelConfig, build_batch
 from cogbert.numerics.rng import SeededRng
 from cogbert.tokenizer import build_vocab, encode
 
-VOCAB = build_vocab(["aa bb cc dd ee ff gg hh jj kk"])
 WORDS10 = ["aa", "bb", "cc", "dd", "ee", "ff", "gg", "hh", "jj", "kk"]
+VOCAB = build_vocab([WORDS10])
 
 
 def layout_for(n_words, max_len=12):
@@ -201,6 +205,65 @@ class TestLime:
                                np.concatenate([targets, targets]),
                                np.concatenate([weights, weights]), 1e-3)
         np.testing.assert_allclose(once, twice, atol=1e-12)
+
+
+class TestPerturbationBatch:
+    """A perturbation is keep_words of the sentence's layout, read against its one record."""
+
+    BATCH_FIELDS = ("ids", "masks", "eeg_tokens", "eye_tokens", "sent_eeg", "labels")
+
+    @staticmethod
+    def record(rng, words):
+        n_fix = rng.integers(0, 4, size=len(words))
+        return CognitiveRecord(
+            sentence_id="s", tokens=words, label=2, n_fixations=n_fix,
+            eye_tokens=np.where(n_fix > 0, rng.integers(1, 101, size=len(words)), 0),
+            eeg_tokens=np.where(n_fix > 0, rng.integers(1, 101, size=len(words)), 0),
+            sentence_eeg=rng.normal(size=4),
+        )
+
+    @staticmethod
+    def per_sample_batch(rec, keep_mask, cfg):
+        """Oracle: a sub-record of the kept words, encoded afresh, in a one-record db."""
+        idx = np.flatnonzero(keep_mask)
+        sub = CognitiveRecord(
+            sentence_id=rec.sentence_id, tokens=[rec.tokens[i] for i in idx], label=rec.label,
+            n_fixations=rec.n_fixations[idx], eye_tokens=rec.eye_tokens[idx],
+            eeg_tokens=rec.eeg_tokens[idx], sentence_eeg=rec.sentence_eeg,
+        )
+        example = Example(sub.sentence_id, encode(sub.tokens, VOCAB, cfg.max_len), sub.label)
+        return build_batch([example], cfg, FeatureDb([sub]))
+
+    def test_matches_per_sample_record_path(self):
+        rng = np.random.default_rng(21)
+        rec = self.record(rng, WORDS10[:8] + ["zz"])  # "zz" is out of vocabulary
+        db = FeatureDb([rec])
+        for max_len in (12, 8):  # 9 words fit at 12; at 8 the layout keeps the first 6
+            for mode in MODES:
+                cfg = ModelConfig(vocab_size=120, n_classes=4, max_len=max_len, eeg_channels=4,
+                                  mode=mode)
+                layout = encode(rec.tokens, VOCAB, max_len)
+                for _ in range(25):
+                    keep = rng.random(layout.word_count) < 0.5
+                    if not keep.any():
+                        continue
+                    sub = keep_words(layout, keep)
+                    got = build_batch([Example("s", sub, rec.label)], cfg, db)
+                    want = self.per_sample_batch(rec, keep, cfg)
+                    for field in self.BATCH_FIELDS:
+                        a, b = getattr(got, field), getattr(want, field)
+                        assert (a is None) == (b is None), (mode, field)
+                        if a is not None:
+                            assert a.dtype == b.dtype and np.array_equal(a, b), (mode, field)
+
+    def test_selection_keeps_record_indices(self):
+        layout = layout_for(5)
+        sub = keep_words(layout, np.array([False, True, False, True, True]))
+        assert sub.ids.tolist() == [layout.ids[0], *layout.ids[[2, 4, 5]], layout.ids[-1]]
+        assert sub.words.tolist() == [1, 3, 4] and sub.max_len == layout.max_len
+        whole = keep_words(layout, np.ones(5, dtype=bool))
+        assert whole.ids.tolist() == layout.ids.tolist()
+        assert whole.words.tolist() == layout.words.tolist()
 
 
 class TestCorrelate:

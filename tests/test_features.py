@@ -177,7 +177,7 @@ class TestSentenceEEG:
 
 class TestCognitiveMask:
     def setup_method(self):
-        self.vocab = build_vocab(["he won the nobel prize"])
+        self.vocab = build_vocab([["he", "won", "the", "nobel", "prize"]])
 
     def test_paper_layout(self):
         layout = encode(["he", "won", "the", "nobel", "prize"], self.vocab, max_len=9)

@@ -11,6 +11,7 @@ from cogbert.features import CognitiveRecord, FeatureDb
 from cogbert.model import (
     MODES,
     WIDTH_MULTIPLE,
+    Example,
     ModelConfig,
     build_batch,
     classify,
@@ -26,7 +27,9 @@ from cogbert.model import (
 from cogbert.numerics import autodiff as ad
 from cogbert.numerics.gradcheck import grad_check_report
 from cogbert.numerics.rng import SeededRng
-from cogbert.tokenizer import MASK_KEEP, MASK_SUPPRESS, PAD_ID, build_vocab, encode
+from cogbert.training import make_examples
+from cogbert.tokenizer import (MASK_KEEP, MASK_SUPPRESS, PAD_ID, TokenizedSentence, build_vocab,
+                               encode)
 
 
 def tiny_cfg(**overrides):
@@ -58,12 +61,10 @@ def make_batch(cfg, seed=0, n_sentences=3):
     corpus = [["alpha", "beta", "gamma", "delta"],
               ["beta", "delta", "epsilon"],
               ["zeta", "alpha"]][:n_sentences]
-    vocab = build_vocab([" ".join(w) for w in corpus])
+    vocab = build_vocab(corpus)
     records = make_records(cfg, corpus, seed)
     db = FeatureDb(records)
-    layouts = [encode(r.tokens, vocab, cfg.max_len) for r in records]
-    return build_batch(layouts, cfg, [r.sentence_id for r in records], db,
-                       labels=[r.label for r in records]), db
+    return build_batch(make_examples(db, vocab, cfg.max_len), cfg, db), db
 
 
 class TestModelConfig:
@@ -247,22 +248,36 @@ class TestForward:
 
     def test_missing_record_names_sentence(self):
         cfg = tiny_cfg(mode="eeg_embed")
-        vocab = build_vocab(["alpha beta"])
+        vocab = build_vocab([["alpha", "beta"]])
         layout = encode(["alpha", "beta"], vocab, cfg.max_len)
         db = FeatureDb([])
         with pytest.raises(FeatureLookupError, match="ghost"):
-            build_batch([layout], cfg, ["ghost"], db)
+            build_batch([Example("ghost", layout, 0)], cfg, db)
 
     def test_truncated_sentence_keeps_feature_alignment(self):
         cfg = tiny_cfg(mode="eeg_embed", max_len=5)  # room for 3 content words
         words = ["alpha", "beta", "gamma", "delta", "epsilon"]
-        vocab = build_vocab([" ".join(words)])
+        vocab = build_vocab([words])
         records = make_records(cfg, [words], seed=6)
         layout = encode(words, vocab, cfg.max_len)
         assert layout.word_count == 3 and layout.max_len == 5
-        batch = build_batch([layout], cfg, ["t0"], FeatureDb(records))
+        batch = build_batch([Example("t0", layout, 0)], cfg, FeatureDb(records))
         np.testing.assert_array_equal(batch.eeg_tokens[0, 1:4], records[0].eeg_tokens[:3])
         assert batch.eeg_tokens[0, 0] == 0 and batch.eeg_tokens[0, 4] == 0
+
+    def test_word_index_beyond_record_rejected(self):
+        cfg = tiny_cfg(mode="eeg_embed")
+        words = ["alpha", "beta", "gamma"]
+        vocab = build_vocab([words])
+        db = FeatureDb(make_records(cfg, [words[:2]], seed=6))  # t0 covers 2 words
+        full = encode(words, vocab, cfg.max_len)
+        picked = TokenizedSentence(full.ids[[0, 1, 3, 4]], np.array([0, 2]), cfg.max_len)
+        for layout in (full, picked):
+            with pytest.raises(ValidationError,
+                               match="t0: record covers 2 words, sentence reads word 2"):
+                build_batch([Example("t0", layout, 0)], cfg, db)
+        batch = build_batch([Example("t0", picked, 0)], tiny_cfg(), db)  # mode none reads no features
+        np.testing.assert_array_equal(batch.ids[0, :4], picked.ids)
 
     def test_full_forward_gradcheck_two_modes(self):
         for mode in ("none", "pool_add_nn"):
@@ -290,10 +305,8 @@ def width_batch(cfg, lengths, seed=0):
     corpus = [[WIDTH_WORDS[(i + j) % len(WIDTH_WORDS)] for j in range(n)]
               for i, n in enumerate(lengths)]
     vocab = build_vocab([WIDTH_WORDS])
-    records = make_records(cfg, corpus, seed)
-    layouts = [encode(r.tokens, vocab, cfg.max_len) for r in records]
-    return build_batch(layouts, cfg, [r.sentence_id for r in records], FeatureDb(records),
-                       labels=[r.label for r in records])
+    db = FeatureDb(make_records(cfg, corpus, seed))
+    return build_batch(make_examples(db, vocab, cfg.max_len), cfg, db)
 
 
 def pad_to_max_len(batch, max_len):

@@ -1,4 +1,4 @@
-"""Tokenizer contracts: preprocessing rules, id assignment, layout, round trips."""
+"""Tokenizer contracts: id assignment, layout, round trips."""
 
 import numpy as np
 import pytest
@@ -12,52 +12,28 @@ from cogbert.tokenizer import (
     Vocab,
     build_vocab,
     encode,
-    preprocess,
 )
-
-
-class TestPreprocess:
-    def test_lowercase_and_strip_punctuation(self):
-        assert preprocess("He won the Nobel Prize.") == ["he", "won", "the", "nobel", "prize"]
-
-    def test_punctuation_only_yields_nothing(self):
-        assert preprocess("...") == []
-
-    def test_intraword_punctuation_collapses(self):
-        assert preprocess("U.S.-based") == ["usbased"]
-
-    def test_digits_survive(self):
-        assert preprocess("founded in 1997!") == ["founded", "in", "1997"]
-
-    def test_total_on_arbitrary_text(self):
-        assert preprocess("") == []
-        assert preprocess("  \t\n ") == []
 
 
 class TestBuildVocab:
     def test_frequency_then_lexicographic_order(self):
-        vocab = build_vocab(["a b", "a"], min_freq=1)
+        vocab = build_vocab([["a", "b"], ["a"]])
         assert "a" in vocab and "b" in vocab
         assert vocab.id_of("a") < vocab.id_of("b")
 
-    def test_min_freq_threshold(self):
-        vocab = build_vocab(["a b", "a"], min_freq=2)
-        assert "a" in vocab
-        assert "b" not in vocab
-
     def test_empty_corpus_keeps_reserved_only(self):
-        vocab = build_vocab(["...", "!!"])
+        vocab = build_vocab([[], []])
         assert set(vocab.word_to_id) == {"[PAD]", "[UNK]", "[CLS]", "[SEP]"}
 
     def test_reserved_ids_never_reassigned(self):
-        words = " ".join(f"w{i:03d}" for i in range(150))
+        words = [f"w{i:03d}" for i in range(150)]
         vocab = build_vocab([words])
         corpus_ids = {vocab.id_of(f"w{i:03d}") for i in range(150)}
         assert corpus_ids.isdisjoint({PAD_ID, UNK_ID, CLS_ID, SEP_ID})
         assert max(corpus_ids) < vocab.size
 
     def test_deterministic_assignment(self):
-        corpus = ["c a b", "b a", "a"]
+        corpus = [["c", "a", "b"], ["b", "a"], ["a"]]
         v1 = build_vocab(corpus)
         v2 = build_vocab(corpus)
         assert v1.word_to_id == v2.word_to_id
@@ -65,7 +41,7 @@ class TestBuildVocab:
         assert v1.id_of("a") < v1.id_of("b") < v1.id_of("c")
 
     def test_save_load_round_trip(self, tmp_path):
-        vocab = build_vocab(["the quick brown fox", "the lazy dog"])
+        vocab = build_vocab([["the", "quick", "brown", "fox"], ["the", "lazy", "dog"]])
         path = tmp_path / "vocab.tsv"
         vocab.save(path)
         loaded = Vocab.load(path)
@@ -82,7 +58,7 @@ class TestBuildVocab:
 
 class TestEncode:
     def setup_method(self):
-        self.vocab = build_vocab(["he won the nobel prize"])
+        self.vocab = build_vocab([["he", "won", "the", "nobel", "prize"]])
 
     def test_empty_sentence_layout(self):
         ts = encode([], self.vocab, max_len=6)
@@ -102,6 +78,7 @@ class TestEncode:
     def test_truncation_recorded(self, caplog):
         ts = encode(["he", "won", "the", "nobel", "prize"], self.vocab, max_len=4)
         assert ts.word_count == 2 and ts.max_len == 4
+        assert ts.words.tolist() == [0, 1]
         assert ts.ids.tolist() == [CLS_ID, self.vocab.id_of("he"), self.vocab.id_of("won"), SEP_ID]
         assert "truncating 3 word(s) to fit max_len=4" in caplog.text
 
@@ -116,6 +93,7 @@ class TestEncode:
             n = int(rng.integers(0, 7))
             ts = encode(words[:n], self.vocab, max_len=int(rng.integers(3, 10)))
             assert len(ts.ids) == ts.word_count + 2 <= ts.max_len
+            assert ts.words.tolist() == list(range(ts.word_count))
             assert PAD_ID not in ts.ids.tolist()
 
     def test_round_trip_for_in_vocab_sentences(self):

@@ -11,10 +11,11 @@ from pathlib import Path
 
 import numpy as np
 
-from cogbert import model, tokenizer
+from cogbert import model
 from cogbert.features import FeatureDb
 from cogbert.numerics import autodiff as ad
 from cogbert.tokenizer import build_vocab
+from cogbert.training import make_examples
 from test_model import make_records, tiny_cfg
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -38,10 +39,8 @@ def forward_and_backward(mode):
     cfg = tiny_cfg(mode=mode, layers=1)
     corpus = [["alpha", "beta", "gamma"], ["beta", "delta"]]
     vocab = build_vocab(corpus)
-    records = make_records(cfg, corpus, seed=1)
-    layouts = [tokenizer.encode(r.tokens, vocab, cfg.max_len) for r in records]
-    batch = model.build_batch(layouts, cfg, [r.sentence_id for r in records],
-                              FeatureDb(records), labels=[r.label for r in records])
+    db = FeatureDb(make_records(cfg, corpus, seed=1))
+    batch = model.build_batch(make_examples(db, vocab, cfg.max_len), cfg, db)
     params = model.random_params(cfg, seed=2)
     result = model.encoder_forward(params, batch)
     ad.backward(ad.cross_entropy_mean(result.logits, batch.labels))

@@ -164,10 +164,7 @@ class TestOptimizer:
     def test_single_step_decreases_frozen_batch_loss(self):
         cfg, examples, db = tiny_setup()
         params = random_params(cfg, seed=1)
-        chunk = examples[:8]
-        batch = build_batch([e.sentence for e in chunk], cfg,
-                            [e.sentence_id for e in chunk], db,
-                            labels=[e.label for e in chunk])
+        batch = build_batch(examples[:8], cfg, db)
 
         def batch_loss():
             result = encoder_forward(params, batch)
@@ -219,7 +216,7 @@ class TestTrain:
         # Re-derive predictions and compare against the loop oracle.
         preds = []
         for ex in examples:
-            batch = build_batch([ex.sentence], cfg, [ex.sentence_id], db)
+            batch = build_batch([ex], cfg, db)
             preds.append(int(encoder_forward(params, batch).predictions()[0]))
         truth = [ex.label for ex in examples]
         p, r, f1, acc = brute_force_metrics(truth, preds, cfg.n_classes)
@@ -266,5 +263,6 @@ class TestRepeatRuns:
         train_ex, test_ex = split(examples, 0.8, seed=1)
         tcfg = TrainConfig(epochs=1, batch_size=8, lr=5e-4, seed=42, repeats=1)
         report, _ = repeat_runs(1, tcfg, cfg, train_ex, test_ex, db)
-        assert report.wall_clock_s > 0
-        assert "wall_clock_s" not in report.to_dict()
+        keys = set(report.to_dict())
+        keys |= {k for run in report.to_dict()["runs"] for k in run}
+        assert not {k for k in keys if "clock" in k or "time" in k or k.endswith("_s")}
