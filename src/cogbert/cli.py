@@ -281,11 +281,12 @@ def cmd_lexicon(args) -> int:
 
 def cmd_explain(args) -> int:
     db, params, vocab = _load_model_inputs(args)
-    out = _out_dir(args.out)
-
     sentence_ids = [sid.strip() for sid in args.ids.split(",") if sid.strip()]
     if not sentence_ids:
         raise ConfigError("--ids must name at least one sentence")
+    for sid in sentence_ids:
+        db.get(sid)  # an unknown id exits 3 before anything is written
+    out = _out_dir(args.out)
 
     overlaps = []
     for sid in sentence_ids:

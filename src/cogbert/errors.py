@@ -32,6 +32,9 @@ class DataError(CogbertError, ValueError):
 class FeatureLookupError(DataError, KeyError):
     """A sentence id has no record in the feature database."""
 
+    def __str__(self) -> str:
+        return BaseException.__str__(self)  # KeyError's __str__ would quote the message
+
 
 class CheckpointError(CogbertError, ValueError):
     """A checkpoint file is malformed or does not match the model config."""

@@ -9,7 +9,10 @@ cosine distance from the full sentence, and fits a weighted ridge surrogate
 whose coefficients score the words. `explain_sentence` runs both on one
 sentence of a feature database and reports their top-k agreement; each
 perturbation is a word selection of that sentence's layout (`keep_words`),
-whose features build_batch reads from the sentence's one record.
+whose features build_batch reads from the sentence's one record, and the
+perturbations run through the encoder LIME_CHUNK at a time. A sentence's
+logits do not depend on its batch peers, so the chunk size does not change
+any score.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ DEFAULT_SAMPLES = 200
 DEFAULT_KERNEL_WIDTH = 25.0
 DEFAULT_RIDGE_LAMBDA = 1e-3
 DISTANCE_SCALE = 100.0  # cosine distances are scaled to percent before the kernel
+LIME_CHUNK = 20  # perturbations per encoder forward; memory grows with chunk size x width
 
 
 @dataclass
@@ -87,7 +91,7 @@ def _cosine_distance_from_full(mask: np.ndarray) -> float:
 
 
 def lime_explain(
-    predict_fn: Callable[[np.ndarray], float],
+    predict_fn: Callable[[np.ndarray], np.ndarray],
     words: Sequence[str],
     n_samples: int = DEFAULT_SAMPLES,
     kernel_width: float = DEFAULT_KERNEL_WIDTH,
@@ -96,11 +100,12 @@ def lime_explain(
 ) -> list[TokenScore]:
     """Per-word surrogate coefficients for predict_fn around this sentence.
 
-    predict_fn receives the boolean keep-mask of a perturbation (callers
-    holding word-aligned features need the indices, not just the kept words;
-    `keep_words` turns it into a layout) and returns the probability of the
-    class being explained. Each word is kept independently with p=0.5;
-    all-removed draws are redrawn.
+    predict_fn receives the (n_samples, n_words) boolean keep-masks of all
+    perturbations in draw order (callers holding word-aligned features need
+    the indices, not just the kept words; `keep_words` turns a row into a
+    layout) and returns n_samples finite probabilities of the class being
+    explained, one per row; anything else raises ValidationError. Each word
+    is kept independently with p=0.5; all-removed draws are redrawn.
     Sample weight = exp(-(100 * D)^2 / width^2) with D the cosine distance
     between the keep-mask and the full sentence.
     """
@@ -119,7 +124,11 @@ def lime_explain(
             mask = (rng.random(n) < 0.5).astype(np.float64)
         masks[s] = mask
 
-    targets = np.array([predict_fn(mask.astype(bool)) for mask in masks])
+    targets = np.asarray(predict_fn(masks.astype(bool)), dtype=np.float64)
+    if targets.shape != (n_samples,) or not np.isfinite(targets).all():
+        raise ValidationError(
+            f"predict_fn must return {n_samples} finite probabilities, got shape "
+            f"{targets.shape} with {int((~np.isfinite(targets)).sum())} non-finite")
     distances = np.array([_cosine_distance_from_full(mask) for mask in masks])
     weights = np.exp(-((DISTANCE_SCALE * distances) ** 2) / kernel_width**2)
     coefs = weighted_ridge(masks, targets, weights, ridge_lambda)
@@ -229,11 +238,11 @@ def keep_words(layout: TokenizedSentence, keep_mask: np.ndarray) -> TokenizedSen
                              layout.max_len)
 
 
-def class_probability(logits: np.ndarray, class_idx: int) -> float:
-    """Softmax probability of class_idx in the first row of logits."""
+def class_probability(logits: np.ndarray, class_idx: int) -> np.ndarray:
+    """Softmax probability of class_idx in every row of the (S, C) logits."""
     if np.isnan(logits).any():
         raise NumericError("class probability received NaN logits")
-    return float(ad.softmax(logits)[0, class_idx])
+    return ad.softmax(logits)[:, class_idx]
 
 
 def explain_sentence(
@@ -252,7 +261,8 @@ def explain_sentence(
     The sentence is encoded once. A LIME perturbation is `keep_words` of that
     layout, so it drops words together with their aligned eye/EEG features
     (build_batch reads them from the same record); the sentence EEG vector
-    is kept whole. Every forward runs at batch 1.
+    is kept whole. The full sentence runs alone, the perturbations in
+    batches of LIME_CHUNK: 1 + ceil(n_samples / LIME_CHUNK) forwards.
     """
     cfg = params.cfg
     rec = db.get(sentence_id)
@@ -263,10 +273,14 @@ def explain_sentence(
     predicted = int(result.predictions()[0])
     attn_scores = accumulate_attention(result.attention[0], layout, words)
 
-    def predict_fn(keep_mask: np.ndarray) -> float:
-        sub = Example(sentence_id, keep_words(layout, keep_mask), rec.label)
-        return class_probability(encoder_forward(params, build_batch([sub], cfg, db)).logits.value,
-                                 predicted)
+    def predict_fn(keep_masks: np.ndarray) -> np.ndarray:
+        probs = []
+        for start in range(0, len(keep_masks), LIME_CHUNK):
+            chunk = [Example(sentence_id, keep_words(layout, keep), rec.label)
+                     for keep in keep_masks[start:start + LIME_CHUNK]]
+            logits = encoder_forward(params, build_batch(chunk, cfg, db)).logits.value
+            probs.append(class_probability(logits, predicted))
+        return np.concatenate(probs)
 
     lime_scores = lime_explain(predict_fn, words, n_samples=n_samples, kernel_width=kernel_width,
                                ridge_lambda=ridge_lambda, seed=seed)

@@ -140,13 +140,26 @@ def mul_const(x: Node, c: np.ndarray) -> Node:
     return out
 
 
+def _rows_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y by the matrix-matrix path, also when x has one row.
+
+    numpy multiplies a 1-row x by its matrix-vector path, which sums in
+    another order; the first row of [x; 0] @ y is bit-equal to x's row of
+    the product in a batch of any size.
+    """
+    if x.shape[0] != 1:
+        return x @ y
+    return (np.concatenate([x, np.zeros_like(x)]) @ y)[:1]
+
+
 def matmul(a: Node, b: Node) -> Node:
+    """a @ b; every row's result is the same at any row count of a."""
     if a.value.shape[1] != b.value.shape[0]:
         raise ShapeError(f"cannot multiply {a.value.shape} by {b.value.shape}: inner dimensions differ")
-    out = Node(a.value @ b.value, (a, b))
+    out = Node(_rows_product(a.value, b.value), (a, b))
 
     def bwd(g):
-        _acc(a, g @ b.value.T)
+        _acc(a, _rows_product(g, b.value.T))
         _acc(b, a.value.T @ g)
 
     out.bwd = bwd

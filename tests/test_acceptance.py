@@ -391,10 +391,10 @@ def test_c09_lime_fidelity():
         words = [pool[i] for i in idx]
         weights = rng.uniform(0.1, 1.5, size=n)
 
-        def teacher(mask):
-            return float(1.0 / (1.0 + math.exp(-(np.asarray(mask) @ weights - weights.sum() / 2))))
+        def teacher(masks):
+            return 1.0 / (1.0 + np.exp(-(np.asarray(masks) @ weights - weights.sum() / 2)))
 
-        scores = lime_explain(lambda mask: teacher(mask.astype(float)),
+        scores = lime_explain(lambda masks: teacher(masks.astype(float)),
                               words, n_samples=300, seed=s)
         best = max(scores, key=lambda t: t.score)
         if best.word == words[int(np.argmax(weights))]:

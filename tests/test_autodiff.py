@@ -56,6 +56,23 @@ class TestMatrixOps:
         red = reducer((3, 2))
         check(lambda: red(ad.matmul(a, b)), [a, b])
 
+    def test_one_row_matches_its_row_of_a_two_row_product(self):
+        """Forward, a.grad and b.grad of a 1-row product equal row 0's, bit for bit."""
+        rng = np.random.default_rng(7)
+        for k, n in ((16, 4), (32, 16), (7, 3), (64, 33)):
+            row, b_value, w = rng.normal(size=(1, k)), rng.normal(size=(k, n)), rng.normal(size=(1, n))
+            one = [ad.Parameter("a", row), ad.Parameter("b", b_value)]
+            two = [ad.Parameter("a", np.vstack([row, rng.normal(size=(1, k))])),
+                   ad.Parameter("b", b_value.copy())]
+            out_one, out_two = ad.matmul(*one), ad.matmul(*two)
+            ad.backward(ad.mul_const(out_one, w))
+            ad.backward(ad.mul_const(ad.select_rows(out_two, [0]), w))
+            np.testing.assert_array_equal(out_one.value[0], out_two.value[0])
+            np.testing.assert_array_equal(one[0].grad[0], two[0].grad[0])
+            np.testing.assert_array_equal(one[1].grad, two[1].grad)
+            ones = np.ones((n, 1))
+            check(lambda: ad.matmul(ad.mul_const(ad.matmul(*one), w), ad.const(ones)), one)
+
     def test_concat_cols(self):
         a = ad.Parameter("a", RNG.normal(size=(3, 2)))
         b = ad.Parameter("b", RNG.normal(size=(3, 3)))

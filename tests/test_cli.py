@@ -245,6 +245,11 @@ class TestExplain:
         rc = cli_main(self.explain_args(trained_dir, synth_dir, tmp_path / "e", "sXXXX"))
         assert rc == 3
 
+    def test_unknown_sentence_message_is_unquoted(self, trained_dir, synth_dir, tmp_path, capsys):
+        rc = cli_main(self.explain_args(trained_dir, synth_dir, tmp_path / "e", "ghost"))
+        assert rc == 3
+        assert capsys.readouterr().err == "error: no cognitive record for sentence id 'ghost'\n"
+
 
 class TestMalformedInputs:
     """Corrupt checkpoints and data files exit 3 with a message naming the file."""
@@ -378,6 +383,15 @@ class TestMalformedInputs:
             assert str(source) in captured.err and detail in captured.err, captured.err
             assert "training mode" not in captured.out, captured.out
             assert not out.exists()
+
+    def test_unknown_explain_id_fails_before_any_output(self, trained_dir, synth_dir, tmp_path,
+                                                       capsys):
+        out = tmp_path / "e"
+        rc = cli_main(TestExplain().explain_args(trained_dir, synth_dir, out, "s0000,ghost"))
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert "sentence id 'ghost'" in captured.err, captured.err
+        assert captured.out == "" and not out.exists()
 
     def test_non_finite_checkpoint_exits_3(self, trained_dir, synth_dir, tmp_path, capsys):
         ckpt, _ = self.copy_checkpoint(trained_dir, tmp_path)

@@ -1,12 +1,14 @@
 """Explanation pipelines: accumulation against a triple-loop oracle, keyword
 ranking rules, surrogate fidelity against exhaustive enumeration, LIME
-perturbation batches against a per-sample record oracle, agreement."""
+perturbation batches against a per-sample record oracle, chunked LIME
+forwards against one-at-a-time forwards, agreement."""
 
 import math
 
 import numpy as np
 import pytest
 
+from cogbert import explain
 from cogbert.errors import ValidationError
 from cogbert.explain import (
     DISTANCE_SCALE,
@@ -14,13 +16,14 @@ from cogbert.explain import (
     accumulate_attention,
     build_report,
     correlate,
+    explain_sentence,
     keep_words,
     lime_explain,
     top_k,
     weighted_ridge,
 )
 from cogbert.features import CognitiveRecord, FeatureDb
-from cogbert.model import MODES, Example, ModelConfig, build_batch
+from cogbert.model import MODES, Example, ModelConfig, build_batch, random_params
 from cogbert.numerics.rng import SeededRng
 from cogbert.tokenizer import build_vocab, encode
 
@@ -154,7 +157,8 @@ def exhaustive_surrogate(teacher, words, kernel_width, lam):
 class TestLime:
     def test_constant_model_gives_zero_coefficients(self):
         words = WORDS10[:6]
-        scores = lime_explain(lambda mask: 0.42, words, n_samples=300, seed=1)
+        scores = lime_explain(lambda masks: np.full(len(masks), 0.42), words, n_samples=300,
+                              seed=1)
         assert all(abs(s.score) < 1e-6 for s in scores)
 
     def test_dominant_word_wins_and_matches_exhaustive_fit(self):
@@ -166,8 +170,8 @@ class TestLime:
         def teacher_on_mask(mask):
             return float(1.0 / (1.0 + math.exp(-(mask @ weights - 1.0))))
 
-        def predict(mask):
-            return teacher_on_mask(mask.astype(float))
+        def predict(masks):
+            return [teacher_on_mask(mask) for mask in masks.astype(float)]
 
         scores = lime_explain(predict, words, n_samples=400, seed=3)
         best = max(scores, key=lambda s: s.score)
@@ -179,8 +183,8 @@ class TestLime:
     def test_same_seed_identical_coefficients(self):
         words = WORDS10[:5]
 
-        def predict(mask):
-            return float(mask.mean())
+        def predict(masks):
+            return masks.mean(axis=1)
 
         a = lime_explain(predict, words, n_samples=100, seed=9)
         b = lime_explain(predict, words, n_samples=100, seed=9)
@@ -193,6 +197,21 @@ class TestLime:
     def test_empty_sentence_rejected(self):
         with pytest.raises(ValidationError):
             lime_explain(lambda mask: 0.0, [], n_samples=50)
+
+    def test_predict_fn_must_return_one_finite_value_per_mask(self):
+        seen = []
+
+        def record_masks(masks):
+            seen.append(masks)
+            return masks.mean(axis=1)
+
+        lime_explain(record_masks, WORDS10[:4], n_samples=30, seed=2)
+        assert seen[0].shape == (30, 4) and seen[0].dtype == bool
+        for bad in (lambda m: m.mean(axis=1)[:-1], lambda m: m.mean(axis=1)[:, None],
+                    lambda m: np.where(m[:, 0], np.nan, 0.5), lambda m: np.full(len(m), np.inf),
+                    lambda m: 0.5):
+            with pytest.raises(ValidationError, match="30 finite"):
+                lime_explain(bad, WORDS10[:4], n_samples=30, seed=2)
 
     def test_fit_invariant_under_sample_replication(self):
         rng = np.random.default_rng(11)
@@ -264,6 +283,49 @@ class TestPerturbationBatch:
         whole = keep_words(layout, np.ones(5, dtype=bool))
         assert whole.ids.tolist() == layout.ids.tolist()
         assert whole.words.tolist() == layout.words.tolist()
+
+
+class TestChunkedLime:
+    """LIME runs its perturbations LIME_CHUNK at a time, with one-at-a-time results."""
+
+    WORDS = WORDS10[:8] + ["zz"]  # "zz" is out of vocabulary
+
+    def model_and_db(self, mode, max_len, seed=31):
+        rng = np.random.default_rng(seed)
+        rec = TestPerturbationBatch.record(rng, self.WORDS)
+        cfg = ModelConfig(vocab_size=120, n_classes=4, layers=2, heads=2, d_model=16, d_ff=32,
+                          max_len=max_len, eeg_channels=4, dropout=0.0, mode=mode)
+        params = random_params(cfg, seed)
+        for p in params.all():  # O(0.3) weights, so probabilities vary across perturbations
+            p.value[:] = rng.normal(1.0 if p.name.endswith(".gamma") else 0.0, 0.3, p.value.shape)
+        return params, FeatureDb([rec])
+
+    def test_reports_equal_at_chunk_one_and_default(self, monkeypatch):
+        default = explain.LIME_CHUNK
+        for max_len in (64, 8):  # 9 words fit at 64; at 8 the layout keeps the first 6
+            for mode in MODES:
+                params, db = self.model_and_db(mode, max_len)
+                reports = []
+                for chunk in (1, default):  # 50 samples leave a partial last chunk
+                    monkeypatch.setattr(explain, "LIME_CHUNK", chunk)
+                    reports.append(explain_sentence(params, db, VOCAB, "s", k=3, n_samples=50,
+                                                    seed=4).to_dict())
+                assert reports[0] == reports[1], (mode, max_len)
+                assert len({s["score"] for s in reports[0]["lime_scores"]}) > 1, (mode, max_len)
+
+    def test_forward_count(self, monkeypatch):
+        calls = []
+        forward = explain.encoder_forward
+
+        def counting_forward(params, batch, *args, **kwargs):
+            calls.append(batch.size)
+            return forward(params, batch, *args, **kwargs)
+
+        monkeypatch.setattr(explain, "encoder_forward", counting_forward)
+        params, db = self.model_and_db("eeg_embed", 64)
+        explain_sentence(params, db, VOCAB, "s", n_samples=200)
+        assert len(calls) == 1 + math.ceil(200 / explain.LIME_CHUNK)
+        assert calls[0] == 1 and sum(calls[1:]) == 200
 
 
 class TestCorrelate:
