@@ -281,7 +281,8 @@ def cmd_lexicon(args) -> int:
 
 def cmd_explain(args) -> int:
     db, params, vocab = _load_model_inputs(args)
-    sentence_ids = [sid.strip() for sid in args.ids.split(",") if sid.strip()]
+    # A repeated id is explained once, at its first place.
+    sentence_ids = list(dict.fromkeys(sid.strip() for sid in args.ids.split(",") if sid.strip()))
     if not sentence_ids:
         raise ConfigError("--ids must name at least one sentence")
     for sid in sentence_ids:

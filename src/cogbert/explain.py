@@ -18,7 +18,6 @@ any score.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -82,14 +81,6 @@ def top_k(scores: list[TokenScore], k: int, layout: TokenizedSentence) -> list[s
     return [s.word for s in candidates[:k]]
 
 
-def _cosine_distance_from_full(mask: np.ndarray) -> float:
-    """Cosine distance between a keep-mask and the all-ones vector."""
-    kept = mask.sum()
-    if kept == 0:
-        return 1.0
-    return 1.0 - math.sqrt(kept / mask.size)
-
-
 def lime_explain(
     predict_fn: Callable[[np.ndarray], np.ndarray],
     words: Sequence[str],
@@ -129,7 +120,8 @@ def lime_explain(
         raise ValidationError(
             f"predict_fn must return {n_samples} finite probabilities, got shape "
             f"{targets.shape} with {int((~np.isfinite(targets)).sum())} non-finite")
-    distances = np.array([_cosine_distance_from_full(mask) for mask in masks])
+    # Cosine distance to the all-ones mask; no mask is all zeros.
+    distances = 1.0 - np.sqrt(masks.sum(axis=1) / n)
     weights = np.exp(-((DISTANCE_SCALE * distances) ** 2) / kernel_width**2)
     coefs = weighted_ridge(masks, targets, weights, ridge_lambda)
     return [
@@ -199,7 +191,7 @@ class ExplanationReport:
         """(word, attention score, lime weight) per content word, in order."""
         lime_by_pos = {s.position: s.score for s in self.lime_scores}
         return [
-            (s.word, s.score, lime_by_pos.get(s.position, 0.0))
+            (s.word, s.score, lime_by_pos[s.position])
             for s in self.attention_scores
             if s.position in lime_by_pos
         ]

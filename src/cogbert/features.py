@@ -312,12 +312,9 @@ def cognitive_mask(n_fixations, layout: TokenizedSentence) -> np.ndarray:
             f"fixation counts ({len(n_fixations)}) not aligned with "
             f"{layout.word_count} content tokens"
         )
-    mask = np.full(len(layout.ids), MASK_SUPPRESS, dtype=np.float64)
-    mask[0] = MASK_KEEP   # CLS carries the classification signal
-    mask[-1] = MASK_KEEP  # SEP stays attended, as without cog_mask
-    for pos in layout.content_positions():
-        if n_fixations[pos - 1] > 1:
-            mask[pos] = MASK_KEEP
+    # CLS carries the classification signal; SEP stays attended, as without cog_mask.
+    mask = np.full(len(layout.ids), MASK_KEEP, dtype=np.float64)
+    mask[1:-1] = np.where(n_fixations > 1, MASK_KEEP, MASK_SUPPRESS)
     return mask
 
 

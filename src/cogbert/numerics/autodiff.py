@@ -1,11 +1,13 @@
 """Minimal reverse-mode autodiff over 2-D float64 arrays.
 
 A forward pass builds a small graph of `Node`s whose leaves are the
-`Parameter`s themselves; `backward` runs the tape in reverse topological
-order and every backward rule accumulates straight into its inputs' `grad`,
-so a parameter's `grad` holds the sum over all its uses until `zero_grad`.
-Every backward rule here is hand-derived and covered by finite-difference
-checks in the test suite (see gradcheck.grad_check_report).
+`Parameter`s themselves. Every backward rule `out.bwd` is a pure function of
+the output's gradient g: it returns one gradient per entry of `out.parents`,
+in the same order, and writes no `grad`. `backward` runs the tape in reverse
+topological order and alone adds those gradients up, so a parameter's
+`grad` holds the sum over all its uses until `zero_grad`. Every backward rule
+here is hand-derived and covered by finite-difference checks in the test
+suite (see gradcheck.grad_check_report).
 
 Constant inputs (feature tokens, masks, dropout masks) enter the graph as
 `const` leaves; their gradients are computed but never consumed.
@@ -42,10 +44,10 @@ class Node:
 class Parameter(Node):
     """A named trainable 2-D tensor: a graph leaf with a persistent gradient.
 
-    `grad` starts zeroed and backward adds every use's gradient into it;
-    `zero_grad` clears it. `decay` marks whether decoupled weight decay
-    applies (True for weight matrices and embeddings, False for biases and
-    layer-norm scales/shifts).
+    `grad` starts zeroed and `backward` adds every use's gradient into it in
+    place, so it stays the same array until `zero_grad` clears it. `decay`
+    marks whether decoupled weight decay applies (True for weight matrices
+    and embeddings, False for biases and layer-norm scales/shifts).
     """
 
     __slots__ = ("name", "decay")
@@ -67,24 +69,17 @@ class Parameter(Node):
         self.grad.fill(0.0)
 
 
-def _grad_buffer(node: Node) -> np.ndarray:
-    """node.grad, allocated as zeros on first use."""
-    if node.grad is None:
-        node.grad = np.zeros_like(node.value)
-    return node.grad
-
-
-def _acc(node: Node, g: np.ndarray) -> None:
-    buf = _grad_buffer(node)
-    buf += g
-
-
 def const(value) -> Node:
     return Node(np.asarray(value, dtype=np.float64))
 
 
 def backward(root: Node) -> None:
-    """Seed root with ones and run the tape; gradients add into every node's grad."""
+    """Seed root with ones and run the tape, summing each node's gradients in its grad.
+
+    A Parameter's grad is added to in place. Any other node's grad is the
+    first gradient it gets, replaced by grad + g for each later one: a rule
+    may hand the same array to several parents, so none is written to.
+    """
     order: list[Node] = []
     seen: set[int] = set()
     stack: list[tuple[Node, bool]] = [(root, False)]
@@ -101,10 +96,17 @@ def backward(root: Node) -> None:
             if id(p) not in seen:
                 stack.append((p, False))
 
-    _acc(root, np.ones_like(root.value))
+    def accumulate(node: Node, g: np.ndarray) -> None:
+        if isinstance(node, Parameter):
+            node.grad += g
+        else:
+            node.grad = g if node.grad is None else node.grad + g
+
+    accumulate(root, np.ones_like(root.value))
     for node in reversed(order):
         if node.grad is not None and node.bwd is not None:
-            node.bwd(node.grad)
+            for parent, g in zip(node.parents, node.bwd(node.grad), strict=True):
+                accumulate(parent, g)
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +117,7 @@ def add(a: Node, b: Node) -> Node:
     if a.value.shape != b.value.shape:
         raise ShapeError(f"add shape mismatch: {a.value.shape} vs {b.value.shape}")
     out = Node(a.value + b.value, (a, b))
-    out.bwd = lambda g: (_acc(a, g), _acc(b, g))
+    out.bwd = lambda g: (g, g)
     return out
 
 
@@ -124,19 +126,14 @@ def add_bias(x: Node, b: Node) -> Node:
     if b.value.shape != (1, x.value.shape[1]):
         raise ShapeError(f"bias {b.value.shape} does not broadcast over {x.value.shape}")
     out = Node(x.value + b.value, (x, b))
-
-    def bwd(g):
-        _acc(x, g)
-        _acc(b, g.sum(axis=0, keepdims=True))
-
-    out.bwd = bwd
+    out.bwd = lambda g: (g, g.sum(axis=0, keepdims=True))
     return out
 
 
 def mul_const(x: Node, c: np.ndarray) -> Node:
     """Elementwise multiply by a constant (broadcastable) array."""
     out = Node(x.value * c, (x,))
-    out.bwd = lambda g: _acc(x, g * c)
+    out.bwd = lambda g: (g * c,)
     return out
 
 
@@ -157,12 +154,7 @@ def matmul(a: Node, b: Node) -> Node:
     if a.value.shape[1] != b.value.shape[0]:
         raise ShapeError(f"cannot multiply {a.value.shape} by {b.value.shape}: inner dimensions differ")
     out = Node(_rows_product(a.value, b.value), (a, b))
-
-    def bwd(g):
-        _acc(a, _rows_product(g, b.value.T))
-        _acc(b, a.value.T @ g)
-
-    out.bwd = bwd
+    out.bwd = lambda g: (_rows_product(g, b.value.T), a.value.T @ g)
     return out
 
 
@@ -185,7 +177,7 @@ def _gelu_grad(x: np.ndarray) -> np.ndarray:
 
 def gelu(x: Node) -> Node:
     out = Node(_gelu(x.value), (x,))
-    out.bwd = lambda g: _acc(x, g * _gelu_grad(x.value))
+    out.bwd = lambda g: (g * _gelu_grad(x.value),)
     return out
 
 
@@ -211,19 +203,23 @@ def layer_norm_rows(x: Node, gamma: Node, beta: Node, eps: float = 1e-5) -> Node
     out = Node(xhat * gamma.value + beta.value, (x, gamma, beta))
 
     def bwd(g):
-        d = xv.shape[1]
-        _acc(beta, g.sum(axis=0, keepdims=True))
-        _acc(gamma, (g * xhat).sum(axis=0, keepdims=True))
         dxhat = g * gamma.value
         dx = inv_std * (
             dxhat
             - dxhat.mean(axis=1, keepdims=True)
-            - xhat * (dxhat * xhat).sum(axis=1, keepdims=True) / d
+            - xhat * (dxhat * xhat).sum(axis=1, keepdims=True) / xv.shape[1]
         )
-        _acc(x, dx)
+        return dx, (g * xhat).sum(axis=0, keepdims=True), g.sum(axis=0, keepdims=True)
 
     out.bwd = bwd
     return out
+
+
+def _scatter_rows(shape: tuple[int, int], rows: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient of a row gather: zeros of `shape` with g's rows summed in at `rows`."""
+    dense = np.zeros(shape)
+    np.add.at(dense, rows, g)
+    return dense
 
 
 def gather_rows(table: Node, ids: np.ndarray) -> Node:
@@ -235,7 +231,7 @@ def gather_rows(table: Node, ids: np.ndarray) -> Node:
             f"[{ids.min()}, {ids.max()}]"
         )
     out = Node(table.value[ids], (table,))
-    out.bwd = lambda g: np.add.at(_grad_buffer(table), ids, g)
+    out.bwd = lambda g: (_scatter_rows(table.value.shape, ids, g),)
     return out
 
 
@@ -243,7 +239,7 @@ def select_rows(x: Node, idx: np.ndarray) -> Node:
     """Pick a subset of rows (e.g. the CLS position of each sentence)."""
     idx = np.asarray(idx, dtype=np.int64)
     out = Node(x.value[idx], (x,))
-    out.bwd = lambda g: np.add.at(_grad_buffer(x), idx, g)
+    out.bwd = lambda g: (_scatter_rows(x.value.shape, idx, g),)
     return out
 
 
@@ -252,12 +248,7 @@ def concat_cols(a: Node, b: Node) -> Node:
         raise ShapeError(f"cannot concat {a.value.shape} with {b.value.shape}: row counts differ")
     na = a.value.shape[1]
     out = Node(np.concatenate([a.value, b.value], axis=1), (a, b))
-
-    def bwd(g):
-        _acc(a, g[:, :na])
-        _acc(b, g[:, na:])
-
-    out.bwd = bwd
+    out.bwd = lambda g: (g[:, :na], g[:, na:])
     return out
 
 
@@ -311,9 +302,7 @@ def multi_head_attention(
         def unsplit(m: np.ndarray) -> np.ndarray:
             return m.transpose(0, 2, 1, 3).reshape(n_batch * seq, d)
 
-        _acc(q, unsplit(dq))
-        _acc(k, unsplit(dk))
-        _acc(v, unsplit(dv))
+        return unsplit(dq), unsplit(dk), unsplit(dv)
 
     out.bwd = bwd
     return out, probs
@@ -335,7 +324,7 @@ def cross_entropy_mean(logits: Node, labels: np.ndarray) -> Node:
     def bwd(g):
         dl = np.exp(logp)
         dl[np.arange(n), labels] -= 1.0
-        _acc(logits, dl * (g[0, 0] / n))
+        return (dl * (g[0, 0] / n),)
 
     out.bwd = bwd
     return out

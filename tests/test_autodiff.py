@@ -159,6 +159,64 @@ class TestAttention:
         np.testing.assert_allclose(probs, 1.0 / seq, atol=1e-12)
 
 
+def one_run_of_every_op():
+    """(op name, output node) for one call of every differentiable op."""
+    def p(*shape):
+        return ad.Parameter("p", RNG.normal(size=shape))
+    return [
+        ("add", ad.add(p(3, 4), p(3, 4))),
+        ("add_bias", ad.add_bias(p(3, 4), p(1, 4))),
+        ("mul_const", ad.mul_const(p(3, 4), RNG.normal(size=(3, 4)))),
+        ("matmul", ad.matmul(p(3, 5), p(5, 2))),
+        ("gelu", ad.gelu(p(3, 4))),
+        ("layer_norm_rows", ad.layer_norm_rows(p(3, 4), p(1, 4), p(1, 4))),
+        ("gather_rows", ad.gather_rows(p(6, 3), np.array([0, 2, 2, 5]))),
+        ("select_rows", ad.select_rows(p(6, 3), np.array([1, 4]))),
+        ("concat_cols", ad.concat_cols(p(3, 2), p(3, 5))),
+        ("multi_head_attention", ad.multi_head_attention(
+            p(2 * 3, 4), p(2 * 3, 4), p(2 * 3, 4), np.zeros((2, 3)), 2)[0]),
+        ("cross_entropy_mean", ad.cross_entropy_mean(p(3, 4), np.array([0, 3, 1]))),
+    ]
+
+
+class TestTapeContract:
+    """A backward rule returns one gradient per parent, shaped like it, and
+    `backward` alone adds gradients up."""
+
+    def test_every_op_is_covered(self):
+        not_ops = {"const", "backward", "softmax", "linear", "dropout", "Node", "Parameter"}
+        ops = {name for name, value in vars(ad).items()
+               if callable(value) and not name.startswith("_")
+               and getattr(value, "__module__", None) == ad.__name__} - not_ops
+        assert ops == {name for name, _ in one_run_of_every_op()}
+
+    def test_rule_returns_one_gradient_per_parent_with_its_shape(self):
+        for name, out in one_run_of_every_op():
+            grads = out.bwd(RNG.normal(size=out.value.shape))
+            assert isinstance(grads, tuple), name
+            assert [g.shape for g in grads] == [p.value.shape for p in out.parents], name
+
+    def test_rule_writes_no_grad(self):
+        for name, out in one_run_of_every_op():
+            before = [p.grad.copy() for p in out.parents]
+            out.bwd(RNG.normal(size=out.value.shape))
+            for parent, grad in zip(out.parents, before):
+                np.testing.assert_array_equal(parent.grad, grad, err_msg=name)
+
+    def test_intermediate_node_feeding_two_ops(self):
+        # u reaches the loss twice and add hands both its inputs the same array:
+        # summing into that array in place would double-count u's gradient.
+        w = ad.Parameter("w", RNG.normal(size=(3, 4)))
+        red = reducer((3, 4))
+
+        def loss():
+            u = ad.gelu(w)
+            s = ad.add(u, ad.mul_const(w, 3.0))
+            return red(ad.add(s, u))
+
+        check(loss, [w])
+
+
 class TestGraphBehavior:
     def test_fanout_accumulates(self):
         # y = w + w: dy/dw must be 2, not 1.

@@ -241,6 +241,17 @@ class TestExplain:
             rows = list(csv.DictReader(fh))
         assert len(rows) == n_words
 
+    def test_repeated_id_is_explained_once(self, trained_dir, synth_dir, tmp_path, capsys):
+        out = tmp_path / "e"
+        rc = cli_main(self.explain_args(trained_dir, synth_dir, out, "s0001,s0000,s0001,s0000"))
+        assert rc == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in printed[:-1]] == ["s0001", "s0000"]
+        assert printed[-1].startswith("mean overlap@5 over 2 sentences")
+        summary = json.loads((out / "explain_summary.json").read_text())
+        assert summary["sentences"] == ["s0001", "s0000"]
+        assert len(summary["overlaps"]) == 2
+
     def test_unknown_sentence_exits_3(self, trained_dir, synth_dir, tmp_path):
         rc = cli_main(self.explain_args(trained_dir, synth_dir, tmp_path / "e", "sXXXX"))
         assert rc == 3

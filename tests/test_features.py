@@ -28,7 +28,9 @@ from cogbert.features import (
     sentence_eeg,
     synth_generate,
 )
+from cogbert.model import ModelConfig, build_batch
 from cogbert.tokenizer import MASK_KEEP, MASK_SUPPRESS, build_vocab, encode
+from cogbert.training import make_examples
 
 
 def make_eeg(C=4, fill=1.0, rng=None):
@@ -207,6 +209,29 @@ class TestCognitiveMask:
         layout = encode(["he", "won"], self.vocab, max_len=6)
         with pytest.raises(ValidationError):
             cognitive_mask([2], layout)
+
+    def test_build_batch_keeps_cls_sep_and_only_multiply_fixated_words(self):
+        """Random fixation counts and lengths through build_batch, truncated rows included."""
+        rng = np.random.default_rng(43)
+        for max_len in (5, 10, 24):
+            cfg = ModelConfig(vocab_size=200, n_classes=2, max_len=max_len, eeg_channels=2,
+                              mode="cog_mask")
+            for _ in range(20):
+                records = []
+                for i, n in enumerate(rng.integers(1, 30, size=int(rng.integers(1, 6)))):
+                    records.append(CognitiveRecord(
+                        sentence_id=f"r{i}", tokens=[f"w{j}" for j in range(n)], label=0,
+                        n_fixations=rng.integers(0, 5, size=n), eye_tokens=np.zeros(n),
+                        eeg_tokens=np.zeros(n), sentence_eeg=np.zeros(2)))
+                db = FeatureDb(records)
+                examples = make_examples(db, build_vocab([r.tokens for r in records]), max_len)
+                batch = build_batch(examples, cfg, db)
+                for ex, row in zip(examples, batch.masks):
+                    n_fixations = db.get(ex.sentence_id).n_fixations
+                    n_words = min(len(n_fixations), max_len - 2)
+                    assert row[0] == MASK_KEEP and row[n_words + 1] == MASK_KEEP
+                    np.testing.assert_array_equal(row[1:n_words + 1] == MASK_KEEP,
+                                                  n_fixations[:n_words] > 1)
 
 
 def toy_measurement(sid, words, fixations, rng, C=4, label=0):

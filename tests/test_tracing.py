@@ -2,7 +2,9 @@
 
 `perfbench/tracing.py` replaces program functions by name; a deleted or
 renamed one would only fail a traced benchmark run. This test installs the
-tracer and runs a tiny forward and backward under it.
+tracer and runs a tiny forward and backward under it. The tracer also wraps
+every node's backward rule, so the logits and every parameter gradient must
+come out bit-equal with and without it.
 """
 
 import importlib.util
@@ -44,7 +46,7 @@ def forward_and_backward(mode):
     params = model.random_params(cfg, seed=2)
     result = model.encoder_forward(params, batch)
     ad.backward(ad.cross_entropy_mean(result.logits, batch.labels))
-    return result.logits.value
+    return result.logits.value, {p.name: p.grad for p in params.all()}
 
 
 def test_tracer_wraps_every_traced_name():
@@ -56,8 +58,11 @@ def test_tracer_wraps_every_traced_name():
         traced = [forward_and_backward(mode) for mode in MODES]
     assert (model.build_batch, model.encoder_forward, ad.matmul) == originals
 
-    for a, b in zip(untraced, traced):
-        np.testing.assert_array_equal(a, b)
+    for (logits, grads), (traced_logits, traced_grads) in zip(untraced, traced):
+        np.testing.assert_array_equal(logits, traced_logits)
+        assert grads.keys() == traced_grads.keys()
+        for name in grads:
+            np.testing.assert_array_equal(grads[name], traced_grads[name], err_msg=name)
     for op in tracing.AUTODIFF_OPS:
         assert tracer.calls(f"autodiff.{op}.fwd") > 0, op
         assert tracer.calls(f"autodiff.{op}.bwd") > 0, op
