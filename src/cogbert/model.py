@@ -30,6 +30,7 @@ float64 and a wider batch could not change any real row.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -53,9 +54,24 @@ COG_TABLE_ROWS = 101  # cognitive tokens range over 0..100
 LN_EPS = 1e-5
 INIT_STD = 0.02
 GRADCHECK_MAX_ENTRIES = 48
+SLOT_MULTIPLE = 8  # EncoderParams pads slots to 8 entries (64 bytes), so all share one alignment
 # numpy's pairwise sum keeps 8 partial sums: at a width that is a multiple of 8
 # the softmax reductions see the same partial sums as at max_len (bit-identical).
 WIDTH_MULTIPLE = 8
+
+
+def is_integer(value) -> bool:
+    """An int (numpy integers included), but not a bool or an integral float."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """An int or a float (numpy scalars included), but not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+_INT_FIELDS = ("vocab_size", "n_classes", "layers", "heads", "d_model", "d_ff", "max_len",
+               "eeg_channels")
 
 
 @dataclass
@@ -72,6 +88,9 @@ class ModelConfig:
     mode: str = "none"
 
     def __post_init__(self):
+        for name in _INT_FIELDS:
+            if not is_integer(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.mode not in MODES:
             raise ConfigError(f"unknown augmentation mode {self.mode!r}; choose from {MODES}")
         if self.layers < 1 or self.heads < 1:
@@ -82,7 +101,7 @@ class ModelConfig:
             raise ConfigError(f"vocab_size must exceed the reserved id range (> {SEP_ID})")
         if self.max_len < 3:
             raise ConfigError("max_len must be >= 3")
-        if not 0.0 <= self.dropout < 1.0:
+        if not (is_real(self.dropout) and 0.0 <= self.dropout < 1.0):
             raise ConfigError("dropout must lie in [0, 1)")
         if self.d_ff < 1 or self.eeg_channels < 1 or self.n_classes < 2:
             raise ConfigError("d_ff, eeg_channels must be positive and n_classes >= 2")
@@ -159,11 +178,42 @@ def _param_spec(cfg: ModelConfig) -> list[tuple[str, int, int, bool]]:
 
 
 class EncoderParams:
-    """All trainable tensors for one configuration, addressable by name."""
+    """All trainable tensors for one configuration, addressable by name.
 
-    def __init__(self, cfg: ModelConfig, params: dict[str, Parameter]):
+    It owns two flat float64 buffers, `values` and `grads`, and every
+    Parameter's `value` and `grad` is a reshaped view of its slot in them:
+    `zero_grads` is one fill and Adam updates all tensors in one pass.
+    Decay-flagged tensors come first, so weight decay applies to exactly
+    `values[:n_decay]`. Each slot is padded with zeros to a multiple of
+    SLOT_MULTIPLE entries, which no tensor reads. Write through a
+    parameter's value and grad; never rebind them.
+    """
+
+    def __init__(self, cfg: ModelConfig, values: dict[str, np.ndarray]):
+        """values maps each tensor of the config's spec to its initial value, in
+        the order of names() and of the checkpoint; every grad starts at zero."""
         self.cfg = cfg
-        self._params = params
+        decay = {name: flag for name, _, _, flag in _param_spec(cfg)}
+        self._slots: dict[str, tuple[int, tuple[int, int]]] = {}
+        offset = self.n_decay = 0
+        for name in sorted(values, key=lambda n: not decay[n]):  # stable: decay first
+            self._slots[name] = (offset, values[name].shape)
+            offset += -(-values[name].size // SLOT_MULTIPLE) * SLOT_MULTIPLE
+            if decay[name]:
+                self.n_decay = offset
+        self.values = np.zeros(offset)
+        self.grads = np.zeros(offset)
+        value_views, grad_views = self.views(self.values), self.views(self.grads)
+        self._params: dict[str, Parameter] = {}
+        for name, value in values.items():
+            value_views[name][...] = value
+            p = self._params[name] = Parameter(name, value_views[name], decay=decay[name])
+            p.grad = grad_views[name]  # in place of the zeros Parameter made
+
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Each tensor's slot of a buffer laid out like `values`, shaped as the tensor."""
+        return {name: flat[start:start + rows * cols].reshape(rows, cols)
+                for name, (start, (rows, cols)) in self._slots.items()}
 
     def __getitem__(self, name: str) -> Parameter:
         return self._params[name]
@@ -175,8 +225,7 @@ class EncoderParams:
         return list(self._params)
 
     def zero_grads(self) -> None:
-        for p in self._params.values():
-            p.zero_grad()
+        self.grads.fill(0.0)
 
 
 def _init_value(name: str, rows: int, cols: int, rng: SeededRng) -> np.ndarray:
@@ -191,11 +240,8 @@ def _init_value(name: str, rows: int, cols: int, rng: SeededRng) -> np.ndarray:
 def random_params(cfg: ModelConfig, seed: int) -> EncoderParams:
     """N(0, 0.02) weights and embeddings, zero biases/betas, unit gammas."""
     rng = SeededRng(seed).derive("init")
-    params = {
-        name: Parameter(name, _init_value(name, rows, cols, rng), decay=decay)
-        for name, rows, cols, decay in _param_spec(cfg)
-    }
-    return EncoderParams(cfg, params)
+    return EncoderParams(cfg, {name: _init_value(name, rows, cols, rng)
+                               for name, rows, cols, _ in _param_spec(cfg)})
 
 
 # ---------------------------------------------------------------------------
@@ -274,9 +320,9 @@ def load_checkpoint(path: str | Path) -> EncoderParams:
             ) from None
         offset = nl + 1
 
-    expected = {name: (rows, cols, decay) for name, rows, cols, decay in _param_spec(cfg)}
+    expected = {name: (rows, cols) for name, rows, cols, _ in _param_spec(cfg)}
     bad = [f"{n} {r}x{c} (want {expected[n][0]}x{expected[n][1]})"
-           for n, r, c in entries if n in expected and (r, c) != expected[n][:2]]
+           for n, r, c in entries if n in expected and (r, c) != expected[n]]
     missing = sorted(set(expected) - {n for n, _, _ in entries})
     unknown = sorted({n for n, _, _ in entries} - set(expected))
     if bad or missing or unknown:
@@ -287,7 +333,7 @@ def load_checkpoint(path: str | Path) -> EncoderParams:
             + (f"; unexpected: {', '.join(unknown)}" if unknown else "")
         )
 
-    params: dict[str, Parameter] = {}
+    values: dict[str, np.ndarray] = {}
     for name, rows, cols in entries:
         nbytes = rows * cols * 8
         if offset + nbytes > len(blob):
@@ -299,10 +345,10 @@ def load_checkpoint(path: str | Path) -> EncoderParams:
         if not np.isfinite(value).all():
             raise CheckpointError(f"{path}: tensor {name} holds non-finite values")
         offset += nbytes
-        params[name] = Parameter(name, value.copy(), decay=expected[name][2])
+        values[name] = value
     if offset != len(blob):
         raise CheckpointError(f"{path}: trailing bytes after tensor data")
-    return EncoderParams(cfg, params)
+    return EncoderParams(cfg, values)
 
 
 def init_params(cfg: ModelConfig, source: str = "random", seed: int = 0) -> EncoderParams:

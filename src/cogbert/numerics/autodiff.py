@@ -48,6 +48,9 @@ class Parameter(Node):
     place, so it stays the same array until `zero_grad` clears it. `decay`
     marks whether decoupled weight decay applies (True for weight matrices
     and embeddings, False for biases and layer-norm scales/shifts).
+
+    Inside a model's `EncoderParams`, `value` and `grad` are views into its
+    flat buffers: write through them (`p.value[:] = ...`), never rebind them.
     """
 
     __slots__ = ("name", "decay")
@@ -194,21 +197,32 @@ def softmax(scores: np.ndarray) -> np.ndarray:
 
 
 def layer_norm_rows(x: Node, gamma: Node, beta: Node, eps: float = 1e-5) -> Node:
-    """Row-wise layer norm; gamma and beta are (1, d) rows."""
+    """Row-wise layer norm; gamma and beta are (1, d) rows.
+
+    The mean and the biased variance are `sum / d` of the row and of the
+    squared centred row, bit-equal to np.mean and np.var. The input is
+    centred once, into the array that becomes xhat, and the squares' array
+    is reused for the output; the backward also works in place. Each step
+    is the same operation on the same operands as the textbook form.
+    """
     xv = x.value
-    mean = xv.mean(axis=1, keepdims=True)
-    var = xv.var(axis=1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (xv - mean) * inv_std
-    out = Node(xhat * gamma.value + beta.value, (x, gamma, beta))
+    d = xv.shape[1]
+    xhat = xv - xv.sum(axis=1, keepdims=True) / d
+    y = xhat * xhat
+    inv_std = 1.0 / np.sqrt(y.sum(axis=1, keepdims=True) / d + eps)
+    xhat *= inv_std
+    np.multiply(xhat, gamma.value, out=y)
+    y += beta.value
+    out = Node(y, (x, gamma, beta))
 
     def bwd(g):
-        dxhat = g * gamma.value
-        dx = inv_std * (
-            dxhat
-            - dxhat.mean(axis=1, keepdims=True)
-            - xhat * (dxhat * xhat).sum(axis=1, keepdims=True) / xv.shape[1]
-        )
+        # dx = inv_std * (dxhat - mean(dxhat) - xhat * sum(dxhat * xhat) / d)
+        dx = g * gamma.value
+        proj = xhat * (dx * xhat).sum(axis=1, keepdims=True)
+        proj /= d
+        dx -= dx.sum(axis=1, keepdims=True) / d
+        dx -= proj
+        dx *= inv_std
         return dx, (g * xhat).sum(axis=0, keepdims=True), g.sum(axis=0, keepdims=True)
 
     out.bwd = bwd
@@ -255,13 +269,14 @@ def concat_cols(a: Node, b: Node) -> Node:
 def dropout(x: Node, rate: float, rng, draw_shape: tuple[int, int, int]) -> Node:
     """Inverted dropout; identity when rate == 0. rng is a SeededRng.
 
-    x holds n stacked blocks of T <= W rows each and draw_shape is (n, W, d):
-    the uniforms are drawn at (n, W, d) and the first T rows of every block
-    are used, so the draw does not depend on T.
+    x holds n stacked blocks of T <= W rows each and draw_shape is (n, W, d).
+    The uniforms are the first T rows of every block of a (n, W, d) draw;
+    only those are generated and the stream skips the rest, so the masks and
+    the stream position do not depend on T.
     """
     if rate == 0.0:
         return x
-    u = rng.random(draw_shape)[:, : x.value.shape[0] // draw_shape[0]].reshape(x.value.shape)
+    u = rng.random_blocks(draw_shape, x.value.shape[0] // draw_shape[0]).reshape(x.value.shape)
     keep = (u >= rate).astype(np.float64) / (1.0 - rate)
     return mul_const(x, keep)
 

@@ -48,6 +48,24 @@ class SeededRng:
     def random(self, size=None):
         return self.gen.random(size)
 
+    def random_blocks(self, shape: tuple[int, int, int], rows: int) -> np.ndarray:
+        """random(shape)[:, :rows] for shape (n, W, d), drawing only the kept rows.
+
+        A float64 uniform takes one 64-bit output of the bit generator, so
+        after each block's first rows the generator advances past the other
+        (W - rows) * d outputs: the values and the stream position after the
+        call equal those of the full draw. advance also drops a buffered
+        32-bit half, so this holds for a stream that makes no 32-bit integer
+        draws, as a dropout stream does.
+        """
+        n, width, d = shape
+        out = np.empty((n, rows, d))
+        skip = (width - rows) * d
+        for block in out:
+            self.gen.random(out=block)
+            self.gen.bit_generator.advance(skip)
+        return out
+
     def permutation(self, n: int) -> np.ndarray:
         return self.gen.permutation(n)
 

@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import NumericError, ValidationError
 from .features import FeatureDb
-from .model import EncoderParams, Example, ModelConfig, build_batch, encoder_forward, init_params
+from .model import (EncoderParams, Example, ModelConfig, build_batch, encoder_forward, init_params,
+                    is_integer, is_real)
 from .numerics import autodiff as ad
 from .numerics.rng import SeededRng
 from .tokenizer import Vocab, encode
@@ -41,10 +42,15 @@ class TrainConfig:
     init_source: str = "random"  # "random" or a checkpoint path
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1 or self.repeats < 1:
-            raise ValidationError("epochs, batch_size, and repeats must be >= 1")
-        if self.lr <= 0:
-            raise ValidationError("learning rate must be positive")
+        for name in ("epochs", "batch_size", "repeats"):
+            value = getattr(self, name)
+            if not is_integer(value) or value < 1:
+                raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
+        if not is_real(self.lr) or not math.isfinite(self.lr) or self.lr <= 0:
+            raise ValidationError(f"lr must be a finite number > 0, got {self.lr!r}")
+        wd = self.weight_decay
+        if not is_real(wd) or not math.isfinite(wd) or wd < 0:
+            raise ValidationError(f"weight_decay must be a finite number >= 0, got {wd!r}")
 
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
@@ -79,27 +85,53 @@ def lr_at(step: int, total_steps: int, lr0: float) -> float:
 
 
 class Adam:
-    """Adam with decoupled weight decay (applied only to decay-flagged params)."""
+    """Adam with decoupled weight decay (applied only to decay-flagged params).
+
+    The moments `m` and `v` are flat buffers laid out like
+    `EncoderParams.values` (`params.views(opt.m)` splits them per tensor).
+    `step` runs the per-tensor update
+
+        m += (1 - beta1) * (g - m);  v += (1 - beta2) * (g * g - v)
+        w -= lr * ((m / bc1) / (sqrt(v / bc2) + eps));  w -= lr * wd * w  (decay only)
+
+    with the same operations in the same order for every element, once over
+    the whole buffer and into two preallocated scratch buffers, so it
+    allocates nothing and its results are bit-identical to the per-tensor
+    form. Slot padding holds zeros and stays zero.
+    """
 
     def __init__(self, params: EncoderParams, weight_decay: float = 0.01):
         self.weight_decay = weight_decay
         self.t = 0
-        self._m = {p.name: np.zeros_like(p.value) for p in params.all()}
-        self._v = {p.name: np.zeros_like(p.value) for p in params.all()}
+        n = params.values.size
+        self.m = np.zeros(n)
+        self.v = np.zeros(n)
+        self._scratch = (np.empty(n), np.empty(n))
 
     def step(self, params: EncoderParams, lr: float) -> None:
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1 ** self.t
         bc2 = 1.0 - ADAM_BETA2 ** self.t
-        for p in params.all():
-            m = self._m[p.name]
-            v = self._v[p.name]
-            m += (1.0 - ADAM_BETA1) * (p.grad - m)
-            v += (1.0 - ADAM_BETA2) * (p.grad * p.grad - v)
-            update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-            p.value -= lr * update
-            if p.decay and self.weight_decay:
-                p.value -= lr * self.weight_decay * p.value
+        g, m, v, w = params.grads, self.m, self.v, params.values
+        s, r = self._scratch
+        np.subtract(g, m, out=s)
+        s *= 1.0 - ADAM_BETA1
+        m += s
+        np.multiply(g, g, out=s)
+        s -= v
+        s *= 1.0 - ADAM_BETA2
+        v += s
+        np.divide(m, bc1, out=s)
+        np.divide(v, bc2, out=r)
+        np.sqrt(r, out=r)
+        r += ADAM_EPS
+        s /= r
+        s *= lr
+        w -= s
+        if self.weight_decay:
+            k = params.n_decay
+            np.multiply(w[:k], lr * self.weight_decay, out=s[:k])
+            w[:k] -= s[:k]
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,32 @@ class TestNormalizers:
         red = reducer((5, 8))
         check(lambda: red(ad.layer_norm_rows(x, g, b)), [x, g, b])
 
+    @pytest.mark.parametrize("rows", [1, 2, 128, 2048])
+    @pytest.mark.parametrize("d", [32, 13])
+    def test_layer_norm_matches_mean_var_reference_bit_for_bit(self, rows, d):
+        """The sum/d form equals the np.mean/np.var form it replaces, forward and backward."""
+        rng = np.random.default_rng(rows * 100 + d)
+        xv = rng.normal(0.5, 2.0, size=(rows, d))
+        gv, bv = rng.normal(1.0, 0.3, size=(1, d)), rng.normal(size=(1, d))
+        g = rng.normal(size=(rows, d))
+
+        mean = xv.mean(axis=1, keepdims=True)
+        var = xv.var(axis=1, keepdims=True)
+        inv_std = 1.0 / np.sqrt(var + 1e-5)
+        xhat = (xv - mean) * inv_std
+        dxhat = g * gv
+        want = [
+            xhat * gv + bv,
+            inv_std * (dxhat - dxhat.mean(axis=1, keepdims=True)
+                       - xhat * (dxhat * xhat).sum(axis=1, keepdims=True) / d),
+            (g * xhat).sum(axis=0, keepdims=True),
+            g.sum(axis=0, keepdims=True),
+        ]
+
+        out = ad.layer_norm_rows(ad.const(xv), ad.const(gv), ad.const(bv), 1e-5)
+        for got, ref in zip([out.value, *out.bwd(g)], want, strict=True):
+            np.testing.assert_array_equal(got, ref)
+
     def test_cross_entropy_mean(self):
         logits = ad.Parameter("l", RNG.normal(size=(6, 4)))
         labels = np.array([0, 3, 1, 1, 2, 0])
@@ -276,6 +302,20 @@ class TestGraphBehavior:
     def test_dropout_zero_rate_is_identity(self):
         x = ad.const(RNG.normal(size=(3, 3)))
         assert ad.dropout(x, 0.0, None, (1, 3, 3)) is x
+
+    @pytest.mark.parametrize("n, width, rows", [(3, 16, 5), (2, 8, 8), (1, 24, 1)])
+    def test_dropout_masks_and_stream_match_full_width_draw(self, n, width, rows):
+        """Drawing only the kept rows gives the full-width draw's masks and next draw."""
+        from cogbert.numerics.rng import SeededRng
+        d, rate = 6, 0.3
+        rng, ref = SeededRng(11), SeededRng(11)
+        out = ad.dropout(ad.const(np.ones((n * rows, d))), rate, rng, (n, width, d))
+        u = ref.random((n, width, d))[:, :rows].reshape(n * rows, d)
+        np.testing.assert_array_equal(out.value, (u >= rate).astype(np.float64) / (1.0 - rate))
+        np.testing.assert_array_equal(rng.random((2, 5)), ref.random((2, 5)))
+
+        blocks = SeededRng(12).random_blocks((n, width, d), rows)
+        np.testing.assert_array_equal(blocks, SeededRng(12).random((n, width, d))[:, :rows])
 
     def test_dropout_scales_kept_entries(self):
         from cogbert.numerics.rng import SeededRng

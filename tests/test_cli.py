@@ -481,6 +481,57 @@ class TestMalformedInputs:
                 f"the first entry has {n_channels}") in err, err
 
 
+class TestBadConfigValues:
+    """Out-of-range or mistyped config values exit 2 naming the field, before any output."""
+
+    @staticmethod
+    def train(synth_dir, out, model_cfg, train_cfg):
+        return cli_main(["train", "--features", str(synth_dir / "features.jsonl"),
+                         "--config", str(model_cfg), "--train-config", str(train_cfg),
+                         "--mode", "none", "--out", str(out)])
+
+    def test_bad_train_config_exits_2(self, synth_dir, model_config_path, tmp_path, capsys):
+        for field, value in (("lr", float("nan")), ("weight_decay", -5), ("epochs", 2.5),
+                             ("batch_size", True), ("repeats", 1.0)):
+            train_cfg = tmp_path / "train.json"
+            train_cfg.write_text(json.dumps({"epochs": 1, "repeats": 1, field: value}))
+            out = tmp_path / "t"
+            rc = self.train(synth_dir, out, model_config_path, train_cfg)
+            captured = capsys.readouterr()
+            assert rc == 2, f"{field}={value!r}: exit {rc}"
+            assert f"{field} must be" in captured.err, captured.err
+            assert "training mode" not in captured.out and not out.exists(), field
+
+    def test_non_integer_model_size_exits_2(self, synth_dir, model_config_path,
+                                            train_config_path, tmp_path, capsys):
+        base = json.loads(model_config_path.read_text())
+        for field, value in (("d_model", 32.0), ("max_len", 10.5)):
+            model_cfg = tmp_path / "model.json"
+            model_cfg.write_text(json.dumps({**base, field: value}))
+            out = tmp_path / "t"
+            rc = self.train(synth_dir, out, model_cfg, train_config_path)
+            err = capsys.readouterr().err
+            assert rc == 2, f"{field}: exit {rc}"
+            assert f"{field} must be an integer" in err and "Traceback" not in err, err
+            assert not out.exists()
+
+    def test_non_integer_sidecar_size_exits_3(self, trained_dir, synth_dir, tmp_path, capsys):
+        ckpt, sidecar = TestMalformedInputs.copy_checkpoint(trained_dir, tmp_path)
+        cfg = json.loads(sidecar.read_text())
+        for field in ("d_model", "max_len"):
+            sidecar.write_text(json.dumps({**cfg, field: cfg[field] + 0.5}))
+            rc = cli_main(TestMalformedInputs.eval_args(synth_dir, trained_dir, tmp_path / "o",
+                                                        checkpoint=ckpt))
+            err = capsys.readouterr().err
+            assert rc == 3, f"{field}: exit {rc}"
+            assert str(sidecar) in err and f"{field} must be an integer" in err, err
+            sidecar.write_text(json.dumps({**cfg, field: float(cfg[field])}))
+            rc = cli_main(TestMalformedInputs.eval_args(synth_dir, trained_dir, tmp_path / "o",
+                                                        checkpoint=ckpt))
+            assert rc == 3, f"{field} as float: exit {rc}"
+            capsys.readouterr()
+
+
 class TestGradcheckCommand:
     def test_single_mode_passes(self, tmp_path, capsys):
         rc = cli_main(["gradcheck", "--mode", "none", "--out", str(tmp_path)])

@@ -1,0 +1,65 @@
+"""tools/equiv.py's comparison: which files differ, by how much, and which are expected."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from cogbert.model import random_params, save_checkpoint
+from test_model import tiny_cfg
+
+EQUIV = Path(__file__).resolve().parents[1] / "tools" / "equiv.py"
+
+
+def load_equiv():
+    spec = importlib.util.spec_from_file_location("tools_equiv", EQUIV)
+    module = importlib.util.module_from_spec(spec)
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
+
+
+def test_compare_reports_each_difference_with_its_largest_delta(tmp_path):
+    equiv = load_equiv()
+    base, work = tmp_path / "base", tmp_path / "work"
+    params = random_params(tiny_cfg(), seed=1)
+    for root in (base, work):
+        (root / "run").mkdir(parents=True)
+        (root / "same.json").write_text('{"f1": 0.5}\n')
+        save_checkpoint(params, root / "run" / "model.ckpt")
+    params["embed.word"].value[3, 2] += 1e-9
+    save_checkpoint(params, work / "run" / "model.ckpt")
+    (base / "scores.csv").write_text("w,1.0,2.5e-3\n")
+    (work / "scores.csv").write_text("w,1.0,2.75e-3\n")
+    (base / "log.txt").write_text("a b 1\n")
+    (work / "log.txt").write_text("a c 1\n")
+    (work / "extra.json").write_text("{}\n")
+
+    n_files, unexpected, allowed = equiv.compare(base, work, ["*.ckpt"])
+    assert n_files == 6  # the checkpoint sidecars are equal
+    assert allowed == ["run/model.ckpt: largest |delta| 1e-09"]
+    assert unexpected == ["extra.json: only in work",
+                          "log.txt: numbers equal, other text differs",
+                          "scores.csv: largest |delta| 0.00025"]
+    assert equiv.compare(base, base, []) == (5, [], [])
+
+
+def test_checkpoint_numbers_are_its_tensor_data(tmp_path):
+    equiv = load_equiv()
+    params = random_params(tiny_cfg(mode="pool_add_nn"), seed=2)
+    save_checkpoint(params, tmp_path / "model.ckpt")
+    want = np.concatenate([params[n].value.reshape(-1) for n in params.names()])
+    np.testing.assert_array_equal(equiv.numbers(tmp_path / "model.ckpt"), want)
+
+
+def test_script_covers_every_mode_and_command():
+    equiv = load_equiv()
+    commands = [args[0] for _, args in equiv.script()]
+    assert {"synth", "train", "eval", "explain", "lexicon", "report", "gradcheck"} <= set(commands)
+    from cogbert.model import MODES
+    assert equiv.MODES == MODES

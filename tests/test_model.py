@@ -2,6 +2,7 @@
 attention mask semantics, pooled fusion math, and full-forward gradients."""
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -98,6 +99,22 @@ class TestModelConfig:
         cfg = tiny_cfg(mode="cog_mask")
         assert ModelConfig.from_dict(cfg.to_dict()) == cfg
 
+    @pytest.mark.parametrize("field, value", [
+        ("d_model", 16.0), ("max_len", 10.5), ("layers", True), ("vocab_size", "120"),
+        ("d_ff", None), ("n_classes", 4.0), ("heads", 2.0), ("eeg_channels", False),
+    ])
+    def test_non_integer_size_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            tiny_cfg(**{field: value})
+
+    def test_non_number_dropout_rejected(self):
+        for value in ("0.1", True, None):
+            with pytest.raises(ConfigError, match="dropout"):
+                tiny_cfg(dropout=value)
+
+    def test_numpy_integer_sizes_accepted(self):
+        assert tiny_cfg(d_model=np.int64(16)).d_model == 16
+
 
 class TestInitAndCheckpoints:
     def test_same_seed_identical_parameters(self):
@@ -145,6 +162,64 @@ class TestInitAndCheckpoints:
         np.testing.assert_array_equal(loaded["embed.word"].value, params["embed.word"].value)
         fresh = init_params(cfg, "random", seed=11)
         np.testing.assert_array_equal(fresh["embed.word"].value, params["embed.word"].value)
+
+
+def assert_flat_storage(params):
+    """Every value and grad is its slot's view of the flat buffers, decay tensors first."""
+    values, grads = params.views(params.values), params.views(params.grads)
+    assert list(values) == sorted(params.names(), key=lambda n: not params[n].decay)
+    for p in params.all():
+        for tensor, slot, flat in ((p.value, values[p.name], params.values),
+                                   (p.grad, grads[p.name], params.grads)):
+            assert tensor.shape == slot.shape and np.shares_memory(tensor, flat), p.name
+            assert tensor.__array_interface__["data"] == slot.__array_interface__["data"], p.name
+        assert np.shares_memory(p.value, params.values[:params.n_decay]) == p.decay, p.name
+
+
+class TestFlatStorage:
+    def test_random_params_are_views(self):
+        for mode in MODES:
+            assert_flat_storage(random_params(tiny_cfg(mode=mode), seed=2))
+
+    def test_loaded_params_are_views(self, tmp_path):
+        params = random_params(tiny_cfg(mode="pool_concat_nn"), seed=2)
+        save_checkpoint(params, tmp_path / "model.ckpt")
+        assert_flat_storage(load_checkpoint(tmp_path / "model.ckpt"))
+
+    def test_gradcheck_params_are_views(self, monkeypatch):
+        import cogbert.model as model_module
+        made = []
+
+        def recording_random_params(cfg, seed):
+            made.append(random_params(cfg, seed))
+            return made[-1]
+
+        monkeypatch.setattr(model_module, "random_params", recording_random_params)
+        report = model_module.gradcheck_mode("pool_add_nn", layers=1, max_entries=2)
+        assert len(made) == 1 and report.keys() == set(made[0].names())
+        assert_flat_storage(made[0])
+        assert np.abs(made[0].grads).max() > 0.0  # backward wrote through the views
+
+    def test_zero_grads_clears_every_grad(self):
+        cfg = tiny_cfg(mode="both_embed")
+        params = random_params(cfg, seed=3)
+        batch, _ = make_batch(cfg, seed=3)
+        ad.backward(ad.cross_entropy_mean(encoder_forward(params, batch).logits, batch.labels))
+        assert all(np.abs(p.grad).max() > 0.0 for p in params.all())
+        params.zero_grads()
+        for p in params.all():
+            np.testing.assert_array_equal(p.grad, 0.0, err_msg=p.name)
+        assert_flat_storage(params)
+
+    def test_save_load_save_is_byte_identical(self, tmp_path):
+        for mode in ("eeg_embed", "pool_concat"):
+            params = random_params(tiny_cfg(mode=mode), seed=6)
+            first, second = tmp_path / f"{mode}-1.ckpt", tmp_path / f"{mode}-2.ckpt"
+            save_checkpoint(params, first)
+            save_checkpoint(load_checkpoint(first), second)
+            assert first.read_bytes() == second.read_bytes()
+            assert (Path(str(first) + ".config.json").read_bytes()
+                    == Path(str(second) + ".config.json").read_bytes())
 
 
 class TestEmbedding:

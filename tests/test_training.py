@@ -8,11 +8,14 @@ import pytest
 
 from cogbert.errors import ValidationError
 from cogbert.features import SynthConfig, synth_generate
-from cogbert.model import ModelConfig, build_batch, encoder_forward, random_params
+from cogbert.model import MODES, ModelConfig, build_batch, encoder_forward, random_params
 from cogbert.numerics import autodiff as ad
 from cogbert.numerics.rng import SeededRng
 from cogbert.tokenizer import build_vocab
 from cogbert.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     Adam,
     Metrics,
     RunReport,
@@ -70,6 +73,20 @@ class TestTrainConfig:
             TrainConfig(epochs=0)
         with pytest.raises(ValidationError):
             TrainConfig(lr=0.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("lr", float("nan")), ("lr", float("inf")), ("lr", True), ("lr", "0.1"),
+        ("weight_decay", -5), ("weight_decay", float("nan")), ("weight_decay", float("inf")),
+        ("epochs", 2.5), ("epochs", True), ("batch_size", True), ("batch_size", 8.0),
+        ("repeats", "3"),
+    ])
+    def test_bad_field_named(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_numpy_integers_and_zero_decay_accepted(self):
+        cfg = TrainConfig(epochs=np.int64(2), batch_size=4, lr=1, weight_decay=0)
+        assert cfg.epochs == 2 and cfg.weight_decay == 0
 
 
 class TestSplit:
@@ -177,6 +194,53 @@ class TestOptimizer:
         Adam(params, weight_decay=0.01).step(params, lr=1e-6)
         after = batch_loss().item()
         assert after < before
+
+
+def reference_adam_step(values, m, v, grads, t, lr, weight_decay, decay):
+    """The per-tensor Adam update that Adam.step's flat, in-place form replaces."""
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
+    for name in values:
+        m[name] += (1.0 - ADAM_BETA1) * (grads[name] - m[name])
+        v[name] += (1.0 - ADAM_BETA2) * (grads[name] * grads[name] - v[name])
+        update = (m[name] / bc1) / (np.sqrt(v[name] / bc2) + ADAM_EPS)
+        values[name] -= lr * update
+        if decay[name] and weight_decay:
+            values[name] -= lr * weight_decay * values[name]
+
+
+class TestFlatAdam:
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_matches_per_tensor_reference_bit_for_bit(self, mode, weight_decay):
+        cfg = ModelConfig(vocab_size=110, n_classes=3, layers=2, heads=2, d_model=12, d_ff=20,
+                          max_len=10, eeg_channels=5, dropout=0.0, mode=mode)
+        params = random_params(cfg, seed=4)
+        values = {p.name: p.value.copy() for p in params.all()}
+        m = {name: np.zeros_like(val) for name, val in values.items()}
+        v = {name: np.zeros_like(val) for name, val in values.items()}
+        decay = {p.name: p.decay for p in params.all()}
+        opt = Adam(params, weight_decay=weight_decay)
+        rng = SeededRng(7).derive("grads")
+        for t in range(1, 6):
+            grads = {name: rng.normal(0.0, 10.0 ** -t, size=val.shape)
+                     for name, val in values.items()}
+            params.zero_grads()
+            for p in params.all():
+                p.grad[...] = grads[p.name]
+            lr = lr_at(t - 1, 5, 1e-2)
+            opt.step(params, lr)
+            reference_adam_step(values, m, v, grads, t, lr, weight_decay, decay)
+            opt_m, opt_v = params.views(opt.m), params.views(opt.v)
+            for p in params.all():
+                np.testing.assert_array_equal(p.value, values[p.name], err_msg=f"{p.name} t={t}")
+                np.testing.assert_array_equal(opt_m[p.name], m[p.name], err_msg=p.name)
+                np.testing.assert_array_equal(opt_v[p.name], v[p.name], err_msg=p.name)
+        slots = np.zeros(params.values.size, dtype=bool)
+        for view in params.views(slots).values():
+            view[...] = True
+        for flat in (params.values, params.grads, opt.m, opt.v):
+            np.testing.assert_array_equal(flat[~slots], 0.0)  # slot padding stays zero
 
 
 class TestTrain:
