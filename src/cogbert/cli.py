@@ -137,7 +137,8 @@ def _build_train_config(args) -> training.TrainConfig:
         cfg_dict["repeats"] = args.repeats
     if args.epochs is not None:
         cfg_dict["epochs"] = args.epochs
-    cfg_dict["seed"] = args.seed
+    if args.seed is not None:
+        cfg_dict["seed"] = args.seed
     try:
         return training.TrainConfig(**cfg_dict)
     except TypeError as exc:
@@ -415,7 +416,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=MODES, default="none")
     p.add_argument("--repeats", type=int, default=None)
     p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None,
+                   help="overrides the train config's seed (default 0)")
     p.add_argument("--split-ratio", type=float, default=0.8)
     p.add_argument("--robustness", action="store_true",
                    help="random init, 5 repeats, 10 epochs")

@@ -14,12 +14,14 @@ word-EEG lexicon approximates sentence EEG for corpora without recordings.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
+from .checks import is_integer, is_real
 from .errors import DataError, FeatureLookupError, ValidationError
 from .files import atomic_open
 from .numerics.rng import SeededRng
@@ -431,6 +433,12 @@ def lexicon_sentence_eeg(words: list[str], lexicon: EEGLexicon, n_channels: int)
 # Synthetic corpus generation
 # ---------------------------------------------------------------------------
 
+_SYNTH_INT_FIELDS = ("n_classes", "n_sentences", "keywords_per_class", "filler_vocab", "min_words",
+                     "max_words", "min_keywords", "max_keywords", "eeg_channels", "distractors")
+_SYNTH_REAL_FIELDS = ("filler_fix_prob", "keyword_eeg_mean", "filler_eeg_mean", "eeg_noise",
+                      "class_tilt")
+
+
 @dataclass
 class SynthConfig:
     """Planted-keyword corpus generator settings.
@@ -459,6 +467,16 @@ class SynthConfig:
     class_tilt: float = 2.0
 
     def __post_init__(self):
+        for name in _SYNTH_INT_FIELDS:
+            value = getattr(self, name)
+            if not is_integer(value) or value < 0:
+                raise ValidationError(f"{name} must be an integer >= 0, got {value!r}")
+        for name in _SYNTH_REAL_FIELDS:
+            value = getattr(self, name)
+            if not is_real(value) or not math.isfinite(value):
+                raise ValidationError(f"{name} must be a finite number, got {value!r}")
+        if self.eeg_noise < 0:
+            raise ValidationError(f"eeg_noise must be >= 0, got {self.eeg_noise!r}")
         if self.n_classes < 2:
             raise ValidationError("need at least 2 classes")
         if self.n_sentences < self.n_classes:

@@ -30,12 +30,12 @@ float64 and a wider batch could not change any real row.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .checks import is_integer, is_real
 from .errors import CheckpointError, ConfigError, ValidationError
 from .features import CognitiveRecord, FeatureDb, cognitive_mask
 from .files import atomic_open, write_text_atomic
@@ -58,16 +58,6 @@ SLOT_MULTIPLE = 8  # EncoderParams pads slots to 8 entries (64 bytes), so all sh
 # numpy's pairwise sum keeps 8 partial sums: at a width that is a multiple of 8
 # the softmax reductions see the same partial sums as at max_len (bit-identical).
 WIDTH_MULTIPLE = 8
-
-
-def is_integer(value) -> bool:
-    """An int (numpy integers included), but not a bool or an integral float."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def is_real(value) -> bool:
-    """An int or a float (numpy scalars included), but not a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 _INT_FIELDS = ("vocab_size", "n_classes", "layers", "heads", "d_model", "d_ff", "max_len",
@@ -526,25 +516,25 @@ def self_attention(
     masks: np.ndarray,
     params: EncoderParams,
     layer: int,
+    probs_out: np.ndarray,
     train: bool = False,
     rng: SeededRng | None = None,
-) -> tuple[Node, np.ndarray]:
+) -> Node:
     """One multi-head self-attention block with residual and layer norm.
 
-    masks is (batch, T); returns the block output and the detached
-    attention probabilities (batch, heads, T, T).
+    masks is (batch, T); the detached attention probabilities are written
+    into probs_out (batch, heads, T, T).
     """
     cfg = params.cfg
     p = f"layer{layer}."
     q = ad.linear(x, params[p + "attn.wq"], params[p + "attn.bq"])
     k = ad.linear(x, params[p + "attn.wk"], params[p + "attn.bk"])
     v = ad.linear(x, params[p + "attn.wv"], params[p + "attn.bv"])
-    ctx, probs = ad.multi_head_attention(q, k, v, masks, cfg.heads)
+    ctx, _ = ad.multi_head_attention(q, k, v, masks, cfg.heads, probs_out)
     ctx = ad.linear(ctx, params[p + "attn.wo"], params[p + "attn.bo"])
     ctx = _dropout(ctx, masks.shape[0], cfg, train, rng)
-    out = ad.layer_norm_rows(ad.add(x, ctx), params[p + "ln1.gamma"], params[p + "ln1.beta"],
-                             LN_EPS)
-    return out, probs
+    return ad.layer_norm_rows(ad.add(x, ctx), params[p + "ln1.gamma"], params[p + "ln1.beta"],
+                              LN_EPS)
 
 
 def _feed_forward(x: Node, n: int, params: EncoderParams, layer: int,
@@ -601,7 +591,8 @@ class ForwardResult:
     """Outputs of one forward pass; T is the batch width (batch.ids.shape[1]).
 
     `attention[b]` holds sentence b's per-layer, per-head attention
-    probabilities; they are exactly zero on its PAD columns.
+    probabilities; they are exactly zero on its PAD columns. A training
+    forward's backward reads them, so they must not be written before it.
     """
 
     hidden: np.ndarray          # (B, T, d_model) final hidden states, detached
@@ -614,13 +605,31 @@ class ForwardResult:
         return self.logits.value.argmax(axis=1)
 
 
+def _cut(x: Node, train: bool) -> Node:
+    """An inference forward's block boundary: start a new tape at x's value.
+
+    Nothing then holds the finished block's nodes and backward closures, so
+    its intermediates are freed while the next block runs. A training
+    forward keeps the whole tape for backward.
+    """
+    return x if train else ad.const(x.value)
+
+
 def encoder_forward(
     params: EncoderParams,
     batch: Batch,
     train: bool = False,
     rng: SeededRng | None = None,
 ) -> ForwardResult:
-    """Run the stacked encoder and classification head over a batch."""
+    """Run the stacked encoder and classification head over a batch.
+
+    Only a `train=True` forward can be backpropagated through the encoder:
+    an inference forward (the default) cuts its tape after the embedding and
+    after every attention and feed-forward block, so it holds one block's
+    intermediates at a time, and the parameters below the last cut get no
+    gradient. Dropout applies only when train is True; at dropout 0 both
+    kinds give bit-identical results.
+    """
     cfg = params.cfg
     if train and cfg.dropout > 0.0 and rng is None:
         raise ValidationError("training forward with dropout needs an rng")
@@ -628,11 +637,13 @@ def encoder_forward(
 
     x = embed(params, batch.ids, batch.eeg_tokens, batch.eye_tokens)
     x = _dropout(x, n, cfg, train, rng)
-    layer_probs = []
-    for layer in range(cfg.layers):
-        x, probs = self_attention(x, batch.masks, params, layer, train, rng)
+    attention = np.empty((n, cfg.layers, cfg.heads, t, t))
+    for layer in range(cfg.layers):  # rebinding x at each cut lets the block before it go
+        x = _cut(x, train)
+        x = self_attention(x, batch.masks, params, layer, attention[:, layer], train, rng)
+        x = _cut(x, train)
         x = _feed_forward(x, n, params, layer, train, rng)
-        layer_probs.append(probs)
+    x = _cut(x, train)
 
     pooled = ad.select_rows(x, np.arange(n) * t)  # CLS position of each sentence
     fused = fuse_pooled(pooled, batch.sent_eeg, params)
@@ -642,7 +653,7 @@ def encoder_forward(
         hidden=x.value.reshape(n, t, cfg.d_model),
         pooled=pooled,
         logits=logits,
-        attention=np.stack(layer_probs, axis=1),
+        attention=attention,
     )
 
 
@@ -697,7 +708,7 @@ def gradcheck_mode(mode: str, seed: int = 0, layers: int = 2, heads: int = 2,
             p.value[:] = prng.normal(0.0, 0.3, p.value.shape)
 
     def loss_fn():
-        result = encoder_forward(params, batch, train=False)
+        result = encoder_forward(params, batch, train=True)
         return ad.cross_entropy_mean(result.logits, batch.labels)
 
     return grad_check_report(loss_fn, params.all(), eps=1e-5,

@@ -9,8 +9,10 @@ topological order and alone adds those gradients up, so a parameter's
 here is hand-derived and covered by finite-difference checks in the test
 suite (see gradcheck.grad_check_report).
 
-Constant inputs (feature tokens, masks, dropout masks) enter the graph as
-`const` leaves; their gradients are computed but never consumed.
+Constant inputs (sentence EEG vectors, an inference forward's block inputs)
+enter the graph as `const` leaves, which take no gradient: `backward` stores
+none on them, and `matmul` returns None for a const left operand instead of
+computing its `g @ b.T` product.
 """
 
 from __future__ import annotations
@@ -76,12 +78,19 @@ def const(value) -> Node:
     return Node(np.asarray(value, dtype=np.float64))
 
 
+def _is_const(node: Node) -> bool:
+    """A leaf that is not a Parameter: nothing reads its gradient."""
+    return node.bwd is None and not isinstance(node, Parameter)
+
+
 def backward(root: Node) -> None:
     """Seed root with ones and run the tape, summing each node's gradients in its grad.
 
     A Parameter's grad is added to in place. Any other node's grad is the
     first gradient it gets, replaced by grad + g for each later one: a rule
-    may hand the same array to several parents, so none is written to.
+    may hand the same array to several parents, so none is written to. A
+    const leaf takes no gradient: what a rule returns for it (None from
+    matmul) is dropped.
     """
     order: list[Node] = []
     seen: set[int] = set()
@@ -99,10 +108,10 @@ def backward(root: Node) -> None:
             if id(p) not in seen:
                 stack.append((p, False))
 
-    def accumulate(node: Node, g: np.ndarray) -> None:
+    def accumulate(node: Node, g: np.ndarray | None) -> None:
         if isinstance(node, Parameter):
             node.grad += g
-        else:
+        elif not _is_const(node):
             node.grad = g if node.grad is None else node.grad + g
 
     accumulate(root, np.ones_like(root.value))
@@ -153,11 +162,14 @@ def _rows_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def matmul(a: Node, b: Node) -> Node:
-    """a @ b; every row's result is the same at any row count of a."""
+    """a @ b; every row's result is the same at any row count of a.
+
+    The backward gives a const leaf `a` no gradient (None).
+    """
     if a.value.shape[1] != b.value.shape[0]:
         raise ShapeError(f"cannot multiply {a.value.shape} by {b.value.shape}: inner dimensions differ")
     out = Node(_rows_product(a.value, b.value), (a, b))
-    out.bwd = lambda g: (_rows_product(g, b.value.T), a.value.T @ g)
+    out.bwd = lambda g: (None if _is_const(a) else _rows_product(g, b.value.T), a.value.T @ g)
     return out
 
 
@@ -166,8 +178,21 @@ def linear(x: Node, w: Node, b: Node) -> Node:
 
 
 def _gelu(x: np.ndarray) -> np.ndarray:
-    """GELU via the tanh approximation 0.5*x*(1 + tanh(c*(x + a*x^3)))."""
-    return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + _GELU_A * x * x * x)))
+    """GELU via the tanh approximation 0.5*x*(1 + tanh(c*(x + a*x^3))).
+
+    The steps of `0.5 * x * (1.0 + np.tanh(c * (x + a * x * x * x)))`, in
+    Python's evaluation order, run in place in two arrays (bit-equal).
+    """
+    t = _GELU_A * x
+    t *= x
+    t *= x
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    t += 1.0
+    out = 0.5 * x
+    out *= t
+    return out
 
 
 def _gelu_grad(x: np.ndarray) -> np.ndarray:
@@ -187,13 +212,19 @@ def gelu(x: Node) -> Node:
 def softmax(scores: np.ndarray) -> np.ndarray:
     """Plain-numpy softmax over the last axis, with max subtraction.
 
-    Not a tape op: it serves attention (whose backward is fused into
-    multi_head_attention) and detached class probabilities. Entries as
-    negative as -10000 (additive attention masks) underflow to exact zero.
+    Not a tape op: it serves detached class probabilities, and attention
+    runs the same steps in place (`_softmax_in_place`). Entries as negative
+    as -10000 (additive attention masks) underflow to exact zero.
     """
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    return _softmax_in_place(np.array(scores, dtype=np.float64))
+
+
+def _softmax_in_place(x: np.ndarray) -> np.ndarray:
+    """Overwrite x with its softmax over the last axis and return it."""
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
 
 
 def layer_norm_rows(x: Node, gamma: Node, beta: Node, eps: float = 1e-5) -> Node:
@@ -282,7 +313,8 @@ def dropout(x: Node, rate: float, rng, draw_shape: tuple[int, int, int]) -> Node
 
 
 def multi_head_attention(
-    q: Node, k: Node, v: Node, mask: np.ndarray, n_heads: int
+    q: Node, k: Node, v: Node, mask: np.ndarray, n_heads: int,
+    probs_out: np.ndarray | None = None,
 ) -> tuple[Node, np.ndarray]:
     """Scaled dot-product attention over a batch of stacked sentences.
 
@@ -290,6 +322,10 @@ def multi_head_attention(
     (batch, seq) additive mask (0 or -10000) applied to every query row of
     its sentence. Returns the re-stacked context (batch*seq, d) and the
     detached per-head probabilities with shape (batch, n_heads, seq, seq).
+    The scores are scaled, masked and turned into probabilities in place,
+    in probs_out when given (a float64 array of that shape, such as one
+    layer's slice of a whole forward's attention), else in a new array.
+    The backward reads them, so they must not change before it runs.
     """
     n_batch, seq = mask.shape
     d = q.value.shape[1]
@@ -302,7 +338,10 @@ def multi_head_attention(
         return m.reshape(n_batch, seq, n_heads, hd).transpose(0, 2, 1, 3)
 
     qh, kh, vh = split(q.value), split(k.value), split(v.value)
-    probs = softmax(qh @ kh.transpose(0, 1, 3, 2) * inv_scale + mask[:, None, None, :])
+    probs = np.matmul(qh, kh.transpose(0, 1, 3, 2), out=probs_out)
+    probs *= inv_scale
+    probs += mask[:, None, None, :]
+    _softmax_in_place(probs)
     ctx = probs @ vh
     out = Node(ctx.transpose(0, 2, 1, 3).reshape(n_batch * seq, d), (q, k, v))
 

@@ -14,10 +14,10 @@ from typing import Sequence
 
 import numpy as np
 
+from .checks import is_integer, is_real
 from .errors import NumericError, ValidationError
 from .features import FeatureDb
-from .model import (EncoderParams, Example, ModelConfig, build_batch, encoder_forward, init_params,
-                    is_integer, is_real)
+from .model import EncoderParams, Example, ModelConfig, build_batch, encoder_forward, init_params
 from .numerics import autodiff as ad
 from .numerics.rng import SeededRng
 from .tokenizer import Vocab, encode
@@ -46,6 +46,8 @@ class TrainConfig:
             value = getattr(self, name)
             if not is_integer(value) or value < 1:
                 raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
+        if not is_integer(self.seed):
+            raise ValidationError(f"seed must be an integer, got {self.seed!r}")
         if not is_real(self.lr) or not math.isfinite(self.lr) or self.lr <= 0:
             raise ValidationError(f"lr must be a finite number > 0, got {self.lr!r}")
         wd = self.weight_decay

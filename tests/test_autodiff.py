@@ -1,6 +1,8 @@
 """Every autodiff op's backward is checked against central differences at
 unit scale, plus graph-level behaviors (fan-out accumulation, masking)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -154,6 +156,40 @@ class TestAttention:
 
         check(loss, [q, k, v])
 
+    def test_in_place_scores_match_reference_bit_for_bit(self):
+        """Probabilities, context and gradients equal the out-of-place form they replaced,
+        also when the probabilities go into a layer's slice of a 5-D array."""
+        batch, seq, heads, d = 3, 16, 2, 12  # head width 6: 1/sqrt(6) is inexact
+        q, k, v = (ad.Parameter(name, RNG.normal(0.0, 2.0, size=(batch * seq, d)))
+                   for name in "qkv")
+        mask = np.zeros((batch, seq))
+        mask[0, 9:] = mask[2, 13:] = -10000.0
+
+        def split(m):
+            return m.reshape(batch, seq, heads, d // heads).transpose(0, 2, 1, 3)
+
+        qh, kh, vh = split(q.value), split(k.value), split(v.value)
+        scores = qh @ kh.transpose(0, 1, 3, 2) * (1.0 / math.sqrt(d // heads)) + mask[:, None, None, :]
+        shifted = scores - scores.max(axis=-1, keepdims=True)
+        e = np.exp(shifted)
+        want = e / e.sum(axis=-1, keepdims=True)
+        want_ctx = (want @ vh).transpose(0, 2, 1, 3).reshape(batch * seq, d)
+
+        g = RNG.normal(size=(batch * seq, d))
+        grads = []
+        for layer, attention in ((None, None), (1, np.full((batch, 3, heads, seq, seq), np.nan))):
+            probs_out = None if attention is None else attention[:, layer]
+            ctx, probs = ad.multi_head_attention(q, k, v, mask, heads, probs_out)
+            np.testing.assert_array_equal(probs, want)
+            np.testing.assert_array_equal(ctx.value, want_ctx)
+            grads.append(ctx.bwd(g))
+            if attention is not None:
+                assert probs is probs_out
+                np.testing.assert_array_equal(attention[:, layer], want)
+                assert np.isnan(np.delete(attention, layer, axis=1)).all()
+        for got, ref in zip(*grads, strict=True):
+            np.testing.assert_array_equal(got, ref)
+
     def test_probabilities_are_row_stochastic_and_masked(self):
         batch, seq, heads, d = 3, 6, 2, 8
         q = ad.const(RNG.normal(size=(batch * seq, d)))
@@ -228,6 +264,18 @@ class TestTapeContract:
             out.bwd(RNG.normal(size=out.value.shape))
             for parent, grad in zip(out.parents, before):
                 np.testing.assert_array_equal(parent.grad, grad, err_msg=name)
+
+    def test_const_leaf_gets_no_gradient(self):
+        # matmul skips the g @ b.T product for a const left operand; backward
+        # stores nothing on a const leaf, and the parameters' gradients are as before.
+        x, c = ad.const(RNG.normal(size=(3, 4))), ad.const(RNG.normal(size=(3, 5)))
+        w = ad.Parameter("w", RNG.normal(size=(4, 2)))
+        g = RNG.normal(size=(3, 7))
+        out = ad.matmul(x, w)
+        assert out.bwd(g[:, :2])[0] is None
+        ad.backward(ad.mul_const(ad.concat_cols(out, c), g))
+        assert x.grad is None and c.grad is None
+        np.testing.assert_array_equal(w.grad, x.value.T @ g[:, :2])
 
     def test_intermediate_node_feeding_two_ops(self):
         # u reaches the loss twice and add hands both its inputs the same array:

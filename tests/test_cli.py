@@ -128,6 +128,18 @@ class TestTrain:
         assert printed["train"]["epochs"] == 10
         assert printed["train"]["init_source"] == "random"
 
+    def test_seed_flag_overrides_train_config_only_when_given(self, synth_dir, tmp_path, capsys):
+        with_seed, without = tmp_path / "seed7.json", tmp_path / "noseed.json"
+        with_seed.write_text(json.dumps({"seed": 7}))
+        without.write_text(json.dumps({}))
+        for train_cfg, flags, want in ((with_seed, [], 7), (with_seed, ["--seed", "3"], 3),
+                                       (without, [], 0)):
+            rc = cli_main(["train", "--features", str(synth_dir / "features.jsonl"),
+                           "--out", str(tmp_path / "o"), "--train-config", str(train_cfg),
+                           "--print-config", *flags])
+            assert rc == 0
+            assert json.loads(capsys.readouterr().out)["train"]["seed"] == want, flags
+
 
 class TestEval:
     def test_eval_checkpoint(self, trained_dir, synth_dir, tmp_path):
@@ -492,7 +504,7 @@ class TestBadConfigValues:
 
     def test_bad_train_config_exits_2(self, synth_dir, model_config_path, tmp_path, capsys):
         for field, value in (("lr", float("nan")), ("weight_decay", -5), ("epochs", 2.5),
-                             ("batch_size", True), ("repeats", 1.0)):
+                             ("batch_size", True), ("repeats", 1.0), ("seed", 2.5)):
             train_cfg = tmp_path / "train.json"
             train_cfg.write_text(json.dumps({"epochs": 1, "repeats": 1, field: value}))
             out = tmp_path / "t"
@@ -501,6 +513,17 @@ class TestBadConfigValues:
             assert rc == 2, f"{field}={value!r}: exit {rc}"
             assert f"{field} must be" in captured.err, captured.err
             assert "training mode" not in captured.out and not out.exists(), field
+
+    def test_bad_synth_config_exits_2(self, tmp_path, capsys):
+        for field, value in (("eeg_channels", 2.0), ("distractors", -1), ("n_sentences", 2.5)):
+            cfg = tmp_path / "synth.json"
+            cfg.write_text(json.dumps({field: value}))
+            out = tmp_path / "s"
+            rc = cli_main(["synth", "--out", str(out), "--config", str(cfg)])
+            err = capsys.readouterr().err
+            assert rc == 2, f"{field}={value!r}: exit {rc}"
+            assert f"{field} must be an integer" in err and "Traceback" not in err, err
+            assert not out.exists(), field
 
     def test_non_integer_model_size_exits_2(self, synth_dir, model_config_path,
                                             train_config_path, tmp_path, capsys):

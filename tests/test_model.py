@@ -2,6 +2,7 @@
 attention mask semantics, pooled fusion math, and full-forward gradients."""
 
 import dataclasses
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -204,7 +205,8 @@ class TestFlatStorage:
         cfg = tiny_cfg(mode="both_embed")
         params = random_params(cfg, seed=3)
         batch, _ = make_batch(cfg, seed=3)
-        ad.backward(ad.cross_entropy_mean(encoder_forward(params, batch).logits, batch.labels))
+        result = encoder_forward(params, batch, train=True)
+        ad.backward(ad.cross_entropy_mean(result.logits, batch.labels))
         assert all(np.abs(p.grad).max() > 0.0 for p in params.all())
         params.zero_grads()
         for p in params.all():
@@ -365,7 +367,7 @@ class TestForward:
             batch, _ = make_batch(cfg)
 
             def loss():
-                result = encoder_forward(params, batch)
+                result = encoder_forward(params, batch, train=True)
                 return ad.cross_entropy_mean(result.logits, batch.labels)
 
             report = grad_check_report(loss, params.all(), eps=1e-5, max_entries_per_param=12)
@@ -491,6 +493,37 @@ class TestBatchWidth:
             for name, full in grads[1].items():
                 np.testing.assert_allclose(grads[0][name], full, rtol=1e-12, atol=1e-12 * scale,
                                            err_msg=f"{mode} {name}")
+
+
+class TestInferenceForward:
+    """train=False cuts the tape at every block boundary; the outputs stay the same."""
+
+    def test_matches_training_forward_bit_for_bit(self):
+        for mode in MODES:
+            cfg = tiny_cfg(mode=mode)
+            params = spread_params(cfg, seed=5)
+            batch = width_batch(cfg, [9, 3, 6])
+            infer, trained = (encoder_forward(params, batch, train=t) for t in (False, True))
+            for field in ("hidden", "attention"):
+                np.testing.assert_array_equal(getattr(infer, field), getattr(trained, field),
+                                              err_msg=f"{mode} {field}")
+            np.testing.assert_array_equal(infer.pooled.value, trained.pooled.value, err_msg=mode)
+            np.testing.assert_array_equal(infer.logits.value, trained.logits.value, err_msg=mode)
+
+    def test_peak_memory_at_most_half_of_training_forward(self):
+        cfg = tiny_cfg(d_model=32, d_ff=64, max_len=48)
+        params = random_params(cfg, seed=1)
+        batch = width_batch(cfg, [46] * 16)
+        assert batch.ids.shape == (16, 48)
+        peaks = {}
+        for train in (False, True):
+            tracemalloc.start()
+            try:
+                encoder_forward(params, batch, train=train)
+                peaks[train] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[False] <= 0.5 * peaks[True], peaks
 
 
 class TestFusion:

@@ -99,6 +99,16 @@ class TestSoftmaxRows:
             np.testing.assert_allclose(out.sum(axis=1), 1.0, rtol=0, atol=1e-9)
             assert ((out >= 0) & (out <= 1)).all()
 
+    def test_matches_expression_bit_for_bit(self):
+        """softmax works in place on a copy; it equals the expression it replaced."""
+        m = np.random.default_rng(5).normal(0.0, 30.0, size=(2, 3, 7, 16))
+        m[..., 11:] -= 10000.0
+        shifted = m - m.max(axis=-1, keepdims=True)
+        e = np.exp(shifted)
+        before = m.copy()
+        np.testing.assert_array_equal(ad.softmax(m), e / e.sum(axis=-1, keepdims=True))
+        np.testing.assert_array_equal(m, before)
+
 
 class TestGelu:
     def test_zero(self):
@@ -115,6 +125,16 @@ class TestGelu:
         eps = 1e-6
         fd = (gelu(xs + eps) - gelu(xs - eps)) / (2 * eps)
         np.testing.assert_allclose(gelu_grad(xs), fd, atol=1e-8)
+
+    def test_matches_expression_bit_for_bit(self):
+        """The in-place GELU equals the expression it replaced, and leaves its input alone."""
+        rng = np.random.default_rng(11)
+        x = np.concatenate([rng.normal(0.0, 3.0, size=(64, 16)),
+                            rng.uniform(-40.0, 40.0, size=(64, 16))])
+        before = x.copy()
+        c, a = math.sqrt(2.0 / math.pi), 0.044715
+        np.testing.assert_array_equal(gelu(x), 0.5 * x * (1.0 + np.tanh(c * (x + a * x * x * x))))
+        np.testing.assert_array_equal(x, before)
 
 
 class TestLayerNorm:

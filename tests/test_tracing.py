@@ -44,7 +44,7 @@ def forward_and_backward(mode):
     db = FeatureDb(make_records(cfg, corpus, seed=1))
     batch = model.build_batch(make_examples(db, vocab, cfg.max_len), cfg, db)
     params = model.random_params(cfg, seed=2)
-    result = model.encoder_forward(params, batch)
+    result = model.encoder_forward(params, batch, train=True)
     ad.backward(ad.cross_entropy_mean(result.logits, batch.labels))
     return result.logits.value, {p.name: p.grad for p in params.all()}
 

@@ -184,7 +184,7 @@ class TestOptimizer:
         batch = build_batch(examples[:8], cfg, db)
 
         def batch_loss():
-            result = encoder_forward(params, batch)
+            result = encoder_forward(params, batch, train=True)
             return ad.cross_entropy_mean(result.logits, batch.labels)
 
         before = batch_loss().item()
