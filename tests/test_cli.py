@@ -493,6 +493,108 @@ class TestMalformedInputs:
                 f"the first entry has {n_channels}") in err, err
 
 
+FEATURE_FIELDS = ("eeg_tokens", "eye_tokens", "id", "label", "n_fixations", "sentence_eeg", "tokens")
+RETYPES = (None, True, "x", 2.5, -1, [], {}, 10**30, float("nan"))
+TOKEN_FIELDS = ("n_fixations", "eye_tokens", "eeg_tokens")
+
+
+def record_by_record_message(path):
+    """Reference: the DataError message of a loader that builds and checks one
+    CognitiveRecord per line, first failure wins; None if it accepts the file or
+    ends in a traceback (an OverflowError escapes it)."""
+    channels = None
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for lineno, line in enumerate(lines, start=1):
+        if not line:
+            continue
+        obj = None
+        try:
+            obj = json.loads(line)
+            sid, tokens, _ = obj["id"], obj["tokens"], int(obj["label"])
+            raw = [obj[name] for name in (*TOKEN_FIELDS, "sentence_eeg")]
+            arrays = [np.asarray(values, dtype=np.int64) for values in raw[:3]]
+            sent = np.asarray(raw[3], dtype=np.float64)
+            for name, arr in zip(TOKEN_FIELDS, arrays):
+                if len(arr) != len(tokens):
+                    raise ValueError(f"{sid}: {name} not aligned with tokens")
+            for name, arr in zip(TOKEN_FIELDS[1:], arrays[1:]):
+                if arr.min(initial=0) < 0 or arr.max(initial=0) > 100:
+                    raise ValueError(f"{sid}: {name} outside 0..100: [{arr.min()}, {arr.max()}]")
+            if not np.isfinite(sent).all():
+                raise ValueError(f"{sid}: sentence_eeg holds non-finite values")
+            if sent.ndim != 1:
+                raise ValueError("sentence_eeg must be a flat list of numbers")
+            if channels is None:
+                channels = sent.shape[0]
+            elif sent.shape[0] != channels:
+                raise ValueError(f"sentence_eeg has {sent.shape[0]} channels, "
+                                 f"the first record has {channels}")
+        except OverflowError:
+            return None
+        except (ValueError, KeyError, TypeError) as exc:
+            where = f"{path}:{lineno}"
+            if isinstance(obj, dict) and "id" in obj:
+                where += f" (id {obj['id']!r})"
+            detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+            return f"{where}: {detail}"
+    return None
+
+
+class TestFeatureFileCorruption:
+    """Plain loops over corruptions of one record of a feature file: each exits 3
+    naming path:line (and the id when the line parses), with no traceback and no
+    output directory; a message the record-by-record reference gives is kept
+    byte for byte."""
+
+    @staticmethod
+    def cases(lines, index):
+        """(label, corrupted line) pairs for lines[index]."""
+        line = lines[index]
+        cuts = [i for i in range(len(line)) if line.startswith(', "', i)]
+        for cut in [*cuts, len(line) - 1]:
+            yield f"cut at {cut}", line[:cut]
+        for cut in cuts:
+            yield f"cut at {cut}, closed", line[:cut] + "}"
+        obj = json.loads(line)
+        for field in FEATURE_FIELDS:
+            for value in RETYPES:
+                yield f"{field} = {value!r}", json.dumps({**obj, field: value})
+        for field in (*TOKEN_FIELDS, "sentence_eeg", "tokens"):
+            for pos in (0, -1):
+                for value in (*RETYPES, float("inf"), float("-inf"), 101):
+                    values = list(obj[field])
+                    values[pos] = value
+                    yield f"{field}[{pos}] = {value!r}", json.dumps({**obj, field: values})
+
+    def test_every_corruption_exits_3_naming_the_record(self, trained_dir, synth_dir, tmp_path,
+                                                        capsys):
+        lines = (synth_dir / "features.jsonl").read_text().splitlines()
+        path, out = tmp_path / "features.jsonl", tmp_path / "o"
+        n_cases = 0
+        for index in (4, len(lines) - 1):
+            for label, bad in self.cases(lines, index):
+                path.write_text("\n".join([*lines[:index], bad, *lines[index + 1:]]) + "\n")
+                want = record_by_record_message(path)
+                if want is None:
+                    continue  # accepted by the record-by-record loader
+                n_cases += 1
+                rc = cli_main(TestMalformedInputs.eval_args(synth_dir, trained_dir, out,
+                                                            features=path))
+                err = capsys.readouterr().err
+                assert rc == 3, f"line {index + 1}, {label}: exit {rc}"
+                where = f"{path}:{index + 1}"
+                try:
+                    obj = json.loads(bad)
+                except ValueError:
+                    obj = None
+                if isinstance(obj, dict) and "id" in obj:
+                    where += f" (id {obj['id']!r})"
+                assert err.startswith(f"error: {where}: "), f"{label}: {err}"
+                assert err == f"error: {want}\n", f"{label}: {err}"
+                assert not out.exists(), label
+        assert n_cases > 200
+
+
 class TestBadConfigValues:
     """Out-of-range or mistyped config values exit 2 naming the field, before any output."""
 
