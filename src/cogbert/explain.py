@@ -10,8 +10,9 @@ whose coefficients score the words. `explain_sentence` runs both on one
 sentence of a feature database and reports their top-k agreement; each
 perturbation is a word selection of that sentence's layout (`keep_words`),
 whose features build_batch reads from the sentence's one record, and the
-perturbations run through the encoder LIME_CHUNK at a time. A sentence's
-logits do not depend on its batch peers, so the chunk size does not change
+perturbations run through the encoder LIME_CHUNK at a time, shortest first.
+A sentence's logits depend neither on its batch peers nor on the batch
+width (a multiple of 8), so neither the chunk size nor the order changes
 any score.
 """
 
@@ -96,7 +97,8 @@ def lime_explain(
     the indices, not just the kept words; `keep_words` turns a row into a
     layout) and returns n_samples finite probabilities of the class being
     explained, one per row; anything else raises ValidationError. Each word
-    is kept independently with p=0.5; all-removed draws are redrawn.
+    is kept independently with p=0.5; all-removed draws are redrawn, so the
+    rows are the first n_samples draws that keep a word.
     Sample weight = exp(-(100 * D)^2 / width^2) with D the cosine distance
     between the keep-mask and the full sentence.
     """
@@ -108,14 +110,15 @@ def lime_explain(
     n = len(words)
     rng = SeededRng(seed).derive("lime")
 
-    masks = np.zeros((n_samples, n), dtype=np.float64)
-    for s in range(n_samples):
-        mask = (rng.random(n) < 0.5).astype(np.float64)
-        while not mask.any():
-            mask = (rng.random(n) < 0.5).astype(np.float64)
-        masks[s] = mask
+    # Each row is the next draw of n uniforms with a kept word: redrawing only
+    # the all-removed rows, at the end, keeps the rows and the stream in order.
+    kept = np.empty((0, n), dtype=bool)
+    while len(kept) < n_samples:
+        draws = rng.random((n_samples - len(kept), n)) < 0.5
+        kept = np.concatenate([kept, draws[draws.any(axis=1)]])
+    masks = kept.astype(np.float64)
 
-    targets = np.asarray(predict_fn(masks.astype(bool)), dtype=np.float64)
+    targets = np.asarray(predict_fn(kept), dtype=np.float64)
     if targets.shape != (n_samples,) or not np.isfinite(targets).all():
         raise ValidationError(
             f"predict_fn must return {n_samples} finite probabilities, got shape "
@@ -226,8 +229,10 @@ def keep_words(layout: TokenizedSentence, keep_mask: np.ndarray) -> TokenizedSen
     record index in `words`, so build_batch gives it its own eye/EEG features.
     """
     idx = np.flatnonzero(keep_mask)
-    return TokenizedSentence(layout.ids[np.r_[0, idx + 1, -1]], layout.words[idx],
-                             layout.max_len)
+    ids = np.empty(len(idx) + 2, dtype=layout.ids.dtype)
+    ids[0], ids[-1] = layout.ids[0], layout.ids[-1]
+    ids[1:-1] = layout.ids[idx + 1]
+    return TokenizedSentence(ids, layout.words[idx], layout.max_len)
 
 
 def class_probability(logits: np.ndarray, class_idx: int) -> np.ndarray:
@@ -254,7 +259,10 @@ def explain_sentence(
     layout, so it drops words together with their aligned eye/EEG features
     (build_batch reads them from the same record); the sentence EEG vector
     is kept whole. The full sentence runs alone, the perturbations in
-    batches of LIME_CHUNK: 1 + ceil(n_samples / LIME_CHUNK) forwards.
+    batches of LIME_CHUNK: 1 + ceil(n_samples / LIME_CHUNK) forwards. The
+    perturbations are batched in order of kept-word count (a stable sort),
+    so a batch pads only to its own longest perturbation, and their
+    probabilities are returned in draw order.
     """
     cfg = params.cfg
     rec = db.get(sentence_id)
@@ -266,13 +274,16 @@ def explain_sentence(
     attn_scores = accumulate_attention(result.attention[0], layout, words)
 
     def predict_fn(keep_masks: np.ndarray) -> np.ndarray:
-        probs = []
-        for start in range(0, len(keep_masks), LIME_CHUNK):
-            chunk = [Example(sentence_id, keep_words(layout, keep), rec.label)
-                     for keep in keep_masks[start:start + LIME_CHUNK]]
+        # Chunks of similar length pad to the narrowest width that fits them.
+        order = np.argsort(keep_masks.sum(axis=1), kind="stable")
+        probs = np.empty(len(keep_masks))
+        for start in range(0, len(order), LIME_CHUNK):
+            rows = order[start:start + LIME_CHUNK]
+            chunk = [Example(sentence_id, keep_words(layout, keep_masks[r]), rec.label)
+                     for r in rows]
             logits = encoder_forward(params, build_batch(chunk, cfg, db)).logits.value
-            probs.append(class_probability(logits, predicted))
-        return np.concatenate(probs)
+            probs[rows] = class_probability(logits, predicted)
+        return probs
 
     lime_scores = lime_explain(predict_fn, words, n_samples=n_samples, kernel_width=kernel_width,
                                ridge_lambda=ridge_lambda, seed=seed)

@@ -7,8 +7,12 @@ collapse to a single channel vector. Unfixated words always map to token 0
 and are the words a cognitive attention mask suppresses.
 
 A FeatureDb keyed by sentence id is the model's lookup table at train and
-eval time; its JSON-lines form is the canonical interchange format. The
-word-EEG lexicon approximates sentence EEG for corpora without recordings.
+eval time; its JSON-lines form is the canonical interchange format. Loading
+one concatenates each per-word field over all records into a flat array with
+record offsets, checks every record at once (check_records, which each
+CognitiveRecord built in code also runs on its own fields) and gives each
+record views into those arrays. The word-EEG lexicon approximates sentence
+EEG for corpora without recordings.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Callable
 
@@ -128,20 +133,128 @@ class CognitiveRecord:
         self.eye_tokens = np.asarray(self.eye_tokens, dtype=np.int64)
         self.eeg_tokens = np.asarray(self.eeg_tokens, dtype=np.int64)
         self.sentence_eeg = np.asarray(self.sentence_eeg, dtype=np.float64)
-        n = len(self.tokens)
-        for name, arr in (("n_fixations", self.n_fixations),
-                          ("eye_tokens", self.eye_tokens),
-                          ("eeg_tokens", self.eeg_tokens)):
-            if len(arr) != n:
-                raise ValidationError(f"{self.sentence_id}: {name} not aligned with tokens")
-        for name, arr in (("eye_tokens", self.eye_tokens), ("eeg_tokens", self.eeg_tokens)):
-            if arr.min(initial=0) < 0 or arr.max(initial=0) > TOKEN_SCALE:
-                raise ValidationError(
-                    f"{self.sentence_id}: {name} outside 0..{TOKEN_SCALE}: "
-                    f"[{arr.min()}, {arr.max()}]"
-                )
-        if not np.isfinite(self.sentence_eeg).all():
-            raise ValidationError(f"{self.sentence_id}: sentence_eeg holds non-finite values")
+        n_words = np.array([len(self.tokens)])
+        fields = {}
+        for name in _TOKEN_FIELDS:  # len() rejects a scalar field
+            arr = getattr(self, name)
+            fields[name] = (arr.ravel(), np.array([0, len(arr)]))
+        fields["sentence_eeg"] = (self.sentence_eeg.ravel(), np.array([0, self.sentence_eeg.size]))
+        failure = check_records([self.sentence_id], n_words, fields)
+        if failure is not None:
+            raise ValidationError(failure[1])
+
+    @classmethod
+    def _checked(cls, sentence_id: str, tokens: list[str], label: int, n_fixations: np.ndarray,
+                 eye_tokens: np.ndarray, eeg_tokens: np.ndarray,
+                 sentence_eeg: np.ndarray) -> "CognitiveRecord":
+        """A record of arrays that check_records has passed; skips __post_init__."""
+        rec = cls.__new__(cls)
+        rec.__dict__.update(sentence_id=sentence_id, tokens=tokens, label=label,
+                            n_fixations=n_fixations, eye_tokens=eye_tokens,
+                            eeg_tokens=eeg_tokens, sentence_eeg=sentence_eeg)
+        return rec
+
+
+_TOKEN_FIELDS = ("n_fixations", "eye_tokens", "eeg_tokens")
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def check_records(
+    ids: list[str], n_words: np.ndarray, fields: dict[str, tuple[np.ndarray, np.ndarray]],
+) -> tuple[int, str] | None:
+    """The first of N records that fails a check, with its message; None if all pass.
+
+    fields maps n_fixations, eye_tokens, eeg_tokens (int64) and sentence_eeg
+    (float64) to (values, offsets): the records' values concatenated, and the
+    N + 1 offsets where each record's segment starts and the last one ends.
+    n_words holds each record's token count. A record is checked in this
+    order and reports its first failure: each token field aligned with the
+    tokens, eye and EEG tokens within 0..TOKEN_SCALE, sentence EEG finite and
+    as long as the first record's, fixation counts >= 0.
+    """
+    n = len(ids)
+    values = {name: vals for name, (vals, _) in fields.items()}
+    offsets = {name: offs for name, (_, offs) in fields.items()}
+    lengths = {name: offs[1:] - offs[:-1] for name, offs in offsets.items()}
+    channels = lengths["sentence_eeg"]
+    if (all((lengths[name] == n_words).all() for name in _TOKEN_FIELDS)
+            and all(0 <= values[name].min(initial=0) and values[name].max(initial=0) <= TOKEN_SCALE
+                    for name in ("eye_tokens", "eeg_tokens"))
+            and np.isfinite(values["sentence_eeg"]).all() and (channels == channels[:1]).all()
+            and values["n_fixations"].min(initial=0) >= 0):
+        return None
+
+    def records(element_mask: np.ndarray, name: str) -> np.ndarray:
+        bad = np.zeros(n, dtype=bool)
+        bad[np.searchsorted(offsets[name], np.flatnonzero(element_mask), side="right") - 1] = True
+        return bad
+
+    def segment(name: str, i: int) -> np.ndarray:
+        return values[name][offsets[name][i]:offsets[name][i + 1]]
+
+    checks = [
+        *((lengths[name] != n_words, lambda i, name=name: f"{ids[i]}: {name} not aligned with tokens")
+          for name in _TOKEN_FIELDS),
+        *((records((values[name] < 0) | (values[name] > TOKEN_SCALE), name),
+           lambda i, name=name: (f"{ids[i]}: {name} outside 0..{TOKEN_SCALE}: "
+                                 f"[{segment(name, i).min()}, {segment(name, i).max()}]"))
+          for name in ("eye_tokens", "eeg_tokens")),
+        (records(~np.isfinite(values["sentence_eeg"]), "sentence_eeg"),
+         lambda i: f"{ids[i]}: sentence_eeg holds non-finite values"),
+        (channels != channels[0],
+         lambda i: f"sentence_eeg has {channels[i]} channels, the first record has {channels[0]}"),
+        (records(values["n_fixations"] < 0, "n_fixations"),
+         lambda i: f"{ids[i]}: n_fixations below 0: {segment('n_fixations', i).min()}"),
+    ]
+    first = int(np.logical_or.reduce([bad for bad, _ in checks]).argmax())
+    return next((first, message(first)) for bad, message in checks if bad[first])
+
+
+def _all_integers(values: list) -> bool:
+    """Every value is_integer; JSON's integers are exact ints and pass without a call each."""
+    return set(map(type, values)) <= {int} or all(map(is_integer, values))
+
+
+def _all_reals(values: list) -> bool:
+    """Every value is_real; JSON's numbers are exact ints or floats and pass without a call each."""
+    return set(map(type, values)) <= {int, float} or all(map(is_real, values))
+
+
+def _all_labels(values: list) -> bool:
+    """Every value is an integer in 0..int64 max."""
+    return _all_integers(values) and 0 <= min(values, default=0) and max(values, default=0) <= _INT64_MAX
+
+
+def _json_lines(path: str | Path) -> tuple[list[tuple[int, object]], DataError | None]:
+    """(line number, value) of each non-empty line up to the first that is not
+    JSON, and the DataError naming that line (None if every line parses)."""
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not a UTF-8 JSON-lines file: {exc}") from None
+    parsed = []
+    for lineno, line in enumerate(lines, start=1):
+        if not line:
+            continue
+        try:
+            parsed.append((lineno, json.loads(line)))
+        except ValueError as exc:
+            return parsed, _line_error(path, lineno, None, "id", exc)
+    return parsed, None
+
+
+def _line_error(path: str | Path, lineno: int, obj, id_key: str, exc: Exception) -> DataError:
+    """The DataError for a rejected line: path:line, the record id when the line
+    parsed to an object holding one, and what went wrong."""
+    where = f"{path}:{lineno}"
+    if isinstance(obj, dict) and id_key in obj:
+        where += f" ({id_key} {obj[id_key]!r})"
+    detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+    return DataError(f"{where}: {detail}")
+
+
+# What a line's parse or checks may raise; a DataError naming the line replaces it.
+_LINE_ERRORS = (ValueError, KeyError, TypeError, OverflowError)
 
 
 def _read_jsonl(path: str | Path, id_key: str, parse: Callable[[dict], object]) -> list:
@@ -150,25 +263,124 @@ def _read_jsonl(path: str | Path, id_key: str, parse: Callable[[dict], object]) 
     Any failure (bad JSON, missing key, wrong type, rejected value) becomes a
     DataError naming path:line and, when the line parsed, its record id.
     """
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not a UTF-8 JSON-lines file: {exc}") from None
+    parsed, bad_line = _json_lines(path)
     items = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line:
-            continue
-        obj = None
+    for lineno, obj in parsed:
         try:
-            obj = json.loads(line)
             items.append(parse(obj))
-        except (ValueError, KeyError, TypeError) as exc:
-            where = f"{path}:{lineno}"
-            if isinstance(obj, dict) and id_key in obj:
-                where += f" ({id_key} {obj[id_key]!r})"
-            detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
-            raise DataError(f"{where}: {detail}") from None
+        except _LINE_ERRORS as exc:
+            raise _line_error(path, lineno, obj, id_key, exc) from None
+    if bad_line is not None:
+        raise bad_line
     return items
+
+
+def _records_at_once(path: str | Path, parsed: list[tuple[int, object]]) -> list[CognitiveRecord] | None:
+    """Every record of a feature file, read and checked in one pass over flat arrays.
+
+    Returns None when some line is not an object with every field of its JSON
+    type (or an integer exceeds int64), leaving it to _records_one_by_one to
+    name. Otherwise raises the DataError of the first record check_records or
+    a repeated id rejects, or returns records that hold views into the flat
+    arrays.
+    """
+    objs = [obj for _, obj in parsed]
+    if not objs:
+        return []
+    try:
+        ids = [obj["id"] for obj in objs]
+        tokens = [obj["tokens"] for obj in objs]
+        labels = [obj["label"] for obj in objs]
+        lists = {name: [obj[name] for obj in objs] for name in (*_TOKEN_FIELDS, "sentence_eeg")}
+    except (KeyError, TypeError):
+        return None
+    if not (set(map(type, ids)) <= {str} and _all_labels(labels)
+            and set(map(type, chain(tokens, *lists.values()))) <= {list}):
+        return None
+    flat = {name: list(chain.from_iterable(group)) for name, group in lists.items()}
+    if not (set(map(type, chain.from_iterable(tokens))) <= {str}
+            and all(_all_integers(flat[name]) for name in _TOKEN_FIELDS)
+            and _all_reals(flat["sentence_eeg"])):
+        return None
+    try:
+        fields = {name: (np.array(flat[name], dtype=np.int64 if name in _TOKEN_FIELDS else np.float64),
+                         np.cumsum([0, *map(len, group)]))
+                  for name, group in lists.items()}
+    except OverflowError:
+        return None
+    failure = check_records(ids, np.fromiter(map(len, tokens), np.int64, len(tokens)), fields)
+    first_line: dict[str, int] = {}
+    for i, (lineno, obj) in enumerate(parsed):
+        if failure is not None and failure[0] == i:
+            raise _line_error(path, lineno, obj, "id", ValidationError(failure[1]))
+        if obj["id"] in first_line:
+            raise _line_error(path, lineno, obj, "id", ValidationError(
+                f"duplicate id, first on line {first_line[obj['id']]}"))
+        first_line[obj["id"]] = lineno
+
+    bounds = fields["n_fixations"][1].tolist()
+    segments = [[vals[a:b] for a, b in zip(bounds, bounds[1:])]
+                for vals in (fields[name][0] for name in _TOKEN_FIELDS)]
+    sentence_eeg, sentence_offsets = fields["sentence_eeg"]
+    rows = sentence_eeg.reshape(len(objs), int(sentence_offsets[1]))
+    return list(map(CognitiveRecord._checked, ids, tokens, labels, *segments, rows))
+
+
+def _records_one_by_one(path: str | Path, parsed: list[tuple[int, object]]) -> list[CognitiveRecord]:
+    """Every record of a feature file, each built and checked before the next.
+
+    A line's checks run in this order, and the first failure is its
+    DataError: the fields are looked up and the label made an int; the
+    CognitiveRecord checks; sentence_eeg is flat and as long as the first
+    record's; then the JSON types (id a string, tokens a list of strings,
+    label an int64 >= 0, token fields integers, sentence_eeg numbers); last,
+    the id is new.
+    """
+    records: list[CognitiveRecord] = []
+    first_line: dict[str, int] = {}
+    for lineno, obj in parsed:
+        try:
+            rec = CognitiveRecord(
+                sentence_id=obj["id"],
+                tokens=obj["tokens"],
+                label=int(obj["label"]),
+                n_fixations=obj["n_fixations"],
+                eye_tokens=obj["eye_tokens"],
+                eeg_tokens=obj["eeg_tokens"],
+                sentence_eeg=obj["sentence_eeg"],
+            )
+            if rec.sentence_eeg.ndim != 1:
+                raise ValidationError("sentence_eeg must be a flat list of numbers")
+            if records and rec.sentence_eeg.shape[0] != records[0].sentence_eeg.shape[0]:
+                raise ValidationError(
+                    f"sentence_eeg has {rec.sentence_eeg.shape[0]} channels, "
+                    f"the first record has {records[0].sentence_eeg.shape[0]}"
+                )
+            _check_json_types(obj)
+            if obj["id"] in first_line:
+                raise ValidationError(f"duplicate id, first on line {first_line[obj['id']]}")
+        except _LINE_ERRORS as exc:
+            raise _line_error(path, lineno, obj, "id", exc) from None
+        first_line[obj["id"]] = lineno
+        records.append(rec)
+    return records
+
+
+def _check_json_types(obj: dict) -> None:
+    """Reject a record whose values converted but are not of their JSON type."""
+    if not isinstance(obj["id"], str):
+        raise ValidationError(f"id must be a string, got {obj['id']!r}")
+    if not (isinstance(obj["tokens"], list) and all(isinstance(w, str) for w in obj["tokens"])):
+        raise ValidationError("tokens must be a list of strings")
+    if not _all_labels([obj["label"]]):
+        raise ValidationError(f"label must be an integer in 0..{_INT64_MAX}, got {obj['label']!r}")
+    for name in _TOKEN_FIELDS:
+        if not _all_integers(obj[name]):
+            bad = next(v for v in obj[name] if not is_integer(v))
+            raise ValidationError(f"{name} must hold integers, got {bad!r}")
+    if not _all_reals(obj["sentence_eeg"]):
+        bad = next(v for v in obj["sentence_eeg"] if not is_real(v))
+        raise ValidationError(f"sentence_eeg must hold numbers, got {bad!r}")
 
 
 class FeatureDb:
@@ -207,31 +419,20 @@ class FeatureDb:
 
     @classmethod
     def load_jsonl(cls, path: str | Path) -> "FeatureDb":
-        """Read a feature db; every record must have the first record's EEG channel count."""
-        channels: list[int] = []
+        """Read a feature db, one record per line; the first bad line is a DataError.
 
-        def record(obj: dict) -> CognitiveRecord:
-            rec = CognitiveRecord(
-                sentence_id=obj["id"],
-                tokens=obj["tokens"],
-                label=int(obj["label"]),
-                n_fixations=obj["n_fixations"],
-                eye_tokens=obj["eye_tokens"],
-                eeg_tokens=obj["eeg_tokens"],
-                sentence_eeg=obj["sentence_eeg"],
-            )
-            if rec.sentence_eeg.ndim != 1:
-                raise ValidationError("sentence_eeg must be a flat list of numbers")
-            if not channels:
-                channels.append(rec.sentence_eeg.shape[0])
-            elif rec.sentence_eeg.shape[0] != channels[0]:
-                raise ValidationError(
-                    f"sentence_eeg has {rec.sentence_eeg.shape[0]} channels, "
-                    f"the first record has {channels[0]}"
-                )
-            return rec
-
-        return cls(_read_jsonl(path, "id", record))
+        Records are read in one pass over flat arrays (_records_at_once). A
+        file with a value of the wrong type is read one record at a time
+        instead, so that the error names the first bad record. Lines after
+        one that is not JSON are never checked.
+        """
+        parsed, bad_line = _json_lines(path)
+        records = _records_at_once(path, parsed)
+        if records is None:
+            records = _records_one_by_one(path, parsed)
+        if bad_line is not None:
+            raise bad_line
+        return cls(records)
 
 
 # ---------------------------------------------------------------------------

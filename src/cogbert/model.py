@@ -598,7 +598,7 @@ class ForwardResult:
     hidden: np.ndarray          # (B, T, d_model) final hidden states, detached
     pooled: Node                # (B, d_model) CLS rows
     logits: Node                # (B, n_classes)
-    attention: np.ndarray       # (B, layers, heads, T, T), detached
+    attention: np.ndarray       # (B, layers, heads, T, T) view of a layer-major array, detached
 
     def predictions(self) -> np.ndarray:
         """Argmax per row; ties resolve to the lowest class index."""
@@ -637,10 +637,11 @@ def encoder_forward(
 
     x = embed(params, batch.ids, batch.eeg_tokens, batch.eye_tokens)
     x = _dropout(x, n, cfg, train, rng)
-    attention = np.empty((n, cfg.layers, cfg.heads, t, t))
+    # Layer-major, so each layer's in-place softmax runs on a contiguous block.
+    attention = np.empty((cfg.layers, n, cfg.heads, t, t))
     for layer in range(cfg.layers):  # rebinding x at each cut lets the block before it go
         x = _cut(x, train)
-        x = self_attention(x, batch.masks, params, layer, attention[:, layer], train, rng)
+        x = self_attention(x, batch.masks, params, layer, attention[layer], train, rng)
         x = _cut(x, train)
         x = _feed_forward(x, n, params, layer, train, rng)
     x = _cut(x, train)
@@ -653,7 +654,7 @@ def encoder_forward(
         hidden=x.value.reshape(n, t, cfg.d_model),
         pooled=pooled,
         logits=logits,
-        attention=attention,
+        attention=attention.transpose(1, 0, 2, 3, 4),
     )
 
 

@@ -261,10 +261,14 @@ def layer_norm_rows(x: Node, gamma: Node, beta: Node, eps: float = 1e-5) -> Node
 
 
 def _scatter_rows(shape: tuple[int, int], rows: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Gradient of a row gather: zeros of `shape` with g's rows summed in at `rows`."""
-    dense = np.zeros(shape)
-    np.add.at(dense, rows, g)
-    return dense
+    """Gradient of a row gather: zeros of `shape` with g's rows summed in at `rows`.
+
+    bincount adds each entry's weights in input order from 0.0, as np.add.at
+    would, so repeated rows sum bit-identically.
+    """
+    n, d = shape
+    flat = (rows[:, None] * d + np.arange(d)).ravel()
+    return np.bincount(flat, weights=g.ravel(), minlength=n * d).reshape(shape)
 
 
 def gather_rows(table: Node, ids: np.ndarray) -> Node:

@@ -87,6 +87,17 @@ class TestMatrixOps:
         red = reducer((5, 3))
         check(lambda: red(ad.gather_rows(table, ids)), [table])
 
+    @pytest.mark.parametrize("n, d, m", [(6, 3, 5), (101, 16, 128), (2048, 32, 2048), (4, 2, 0)])
+    def test_scatter_matches_add_at_bit_for_bit(self, n, d, m):
+        rng = np.random.default_rng(n + m)
+        rows = rng.integers(0, max(n // 8, 1), size=m)  # many repeats
+        g = rng.normal(size=(m, d)) * 10.0 ** rng.integers(-8, 8, size=(m, 1))
+        g[::3, 0] = -0.0
+        want = np.zeros((n, d))
+        np.add.at(want, rows, g)
+        got = ad._scatter_rows((n, d), rows, g)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_gather_rows_rejects_out_of_range(self):
         table = ad.Parameter("t", np.zeros((4, 2)))
         with pytest.raises(IndexError):

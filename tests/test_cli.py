@@ -558,13 +558,18 @@ class TestFeatureFileCorruption:
         obj = json.loads(line)
         for field in FEATURE_FIELDS:
             for value in RETYPES:
-                yield f"{field} = {value!r}", json.dumps({**obj, field: value})
+                if (field, value) != ("id", "x"):
+                    yield f"{field} = {value!r}", json.dumps({**obj, field: value})
+        valid = {"tokens": ["x"], "n_fixations": [101], "sentence_eeg": [2.5, -1, 10**30, 101]}
         for field in (*TOKEN_FIELDS, "sentence_eeg", "tokens"):
             for pos in (0, -1):
                 for value in (*RETYPES, float("inf"), float("-inf"), 101):
+                    if type(value) in (int, float, str) and value in valid.get(field, ()):
+                        continue
                     values = list(obj[field])
                     values[pos] = value
                     yield f"{field}[{pos}] = {value!r}", json.dumps({**obj, field: values})
+        yield "repeated id", json.dumps({**obj, "id": json.loads(lines[1])["id"]})
 
     def test_every_corruption_exits_3_naming_the_record(self, trained_dir, synth_dir, tmp_path,
                                                         capsys):
@@ -574,9 +579,6 @@ class TestFeatureFileCorruption:
         for index in (4, len(lines) - 1):
             for label, bad in self.cases(lines, index):
                 path.write_text("\n".join([*lines[:index], bad, *lines[index + 1:]]) + "\n")
-                want = record_by_record_message(path)
-                if want is None:
-                    continue  # accepted by the record-by-record loader
                 n_cases += 1
                 rc = cli_main(TestMalformedInputs.eval_args(synth_dir, trained_dir, out,
                                                             features=path))
@@ -590,9 +592,10 @@ class TestFeatureFileCorruption:
                 if isinstance(obj, dict) and "id" in obj:
                     where += f" (id {obj['id']!r})"
                 assert err.startswith(f"error: {where}: "), f"{label}: {err}"
-                assert err == f"error: {want}\n", f"{label}: {err}"
+                want = record_by_record_message(path)
+                assert want is None or err == f"error: {want}\n", f"{label}: {err}"
                 assert not out.exists(), label
-        assert n_cases > 200
+        assert n_cases > 300
 
 
 class TestBadConfigValues:

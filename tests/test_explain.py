@@ -89,6 +89,19 @@ class TestAccumulateAttention:
             for s in scores:
                 assert s.score == pytest.approx(oracle[s.position], abs=1e-12)
 
+    def test_strided_view_sums_like_contiguous_array(self):
+        """encoder_forward returns a (B, L, ...) view of a layer-major array; the
+        fancy index copies it, so the sums run in the same order."""
+        rng = np.random.default_rng(107)
+        layout = layout_for(7, max_len=16)
+        layer_major = np.stack([np.stack([random_attention(1, 2, layout, rng)[0]
+                                          for _ in range(3)]) for _ in range(2)])
+        view = layer_major.transpose(1, 0, 2, 3, 4)  # (B=3, L=2, H=2, T, T)
+        for b in range(3):
+            got = accumulate_attention(view[b], layout, WORDS10[:7])
+            want = accumulate_attention(np.ascontiguousarray(view[b]), layout, WORDS10[:7])
+            assert [s.score for s in got] == [s.score for s in want]
+
     def test_total_mass_equals_layers_heads_rows(self):
         rng = np.random.default_rng(103)
         for _ in range(25):
@@ -318,14 +331,33 @@ class TestChunkedLime:
         forward = explain.encoder_forward
 
         def counting_forward(params, batch, *args, **kwargs):
-            calls.append(batch.size)
+            calls.append(batch.ids.shape)
             return forward(params, batch, *args, **kwargs)
 
         monkeypatch.setattr(explain, "encoder_forward", counting_forward)
         params, db = self.model_and_db("eeg_embed", 64)
         explain_sentence(params, db, VOCAB, "s", n_samples=200)
+        sizes, widths = [b for b, _ in calls], [t for _, t in calls]
         assert len(calls) == 1 + math.ceil(200 / explain.LIME_CHUNK)
-        assert calls[0] == 1 and sum(calls[1:]) == 200
+        assert sizes[0] == 1 and sum(sizes[1:]) == 200
+        # 11 positions for the whole 9-word sentence; chunks run shortest first
+        assert widths[0] == 16 and widths[1] == 8 and widths[1:] == sorted(widths[1:])
+
+    def test_masks_match_a_row_by_row_draw(self):
+        """One draw of all rows, redrawing the all-removed ones, gives the masks
+        (in order) of drawing row by row until a row keeps a word."""
+        for n_words, seed in ((1, 3), (2, 8), (9, 0)):  # 1 and 2 words redraw often
+            rng = SeededRng(seed).derive("lime")
+            want = []
+            for _ in range(60):
+                mask = rng.random(n_words) < 0.5
+                while not mask.any():
+                    mask = rng.random(n_words) < 0.5
+                want.append(mask)
+            seen = []
+            lime_explain(lambda masks: seen.append(masks.copy()) or np.zeros(len(masks)),
+                         WORDS10[:n_words], n_samples=60, seed=seed)
+            assert seen[0].dtype == bool and np.array_equal(seen[0], np.array(want)), n_words
 
 
 class TestCorrelate:

@@ -17,6 +17,7 @@ from cogbert.features import (
     WordEEG,
     WordFixation,
     build_lexicon,
+    check_records,
     cognitive_mask,
     eeg_token_raw,
     eye_token_raw,
@@ -398,6 +399,25 @@ class TestFeatureDb:
             np.testing.assert_array_equal(a.eeg_tokens, b.eeg_tokens)
             np.testing.assert_array_equal(a.sentence_eeg, b.sentence_eeg)
 
+    def test_loaded_records_equal_per_record_constructor(self, tmp_path):
+        fields = ("n_fixations", "eye_tokens", "eeg_tokens", "sentence_eeg")
+        for seed in (2, 7, 13):
+            _, db, _ = synth_generate(SynthConfig(n_sentences=40, distractors=2), seed=seed)
+            path = tmp_path / f"features{seed}.jsonl"
+            db.save_jsonl(path)
+            objs = [json.loads(line) for line in path.read_text().splitlines()]
+            loaded = FeatureDb.load_jsonl(path)
+            assert loaded.ids() == [obj["id"] for obj in objs]
+            for obj in objs:
+                want = CognitiveRecord(sentence_id=obj["id"], tokens=obj["tokens"],
+                                       label=obj["label"], **{f: obj[f] for f in fields})
+                got = loaded.get(obj["id"])
+                assert got.tokens == want.tokens
+                assert type(got.label) is int and got.label == want.label
+                for f in fields:
+                    a, b = getattr(got, f), getattr(want, f)
+                    assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), f
+
     def test_load_rejects_changed_channel_count(self, tmp_path):
         _, db, _ = synth_generate(SynthConfig(n_sentences=16), seed=5)
         path = tmp_path / "features.jsonl"
@@ -443,6 +463,45 @@ class TestCognitiveRecord:
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ValidationError, match="r0: sentence_eeg"):
                 self.record(sentence_eeg=[0.5, bad])
+
+    def test_negative_fixation_count_rejected(self):
+        with pytest.raises(ValidationError, match="r0: n_fixations below 0: -1"):
+            self.record(n_fixations=[-1, 2])
+
+
+class TestCheckRecords:
+    """check_records over flat arrays names the first failing record, its first failing check."""
+
+    @staticmethod
+    def flat(records):
+        """(ids, n_words, fields) of records given as (id, n_fixations, eye, eeg, sentence_eeg)."""
+        fields = {}
+        for k, name in enumerate(("n_fixations", "eye_tokens", "eeg_tokens", "sentence_eeg")):
+            segments = [np.asarray(r[k + 1], dtype=np.float64 if k == 3 else np.int64)
+                        for r in records]
+            fields[name] = (np.concatenate(segments), np.cumsum([0, *map(len, segments)]))
+        return [r[0] for r in records], np.array([len(r[1]) for r in records]), fields
+
+    def test_valid_records_pass(self):
+        assert check_records(*self.flat([("a", [2], [9], [5], [0.5]), ("b", [], [], [], [1.0])])) is None
+
+    def test_first_record_and_first_check_win(self):
+        records = [
+            ("a", [2, 0], [100, 0], [0, 3], [0.5]),
+            ("e", [], [], [], [1.0]),              # an empty segment before the bad one
+            ("b", [-1, 1], [101, 0], [0, 0], [np.nan]),
+            ("c", [1], [0, 0], [0], [0.0]),
+        ]
+        assert check_records(*self.flat(records)) == (2, "b: eye_tokens outside 0..100: [0, 101]")
+        records[2] = ("b", [-1, 1], [1, 0], [0, 0], [np.nan])
+        assert check_records(*self.flat(records)) == (2, "b: sentence_eeg holds non-finite values")
+        records[2] = ("b", [-1, 1], [1, 0], [0, 0], [0.0])
+        assert check_records(*self.flat(records)) == (2, "b: n_fixations below 0: -1")
+        records[2] = ("b", [1, 1], [1, 0], [0, 0], [0.0, 1.0])
+        assert check_records(*self.flat(records)) == (
+            2, "sentence_eeg has 2 channels, the first record has 1")
+        records[2] = ("b", [1, 1], [1, 0], [0, 0], [0.0])
+        assert check_records(*self.flat(records)) == (3, "c: eye_tokens not aligned with tokens")
 
 
 class TestSynthGenerate:

@@ -13,7 +13,9 @@ process with one BLAS thread:
   synth (60 sentences); at max_len 24 and at a truncating max_len 10: train
   all 9 modes (2 repeats x 2 epochs, dropout 0.1, batch 7, so every epoch
   ends with a short batch) and eval each checkpoint, explain two sentences
-  in eeg_embed and pool_add_nn; lexicon build and apply, train pool_add_nn
+  in eeg_embed, both_embed, cog_mask and pool_add_nn (per-word EEG tokens,
+  both token tables, the fixation mask, the fusion NN: what each perturbation
+  carries); lexicon build and apply, train pool_add_nn
   on the lexicon features; report over every run; gradcheck --mode all.
 
 Each command's stdout, stderr and exit code are kept as files too, minus the
@@ -47,7 +49,7 @@ ROOT = Path(__file__).resolve().parents[1]
 MODES = ("none", "eeg_embed", "eye_embed", "both_embed", "cog_mask",
          "pool_concat", "pool_concat_nn", "pool_multiply", "pool_add_nn")
 MAX_LENS = (24, 10)  # 10 truncates the longer synthetic sentences
-EXPLAIN_MODES = ("eeg_embed", "pool_add_nn")
+EXPLAIN_MODES = ("eeg_embed", "both_embed", "cog_mask", "pool_add_nn")
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
