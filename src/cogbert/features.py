@@ -169,8 +169,8 @@ def check_records(
     N + 1 offsets where each record's segment starts and the last one ends.
     n_words holds each record's token count. A record is checked in this
     order and reports its first failure: each token field aligned with the
-    tokens, eye and EEG tokens within 0..TOKEN_SCALE, sentence EEG finite and
-    as long as the first record's, fixation counts >= 0.
+    tokens, eye and EEG tokens within 0..TOKEN_SCALE, sentence EEG finite,
+    as long as the first record's and not empty, fixation counts >= 0.
     """
     n = len(ids)
     values = {name: vals for name, (vals, _) in fields.items()}
@@ -181,6 +181,7 @@ def check_records(
             and all(0 <= values[name].min(initial=0) and values[name].max(initial=0) <= TOKEN_SCALE
                     for name in ("eye_tokens", "eeg_tokens"))
             and np.isfinite(values["sentence_eeg"]).all() and (channels == channels[:1]).all()
+            and channels.all()
             and values["n_fixations"].min(initial=0) >= 0):
         return None
 
@@ -203,6 +204,7 @@ def check_records(
          lambda i: f"{ids[i]}: sentence_eeg holds non-finite values"),
         (channels != channels[0],
          lambda i: f"sentence_eeg has {channels[i]} channels, the first record has {channels[0]}"),
+        (channels == 0, lambda i: f"{ids[i]}: sentence_eeg is empty"),
         (records(values["n_fixations"] < 0, "n_fixations"),
          lambda i: f"{ids[i]}: n_fixations below 0: {segment('n_fixations', i).min()}"),
     ]
@@ -223,6 +225,11 @@ def _all_reals(values: list) -> bool:
 def _all_labels(values: list) -> bool:
     """Every value is an integer in 0..int64 max."""
     return _all_integers(values) and 0 <= min(values, default=0) and max(values, default=0) <= _INT64_MAX
+
+
+def _check_label(value) -> None:
+    if not _all_labels([value]):
+        raise ValidationError(f"label must be an integer in 0..{_INT64_MAX}, got {value!r}")
 
 
 def _json_lines(path: str | Path) -> tuple[list[tuple[int, object]], DataError | None]:
@@ -258,18 +265,27 @@ _LINE_ERRORS = (ValueError, KeyError, TypeError, OverflowError)
 
 
 def _read_jsonl(path: str | Path, id_key: str, parse: Callable[[dict], object]) -> list:
-    """parse() each non-empty line of a JSON-lines file.
+    """parse() each non-empty line of a JSON-lines file, whose id_key values
+    must be distinct strings.
 
-    Any failure (bad JSON, missing key, wrong type, rejected value) becomes a
-    DataError naming path:line and, when the line parsed, its record id.
+    Any failure (bad JSON, missing key, wrong type, rejected value, repeated
+    id) becomes a DataError naming path:line and, when the line parsed, its
+    record id.
     """
     parsed, bad_line = _json_lines(path)
     items = []
+    first_line: dict[str, int] = {}
     for lineno, obj in parsed:
         try:
             items.append(parse(obj))
+            key = obj[id_key]
+            if not isinstance(key, str):
+                raise ValidationError(f"{id_key} must be a string, got {key!r}")
+            if key in first_line:
+                raise ValidationError(f"duplicate {id_key}, first on line {first_line[key]}")
         except _LINE_ERRORS as exc:
             raise _line_error(path, lineno, obj, id_key, exc) from None
+        first_line[key] = lineno
     if bad_line is not None:
         raise bad_line
     return items
@@ -318,11 +334,18 @@ def _records_at_once(path: str | Path, parsed: list[tuple[int, object]]) -> list
                 f"duplicate id, first on line {first_line[obj['id']]}"))
         first_line[obj["id"]] = lineno
 
+    return _split_records(ids, tokens, labels, fields)
+
+
+def _split_records(ids: list[str], tokens: list[list[str]], labels: list[int],
+                   fields: dict[str, tuple[np.ndarray, np.ndarray]]) -> list[CognitiveRecord]:
+    """The CognitiveRecords of flat fields that check_records has passed (at
+    least one record), each holding views into the flat arrays."""
     bounds = fields["n_fixations"][1].tolist()
     segments = [[vals[a:b] for a, b in zip(bounds, bounds[1:])]
                 for vals in (fields[name][0] for name in _TOKEN_FIELDS)]
     sentence_eeg, sentence_offsets = fields["sentence_eeg"]
-    rows = sentence_eeg.reshape(len(objs), int(sentence_offsets[1]))
+    rows = sentence_eeg.reshape(len(ids), int(sentence_offsets[1]))
     return list(map(CognitiveRecord._checked, ids, tokens, labels, *segments, rows))
 
 
@@ -372,8 +395,7 @@ def _check_json_types(obj: dict) -> None:
         raise ValidationError(f"id must be a string, got {obj['id']!r}")
     if not (isinstance(obj["tokens"], list) and all(isinstance(w, str) for w in obj["tokens"])):
         raise ValidationError("tokens must be a list of strings")
-    if not _all_labels([obj["label"]]):
-        raise ValidationError(f"label must be an integer in 0..{_INT64_MAX}, got {obj['label']!r}")
+    _check_label(obj["label"])
     for name in _TOKEN_FIELDS:
         if not _all_integers(obj[name]):
             bad = next(v for v in obj[name] if not is_integer(v))
@@ -523,31 +545,31 @@ def cognitive_mask(n_fixations, layout: TokenizedSentence) -> np.ndarray:
 
 def derive_records(measurements: list[SentenceMeasurement]) -> FeatureDb:
     """Full feature derivation: eye tokens (per-sentence scale), EEG tokens
-    (corpus-level scale), and sentence EEG vectors."""
-    raw_eeg = []
-    fixated = []
-    for m in measurements:
-        for fix, eeg in zip(m.fixations, m.word_eeg):
-            raw_eeg.append(eeg_token_raw(eeg))
-            fixated.append(fix.n_fixations > 0)
-    all_eeg_tokens = scale_eeg_tokens(raw_eeg, fixated)
+    (corpus-level scale), and sentence EEG vectors.
 
-    records = []
-    offset = 0
-    for m in measurements:
-        n = len(m.words)
-        raw_eye = [eye_token_raw(f) for f in m.fixations]
-        records.append(CognitiveRecord(
-            sentence_id=m.sentence_id,
-            tokens=list(m.words),
-            label=m.label,
-            n_fixations=[f.n_fixations for f in m.fixations],
-            eye_tokens=scale_eye_tokens(raw_eye),
-            eeg_tokens=all_eeg_tokens[offset:offset + n],
-            sentence_eeg=sentence_eeg(m.sentence_bands),
-        ))
-        offset += n
-    return FeatureDb(records)
+    All records are checked at once (check_records), so a bad one raises the
+    ValidationError its CognitiveRecord would, and sentence EEG vectors of
+    different lengths are rejected.
+    """
+    if not measurements:
+        return FeatureDb([])
+    fixations = [f for m in measurements for f in m.fixations]
+    raw_eeg = [eeg_token_raw(eeg) for m in measurements for eeg in m.word_eeg]
+    word_offsets = np.cumsum([0, *(len(m.words) for m in measurements)])
+    sentence = [sentence_eeg(m.sentence_bands) for m in measurements]
+    fields = {
+        "n_fixations": (np.array([f.n_fixations for f in fixations], dtype=np.int64), word_offsets),
+        "eye_tokens": (np.concatenate([scale_eye_tokens([eye_token_raw(f) for f in m.fixations])
+                                       for m in measurements]), word_offsets),
+        "eeg_tokens": (scale_eeg_tokens(raw_eeg, [f.n_fixations > 0 for f in fixations]), word_offsets),
+        "sentence_eeg": (np.concatenate(sentence), np.cumsum([0, *map(len, sentence)])),
+    }
+    ids = [m.sentence_id for m in measurements]
+    failure = check_records(ids, np.diff(word_offsets), fields)
+    if failure is not None:
+        raise ValidationError(failure[1])
+    return FeatureDb(_split_records(ids, [list(m.words) for m in measurements],
+                                    [m.label for m in measurements], fields))
 
 
 # ---------------------------------------------------------------------------
@@ -578,20 +600,24 @@ class EEGLexicon:
 
     @classmethod
     def load_jsonl(cls, path: str | Path) -> "EEGLexicon":
-        """Read a lexicon; every vector must have the first entry's length."""
+        """Read a lexicon: distinct string words, counts integers >= 0, and
+        non-empty vectors of the first entry's length."""
         lengths: list[int] = []
 
         def entry(obj: dict) -> tuple[str, np.ndarray, int]:
             vector = np.asarray(obj["vector"], dtype=np.float64)
-            if vector.ndim != 1 or not np.isfinite(vector).all():
-                raise ValidationError("vector must be a flat list of finite numbers")
+            if vector.ndim != 1 or not vector.size or not np.isfinite(vector).all():
+                raise ValidationError("vector must be a non-empty flat list of finite numbers")
+            count = obj["count"]
+            if not (is_integer(count) and count >= 0):
+                raise ValidationError(f"count must be an integer >= 0, got {count!r}")
             if not lengths:
                 lengths.append(len(vector))
             elif len(vector) != lengths[0]:
                 raise ValidationError(
                     f"vector has {len(vector)} channels, the first entry has {lengths[0]}"
                 )
-            return obj["word"], vector, int(obj["count"])
+            return obj["word"], vector, count
 
         entries = _read_jsonl(path, "word", entry)
         return cls({w: v for w, v, _ in entries}, {w: c for w, _, c in entries})
@@ -807,15 +833,23 @@ def save_measurements(measurements: list[SentenceMeasurement], path: str | Path)
 
 
 def load_measurements(path: str | Path) -> list[SentenceMeasurement]:
-    return _read_jsonl(path, "id", lambda obj: SentenceMeasurement(
-        sentence_id=obj["id"],
-        words=obj["words"],
-        label=int(obj["label"]),
-        fixations=[
-            WordFixation(n_fixations=f["n"], ffd=f["ffd"], trt=f["trt"],
-                         gd=f["gd"], gpt=f["gpt"], sfd=f["sfd"])
-            for f in obj["fixations"]
-        ],
-        word_eeg=[None if e is None else WordEEG(np.asarray(e)) for e in obj["word_eeg"]],
-        sentence_bands=np.asarray(obj["sentence_bands"]),
-    ))
+    """Read a raw corpus: distinct string ids, words strings, labels integers >= 0."""
+
+    def measurement(obj: dict) -> SentenceMeasurement:
+        if not (isinstance(obj["words"], list) and all(isinstance(w, str) for w in obj["words"])):
+            raise ValidationError("words must be a list of strings")
+        _check_label(obj["label"])
+        return SentenceMeasurement(
+            sentence_id=obj["id"],
+            words=obj["words"],
+            label=obj["label"],
+            fixations=[
+                WordFixation(n_fixations=f["n"], ffd=f["ffd"], trt=f["trt"],
+                             gd=f["gd"], gpt=f["gpt"], sfd=f["sfd"])
+                for f in obj["fixations"]
+            ],
+            word_eeg=[None if e is None else WordEEG(np.asarray(e)) for e in obj["word_eeg"]],
+            sentence_bands=np.asarray(obj["sentence_bands"]),
+        )
+
+    return _read_jsonl(path, "id", measurement)

@@ -454,6 +454,20 @@ class TestMalformedInputs:
             assert rc == 3, f"{field}: exit {rc}"
             assert f"{path}:5 (id {bad['id']!r})" in err and field in err, err
 
+    def test_features_without_sentence_eeg_exit_3(self, trained_dir, synth_dir, tmp_path, capsys):
+        objs = [json.loads(line) for line in (synth_dir / "features.jsonl").read_text().splitlines()]
+        path, out = tmp_path / "features.jsonl", tmp_path / "o"
+        path.write_text("".join(json.dumps({**obj, "sentence_eeg": []}) + "\n" for obj in objs))
+        first = objs[0]["id"]
+        for argv in (["train", "--features", str(path), "--mode", "none", "--print-config",
+                      "--out", str(out)],
+                     self.eval_args(synth_dir, trained_dir, out, features=path)):
+            rc = cli_main(argv)
+            err = capsys.readouterr().err
+            assert rc == 3, f"{argv[0]}: exit {rc}"
+            assert err == f"error: {path}:1 (id {first!r}): {first}: sentence_eeg is empty\n", err
+            assert not out.exists()
+
     def test_malformed_corpus_and_lexicon_exit_3(self, synth_dir, tmp_path, capsys):
         corpus = tmp_path / "corpus.jsonl"
         corpus.write_text((synth_dir / "corpus.jsonl").read_text()[:200])
@@ -596,6 +610,81 @@ class TestFeatureFileCorruption:
                 assert want is None or err == f"error: {want}\n", f"{label}: {err}"
                 assert not out.exists(), label
         assert n_cases > 300
+
+
+class TestLexiconAndCorpusCorruption:
+    """Plain loops over corruptions of one line of a lexicon and of a raw corpus:
+    each exits 3 naming path:line and the line's key (word or id), with no
+    traceback and no output directory."""
+
+    @staticmethod
+    def cases(lines, index, key, fields, valid):
+        """(label, corrupted line, expected message or None) for lines[index]:
+        each field retyped (values in valid[field] skipped) and the key repeated."""
+        obj = json.loads(lines[index])
+        for field in fields:
+            for value in RETYPES:
+                if type(value) in (int, str) and value in valid.get(field, ()):
+                    continue
+                yield f"{field} = {value!r}", json.dumps({**obj, field: value}), None
+        first = json.loads(lines[0])[key]
+        yield f"repeated {key}", json.dumps({**obj, key: first}), f"duplicate {key}, first on line 1"
+
+    @staticmethod
+    def check_all(capsys, tmp_path, lines, key, cases, argv):
+        path, out = tmp_path / "input.jsonl", tmp_path / "o"
+        n_cases = 0
+        for index in (3, len(lines) - 1):
+            for label, bad, detail in cases(lines, index):
+                path.write_text("\n".join([*lines[:index], bad, *lines[index + 1:]]) + "\n")
+                n_cases += 1
+                rc = cli_main(argv(path, out / "result.jsonl"))
+                err = capsys.readouterr().err
+                assert rc == 3, f"line {index + 1}, {label}: exit {rc}"
+                where = f"{path}:{index + 1} ({key} {json.loads(bad)[key]!r}): "
+                assert err.startswith(f"error: {where}"), f"{label}: {err}"
+                assert detail is None or err == f"error: {where}{detail}\n", f"{label}: {err}"
+                assert not out.exists(), label
+        return n_cases
+
+    def test_every_lexicon_corruption_exits_3(self, synth_dir, tmp_path, capsys):
+        lex = tmp_path / "lexicon.jsonl"
+        assert cli_main(["lexicon", "build", "--corpus", str(synth_dir / "corpus.jsonl"),
+                         "--out", str(lex)]) == 0
+        capsys.readouterr()
+        lines = lex.read_text().splitlines()
+
+        def cases(lines, index):
+            yield from self.cases(lines, index, "word", ("word", "count", "vector"),
+                                  {"word": ("x",), "count": (10**30,)})
+            obj = json.loads(lines[index])
+            for value in (True, 2.5, -1):
+                yield (f"count = {value!r}", json.dumps({**obj, "count": value}),
+                       f"count must be an integer >= 0, got {value!r}")
+
+        n_cases = self.check_all(capsys, tmp_path, lines, "word", cases, lambda path, out: [
+            "lexicon", "apply", "--lexicon", str(path),
+            "--features", str(synth_dir / "features.jsonl"), "--out", str(out)])
+        assert n_cases > 50
+
+    def test_every_corpus_corruption_exits_3(self, synth_dir, tmp_path, capsys):
+        lines = (synth_dir / "corpus.jsonl").read_text().splitlines()
+
+        def cases(lines, index):
+            yield from self.cases(lines, index, "id", ("id", "label", "words"), {"id": ("x",)})
+            obj = json.loads(lines[index])
+            for value in (True, 2.5, -1):
+                yield (f"label = {value!r}", json.dumps({**obj, "label": value}),
+                       f"label must be an integer in 0..{2**63 - 1}, got {value!r}")
+            for value in RETYPES:
+                if value != "x":
+                    words = [value, *obj["words"][1:]]
+                    yield (f"words[0] = {value!r}", json.dumps({**obj, "words": words}),
+                           "words must be a list of strings")
+
+        n_cases = self.check_all(capsys, tmp_path, lines, "id", cases, lambda path, out: [
+            "lexicon", "build", "--corpus", str(path), "--out", str(out)])
+        assert n_cases > 50
 
 
 class TestBadConfigValues:

@@ -19,6 +19,7 @@ from cogbert.features import (
     build_lexicon,
     check_records,
     cognitive_mask,
+    derive_records,
     eeg_token_raw,
     eye_token_raw,
     lexicon_sentence_eeg,
@@ -355,7 +356,63 @@ class TestLexicon:
             EEGLexicon.load_jsonl(path)
 
 
+def derive_one_by_one(measurements):
+    """Reference: derive_records building and checking one CognitiveRecord per sentence."""
+    fixations = [f for m in measurements for f in m.fixations]
+    all_eeg_tokens = scale_eeg_tokens([eeg_token_raw(e) for m in measurements for e in m.word_eeg],
+                                      [f.n_fixations > 0 for f in fixations])
+    records, offset = [], 0
+    for m in measurements:
+        n = len(m.words)
+        records.append(CognitiveRecord(
+            sentence_id=m.sentence_id, tokens=list(m.words), label=m.label,
+            n_fixations=[f.n_fixations for f in m.fixations],
+            eye_tokens=scale_eye_tokens([eye_token_raw(f) for f in m.fixations]),
+            eeg_tokens=all_eeg_tokens[offset:offset + n],
+            sentence_eeg=sentence_eeg(m.sentence_bands)))
+        offset += n
+    return records
+
+
 class TestDeriveRecords:
+    FIELDS = ("n_fixations", "eye_tokens", "eeg_tokens", "sentence_eeg")
+
+    def test_records_equal_per_record_construction(self):
+        for cfg, seed in ((SynthConfig(n_sentences=40, distractors=2), 2),
+                          (SynthConfig(n_sentences=24, min_words=48, max_words=62), 7),
+                          (SynthConfig(n_sentences=16, filler_fix_prob=0.0, eeg_channels=1), 13)):
+            meas, _, _ = synth_generate(cfg, seed)
+            db = derive_records(meas)
+            want = derive_one_by_one(meas)
+            assert db.ids() == [rec.sentence_id for rec in want]
+            for w in want:
+                got = db.get(w.sentence_id)
+                assert got.tokens == w.tokens and type(got.label) is int and got.label == w.label
+                for f in self.FIELDS:
+                    a, b = getattr(got, f), getattr(w, f)
+                    assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), f
+        assert len(derive_records([])) == 0
+
+    def test_bad_record_raises_the_per_record_message(self):
+        rng = np.random.default_rng(5)
+        fixations = [WordFixation(2, 100, 200, 100, 100), WordFixation(0)]
+        for bad_index in (0, 2):
+            meas = [toy_measurement(f"m{i}", ["a", "b"], fixations, rng) for i in range(3)]
+            meas[bad_index].sentence_bands[3, 1] = float("nan")
+            with pytest.raises(ValidationError) as want:
+                derive_one_by_one(meas)
+            with pytest.raises(ValidationError) as got:
+                derive_records(meas)
+            assert str(got.value) == str(want.value) == f"m{bad_index}: sentence_eeg holds non-finite values"
+
+    def test_changed_channel_count_rejected(self):
+        rng = np.random.default_rng(6)
+        fixations = [WordFixation(2, 100, 200, 100, 100)]
+        meas = [toy_measurement("m0", ["a"], fixations, rng, C=4),
+                toy_measurement("m1", ["a"], fixations, rng, C=3)]
+        with pytest.raises(ValidationError, match="sentence_eeg has 3 channels, the first record has 4"):
+            derive_records(meas)
+
     def test_token_zeroing_follows_fixations(self):
         _, db, _ = synth_generate(SynthConfig(n_sentences=40), seed=3)
         for sid in db.ids():
