@@ -7,12 +7,15 @@ collapse to a single channel vector. Unfixated words always map to token 0
 and are the words a cognitive attention mask suppresses.
 
 A FeatureDb keyed by sentence id is the model's lookup table at train and
-eval time; its JSON-lines form is the canonical interchange format. Loading
-one concatenates each per-word field over all records into a flat array with
-record offsets, checks every record at once (check_records, which each
-CognitiveRecord built in code also runs on its own fields) and gives each
-record views into those arrays. The word-EEG lexicon approximates sentence
-EEG for corpora without recordings.
+eval time; its JSON-lines form is the canonical interchange format. All
+three JSON-lines loaders (feature db, lexicon, raw corpus) read through
+_read_jsonl, which rejects a line that is not a JSON object or repeats an
+id. Loading a feature db type-checks every record and concatenates each
+per-word field over all records into a flat array with record offsets in
+one pass (_record_columns), checks every record's values at once
+(check_records, which each CognitiveRecord built in code also runs on its
+own fields) and gives each record views into those arrays. The word-EEG
+lexicon approximates sentence EEG for corpora without recordings.
 """
 
 from __future__ import annotations
@@ -212,42 +215,47 @@ def check_records(
     return next((first, message(first)) for bad, message in checks if bad[first])
 
 
-def _all_integers(values: list) -> bool:
-    """Every value is_integer; JSON's integers are exact ints and pass without a call each."""
-    return set(map(type, values)) <= {int} or all(map(is_integer, values))
+# dtype -> (the JSON types of the values it holds, what a message calls them)
+_NUMBERS = {np.int64: ({int}, "int64 integers"), np.float64: ({int, float}, "float64 numbers")}
 
 
-def _all_reals(values: list) -> bool:
-    """Every value is_real; JSON's numbers are exact ints or floats and pass without a call each."""
-    return set(map(type, values)) <= {int, float} or all(map(is_real, values))
-
-
-def _all_labels(values: list) -> bool:
-    """Every value is an integer in 0..int64 max."""
-    return _all_integers(values) and 0 <= min(values, default=0) and max(values, default=0) <= _INT64_MAX
-
-
-def _check_label(value) -> None:
-    if not _all_labels([value]):
-        raise ValidationError(f"label must be an integer in 0..{_INT64_MAX}, got {value!r}")
-
-
-def _json_lines(path: str | Path) -> tuple[list[tuple[int, object]], DataError | None]:
-    """(line number, value) of each non-empty line up to the first that is not
-    JSON, and the DataError naming that line (None if every line parses)."""
+def _fits(value, dtype) -> bool:
+    """value is a JSON number that converts to dtype: an int within int64, or
+    for float64 a float or an int that is not too large for a float."""
+    if dtype is np.int64:
+        return type(value) is int and -_INT64_MAX - 1 <= value <= _INT64_MAX
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not a UTF-8 JSON-lines file: {exc}") from None
-    parsed = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line:
-            continue
+        return type(value) is float or type(value) is int and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _check_labels(labels: list) -> None:
+    """Raise a ValidationError naming the first label that is not an integer in 0..int64 max."""
+    if not (set(map(type, labels)) <= {int} and 0 <= min(labels, default=0)
+            and max(labels, default=0) <= _INT64_MAX):
+        bad = next(v for v in labels if not (_fits(v, np.int64) and v >= 0))
+        raise ValidationError(f"label must be an integer in 0..{_INT64_MAX}, got {bad!r}")
+
+
+def _concat(name: str, lists: list, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """(values, offsets) of JSON lists of numbers joined into one dtype array.
+
+    A ValidationError names the first item of lists that is not a list, or
+    else the first value that _fits rejects.
+    """
+    if set(map(type, lists)) <= {list}:
+        flat = list(chain.from_iterable(lists))
+        types, noun = _NUMBERS[dtype]
         try:
-            parsed.append((lineno, json.loads(line)))
-        except ValueError as exc:
-            return parsed, _line_error(path, lineno, None, "id", exc)
-    return parsed, None
+            if set(map(type, flat)) <= types:
+                return np.array(flat, dtype=dtype), np.cumsum([0, *map(len, lists)])
+        except OverflowError:
+            pass
+        bad = next(v for v in flat if not _fits(v, dtype))
+        raise ValidationError(f"{name} must hold {noun}, got {bad!r}")
+    bad = next(v for v in lists if type(v) is not list)
+    raise ValidationError(f"{name} must be a list, got {bad!r}")
 
 
 def _line_error(path: str | Path, lineno: int, obj, id_key: str, exc: Exception) -> DataError:
@@ -262,79 +270,74 @@ def _line_error(path: str | Path, lineno: int, obj, id_key: str, exc: Exception)
 
 # What a line's parse or checks may raise; a DataError naming the line replaces it.
 _LINE_ERRORS = (ValueError, KeyError, TypeError, OverflowError)
+_JSON_NAMES = {list: "an array", str: "a string", int: "a number", float: "a number",
+               bool: "a boolean", type(None): "null"}
 
 
-def _read_jsonl(path: str | Path, id_key: str, parse: Callable[[dict], object]) -> list:
-    """parse() each non-empty line of a JSON-lines file, whose id_key values
-    must be distinct strings.
+def _read_jsonl(path: str | Path, id_key: str, parse: Callable[[dict], object],
+                ) -> tuple[list[tuple[int, dict, object]], DataError | None]:
+    """Read the non-empty lines of a JSON-lines file up to the first bad one.
 
-    Any failure (bad JSON, missing key, wrong type, rejected value, repeated
-    id) becomes a DataError naming path:line and, when the line parsed, its
-    record id.
+    Each line must parse to a JSON object; then parse(obj) runs, and
+    obj[id_key] must be a string no earlier line holds. Returns the
+    (line number, object, parse result) of each line before the first that
+    fails, and that line's DataError (None if no line fails), which names
+    path:line and, when the line is an object holding one, its id.
     """
-    parsed, bad_line = _json_lines(path)
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not a UTF-8 JSON-lines file: {exc}") from None
     items = []
     first_line: dict[str, int] = {}
-    for lineno, obj in parsed:
+    for lineno, line in enumerate(lines, start=1):
+        if not line:
+            continue
+        obj = None
         try:
-            items.append(parse(obj))
+            obj = json.loads(line)
+            if type(obj) is not dict:
+                raise ValidationError(f"expected a JSON object, got {_JSON_NAMES[type(obj)]}")
+            parsed = parse(obj)
             key = obj[id_key]
             if not isinstance(key, str):
                 raise ValidationError(f"{id_key} must be a string, got {key!r}")
             if key in first_line:
                 raise ValidationError(f"duplicate {id_key}, first on line {first_line[key]}")
         except _LINE_ERRORS as exc:
-            raise _line_error(path, lineno, obj, id_key, exc) from None
+            return items, _line_error(path, lineno, obj, id_key, exc)
         first_line[key] = lineno
-    if bad_line is not None:
-        raise bad_line
-    return items
+        items.append((lineno, obj, parsed))
+    return items, None
 
 
-def _records_at_once(path: str | Path, parsed: list[tuple[int, object]]) -> list[CognitiveRecord] | None:
-    """Every record of a feature file, read and checked in one pass over flat arrays.
+_RECORD_KEYS = ("tokens", "label", *_TOKEN_FIELDS, "sentence_eeg")
 
-    Returns None when some line is not an object with every field of its JSON
-    type (or an integer exceeds int64), leaving it to _records_one_by_one to
-    name. Otherwise raises the DataError of the first record check_records or
-    a repeated id rejects, or returns records that hold views into the flat
-    arrays.
+
+def _record_columns(objs: list[dict]) -> tuple[list, list, dict[str, tuple[np.ndarray, np.ndarray]]]:
+    """The tokens, labels and flat fields (as check_records takes them) of
+    feature-file records, read and type-checked in one pass over all of them.
+
+    Raises a ValidationError for the first of _RECORD_KEYS that some record
+    lacks, or else that some record holds with a wrong JSON type: tokens a
+    list of strings, label an integer in 0..int64 max, the token fields lists
+    of int64 integers, sentence_eeg a list of float64 numbers. A record
+    passes or fails regardless of the others, so on one record the error is
+    that record's.
     """
-    objs = [obj for _, obj in parsed]
-    if not objs:
-        return []
-    try:
-        ids = [obj["id"] for obj in objs]
-        tokens = [obj["tokens"] for obj in objs]
-        labels = [obj["label"] for obj in objs]
-        lists = {name: [obj[name] for obj in objs] for name in (*_TOKEN_FIELDS, "sentence_eeg")}
-    except (KeyError, TypeError):
-        return None
-    if not (set(map(type, ids)) <= {str} and _all_labels(labels)
-            and set(map(type, chain(tokens, *lists.values()))) <= {list}):
-        return None
-    flat = {name: list(chain.from_iterable(group)) for name, group in lists.items()}
-    if not (set(map(type, chain.from_iterable(tokens))) <= {str}
-            and all(_all_integers(flat[name]) for name in _TOKEN_FIELDS)
-            and _all_reals(flat["sentence_eeg"])):
-        return None
-    try:
-        fields = {name: (np.array(flat[name], dtype=np.int64 if name in _TOKEN_FIELDS else np.float64),
-                         np.cumsum([0, *map(len, group)]))
-                  for name, group in lists.items()}
-    except OverflowError:
-        return None
-    failure = check_records(ids, np.fromiter(map(len, tokens), np.int64, len(tokens)), fields)
-    first_line: dict[str, int] = {}
-    for i, (lineno, obj) in enumerate(parsed):
-        if failure is not None and failure[0] == i:
-            raise _line_error(path, lineno, obj, "id", ValidationError(failure[1]))
-        if obj["id"] in first_line:
-            raise _line_error(path, lineno, obj, "id", ValidationError(
-                f"duplicate id, first on line {first_line[obj['id']]}"))
-        first_line[obj["id"]] = lineno
-
-    return _split_records(ids, tokens, labels, fields)
+    columns = {}
+    for name in _RECORD_KEYS:
+        try:
+            columns[name] = [obj[name] for obj in objs]
+        except KeyError:
+            raise ValidationError(f"missing key {name!r}") from None
+    tokens, labels = columns["tokens"], columns["label"]
+    if not (set(map(type, tokens)) <= {list} and set(map(type, chain.from_iterable(tokens))) <= {str}):
+        raise ValidationError("tokens must be a list of strings")
+    _check_labels(labels)
+    fields = {name: _concat(name, columns[name], np.int64 if name in _TOKEN_FIELDS else np.float64)
+              for name in (*_TOKEN_FIELDS, "sentence_eeg")}
+    return tokens, labels, fields
 
 
 def _split_records(ids: list[str], tokens: list[list[str]], labels: list[int],
@@ -347,62 +350,6 @@ def _split_records(ids: list[str], tokens: list[list[str]], labels: list[int],
     sentence_eeg, sentence_offsets = fields["sentence_eeg"]
     rows = sentence_eeg.reshape(len(ids), int(sentence_offsets[1]))
     return list(map(CognitiveRecord._checked, ids, tokens, labels, *segments, rows))
-
-
-def _records_one_by_one(path: str | Path, parsed: list[tuple[int, object]]) -> list[CognitiveRecord]:
-    """Every record of a feature file, each built and checked before the next.
-
-    A line's checks run in this order, and the first failure is its
-    DataError: the fields are looked up and the label made an int; the
-    CognitiveRecord checks; sentence_eeg is flat and as long as the first
-    record's; then the JSON types (id a string, tokens a list of strings,
-    label an int64 >= 0, token fields integers, sentence_eeg numbers); last,
-    the id is new.
-    """
-    records: list[CognitiveRecord] = []
-    first_line: dict[str, int] = {}
-    for lineno, obj in parsed:
-        try:
-            rec = CognitiveRecord(
-                sentence_id=obj["id"],
-                tokens=obj["tokens"],
-                label=int(obj["label"]),
-                n_fixations=obj["n_fixations"],
-                eye_tokens=obj["eye_tokens"],
-                eeg_tokens=obj["eeg_tokens"],
-                sentence_eeg=obj["sentence_eeg"],
-            )
-            if rec.sentence_eeg.ndim != 1:
-                raise ValidationError("sentence_eeg must be a flat list of numbers")
-            if records and rec.sentence_eeg.shape[0] != records[0].sentence_eeg.shape[0]:
-                raise ValidationError(
-                    f"sentence_eeg has {rec.sentence_eeg.shape[0]} channels, "
-                    f"the first record has {records[0].sentence_eeg.shape[0]}"
-                )
-            _check_json_types(obj)
-            if obj["id"] in first_line:
-                raise ValidationError(f"duplicate id, first on line {first_line[obj['id']]}")
-        except _LINE_ERRORS as exc:
-            raise _line_error(path, lineno, obj, "id", exc) from None
-        first_line[obj["id"]] = lineno
-        records.append(rec)
-    return records
-
-
-def _check_json_types(obj: dict) -> None:
-    """Reject a record whose values converted but are not of their JSON type."""
-    if not isinstance(obj["id"], str):
-        raise ValidationError(f"id must be a string, got {obj['id']!r}")
-    if not (isinstance(obj["tokens"], list) and all(isinstance(w, str) for w in obj["tokens"])):
-        raise ValidationError("tokens must be a list of strings")
-    _check_label(obj["label"])
-    for name in _TOKEN_FIELDS:
-        if not _all_integers(obj[name]):
-            bad = next(v for v in obj[name] if not is_integer(v))
-            raise ValidationError(f"{name} must hold integers, got {bad!r}")
-    if not _all_reals(obj["sentence_eeg"]):
-        bad = next(v for v in obj["sentence_eeg"] if not is_real(v))
-        raise ValidationError(f"sentence_eeg must hold numbers, got {bad!r}")
 
 
 class FeatureDb:
@@ -443,18 +390,34 @@ class FeatureDb:
     def load_jsonl(cls, path: str | Path) -> "FeatureDb":
         """Read a feature db, one record per line; the first bad line is a DataError.
 
-        Records are read in one pass over flat arrays (_records_at_once). A
-        file with a value of the wrong type is read one record at a time
-        instead, so that the error names the first bad record. Lines after
-        one that is not JSON are never checked.
+        _read_jsonl reads the lines up to the first that is not a JSON object
+        with a new string id. _record_columns checks the JSON types of those
+        records and makes flat arrays of them in one pass; only if it fails
+        does it run on one record at a time, to find the first with a wrong
+        type. check_records then checks the records before that one at once,
+        and the error names whichever failing line comes first. Records hold
+        views into the flat arrays.
         """
-        parsed, bad_line = _json_lines(path)
-        records = _records_at_once(path, parsed)
-        if records is None:
-            records = _records_one_by_one(path, parsed)
-        if bad_line is not None:
-            raise bad_line
-        return cls(records)
+        items, error = _read_jsonl(path, "id", lambda obj: None)
+        try:
+            tokens, labels, fields = _record_columns([obj for _, obj, _ in items])
+        except ValidationError:
+            for n, (lineno, obj, _) in enumerate(items):
+                try:
+                    _record_columns([obj])
+                except ValidationError as exc:
+                    error = _line_error(path, lineno, obj, "id", exc)
+                    break
+            items = items[:n]
+            tokens, labels, fields = _record_columns([obj for _, obj, _ in items])
+        ids = [obj["id"] for _, obj, _ in items]
+        failure = check_records(ids, np.fromiter(map(len, tokens), np.int64, len(tokens)), fields)
+        if failure is not None:
+            lineno, obj, _ = items[failure[0]]
+            raise _line_error(path, lineno, obj, "id", ValidationError(failure[1]))
+        if error is not None:
+            raise error
+        return cls(_split_records(ids, tokens, labels, fields) if ids else [])
 
 
 # ---------------------------------------------------------------------------
@@ -605,8 +568,8 @@ class EEGLexicon:
         lengths: list[int] = []
 
         def entry(obj: dict) -> tuple[str, np.ndarray, int]:
-            vector = np.asarray(obj["vector"], dtype=np.float64)
-            if vector.ndim != 1 or not vector.size or not np.isfinite(vector).all():
+            vector, _ = _concat("vector", [obj["vector"]], np.float64)
+            if not vector.size or not np.isfinite(vector).all():
                 raise ValidationError("vector must be a non-empty flat list of finite numbers")
             count = obj["count"]
             if not (is_integer(count) and count >= 0):
@@ -619,8 +582,10 @@ class EEGLexicon:
                 )
             return obj["word"], vector, count
 
-        entries = _read_jsonl(path, "word", entry)
-        return cls({w: v for w, v, _ in entries}, {w: c for w, _, c in entries})
+        items, error = _read_jsonl(path, "word", entry)
+        if error is not None:
+            raise error
+        return cls({w: v for _, _, (w, v, _) in items}, {w: c for _, _, (w, _, c) in items})
 
 
 def build_lexicon(measurements: list[SentenceMeasurement]) -> EEGLexicon:
@@ -832,24 +797,58 @@ def save_measurements(measurements: list[SentenceMeasurement], path: str | Path)
             }, sort_keys=True) + "\n")
 
 
+_DURATIONS = ("ffd", "trt", "gd", "gpt", "sfd")
+
+
+def _fixation(f) -> WordFixation:
+    """A raw-corpus fixation object: n an int64 integer, durations finite numbers."""
+    if type(f) is not dict:
+        raise ValidationError(f"fixations must hold objects, got {f!r}")
+    if not _fits(f["n"], np.int64):
+        raise ValidationError(f"fixation n must be an int64 integer, got {f['n']!r}")
+    for key in _DURATIONS:
+        if not (_fits(f[key], np.float64) and math.isfinite(f[key])):
+            raise ValidationError(f"fixation {key} must be a finite number, got {f[key]!r}")
+    return WordFixation(f["n"], *(f[key] for key in _DURATIONS))
+
+
+def _finite_rows(name: str, rows) -> np.ndarray:
+    """A JSON list of non-empty, equal-length lists of finite numbers as a float64 matrix."""
+    if type(rows) is not list:
+        raise ValidationError(f"{name} must be a list of lists, got {rows!r}")
+    values, offsets = _concat(f"{name} row", rows, np.float64)
+    widths = np.diff(offsets)
+    if not (widths.all() and (widths == widths[:1]).all()):
+        raise ValidationError(f"{name} rows must be non-empty and of equal length")
+    if not np.isfinite(values).all():
+        raise ValidationError(f"{name} holds non-finite values")
+    return values.reshape(len(rows), -1 if rows else 0)
+
+
 def load_measurements(path: str | Path) -> list[SentenceMeasurement]:
-    """Read a raw corpus: distinct string ids, words strings, labels integers >= 0."""
+    """Read a raw corpus: distinct string ids, words strings, labels integers
+    in 0..int64 max, fixations objects (n an int64 integer, durations finite
+    numbers), and word and sentence EEG lists of non-empty, equal-length
+    lists of finite numbers."""
 
     def measurement(obj: dict) -> SentenceMeasurement:
         if not (isinstance(obj["words"], list) and all(isinstance(w, str) for w in obj["words"])):
             raise ValidationError("words must be a list of strings")
-        _check_label(obj["label"])
+        _check_labels([obj["label"]])
+        for name in ("fixations", "word_eeg"):
+            if type(obj[name]) is not list:
+                raise ValidationError(f"{name} must be a list, got {obj[name]!r}")
         return SentenceMeasurement(
             sentence_id=obj["id"],
             words=obj["words"],
             label=obj["label"],
-            fixations=[
-                WordFixation(n_fixations=f["n"], ffd=f["ffd"], trt=f["trt"],
-                             gd=f["gd"], gpt=f["gpt"], sfd=f["sfd"])
-                for f in obj["fixations"]
-            ],
-            word_eeg=[None if e is None else WordEEG(np.asarray(e)) for e in obj["word_eeg"]],
-            sentence_bands=np.asarray(obj["sentence_bands"]),
+            fixations=[_fixation(f) for f in obj["fixations"]],
+            word_eeg=[None if e is None else WordEEG(_finite_rows("word_eeg entry", e))
+                      for e in obj["word_eeg"]],
+            sentence_bands=_finite_rows("sentence_bands", obj["sentence_bands"]),
         )
 
-    return _read_jsonl(path, "id", measurement)
+    items, error = _read_jsonl(path, "id", measurement)
+    if error is not None:
+        raise error
+    return [m for _, _, m in items]

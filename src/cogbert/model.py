@@ -30,7 +30,7 @@ float64 and a wider batch could not change any real row.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -167,6 +167,12 @@ def _param_spec(cfg: ModelConfig) -> list[tuple[str, int, int, bool]]:
     return spec
 
 
+def _tensor_count(cfg: ModelConfig) -> int:
+    """len(_param_spec(cfg)), counted without listing every layer's tensors."""
+    one, two = (len(_param_spec(replace(cfg, layers=n))) for n in (1, 2))
+    return one + (cfg.layers - 1) * (two - one)
+
+
 class EncoderParams:
     """All trainable tensors for one configuration, addressable by name.
 
@@ -282,7 +288,8 @@ def _load_sidecar(sidecar: Path) -> ModelConfig:
 
 
 def load_checkpoint(path: str | Path) -> EncoderParams:
-    cfg = _load_sidecar(_sidecar_path(path))
+    sidecar = _sidecar_path(path)
+    cfg = _load_sidecar(sidecar)
 
     try:
         blob = Path(path).read_bytes()
@@ -296,6 +303,11 @@ def load_checkpoint(path: str | Path) -> EncoderParams:
             raise ValueError
     except ValueError:
         raise CheckpointError(f"{path}: not a checkpoint file") from None
+    # before any per-tensor work, which a sidecar naming 10**30 layers would make endless
+    want = _tensor_count(cfg)
+    if n_tensors != want:
+        raise CheckpointError(f"{path}: header lists {n_tensors} tensors, "
+                              f"the config in {sidecar} needs {want}")
 
     offset = first_nl + 1
     entries: list[tuple[str, int, int]] = []

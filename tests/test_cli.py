@@ -3,9 +3,15 @@
 import csv
 import hashlib
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import cogbert
 from cogbert.cli import main as cli_main
 from cogbert.features import (
     EEGLexicon,
@@ -512,11 +518,41 @@ RETYPES = (None, True, "x", 2.5, -1, [], {}, 10**30, float("nan"))
 TOKEN_FIELDS = ("n_fixations", "eye_tokens", "eeg_tokens")
 
 
+JSON_NAMES = {list: "an array", str: "a string", int: "a number", float: "a number",
+              bool: "a boolean", type(None): "null"}
+INT64_MAX = 2**63 - 1
+FLOAT64_ROUNDS_TO_INF = 2**1024 - 2**970  # halfway from the largest double to 2**1024
+
+
+def json_type_message(obj):
+    """Reference: what the loader says of a feature-file object's first missing
+    key or value of a wrong JSON type, in its order; None if all are well typed."""
+    for name in ("tokens", "label", *TOKEN_FIELDS, "sentence_eeg"):
+        if name not in obj:
+            return f"missing key {name!r}"
+    if not (type(obj["tokens"]) is list and all(type(w) is str for w in obj["tokens"])):
+        return "tokens must be a list of strings"
+    label = obj["label"]
+    if not (type(label) is int and 0 <= label <= INT64_MAX):
+        return f"label must be an integer in 0..{INT64_MAX}, got {label!r}"
+    for name in (*TOKEN_FIELDS, "sentence_eeg"):
+        values = obj[name]
+        if type(values) is not list:
+            return f"{name} must be a list, got {values!r}"
+        for v in values:
+            if name == "sentence_eeg":
+                if not (type(v) is float or type(v) is int and abs(v) < FLOAT64_ROUNDS_TO_INF):
+                    return f"{name} must hold float64 numbers, got {v!r}"
+            elif not (type(v) is int and -INT64_MAX - 1 <= v <= INT64_MAX):
+                return f"{name} must hold int64 integers, got {v!r}"
+    return None
+
+
 def record_by_record_message(path):
-    """Reference: the DataError message of a loader that builds and checks one
-    CognitiveRecord per line, first failure wins; None if it accepts the file or
-    ends in a traceback (an OverflowError escapes it)."""
+    """Reference: the DataError message of a loader that reads, types, builds and
+    checks one record per line, first failure wins; None if it accepts the file."""
     channels = None
+    first_line = {}
     lines = path.read_text(encoding="utf-8").splitlines()
     for lineno, line in enumerate(lines, start=1):
         if not line:
@@ -524,7 +560,18 @@ def record_by_record_message(path):
         obj = None
         try:
             obj = json.loads(line)
-            sid, tokens, _ = obj["id"], obj["tokens"], int(obj["label"])
+            if type(obj) is not dict:
+                raise ValueError(f"expected a JSON object, got {JSON_NAMES[type(obj)]}")
+            sid = obj["id"]
+            if type(sid) is not str:
+                raise ValueError(f"id must be a string, got {sid!r}")
+            if sid in first_line:
+                raise ValueError(f"duplicate id, first on line {first_line[sid]}")
+            first_line[sid] = lineno
+            type_message = json_type_message(obj)
+            if type_message is not None:
+                raise ValueError(type_message)
+            tokens = obj["tokens"]
             raw = [obj[name] for name in (*TOKEN_FIELDS, "sentence_eeg")]
             arrays = [np.asarray(values, dtype=np.int64) for values in raw[:3]]
             sent = np.asarray(raw[3], dtype=np.float64)
@@ -536,16 +583,14 @@ def record_by_record_message(path):
                     raise ValueError(f"{sid}: {name} outside 0..100: [{arr.min()}, {arr.max()}]")
             if not np.isfinite(sent).all():
                 raise ValueError(f"{sid}: sentence_eeg holds non-finite values")
-            if sent.ndim != 1:
-                raise ValueError("sentence_eeg must be a flat list of numbers")
             if channels is None:
                 channels = sent.shape[0]
             elif sent.shape[0] != channels:
                 raise ValueError(f"sentence_eeg has {sent.shape[0]} channels, "
                                  f"the first record has {channels}")
-        except OverflowError:
-            return None
-        except (ValueError, KeyError, TypeError) as exc:
+            if arrays[0].min(initial=0) < 0:
+                raise ValueError(f"{sid}: n_fixations below 0: {arrays[0].min()}")
+        except (ValueError, KeyError) as exc:
             where = f"{path}:{lineno}"
             if isinstance(obj, dict) and "id" in obj:
                 where += f" (id {obj['id']!r})"
@@ -556,9 +601,9 @@ def record_by_record_message(path):
 
 class TestFeatureFileCorruption:
     """Plain loops over corruptions of one record of a feature file: each exits 3
-    naming path:line (and the id when the line parses), with no traceback and no
-    output directory; a message the record-by-record reference gives is kept
-    byte for byte."""
+    with the message of the record-by-record reference, byte for byte, which
+    names path:line (and the id when the line parses), and leaves no output
+    directory."""
 
     @staticmethod
     def cases(lines, index):
@@ -607,7 +652,7 @@ class TestFeatureFileCorruption:
                     where += f" (id {obj['id']!r})"
                 assert err.startswith(f"error: {where}: "), f"{label}: {err}"
                 want = record_by_record_message(path)
-                assert want is None or err == f"error: {want}\n", f"{label}: {err}"
+                assert want is not None and err == f"error: {want}\n", f"{label}: {err}"
                 assert not out.exists(), label
         assert n_cases > 300
 
@@ -661,6 +706,11 @@ class TestLexiconAndCorpusCorruption:
             for value in (True, 2.5, -1):
                 yield (f"count = {value!r}", json.dumps({**obj, "count": value}),
                        f"count must be an integer >= 0, got {value!r}")
+            for value, detail in (("x", "vector must be a list, got 'x'"),
+                                  (["x"], "vector must hold float64 numbers, got 'x'"),
+                                  ([[1.0]], "vector must hold float64 numbers, got [1.0]"),
+                                  ([], "vector must be a non-empty flat list of finite numbers")):
+                yield f"vector = {value!r}", json.dumps({**obj, "vector": value}), detail
 
         n_cases = self.check_all(capsys, tmp_path, lines, "word", cases, lambda path, out: [
             "lexicon", "apply", "--lexicon", str(path),
@@ -681,10 +731,143 @@ class TestLexiconAndCorpusCorruption:
                     words = [value, *obj["words"][1:]]
                     yield (f"words[0] = {value!r}", json.dumps({**obj, "words": words}),
                            "words must be a list of strings")
+            if index == 3:  # a line's nested values are checked wherever the line is
+                yield from self.nested_corpus_cases(obj)
 
         n_cases = self.check_all(capsys, tmp_path, lines, "id", cases, lambda path, out: [
             "lexicon", "build", "--corpus", str(path), "--out", str(out)])
         assert n_cases > 50
+
+    @staticmethod
+    def nested_corpus_cases(obj):
+        """(label, corrupted line, expected message) for the fixations, word EEG and
+        sentence bands of a raw-corpus line."""
+        fixated = next(i for i, f in enumerate(obj["fixations"]) if f["n"] > 0)
+
+        def with_fixation(key, value):
+            fixations = [dict(f) for f in obj["fixations"]]
+            fixations[fixated][key] = value
+            return json.dumps({**obj, "fixations": fixations})
+
+        for value in (2.5, True, None, 10**30):
+            yield (f"fixation n = {value!r}", with_fixation("n", value),
+                   f"fixation n must be an int64 integer, got {value!r}")
+        for key in ("ffd", "sfd"):
+            for value in (float("nan"), float("inf"), True, "x", None, 10**400):
+                yield (f"fixation {key} = {value!r}", with_fixation(key, value),
+                       f"fixation {key} must be a finite number, got {value!r}")
+        word_eeg = [None if e is None else [list(row) for row in e] for e in obj["word_eeg"]]
+        word_eeg[fixated][3][1] = float("nan")
+        yield ("word_eeg NaN", json.dumps({**obj, "word_eeg": word_eeg}),
+               "word_eeg entry holds non-finite values")
+        word_eeg[fixated][3] = word_eeg[fixated][3][1:]
+        yield ("word_eeg short row", json.dumps({**obj, "word_eeg": word_eeg}),
+               "word_eeg entry rows must be non-empty and of equal length")
+        word_eeg[fixated] = "x"
+        yield ("word_eeg entry 'x'", json.dumps({**obj, "word_eeg": word_eeg}),
+               "word_eeg entry must be a list of lists, got 'x'")
+        bands = [list(row) for row in obj["sentence_bands"]]
+        bands[7][0] = float("inf")
+        yield ("sentence_bands inf", json.dumps({**obj, "sentence_bands": bands}),
+               "sentence_bands holds non-finite values")
+        bands[7] = [True]
+        yield ("sentence_bands row [True]", json.dumps({**obj, "sentence_bands": bands}),
+               "sentence_bands row must hold float64 numbers, got True")
+        for field in ("fixations", "word_eeg"):
+            for value in (None, "x", {}):
+                yield (f"{field} = {value!r}", json.dumps({**obj, field: value}),
+                       f"{field} must be a list, got {value!r}")
+        for value in (None, 2.5):
+            yield (f"sentence_bands = {value!r}", json.dumps({**obj, "sentence_bands": value}),
+                   f"sentence_bands must be a list of lists, got {value!r}")
+            yield (f"fixations[0] = {value!r}",
+                   json.dumps({**obj, "fixations": [value, *obj["fixations"][1:]]}),
+                   f"fixations must hold objects, got {value!r}")
+
+
+class TestCheckpointCorruption:
+    """Plain loops over corruptions of a checkpoint and of its sidecar: each exits 3
+    naming the checkpoint or the sidecar, with no traceback and no output directory."""
+
+    @staticmethod
+    def check_all(capsys, argv, out, cases, write, named, valid=()):
+        for label, data in cases:
+            write(data)
+            rc = cli_main(argv)
+            err = capsys.readouterr().err
+            if label in valid:  # a corruption that leaves a valid checkpoint
+                assert rc == 0, f"{label}: exit {rc}: {err}"
+                shutil.rmtree(out)
+                continue
+            assert rc == 3, f"{label}: exit {rc}"
+            assert any(str(path) in err for path in named), f"{label}: {err}"
+            assert not out.exists(), label
+
+    def test_every_header_flip_and_truncation_exits_3(self, trained_dir, synth_dir, tmp_path,
+                                                      capsys):
+        ckpt, sidecar = TestMalformedInputs.copy_checkpoint(trained_dir, tmp_path)
+        blob = ckpt.read_bytes()
+        n_tensors = int(blob[:blob.index(b"\n")].split()[-1])
+        header_len = sum(len(line) + 1 for line in blob.split(b"\n", n_tensors + 1)[:n_tensors + 1])
+        flips = [(i, (0x01, 0x10, 0x80)[i % 3]) for i in range(header_len)]  # digit, space, UTF-8
+        cases = [(f"byte {i} ^ {bit:#x}", blob[:i] + bytes([blob[i] ^ bit]) + blob[i + 1:])
+                 for i, bit in flips]
+        cuts = {*np.linspace(0, header_len, 25).astype(int),
+                *np.linspace(header_len, len(blob) - 1, 25).astype(int)}
+        cases += [(f"cut at {cut}", blob[:cut]) for cut in sorted(cuts)]
+        features, out = tmp_path / "features.jsonl", tmp_path / "o"
+        features.write_text("".join((synth_dir / "features.jsonl").read_text()
+                                    .splitlines(keepends=True)[:2]))
+        self.check_all(capsys, TestMalformedInputs.eval_args(synth_dir, trained_dir, out,
+                                                             features=features, checkpoint=ckpt),
+                       out, cases, ckpt.write_bytes, (ckpt, sidecar))
+        assert len(cases) > 400
+
+    def test_every_sidecar_corruption_exits_3(self, trained_dir, synth_dir, tmp_path, capsys):
+        ckpt, sidecar = TestMalformedInputs.copy_checkpoint(trained_dir, tmp_path)
+        cfg = json.loads(sidecar.read_text())
+        cases = [("unknown key", {**cfg, "colour": "blue"})]
+        for key in cfg:
+            cases.append((f"no {key}", {k: v for k, v in cfg.items() if k != key}))
+            for value in (*RETYPES, 0, 10**6):
+                if key == "layers" and value in (10**6, 10**30):
+                    continue  # test_huge_layer_count_exits_3_in_bounded_memory, in a child process
+                if not (type(value) is type(cfg[key]) and value == cfg[key]):
+                    cases.append((f"{key} = {value!r}", {**cfg, key: value}))
+        out = tmp_path / "o"
+        # dropout 0 is valid, and the mode "none" model reads no EEG, whatever its channel count
+        valid = {"dropout = 0", "eeg_channels = 1000000", f"eeg_channels = {10**30!r}"}
+        self.check_all(capsys, TestMalformedInputs.eval_args(synth_dir, trained_dir, out,
+                                                             checkpoint=ckpt),
+                       out, [(label, json.dumps(obj)) for label, obj in cases],
+                       sidecar.write_text, (ckpt, sidecar), valid)
+        assert len(cases) > 100
+
+    def test_huge_layer_count_exits_3_in_bounded_memory(self, trained_dir, synth_dir, tmp_path):
+        """A sidecar naming 10**6 or 10**30 layers fails on the tensor count before
+        any per-layer work; the child's address space is capped, so a regression
+        ends in a MemoryError instead of exhausting the machine."""
+        ckpt, sidecar = TestMalformedInputs.copy_checkpoint(trained_dir, tmp_path)
+        cfg = json.loads(sidecar.read_text())
+        blob = ckpt.read_bytes()
+        n_tensors = int(blob[:blob.index(b"\n")].split()[-1])
+        child = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+                 "from cogbert.cli import main; sys.exit(main(sys.argv[1:]))")
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join([str(Path(cogbert.__file__).parents[1]),
+                                              os.environ.get("PYTHONPATH", "")])}
+        out = tmp_path / "o"
+        for layers in (10**6, 10**30):
+            sidecar.write_text(json.dumps({**cfg, "layers": layers}))
+            proc = subprocess.run(
+                [sys.executable, "-c", child,
+                 *TestMalformedInputs.eval_args(synth_dir, trained_dir, out, checkpoint=ckpt)],
+                capture_output=True, text=True, env=env, timeout=120)
+            needs = n_tensors + (layers - cfg["layers"]) * 16  # 16 tensors per encoder layer
+            assert proc.returncode == 3, f"layers {layers}: exit {proc.returncode}: {proc.stderr}"
+            assert proc.stderr == (f"error: {ckpt}: header lists {n_tensors} tensors, "
+                                   f"the config in {sidecar} needs {needs}\n"), proc.stderr
+            assert not out.exists()
 
 
 class TestBadConfigValues:

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from cogbert.cli import main as cli_main
 from cogbert.errors import DataError, FeatureLookupError, ValidationError
 from cogbert.features import (
     CognitiveRecord,
@@ -497,6 +498,79 @@ class TestFeatureDb:
             broken.save_jsonl(path)  # fails after writing 16 records
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["features.jsonl"]
+
+
+class TestFirstBadLine:
+    """A feature file's error names its first bad line, whether that line is not
+    JSON, has a value of the wrong JSON type or fails a value check."""
+
+    LABEL = f"label must be an integer in 0..{2**63 - 1}, got 'x'"
+
+    @staticmethod
+    def load_error(tmp_path, edits):
+        """The DataError message of a 16-record feature file with lines[i] edited to edits[i]."""
+        _, db, _ = synth_generate(SynthConfig(n_sentences=16), seed=5)
+        path = tmp_path / "features.jsonl"
+        db.save_jsonl(path)
+        lines = path.read_text().splitlines()
+        for index, edit in edits.items():
+            lines[index] = edit(json.loads(lines[index]))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError) as err:
+            FeatureDb.load_jsonl(path)
+        return str(err.value).replace(f"{path}:", "")
+
+    @staticmethod
+    def non_finite(obj):
+        return json.dumps({**obj, "sentence_eeg": [float("nan"), *obj["sentence_eeg"][1:]]})
+
+    @staticmethod
+    def retyped(obj):
+        return json.dumps({**obj, "label": "x"})
+
+    def test_value_error_before_type_error(self, tmp_path):
+        assert self.load_error(tmp_path, {2: self.non_finite, 6: self.retyped}) == (
+            "3 (id 's0002'): s0002: sentence_eeg holds non-finite values")
+
+    def test_type_error_before_value_error(self, tmp_path):
+        assert self.load_error(tmp_path, {2: self.retyped, 6: self.non_finite}) == (
+            f"3 (id 's0002'): {self.LABEL}")
+
+    def test_type_error_before_value_error_on_one_line(self, tmp_path):
+        assert self.load_error(tmp_path, {2: lambda obj: self.retyped(json.loads(
+            self.non_finite(obj)))}) == f"3 (id 's0002'): {self.LABEL}"
+
+    def test_value_error_before_line_that_is_not_json(self, tmp_path):
+        assert self.load_error(tmp_path, {2: self.non_finite, 6: lambda obj: "{"}) == (
+            "3 (id 's0002'): s0002: sentence_eeg holds non-finite values")
+
+    def test_line_that_is_not_an_object_exits_3(self, synth_dir, tmp_path, capsys):
+        lexicon = tmp_path / "lexicon.jsonl"
+        assert cli_main(["lexicon", "build", "--corpus", str(synth_dir / "corpus.jsonl"),
+                         "--out", str(lexicon)]) == 0
+        capsys.readouterr()
+        kinds = {  # file -> (command line given it, the line put on line 2, what the error says)
+            synth_dir / "features.jsonl": (
+                lambda path: ["train", "--features", str(path), "--print-config",
+                              "--out", str(tmp_path / "o")],
+                "[1, 2]", "an array"),
+            lexicon: (
+                lambda path: ["lexicon", "apply", "--lexicon", str(path), "--features",
+                              str(synth_dir / "features.jsonl"), "--out", str(tmp_path / "o")],
+                "5", "a number"),
+            synth_dir / "corpus.jsonl": (
+                lambda path: ["lexicon", "build", "--corpus", str(path),
+                              "--out", str(tmp_path / "o")],
+                "null", "null"),
+        }
+        for source, (argv, line, what) in kinds.items():
+            lines = source.read_text().splitlines()
+            path = tmp_path / f"bad_{source.name}"
+            path.write_text("\n".join([lines[0], line, *lines[2:]]) + "\n")
+            assert cli_main(argv(path)) == 3, source.name
+            assert capsys.readouterr().err == (
+                f"error: {path}:2: expected a JSON object, got {what}\n"), source.name
+            assert not (tmp_path / "o").exists()
 
 
 class TestCognitiveRecord:
