@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
 import numbers
+import sys
+
+from .errors import ConfigError
 
 
 def is_integer(value) -> bool:
@@ -10,6 +14,23 @@ def is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def is_real(value) -> bool:
-    """An int or a float (numpy scalars included), but not a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+def _is_finite_number(value) -> bool:
+    """An int or a float (numpy scalars included) of finite float value, but not a bool."""
+    # A comparison, not math.isfinite, which overflows on an int beyond the float range.
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+# What each field annotation of a config dataclass admits, and how a message names it.
+_FIELD_TYPES = {"int": (is_integer, "an integer"), "float": (_is_finite_number, "a finite number"),
+                "str": (lambda value: isinstance(value, str), "a string")}
+
+
+def check_field_types(config) -> None:
+    """Raise a ConfigError naming the first field of a config dataclass whose
+    value is not of its annotated type (see _FIELD_TYPES)."""
+    for field in dataclasses.fields(config):
+        check, noun = _FIELD_TYPES[field.type]
+        value = getattr(config, field.name)
+        if not check(value):
+            raise ConfigError(f"{field.name} must be {noun}, got {value!r}")

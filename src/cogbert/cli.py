@@ -47,21 +47,31 @@ def _write_csv(path: Path, rows) -> None:
         csv.writer(fh).writerows(rows)
 
 
-def _load_json_config(path: str | None, what: str) -> dict:
-    if path is None:
-        return {}
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"{what} config file {path} does not exist")
-    if not p.is_file():
-        raise ConfigError(f"{what} config {path} is not a regular file")
-    try:
-        obj = json.loads(p.read_text(encoding="utf-8"))
-    except ValueError as exc:  # not UTF-8 or not JSON
-        raise ConfigError(f"{what} config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{what} config {path} must hold a JSON object")
-    return obj
+def _build_config(cls, what: str, path: str | None, flags: dict, **derived):
+    """A cls config from the JSON object in the `what` config file at path (all
+    defaults without one), then the flags that were given (not None), then the
+    derived values, which the file may not set."""
+    obj = {}
+    if path is not None:
+        p = Path(path)
+        if not p.exists():
+            raise ConfigError(f"{what} config file {path} does not exist")
+        if not p.is_file():
+            raise ConfigError(f"{what} config {path} is not a regular file")
+        try:
+            obj = json.loads(p.read_text(encoding="utf-8"))
+        except ValueError as exc:  # not UTF-8 or not JSON
+            raise ConfigError(f"{what} config {path} is not valid JSON: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise ConfigError(f"{what} config {path} must hold a JSON object")
+    for key in obj:
+        if key not in cls.__dataclass_fields__:
+            raise ConfigError(f"{what} config {path} has unknown key {key!r}")
+        if key in derived:
+            raise ConfigError(f"{what} config {path} sets {key!r}, which is derived from "
+                              f"the data and flags")
+    obj.update({key: value for key, value in flags.items() if value is not None}, **derived)
+    return cls(**obj)
 
 
 def _out_dir(path: str) -> Path:
@@ -84,15 +94,8 @@ def _require_file(path: str, what: str) -> Path:
 # ---------------------------------------------------------------------------
 
 def cmd_synth(args) -> int:
-    cfg_dict = _load_json_config(args.config, "generator")
-    if args.n_sentences is not None:
-        cfg_dict["n_sentences"] = args.n_sentences
-    if args.distractors is not None:
-        cfg_dict["distractors"] = args.distractors
-    try:
-        cfg = feat.SynthConfig(**cfg_dict)
-    except TypeError as exc:
-        raise ConfigError(f"invalid generator config: {exc}") from exc
+    cfg = _build_config(feat.SynthConfig, "generator", args.config,
+                        {"n_sentences": args.n_sentences, "distractors": args.distractors})
 
     if args.print_config:
         print(json.dumps(cfg.to_dict(), sort_keys=True, indent=2))
@@ -111,38 +114,20 @@ def cmd_synth(args) -> int:
 # train / eval
 # ---------------------------------------------------------------------------
 
-def _build_model_config(cfg_dict: dict, mode: str, vocab: Vocab, db: feat.FeatureDb) -> ModelConfig:
+def _build_model_config(args, vocab: Vocab, db: feat.FeatureDb) -> ModelConfig:
     labels = [db.get(sid).label for sid in db.ids()]
-    channels = len(db.get(db.ids()[0]).sentence_eeg)
-    derived = {
-        "vocab_size": vocab.size,
-        "n_classes": max(labels) + 1,
-        "eeg_channels": channels,
-        "mode": mode,
-    }
-    merged = {**cfg_dict, **derived}
-    try:
-        return ModelConfig(**merged)
-    except TypeError as exc:
-        raise ConfigError(f"invalid model config: {exc}") from exc
+    return _build_config(ModelConfig, "model", args.config, {}, vocab_size=vocab.size,
+                         n_classes=max(labels) + 1,
+                         eeg_channels=len(db.get(db.ids()[0]).sentence_eeg), mode=args.mode)
 
 
 def _build_train_config(args) -> training.TrainConfig:
-    cfg_dict = _load_json_config(args.train_config, "train")
-    if args.robustness:
-        cfg_dict["repeats"] = training.ROBUSTNESS_REPEATS
-        cfg_dict["epochs"] = training.ROBUSTNESS_EPOCHS
-        cfg_dict["init_source"] = "random"
-    if args.repeats is not None:
-        cfg_dict["repeats"] = args.repeats
-    if args.epochs is not None:
-        cfg_dict["epochs"] = args.epochs
-    if args.seed is not None:
-        cfg_dict["seed"] = args.seed
-    try:
-        return training.TrainConfig(**cfg_dict)
-    except TypeError as exc:
-        raise ConfigError(f"invalid train config: {exc}") from exc
+    flags = {"repeats": args.repeats, "epochs": args.epochs, "seed": args.seed}
+    if args.robustness:  # the preset, with the flags that were given over it
+        flags = {"repeats": training.ROBUSTNESS_REPEATS, "epochs": training.ROBUSTNESS_EPOCHS,
+                 "init_source": "random",
+                 **{key: value for key, value in flags.items() if value is not None}}
+    return _build_config(training.TrainConfig, "train", args.train_config, flags)
 
 
 def _report_csv(path: Path, mode: str, report: training.RunReport) -> None:
@@ -167,7 +152,7 @@ def cmd_train(args) -> int:
     if len(db) < 2:
         raise DataError("feature db holds fewer than 2 sentences")
     vocab = build_vocab([db.get(sid).tokens for sid in db.ids()])
-    model_cfg = _build_model_config(_load_json_config(args.config, "model"), args.mode, vocab, db)
+    model_cfg = _build_model_config(args, vocab, db)
     train_cfg = _build_train_config(args)
 
     if args.print_config:

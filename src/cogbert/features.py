@@ -29,8 +29,8 @@ from typing import Callable
 
 import numpy as np
 
-from .checks import is_integer, is_real
-from .errors import DataError, FeatureLookupError, ValidationError
+from .checks import check_field_types, is_integer
+from .errors import ConfigError, DataError, FeatureLookupError, ValidationError
 from .files import atomic_open
 from .numerics.rng import SeededRng
 from .tokenizer import MASK_KEEP, MASK_SUPPRESS, TokenizedSentence
@@ -112,10 +112,16 @@ class SentenceMeasurement:
         self.sentence_bands = np.asarray(self.sentence_bands, dtype=np.float64)
         if self.sentence_bands.ndim != 2 or self.sentence_bands.shape[0] != len(BANDS):
             raise ValidationError(f"sentence bands must be (8, C), got {self.sentence_bands.shape}")
-        for fix, eeg in zip(self.fixations, self.word_eeg):
+        channels = self.sentence_bands.shape[1]
+        for i, (fix, eeg) in enumerate(zip(self.fixations, self.word_eeg)):
             if (fix.n_fixations == 0) != (eeg is None):
                 raise ValidationError(
                     f"{self.sentence_id}: word EEG present iff the word was fixated"
+                )
+            if eeg is not None and eeg.channels.shape[1] != channels:
+                raise ValidationError(
+                    f"{self.sentence_id}: word {i} ({self.words[i]!r}) EEG has "
+                    f"{eeg.channels.shape[1]} channels, sentence_bands has {channels}"
                 )
 
 
@@ -625,12 +631,6 @@ def lexicon_sentence_eeg(words: list[str], lexicon: EEGLexicon, n_channels: int)
 # Synthetic corpus generation
 # ---------------------------------------------------------------------------
 
-_SYNTH_INT_FIELDS = ("n_classes", "n_sentences", "keywords_per_class", "filler_vocab", "min_words",
-                     "max_words", "min_keywords", "max_keywords", "eeg_channels", "distractors")
-_SYNTH_REAL_FIELDS = ("filler_fix_prob", "keyword_eeg_mean", "filler_eeg_mean", "eeg_noise",
-                      "class_tilt")
-
-
 @dataclass
 class SynthConfig:
     """Planted-keyword corpus generator settings.
@@ -659,30 +659,26 @@ class SynthConfig:
     class_tilt: float = 2.0
 
     def __post_init__(self):
-        for name in _SYNTH_INT_FIELDS:
-            value = getattr(self, name)
-            if not is_integer(value) or value < 0:
-                raise ValidationError(f"{name} must be an integer >= 0, got {value!r}")
-        for name in _SYNTH_REAL_FIELDS:
-            value = getattr(self, name)
-            if not is_real(value) or not math.isfinite(value):
-                raise ValidationError(f"{name} must be a finite number, got {value!r}")
+        check_field_types(self)
+        # The relations below bound every other size from below by 1.
+        if self.distractors < 0:
+            raise ConfigError(f"distractors must be an integer >= 0, got {self.distractors!r}")
         if self.eeg_noise < 0:
-            raise ValidationError(f"eeg_noise must be >= 0, got {self.eeg_noise!r}")
+            raise ConfigError(f"eeg_noise must be >= 0, got {self.eeg_noise!r}")
         if self.n_classes < 2:
-            raise ValidationError("need at least 2 classes")
+            raise ConfigError("need at least 2 classes")
         if self.n_sentences < self.n_classes:
-            raise ValidationError("need at least one sentence per class")
+            raise ConfigError("need at least one sentence per class")
         if not 1 <= self.min_keywords <= self.max_keywords:
-            raise ValidationError("keyword count range must satisfy 1 <= min <= max")
+            raise ConfigError("keyword count range must satisfy 1 <= min <= max")
         if self.min_words < self.max_keywords + self.distractors:
-            raise ValidationError("sentences too short for keywords plus distractors")
+            raise ConfigError("sentences too short for keywords plus distractors")
         if self.min_words > self.max_words:
-            raise ValidationError("min_words exceeds max_words")
+            raise ConfigError("min_words exceeds max_words")
         if not 0.0 <= self.filler_fix_prob <= 1.0:
-            raise ValidationError("filler_fix_prob must lie in [0, 1]")
+            raise ConfigError("filler_fix_prob must lie in [0, 1]")
         if self.eeg_channels < 1 or self.keywords_per_class < 1 or self.filler_vocab < 1:
-            raise ValidationError("vocabulary and channel counts must be positive")
+            raise ConfigError("vocabulary and channel counts must be positive")
 
     def keywords(self, label: int) -> list[str]:
         return [f"kw{label}x{i}" for i in range(self.keywords_per_class)]
@@ -829,7 +825,8 @@ def load_measurements(path: str | Path) -> list[SentenceMeasurement]:
     """Read a raw corpus: distinct string ids, words strings, labels integers
     in 0..int64 max, fixations objects (n an int64 integer, durations finite
     numbers), and word and sentence EEG lists of non-empty, equal-length
-    lists of finite numbers."""
+    lists of finite numbers, each with the first line's channel count."""
+    channels: list[int] = []
 
     def measurement(obj: dict) -> SentenceMeasurement:
         if not (isinstance(obj["words"], list) and all(isinstance(w, str) for w in obj["words"])):
@@ -838,7 +835,7 @@ def load_measurements(path: str | Path) -> list[SentenceMeasurement]:
         for name in ("fixations", "word_eeg"):
             if type(obj[name]) is not list:
                 raise ValidationError(f"{name} must be a list, got {obj[name]!r}")
-        return SentenceMeasurement(
+        m = SentenceMeasurement(
             sentence_id=obj["id"],
             words=obj["words"],
             label=obj["label"],
@@ -847,6 +844,12 @@ def load_measurements(path: str | Path) -> list[SentenceMeasurement]:
                       for e in obj["word_eeg"]],
             sentence_bands=_finite_rows("sentence_bands", obj["sentence_bands"]),
         )
+        if not channels:
+            channels.append(m.sentence_bands.shape[1])
+        elif m.sentence_bands.shape[1] != channels[0]:
+            raise ValidationError(f"sentence_bands has {m.sentence_bands.shape[1]} channels, "
+                                  f"the first line has {channels[0]}")
+        return m
 
     items, error = _read_jsonl(path, "id", measurement)
     if error is not None:

@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checks import is_integer, is_real
+from .checks import check_field_types
 from .errors import CheckpointError, ConfigError, ValidationError
 from .features import CognitiveRecord, FeatureDb, cognitive_mask
 from .files import atomic_open, write_text_atomic
@@ -60,10 +60,6 @@ SLOT_MULTIPLE = 8  # EncoderParams pads slots to 8 entries (64 bytes), so all sh
 WIDTH_MULTIPLE = 8
 
 
-_INT_FIELDS = ("vocab_size", "n_classes", "layers", "heads", "d_model", "d_ff", "max_len",
-               "eeg_channels")
-
-
 @dataclass
 class ModelConfig:
     vocab_size: int
@@ -78,20 +74,20 @@ class ModelConfig:
     mode: str = "none"
 
     def __post_init__(self):
-        for name in _INT_FIELDS:
-            if not is_integer(getattr(self, name)):
-                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        check_field_types(self)
         if self.mode not in MODES:
             raise ConfigError(f"unknown augmentation mode {self.mode!r}; choose from {MODES}")
         if self.layers < 1 or self.heads < 1:
             raise ConfigError("layers and heads must be >= 1")
+        if self.d_model < 1:
+            raise ConfigError(f"d_model must be an integer >= 1, got {self.d_model!r}")
         if self.d_model % self.heads:
             raise ConfigError(f"d_model={self.d_model} not divisible by heads={self.heads}")
         if self.vocab_size <= SEP_ID:
             raise ConfigError(f"vocab_size must exceed the reserved id range (> {SEP_ID})")
         if self.max_len < 3:
             raise ConfigError("max_len must be >= 3")
-        if not (is_real(self.dropout) and 0.0 <= self.dropout < 1.0):
+        if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout must lie in [0, 1)")
         if self.d_ff < 1 or self.eeg_channels < 1 or self.n_classes < 2:
             raise ConfigError("d_ff, eeg_channels must be positive and n_classes >= 2")
@@ -126,10 +122,6 @@ class ModelConfig:
 
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "ModelConfig":
-        return cls(**obj)
 
 
 def _param_spec(cfg: ModelConfig) -> list[tuple[str, int, int, bool]]:
@@ -282,8 +274,8 @@ def _load_sidecar(sidecar: Path) -> ModelConfig:
             + (f"; unexpected: {', '.join(extra)}" if extra else "")
         )
     try:
-        return ModelConfig.from_dict(obj)
-    except (ConfigError, TypeError) as exc:
+        return ModelConfig(**obj)
+    except ConfigError as exc:
         raise CheckpointError(f"{sidecar}: invalid model config: {exc}") from None
 
 
@@ -398,10 +390,6 @@ class Batch:
     eye_tokens: np.ndarray | None  # (B, T) eye tokens, eye modes only
     sent_eeg: np.ndarray | None  # (B, C)
     labels: np.ndarray           # (B,) int class labels
-
-    @property
-    def size(self) -> int:
-        return self.ids.shape[0]
 
 
 def build_batch(examples: list[Example], cfg: ModelConfig, db: FeatureDb | None = None) -> Batch:
@@ -608,7 +596,6 @@ class ForwardResult:
     """
 
     hidden: np.ndarray          # (B, T, d_model) final hidden states, detached
-    pooled: Node                # (B, d_model) CLS rows
     logits: Node                # (B, n_classes)
     attention: np.ndarray       # (B, layers, heads, T, T) view of a layer-major array, detached
 
@@ -664,7 +651,6 @@ def encoder_forward(
 
     return ForwardResult(
         hidden=x.value.reshape(n, t, cfg.d_model),
-        pooled=pooled,
         logits=logits,
         attention=attention.transpose(1, 0, 2, 3, 4),
     )

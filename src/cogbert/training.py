@@ -14,8 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .checks import is_integer, is_real
-from .errors import NumericError, ValidationError
+from .checks import check_field_types
+from .errors import ConfigError, NumericError, ValidationError
 from .features import FeatureDb
 from .model import EncoderParams, Example, ModelConfig, build_batch, encoder_forward, init_params
 from .numerics import autodiff as ad
@@ -42,17 +42,15 @@ class TrainConfig:
     init_source: str = "random"  # "random" or a checkpoint path
 
     def __post_init__(self):
+        check_field_types(self)
         for name in ("epochs", "batch_size", "repeats"):
-            value = getattr(self, name)
-            if not is_integer(value) or value < 1:
-                raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
-        if not is_integer(self.seed):
-            raise ValidationError(f"seed must be an integer, got {self.seed!r}")
-        if not is_real(self.lr) or not math.isfinite(self.lr) or self.lr <= 0:
-            raise ValidationError(f"lr must be a finite number > 0, got {self.lr!r}")
-        wd = self.weight_decay
-        if not is_real(wd) or not math.isfinite(wd) or wd < 0:
-            raise ValidationError(f"weight_decay must be a finite number >= 0, got {wd!r}")
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be an integer >= 1, got {getattr(self, name)!r}")
+        if self.lr <= 0:
+            raise ConfigError(f"lr must be a finite number > 0, got {self.lr!r}")
+        if self.weight_decay < 0:
+            raise ConfigError(
+                f"weight_decay must be a finite number >= 0, got {self.weight_decay!r}")
 
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}

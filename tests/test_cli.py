@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -17,11 +18,13 @@ from cogbert.features import (
     EEGLexicon,
     FeatureDb,
     SentenceMeasurement,
+    SynthConfig,
     WordFixation,
     lexicon_sentence_eeg,
     save_measurements,
 )
-from cogbert.model import load_checkpoint, save_checkpoint
+from cogbert.model import ModelConfig, load_checkpoint, save_checkpoint
+from cogbert.training import TrainConfig
 
 
 def sha256(path):
@@ -732,16 +735,22 @@ class TestLexiconAndCorpusCorruption:
                     yield (f"words[0] = {value!r}", json.dumps({**obj, "words": words}),
                            "words must be a list of strings")
             if index == 3:  # a line's nested values are checked wherever the line is
-                yield from self.nested_corpus_cases(obj)
+                yield from self.nested_corpus_cases(obj, json.loads(lines[0]))
+            n_channels = len(obj["sentence_bands"][0])
+            cut = {**obj, "sentence_bands": [row[:5] for row in obj["sentence_bands"]],
+                   "word_eeg": [None if e is None else [row[:5] for row in e]
+                                for e in obj["word_eeg"]]}
+            yield ("every EEG list cut to 5 channels", json.dumps(cut),
+                   f"sentence_bands has 5 channels, the first line has {n_channels}")
 
         n_cases = self.check_all(capsys, tmp_path, lines, "id", cases, lambda path, out: [
             "lexicon", "build", "--corpus", str(path), "--out", str(out)])
         assert n_cases > 50
 
     @staticmethod
-    def nested_corpus_cases(obj):
+    def nested_corpus_cases(obj, first):
         """(label, corrupted line, expected message) for the fixations, word EEG and
-        sentence bands of a raw-corpus line."""
+        sentence bands of a raw-corpus line; first is the corpus's first line."""
         fixated = next(i for i, f in enumerate(obj["fixations"]) if f["n"] > 0)
 
         def with_fixation(key, value):
@@ -783,6 +792,19 @@ class TestLexiconAndCorpusCorruption:
             yield (f"fixations[0] = {value!r}",
                    json.dumps({**obj, "fixations": [value, *obj["fixations"][1:]]}),
                    f"fixations must hold objects, got {value!r}")
+        # One fixated word's EEG cut to 5 channels, the word renamed to one that the
+        # first line fixates too, then to one that no other line holds.
+        word_eeg = [None if e is None else [list(row) for row in e] for e in obj["word_eeg"]]
+        word_eeg[fixated] = [row[:5] for row in word_eeg[fixated]]
+        words = list(obj["words"])
+        n_channels = len(obj["sentence_bands"][0])
+        elsewhere = next(w for w, e in zip(first["words"], first["word_eeg"]) if e is not None)
+        for label, word in (("elsewhere", elsewhere), ("only here", "fixated_once")):
+            words[fixated] = word
+            yield (f"word_eeg with 5 channels, word fixated {label}",
+                   json.dumps({**obj, "words": words, "word_eeg": word_eeg}),
+                   f"{obj['id']}: word {fixated} ({word!r}) EEG has 5 channels, "
+                   f"sentence_bands has {n_channels}")
 
 
 class TestCheckpointCorruption:
@@ -915,6 +937,17 @@ class TestBadConfigValues:
             assert f"{field} must be an integer" in err and "Traceback" not in err, err
             assert not out.exists()
 
+    def test_zero_width_model_exits_2_before_output(self, synth_dir, model_config_path,
+                                                    train_config_path, tmp_path, capsys):
+        model_cfg = tmp_path / "model.json"
+        model_cfg.write_text(json.dumps({**json.loads(model_config_path.read_text()),
+                                         "d_model": 0}))
+        out = tmp_path / "t"
+        rc = self.train(synth_dir, out, model_cfg, train_config_path)
+        assert rc == 2
+        assert capsys.readouterr().err == "error: d_model must be an integer >= 1, got 0\n"
+        assert not out.exists()
+
     def test_non_integer_sidecar_size_exits_3(self, trained_dir, synth_dir, tmp_path, capsys):
         ckpt, sidecar = TestMalformedInputs.copy_checkpoint(trained_dir, tmp_path)
         cfg = json.loads(sidecar.read_text())
@@ -930,6 +963,125 @@ class TestBadConfigValues:
                                                         checkpoint=ckpt))
             assert rc == 3, f"{field} as float: exit {rc}"
             capsys.readouterr()
+
+
+class TestConfigFileCorruption:
+    """Plain loops over one key of a generator, model and train config file, each
+    run through --print-config, so nothing trains. A value of the wrong type, an
+    unknown key, or a model key derived from the data exits 2 with a message
+    naming it and no Python text; a right-typed value out of range exits 2 with
+    its range message; every other value exits 0. None leaves an output."""
+
+    # The annotated type of each field a config file may set, as the README states it.
+    FIELDS = {
+        "generator": {
+            "n_classes": int, "n_sentences": int, "keywords_per_class": int,
+            "filler_vocab": int, "min_words": int, "max_words": int, "min_keywords": int,
+            "max_keywords": int, "filler_fix_prob": float, "eeg_channels": int,
+            "distractors": int, "keyword_eeg_mean": float, "filler_eeg_mean": float,
+            "eeg_noise": float, "class_tilt": float,
+        },
+        "model": {"layers": int, "heads": int, "d_model": int, "d_ff": int, "max_len": int,
+                  "dropout": float},
+        "train": {"epochs": int, "batch_size": int, "lr": float, "seed": int, "repeats": int,
+                  "weight_decay": float, "init_source": str},
+    }
+    DERIVED = {"vocab_size": 500, "n_classes": 8, "eeg_channels": 3, "mode": "cog_mask"}
+    NOUNS = {int: "an integer", float: "a finite number", str: "a string"}
+    HUGE = 10**30
+    KEYWORD_RANGE = "keyword count range must satisfy 1 <= min <= max"
+    TOO_SHORT = "sentences too short for keywords plus distractors"
+    POSITIVE = "vocabulary and channel counts must be positive"
+    # (config, field, value): the range message of a right-typed value; others exit 0.
+    RANGES = {
+        ("generator", "n_classes", -1): "need at least 2 classes",
+        ("generator", "n_classes", HUGE): "need at least one sentence per class",
+        ("generator", "n_sentences", -1): "need at least one sentence per class",
+        ("generator", "keywords_per_class", -1): POSITIVE,
+        ("generator", "filler_vocab", -1): POSITIVE,
+        ("generator", "eeg_channels", -1): POSITIVE,
+        ("generator", "min_words", -1): TOO_SHORT,
+        ("generator", "min_words", HUGE): "min_words exceeds max_words",
+        ("generator", "max_words", -1): "min_words exceeds max_words",
+        ("generator", "min_keywords", -1): KEYWORD_RANGE,
+        ("generator", "min_keywords", HUGE): KEYWORD_RANGE,
+        ("generator", "max_keywords", -1): KEYWORD_RANGE,
+        ("generator", "max_keywords", HUGE): TOO_SHORT,
+        ("generator", "distractors", -1): "distractors must be an integer >= 0, got -1",
+        ("generator", "distractors", HUGE): TOO_SHORT,
+        ("generator", "eeg_noise", -1): "eeg_noise must be >= 0, got -1",
+        **{("generator", "filler_fix_prob", v): "filler_fix_prob must lie in [0, 1]"
+           for v in (2.5, -1, HUGE)},
+        ("model", "layers", -1): "layers and heads must be >= 1",
+        ("model", "heads", -1): "layers and heads must be >= 1",
+        ("model", "heads", HUGE): f"d_model=32 not divisible by heads={HUGE}",
+        ("model", "d_model", -1): "d_model must be an integer >= 1, got -1",
+        ("model", "d_ff", -1): "d_ff, eeg_channels must be positive and n_classes >= 2",
+        ("model", "max_len", -1): "max_len must be >= 3",
+        **{("model", "dropout", v): "dropout must lie in [0, 1)" for v in (2.5, -1, HUGE)},
+        **{("train", name, -1): f"{name} must be an integer >= 1, got -1"
+           for name in ("epochs", "batch_size", "repeats")},
+        ("train", "lr", -1): "lr must be a finite number > 0, got -1",
+        ("train", "weight_decay", -1): "weight_decay must be a finite number >= 0, got -1",
+    }
+
+    @staticmethod
+    def right_typed(kind, value):
+        if kind is float:
+            return type(value) in (int, float) and math.isfinite(value)
+        return type(value) is kind
+
+    def cases(self, what):
+        """(label, config object, expected message or None for exit 0) of one config."""
+        for field, kind in self.FIELDS[what].items():
+            for value in RETYPES:
+                if not self.right_typed(kind, value):
+                    want = f"{field} must be {self.NOUNS[kind]}, got {value!r}"
+                else:
+                    want = self.RANGES.get((what, field, value))
+                yield f"{field} = {value!r}", {field: value}, want
+        yield "unknown key", {"banana": 1}, "{path} has unknown key 'banana'"
+        if what == "model":
+            for key, value in self.DERIVED.items():
+                yield (f"derived {key}", {key: value},
+                       f"{{path}} sets {key!r}, which is derived from the data and flags")
+
+    def test_every_config_corruption_exits_2_naming_the_key(self, synth_dir, tmp_path, capsys):
+        features = str(synth_dir / "features.jsonl")
+        path, out = tmp_path / "config.json", tmp_path / "o"
+        argv = {
+            "generator": ["synth", "--out", str(out), "--config", str(path), "--print-config"],
+            "model": ["train", "--features", features, "--out", str(out), "--config", str(path),
+                      "--print-config"],
+            "train": ["train", "--features", features, "--out", str(out),
+                      "--train-config", str(path), "--print-config"],
+        }
+        n_cases = 0
+        for what in ("generator", "model", "train"):
+            for label, obj, want in self.cases(what):
+                path.write_text(json.dumps(obj))
+                n_cases += 1
+                rc = cli_main(argv[what])
+                captured = capsys.readouterr()
+                assert not out.exists(), f"{what} {label}"
+                if want is None:
+                    assert rc == 0, f"{what} {label}: exit {rc}: {captured.err}"
+                    printed = json.loads(captured.out)
+                    if what != "generator":
+                        printed = printed[what]
+                    assert printed == {**printed, **obj}, f"{what} {label}"
+                    continue
+                want = want.replace("{path}", f"{what} config {path}")
+                assert rc == 2, f"{what} {label}: exit {rc}"
+                assert captured.err == f"error: {want}\n", f"{what} {label}: {captured.err}"
+                assert not any(text in captured.err for text in (
+                    "Traceback", "__init__()", "unexpected keyword")), captured.err
+        assert n_cases > 250
+        # The loop covered every field: no config gained or lost one.
+        for cls, what, derived in ((SynthConfig, "generator", {}),
+                                   (ModelConfig, "model", self.DERIVED),
+                                   (TrainConfig, "train", {})):
+            assert set(cls.__dataclass_fields__) == {*self.FIELDS[what], *derived}, what
 
 
 class TestGradcheckCommand:

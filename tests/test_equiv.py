@@ -1,6 +1,7 @@
 """tools/equiv.py's comparison: which files differ, by how much, and which are expected."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -57,9 +58,21 @@ def test_checkpoint_numbers_are_its_tensor_data(tmp_path):
     np.testing.assert_array_equal(equiv.numbers(tmp_path / "model.ckpt"), want)
 
 
-def test_script_covers_every_mode_and_command():
+def test_script_covers_every_mode_and_command(tmp_path):
     equiv = load_equiv()
-    commands = [args[0] for _, args in equiv.script()]
+    script = [args for _, args in equiv.script()]
+    commands = [args[0] for args in script]
     assert {"synth", "train", "eval", "explain", "lexicon", "report", "gradcheck"} <= set(commands)
     from cogbert.model import MODES
     assert equiv.MODES == MODES
+    # The config paths: a generator config file, the robustness preset, flags over
+    # a train config, and a fine-tuning run from a checkpoint trained before it.
+    printed = [args for args in script if "--print-config" in args]
+    assert any(args[0] == "synth" and "--config" in args for args in printed)
+    assert any("--robustness" in args for args in printed)
+    assert any({"--train-config", "--epochs", "--seed"} <= set(args) for args in printed)
+    outs = [args[args.index("--out") + 1] for args in script
+            if args[0] == "train" and "--print-config" not in args]
+    equiv.write_configs(tmp_path)
+    init_source = json.loads((tmp_path / "finetune.json").read_text())["init_source"]
+    assert init_source.removesuffix("/model.ckpt") in outs[:outs.index("finetune")]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cogbert.cli import main as cli_main
-from cogbert.errors import DataError, FeatureLookupError, ValidationError
+from cogbert.errors import ConfigError, DataError, FeatureLookupError, ValidationError
 from cogbert.features import (
     CognitiveRecord,
     EEGLexicon,
@@ -680,9 +680,9 @@ class TestSynthGenerate:
         assert saw_distractor
 
     def test_invalid_config_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ConfigError):
             SynthConfig(n_classes=1)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ConfigError):
             SynthConfig(min_words=2, max_keywords=3)
 
     def test_measurement_round_trip(self, tmp_path):

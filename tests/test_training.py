@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cogbert.errors import ValidationError
+from cogbert.errors import ConfigError, ValidationError
 from cogbert.features import SynthConfig, synth_generate
 from cogbert.model import MODES, ModelConfig, build_batch, encoder_forward, random_params
 from cogbert.numerics import autodiff as ad
@@ -69,9 +69,9 @@ class TestTrainConfig:
         assert cfg.lr == 5e-5 and cfg.repeats == 10
 
     def test_invalid_values_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ConfigError):
             TrainConfig(epochs=0)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ConfigError):
             TrainConfig(lr=0.0)
 
     @pytest.mark.parametrize("field, value", [
@@ -81,7 +81,7 @@ class TestTrainConfig:
         ("repeats", "3"),
     ])
     def test_bad_field_named(self, field, value):
-        with pytest.raises(ValidationError, match=field):
+        with pytest.raises(ConfigError, match=field):
             TrainConfig(**{field: value})
 
     def test_numpy_integers_and_zero_decay_accepted(self):

@@ -17,6 +17,10 @@ process with one BLAS thread:
   both token tables, the fixation mask, the fusion NN: what each perturbation
   carries); lexicon build and apply, train pool_add_nn
   on the lexicon features; report over every run; gradcheck --mode all.
+  The config paths: synth --print-config with a generator config file, train
+  --print-config with --robustness and with --epochs and --seed over a train
+  config, and a fine-tuning train whose train config's init_source is an
+  earlier run's checkpoint.
 
 Each command's stdout, stderr and exit code are kept as files too, minus the
 "wall clock" line. The script prints every file whose sha256 differs, with
@@ -87,17 +91,31 @@ def script() -> list[tuple[str, list[str]]]:
                            "--out", "lexicon/train"]),
         ("report", ["report", "--inputs", *reports, "--out", "report.csv"]),
         ("gradcheck", ["gradcheck", "--mode", "all", "--out", "gradcheck"]),
+        ("synth-print-config", ["synth", "--out", "unused", "--config", "synth.json",
+                                "--n-sentences", "30", "--print-config"]),
+        ("train-print-robustness", ["train", "--features", feats, "--out", "unused",
+                                    "--robustness", "--epochs", "3", "--print-config"]),
+        ("train-print-overrides", ["train", "--features", feats, "--config", "model24.json",
+                                   "--train-config", "finetune.json", "--epochs", "3",
+                                   "--seed", "9", "--out", "unused", "--print-config"]),
+        ("finetune", ["train", "--features", feats, "--config", "model24.json", "--mode",
+                      "eeg_embed", "--train-config", "finetune.json", "--out", "finetune"]),
     ]
     return cmds
 
 
 def write_configs(out: Path) -> None:
-    """The model configs at each max_len and the train config the script reads."""
+    """The model configs at each max_len and the generator and train configs the script reads."""
     for max_len in MAX_LENS:
         (out / f"model{max_len}.json").write_text(
             f'{{"layers": 2, "heads": 2, "d_model": 16, "d_ff": 32, '
             f'"max_len": {max_len}, "dropout": 0.1}}\n')
     (out / "train.json").write_text('{"lr": 0.001, "batch_size": 7}\n')
+    (out / "finetune.json").write_text(
+        '{"init_source": "train24/eeg_embed/model.ckpt", "lr": 0.0005, "batch_size": 5, '
+        '"epochs": 1, "repeats": 1, "seed": 4, "weight_decay": 0}\n')
+    (out / "synth.json").write_text(
+        '{"n_classes": 4, "distractors": 2, "eeg_noise": 0.5, "filler_fix_prob": 0.5}\n')
 
 
 def run_script(tree: Path, out: Path) -> list[str]:
