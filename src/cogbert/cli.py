@@ -47,10 +47,15 @@ def _write_csv(path: Path, rows) -> None:
         csv.writer(fh).writerows(rows)
 
 
-def _build_config(cls, what: str, path: str | None, flags: dict, **derived):
+def _build_config(cls, what: str, path: str | None, flags: dict,
+                  flag_names: list[str] | None = None, **derived):
     """A cls config from the JSON object in the `what` config file at path (all
     defaults without one), then the flags that were given (not None), then the
-    derived values, which the file may not set."""
+    derived values, which the file may not set.
+
+    An invalid value's error names the file, and the flags applied over it:
+    flag_names, by default `--<key>` for each flag given.
+    """
     obj = {}
     if path is not None:
         p = Path(path)
@@ -70,8 +75,17 @@ def _build_config(cls, what: str, path: str | None, flags: dict, **derived):
         if key in derived:
             raise ConfigError(f"{what} config {path} sets {key!r}, which is derived from "
                               f"the data and flags")
-    obj.update({key: value for key, value in flags.items() if value is not None}, **derived)
-    return cls(**obj)
+    given = {key: value for key, value in flags.items() if value is not None}
+    obj.update(given, **derived)
+    try:
+        return cls(**obj)
+    except ConfigError as exc:
+        if path is None:
+            raise
+        if flag_names is None:
+            flag_names = ["--" + key.replace("_", "-") for key in given]
+        with_flags = f" with {', '.join(flag_names)}" if flag_names else ""
+        raise ConfigError(f"{what} config {path}{with_flags}: {exc}") from None
 
 
 def _out_dir(path: str) -> Path:
@@ -123,11 +137,13 @@ def _build_model_config(args, vocab: Vocab, db: feat.FeatureDb) -> ModelConfig:
 
 def _build_train_config(args) -> training.TrainConfig:
     flags = {"repeats": args.repeats, "epochs": args.epochs, "seed": args.seed}
+    flag_names = None
     if args.robustness:  # the preset, with the flags that were given over it
+        given = {key: value for key, value in flags.items() if value is not None}
+        flag_names = ["--robustness", *("--" + key for key in given)]
         flags = {"repeats": training.ROBUSTNESS_REPEATS, "epochs": training.ROBUSTNESS_EPOCHS,
-                 "init_source": "random",
-                 **{key: value for key, value in flags.items() if value is not None}}
-    return _build_config(training.TrainConfig, "train", args.train_config, flags)
+                 "init_source": "random", **given}
+    return _build_config(training.TrainConfig, "train", args.train_config, flags, flag_names)
 
 
 def _report_csv(path: Path, mode: str, report: training.RunReport) -> None:

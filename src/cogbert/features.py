@@ -719,7 +719,7 @@ def synth_generate(cfg: SynthConfig, seed: int) -> tuple[list[SentenceMeasuremen
         fixations: list[WordFixation] = []
         word_eeg: list[WordEEG | None] = []
         kw_profile = _class_profile(cfg, label, cfg.keyword_eeg_mean)
-        filler_profile = np.full(cfg.eeg_channels, cfg.filler_eeg_mean)
+        filler_profile = np.full(cfg.eeg_channels, cfg.filler_eeg_mean, dtype=np.float64)
 
         for pos in range(n_words):
             if pos in kw_pos:
@@ -808,17 +808,23 @@ def _fixation(f) -> WordFixation:
     return WordFixation(f["n"], *(f[key] for key in _DURATIONS))
 
 
-def _finite_rows(name: str, rows) -> np.ndarray:
-    """A JSON list of non-empty, equal-length lists of finite numbers as a float64 matrix."""
-    if type(rows) is not list:
-        raise ValidationError(f"{name} must be a list of lists, got {rows!r}")
-    values, offsets = _concat(f"{name} row", rows, np.float64)
-    widths = np.diff(offsets)
-    if not (widths.all() and (widths == widths[:1]).all()):
+def _finite_matrices(name: str, matrices: list) -> list[np.ndarray]:
+    """JSON lists of non-empty, equal-length lists of finite numbers, each as a
+    float64 matrix; the rows of all of them are checked in one pass."""
+    for rows in matrices:
+        if type(rows) is not list:
+            raise ValidationError(f"{name} must be a list of lists, got {rows!r}")
+    values, offsets = _concat(f"{name} row", list(chain.from_iterable(matrices)), np.float64)
+    counts = np.array([len(rows) for rows in matrices], dtype=np.int64)
+    ends = np.cumsum(counts)
+    widths, starts, nonempty = np.diff(offsets), ends - counts, counts > 0
+    firsts = np.repeat(widths[starts[nonempty]], counts[nonempty])  # its matrix's first row
+    if not (widths.all() and (widths == firsts).all()):
         raise ValidationError(f"{name} rows must be non-empty and of equal length")
     if not np.isfinite(values).all():
         raise ValidationError(f"{name} holds non-finite values")
-    return values.reshape(len(rows), -1 if rows else 0)
+    return [values[offsets[a]:offsets[b]].reshape(b - a, -1 if b > a else 0)
+            for a, b in zip(starts.tolist(), ends.tolist())]
 
 
 def load_measurements(path: str | Path) -> list[SentenceMeasurement]:
@@ -835,14 +841,16 @@ def load_measurements(path: str | Path) -> list[SentenceMeasurement]:
         for name in ("fixations", "word_eeg"):
             if type(obj[name]) is not list:
                 raise ValidationError(f"{name} must be a list, got {obj[name]!r}")
+        fixations = [_fixation(f) for f in obj["fixations"]]
+        matrices = iter(_finite_matrices("word_eeg entry",
+                                         [e for e in obj["word_eeg"] if e is not None]))
         m = SentenceMeasurement(
             sentence_id=obj["id"],
             words=obj["words"],
             label=obj["label"],
-            fixations=[_fixation(f) for f in obj["fixations"]],
-            word_eeg=[None if e is None else WordEEG(_finite_rows("word_eeg entry", e))
-                      for e in obj["word_eeg"]],
-            sentence_bands=_finite_rows("sentence_bands", obj["sentence_bands"]),
+            fixations=fixations,
+            word_eeg=[None if e is None else WordEEG(next(matrices)) for e in obj["word_eeg"]],
+            sentence_bands=_finite_matrices("sentence_bands", [obj["sentence_bands"]])[0],
         )
         if not channels:
             channels.append(m.sentence_bands.shape[1])

@@ -519,11 +519,14 @@ def self_attention(
     probs_out: np.ndarray,
     train: bool = False,
     rng: SeededRng | None = None,
+    rows: np.ndarray | None = None,
 ) -> Node:
     """One multi-head self-attention block with residual and layer norm.
 
-    masks is (batch, T); the detached attention probabilities are written
-    into probs_out (batch, heads, T, T).
+    masks is (batch, T); the detached attention probabilities of every query
+    row are written into probs_out (batch, heads, T, T). With `rows`, only
+    those rows of the context and of the residual input go on through the
+    output projection and the layer norm, so the result has len(rows) rows.
     """
     cfg = params.cfg
     p = f"layer{layer}."
@@ -531,6 +534,8 @@ def self_attention(
     k = ad.linear(x, params[p + "attn.wk"], params[p + "attn.bk"])
     v = ad.linear(x, params[p + "attn.wv"], params[p + "attn.bv"])
     ctx, _ = ad.multi_head_attention(q, k, v, masks, cfg.heads, probs_out)
+    if rows is not None:
+        ctx, x = ad.select_rows(ctx, rows), ad.select_rows(x, rows)
     ctx = ad.linear(ctx, params[p + "attn.wo"], params[p + "attn.bo"])
     ctx = _dropout(ctx, masks.shape[0], cfg, train, rng)
     return ad.layer_norm_rows(ad.add(x, ctx), params[p + "ln1.gamma"], params[p + "ln1.beta"],
@@ -595,7 +600,10 @@ class ForwardResult:
     forward's backward reads them, so they must not be written before it.
     """
 
-    hidden: np.ndarray          # (B, T, d_model) final hidden states, detached
+    # (B, T, d_model) hidden states entering the last layer, detached. Only
+    # perfbench/tracing.py (its computed-position count) and tests read it; it
+    # goes when perfbench takes that count from the batch shape (ROADMAP item 3).
+    hidden: np.ndarray
     logits: Node                # (B, n_classes)
     attention: np.ndarray       # (B, layers, heads, T, T) view of a layer-major array, detached
 
@@ -626,8 +634,12 @@ def encoder_forward(
     an inference forward (the default) cuts its tape after the embedding and
     after every attention and feed-forward block, so it holds one block's
     intermediates at a time, and the parameters below the last cut get no
-    gradient. Dropout applies only when train is True; at dropout 0 both
-    kinds give bit-identical results.
+    gradient. The head reads only the last layer's CLS rows, so after the
+    last attention an inference forward keeps only those rows: the output
+    projection, both layer norms and the feed-forward block of the last
+    layer run on B rows instead of B*T. A training forward runs them on
+    every position. Dropout applies only when train is True; at dropout 0
+    both kinds give bit-identical results.
     """
     cfg = params.cfg
     if train and cfg.dropout > 0.0 and rng is None:
@@ -636,21 +648,24 @@ def encoder_forward(
 
     x = embed(params, batch.ids, batch.eeg_tokens, batch.eye_tokens)
     x = _dropout(x, n, cfg, train, rng)
+    cls = np.arange(n) * t  # CLS position of each sentence
     # Layer-major, so each layer's in-place softmax runs on a contiguous block.
     attention = np.empty((cfg.layers, n, cfg.heads, t, t))
     for layer in range(cfg.layers):  # rebinding x at each cut lets the block before it go
         x = _cut(x, train)
-        x = self_attention(x, batch.masks, params, layer, attention[layer], train, rng)
+        hidden = x.value
+        rows = None if train or layer < cfg.layers - 1 else cls
+        x = self_attention(x, batch.masks, params, layer, attention[layer], train, rng, rows)
         x = _cut(x, train)
         x = _feed_forward(x, n, params, layer, train, rng)
     x = _cut(x, train)
 
-    pooled = ad.select_rows(x, np.arange(n) * t)  # CLS position of each sentence
+    pooled = ad.select_rows(x, cls) if train else x  # an inference forward kept only CLS rows
     fused = fuse_pooled(pooled, batch.sent_eeg, params)
     logits = classify(fused, params)
 
     return ForwardResult(
-        hidden=x.value.reshape(n, t, cfg.d_model),
+        hidden=hidden.reshape(n, t, cfg.d_model),
         logits=logits,
         attention=attention.transpose(1, 0, 2, 3, 4),
     )

@@ -945,7 +945,8 @@ class TestBadConfigValues:
         out = tmp_path / "t"
         rc = self.train(synth_dir, out, model_cfg, train_config_path)
         assert rc == 2
-        assert capsys.readouterr().err == "error: d_model must be an integer >= 1, got 0\n"
+        assert capsys.readouterr().err == (
+            f"error: model config {model_cfg}: d_model must be an integer >= 1, got 0\n")
         assert not out.exists()
 
     def test_non_integer_sidecar_size_exits_3(self, trained_dir, synth_dir, tmp_path, capsys):
@@ -1039,7 +1040,7 @@ class TestConfigFileCorruption:
                     want = f"{field} must be {self.NOUNS[kind]}, got {value!r}"
                 else:
                     want = self.RANGES.get((what, field, value))
-                yield f"{field} = {value!r}", {field: value}, want
+                yield f"{field} = {value!r}", {field: value}, want and f"{{path}}: {want}"
         yield "unknown key", {"banana": 1}, "{path} has unknown key 'banana'"
         if what == "model":
             for key, value in self.DERIVED.items():
@@ -1082,6 +1083,52 @@ class TestConfigFileCorruption:
                                    (ModelConfig, "model", self.DERIVED),
                                    (TrainConfig, "train", {})):
             assert set(cls.__dataclass_fields__) == {*self.FIELDS[what], *derived}, what
+
+    def test_value_error_names_file_and_flags(self, synth_dir, tmp_path, capsys):
+        """The file and the flags applied over it, or only the message without a file."""
+        path, out = tmp_path / "config.json", tmp_path / "o"
+        train = ["train", "--features", str(synth_dir / "features.jsonl"), "--out", str(out),
+                 "--print-config"]
+        synth = ["synth", "--out", str(out), "--print-config"]
+        lr = "lr must be a finite number > 0, got -1"
+        cases = [
+            ({"lr": -1}, train + ["--train-config", str(path)], f"train config {path}: {lr}"),
+            ({"lr": -1}, train + ["--train-config", str(path), "--epochs", "2"],
+             f"train config {path} with --epochs: {lr}"),
+            ({"lr": -1}, train + ["--train-config", str(path), "--seed", "1", "--repeats", "2"],
+             f"train config {path} with --repeats, --seed: {lr}"),
+            ({"lr": -1}, train + ["--train-config", str(path), "--robustness", "--epochs", "2"],
+             f"train config {path} with --robustness, --epochs: {lr}"),
+            ({}, train + ["--epochs", "0"], "epochs must be an integer >= 1, got 0"),
+            ({"d_model": 0}, train + ["--config", str(path)],
+             f"model config {path}: d_model must be an integer >= 1, got 0"),
+            ({"n_classes": 9}, synth + ["--config", str(path), "--n-sentences", "4"],
+             f"generator config {path} with --n-sentences: need at least one sentence per class"),
+            ({}, synth + ["--distractors", "-1"], "distractors must be an integer >= 0, got -1"),
+        ]
+        for obj, argv, want in cases:
+            path.write_text(json.dumps(obj))
+            rc = cli_main(argv)
+            err = capsys.readouterr().err
+            assert rc == 2 and err == f"error: {want}\n", (argv, err)
+            assert not out.exists()
+
+    def test_huge_integer_in_float_field_synthesizes_as_float_spelling(self, tmp_path, capsys):
+        """10**30 in a generator float field gives the outputs of 1e30, not a traceback."""
+        path = tmp_path / "config.json"
+        for field, kind in self.FIELDS["generator"].items():
+            if kind is not float:
+                continue
+            results = []
+            for value in (self.HUGE, float(self.HUGE)):
+                path.write_text(json.dumps({field: value, "n_sentences": 8}))
+                out = tmp_path / f"{field}-{type(value).__name__}"
+                rc = cli_main(["synth", "--out", str(out), "--config", str(path)])
+                captured = capsys.readouterr()
+                assert "Traceback" not in captured.err, captured.err
+                files = {f.name: f.read_bytes() for f in sorted(out.glob("*"))}
+                results.append((rc, captured.out.replace(str(out), "OUT"), captured.err, files))
+            assert results[0] == results[1], field
 
 
 class TestGradcheckCommand:

@@ -494,18 +494,42 @@ class TestBatchWidth:
 
 
 class TestInferenceForward:
-    """train=False cuts the tape at every block boundary; the outputs stay the same."""
+    """train=False cuts the tape at every block boundary and finishes only the
+    CLS rows after the last attention; the outputs stay the same."""
 
     def test_matches_training_forward_bit_for_bit(self):
+        """At every batch size up to 21 and at the eval batch of 32, so a BLAS
+        kernel chosen by row count would show."""
+        rng = np.random.default_rng(15)
         for mode in MODES:
-            cfg = tiny_cfg(mode=mode)
+            cfg = tiny_cfg(mode=mode, d_model=32, d_ff=64, max_len=64)
             params = spread_params(cfg, seed=5)
-            batch = width_batch(cfg, [9, 3, 6])
-            infer, trained = (encoder_forward(params, batch, train=t) for t in (False, True))
-            for field in ("hidden", "attention"):
-                np.testing.assert_array_equal(getattr(infer, field), getattr(trained, field),
-                                              err_msg=f"{mode} {field}")
-            np.testing.assert_array_equal(infer.logits.value, trained.logits.value, err_msg=mode)
+            for size in [*range(1, 22), 32]:
+                batch = width_batch(cfg, rng.integers(0, 62, size=size).tolist())
+                infer, trained = (encoder_forward(params, batch, train=t) for t in (False, True))
+                for field in ("hidden", "attention"):
+                    np.testing.assert_array_equal(getattr(infer, field), getattr(trained, field),
+                                                  err_msg=f"{mode} {size} {field}")
+                np.testing.assert_array_equal(infer.logits.value, trained.logits.value,
+                                              err_msg=f"{mode} {size}")
+
+    def test_last_feed_forward_runs_on_cls_rows_only(self, monkeypatch):
+        cfg = tiny_cfg(layers=3)
+        params = spread_params(cfg, seed=5)
+        batch = width_batch(cfg, [9, 3, 6])
+        n, t = batch.ids.shape
+        gelu, shapes = ad.gelu, []
+
+        def recording_gelu(x):
+            shapes.append(x.value.shape)
+            return gelu(x)
+
+        monkeypatch.setattr(ad, "gelu", recording_gelu)  # the module model.py calls as ad
+        for train in (False, True):
+            shapes.clear()
+            encoder_forward(params, batch, train=train)
+            last = (n * t if train else n, cfg.d_ff)
+            assert shapes == [(n * t, cfg.d_ff)] * (cfg.layers - 1) + [last], train
 
     def test_peak_memory_at_most_half_of_training_forward(self):
         cfg = tiny_cfg(d_model=32, d_ff=64, max_len=48)
