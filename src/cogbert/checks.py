@@ -1,4 +1,4 @@
-"""Type checks shared by the config dataclasses of features, model and training."""
+"""Type and memory checks shared by the config dataclasses of features, model and training."""
 
 from __future__ import annotations
 
@@ -24,6 +24,20 @@ def _is_finite_number(value) -> bool:
 # What each field annotation of a config dataclass admits, and how a message names it.
 _FIELD_TYPES = {"int": (is_integer, "an integer"), "float": (_is_finite_number, "a finite number"),
                 "str": (lambda value: isinstance(value, str), "a string")}
+
+
+MEMORY_BUDGET = 4 << 30  # bytes; a config estimated to need more is rejected
+
+
+def check_memory(terms: dict[str, int]) -> None:
+    """Raise a ConfigError when a config's estimated bytes, the sum of terms keyed
+    by the fields each grows with, exceed MEMORY_BUDGET; the message names the
+    fields of the largest term."""
+    total = sum(terms.values())
+    if total > MEMORY_BUDGET:
+        size = f"{total / 2**30:.3g} GiB" if total.bit_length() < 1000 else "over 2^1000 bytes"
+        raise ConfigError(f"estimated memory of {size} exceeds the {MEMORY_BUDGET >> 30} GiB "
+                          f"budget; it grows with {max(terms, key=terms.get)}")
 
 
 def check_field_types(config) -> None:

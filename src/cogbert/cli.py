@@ -21,6 +21,7 @@ import numpy as np
 
 from . import features as feat
 from . import training
+from .checks import check_memory
 from .errors import (
     CheckpointError,
     CogbertError,
@@ -78,7 +79,10 @@ def _build_config(cls, what: str, path: str | None, flags: dict,
     given = {key: value for key, value in flags.items() if value is not None}
     obj.update(given, **derived)
     try:
-        return cls(**obj)
+        cfg = cls(**obj)
+        if hasattr(cfg, "memory_terms"):  # a generator or model config of a new run
+            check_memory(cfg.memory_terms())
+        return cfg
     except ConfigError as exc:
         if path is None:
             raise

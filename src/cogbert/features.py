@@ -2,20 +2,18 @@
 
 Per-word eye-tracking measurements become "eye tokens" (0-100 integers,
 scaled per sentence) and per-word EEG band power becomes "EEG tokens"
-(0-100 integers, scaled over the corpus). Per-sentence EEG band vectors
-collapse to a single channel vector. Unfixated words always map to token 0
-and are the words a cognitive attention mask suppresses.
+(0-100 integers, scaled over the corpus), both by column operations over a
+raw corpus of per-sentence arrays (SentenceMeasurement). Per-sentence EEG
+band vectors collapse to a single channel vector. Unfixated words always
+map to token 0 and are the words a cognitive attention mask suppresses.
 
 A FeatureDb keyed by sentence id is the model's lookup table at train and
-eval time; its JSON-lines form is the canonical interchange format. All
-three JSON-lines loaders (feature db, lexicon, raw corpus) read through
-_read_jsonl, which rejects a line that is not a JSON object or repeats an
-id. Loading a feature db type-checks every record and concatenates each
-per-word field over all records into a flat array with record offsets in
-one pass (_record_columns), checks every record's values at once
-(check_records, which each CognitiveRecord built in code also runs on its
-own fields) and gives each record views into those arrays. The word-EEG
-lexicon approximates sentence EEG for corpora without recordings.
+eval time; its JSON-lines form is the canonical interchange format. The
+feature db and raw-corpus loaders (_load_columns) type-check all lines into
+flat arrays in one pass, check all their values at once (check_records,
+check_measurements, which a record built in code also runs) and give each
+record views into those arrays. The word-EEG lexicon approximates sentence
+EEG for corpora without recordings.
 """
 
 from __future__ import annotations
@@ -39,90 +37,43 @@ FRPS = ("ffd", "trt", "gd", "gpt")
 BANDS = ("t1", "t2", "a1", "a2", "b1", "b2", "g1", "g2")
 N_EEG_VECTORS = len(FRPS) * len(BANDS)  # 32 channel vectors per fixated word
 TOKEN_SCALE = 100  # tokens index an embedding table with rows 0..100
-
-
-@dataclass
-class WordFixation:
-    """Raw per-word eye-tracking measures, durations in milliseconds.
-
-    sfd is carried for completeness but feeds no downstream formula.
-    """
-
-    n_fixations: int
-    ffd: float = 0.0
-    trt: float = 0.0
-    gd: float = 0.0
-    gpt: float = 0.0
-    sfd: float = 0.0
-
-    def __post_init__(self):
-        durations = (self.ffd, self.trt, self.gd, self.gpt, self.sfd)
-        if self.n_fixations < 0 or any(d < 0 for d in durations):
-            raise ValidationError(f"negative fixation measurement: {self}")
-        if self.n_fixations == 0 and any(d != 0 for d in durations):
-            raise ValidationError("unfixated word must have zero durations")
-
-
-@dataclass
-class WordEEG:
-    """Per-word EEG: one channel vector per (fixation event, frequency band).
-
-    channels has shape (32, C): 4 fixation events x 8 bands, event-major.
-    """
-
-    channels: np.ndarray
-
-    def __post_init__(self):
-        try:
-            self.channels = np.asarray(self.channels, dtype=np.float64)
-        except ValueError as exc:
-            raise ValidationError(f"inconsistent word EEG vector lengths: {exc}") from exc
-        if self.channels.ndim != 2 or self.channels.shape[0] != N_EEG_VECTORS:
-            raise ValidationError(
-                f"word EEG must be ({N_EEG_VECTORS}, C), got {self.channels.shape}"
-            )
-
-    @property
-    def n_channels(self) -> int:
-        return self.channels.shape[1]
-
-    def occurrence_vector(self) -> np.ndarray:
-        """Column-wise mean over the 32 event/band vectors -> one C-vector."""
-        return self.channels.mean(axis=0)
+DURATIONS = (*FRPS, "sfd")  # the columns of SentenceMeasurement.durations
 
 
 @dataclass
 class SentenceMeasurement:
-    """One sentence's raw recordings: the input side of feature derivation."""
+    """One sentence's raw recordings as arrays: each word's fixation count (n,)
+    and DURATIONS in ms (n, 5) (sfd feeds no formula), the EEG of its k fixated
+    words in word order (k, 32, C), one channel vector per (fixation event,
+    band), event-major, and one vector per frequency band (8, C)."""
 
     sentence_id: str
     words: list[str]
     label: int
-    fixations: list[WordFixation]
-    word_eeg: list[WordEEG | None]
-    sentence_bands: np.ndarray  # (8, C), one vector per frequency band
+    n_fixations: np.ndarray
+    durations: np.ndarray
+    word_eeg: np.ndarray
+    sentence_bands: np.ndarray
 
     def __post_init__(self):
-        n = len(self.words)
-        if len(self.fixations) != n or len(self.word_eeg) != n:
-            raise ValidationError(
-                f"{self.sentence_id}: words/fixations/eeg lengths differ "
-                f"({n}/{len(self.fixations)}/{len(self.word_eeg)})"
-            )
-        self.sentence_bands = np.asarray(self.sentence_bands, dtype=np.float64)
-        if self.sentence_bands.ndim != 2 or self.sentence_bands.shape[0] != len(BANDS):
-            raise ValidationError(f"sentence bands must be (8, C), got {self.sentence_bands.shape}")
-        channels = self.sentence_bands.shape[1]
-        for i, (fix, eeg) in enumerate(zip(self.fixations, self.word_eeg)):
-            if (fix.n_fixations == 0) != (eeg is None):
-                raise ValidationError(
-                    f"{self.sentence_id}: word EEG present iff the word was fixated"
-                )
-            if eeg is not None and eeg.channels.shape[1] != channels:
-                raise ValidationError(
-                    f"{self.sentence_id}: word {i} ({self.words[i]!r}) EEG has "
-                    f"{eeg.channels.shape[1]} channels, sentence_bands has {channels}"
-                )
+        try:
+            self.n_fixations = np.asarray(self.n_fixations, dtype=np.int64)
+            self.durations, self.word_eeg, self.sentence_bands = (
+                np.asarray(a, dtype=np.float64) for a in (self.durations, self.word_eeg, self.sentence_bands))
+        except (ValueError, TypeError) as exc:  # a ragged list, or not numbers
+            raise ValidationError(f"{self.sentence_id}: raw measurements are not arrays: {exc}") from None
+        n, fixated = self.n_fixations.size, self.n_fixations > 0
+        shapes = [a.shape for a in (self.n_fixations, self.durations, self.word_eeg, self.sentence_bands)]
+        if ([len(shape) for shape in shapes] != [1, 2, 3, 2] or shapes[1] != (n, len(DURATIONS))
+                or shapes[2][0] != fixated.sum()):
+            raise ValidationError(f"{self.sentence_id}: raw arrays of shapes {shapes}, not (n,), "
+                                  f"(n, 5), (k, 32, C) for k fixated words and (8, C)")
+        offsets, eeg_shapes = np.array([0, n]), [self.word_eeg.shape[1:]] * len(self.word_eeg)
+        failure = check_measurements([self.sentence_id], [self.words],
+                                     (self.n_fixations, self.durations, offsets),
+                                     (fixated, eeg_shapes, offsets), [self.sentence_bands.shape])
+        if failure is not None:
+            raise ValidationError(failure[1])
 
 
 @dataclass
@@ -152,20 +103,33 @@ class CognitiveRecord:
         if failure is not None:
             raise ValidationError(failure[1])
 
-    @classmethod
-    def _checked(cls, sentence_id: str, tokens: list[str], label: int, n_fixations: np.ndarray,
-                 eye_tokens: np.ndarray, eeg_tokens: np.ndarray,
-                 sentence_eeg: np.ndarray) -> "CognitiveRecord":
-        """A record of arrays that check_records has passed; skips __post_init__."""
-        rec = cls.__new__(cls)
-        rec.__dict__.update(sentence_id=sentence_id, tokens=tokens, label=label,
-                            n_fixations=n_fixations, eye_tokens=eye_tokens,
-                            eeg_tokens=eeg_tokens, sentence_eeg=sentence_eeg)
-        return rec
+
+def _unchecked(cls, rows) -> list:
+    """A cls dataclass per row of its field values, which its check has
+    passed, built without running __post_init__."""
+    objs = []
+    for values in rows:
+        obj = cls.__new__(cls)
+        obj.__dict__.update(zip(cls.__dataclass_fields__, values))
+        objs.append(obj)
+    return objs
 
 
 _TOKEN_FIELDS = ("n_fixations", "eye_tokens", "eeg_tokens")
 _INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _segments(n: int, offsets: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Which of n segments, the last ending at offsets[n], hold a flagged element of mask."""
+    bad = np.zeros(n, dtype=bool)
+    bad[np.searchsorted(offsets, np.flatnonzero(mask), side="right") - 1] = True
+    return bad
+
+
+def _first_failure(checks: list[tuple[np.ndarray, Callable]]) -> tuple[int, str] | None:
+    """The first record that a (flags, message) check flags, with the message of its first such check."""
+    first = np.flatnonzero(np.logical_or.reduce([flags for flags, _ in checks]))[:1].tolist()
+    return next(((i, message(i)) for flags, message in checks for i in first if flags[i]), None)
 
 
 def check_records(
@@ -194,31 +158,80 @@ def check_records(
             and values["n_fixations"].min(initial=0) >= 0):
         return None
 
-    def records(element_mask: np.ndarray, name: str) -> np.ndarray:
-        bad = np.zeros(n, dtype=bool)
-        bad[np.searchsorted(offsets[name], np.flatnonzero(element_mask), side="right") - 1] = True
-        return bad
-
     def segment(name: str, i: int) -> np.ndarray:
         return values[name][offsets[name][i]:offsets[name][i + 1]]
 
     checks = [
         *((lengths[name] != n_words, lambda i, name=name: f"{ids[i]}: {name} not aligned with tokens")
           for name in _TOKEN_FIELDS),
-        *((records((values[name] < 0) | (values[name] > TOKEN_SCALE), name),
+        *((_segments(n, offsets[name], (values[name] < 0) | (values[name] > TOKEN_SCALE)),
            lambda i, name=name: (f"{ids[i]}: {name} outside 0..{TOKEN_SCALE}: "
                                  f"[{segment(name, i).min()}, {segment(name, i).max()}]"))
           for name in ("eye_tokens", "eeg_tokens")),
-        (records(~np.isfinite(values["sentence_eeg"]), "sentence_eeg"),
+        (_segments(n, offsets["sentence_eeg"], ~np.isfinite(values["sentence_eeg"])),
          lambda i: f"{ids[i]}: sentence_eeg holds non-finite values"),
         (channels != channels[0],
          lambda i: f"sentence_eeg has {channels[i]} channels, the first record has {channels[0]}"),
         (channels == 0, lambda i: f"{ids[i]}: sentence_eeg is empty"),
-        (records(values["n_fixations"] < 0, "n_fixations"),
+        (_segments(n, offsets["n_fixations"], values["n_fixations"] < 0),
          lambda i: f"{ids[i]}: n_fixations below 0: {segment('n_fixations', i).min()}"),
     ]
-    first = int(np.logical_or.reduce([bad for bad, _ in checks]).argmax())
-    return next((first, message(first)) for bad, message in checks if bad[first])
+    return _first_failure(checks)
+
+
+def check_measurements(ids: list[str], words: list[list[str]], fixations: tuple, eeg: tuple,
+                       band_shapes) -> tuple[int, str] | None:
+    """The first of N sentences that fails a check, with its message; None if all
+    pass. fixations: the fixation entries' counts (F,), durations (F, 5) and
+    N + 1 offsets; eeg: the word_eeg entries' EEG flags (E,), the (rows,
+    channels) of each EEG, and offsets; band_shapes: each sentence_bands' shape.
+    In order: as many fixation and word_eeg entries as words; counts and
+    durations >= 0, durations 0 on an unfixated word; EEG on exactly the
+    fixated words; 32 rows per word EEG, 8 per sentence_bands; word EEG of
+    the channels of sentence_bands, and those of the first sentence."""
+    (counts, durations, fo), (has_eeg, eeg_shapes, eo) = fixations, eeg
+    shapes = np.zeros((len(has_eeg), 2), dtype=np.int64)  # one per word_eeg entry
+    shapes[has_eeg] = np.reshape(eeg_shapes, (-1, 2))
+    band_rows, channels = np.asarray(band_shapes, dtype=np.int64).reshape(-1, 2).T
+    n_words = np.fromiter(map(len, words), np.int64, len(ids))
+    table, fixated = np.column_stack([counts, durations]), counts > 0  # a row per fixation entry
+    aligned = (np.diff(fo) == n_words) & (np.diff(eo) == n_words)
+    end = fo[-1] if aligned.all() else fo[aligned.argmin()]  # where the two lists stop lining up
+    wrong_eeg = np.zeros(len(counts), dtype=bool)
+    wrong_eeg[:end] = fixated[:end] != has_eeg[:end]
+
+    def per_word(mask: np.ndarray, offsets: np.ndarray, message: Callable) -> tuple:
+        """A check of one flag per word: message(i, w) names sentence i's first flagged word."""
+        return _segments(len(ids), offsets, mask), lambda i: message(
+            i, int(np.flatnonzero(mask[offsets[i]:offsets[i + 1]])[0]))
+
+    def per_value(mask: np.ndarray, rule: str) -> tuple:  # a check of n and the durations
+        def message(i, w):
+            entry, key = fo[i] + w, int(mask[fo[i] + w].argmax())
+            value = counts[entry] if key == 0 else repr(float(table[entry, key])).removesuffix(".0")
+            return f"word {w}: fixation {('n', *DURATIONS)[key]} must be {rule}, got {value}"
+        return per_word(mask.any(axis=1), fo, message)
+
+    return _first_failure([
+        (np.diff(fo) != n_words,
+         lambda i: f"fixations has {fo[i + 1] - fo[i]} entries for {n_words[i]} words"),
+        (np.diff(eo) != n_words,
+         lambda i: f"word_eeg has {eo[i + 1] - eo[i]} entries for {n_words[i]} words"),
+        per_value(table < 0, ">= 0"),
+        per_value(~fixated[:, None] & (table != 0), "0 on an unfixated word"),
+        per_word(wrong_eeg, fo, lambda i, w: f"word {w}: " + (
+            "no word_eeg entry on a fixated word" if fixated[fo[i] + w]
+            else "word_eeg entry on an unfixated word")),
+        per_word(has_eeg & (shapes[:, 0] != N_EEG_VECTORS), eo, lambda i, w: (
+            f"word {w}: word_eeg entry has {shapes[eo[i] + w, 0]} rows, not {N_EEG_VECTORS}")),
+        (band_rows != len(BANDS),
+         lambda i: f"sentence_bands has {band_rows[i]} rows, not {len(BANDS)}"),
+        per_word(has_eeg & (shapes[:, 1] != np.repeat(channels, np.diff(eo))), eo, lambda i, w: (
+            f"{ids[i]}: word {w} ({words[i][w]!r}) EEG has {shapes[eo[i] + w, 1]} channels, "
+            f"sentence_bands has {channels[i]}")),
+        (channels != channels[:1], lambda i: f"sentence_bands has {channels[i]} channels, "
+                                             f"the first line has {channels[0]}"),
+    ])
 
 
 # dtype -> (the JSON types of the values it holds, what a message calls them)
@@ -244,24 +257,46 @@ def _check_labels(labels: list) -> None:
         raise ValidationError(f"label must be an integer in 0..{_INT64_MAX}, got {bad!r}")
 
 
-def _concat(name: str, lists: list, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """(values, offsets) of JSON lists of numbers joined into one dtype array.
+def _array(values: list, dtype, rule: str, finite: bool = False) -> np.ndarray:
+    """JSON numbers as one dtype array; a ValidationError, the rule and the first
+    value that _fits rejects (or that is not finite, if finite), if there is one."""
+    try:
+        if set(map(type, values)) <= _NUMBERS[dtype][0]:
+            array = np.array(values, dtype=dtype)
+            if not finite or np.isfinite(array).all():
+                return array
+    except OverflowError:
+        pass
+    bad = next(v for v in values if not (_fits(v, dtype) and (not finite or math.isfinite(v))))
+    raise ValidationError(f"{rule}, got {bad!r}")
 
-    A ValidationError names the first item of lists that is not a list, or
-    else the first value that _fits rejects.
-    """
-    if set(map(type, lists)) <= {list}:
-        flat = list(chain.from_iterable(lists))
-        types, noun = _NUMBERS[dtype]
-        try:
-            if set(map(type, flat)) <= types:
-                return np.array(flat, dtype=dtype), np.cumsum([0, *map(len, lists)])
-        except OverflowError:
-            pass
-        bad = next(v for v in flat if not _fits(v, dtype))
-        raise ValidationError(f"{name} must hold {noun}, got {bad!r}")
-    bad = next(v for v in lists if type(v) is not list)
-    raise ValidationError(f"{name} must be a list, got {bad!r}")
+
+def _lists(name: str, values: list, kind: type = list, noun: str = "be a list") -> None:
+    """Raise a ValidationError naming the first of values whose type is not kind."""
+    if not set(map(type, values)) <= {kind}:
+        bad = next(v for v in values if type(v) is not kind)
+        raise ValidationError(f"{name} must {noun}, got {bad!r}")
+
+
+def _concat(name: str, lists: list, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """(values, offsets) of JSON lists of numbers joined into one dtype array; a
+    ValidationError names the first item that is not a list, or else the first value _fits rejects."""
+    _lists(name, lists)
+    return (_array(list(chain.from_iterable(lists)), dtype, f"{name} must hold {_NUMBERS[dtype][1]}"),
+            np.cumsum([0, *map(len, lists)]))
+
+
+def _key_columns(objs: list[dict], keys: tuple[str, ...]) -> dict[str, list]:
+    """Each key's values over the objects; a ValidationError names the first key some object lacks."""
+    missing = next((key for key in keys for obj in objs if key not in obj), None)
+    if missing is not None:
+        raise ValidationError(f"missing key {missing!r}")
+    return {key: [obj[key] for obj in objs] for key in keys}
+
+
+def _check_strings(name: str, lists: list) -> None:
+    if not (set(map(type, lists)) <= {list} and set(map(type, chain.from_iterable(lists))) <= {str}):
+        raise ValidationError(f"{name} must be a list of strings")
 
 
 def _line_error(path: str | Path, lineno: int, obj, id_key: str, exc: Exception) -> DataError:
@@ -317,29 +352,47 @@ def _read_jsonl(path: str | Path, id_key: str, parse: Callable[[dict], object],
     return items, None
 
 
-_RECORD_KEYS = ("tokens", "label", *_TOKEN_FIELDS, "sentence_eeg")
+def _load_columns(path: str | Path, columns: Callable[[list[dict]], tuple],
+                  check: Callable[..., tuple[int, str] | None]) -> tuple[list[str], tuple]:
+    """The ids and columns(objects) of a JSON-lines file's lines, which
+    check(ids, *columns) has passed; the first bad line is a DataError.
+
+    _read_jsonl reads the lines up to the first that is not an object with a
+    new string id. columns type-checks them in one pass, and only if that
+    fails runs line by line (a line passes or fails regardless of the others)
+    to find the first bad one. check then checks the lines before it at once;
+    the error names the first failing line.
+    """
+    items, error = _read_jsonl(path, "id", lambda obj: None)
+    try:
+        cols = columns([obj for _, obj, _ in items])
+    except ValidationError:
+        for n, (lineno, obj, _) in enumerate(items):
+            try:
+                columns([obj])
+            except ValidationError as exc:
+                error = _line_error(path, lineno, obj, "id", exc)
+                break
+        items = items[:n]
+        cols = columns([obj for _, obj, _ in items])
+    ids = [obj["id"] for _, obj, _ in items]
+    failure = check(ids, *cols)
+    if failure is not None:
+        lineno, obj, _ = items[failure[0]]
+        raise _line_error(path, lineno, obj, "id", ValidationError(failure[1]))
+    if error is not None:
+        raise error
+    return ids, cols
 
 
 def _record_columns(objs: list[dict]) -> tuple[list, list, dict[str, tuple[np.ndarray, np.ndarray]]]:
     """The tokens, labels and flat fields (as check_records takes them) of
-    feature-file records, read and type-checked in one pass over all of them.
-
-    Raises a ValidationError for the first of _RECORD_KEYS that some record
-    lacks, or else that some record holds with a wrong JSON type: tokens a
-    list of strings, label an integer in 0..int64 max, the token fields lists
-    of int64 integers, sentence_eeg a list of float64 numbers. A record
-    passes or fails regardless of the others, so on one record the error is
-    that record's.
-    """
-    columns = {}
-    for name in _RECORD_KEYS:
-        try:
-            columns[name] = [obj[name] for obj in objs]
-        except KeyError:
-            raise ValidationError(f"missing key {name!r}") from None
+    feature-file records, type-checked in one pass: a ValidationError names
+    the first key that a record lacks or holds with a wrong JSON
+    type (tokens strings, label in 0..int64 max, token fields int64, EEG float64)."""
+    columns = _key_columns(objs, ("tokens", "label", *_TOKEN_FIELDS, "sentence_eeg"))
     tokens, labels = columns["tokens"], columns["label"]
-    if not (set(map(type, tokens)) <= {list} and set(map(type, chain.from_iterable(tokens))) <= {str}):
-        raise ValidationError("tokens must be a list of strings")
+    _check_strings("tokens", tokens)
     _check_labels(labels)
     fields = {name: _concat(name, columns[name], np.int64 if name in _TOKEN_FIELDS else np.float64)
               for name in (*_TOKEN_FIELDS, "sentence_eeg")}
@@ -355,7 +408,7 @@ def _split_records(ids: list[str], tokens: list[list[str]], labels: list[int],
                 for vals in (fields[name][0] for name in _TOKEN_FIELDS)]
     sentence_eeg, sentence_offsets = fields["sentence_eeg"]
     rows = sentence_eeg.reshape(len(ids), int(sentence_offsets[1]))
-    return list(map(CognitiveRecord._checked, ids, tokens, labels, *segments, rows))
+    return _unchecked(CognitiveRecord, zip(ids, tokens, labels, *segments, rows))
 
 
 class FeatureDb:
@@ -394,35 +447,12 @@ class FeatureDb:
 
     @classmethod
     def load_jsonl(cls, path: str | Path) -> "FeatureDb":
-        """Read a feature db, one record per line; the first bad line is a DataError.
-
-        _read_jsonl reads the lines up to the first that is not a JSON object
-        with a new string id. _record_columns checks the JSON types of those
-        records and makes flat arrays of them in one pass; only if it fails
-        does it run on one record at a time, to find the first with a wrong
-        type. check_records then checks the records before that one at once,
-        and the error names whichever failing line comes first. Records hold
-        views into the flat arrays.
-        """
-        items, error = _read_jsonl(path, "id", lambda obj: None)
-        try:
-            tokens, labels, fields = _record_columns([obj for _, obj, _ in items])
-        except ValidationError:
-            for n, (lineno, obj, _) in enumerate(items):
-                try:
-                    _record_columns([obj])
-                except ValidationError as exc:
-                    error = _line_error(path, lineno, obj, "id", exc)
-                    break
-            items = items[:n]
-            tokens, labels, fields = _record_columns([obj for _, obj, _ in items])
-        ids = [obj["id"] for _, obj, _ in items]
-        failure = check_records(ids, np.fromiter(map(len, tokens), np.int64, len(tokens)), fields)
-        if failure is not None:
-            lineno, obj, _ = items[failure[0]]
-            raise _line_error(path, lineno, obj, "id", ValidationError(failure[1]))
-        if error is not None:
-            raise error
+        """Read a feature db, one record per line, into views of flat arrays; the first
+        bad line is a DataError (_load_columns, _record_columns, check_records)."""
+        ids, (tokens, labels, fields) = _load_columns(
+            path, _record_columns,
+            lambda ids, tokens, labels, fields: check_records(
+                ids, np.fromiter(map(len, tokens), np.int64, len(tokens)), fields))
         return cls(_split_records(ids, tokens, labels, fields) if ids else [])
 
 
@@ -430,9 +460,11 @@ class FeatureDb:
 # Feature formulas
 # ---------------------------------------------------------------------------
 
-def eye_token_raw(fix: WordFixation) -> float:
-    """nFixations * (FFD + TRT + GD + GPT); zero for unfixated words."""
-    return fix.n_fixations * (fix.ffd + fix.trt + fix.gd + fix.gpt)
+def eye_token_raw(n_fixations, durations) -> np.ndarray:
+    """nFixations * (FFD + TRT + GD + GPT) per word, from (n,) counts and (n, 5)
+    durations; zero for unfixated words."""
+    n_fixations, d = np.asarray(n_fixations), np.asarray(durations, dtype=np.float64)
+    return n_fixations * (d[:, 0] + d[:, 1] + d[:, 2] + d[:, 3])
 
 
 def _round_half_up(x: np.ndarray) -> np.ndarray:
@@ -453,11 +485,10 @@ def scale_eye_tokens(raw) -> np.ndarray:
     return _round_half_up(TOKEN_SCALE * raw / peak)
 
 
-def eeg_token_raw(eeg: WordEEG | None) -> float:
-    """Grand mean of the word's averaged channel vector; zero when unfixated."""
-    if eeg is None:
-        return 0.0
-    return float(eeg.occurrence_vector().mean())
+def eeg_token_raw(word_eeg) -> np.ndarray:
+    """Grand mean of each fixated word's (32, C) EEG, (k, 32, C) -> (k,): the mean
+    of its occurrence vector (the mean over the 32 event/band vectors)."""
+    return np.asarray(word_eeg, dtype=np.float64).mean(axis=1).mean(axis=1)
 
 
 def scale_eeg_tokens(raw, fixated=None) -> np.ndarray:
@@ -514,23 +545,23 @@ def cognitive_mask(n_fixations, layout: TokenizedSentence) -> np.ndarray:
 
 def derive_records(measurements: list[SentenceMeasurement]) -> FeatureDb:
     """Full feature derivation: eye tokens (per-sentence scale), EEG tokens
-    (corpus-level scale), and sentence EEG vectors.
-
-    All records are checked at once (check_records), so a bad one raises the
-    ValidationError its CognitiveRecord would, and sentence EEG vectors of
-    different lengths are rejected.
-    """
+    (corpus-level scale), and sentence EEG vectors. All records are checked at
+    once (check_records): a bad one raises the ValidationError its
+    CognitiveRecord would, and sentence EEG of different lengths is rejected."""
     if not measurements:
         return FeatureDb([])
-    fixations = [f for m in measurements for f in m.fixations]
-    raw_eeg = [eeg_token_raw(eeg) for m in measurements for eeg in m.word_eeg]
+    n_fixations = np.concatenate([m.n_fixations for m in measurements])
     word_offsets = np.cumsum([0, *(len(m.words) for m in measurements)])
+    raw_eye = eye_token_raw(n_fixations, np.concatenate([m.durations for m in measurements]))
+    fixated = n_fixations > 0
+    raw_eeg = np.zeros(len(n_fixations))
+    raw_eeg[fixated] = np.concatenate([eeg_token_raw(m.word_eeg) for m in measurements])
     sentence = [sentence_eeg(m.sentence_bands) for m in measurements]
     fields = {
-        "n_fixations": (np.array([f.n_fixations for f in fixations], dtype=np.int64), word_offsets),
-        "eye_tokens": (np.concatenate([scale_eye_tokens([eye_token_raw(f) for f in m.fixations])
-                                       for m in measurements]), word_offsets),
-        "eeg_tokens": (scale_eeg_tokens(raw_eeg, [f.n_fixations > 0 for f in fixations]), word_offsets),
+        "n_fixations": (n_fixations, word_offsets),
+        "eye_tokens": (np.concatenate([scale_eye_tokens(raw) for raw in
+                                       np.split(raw_eye, word_offsets[1:-1])]), word_offsets),
+        "eeg_tokens": (scale_eeg_tokens(raw_eeg, fixated), word_offsets),
         "sentence_eeg": (np.concatenate(sentence), np.cumsum([0, *map(len, sentence)])),
     }
     ids = [m.sentence_id for m in measurements]
@@ -595,23 +626,22 @@ class EEGLexicon:
 
 
 def build_lexicon(measurements: list[SentenceMeasurement]) -> EEGLexicon:
-    """Average each word's per-occurrence EEG vectors; unfixated occurrences
-    contribute nothing and never-fixated words are excluded."""
-    sums: dict[str, np.ndarray] = {}
-    counts: dict[str, int] = {}
-    for m in measurements:
-        for word, eeg in zip(m.words, m.word_eeg):
-            if eeg is None:
-                continue
-            vec = eeg.occurrence_vector()
-            if word in sums:
-                sums[word] = sums[word] + vec
-                counts[word] += 1
-            else:
-                sums[word] = vec.copy()
-                counts[word] = 1
-    vectors = {w: sums[w] / counts[w] for w in sums}
-    return EEGLexicon(vectors, counts)
+    """Average each word's per-occurrence EEG vectors (the mean over its 32
+    event/band vectors); unfixated occurrences contribute nothing and
+    never-fixated words are excluded. Occurrences are summed in corpus order."""
+    if not measurements:
+        return EEGLexicon({}, {})
+    fixated = np.concatenate([m.n_fixations for m in measurements]) > 0
+    words = np.array(list(chain.from_iterable(m.words for m in measurements)), dtype=object)
+    # object dtype compares the words as Python strings; a str dtype would drop trailing NULs
+    unique, inverse = np.unique(words[fixated], return_inverse=True)
+    occurrences = np.concatenate([m.word_eeg.mean(axis=1) for m in measurements])
+    # -0.0 + v == v for every v, -0.0 included: the first occurrence is summed exactly
+    sums = np.full((len(unique), occurrences.shape[1]), -0.0)
+    np.add.at(sums, inverse, occurrences)
+    counts = np.bincount(inverse, minlength=len(unique))
+    return EEGLexicon(dict(zip(unique.tolist(), sums / counts[:, None])),
+                      dict(zip(unique.tolist(), counts.tolist())))
 
 
 def lexicon_sentence_eeg(words: list[str], lexicon: EEGLexicon, n_channels: int) -> tuple[np.ndarray, float]:
@@ -623,7 +653,7 @@ def lexicon_sentence_eeg(words: list[str], lexicon: EEGLexicon, n_channels: int)
     hits = [lexicon.vectors[w] for w in words if w in lexicon]
     if not hits:
         return np.zeros(n_channels, dtype=np.float64), 0.0
-    coverage = len(hits) / len(words) if words else 0.0
+    coverage = len(hits) / len(words)
     return np.mean(hits, axis=0), coverage
 
 
@@ -679,6 +709,16 @@ class SynthConfig:
             raise ConfigError("filler_fix_prob must lie in [0, 1]")
         if self.eeg_channels < 1 or self.keywords_per_class < 1 or self.filler_vocab < 1:
             raise ConfigError("vocabulary and channel counts must be positive")
+        if self.filler_vocab > _INT64_MAX:  # filler ids are drawn as int64
+            raise ConfigError(f"filler_vocab must be at most {_INT64_MAX}, got {self.filler_vocab!r}")
+
+    def memory_terms(self) -> dict[str, int]:
+        """Estimated bytes of the corpus (check_memory): its EEG as float64, and 256
+        bytes of Python objects per word and per keyword of a sentence's two lists."""
+        words = self.n_sentences * self.max_words
+        eeg = (words * N_EEG_VECTORS + self.n_sentences * len(BANDS)) * self.eeg_channels * 8
+        return {"n_sentences, max_words, eeg_channels": eeg, "n_sentences, max_words": words * 256,
+                "keywords_per_class": 2 * self.keywords_per_class * 256}
 
     def keywords(self, label: int) -> list[str]:
         return [f"kw{label}x{i}" for i in range(self.keywords_per_class)]
@@ -693,15 +733,16 @@ def _class_profile(cfg: SynthConfig, label: int, base: float) -> np.ndarray:
     return profile
 
 
-def _word_eeg(cfg: SynthConfig, rng: SeededRng, profile: np.ndarray) -> WordEEG:
-    return WordEEG(rng.normal(profile, cfg.eeg_noise, size=(N_EEG_VECTORS, cfg.eeg_channels)))
-
-
 def synth_generate(cfg: SynthConfig, seed: int) -> tuple[list[SentenceMeasurement], FeatureDb, list[int]]:
-    """Deterministic corpus + derived feature database + per-sentence labels."""
+    """Deterministic corpus + derived feature database + per-sentence labels.
+
+    Each word draws from its sentence's stream in word order. The sentences'
+    arrays pass check_measurements by construction.
+    """
     master = SeededRng(seed).derive("synth")
-    measurements: list[SentenceMeasurement] = []
-    labels: list[int] = []
+    rows = []  # each sentence's SentenceMeasurement fields
+    eeg_shape = (N_EEG_VECTORS, cfg.eeg_channels)
+    filler_profile = np.full(cfg.eeg_channels, cfg.filler_eeg_mean, dtype=np.float64)
 
     for i in range(cfg.n_sentences):
         label = i % cfg.n_classes
@@ -714,62 +755,38 @@ def synth_generate(cfg: SynthConfig, seed: int) -> tuple[list[SentenceMeasuremen
         kw_pos = set(order[:n_kw].tolist())
         dis_pos = set(order[n_kw:n_kw + n_dis].tolist())
         wrong = int((label + 1 + rng.integers(cfg.n_classes - 1)) % cfg.n_classes)
-
-        words: list[str] = []
-        fixations: list[WordFixation] = []
-        word_eeg: list[WordEEG | None] = []
+        keywords, distractors = cfg.keywords(label), cfg.keywords(wrong)
         kw_profile = _class_profile(cfg, label, cfg.keyword_eeg_mean)
-        filler_profile = np.full(cfg.eeg_channels, cfg.filler_eeg_mean, dtype=np.float64)
 
+        words, fixations, word_eeg = [], [], []
         for pos in range(n_words):
+            fixation = None  # (n, *DURATIONS) of a fixated word
             if pos in kw_pos:
-                words.append(str(rng.choice(cfg.keywords(label))))
-                n_fix = int(rng.integers(2, 6))
-                fixations.append(WordFixation(
-                    n_fixations=n_fix,
-                    ffd=float(rng.uniform(80, 200)),
-                    trt=float(rng.uniform(200, 600)),
-                    gd=float(rng.uniform(80, 300)),
-                    gpt=float(rng.uniform(100, 400)),
-                ))
-                word_eeg.append(_word_eeg(cfg, rng, kw_profile))
+                words.append(str(rng.choice(keywords)))
+                fixation = (int(rng.integers(2, 6)), rng.uniform(80, 200), rng.uniform(200, 600),
+                            rng.uniform(80, 300), rng.uniform(100, 400), 0.0)
+                profile = kw_profile
             elif pos in dis_pos:
-                words.append(str(rng.choice(cfg.keywords(wrong))))
-                fixations.append(WordFixation(n_fixations=0))
-                word_eeg.append(None)
+                words.append(str(rng.choice(distractors)))
             else:
                 words.append(f"f{int(rng.integers(cfg.filler_vocab))}")
                 if rng.random() < cfg.filler_fix_prob:
-                    n_fix = int(rng.integers(1, 3))
-                    ffd = float(rng.uniform(50, 150))
-                    fixations.append(WordFixation(
-                        n_fixations=n_fix,
-                        ffd=ffd,
-                        trt=float(rng.uniform(50, 200)),
-                        gd=float(rng.uniform(50, 150)),
-                        gpt=float(rng.uniform(50, 200)),
-                        sfd=ffd if n_fix == 1 else 0.0,
-                    ))
-                    word_eeg.append(_word_eeg(cfg, rng, filler_profile))
-                else:
-                    fixations.append(WordFixation(n_fixations=0))
-                    word_eeg.append(None)
+                    n_fix, ffd = int(rng.integers(1, 3)), rng.uniform(50, 150)
+                    fixation = (n_fix, ffd, rng.uniform(50, 200), rng.uniform(50, 150),
+                                rng.uniform(50, 200), ffd if n_fix == 1 else 0.0)
+                    profile = filler_profile
+            fixations.append(fixation or (0,) * (1 + len(DURATIONS)))
+            if fixation:
+                word_eeg.append(rng.normal(profile, cfg.eeg_noise, size=eeg_shape))
 
-        measurements.append(SentenceMeasurement(
-            sentence_id=f"s{i:04d}",
-            words=words,
-            label=label,
-            fixations=fixations,
-            word_eeg=word_eeg,
-            sentence_bands=rng.normal(
-                _class_profile(cfg, label, cfg.filler_eeg_mean),
-                cfg.eeg_noise,
-                size=(len(BANDS), cfg.eeg_channels),
-            ),
-        ))
-        labels.append(label)
+        table = np.array(fixations, dtype=np.float64)
+        rows.append((f"s{i:04d}", words, label, table[:, 0].astype(np.int64), table[:, 1:],
+                     np.array(word_eeg).reshape(-1, *eeg_shape),
+                     rng.normal(_class_profile(cfg, label, cfg.filler_eeg_mean), cfg.eeg_noise,
+                                size=(len(BANDS), cfg.eeg_channels))))
 
-    return measurements, derive_records(measurements), labels
+    measurements = _unchecked(SentenceMeasurement, rows)
+    return measurements, derive_records(measurements), [m.label for m in measurements]
 
 
 # ---------------------------------------------------------------------------
@@ -779,87 +796,68 @@ def synth_generate(cfg: SynthConfig, seed: int) -> tuple[list[SentenceMeasuremen
 def save_measurements(measurements: list[SentenceMeasurement], path: str | Path) -> None:
     with atomic_open(path, "w", encoding="utf-8") as fh:
         for m in measurements:
+            counts, eeg = m.n_fixations.tolist(), iter(m.word_eeg.tolist())
             fh.write(json.dumps({
                 "id": m.sentence_id,
                 "words": m.words,
                 "label": int(m.label),
-                "fixations": [
-                    {"n": f.n_fixations, "ffd": f.ffd, "trt": f.trt,
-                     "gd": f.gd, "gpt": f.gpt, "sfd": f.sfd}
-                    for f in m.fixations
-                ],
-                "word_eeg": [None if e is None else e.channels.tolist() for e in m.word_eeg],
+                "fixations": [{"n": n, **dict(zip(DURATIONS, d))}
+                              for n, d in zip(counts, m.durations.tolist())],
+                "word_eeg": [next(eeg) if n > 0 else None for n in counts],
                 "sentence_bands": m.sentence_bands.tolist(),
             }, sort_keys=True) + "\n")
 
 
-_DURATIONS = ("ffd", "trt", "gd", "gpt", "sfd")
-
-
-def _fixation(f) -> WordFixation:
-    """A raw-corpus fixation object: n an int64 integer, durations finite numbers."""
-    if type(f) is not dict:
-        raise ValidationError(f"fixations must hold objects, got {f!r}")
-    if not _fits(f["n"], np.int64):
-        raise ValidationError(f"fixation n must be an int64 integer, got {f['n']!r}")
-    for key in _DURATIONS:
-        if not (_fits(f[key], np.float64) and math.isfinite(f[key])):
-            raise ValidationError(f"fixation {key} must be a finite number, got {f[key]!r}")
-    return WordFixation(f["n"], *(f[key] for key in _DURATIONS))
-
-
-def _finite_matrices(name: str, matrices: list) -> list[np.ndarray]:
-    """JSON lists of non-empty, equal-length lists of finite numbers, each as a
-    float64 matrix; the rows of all of them are checked in one pass."""
-    for rows in matrices:
-        if type(rows) is not list:
-            raise ValidationError(f"{name} must be a list of lists, got {rows!r}")
+def _finite_matrices(name: str, matrices: list) -> tuple[np.ndarray, np.ndarray]:
+    """The (rows, channels) of JSON lists of non-empty, equal-length lists of finite
+    numbers, and all their values one after the other, checked in one pass."""
+    _lists(name, matrices, noun="be a list of lists")
     values, offsets = _concat(f"{name} row", list(chain.from_iterable(matrices)), np.float64)
-    counts = np.array([len(rows) for rows in matrices], dtype=np.int64)
-    ends = np.cumsum(counts)
-    widths, starts, nonempty = np.diff(offsets), ends - counts, counts > 0
-    firsts = np.repeat(widths[starts[nonempty]], counts[nonempty])  # its matrix's first row
-    if not (widths.all() and (widths == firsts).all()):
+    counts, widths = np.fromiter(map(len, matrices), np.int64, len(matrices)), np.diff(offsets)
+    firsts = np.zeros_like(counts)  # each matrix's first row width
+    firsts[counts > 0] = widths[(np.cumsum(counts) - counts)[counts > 0]]
+    if not (widths.all() and (widths == np.repeat(firsts, counts)).all()):
         raise ValidationError(f"{name} rows must be non-empty and of equal length")
     if not np.isfinite(values).all():
         raise ValidationError(f"{name} holds non-finite values")
-    return [values[offsets[a]:offsets[b]].reshape(b - a, -1 if b > a else 0)
-            for a, b in zip(starts.tolist(), ends.tolist())]
+    return np.column_stack([counts, firsts]), values
+
+
+def _measurement_columns(objs: list[dict]) -> tuple:
+    """Raw-corpus lines' words, labels, and fixations, eeg and bands as check_measurements
+    takes them (with their values), type-checked in one pass; see README "raw corpus"."""
+    columns = _key_columns(objs, ("words", "label", "fixations", "word_eeg", "sentence_bands"))
+    _check_strings("words", columns["words"])
+    _check_labels(columns["label"])
+    for name in ("fixations", "word_eeg"):
+        _lists(name, columns[name])
+    fixations = list(chain.from_iterable(columns["fixations"]))
+    _lists("fixations", fixations, dict, "hold objects")
+    fixations = _key_columns(fixations, ("n", *DURATIONS))
+    counts = _array(fixations["n"], np.int64, "fixation n must be an int64 integer")
+    durations = np.stack([_array(fixations[key], np.float64, f"fixation {key} must be a finite number",
+                                 finite=True) for key in DURATIONS], axis=1)
+    entries = list(chain.from_iterable(columns["word_eeg"]))
+    has_eeg = np.array([e is not None for e in entries], dtype=bool)
+    eeg_shapes, eeg_values = _finite_matrices("word_eeg entry", [e for e in entries if e is not None])
+    offsets = [np.cumsum([0, *map(len, columns[name])]) for name in ("fixations", "word_eeg")]
+    return (columns["words"], columns["label"], (counts, durations, offsets[0]),
+            (has_eeg, eeg_shapes, offsets[1], eeg_values),
+            _finite_matrices("sentence_bands", columns["sentence_bands"]))
 
 
 def load_measurements(path: str | Path) -> list[SentenceMeasurement]:
-    """Read a raw corpus: distinct string ids, words strings, labels integers
-    in 0..int64 max, fixations objects (n an int64 integer, durations finite
-    numbers), and word and sentence EEG lists of non-empty, equal-length
-    lists of finite numbers, each with the first line's channel count."""
-    channels: list[int] = []
-
-    def measurement(obj: dict) -> SentenceMeasurement:
-        if not (isinstance(obj["words"], list) and all(isinstance(w, str) for w in obj["words"])):
-            raise ValidationError("words must be a list of strings")
-        _check_labels([obj["label"]])
-        for name in ("fixations", "word_eeg"):
-            if type(obj[name]) is not list:
-                raise ValidationError(f"{name} must be a list, got {obj[name]!r}")
-        fixations = [_fixation(f) for f in obj["fixations"]]
-        matrices = iter(_finite_matrices("word_eeg entry",
-                                         [e for e in obj["word_eeg"] if e is not None]))
-        m = SentenceMeasurement(
-            sentence_id=obj["id"],
-            words=obj["words"],
-            label=obj["label"],
-            fixations=fixations,
-            word_eeg=[None if e is None else WordEEG(next(matrices)) for e in obj["word_eeg"]],
-            sentence_bands=_finite_matrices("sentence_bands", [obj["sentence_bands"]])[0],
-        )
-        if not channels:
-            channels.append(m.sentence_bands.shape[1])
-        elif m.sentence_bands.shape[1] != channels[0]:
-            raise ValidationError(f"sentence_bands has {m.sentence_bands.shape[1]} channels, "
-                                  f"the first line has {channels[0]}")
-        return m
-
-    items, error = _read_jsonl(path, "id", measurement)
-    if error is not None:
-        raise error
-    return [m for _, _, m in items]
+    """Read a raw corpus, one sentence per line, into views of flat arrays; the first
+    bad line is a DataError (_load_columns, _measurement_columns, check_measurements)."""
+    ids, (words, labels, (counts, durations, offsets), eeg, (band_shapes, bands)) = _load_columns(
+        path, _measurement_columns,
+        lambda ids, words, labels, fixations, eeg, bands: check_measurements(
+            ids, words, fixations, eeg[:3], bands[0]))
+    if not ids:
+        return []
+    channels, cuts = band_shapes[0, 1], offsets[1:-1]  # every line's channels, as checked
+    entries = np.concatenate([[0], np.cumsum(counts > 0)])[cuts]
+    return _unchecked(SentenceMeasurement, zip(
+        ids, words, labels, np.split(counts, cuts), np.split(durations, cuts),
+        np.split(eeg[3].reshape(-1, N_EEG_VECTORS, channels), entries),
+        bands.reshape(-1, len(BANDS), channels)))

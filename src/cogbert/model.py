@@ -54,6 +54,7 @@ COG_TABLE_ROWS = 101  # cognitive tokens range over 0..100
 LN_EPS = 1e-5
 INIT_STD = 0.02
 GRADCHECK_MAX_ENTRIES = 48
+_PARAM_BYTES = 4 * 8  # a parameter's float64 value, gradient and two Adam moments
 SLOT_MULTIPLE = 8  # EncoderParams pads slots to 8 entries (64 bytes), so all share one alignment
 # numpy's pairwise sum keeps 8 partial sums: at a width that is a multiple of 8
 # the softmax reductions see the same partial sums as at max_len (bit-identical).
@@ -91,6 +92,17 @@ class ModelConfig:
             raise ConfigError("dropout must lie in [0, 1)")
         if self.d_ff < 1 or self.eeg_channels < 1 or self.n_classes < 2:
             raise ConfigError("d_ff, eeg_channels must be positive and n_classes >= 2")
+
+    def memory_terms(self) -> dict[str, int]:
+        """Estimated bytes of training on one sentence (see check_memory): the
+        weight matrices with their gradients and Adam moments, and the
+        sentence's attention probabilities (layers, heads, max_len, max_len)."""
+        d = self.d_model
+        return {
+            "vocab_size, max_len, d_model": (self.vocab_size + self.max_len) * d * _PARAM_BYTES,
+            "layers, d_model, d_ff": self.layers * (4 * d + 2 * self.d_ff) * d * _PARAM_BYTES,
+            "layers, heads, max_len": self.layers * self.heads * self.max_len ** 2 * 8,
+        }
 
     @property
     def uses_eeg_tokens(self) -> bool:
@@ -602,7 +614,7 @@ class ForwardResult:
 
     # (B, T, d_model) hidden states entering the last layer, detached. Only
     # perfbench/tracing.py (its computed-position count) and tests read it; it
-    # goes when perfbench takes that count from the batch shape (ROADMAP item 3).
+    # goes when perfbench takes that count from the batch shape.
     hidden: np.ndarray
     logits: Node                # (B, n_classes)
     attention: np.ndarray       # (B, layers, heads, T, T) view of a layer-major array, detached

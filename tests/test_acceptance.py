@@ -27,8 +27,6 @@ from cogbert.features import (
     sentence_eeg,
     synth_generate,
     CognitiveRecord,
-    WordEEG,
-    WordFixation,
     N_EEG_VECTORS,
 )
 from cogbert.model import (
@@ -121,8 +119,7 @@ def test_c03_formula_oracles():
     for _ in range(1000):
         n = int(rng.integers(0, 6))
         d = rng.uniform(0, 500, size=4) if n else np.zeros(4)
-        fix = WordFixation(n, *d)
-        assert eye_token_raw(fix) == pytest.approx(
+        assert eye_token_raw([n], [[*d, 0.0]])[0] == pytest.approx(
             n * (d[0] + d[1] + d[2] + d[3]), abs=1e-9)
 
     # eeg_token_raw on 1000 random words
@@ -132,7 +129,7 @@ def test_c03_formula_oracles():
         for row in channels:
             for v in row:
                 total += v
-        assert eeg_token_raw(WordEEG(channels)) == pytest.approx(
+        assert eeg_token_raw([channels])[0] == pytest.approx(
             total / channels.size, abs=1e-9)
 
     # sentence_eeg on 1000 random band stacks
@@ -172,10 +169,11 @@ def test_c03_formula_oracles():
     collected = {}
     n_occurrences = 0
     for m in measurements:
-        for w, e in zip(m.words, m.word_eeg):
+        eeg = iter(m.word_eeg)
+        for w, n in zip(m.words, m.n_fixations):
             n_occurrences += 1
-            if e is not None:
-                collected.setdefault(w, []).append(e.channels.mean(axis=0))
+            if n > 0:
+                collected.setdefault(w, []).append(next(eeg).mean(axis=0))
     assert n_occurrences >= 1000
     assert set(lex.vectors) == set(collected)
     for w, vecs in collected.items():

@@ -18,8 +18,8 @@ from cogbert.features import (
     EEGLexicon,
     FeatureDb,
     SentenceMeasurement,
+    N_EEG_VECTORS,
     SynthConfig,
-    WordFixation,
     lexicon_sentence_eeg,
     save_measurements,
 )
@@ -196,8 +196,8 @@ class TestLexicon:
     def test_fully_unfixated_corpus_exits_4(self, tmp_path):
         m = SentenceMeasurement(
             sentence_id="s0", words=["a", "b"], label=0,
-            fixations=[WordFixation(0), WordFixation(0)],
-            word_eeg=[None, None],
+            n_fixations=[0, 0], durations=np.zeros((2, 5)),
+            word_eeg=np.zeros((0, N_EEG_VECTORS, 4)),
             sentence_bands=np.zeros((8, 4)),
         )
         corpus = tmp_path / "corpus.jsonl"
@@ -752,11 +752,17 @@ class TestLexiconAndCorpusCorruption:
         """(label, corrupted line, expected message) for the fixations, word EEG and
         sentence bands of a raw-corpus line; first is the corpus's first line."""
         fixated = next(i for i, f in enumerate(obj["fixations"]) if f["n"] > 0)
+        unfixated = next(i for i, f in enumerate(obj["fixations"]) if f["n"] == 0)
 
-        def with_fixation(key, value):
+        def with_fixation(key, value, word=fixated):
             fixations = [dict(f) for f in obj["fixations"]]
-            fixations[fixated][key] = value
+            fixations[word][key] = value
             return json.dumps({**obj, "fixations": fixations})
+
+        def with_word_eeg(word, entry):
+            word_eeg = list(obj["word_eeg"])
+            word_eeg[word] = entry
+            return json.dumps({**obj, "word_eeg": word_eeg})
 
         for value in (2.5, True, None, 10**30):
             yield (f"fixation n = {value!r}", with_fixation("n", value),
@@ -792,6 +798,32 @@ class TestLexiconAndCorpusCorruption:
             yield (f"fixations[0] = {value!r}",
                    json.dumps({**obj, "fixations": [value, *obj["fixations"][1:]]}),
                    f"fixations must hold objects, got {value!r}")
+        # The value rules of check_measurements, each message naming the word and the field.
+        yield ("fixation n = -1", with_fixation("n", -1),
+               f"word {fixated}: fixation n must be >= 0, got -1")
+        yield ("fixation ffd = -5", with_fixation("ffd", -5),
+               f"word {fixated}: fixation ffd must be >= 0, got -5")
+        yield ("unfixated word with trt = 10", with_fixation("trt", 10, unfixated),
+               f"word {unfixated}: fixation trt must be 0 on an unfixated word, got 10")
+        yield ("word_eeg on an unfixated word", with_word_eeg(unfixated, obj["word_eeg"][fixated]),
+               f"word {unfixated}: word_eeg entry on an unfixated word")
+        fixations = [dict(f) for f in obj["fixations"]]
+        del fixations[fixated]["sfd"]
+        yield ("fixation without sfd", json.dumps({**obj, "fixations": fixations}), "missing key 'sfd'")
+        yield ("no word_eeg on a fixated word", with_word_eeg(fixated, None),
+               f"word {fixated}: no word_eeg entry on a fixated word")
+        n_words = len(obj["words"])
+        yield ("words one shorter than fixations", json.dumps({**obj, "words": obj["words"][1:]}),
+               f"fixations has {n_words} entries for {n_words - 1} words")
+        yield ("word_eeg one entry short", json.dumps({**obj, "word_eeg": obj["word_eeg"][:-1]}),
+               f"word_eeg has {n_words - 1} entries for {n_words} words")
+        yield ("31-row word_eeg", with_word_eeg(fixated, obj["word_eeg"][fixated][:31]),
+               f"word {fixated}: word_eeg entry has 31 rows, not 32")
+        yield ("empty word_eeg entry", with_word_eeg(fixated, []),
+               f"word {fixated}: word_eeg entry has 0 rows, not 32")
+        yield ("7-row sentence_bands",
+               json.dumps({**obj, "sentence_bands": obj["sentence_bands"][:7]}),
+               "sentence_bands has 7 rows, not 8")
         # One fixated word's EEG cut to 5 channels, the word renamed to one that the
         # first line fixates too, then to one that no other line holds.
         word_eeg = [None if e is None else [list(row) for row in e] for e in obj["word_eeg"]]
@@ -924,6 +956,27 @@ class TestBadConfigValues:
             assert f"{field} must be an integer" in err and "Traceback" not in err, err
             assert not out.exists(), field
 
+    def test_size_over_memory_budget_exits_2_before_output(self, synth_dir, model_config_path,
+                                                           train_config_path, tmp_path, capsys):
+        """Real runs, not --print-config: a right-typed huge size ends in exit 2 naming
+        the fields its memory estimate grows with, never a traceback or an --out."""
+        base = json.loads(model_config_path.read_text())
+        cases = [("synth", {"eeg_channels": 10**30}, "n_sentences, max_words, eeg_channels"),
+                 ("synth", {"n_sentences": 10**7}, "n_sentences, max_words, eeg_channels"),
+                 ("train", {**base, "d_model": 10**30}, "layers, d_model, d_ff"),
+                 ("train", {**base, "max_len": 10**6}, "layers, heads, max_len")]
+        for command, obj, fields in cases:
+            cfg, out = tmp_path / "config.json", tmp_path / "o"
+            cfg.write_text(json.dumps(obj))
+            if command == "synth":
+                rc = cli_main(["synth", "--out", str(out), "--config", str(cfg)])
+            else:
+                rc = self.train(synth_dir, out, cfg, train_config_path)
+            err = capsys.readouterr().err
+            assert rc == 2, f"{obj}: exit {rc}: {err}"
+            assert "exceeds the 4 GiB budget; it grows with " + fields + "\n" in err, err
+            assert "Traceback" not in err and not out.exists(), obj
+
     def test_non_integer_model_size_exits_2(self, synth_dir, model_config_path,
                                             train_config_path, tmp_path, capsys):
         base = json.loads(model_config_path.read_text())
@@ -993,6 +1046,8 @@ class TestConfigFileCorruption:
     KEYWORD_RANGE = "keyword count range must satisfy 1 <= min <= max"
     TOO_SHORT = "sentences too short for keywords plus distractors"
     POSITIVE = "vocabulary and channel counts must be positive"
+    MEMORY = "estimated memory of {} GiB exceeds the 4 GiB budget; it grows with {}"
+    CORPUS = "n_sentences, max_words, eeg_channels"
     # (config, field, value): the range message of a right-typed value; others exit 0.
     RANGES = {
         ("generator", "n_classes", -1): "need at least 2 classes",
@@ -1001,6 +1056,11 @@ class TestConfigFileCorruption:
         ("generator", "keywords_per_class", -1): POSITIVE,
         ("generator", "filler_vocab", -1): POSITIVE,
         ("generator", "eeg_channels", -1): POSITIVE,
+        ("generator", "n_sentences", HUGE): MEMORY.format("3.05e+25", CORPUS),
+        ("generator", "max_words", HUGE): MEMORY.format("8.58e+26", CORPUS),
+        ("generator", "eeg_channels", HUGE): MEMORY.format("1.36e+27", CORPUS),
+        ("generator", "keywords_per_class", HUGE): MEMORY.format("4.77e+23", "keywords_per_class"),
+        ("generator", "filler_vocab", HUGE): f"filler_vocab must be at most {2**63 - 1}, got {HUGE}",
         ("generator", "min_words", -1): TOO_SHORT,
         ("generator", "min_words", HUGE): "min_words exceeds max_words",
         ("generator", "max_words", -1): "min_words exceeds max_words",
@@ -1019,6 +1079,10 @@ class TestConfigFileCorruption:
         ("model", "d_model", -1): "d_model must be an integer >= 1, got -1",
         ("model", "d_ff", -1): "d_ff, eeg_channels must be positive and n_classes >= 2",
         ("model", "max_len", -1): "max_len must be >= 3",
+        ("model", "layers", HUGE): MEMORY.format("3.05e+26", "layers, d_model, d_ff"),
+        ("model", "d_model", HUGE): MEMORY.format("2.38e+53", "layers, d_model, d_ff"),
+        ("model", "d_ff", HUGE): MEMORY.format("3.81e+24", "layers, d_model, d_ff"),
+        ("model", "max_len", HUGE): MEMORY.format("2.98e+52", "layers, heads, max_len"),
         **{("model", "dropout", v): "dropout must lie in [0, 1)" for v in (2.5, -1, HUGE)},
         **{("train", name, -1): f"{name} must be an integer >= 1, got -1"
            for name in ("epochs", "batch_size", "repeats")},

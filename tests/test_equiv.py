@@ -76,3 +76,9 @@ def test_script_covers_every_mode_and_command(tmp_path):
     equiv.write_configs(tmp_path)
     init_source = json.loads((tmp_path / "finetune.json").read_text())["init_source"]
     assert init_source.removesuffix("/model.ckpt") in outs[:outs.index("finetune")]
+    # A synth run plants unfixated distractor keywords, and a lexicon is built over its corpus.
+    planted = [args for args in script if args[0] == "synth" and "--config" in args
+               and "--print-config" not in args]
+    assert planted and json.loads((tmp_path / "synth.json").read_text())["distractors"] > 0
+    corpus = f"{planted[0][planted[0].index('--out') + 1]}/corpus.jsonl"
+    assert any(args[:2] == ["lexicon", "build"] and corpus in args for args in script)

@@ -15,8 +15,6 @@ from cogbert.features import (
     N_EEG_VECTORS,
     SentenceMeasurement,
     SynthConfig,
-    WordEEG,
-    WordFixation,
     build_lexicon,
     check_records,
     cognitive_mask,
@@ -37,35 +35,96 @@ from cogbert.training import make_examples
 
 
 def make_eeg(C=4, fill=1.0, rng=None):
+    """One fixated word's (32, C) EEG."""
     if rng is None:
-        return WordEEG(np.full((N_EEG_VECTORS, C), fill))
-    return WordEEG(rng.normal(size=(N_EEG_VECTORS, C)))
+        return np.full((N_EEG_VECTORS, C), fill)
+    return rng.normal(size=(N_EEG_VECTORS, C))
+
+
+def one_word(n_fixations, ffd=0.0, trt=0.0, gd=0.0, gpt=0.0, sfd=0.0, word_eeg=None, C=4):
+    """A one-word SentenceMeasurement; a fixated word gets all-ones EEG unless given."""
+    if word_eeg is None:
+        word_eeg = np.ones((int(n_fixations > 0), N_EEG_VECTORS, C))
+    return SentenceMeasurement("w", ["word"], 0, [n_fixations], [[ffd, trt, gd, gpt, sfd]],
+                               word_eeg, np.zeros((8, C)))
+
+
+def eye_raw(n_fixations, ffd=0.0, trt=0.0, gd=0.0, gpt=0.0, sfd=0.0):
+    """eye_token_raw of one word."""
+    return eye_token_raw([n_fixations], [[ffd, trt, gd, gpt, sfd]])[0]
 
 
 class TestEyeTokens:
     def test_unfixated_word_scores_zero(self):
-        assert eye_token_raw(WordFixation(n_fixations=0)) == 0.0
+        assert eye_raw(n_fixations=0) == 0.0
 
     def test_hand_evaluation(self):
-        fix = WordFixation(n_fixations=2, ffd=120, trt=300, gd=180, gpt=320)
-        assert eye_token_raw(fix) == 1840.0
+        assert eye_raw(n_fixations=2, ffd=120, trt=300, gd=180, gpt=320) == 1840.0
 
     def test_single_fixation_uniform_durations(self):
-        fix = WordFixation(n_fixations=1, ffd=100, trt=100, gd=100, gpt=100)
-        assert eye_token_raw(fix) == 400.0
+        assert eye_raw(n_fixations=1, ffd=100, trt=100, gd=100, gpt=100) == 400.0
 
     def test_sfd_does_not_enter_the_formula(self):
-        with_sfd = WordFixation(n_fixations=1, ffd=10, trt=10, gd=10, gpt=10, sfd=500)
-        without = WordFixation(n_fixations=1, ffd=10, trt=10, gd=10, gpt=10, sfd=0)
-        assert eye_token_raw(with_sfd) == eye_token_raw(without)
+        with_sfd = eye_raw(n_fixations=1, ffd=10, trt=10, gd=10, gpt=10, sfd=500)
+        without = eye_raw(n_fixations=1, ffd=10, trt=10, gd=10, gpt=10, sfd=0)
+        assert with_sfd == without
+
+    def test_one_value_per_word(self):
+        n, d = [0, 2, 1], [[0] * 5, [120, 300, 180, 320, 7], [100, 100, 100, 100, 100]]
+        assert eye_token_raw(n, d).tolist() == [0.0, 1840.0, 400.0]
 
     def test_negative_duration_rejected(self):
-        with pytest.raises(ValidationError):
-            WordFixation(n_fixations=1, ffd=-5)
+        with pytest.raises(ValidationError, match="word 0: fixation ffd must be >= 0, got -5$"):
+            one_word(n_fixations=1, ffd=-5)
 
     def test_unfixated_with_durations_rejected(self):
-        with pytest.raises(ValidationError):
-            WordFixation(n_fixations=0, trt=10)
+        with pytest.raises(ValidationError,
+                           match="word 0: fixation trt must be 0 on an unfixated word, got 10$"):
+            one_word(n_fixations=0, trt=10)
+
+
+class TestCheckMeasurements:
+    """A SentenceMeasurement built in code runs check_measurements, whose messages
+    name the word and the field; its arrays must have the documented shapes."""
+
+    def test_each_value_rule_names_the_word(self):
+        eeg = np.ones((1, N_EEG_VECTORS, 4))
+        cases = [
+            (dict(n_fixations=[0, -1], word_eeg=np.zeros((0, N_EEG_VECTORS, 4))),
+             "word 1: fixation n must be >= 0, got -1"),
+            (dict(durations=[[0] * 5, [1, 1, -2.5, 1, 0]]), "word 1: fixation gd must be >= 0, got -2.5"),
+            (dict(durations=[[0, 0, 0, 0, 3], [1] * 5]),
+             "word 0: fixation sfd must be 0 on an unfixated word, got 3"),
+            (dict(word_eeg=np.ones((1, 31, 4))), "word 1: word_eeg entry has 31 rows, not 32"),
+            (dict(sentence_bands=np.zeros((7, 4))), "sentence_bands has 7 rows, not 8"),
+            (dict(word_eeg=np.ones((1, N_EEG_VECTORS, 3))),
+             "s: word 1 ('b') EEG has 3 channels, sentence_bands has 4"),
+        ]
+        for changes, message in cases:
+            fields = dict(sentence_id="s", words=["a", "b"], label=0, n_fixations=[0, 2],
+                          durations=[[0] * 5, [1] * 5], word_eeg=eeg, sentence_bands=np.zeros((8, 4)))
+            with pytest.raises(ValidationError) as exc:
+                SentenceMeasurement(**{**fields, **changes})
+            assert str(exc.value) == message
+
+    def test_arrays_of_the_wrong_shape_rejected(self):
+        for changes in (dict(word_eeg=np.zeros((0, N_EEG_VECTORS, 4))),  # 1 fixated word, no EEG
+                        dict(durations=[[1] * 4]), dict(n_fixations=[[2]]),
+                        dict(sentence_bands=np.zeros(8))):
+            fields = dict(n_fixations=[2], durations=[[1] * 5], word_eeg=np.ones((1, N_EEG_VECTORS, 4)),
+                          sentence_bands=np.zeros((8, 4)))
+            with pytest.raises(ValidationError, match="s: raw arrays of shapes"):
+                SentenceMeasurement("s", ["a"], 0, **{**fields, **changes})
+
+    def test_loaded_sentences_are_typed_views_of_flat_arrays(self, tmp_path):
+        meas, _, _ = synth_generate(SynthConfig(n_sentences=16, distractors=2), seed=4)
+        save_measurements(meas, tmp_path / "corpus.jsonl")
+        loaded = load_measurements(tmp_path / "corpus.jsonl")
+        for a, b in zip(meas, loaded):
+            assert (b.n_fixations.dtype, b.durations.dtype, b.word_eeg.dtype) == (
+                np.int64, np.float64, np.float64)
+            assert b.word_eeg.shape == ((a.n_fixations > 0).sum(), N_EEG_VECTORS, 8)
+            assert b.word_eeg.base is not None and b.durations.base is not None
 
 
 class TestScaleEyeTokens:
@@ -97,28 +156,30 @@ class TestScaleEyeTokens:
 
 class TestEEGTokens:
     def test_all_zero_vectors(self):
-        assert eeg_token_raw(make_eeg(fill=0.0)) == 0.0
+        assert eeg_token_raw([make_eeg(fill=0.0)]).tolist() == [0.0]
 
     def test_hand_arithmetic(self):
         # Four distinct vectors repeated to the full 32: column mean [2, 4] -> 3.
         block = np.array([[1.0, 3.0], [2.0, 4.0], [3.0, 5.0], [2.0, 4.0]])
-        eeg = WordEEG(np.tile(block, (8, 1)))
-        assert eeg_token_raw(eeg) == 3.0
+        assert eeg_token_raw([np.tile(block, (8, 1))]).tolist() == [3.0]
 
     def test_unfixated_word(self):
-        assert eeg_token_raw(None) == 0.0
+        # An unfixated word holds no EEG, so it adds no value; derive_records gives it 0.
+        assert eeg_token_raw(np.zeros((0, N_EEG_VECTORS, 4))).shape == (0,)
+        db = derive_records([one_word(n_fixations=0)])
+        assert db.get("w").eeg_tokens.tolist() == [0]
 
     def test_inconsistent_vector_lengths_rejected(self):
         ragged = [[1.0, 2.0]] * (N_EEG_VECTORS - 1) + [[1.0]]
         with pytest.raises(ValidationError):
-            WordEEG(ragged)
+            one_word(n_fixations=1, ffd=1, word_eeg=[ragged])
 
     def test_oracle_on_random_words(self):
         rng = np.random.default_rng(23)
         for _ in range(200):
             channels = rng.normal(size=(N_EEG_VECTORS, 7))
             expected = float(np.mean([np.mean(col) for col in channels.T]))
-            assert eeg_token_raw(WordEEG(channels)) == pytest.approx(expected, abs=1e-12)
+            assert eeg_token_raw([channels])[0] == pytest.approx(expected, abs=1e-12)
 
 
 class TestScaleEEGTokens:
@@ -238,13 +299,15 @@ class TestCognitiveMask:
 
 
 def toy_measurement(sid, words, fixations, rng, C=4, label=0):
-    word_eeg = [make_eeg(C=C, rng=rng) if f.n_fixations else None for f in fixations]
+    """fixations: one (n, ffd, trt, gd, gpt) tuple per word, (0,) for an unfixated one."""
+    word_eeg = [make_eeg(C=C, rng=rng) for f in fixations if f[0]]
     return SentenceMeasurement(
         sentence_id=sid,
         words=words,
         label=label,
-        fixations=fixations,
-        word_eeg=word_eeg,
+        n_fixations=[f[0] for f in fixations],
+        durations=[[*f[1:], *[0.0] * (6 - len(f))] for f in fixations],
+        word_eeg=np.reshape(word_eeg, (-1, N_EEG_VECTORS, C)),
         sentence_bands=rng.normal(size=(8, C)),
     )
 
@@ -252,24 +315,24 @@ def toy_measurement(sid, words, fixations, rng, C=4, label=0):
 class TestLexicon:
     def test_two_occurrence_mean(self):
         rng = np.random.default_rng(41)
-        m1 = toy_measurement("a", ["word"], [WordFixation(2, 1, 1, 1, 1)], rng)
-        m2 = toy_measurement("b", ["word"], [WordFixation(3, 2, 2, 2, 2)], rng)
-        m1.word_eeg[0] = WordEEG(np.tile([[1.0, 3.0]], (N_EEG_VECTORS, 1)))
-        m2.word_eeg[0] = WordEEG(np.tile([[3.0, 5.0]], (N_EEG_VECTORS, 1)))
+        m1 = toy_measurement("a", ["word"], [(2, 1, 1, 1, 1)], rng, C=2)
+        m2 = toy_measurement("b", ["word"], [(3, 2, 2, 2, 2)], rng, C=2)
+        m1.word_eeg[0] = np.tile([[1.0, 3.0]], (N_EEG_VECTORS, 1))
+        m2.word_eeg[0] = np.tile([[3.0, 5.0]], (N_EEG_VECTORS, 1))
         lex = build_lexicon([m1, m2])
         np.testing.assert_allclose(lex.vectors["word"], [2.0, 4.0])
         assert lex.counts["word"] == 2
 
     def test_single_occurrence_is_its_own_vector(self):
         rng = np.random.default_rng(43)
-        m = toy_measurement("a", ["once"], [WordFixation(2, 1, 1, 1, 1)], rng)
+        m = toy_measurement("a", ["once"], [(2, 1, 1, 1, 1)], rng)
         lex = build_lexicon([m])
-        np.testing.assert_allclose(lex.vectors["once"], m.word_eeg[0].occurrence_vector())
+        np.testing.assert_allclose(lex.vectors["once"], m.word_eeg[0].mean(axis=0))
 
     def test_unfixated_everywhere_word_excluded(self):
         rng = np.random.default_rng(47)
         m = toy_measurement("a", ["ghost", "real"],
-                            [WordFixation(0), WordFixation(2, 1, 1, 1, 1)], rng)
+                            [(0,), (2, 1, 1, 1, 1)], rng)
         lex = build_lexicon([m])
         assert "ghost" not in lex
         assert "real" in lex
@@ -280,21 +343,17 @@ class TestLexicon:
         for i in range(30):
             n = int(rng.integers(1, 8))
             words = [f"w{int(rng.integers(10))}" for _ in range(n)]
-            fixations = [
-                WordFixation(int(rng.integers(0, 4)) or 0) for _ in range(n)
-            ]
-            fixations = [
-                WordFixation(f.n_fixations, 1, 1, 1, 1) if f.n_fixations else f
-                for f in fixations
-            ]
+            fixations = [(int(rng.integers(0, 4)) or 0,) for _ in range(n)]
+            fixations = [(f[0], 1, 1, 1, 1) if f[0] else f for f in fixations]
             measurements.append(toy_measurement(f"s{i}", words, fixations, rng))
         lex = build_lexicon(measurements)
 
         collected: dict[str, list[np.ndarray]] = {}
         for m in measurements:
-            for w, e in zip(m.words, m.word_eeg):
-                if e is not None:
-                    collected.setdefault(w, []).append(e.channels.mean(axis=0))
+            eeg = iter(m.word_eeg)
+            for w, n in zip(m.words, m.n_fixations):
+                if n > 0:
+                    collected.setdefault(w, []).append(next(eeg).mean(axis=0))
         assert set(lex.vectors) == set(collected)
         for w, vecs in collected.items():
             np.testing.assert_allclose(lex.vectors[w], np.mean(vecs, axis=0), atol=1e-12)
@@ -359,16 +418,19 @@ class TestLexicon:
 
 def derive_one_by_one(measurements):
     """Reference: derive_records building and checking one CognitiveRecord per sentence."""
-    fixations = [f for m in measurements for f in m.fixations]
-    all_eeg_tokens = scale_eeg_tokens([eeg_token_raw(e) for m in measurements for e in m.word_eeg],
-                                      [f.n_fixations > 0 for f in fixations])
+    raw_eeg = []
+    for m in measurements:
+        eeg = iter(m.word_eeg)
+        raw_eeg += [eeg_token_raw([next(eeg)])[0] if n > 0 else 0.0 for n in m.n_fixations]
+    all_eeg_tokens = scale_eeg_tokens(raw_eeg, [n > 0 for m in measurements for n in m.n_fixations])
     records, offset = [], 0
     for m in measurements:
         n = len(m.words)
         records.append(CognitiveRecord(
             sentence_id=m.sentence_id, tokens=list(m.words), label=m.label,
-            n_fixations=[f.n_fixations for f in m.fixations],
-            eye_tokens=scale_eye_tokens([eye_token_raw(f) for f in m.fixations]),
+            n_fixations=m.n_fixations.tolist(),
+            eye_tokens=scale_eye_tokens([eye_token_raw([n], [d])[0]
+                                         for n, d in zip(m.n_fixations, m.durations)]),
             eeg_tokens=all_eeg_tokens[offset:offset + n],
             sentence_eeg=sentence_eeg(m.sentence_bands)))
         offset += n
@@ -396,7 +458,7 @@ class TestDeriveRecords:
 
     def test_bad_record_raises_the_per_record_message(self):
         rng = np.random.default_rng(5)
-        fixations = [WordFixation(2, 100, 200, 100, 100), WordFixation(0)]
+        fixations = [(2, 100, 200, 100, 100), (0,)]
         for bad_index in (0, 2):
             meas = [toy_measurement(f"m{i}", ["a", "b"], fixations, rng) for i in range(3)]
             meas[bad_index].sentence_bands[3, 1] = float("nan")
@@ -408,7 +470,7 @@ class TestDeriveRecords:
 
     def test_changed_channel_count_rejected(self):
         rng = np.random.default_rng(6)
-        fixations = [WordFixation(2, 100, 200, 100, 100)]
+        fixations = [(2, 100, 200, 100, 100)]
         meas = [toy_measurement("m0", ["a"], fixations, rng, C=4),
                 toy_measurement("m1", ["a"], fixations, rng, C=3)]
         with pytest.raises(ValidationError, match="sentence_eeg has 3 channels, the first record has 4"):
@@ -651,9 +713,9 @@ class TestSynthGenerate:
         kw_fix, filler_fix = [], []
         n_words = 0
         for m in meas:
-            for w, f in zip(m.words, m.fixations):
+            for w, n in zip(m.words, m.n_fixations):
                 n_words += 1
-                (kw_fix if w.startswith("kw") else filler_fix).append(f.n_fixations)
+                (kw_fix if w.startswith("kw") else filler_fix).append(n)
         assert n_words >= 1000
         assert np.mean(kw_fix) > np.mean(filler_fix)
 
@@ -671,12 +733,12 @@ class TestSynthGenerate:
         saw_distractor = False
         for m in meas:
             own = set(cfg.keywords(m.label))
-            for w, f in zip(m.words, m.fixations):
+            for w, n in zip(m.words, m.n_fixations):
                 if w.startswith("kw") and w not in own:
                     saw_distractor = True
-                    assert f.n_fixations == 0
+                    assert n == 0
                 if w in own:
-                    assert f.n_fixations >= 2
+                    assert n >= 2
         assert saw_distractor
 
     def test_invalid_config_rejected(self):
@@ -693,10 +755,8 @@ class TestSynthGenerate:
         assert len(loaded) == len(meas)
         for a, b in zip(meas, loaded):
             assert a.words == b.words and a.label == b.label
-            assert [f.n_fixations for f in a.fixations] == [f.n_fixations for f in b.fixations]
+            assert a.n_fixations.tolist() == b.n_fixations.tolist()
+            np.testing.assert_array_equal(a.durations, b.durations)
             np.testing.assert_array_equal(a.sentence_bands, b.sentence_bands)
-            for ea, eb in zip(a.word_eeg, b.word_eeg):
-                if ea is None:
-                    assert eb is None
-                else:
-                    np.testing.assert_array_equal(ea.channels, eb.channels)
+            assert a.word_eeg.shape == b.word_eeg.shape
+            np.testing.assert_array_equal(a.word_eeg, b.word_eeg)

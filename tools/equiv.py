@@ -16,7 +16,9 @@ process with one BLAS thread:
   in eeg_embed, both_embed, cog_mask and pool_add_nn (per-word EEG tokens,
   both token tables, the fixation mask, the fusion NN: what each perturbation
   carries); lexicon build and apply, train pool_add_nn
-  on the lexicon features; report over every run; gradcheck --mode all.
+  on the lexicon features; report over every run; gradcheck --mode all;
+  synth with a generator config that plants unfixated distractor keywords,
+  and lexicon build over that corpus.
   The config paths: synth --print-config with a generator config file, train
   --print-config with --robustness and with --epochs and --seed over a train
   config, and a fine-tuning train whose train config's init_source is an
@@ -91,6 +93,10 @@ def script() -> list[tuple[str, list[str]]]:
                            "--out", "lexicon/train"]),
         ("report", ["report", "--inputs", *reports, "--out", "report.csv"]),
         ("gradcheck", ["gradcheck", "--mode", "all", "--out", "gradcheck"]),
+        ("synth-distractors", ["synth", "--out", "data-dis", "--config", "synth.json",
+                               "--seed", "13"]),
+        ("lexicon-build-distractors", ["lexicon", "build", "--corpus", "data-dis/corpus.jsonl",
+                                       "--out", "lexicon-dis/lexicon.jsonl"]),
         ("synth-print-config", ["synth", "--out", "unused", "--config", "synth.json",
                                 "--n-sentences", "30", "--print-config"]),
         ("train-print-robustness", ["train", "--features", feats, "--out", "unused",
