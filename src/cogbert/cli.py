@@ -119,8 +119,8 @@ def cmd_synth(args) -> int:
         print(json.dumps(cfg.to_dict(), sort_keys=True, indent=2))
         return 0
 
-    out = _out_dir(args.out)
     measurements, db, labels = feat.synth_generate(cfg, args.seed)
+    out = _out_dir(args.out)
     feat.save_measurements(measurements, out / "corpus.jsonl")
     db.save_jsonl(out / "features.jsonl")
     print(f"wrote {len(measurements)} sentences over {cfg.n_classes} classes to {out}")

@@ -1,12 +1,14 @@
-"""Two explanation pipelines and their agreement measure.
+"""Two explanation pipelines and their agreement measure, as score vectors.
 
 Incoming-attention accumulation sums every head's attention probabilities
-over all layers and source rows, yielding one score per token; PAD rows and
-columns are excluded, CLS/SEP participate in accumulation but never in
-keyword ranking. The LIME-style explainer perturbs a sentence by randomly
-removing words, weights each perturbation by an exponential kernel over the
-cosine distance from the full sentence, and fits a weighted ridge surrogate
-whose coefficients score the words. `explain_sentence` runs both on one
+over all layers and source rows, yielding one score per token (an array over
+CLS, the words and SEP); PAD rows and columns are excluded, CLS/SEP
+participate in accumulation but never in keyword ranking. The LIME-style
+explainer perturbs a sentence by randomly removing words, weights each
+perturbation by an exponential kernel over the cosine distance from the full
+sentence, and fits a weighted ridge surrogate whose coefficients (an array
+over the words) score the words. `top_k` ranks word positions, so a repeated
+word is told apart by its position. `explain_sentence` runs both on one
 sentence of a feature database and reports their top-k agreement; each
 perturbation is a word selection of that sentence's layout (`keep_words`),
 whose features build_batch reads from the sentence's one record, and the
@@ -19,8 +21,8 @@ any score.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -40,57 +42,37 @@ DISTANCE_SCALE = 100.0  # cosine distances are scaled to percent before the kern
 LIME_CHUNK = 20  # perturbations per encoder forward; memory grows with chunk size x width
 
 
-@dataclass
-class TokenScore:
-    position: int  # position in the tokenized layout (CLS=0, words from 1)
-    word: str
-    score: float
-
-
-def accumulate_attention(
-    attention: np.ndarray, layout: TokenizedSentence, words: Sequence[str]
-) -> list[TokenScore]:
+def accumulate_attention(attention: np.ndarray, layout: TokenizedSentence) -> np.ndarray:
     """Incoming attention per token: sum over layers, heads, and source rows.
 
     attention is one sentence's (layers, heads, T, T) probabilities, T at
-    least its real length. The sum is restricted to real rows and columns
-    (PAD excluded); it includes CLS and SEP entries so the scores account
-    for all real attention mass.
+    least its real length. Returns the (word_count + 2,) scores of CLS, the
+    words and SEP. The sum is restricted to real rows and columns (PAD
+    excluded); it includes CLS and SEP entries so the scores account for all
+    real attention mass.
     """
-    if len(words) != layout.word_count:
-        raise ValidationError(
-            f"got {len(words)} words for a layout with {layout.word_count} content tokens"
-        )
     real = np.asarray(layout.real_positions())
-    incoming = attention[:, :, real][:, :, :, real].sum(axis=(0, 1, 2))
-    labels = ["[CLS]", *words, "[SEP]"]
-    return [
-        TokenScore(position=int(pos), word=labels[j], score=float(incoming[j]))
-        for j, pos in enumerate(real)
-    ]
+    return attention[:, :, real][:, :, :, real].sum(axis=(0, 1, 2))
 
 
-def top_k(scores: list[TokenScore], k: int, layout: TokenizedSentence) -> list[str]:
-    """Words at the k highest-scoring content positions, earlier position wins ties."""
+def top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k highest of the words' scores, highest first; the earlier word wins ties."""
     if k < 1:
         raise ValidationError("k must be >= 1")
-    content = set(layout.content_positions())
-    candidates = [s for s in scores if s.position in content]
-    if k > len(candidates):
-        log.warning("top_k: asked for %d keywords but only %d content tokens", k, len(candidates))
-    candidates.sort(key=lambda s: (-s.score, s.position))
-    return [s.word for s in candidates[:k]]
+    if k > len(scores):
+        log.warning("top_k: asked for %d keywords but only %d content tokens", k, len(scores))
+    return np.argsort(-scores, kind="stable")[:k]
 
 
 def lime_explain(
     predict_fn: Callable[[np.ndarray], np.ndarray],
-    words: Sequence[str],
+    n_words: int,
     n_samples: int = DEFAULT_SAMPLES,
     kernel_width: float = DEFAULT_KERNEL_WIDTH,
     ridge_lambda: float = DEFAULT_RIDGE_LAMBDA,
     seed: int = 0,
-) -> list[TokenScore]:
-    """Per-word surrogate coefficients for predict_fn around this sentence.
+) -> np.ndarray:
+    """The (n_words,) surrogate coefficients of predict_fn around a sentence.
 
     predict_fn receives the (n_samples, n_words) boolean keep-masks of all
     perturbations in draw order (callers holding word-aligned features need
@@ -102,19 +84,17 @@ def lime_explain(
     Sample weight = exp(-(100 * D)^2 / width^2) with D the cosine distance
     between the keep-mask and the full sentence.
     """
-    words = list(words)
-    if not words:
+    if n_words < 1:
         raise ValidationError("cannot explain an empty sentence")
     if n_samples < 10:
         raise ValidationError("need at least 10 perturbation samples")
-    n = len(words)
     rng = SeededRng(seed).derive("lime")
 
     # Each row is the next draw of n uniforms with a kept word: redrawing only
     # the all-removed rows, at the end, keeps the rows and the stream in order.
-    kept = np.empty((0, n), dtype=bool)
+    kept = np.empty((0, n_words), dtype=bool)
     while len(kept) < n_samples:
-        draws = rng.random((n_samples - len(kept), n)) < 0.5
+        draws = rng.random((n_samples - len(kept), n_words)) < 0.5
         kept = np.concatenate([kept, draws[draws.any(axis=1)]])
     masks = kept.astype(np.float64)
 
@@ -124,13 +104,9 @@ def lime_explain(
             f"predict_fn must return {n_samples} finite probabilities, got shape "
             f"{targets.shape} with {int((~np.isfinite(targets)).sum())} non-finite")
     # Cosine distance to the all-ones mask; no mask is all zeros.
-    distances = 1.0 - np.sqrt(masks.sum(axis=1) / n)
+    distances = 1.0 - np.sqrt(masks.sum(axis=1) / n_words)
     weights = np.exp(-((DISTANCE_SCALE * distances) ** 2) / kernel_width**2)
-    coefs = weighted_ridge(masks, targets, weights, ridge_lambda)
-    return [
-        TokenScore(position=i + 1, word=w, score=float(c))
-        for i, (w, c) in enumerate(zip(words, coefs))
-    ]
+    return weighted_ridge(masks, targets, weights, ridge_lambda)
 
 
 def weighted_ridge(masks: np.ndarray, targets: np.ndarray, weights: np.ndarray,
@@ -155,35 +131,41 @@ def weighted_ridge(masks: np.ndarray, targets: np.ndarray, weights: np.ndarray,
         raise NumericError(f"singular surrogate system: {exc}") from exc
 
 
-def correlate(keywords_a: Sequence[str], keywords_b: Sequence[str], k: int) -> float:
-    """Fraction of the k slots shared by the two keyword sets."""
-    if k < 1:
-        raise ValidationError("k must be >= 1")
-    return len(set(keywords_a) & set(keywords_b)) / k
-
-
 @dataclass
 class ExplanationReport:
-    """Both explainers' scores for one sentence plus their top-k agreement."""
+    """Both explainers' scores for one sentence of n words plus their top-k agreement.
+
+    attention holds the (n + 2,) scores of CLS, the words and SEP, lime the
+    (n,) word coefficients. The top lists name each explainer's top_k words;
+    overlap is the share of top-k positions the two have in common, out of
+    min(k, n), so a repeated word counts once per position.
+    """
 
     sentence_id: str
     predicted_class: int
-    attention_scores: list[TokenScore]
-    lime_scores: list[TokenScore]
-    attention_top: list[str]
-    lime_top: list[str]
+    words: list[str]
+    attention: np.ndarray
+    lime: np.ndarray
     k: int
-    overlap: float
+    attention_top: list[str] = field(init=False)
+    lime_top: list[str] = field(init=False)
+    overlap: float = field(init=False)
+
+    def __post_init__(self):
+        attention_top, lime_top = top_k(self.attention[1:-1], self.k), top_k(self.lime, self.k)
+        self.attention_top = [self.words[i] for i in attention_top]
+        self.lime_top = [self.words[i] for i in lime_top]
+        self.overlap = int(np.isin(attention_top, lime_top).sum()) / min(self.k, len(self.words))
 
     def to_dict(self) -> dict:
-        def scores(items: list[TokenScore]) -> list[dict]:
-            return [{"position": s.position, "word": s.word, "score": s.score} for s in items]
-
+        labels = ["[CLS]", *self.words, "[SEP]"]
         return {
             "sentence_id": self.sentence_id,
             "predicted_class": self.predicted_class,
-            "attention_scores": scores(self.attention_scores),
-            "lime_scores": scores(self.lime_scores),
+            "attention_scores": [{"position": p, "word": w, "score": s}
+                                 for p, (w, s) in enumerate(zip(labels, self.attention.tolist()))],
+            "lime_scores": [{"position": p, "word": w, "score": s}
+                            for p, (w, s) in enumerate(zip(self.words, self.lime.tolist()), start=1)],
             "attention_top": self.attention_top,
             "lime_top": self.lime_top,
             "k": self.k,
@@ -192,34 +174,7 @@ class ExplanationReport:
 
     def heatmap_rows(self) -> list[tuple[str, float, float]]:
         """(word, attention score, lime weight) per content word, in order."""
-        lime_by_pos = {s.position: s.score for s in self.lime_scores}
-        return [
-            (s.word, s.score, lime_by_pos[s.position])
-            for s in self.attention_scores
-            if s.position in lime_by_pos
-        ]
-
-
-def build_report(
-    sentence_id: str,
-    predicted_class: int,
-    attention_scores: list[TokenScore],
-    lime_scores: list[TokenScore],
-    layout: TokenizedSentence,
-    k: int = 5,
-) -> ExplanationReport:
-    attention_top = top_k(attention_scores, k, layout)
-    lime_top = top_k(lime_scores, k, layout)
-    return ExplanationReport(
-        sentence_id=sentence_id,
-        predicted_class=predicted_class,
-        attention_scores=attention_scores,
-        lime_scores=lime_scores,
-        attention_top=attention_top,
-        lime_top=lime_top,
-        k=k,
-        overlap=correlate(attention_top, lime_top, k),
-    )
+        return list(zip(self.words, self.attention[1:-1].tolist(), self.lime.tolist()))
 
 
 def keep_words(layout: TokenizedSentence, keep_mask: np.ndarray) -> TokenizedSentence:
@@ -271,7 +226,7 @@ def explain_sentence(
     full = Example(sentence_id, layout, rec.label)
     result = encoder_forward(params, build_batch([full], cfg, db))
     predicted = int(result.predictions()[0])
-    attn_scores = accumulate_attention(result.attention[0], layout, words)
+    attention = accumulate_attention(result.attention[0], layout)
 
     def predict_fn(keep_masks: np.ndarray) -> np.ndarray:
         # Chunks of similar length pad to the narrowest width that fits them.
@@ -285,6 +240,6 @@ def explain_sentence(
             probs[rows] = class_probability(logits, predicted)
         return probs
 
-    lime_scores = lime_explain(predict_fn, words, n_samples=n_samples, kernel_width=kernel_width,
-                               ridge_lambda=ridge_lambda, seed=seed)
-    return build_report(sentence_id, predicted, attn_scores, lime_scores, layout, k=k)
+    lime = lime_explain(predict_fn, len(words), n_samples=n_samples, kernel_width=kernel_width,
+                        ridge_lambda=ridge_lambda, seed=seed)
+    return ExplanationReport(sentence_id, predicted, words, attention, lime, k)

@@ -71,7 +71,8 @@ class SentenceMeasurement:
         offsets, eeg_shapes = np.array([0, n]), [self.word_eeg.shape[1:]] * len(self.word_eeg)
         failure = check_measurements([self.sentence_id], [self.words],
                                      (self.n_fixations, self.durations, offsets),
-                                     (fixated, eeg_shapes, offsets), [self.sentence_bands.shape])
+                                     (fixated, eeg_shapes, offsets, self.word_eeg.ravel()),
+                                     ([self.sentence_bands.shape], self.sentence_bands.ravel()))
         if failure is not None:
             raise ValidationError(failure[1])
 
@@ -150,13 +151,6 @@ def check_records(
     offsets = {name: offs for name, (_, offs) in fields.items()}
     lengths = {name: offs[1:] - offs[:-1] for name, offs in offsets.items()}
     channels = lengths["sentence_eeg"]
-    if (all((lengths[name] == n_words).all() for name in _TOKEN_FIELDS)
-            and all(0 <= values[name].min(initial=0) and values[name].max(initial=0) <= TOKEN_SCALE
-                    for name in ("eye_tokens", "eeg_tokens"))
-            and np.isfinite(values["sentence_eeg"]).all() and (channels == channels[:1]).all()
-            and channels.all()
-            and values["n_fixations"].min(initial=0) >= 0):
-        return None
 
     def segment(name: str, i: int) -> np.ndarray:
         return values[name][offsets[name][i]:offsets[name][i + 1]]
@@ -170,7 +164,7 @@ def check_records(
           for name in ("eye_tokens", "eeg_tokens")),
         (_segments(n, offsets["sentence_eeg"], ~np.isfinite(values["sentence_eeg"])),
          lambda i: f"{ids[i]}: sentence_eeg holds non-finite values"),
-        (channels != channels[0],
+        (channels != channels[:1],
          lambda i: f"sentence_eeg has {channels[i]} channels, the first record has {channels[0]}"),
         (channels == 0, lambda i: f"{ids[i]}: sentence_eeg is empty"),
         (_segments(n, offsets["n_fixations"], values["n_fixations"] < 0),
@@ -179,20 +173,27 @@ def check_records(
     return _first_failure(checks)
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # overflow is a failed check
 def check_measurements(ids: list[str], words: list[list[str]], fixations: tuple, eeg: tuple,
-                       band_shapes) -> tuple[int, str] | None:
+                       bands: tuple) -> tuple[int, str] | None:
     """The first of N sentences that fails a check, with its message; None if all
     pass. fixations: the fixation entries' counts (F,), durations (F, 5) and
     N + 1 offsets; eeg: the word_eeg entries' EEG flags (E,), the (rows,
-    channels) of each EEG, and offsets; band_shapes: each sentence_bands' shape.
-    In order: as many fixation and word_eeg entries as words; counts and
-    durations >= 0, durations 0 on an unfixated word; EEG on exactly the
-    fixated words; 32 rows per word EEG, 8 per sentence_bands; word EEG of
-    the channels of sentence_bands, and those of the first sentence."""
-    (counts, durations, fo), (has_eeg, eeg_shapes, eo) = fixations, eeg
+    channels) of each EEG, offsets, and the EEGs' values one after the other
+    (row-major); bands: each sentence_bands' shape, and their values.
+    In order: as many fixation and word_eeg entries as words; durations
+    finite; counts and durations >= 0, durations 0 on an unfixated word; eye
+    value n * (ffd + trt + gd + gpt) within float64; EEG on exactly the
+    fixated words; 32 rows per word EEG; word EEG finite, and its mean
+    (eeg_token_raw) within float64; 8 rows per sentence_bands, finite; word
+    EEG of the channels of sentence_bands, and those of the first sentence."""
+    (counts, durations, fo), (has_eeg, eeg_shapes, eo, eeg_values) = fixations, eeg
     shapes = np.zeros((len(has_eeg), 2), dtype=np.int64)  # one per word_eeg entry
     shapes[has_eeg] = np.reshape(eeg_shapes, (-1, 2))
-    band_rows, channels = np.asarray(band_shapes, dtype=np.int64).reshape(-1, 2).T
+    band_rows, channels = np.asarray(bands[0], dtype=np.int64).reshape(-1, 2).T
+    bad_bands = _segments(len(ids), np.cumsum([0, *(band_rows * channels)]), ~np.isfinite(bands[1]))
+    bad_eeg, eeg_overflow = np.zeros((2, len(has_eeg)), dtype=bool)  # one per word_eeg entry
+    bad_eeg[has_eeg], eeg_overflow[has_eeg] = _eeg_flags(shapes[has_eeg], eeg_values)
     n_words = np.fromiter(map(len, words), np.int64, len(ids))
     table, fixated = np.column_stack([counts, durations]), counts > 0  # a row per fixation entry
     aligned = (np.diff(fo) == n_words) & (np.diff(eo) == n_words)
@@ -217,21 +218,43 @@ def check_measurements(ids: list[str], words: list[list[str]], fixations: tuple,
          lambda i: f"fixations has {fo[i + 1] - fo[i]} entries for {n_words[i]} words"),
         (np.diff(eo) != n_words,
          lambda i: f"word_eeg has {eo[i + 1] - eo[i]} entries for {n_words[i]} words"),
+        per_value(~np.isfinite(table), "a finite number"),
         per_value(table < 0, ">= 0"),
         per_value(~fixated[:, None] & (table != 0), "0 on an unfixated word"),
+        per_word(~np.isfinite(eye_token_raw(counts, durations)), fo, lambda i, w: (
+            f"word {w}: eye value n * (ffd + trt + gd + gpt) overflows float64")),
         per_word(wrong_eeg, fo, lambda i, w: f"word {w}: " + (
             "no word_eeg entry on a fixated word" if fixated[fo[i] + w]
             else "word_eeg entry on an unfixated word")),
         per_word(has_eeg & (shapes[:, 0] != N_EEG_VECTORS), eo, lambda i, w: (
             f"word {w}: word_eeg entry has {shapes[eo[i] + w, 0]} rows, not {N_EEG_VECTORS}")),
+        per_word(bad_eeg, eo, lambda i, w: f"word {w}: word_eeg entry holds non-finite values"),
+        per_word(eeg_overflow, eo, lambda i, w: f"word {w}: word_eeg mean overflows float64"),
         (band_rows != len(BANDS),
          lambda i: f"sentence_bands has {band_rows[i]} rows, not {len(BANDS)}"),
+        (bad_bands, lambda i: "sentence_bands holds non-finite values"),
         per_word(has_eeg & (shapes[:, 1] != np.repeat(channels, np.diff(eo))), eo, lambda i, w: (
             f"{ids[i]}: word {w} ({words[i][w]!r}) EEG has {shapes[eo[i] + w, 1]} channels, "
             f"sentence_bands has {channels[i]}")),
         (channels != channels[:1], lambda i: f"sentence_bands has {channels[i]} channels, "
                                              f"the first line has {channels[0]}"),
     ])
+
+
+def _eeg_flags(shapes: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For (rows, channels) matrices stored one after the other in values: which
+    hold a non-finite value, and which have an eeg_token_raw (the mean over
+    channels of the mean over rows) that is not finite; the rows are summed
+    in eeg_token_raw's order."""
+    rows, cols = shapes.T
+    sizes = rows * cols
+    starts = np.cumsum(sizes) - sizes
+    bad = _segments(len(sizes), np.append(starts, sizes.sum()), ~np.isfinite(values))
+    within = np.arange(len(values)) - np.repeat(starts, sizes)  # a value's index in its matrix
+    column = np.repeat(np.cumsum(cols) - cols, sizes) + within % np.repeat(np.maximum(cols, 1), sizes)
+    column_means = np.bincount(column, values, cols.sum()) / np.repeat(rows, cols)
+    means = np.bincount(np.repeat(np.arange(len(cols)), cols), column_means, len(cols)) / cols
+    return bad, ~np.isfinite(means)
 
 
 # dtype -> (the JSON types of the values it holds, what a message calls them)
@@ -257,17 +280,15 @@ def _check_labels(labels: list) -> None:
         raise ValidationError(f"label must be an integer in 0..{_INT64_MAX}, got {bad!r}")
 
 
-def _array(values: list, dtype, rule: str, finite: bool = False) -> np.ndarray:
+def _array(values: list, dtype, rule: str) -> np.ndarray:
     """JSON numbers as one dtype array; a ValidationError, the rule and the first
-    value that _fits rejects (or that is not finite, if finite), if there is one."""
+    value that _fits rejects, if there is one."""
     try:
         if set(map(type, values)) <= _NUMBERS[dtype][0]:
-            array = np.array(values, dtype=dtype)
-            if not finite or np.isfinite(array).all():
-                return array
+            return np.array(values, dtype=dtype)
     except OverflowError:
         pass
-    bad = next(v for v in values if not (_fits(v, dtype) and (not finite or math.isfinite(v))))
+    bad = next(v for v in values if not _fits(v, dtype))
     raise ValidationError(f"{rule}, got {bad!r}")
 
 
@@ -468,6 +489,8 @@ def eye_token_raw(n_fixations, durations) -> np.ndarray:
 
 
 def _round_half_up(x: np.ndarray) -> np.ndarray:
+    if not np.isfinite(x).all():
+        raise ValidationError("token values overflow float64 when scaled to 0..100")
     return np.floor(x + 0.5).astype(np.int64)
 
 
@@ -543,11 +566,13 @@ def cognitive_mask(n_fixations, layout: TokenizedSentence) -> np.ndarray:
     return mask
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a value beyond float64 is a ValidationError
 def derive_records(measurements: list[SentenceMeasurement]) -> FeatureDb:
     """Full feature derivation: eye tokens (per-sentence scale), EEG tokens
     (corpus-level scale), and sentence EEG vectors. All records are checked at
     once (check_records): a bad one raises the ValidationError its
-    CognitiveRecord would, and sentence EEG of different lengths is rejected."""
+    CognitiveRecord would, and sentence EEG of different lengths is rejected.
+    Values that overflow float64 while being scaled raise a ValidationError."""
     if not measurements:
         return FeatureDb([])
     n_fixations = np.concatenate([m.n_fixations for m in measurements])
@@ -625,10 +650,12 @@ class EEGLexicon:
         return cls({w: v for _, _, (w, v, _) in items}, {w: c for _, _, (w, _, c) in items})
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a sum beyond float64 is a DataError
 def build_lexicon(measurements: list[SentenceMeasurement]) -> EEGLexicon:
     """Average each word's per-occurrence EEG vectors (the mean over its 32
     event/band vectors); unfixated occurrences contribute nothing and
-    never-fixated words are excluded. Occurrences are summed in corpus order."""
+    never-fixated words are excluded. Occurrences are summed in corpus order;
+    a word whose sum overflows float64 is a DataError."""
     if not measurements:
         return EEGLexicon({}, {})
     fixated = np.concatenate([m.n_fixations for m in measurements]) > 0
@@ -640,6 +667,10 @@ def build_lexicon(measurements: list[SentenceMeasurement]) -> EEGLexicon:
     sums = np.full((len(unique), occurrences.shape[1]), -0.0)
     np.add.at(sums, inverse, occurrences)
     counts = np.bincount(inverse, minlength=len(unique))
+    bad = np.flatnonzero(~np.isfinite(sums).all(axis=1))
+    if bad.size:
+        raise DataError(f"word {unique[bad[0]]!r}: the sum of its {counts[bad[0]]} occurrences' "
+                        f"EEG overflows float64")
     return EEGLexicon(dict(zip(unique.tolist(), sums / counts[:, None])),
                       dict(zip(unique.tolist(), counts.tolist())))
 
@@ -733,11 +764,14 @@ def _class_profile(cfg: SynthConfig, label: int, base: float) -> np.ndarray:
     return profile
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a value beyond float64 is a ConfigError
 def synth_generate(cfg: SynthConfig, seed: int) -> tuple[list[SentenceMeasurement], FeatureDb, list[int]]:
     """Deterministic corpus + derived feature database + per-sentence labels.
 
     Each word draws from its sentence's stream in word order. The sentences'
-    arrays pass check_measurements by construction.
+    arrays pass check_measurements by construction, unless the EEG fields are
+    so large that a value overflows float64: then deriving the features
+    fails, and that is a ConfigError naming those fields.
     """
     master = SeededRng(seed).derive("synth")
     rows = []  # each sentence's SentenceMeasurement fields
@@ -786,7 +820,12 @@ def synth_generate(cfg: SynthConfig, seed: int) -> tuple[list[SentenceMeasuremen
                                 size=(len(BANDS), cfg.eeg_channels))))
 
     measurements = _unchecked(SentenceMeasurement, rows)
-    return measurements, derive_records(measurements), [m.label for m in measurements]
+    try:
+        db = derive_records(measurements)
+    except ValidationError as exc:
+        raise ConfigError("generator fields keyword_eeg_mean, filler_eeg_mean, class_tilt, "
+                          f"eeg_noise give EEG values beyond float64 ({exc})") from None
+    return measurements, db, [m.label for m in measurements]
 
 
 # ---------------------------------------------------------------------------
@@ -808,8 +847,8 @@ def save_measurements(measurements: list[SentenceMeasurement], path: str | Path)
             }, sort_keys=True) + "\n")
 
 
-def _finite_matrices(name: str, matrices: list) -> tuple[np.ndarray, np.ndarray]:
-    """The (rows, channels) of JSON lists of non-empty, equal-length lists of finite
+def _matrices(name: str, matrices: list) -> tuple[np.ndarray, np.ndarray]:
+    """The (rows, channels) of JSON lists of non-empty, equal-length lists of
     numbers, and all their values one after the other, checked in one pass."""
     _lists(name, matrices, noun="be a list of lists")
     values, offsets = _concat(f"{name} row", list(chain.from_iterable(matrices)), np.float64)
@@ -818,8 +857,6 @@ def _finite_matrices(name: str, matrices: list) -> tuple[np.ndarray, np.ndarray]
     firsts[counts > 0] = widths[(np.cumsum(counts) - counts)[counts > 0]]
     if not (widths.all() and (widths == np.repeat(firsts, counts)).all()):
         raise ValidationError(f"{name} rows must be non-empty and of equal length")
-    if not np.isfinite(values).all():
-        raise ValidationError(f"{name} holds non-finite values")
     return np.column_stack([counts, firsts]), values
 
 
@@ -835,15 +872,15 @@ def _measurement_columns(objs: list[dict]) -> tuple:
     _lists("fixations", fixations, dict, "hold objects")
     fixations = _key_columns(fixations, ("n", *DURATIONS))
     counts = _array(fixations["n"], np.int64, "fixation n must be an int64 integer")
-    durations = np.stack([_array(fixations[key], np.float64, f"fixation {key} must be a finite number",
-                                 finite=True) for key in DURATIONS], axis=1)
+    durations = np.stack([_array(fixations[key], np.float64, f"fixation {key} must be a finite number")
+                          for key in DURATIONS], axis=1)
     entries = list(chain.from_iterable(columns["word_eeg"]))
     has_eeg = np.array([e is not None for e in entries], dtype=bool)
-    eeg_shapes, eeg_values = _finite_matrices("word_eeg entry", [e for e in entries if e is not None])
+    eeg_shapes, eeg_values = _matrices("word_eeg entry", [e for e in entries if e is not None])
     offsets = [np.cumsum([0, *map(len, columns[name])]) for name in ("fixations", "word_eeg")]
     return (columns["words"], columns["label"], (counts, durations, offsets[0]),
             (has_eeg, eeg_shapes, offsets[1], eeg_values),
-            _finite_matrices("sentence_bands", columns["sentence_bands"]))
+            _matrices("sentence_bands", columns["sentence_bands"]))
 
 
 def load_measurements(path: str | Path) -> list[SentenceMeasurement]:
@@ -851,8 +888,7 @@ def load_measurements(path: str | Path) -> list[SentenceMeasurement]:
     bad line is a DataError (_load_columns, _measurement_columns, check_measurements)."""
     ids, (words, labels, (counts, durations, offsets), eeg, (band_shapes, bands)) = _load_columns(
         path, _measurement_columns,
-        lambda ids, words, labels, fixations, eeg, bands: check_measurements(
-            ids, words, fixations, eeg[:3], bands[0]))
+        lambda ids, words, labels, *arrays: check_measurements(ids, words, *arrays))
     if not ids:
         return []
     channels, cuts = band_shapes[0, 1], offsets[1:-1]  # every line's channels, as checked

@@ -256,7 +256,7 @@ def test_c05_attention_accumulation():
         e = np.exp(scores - scores.max(axis=3, keepdims=True))
         attention = e / e.sum(axis=3, keepdims=True)
 
-        got = accumulate_attention(attention, layout, words_pool[:n_words])
+        got = accumulate_attention(attention, layout)
         real = list(layout.real_positions())
         oracle = {j: 0.0 for j in real}
         for layer in range(layers):
@@ -264,9 +264,10 @@ def test_c05_attention_accumulation():
                 for i in real:
                     for j in real:
                         oracle[j] += attention[layer, head, i, j]
-        for s in got:
-            assert abs(s.score - oracle[s.position]) < 1e-12
-        total = sum(s.score for s in got)
+        assert got.shape == (len(real),)
+        for j in real:
+            assert abs(got[j] - oracle[j]) < 1e-12
+        total = got.sum()
         assert abs(total - layers * heads * len(real)) < 1e-6
     passed(5, "attention accumulation", "50 random attention arrays")
 
@@ -393,9 +394,8 @@ def test_c09_lime_fidelity():
             return 1.0 / (1.0 + np.exp(-(np.asarray(masks) @ weights - weights.sum() / 2)))
 
         scores = lime_explain(lambda masks: teacher(masks.astype(float)),
-                              words, n_samples=300, seed=s)
-        best = max(scores, key=lambda t: t.score)
-        if best.word == words[int(np.argmax(weights))]:
+                              len(words), n_samples=300, seed=s)
+        if int(np.argmax(scores)) == int(np.argmax(weights)):
             hits += 1
 
         # Exhaustive-enumeration oracle over all 2^n - 1 nonzero masks.

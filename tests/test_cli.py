@@ -8,6 +8,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -769,12 +770,20 @@ class TestLexiconAndCorpusCorruption:
                    f"fixation n must be an int64 integer, got {value!r}")
         for key in ("ffd", "sfd"):
             for value in (float("nan"), float("inf"), True, "x", None, 10**400):
+                where = f"word {fixated}: " if type(value) is float else ""  # a value, not a type
                 yield (f"fixation {key} = {value!r}", with_fixation(key, value),
-                       f"fixation {key} must be a finite number, got {value!r}")
+                       f"{where}fixation {key} must be a finite number, got {value!r}")
+        fixations = [dict(f) for f in obj["fixations"]]
+        fixations[fixated].update(n=10**18, ffd=1e300)
+        yield ("eye value overflow", json.dumps({**obj, "fixations": fixations}),
+               f"word {fixated}: eye value n * (ffd + trt + gd + gpt) overflows float64")
+        word_eeg = [None if e is None else [[1e308] * len(row) for row in e] for e in obj["word_eeg"]]
+        yield ("word_eeg mean overflow", json.dumps({**obj, "word_eeg": word_eeg}),
+               f"word {fixated}: word_eeg mean overflows float64")
         word_eeg = [None if e is None else [list(row) for row in e] for e in obj["word_eeg"]]
         word_eeg[fixated][3][1] = float("nan")
         yield ("word_eeg NaN", json.dumps({**obj, "word_eeg": word_eeg}),
-               "word_eeg entry holds non-finite values")
+               f"word {fixated}: word_eeg entry holds non-finite values")
         word_eeg[fixated][3] = word_eeg[fixated][3][1:]
         yield ("word_eeg short row", json.dumps({**obj, "word_eeg": word_eeg}),
                "word_eeg entry rows must be non-empty and of equal length")
@@ -955,6 +964,18 @@ class TestBadConfigValues:
             assert rc == 2, f"{field}={value!r}: exit {rc}"
             assert f"{field} must be an integer" in err and "Traceback" not in err, err
             assert not out.exists(), field
+
+    def test_eeg_beyond_float64_exits_2_before_output(self, tmp_path, capsys):
+        cfg, out = tmp_path / "synth.json", tmp_path / "s"
+        cfg.write_text(json.dumps({"keyword_eeg_mean": 1e308, "class_tilt": 1e308, "n_sentences": 16}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli_main(["synth", "--out", str(out), "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith(
+            "error: generator fields keyword_eeg_mean, filler_eeg_mean, class_tilt, eeg_noise give "
+            "EEG values beyond float64"), err
+        assert not out.exists()
 
     def test_size_over_memory_budget_exits_2_before_output(self, synth_dir, model_config_path,
                                                            train_config_path, tmp_path, capsys):

@@ -82,3 +82,7 @@ def test_script_covers_every_mode_and_command(tmp_path):
     assert planted and json.loads((tmp_path / "synth.json").read_text())["distractors"] > 0
     corpus = f"{planted[0][planted[0].index('--out') + 1]}/corpus.jsonl"
     assert any(args[:2] == ["lexicon", "build"] and corpus in args for args in script)
+    # An explain asks for more keywords than a max_len 10 sentence keeps (8 words).
+    assert any(args[args.index("--checkpoint") + 1].startswith("train10/")
+               and int(args[args.index("--k") + 1]) > 8
+               for args in script if args[0] == "explain" and "--k" in args)

@@ -1,8 +1,9 @@
 """Explanation pipelines: accumulation against a triple-loop oracle, keyword
 ranking rules, surrogate fidelity against exhaustive enumeration, LIME
 perturbation batches against a per-sample record oracle, chunked LIME
-forwards against one-at-a-time forwards, agreement."""
+forwards against one-at-a-time forwards, agreement, the explain file formats."""
 
+import json
 import math
 
 import numpy as np
@@ -12,10 +13,8 @@ from cogbert import explain
 from cogbert.errors import ValidationError
 from cogbert.explain import (
     DISTANCE_SCALE,
-    TokenScore,
+    ExplanationReport,
     accumulate_attention,
-    build_report,
-    correlate,
     explain_sentence,
     keep_words,
     lime_explain,
@@ -63,31 +62,28 @@ class TestAccumulateAttention:
         layout = layout_for(0, max_len=4)  # CLS and SEP only
         probs = np.zeros((1, 1, 4, 4))
         probs[0, 0, :2, :2] = [[0.5, 0.5], [0.2, 0.8]]
-        scores = accumulate_attention(probs, layout, [])
-        assert [s.score for s in scores] == pytest.approx([0.7, 1.3])
+        assert accumulate_attention(probs, layout).tolist() == pytest.approx([0.7, 1.3])
 
     def test_identity_matrices_score_layers_times_heads(self):
         layout = layout_for(3, max_len=6)
         probs = np.tile(np.eye(6), (2, 2, 1, 1))
-        scores = accumulate_attention(probs, layout, WORDS10[:3])
-        assert all(s.score == pytest.approx(4.0) for s in scores)
+        assert accumulate_attention(probs, layout).tolist() == pytest.approx([4.0] * 5)
 
     def test_uniform_attention_arithmetic(self):
         # 4 real tokens, uniform rows: every token collects L*H*n*(1/n) = 4.
         layout = layout_for(2, max_len=4)
         probs = np.full((2, 2, 4, 4), 0.25)
-        scores = accumulate_attention(probs, layout, WORDS10[:2])
-        assert all(s.score == pytest.approx(4.0) for s in scores)
+        assert accumulate_attention(probs, layout).tolist() == pytest.approx([4.0] * 4)
 
     def test_matches_triple_loop_oracle(self):
         rng = np.random.default_rng(101)
         for _ in range(25):
             layout = layout_for(int(rng.integers(1, 9)), max_len=12)
             attention = random_attention(2, 2, layout, rng)
-            scores = accumulate_attention(attention, layout, WORDS10[: layout.word_count])
+            scores = accumulate_attention(attention, layout)
             oracle = accumulate_oracle(attention, layout)
-            for s in scores:
-                assert s.score == pytest.approx(oracle[s.position], abs=1e-12)
+            assert scores.shape == (layout.word_count + 2,)
+            assert scores.tolist() == pytest.approx([oracle[j] for j in range(len(scores))], abs=1e-12)
 
     def test_strided_view_sums_like_contiguous_array(self):
         """encoder_forward returns a (B, L, ...) view of a layer-major array; the
@@ -98,53 +94,43 @@ class TestAccumulateAttention:
                                           for _ in range(3)]) for _ in range(2)])
         view = layer_major.transpose(1, 0, 2, 3, 4)  # (B=3, L=2, H=2, T, T)
         for b in range(3):
-            got = accumulate_attention(view[b], layout, WORDS10[:7])
-            want = accumulate_attention(np.ascontiguousarray(view[b]), layout, WORDS10[:7])
-            assert [s.score for s in got] == [s.score for s in want]
+            got = accumulate_attention(view[b], layout)
+            want = accumulate_attention(np.ascontiguousarray(view[b]), layout)
+            assert got.tolist() == want.tolist()
 
     def test_total_mass_equals_layers_heads_rows(self):
         rng = np.random.default_rng(103)
         for _ in range(25):
             layout = layout_for(int(rng.integers(1, 9)), max_len=12)
             attention = random_attention(3, 2, layout, rng)
-            scores = accumulate_attention(attention, layout, WORDS10[: layout.word_count])
-            total = sum(s.score for s in scores)
+            total = accumulate_attention(attention, layout).sum()
             n_real = layout.word_count + 2
             assert total == pytest.approx(3 * 2 * n_real, abs=1e-6)
 
-    def test_word_count_mismatch_rejected(self):
-        layout = layout_for(3)
-        with pytest.raises(ValidationError):
-            accumulate_attention(np.zeros((1, 1, 12, 12)), layout, ["one", "two"])
 
 
 class TestTopK:
     def test_ordering(self):
-        layout = layout_for(3)
-        scores = [TokenScore(1, "aa", 3.0), TokenScore(2, "bb", 1.0), TokenScore(3, "cc", 2.0)]
-        assert top_k(scores, 2, layout) == ["aa", "cc"]
+        assert top_k(np.array([3.0, 1.0, 2.0]), 2).tolist() == [0, 2]
 
     def test_tie_prefers_earlier_position(self):
-        layout = layout_for(3)
-        scores = [TokenScore(1, "aa", 2.0), TokenScore(2, "bb", 2.0), TokenScore(3, "cc", 1.0)]
-        assert top_k(scores, 1, layout) == ["aa"]
+        assert top_k(np.array([2.0, 2.0, 1.0]), 1).tolist() == [0]
+        assert top_k(np.array([1.0, 0.0, -0.0, 1.0]), 4).tolist() == [0, 3, 1, 2]
 
-    def test_k_larger_than_sentence_returns_all(self):
-        layout = layout_for(3)
-        scores = [TokenScore(1, "aa", 3.0), TokenScore(2, "bb", 1.0), TokenScore(3, "cc", 2.0)]
-        assert top_k(scores, 5, layout) == ["aa", "cc", "bb"]
+    def test_k_larger_than_sentence_returns_all(self, caplog):
+        assert top_k(np.array([3.0, 1.0, 2.0]), 5).tolist() == [0, 2, 1]
+        assert "asked for 5 keywords but only 3 content tokens" in caplog.text
+        with pytest.raises(ValidationError, match="k must be >= 1"):
+            top_k(np.array([3.0]), 0)
 
     def test_special_tokens_never_ranked(self):
-        layout = layout_for(2)
-        scores = [TokenScore(0, "[CLS]", 99.0), TokenScore(1, "aa", 1.0),
-                  TokenScore(2, "bb", 0.5), TokenScore(3, "[SEP]", 98.0)]
-        assert top_k(scores, 2, layout) == ["aa", "bb"]
+        report = ExplanationReport("s", 0, ["aa", "bb"], np.array([99.0, 1.0, 0.5, 98.0]),
+                                   np.array([0.1, 0.2]), k=2)
+        assert report.attention_top == ["aa", "bb"]
 
     def test_deterministic(self):
-        layout = layout_for(4)
-        rng = np.random.default_rng(5)
-        scores = [TokenScore(i + 1, WORDS10[i], float(rng.normal())) for i in range(4)]
-        assert top_k(scores, 3, layout) == top_k(list(scores), 3, layout)
+        scores = np.random.default_rng(5).normal(size=4)
+        assert top_k(scores, 3).tolist() == top_k(scores.copy(), 3).tolist()
 
 
 def exhaustive_surrogate(teacher, words, kernel_width, lam):
@@ -169,10 +155,8 @@ def exhaustive_surrogate(teacher, words, kernel_width, lam):
 
 class TestLime:
     def test_constant_model_gives_zero_coefficients(self):
-        words = WORDS10[:6]
-        scores = lime_explain(lambda masks: np.full(len(masks), 0.42), words, n_samples=300,
-                              seed=1)
-        assert all(abs(s.score) < 1e-6 for s in scores)
+        scores = lime_explain(lambda masks: np.full(len(masks), 0.42), 6, n_samples=300, seed=1)
+        assert scores.shape == (6,) and (abs(scores) < 1e-6).all()
 
     def test_dominant_word_wins_and_matches_exhaustive_fit(self):
         rng = SeededRng(7).derive("teacher")
@@ -186,30 +170,27 @@ class TestLime:
         def predict(masks):
             return [teacher_on_mask(mask) for mask in masks.astype(float)]
 
-        scores = lime_explain(predict, words, n_samples=400, seed=3)
-        best = max(scores, key=lambda s: s.score)
-        assert best.word == "dd"
+        scores = lime_explain(predict, len(words), n_samples=400, seed=3)
+        assert int(np.argmax(scores)) == 3  # "dd"
 
         oracle = exhaustive_surrogate(teacher_on_mask, words, 25.0, 1e-3)
         assert int(np.argmax(oracle)) == 3
 
     def test_same_seed_identical_coefficients(self):
-        words = WORDS10[:5]
-
         def predict(masks):
             return masks.mean(axis=1)
 
-        a = lime_explain(predict, words, n_samples=100, seed=9)
-        b = lime_explain(predict, words, n_samples=100, seed=9)
-        assert [s.score for s in a] == [s.score for s in b]
+        a = lime_explain(predict, 5, n_samples=100, seed=9)
+        b = lime_explain(predict, 5, n_samples=100, seed=9)
+        assert a.tolist() == b.tolist()
 
     def test_minimum_samples_enforced(self):
         with pytest.raises(ValidationError):
-            lime_explain(lambda mask: 0.0, ["aa"], n_samples=5)
+            lime_explain(lambda mask: 0.0, 1, n_samples=5)
 
     def test_empty_sentence_rejected(self):
         with pytest.raises(ValidationError):
-            lime_explain(lambda mask: 0.0, [], n_samples=50)
+            lime_explain(lambda mask: 0.0, 0, n_samples=50)
 
     def test_predict_fn_must_return_one_finite_value_per_mask(self):
         seen = []
@@ -218,13 +199,13 @@ class TestLime:
             seen.append(masks)
             return masks.mean(axis=1)
 
-        lime_explain(record_masks, WORDS10[:4], n_samples=30, seed=2)
+        lime_explain(record_masks, 4, n_samples=30, seed=2)
         assert seen[0].shape == (30, 4) and seen[0].dtype == bool
         for bad in (lambda m: m.mean(axis=1)[:-1], lambda m: m.mean(axis=1)[:, None],
                     lambda m: np.where(m[:, 0], np.nan, 0.5), lambda m: np.full(len(m), np.inf),
                     lambda m: 0.5):
             with pytest.raises(ValidationError, match="30 finite"):
-                lime_explain(bad, WORDS10[:4], n_samples=30, seed=2)
+                lime_explain(bad, 4, n_samples=30, seed=2)
 
     def test_fit_invariant_under_sample_replication(self):
         rng = np.random.default_rng(11)
@@ -356,42 +337,109 @@ class TestChunkedLime:
                 want.append(mask)
             seen = []
             lime_explain(lambda masks: seen.append(masks.copy()) or np.zeros(len(masks)),
-                         WORDS10[:n_words], n_samples=60, seed=seed)
+                         n_words, n_samples=60, seed=seed)
             assert seen[0].dtype == bool and np.array_equal(seen[0], np.array(want)), n_words
 
 
+def report(words, attention, lime, k):
+    """The report of a sentence whose CLS and SEP score 0."""
+    return ExplanationReport("s", 0, words, np.array([0.0, *attention, 0.0]), np.array(lime), k)
+
+
 class TestCorrelate:
+    """overlap: the top-k positions the two explainers share, out of min(k, words)."""
+
     def test_identical_lists(self):
-        assert correlate(["a", "b", "c"], ["c", "a", "b"], 3) == 1.0
+        assert report(["a", "b", "c"], [3.0, 2.0, 1.0], [1.0, 3.0, 2.0], 3).overlap == 1.0
 
     def test_disjoint_lists(self):
-        assert correlate(["a", "b"], ["c", "d"], 2) == 0.0
+        assert report(["a", "b", "c", "d"], [2.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 2.0], 2).overlap == 0.0
 
     def test_partial_overlap(self):
-        assert correlate(["a", "b", "c", "d", "e"], ["a", "x", "c", "y", "e"], 5) == 0.6
+        words = ["a", "x", "b", "y", "c", "z", "d", "e"]
+        got = report(words, [8, 0, 7, 0, 6, 0, 5, 4], [8, 7, 0, 6, 5, 0, 0, 4], 5)
+        assert got.attention_top == ["a", "b", "c", "d", "e"]
+        assert got.lime_top == ["a", "x", "y", "c", "e"]
+        assert got.overlap == 0.6
+
+    def test_repeated_word_counts_once_per_position(self):
+        words = ["the", "cat", "the", "mat", "sat", "on"]
+        scores = [6.0, 5.0, 4.0, 3.0, 2.0, 1.0]
+        got = report(words, scores, scores, 5)
+        assert got.attention_top == got.lime_top == ["the", "cat", "the", "mat", "sat"]
+        assert got.overlap == 1.0
+        # the same words at other positions are not shared positions
+        swapped = report(words, scores, [4.0, 5.0, 6.0, 3.0, 2.0, 1.0], 1)
+        assert swapped.attention_top == swapped.lime_top == ["the"] and swapped.overlap == 0.0
+
+    def test_sentence_shorter_than_k_can_agree_fully(self):
+        got = report(["a", "b", "c"], [1.0, 2.0, 3.0], [3.0, 1.0, 2.0], 5)
+        assert got.attention_top == ["c", "b", "a"] and got.lime_top == ["a", "c", "b"]
+        assert got.overlap == 1.0
 
 
 class TestBuildReport:
     def test_wiring_and_heatmap(self):
-        layout = layout_for(3)
-        attn = [TokenScore(0, "[CLS]", 5.0), TokenScore(1, "aa", 3.0),
-                TokenScore(2, "bb", 1.0), TokenScore(3, "cc", 2.0),
-                TokenScore(4, "[SEP]", 4.0)]
-        lime = [TokenScore(1, "aa", 0.5), TokenScore(2, "bb", 0.4), TokenScore(3, "cc", -0.1)]
-        report = build_report("s1", 2, attn, lime, layout, k=2)
-        assert report.attention_top == ["aa", "cc"]
-        assert report.lime_top == ["aa", "bb"]
-        assert report.overlap == 0.5
-        rows = report.heatmap_rows()
+        attn = np.array([5.0, 3.0, 1.0, 2.0, 4.0])  # CLS, aa, bb, cc, SEP
+        got = ExplanationReport("s1", 2, ["aa", "bb", "cc"], attn, np.array([0.5, 0.4, -0.1]), k=2)
+        assert got.attention_top == ["aa", "cc"]
+        assert got.lime_top == ["aa", "bb"]
+        assert got.overlap == 0.5
+        rows = got.heatmap_rows()
         assert [r[0] for r in rows] == ["aa", "bb", "cc"]
-        assert rows[0] == ("aa", 3.0, 0.5)
+        assert rows[0] == ("aa", 3.0, 0.5) and type(rows[0][1]) is float
 
     def test_round_trips_to_dict(self):
-        layout = layout_for(1)
-        attn = [TokenScore(0, "[CLS]", 1.0), TokenScore(1, "aa", 2.0), TokenScore(2, "[SEP]", 1.0)]
-        lime = [TokenScore(1, "aa", 0.3)]
-        report = build_report("s2", 0, attn, lime, layout, k=1)
-        obj = report.to_dict()
+        got = ExplanationReport("s2", 0, ["aa"], np.array([1.0, 2.0, 1.0]), np.array([0.3]), k=1)
+        obj = got.to_dict()
         assert obj["sentence_id"] == "s2"
         assert obj["overlap"] == 1.0
         assert obj["attention_top"] == obj["lime_top"] == ["aa"]
+        assert json.loads(json.dumps(obj)) == obj
+
+
+class TestFileFormats:
+    """The explain command's JSON text and heatmap rows for fixed scores, pinned
+    to the text these scores gave before the scores became arrays."""
+
+    WORDS = ["the", "cat", "sat", "on", "a", "mat"]
+    ATTENTION = [0.1 + 0.2, 1 / 3, 2.5, 1e-17, 2.5, 7.000000000000001, 0.75, 12.0]
+    LIME = [0.5, 0.3, -0.0, 0.3, 4.440892098500626e-16, -2.0]
+
+    def report(self):
+        return ExplanationReport("s0042", 3, self.WORDS, np.array(self.ATTENTION),
+                                 np.array(self.LIME), k=3)
+
+    def test_json_text(self):
+        def score(position, word, value):
+            return (f'    {{\n      "position": {position},\n      "score": {value},\n'
+                    f'      "word": "{word}"\n    }}')
+
+        def words(*items):
+            return "[\n" + ",\n".join(f'    "{w}"' for w in items) + "\n  ]"
+
+        attention = [score(0, "[CLS]", "0.30000000000000004"), score(1, "the", "0.3333333333333333"),
+                     score(2, "cat", "2.5"), score(3, "sat", "1e-17"), score(4, "on", "2.5"),
+                     score(5, "a", "7.000000000000001"), score(6, "mat", "0.75"),
+                     score(7, "[SEP]", "12.0")]
+        lime = [score(1, "the", "0.5"), score(2, "cat", "0.3"), score(3, "sat", "-0.0"),
+                score(4, "on", "0.3"), score(5, "a", "4.440892098500626e-16"),
+                score(6, "mat", "-2.0")]
+        want = ("{\n"
+                '  "attention_scores": [\n' + ",\n".join(attention) + "\n  ],\n"
+                f'  "attention_top": {words("a", "cat", "on")},\n'
+                '  "k": 3,\n'
+                '  "lime_scores": [\n' + ",\n".join(lime) + "\n  ],\n"
+                f'  "lime_top": {words("the", "cat", "on")},\n'
+                '  "overlap": 0.6666666666666666,\n'
+                '  "predicted_class": 3,\n'
+                '  "sentence_id": "s0042"\n'
+                "}")
+        assert json.dumps(self.report().to_dict(), sort_keys=True, indent=2) == want
+
+    def test_heatmap_rows(self):
+        rows = [[word, repr(attn), repr(lime)] for word, attn, lime in self.report().heatmap_rows()]
+        assert rows == [["the", "0.3333333333333333", "0.5"], ["cat", "2.5", "0.3"],
+                        ["sat", "1e-17", "-0.0"], ["on", "2.5", "0.3"],
+                        ["a", "7.000000000000001", "4.440892098500626e-16"],
+                        ["mat", "0.75", "-2.0"]]

@@ -2,6 +2,7 @@
 storage round trips, and the synthetic generator's contracts."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -99,12 +100,25 @@ class TestCheckMeasurements:
             (dict(sentence_bands=np.zeros((7, 4))), "sentence_bands has 7 rows, not 8"),
             (dict(word_eeg=np.ones((1, N_EEG_VECTORS, 3))),
              "s: word 1 ('b') EEG has 3 channels, sentence_bands has 4"),
+            (dict(durations=[[0] * 5, [1, np.nan, 1, 1, 0]]),
+             "word 1: fixation trt must be a finite number, got nan"),
+            (dict(durations=[[np.inf, 0, 0, 0, 0], [1] * 5]),
+             "word 0: fixation ffd must be a finite number, got inf"),
+            (dict(n_fixations=[0, 10**18], durations=[[0] * 5, [1e300, 1, 1, 1, 0]]),
+             "word 1: eye value n * (ffd + trt + gd + gpt) overflows float64"),
+            (dict(word_eeg=np.where(np.arange(4) == 2, -np.inf, eeg)),
+             "word 1: word_eeg entry holds non-finite values"),
+            (dict(word_eeg=np.full((1, N_EEG_VECTORS, 4), 1e307)), "word 1: word_eeg mean overflows float64"),
+            (dict(sentence_bands=np.where(np.arange(4) == 3, np.nan, np.zeros((8, 4)))),
+             "sentence_bands holds non-finite values"),
         ]
         for changes, message in cases:
             fields = dict(sentence_id="s", words=["a", "b"], label=0, n_fixations=[0, 2],
                           durations=[[0] * 5, [1] * 5], word_eeg=eeg, sentence_bands=np.zeros((8, 4)))
-            with pytest.raises(ValidationError) as exc:
-                SentenceMeasurement(**{**fields, **changes})
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # an overflow is a failed check, not a warning
+                with pytest.raises(ValidationError) as exc:
+                    SentenceMeasurement(**{**fields, **changes})
             assert str(exc.value) == message
 
     def test_arrays_of_the_wrong_shape_rejected(self):
@@ -313,6 +327,16 @@ def toy_measurement(sid, words, fixations, rng, C=4, label=0):
 
 
 class TestLexicon:
+    def test_sum_beyond_float64_rejected(self):
+        rng = np.random.default_rng(43)
+        meas = [toy_measurement(f"m{i}", ["w"], [(2, 1, 1, 1, 1)], rng) for i in range(40)]
+        for m in meas:
+            m.word_eeg[:] = 5e306  # each mean is finite, the sum of 40 is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="word 'w': the sum of its 40 occurrences' EEG overflows"):
+                build_lexicon(meas)
+
     def test_two_occurrence_mean(self):
         rng = np.random.default_rng(41)
         m1 = toy_measurement("a", ["word"], [(2, 1, 1, 1, 1)], rng, C=2)
@@ -467,6 +491,18 @@ class TestDeriveRecords:
             with pytest.raises(ValidationError) as got:
                 derive_records(meas)
             assert str(got.value) == str(want.value) == f"m{bad_index}: sentence_eeg holds non-finite values"
+
+    def test_values_beyond_float64_when_scaled_rejected(self):
+        """Each raw value is finite, but 100 x the largest is not."""
+        rng = np.random.default_rng(8)
+        eye = [toy_measurement("m0", ["a", "b"], [(2, 5e306, 0, 0, 0), (1, 1, 0, 0, 0)], rng)]
+        eeg = [toy_measurement(f"m{i}", ["a"], [(2, 100, 200, 100, 100)], rng) for i in range(2)]
+        eeg[0].word_eeg[:], eeg[1].word_eeg[:] = -5e306, 5e306  # scaled from 0 to 1e307
+        for meas in (eye, eeg):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValidationError, match="token values overflow float64 when scaled"):
+                    derive_records(meas)
 
     def test_changed_channel_count_rejected(self):
         rng = np.random.default_rng(6)

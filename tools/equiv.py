@@ -15,7 +15,8 @@ process with one BLAS thread:
   ends with a short batch) and eval each checkpoint, explain two sentences
   in eeg_embed, both_embed, cog_mask and pool_add_nn (per-word EEG tokens,
   both token tables, the fixation mask, the fusion NN: what each perturbation
-  carries); lexicon build and apply, train pool_add_nn
+  carries), and once more in eeg_embed at max_len 10 with --k 12, past the
+  word count; lexicon build and apply, train pool_add_nn
   on the lexicon features; report over every run; gradcheck --mode all;
   synth with a generator config that plants unfixated distractor keywords,
   and lexicon build over that corpus.
@@ -83,6 +84,11 @@ def script() -> list[tuple[str, list[str]]]:
                 "explain", "--features", feats, "--checkpoint", f"{run}/model.ckpt",
                 "--vocab", f"{run}/vocab.tsv", "--ids", "s0000,s0007", "--n-samples", "100",
                 "--seed", "5", "--out", f"explain{max_len}/{mode}"]))
+    # At max_len 10 the sentences keep 8 words, fewer than k: top-k past the word count.
+    cmds.append(("explain10-k12", [
+        "explain", "--features", feats, "--checkpoint", "train10/eeg_embed/model.ckpt",
+        "--vocab", "train10/eeg_embed/vocab.tsv", "--ids", "s0000,s0007", "--n-samples", "100",
+        "--k", "12", "--seed", "5", "--out", "explain10/eeg_embed-k12"]))
     cmds += [
         ("lexicon-build", ["lexicon", "build", "--corpus", "data/corpus.jsonl",
                            "--out", "lexicon/lexicon.jsonl"]),
