@@ -31,16 +31,12 @@ from .errors import (
     ValidationError,
 )
 from .explain import DEFAULT_KERNEL_WIDTH, DEFAULT_RIDGE_LAMBDA, DEFAULT_SAMPLES, explain_sentence
-from .files import atomic_open, write_text_atomic
+from .files import atomic_open, write_json
 from .model import (MODES, EncoderParams, ModelConfig, gradcheck_mode, init_params, load_checkpoint,
                     save_checkpoint)
 from .tokenizer import Vocab, build_vocab
 
 GRADCHECK_TOLERANCE = 1e-4
-
-
-def _write_json(path: Path, obj) -> None:
-    write_text_atomic(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def _write_csv(path: Path, rows) -> None:
@@ -193,7 +189,7 @@ def cmd_train(args) -> int:
         train_cfg.repeats, train_cfg, model_cfg, train_ex, test_ex, db)
     elapsed = time.perf_counter() - started
 
-    _write_json(out / "report.json", report.to_dict())
+    write_json(out / "report.json", report.to_dict())
     _report_csv(out / "report.csv", model_cfg.mode, report)
     vocab.save(out / "vocab.tsv")
     best = training.best_run_index(report)
@@ -233,7 +229,7 @@ def cmd_eval(args) -> int:
         "n_sentences": len(examples),
         "metrics": metrics.to_dict(),
     }
-    _write_json(out / "eval.json", result)
+    write_json(out / "eval.json", result)
     print(f"evaluated {len(examples)} sentences: precision={metrics.precision:.4f} "
           f"recall={metrics.recall:.4f} f1={metrics.f1:.4f} accuracy={metrics.accuracy:.4f}")
     return 0
@@ -274,8 +270,8 @@ def cmd_lexicon(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     feat.FeatureDb(records).save_jsonl(out)
     mean_coverage = float(np.mean(list(coverages.values())))
-    _write_json(Path(str(out) + ".coverage.json"),
-                {"mean_coverage": mean_coverage, "per_sentence": coverages})
+    write_json(Path(str(out) + ".coverage.json"),
+               {"mean_coverage": mean_coverage, "per_sentence": coverages})
     print(f"applied lexicon to {len(records)} sentences "
           f"(mean coverage {mean_coverage:.3f}) -> {out}")
     return 0
@@ -307,7 +303,7 @@ def cmd_explain(args) -> int:
         )
         overlaps.append(report.overlap)
 
-        _write_json(out / f"explain_{sid}.json", report.to_dict())
+        write_json(out / f"explain_{sid}.json", report.to_dict())
         _write_csv(out / f"heatmap_{sid}.csv", [
             ["word", "attention_score", "lime_weight"],
             *([word, repr(attn), repr(lime)] for word, attn, lime in report.heatmap_rows()),
@@ -315,7 +311,7 @@ def cmd_explain(args) -> int:
         print(f"{sid}: predicted class {report.predicted_class}, "
               f"overlap@{args.k} = {report.overlap:.2f}")
 
-    _write_json(out / "explain_summary.json", {
+    write_json(out / "explain_summary.json", {
         "k": args.k,
         "sentences": sentence_ids,
         "overlaps": overlaps,
@@ -347,7 +343,7 @@ def cmd_gradcheck(args) -> int:
             failures.append((mode, bad))
     if args.out:
         out = _out_dir(args.out)
-        _write_json(out / "gradcheck.json", {
+        write_json(out / "gradcheck.json", {
             "tolerance": GRADCHECK_TOLERANCE,
             "worst_error_per_mode": results,
         })

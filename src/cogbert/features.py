@@ -435,11 +435,8 @@ def _split_records(ids: list[str], tokens: list[list[str]], labels: list[int],
 class FeatureDb:
     """Immutable sentence-id -> CognitiveRecord map."""
 
-    def __init__(self, records: list[CognitiveRecord] | dict[str, CognitiveRecord]):
-        if isinstance(records, dict):
-            self._records = dict(records)
-        else:
-            self._records = {r.sentence_id: r for r in records}
+    def __init__(self, records: list[CognitiveRecord]):
+        self._records = {r.sentence_id: r for r in records}
 
     def __len__(self) -> int:
         return len(self._records)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import json
 import os
 from pathlib import Path
 
@@ -30,3 +31,7 @@ def atomic_open(path: str | Path, mode: str = "w", **kwargs):
 def write_text_atomic(path: str | Path, text: str) -> None:
     with atomic_open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
+
+
+def write_json(path: str | Path, obj) -> None:
+    write_text_atomic(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")

@@ -25,12 +25,19 @@ alone pads. A batch runs at its own width T, not at max_len: the longest
 real row rounded up to a multiple of WIDTH_MULTIPLE. Padding keys carry a
 -10000 additive mask, so their attention weights are exactly zero in
 float64 and a wider batch could not change any real row.
+
+`_param_spec(cfg)` alone lists a model's tensors: names, shapes, order,
+weight decay and init. EncoderParams lays out its flat buffers from it,
+random_params fills them from it, and a checkpoint is `_header(cfg)`
+followed by every tensor in spec order; load_checkpoint accepts exactly
+that header for its sidecar's config and nothing else.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +45,7 @@ import numpy as np
 from .checks import check_field_types
 from .errors import CheckpointError, ConfigError, ValidationError
 from .features import CognitiveRecord, FeatureDb, cognitive_mask
-from .files import atomic_open, write_text_atomic
+from .files import atomic_open, write_json
 from .numerics import autodiff as ad
 from .numerics.autodiff import Node, Parameter
 from .numerics.gradcheck import grad_check_report
@@ -137,7 +144,8 @@ class ModelConfig:
 
 
 def _param_spec(cfg: ModelConfig) -> list[tuple[str, int, int, bool]]:
-    """(name, rows, cols, decay) for every tensor the config requires."""
+    """(name, rows, cols, decay) for every tensor the config requires, in the
+    order of EncoderParams.names() and of the checkpoint."""
     d, ff = cfg.d_model, cfg.d_ff
     spec = [
         ("embed.word", cfg.vocab_size, d, True),
@@ -180,34 +188,33 @@ def _tensor_count(cfg: ModelConfig) -> int:
 class EncoderParams:
     """All trainable tensors for one configuration, addressable by name.
 
-    It owns two flat float64 buffers, `values` and `grads`, and every
-    Parameter's `value` and `grad` is a reshaped view of its slot in them:
-    `zero_grads` is one fill and Adam updates all tensors in one pass.
-    Decay-flagged tensors come first, so weight decay applies to exactly
-    `values[:n_decay]`. Each slot is padded with zeros to a multiple of
-    SLOT_MULTIPLE entries, which no tensor reads. Write through a
-    parameter's value and grad; never rebind them.
+    `_param_spec(cfg)` alone decides the tensors: their names, shapes and
+    order (of names() and of the checkpoint) and which take weight decay.
+    It owns two flat float64 buffers, `values` and `grads`, both zero at
+    construction, and every Parameter's `value` and `grad` is a reshaped
+    view of its slot in them: `zero_grads` is one fill and Adam updates all
+    tensors in one pass. Decay-flagged tensors come first, so weight decay
+    applies to exactly `values[:n_decay]`. Each slot is padded with zeros to
+    a multiple of SLOT_MULTIPLE entries, which no tensor reads. Write
+    through a parameter's value and grad; never rebind them.
     """
 
-    def __init__(self, cfg: ModelConfig, values: dict[str, np.ndarray]):
-        """values maps each tensor of the config's spec to its initial value, in
-        the order of names() and of the checkpoint; every grad starts at zero."""
+    def __init__(self, cfg: ModelConfig):
         self.cfg = cfg
-        decay = {name: flag for name, _, _, flag in _param_spec(cfg)}
+        spec = _param_spec(cfg)
         self._slots: dict[str, tuple[int, tuple[int, int]]] = {}
         offset = self.n_decay = 0
-        for name in sorted(values, key=lambda n: not decay[n]):  # stable: decay first
-            self._slots[name] = (offset, values[name].shape)
-            offset += -(-values[name].size // SLOT_MULTIPLE) * SLOT_MULTIPLE
-            if decay[name]:
+        for name, rows, cols, decay in sorted(spec, key=lambda s: not s[3]):  # stable: decay first
+            self._slots[name] = (offset, (rows, cols))
+            offset += -(-rows * cols // SLOT_MULTIPLE) * SLOT_MULTIPLE
+            if decay:
                 self.n_decay = offset
         self.values = np.zeros(offset)
         self.grads = np.zeros(offset)
         value_views, grad_views = self.views(self.values), self.views(self.grads)
         self._params: dict[str, Parameter] = {}
-        for name, value in values.items():
-            value_views[name][...] = value
-            p = self._params[name] = Parameter(name, value_views[name], decay=decay[name])
+        for name, _, _, _ in spec:
+            p = self._params[name] = Parameter(name, value_views[name])
             p.grad = grad_views[name]  # in place of the zeros Parameter made
 
     def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
@@ -228,28 +235,35 @@ class EncoderParams:
         self.grads.fill(0.0)
 
 
-def _init_value(name: str, rows: int, cols: int, rng: SeededRng) -> np.ndarray:
-    if name.endswith(".gamma"):
-        return np.ones((rows, cols))
-    tail = name.rsplit(".", 1)[-1]
-    if tail.startswith("b") or tail == "beta":
-        return np.zeros((rows, cols))
-    return rng.normal(0.0, INIT_STD, size=(rows, cols))
-
-
 def random_params(cfg: ModelConfig, seed: int) -> EncoderParams:
-    """N(0, 0.02) weights and embeddings, zero biases/betas, unit gammas."""
+    """N(0, 0.02) decay tensors (weights and embeddings), drawn in spec order;
+    unit gammas; every other tensor (biases, betas) zero."""
     rng = SeededRng(seed).derive("init")
-    return EncoderParams(cfg, {name: _init_value(name, rows, cols, rng)
-                               for name, rows, cols, _ in _param_spec(cfg)})
+    params = EncoderParams(cfg)
+    for name, rows, cols, decay in _param_spec(cfg):
+        if decay:
+            params[name].value[...] = rng.normal(0.0, INIT_STD, size=(rows, cols))
+        elif name.endswith(".gamma"):
+            params[name].value[...] = 1.0
+    return params
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint container: UTF-8 header + row-major float64 little-endian data,
-# with a JSON sidecar holding the ModelConfig.
+# Checkpoint container: the header _header(cfg) writes, then each tensor of
+# the spec in order as row-major float64 little-endian data, with a JSON
+# sidecar holding the ModelConfig.
 # ---------------------------------------------------------------------------
 
 _CKPT_MAGIC = "cogbert-checkpoint v1"
+_MIN_LINE = len("n 1 1\n")
+
+
+def _header(cfg: ModelConfig) -> bytes:
+    """The magic and tensor count line, then one `name rows cols` line per
+    tensor of the spec: the only checkpoint header a config has."""
+    spec = _param_spec(cfg)
+    lines = [f"{_CKPT_MAGIC} {len(spec)}", *(f"{n} {r} {c}" for n, r, c, _ in spec)]
+    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def _sidecar_path(path: str | Path) -> Path:
@@ -257,15 +271,11 @@ def _sidecar_path(path: str | Path) -> Path:
 
 
 def save_checkpoint(params: EncoderParams, path: str | Path) -> None:
-    names = params.names()
-    header = [f"{_CKPT_MAGIC} {len(names)}"]
-    header += [f"{n} {params[n].shape[0]} {params[n].shape[1]}" for n in names]
     with atomic_open(path, "wb") as fh:
-        fh.write(("\n".join(header) + "\n").encode("utf-8"))
-        for n in names:
-            fh.write(params[n].value.astype("<f8").tobytes(order="C"))
-    write_text_atomic(_sidecar_path(path),
-                      json.dumps(params.cfg.to_dict(), sort_keys=True, indent=2) + "\n")
+        fh.write(_header(params.cfg))
+        for p in params.all():  # spec order
+            fh.write(p.value.astype("<f8").tobytes(order="C"))
+    write_json(_sidecar_path(path), params.cfg.to_dict())
 
 
 def _load_sidecar(sidecar: Path) -> ModelConfig:
@@ -292,6 +302,8 @@ def _load_sidecar(sidecar: Path) -> ModelConfig:
 
 
 def load_checkpoint(path: str | Path) -> EncoderParams:
+    """The parameters of a checkpoint whose header is exactly _header of its
+    sidecar's config and whose data holds exactly the spec's tensors."""
     sidecar = _sidecar_path(path)
     cfg = _load_sidecar(sidecar)
 
@@ -300,61 +312,47 @@ def load_checkpoint(path: str | Path) -> EncoderParams:
     except IsADirectoryError:
         raise CheckpointError(f"checkpoint {path} is not a regular file") from None
     try:
-        first_nl = blob.index(b"\n")
-        magic, count_s = blob[:first_nl].decode("utf-8").rsplit(" ", 1)
+        magic, count_s = blob[:blob.index(b"\n")].decode("utf-8").rsplit(" ", 1)
         n_tensors = int(count_s)
         if magic != _CKPT_MAGIC:
             raise ValueError
     except ValueError:
         raise CheckpointError(f"{path}: not a checkpoint file") from None
-    # before any per-tensor work, which a sidecar naming 10**30 layers would make endless
+    # Both checks run before _header(cfg), which a sidecar naming 10**30 layers
+    # would make endless: the first compares counts, and the second, for a header
+    # count edited to match, bounds the header by the file's length (a line holds
+    # a name, rows and cols, so at least _MIN_LINE bytes).
     want = _tensor_count(cfg)
     if n_tensors != want:
         raise CheckpointError(f"{path}: header lists {n_tensors} tensors, "
                               f"the config in {sidecar} needs {want}")
+    if n_tensors * _MIN_LINE > len(blob):
+        raise CheckpointError(f"{path}: header lists {n_tensors} tensors, "
+                              f"more than its {len(blob)} bytes can hold")
 
-    offset = first_nl + 1
-    entries: list[tuple[str, int, int]] = []
-    for i in range(n_tensors):
-        try:
-            nl = blob.index(b"\n", offset)
-            name, rows, cols = blob[offset:nl].decode("utf-8").split(" ")
-            entries.append((name, int(rows), int(cols)))
-        except ValueError:
-            raise CheckpointError(
-                f"{path}: header truncated or malformed at tensor entry {i + 1} of {n_tensors}"
-            ) from None
-        offset = nl + 1
-
-    expected = {name: (rows, cols) for name, rows, cols, _ in _param_spec(cfg)}
-    bad = [f"{n} {r}x{c} (want {expected[n][0]}x{expected[n][1]})"
-           for n, r, c in entries if n in expected and (r, c) != expected[n]]
-    missing = sorted(set(expected) - {n for n, _, _ in entries})
-    unknown = sorted({n for n, _, _ in entries} - set(expected))
-    if bad or missing or unknown:
+    header = _header(cfg)
+    if not blob.startswith(header):
+        # A file cut at a line end holds a prefix of the header's lines: its
+        # first missing line reads as ''.
+        i, have, need = next((i, a, b) for i, (a, b) in enumerate(zip_longest(
+            blob[:len(header)].splitlines(keepends=True), header.splitlines(keepends=True),
+            fillvalue=b"")) if a != b)
         raise CheckpointError(
-            f"{path}: tensors do not match config"
-            + (f"; wrong shape: {', '.join(bad)}" if bad else "")
-            + (f"; missing: {', '.join(missing)}" if missing else "")
-            + (f"; unexpected: {', '.join(unknown)}" if unknown else "")
-        )
+            f"{path}: header line {i + 1} is {have.decode('utf-8', 'backslashreplace')!r}, "
+            f"the config in {sidecar} needs {need.decode('utf-8')!r}")
+    data = 8 * sum(rows * cols for _, rows, cols, _ in _param_spec(cfg))
+    if len(blob) - len(header) != data:
+        raise CheckpointError(f"{path}: tensor data is {len(blob) - len(header)} bytes, "
+                              f"the config in {sidecar} needs {data}")
 
-    values: dict[str, np.ndarray] = {}
-    for name, rows, cols in entries:
-        nbytes = rows * cols * 8
-        if offset + nbytes > len(blob):
-            raise CheckpointError(
-                f"{path}: data truncated in tensor {name}: needs {nbytes} bytes, "
-                f"{len(blob) - offset} left"
-            )
-        value = np.frombuffer(blob[offset:offset + nbytes], dtype="<f8").reshape(rows, cols)
+    params, offset = EncoderParams(cfg), len(header)
+    for p in params.all():  # spec order
+        value = np.frombuffer(blob, "<f8", p.value.size, offset).reshape(p.shape)
         if not np.isfinite(value).all():
-            raise CheckpointError(f"{path}: tensor {name} holds non-finite values")
-        offset += nbytes
-        values[name] = value
-    if offset != len(blob):
-        raise CheckpointError(f"{path}: trailing bytes after tensor data")
-    return EncoderParams(cfg, values)
+            raise CheckpointError(f"{path}: tensor {p.name} holds non-finite values")
+        p.value[...] = value
+        offset += value.nbytes
+    return params
 
 
 def init_params(cfg: ModelConfig, source: str = "random", seed: int = 0) -> EncoderParams:

@@ -47,23 +47,21 @@ class Parameter(Node):
     """A named trainable 2-D tensor: a graph leaf with a persistent gradient.
 
     `grad` starts zeroed and `backward` adds every use's gradient into it in
-    place, so it stays the same array until `zero_grad` clears it. `decay`
-    marks whether decoupled weight decay applies (True for weight matrices
-    and embeddings, False for biases and layer-norm scales/shifts).
+    place, so it stays the same array until `zero_grad` clears it.
 
     Inside a model's `EncoderParams`, `value` and `grad` are views into its
     flat buffers: write through them (`p.value[:] = ...`), never rebind them.
+    Which parameters take weight decay is set by the model's parameter spec.
     """
 
-    __slots__ = ("name", "decay")
+    __slots__ = ("name",)
 
-    def __init__(self, name: str, value, decay: bool = True):
+    def __init__(self, name: str, value):
         value = np.ascontiguousarray(value, dtype=np.float64)
         if value.ndim != 2:
             raise ShapeError(f"parameter {name!r} must be 2-D, got {value.shape}")
         super().__init__(value)
         self.name = name
-        self.decay = decay
         self.grad = np.zeros_like(value)
 
     @property

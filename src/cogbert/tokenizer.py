@@ -32,13 +32,14 @@ MASK_SUPPRESS = -10000.0
 
 @dataclass
 class Vocab:
+    """Distinct words with distinct ids, the reserved tokens included."""
+
     word_to_id: dict[str, int]
-    id_to_word: dict[int, str]
 
     @property
     def size(self) -> int:
         """One past the largest assigned id (embedding table row count)."""
-        return max(self.id_to_word) + 1
+        return max(self.word_to_id.values()) + 1
 
     def __contains__(self, word: str) -> bool:
         return word in self.word_to_id
@@ -57,17 +58,24 @@ class Vocab:
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: not a UTF-8 vocab file: {exc}") from None
         word_to_id: dict[str, int] = {}
+        seen: dict[str | int, int] = {}  # word or id -> the line that assigned it
         for lineno, line in enumerate(lines, start=1):
             if not line:
                 continue
             word, tab, ident = line.rpartition("\t")
             if not tab or not ident.isdecimal():
                 raise DataError(f"{path}:{lineno}: not a 'word<TAB>id' vocab line: {line[:60]!r}")
-            word_to_id[word] = int(ident)
+            ident = int(ident)
+            for key, what in ((word, f"word {word!r}"), (ident, f"id {ident}")):
+                if key in seen:  # a word is a str and an id an int, so the two never collide
+                    raise DataError(f"{path}:{lineno}: {what} is already assigned "
+                                    f"on line {seen[key]}")
+            word_to_id[word] = ident
+            seen[word] = seen[ident] = lineno
         for name, ident in RESERVED.items():
             if word_to_id.get(name) != ident:
                 raise DataError(f"{path}: vocab file missing reserved token {name}={ident}")
-        return cls(word_to_id, {i: w for w, i in word_to_id.items()})
+        return cls(word_to_id)
 
 
 def build_vocab(corpus: list[list[str]]) -> Vocab:
@@ -87,7 +95,7 @@ def build_vocab(corpus: list[list[str]]) -> Vocab:
             next_id += 1
         word_to_id[word] = next_id
         next_id += 1
-    return Vocab(word_to_id, {i: w for w, i in word_to_id.items()})
+    return Vocab(word_to_id)
 
 
 @dataclass
@@ -109,10 +117,6 @@ class TokenizedSentence:
     def word_count(self) -> int:
         """Number of content tokens (excludes CLS and SEP)."""
         return len(self.words)
-
-    def content_positions(self) -> range:
-        """Positions holding real words (excludes CLS and SEP)."""
-        return range(1, 1 + self.word_count)
 
     def real_positions(self) -> range:
         """Every position (CLS, words and SEP)."""

@@ -367,6 +367,47 @@ class TestMalformedInputs:
             assert str(vocab) in err and str(trained_dir / "model.ckpt") in err, err
             assert "4000" in err, err
 
+    def test_repeated_vocab_word_or_id_exits_3(self, trained_dir, synth_dir, tmp_path, capsys):
+        lines = (trained_dir / "vocab.tsv").read_text().splitlines()
+        word, ident = lines[4].split("\t")
+        vocab = tmp_path / "vocab.tsv"
+        explain = ["explain", "--features", str(synth_dir / "features.jsonl"),
+                   "--checkpoint", str(trained_dir / "model.ckpt"), "--vocab", str(vocab),
+                   "--ids", "s0000", "--out", str(tmp_path / "e")]
+        for extra, what in ((f"{word}\t4000", f"word {word!r}"),
+                            (f"stranger\t{ident}", f"id {ident}")):
+            vocab.write_text("\n".join([*lines, extra]) + "\n")
+            for argv in (self.eval_args(synth_dir, trained_dir, tmp_path / "o", vocab=vocab),
+                         explain):
+                rc = cli_main(argv)
+                err = capsys.readouterr().err
+                assert rc == 3, f"{argv[0]} {extra!r}: exit {rc}"
+                assert f"{vocab}:{len(lines) + 1}: {what} is already assigned on line 5" in err, err
+        assert not (tmp_path / "o").exists() and not (tmp_path / "e").exists()
+
+    def test_reordered_checkpoint_exits_3(self, trained_dir, synth_dir, tmp_path, capsys):
+        """Two header entries swapped along with their data: not the header save_checkpoint
+        writes for the sidecar's config, so it is refused naming the first line that differs."""
+        ckpt, sidecar = self.copy_checkpoint(trained_dir, tmp_path)
+        blob = ckpt.read_bytes()
+        n_tensors = int(blob[:blob.index(b"\n")].split()[-1])
+        *header, data = blob.split(b"\n", n_tensors + 1)
+        starts = np.cumsum([0, *(8 * int(rows) * int(cols)
+                                 for _, rows, cols in map(bytes.split, header[1:]))])
+        chunks = [data[a:b] for a, b in zip(starts, starts[1:])]
+        names = [line.split()[0].decode() for line in header[1:]]
+        i, j = names.index("layer0.attn.bq"), names.index("layer0.attn.bk")
+        header[i + 1], header[j + 1] = header[j + 1], header[i + 1]
+        chunks[i], chunks[j] = chunks[j], chunks[i]
+        ckpt.write_bytes(b"\n".join(header) + b"\n" + b"".join(chunks))
+        rc = cli_main(self.eval_args(synth_dir, trained_dir, tmp_path / "o", checkpoint=ckpt))
+        err = capsys.readouterr().err
+        assert rc == 3, f"exit {rc}: {err}"
+        have, need = (header[k].decode() + "\n" for k in (i + 1, j + 1))
+        assert err == (f"error: {ckpt}: header line {i + 2} is {have!r}, "
+                       f"the config in {sidecar} needs {need!r}\n"), err
+        assert not (tmp_path / "o").exists()
+
     def test_directory_inputs_exit_3(self, trained_dir, synth_dir, model_config_path,
                                      tmp_path, capsys):
         folder = tmp_path / "a_directory"
@@ -886,6 +927,31 @@ class TestCheckpointCorruption:
                        out, cases, ckpt.write_bytes, (ckpt, sidecar))
         assert len(cases) > 400
 
+    def test_cut_at_every_header_line_end_exits_3(self, trained_dir, synth_dir, tmp_path,
+                                                  capsys):
+        """A file cut where a header line ends holds a prefix of the header's lines:
+        it exits 3 naming the first missing line, or the missing data after the last."""
+        ckpt, sidecar = TestMalformedInputs.copy_checkpoint(trained_dir, tmp_path)
+        blob = ckpt.read_bytes()
+        n_tensors = int(blob[:blob.index(b"\n")].split()[-1])
+        lines = blob.split(b"\n", n_tensors + 1)[:n_tensors + 1]
+        ends = np.cumsum([len(line) + 1 for line in lines])
+        out = tmp_path / "o"
+        argv = TestMalformedInputs.eval_args(synth_dir, trained_dir, out, checkpoint=ckpt)
+        self.check_all(capsys, argv, out, [(f"cut at {end}", blob[:end]) for end in ends],
+                       ckpt.write_bytes, (ckpt, sidecar))
+        checked = 0
+        for k, end in enumerate(ends[:-1]):
+            if n_tensors * len("n 1 1\n") > end:
+                continue  # too short for its count: refused before the header is compared
+            ckpt.write_bytes(blob[:end])
+            assert cli_main(argv) == 3
+            need = lines[k + 1].decode() + "\n"
+            assert capsys.readouterr().err == (f"error: {ckpt}: header line {k + 2} is '', "
+                                               f"the config in {sidecar} needs {need!r}\n")
+            checked += 1
+        assert checked > 0
+
     def test_every_sidecar_corruption_exits_3(self, trained_dir, synth_dir, tmp_path, capsys):
         ckpt, sidecar = TestMalformedInputs.copy_checkpoint(trained_dir, tmp_path)
         cfg = json.loads(sidecar.read_text())
@@ -930,6 +996,34 @@ class TestCheckpointCorruption:
             assert proc.returncode == 3, f"layers {layers}: exit {proc.returncode}: {proc.stderr}"
             assert proc.stderr == (f"error: {ckpt}: header lists {n_tensors} tensors, "
                                    f"the config in {sidecar} needs {needs}\n"), proc.stderr
+            assert not out.exists()
+
+    def test_huge_layer_count_in_both_files_exits_3_in_bounded_memory(self, trained_dir,
+                                                                       synth_dir, tmp_path):
+        """A header count edited to match a sidecar's 10**6 or 10**30 layers fails on
+        the file's length before the header is built, in a child capped as above."""
+        ckpt, sidecar = TestMalformedInputs.copy_checkpoint(trained_dir, tmp_path)
+        cfg = json.loads(sidecar.read_text())
+        first, rest = ckpt.read_bytes().split(b"\n", 1)
+        n_tensors = int(first.split()[-1])
+        child = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+                 "from cogbert.cli import main; sys.exit(main(sys.argv[1:]))")
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join([str(Path(cogbert.__file__).parents[1]),
+                                              os.environ.get("PYTHONPATH", "")])}
+        out = tmp_path / "o"
+        for layers in (10**6, 10**30):
+            needs = n_tensors + (layers - cfg["layers"]) * 16  # 16 tensors per encoder layer
+            sidecar.write_text(json.dumps({**cfg, "layers": layers}))
+            edited = b"cogbert-checkpoint v1 %d\n" % needs + rest
+            ckpt.write_bytes(edited)
+            proc = subprocess.run(
+                [sys.executable, "-c", child,
+                 *TestMalformedInputs.eval_args(synth_dir, trained_dir, out, checkpoint=ckpt)],
+                capture_output=True, text=True, env=env, timeout=120)
+            assert proc.returncode == 3, f"layers {layers}: exit {proc.returncode}: {proc.stderr}"
+            assert proc.stderr == (f"error: {ckpt}: header lists {needs} tensors, "
+                                   f"more than its {len(edited)} bytes can hold\n"), proc.stderr
             assert not out.exists()
 
 

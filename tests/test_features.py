@@ -3,6 +3,7 @@ storage round trips, and the synthetic generator's contracts."""
 
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -591,8 +592,10 @@ class TestFeatureDb:
         path = tmp_path / "features.jsonl"
         db.save_jsonl(path)
         before = path.read_bytes()
-        broken = FeatureDb({**{sid: db.get(sid) for sid in db.ids()}, "x": None})
-        with pytest.raises(AttributeError):
+        last = db.get(db.ids()[-1])
+        unencodable = replace(last, sentence_id="x", tokens=[b"x"] * len(last.tokens))
+        broken = FeatureDb([db.get(sid) for sid in db.ids()] + [unencodable])
+        with pytest.raises(TypeError, match="bytes is not JSON serializable"):
             broken.save_jsonl(path)  # fails after writing 16 records
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["features.jsonl"]

@@ -2,6 +2,7 @@
 attention mask semantics, pooled fusion math, and full-forward gradients."""
 
 import dataclasses
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -15,6 +16,8 @@ from cogbert.model import (
     WIDTH_MULTIPLE,
     Example,
     ModelConfig,
+    _header,
+    _param_spec,
     build_batch,
     classify,
     embed,
@@ -135,11 +138,13 @@ class TestInitAndCheckpoints:
         params = random_params(tiny_cfg(mode="pool_add_nn"), seed=3)
         path = tmp_path / "model.ckpt"
         save_checkpoint(params, path)
+        assert path.read_bytes().startswith(_header(params.cfg))
         loaded = load_checkpoint(path)
         assert loaded.cfg == params.cfg
         for name in params.names():
             np.testing.assert_array_equal(loaded[name].value, params[name].value)
-            assert loaded[name].decay == params[name].decay
+        assert loaded.n_decay == params.n_decay
+        np.testing.assert_array_equal(loaded.values, params.values)  # same slots and padding
 
     def test_wrong_shape_checkpoint_names_tensor(self, tmp_path):
         params = random_params(tiny_cfg(), seed=3)
@@ -154,6 +159,19 @@ class TestInitAndCheckpoints:
         with pytest.raises(CheckpointError, match="ff.w1"):
             load_checkpoint(path)
 
+    def test_data_one_tensor_short_or_long_rejected(self, tmp_path):
+        params = random_params(tiny_cfg(), seed=3)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, path)
+        blob, header = path.read_bytes(), len(_header(params.cfg))
+        last = params.all()[-1].value.nbytes
+        for edited in (blob[:-last], blob + blob[-last:]):
+            path.write_bytes(edited)
+            message = (f"{path}: tensor data is {len(edited) - header} bytes, "
+                       f"the config in {path}.config.json needs {len(blob) - header}")
+            with pytest.raises(CheckpointError, match=re.escape(message)):
+                load_checkpoint(path)
+
     def test_init_params_dispatches_to_checkpoint(self, tmp_path):
         cfg = tiny_cfg()
         params = random_params(cfg, seed=11)
@@ -167,14 +185,16 @@ class TestInitAndCheckpoints:
 
 def assert_flat_storage(params):
     """Every value and grad is its slot's view of the flat buffers, decay tensors first."""
+    decay = {name: flag for name, _, _, flag in _param_spec(params.cfg)}
+    assert params.names() == list(decay)  # spec order
     values, grads = params.views(params.values), params.views(params.grads)
-    assert list(values) == sorted(params.names(), key=lambda n: not params[n].decay)
+    assert list(values) == sorted(params.names(), key=lambda n: not decay[n])
     for p in params.all():
         for tensor, slot, flat in ((p.value, values[p.name], params.values),
                                    (p.grad, grads[p.name], params.grads)):
             assert tensor.shape == slot.shape and np.shares_memory(tensor, flat), p.name
             assert tensor.__array_interface__["data"] == slot.__array_interface__["data"], p.name
-        assert np.shares_memory(p.value, params.values[:params.n_decay]) == p.decay, p.name
+        assert np.shares_memory(p.value, params.values[:params.n_decay]) == decay[p.name], p.name
 
 
 class TestFlatStorage:

@@ -49,8 +49,13 @@ class TestBuildVocab:
 
     def test_load_rejects_malformed_files(self, tmp_path):
         path = tmp_path / "vocab.tsv"
-        for text, message in (("[PAD]\t0\nfox 7\n", r"vocab.tsv:2: not a 'word<TAB>id'"),
-                              ("[PAD]\t0\nfox\t7\n", r"vocab.tsv: .*missing reserved token")):
+        for text, message in (
+            ("[PAD]\t0\nfox 7\n", r"vocab.tsv:2: not a 'word<TAB>id'"),
+            ("[PAD]\t0\nfox\t7\n", r"vocab.tsv: .*missing reserved token"),
+            ("a\t1\n\na\t2\n", r"vocab.tsv:3: word 'a' is already assigned on line 1$"),
+            ("a\t1\nb\t1\n", r"vocab.tsv:2: id 1 is already assigned on line 1$"),
+            ("[PAD]\t0\nb\t0\n", r"vocab.tsv:2: id 0 is already assigned on line 1$"),
+        ):
             path.write_text(text)
             with pytest.raises(DataError, match=message):
                 Vocab.load(path)
@@ -99,8 +104,7 @@ class TestEncode:
     def test_round_trip_for_in_vocab_sentences(self):
         words = ["the", "nobel", "prize"]
         ts = encode(words, self.vocab, max_len=10)
-        content = [self.vocab.id_to_word[int(ts.ids[p])] for p in ts.content_positions()]
-        assert content == words
+        assert ts.ids[1:-1].tolist() == [self.vocab.word_to_id[w] for w in words]
 
     def test_deterministic(self):
         a = encode(["he", "won"], self.vocab, max_len=8)

@@ -8,7 +8,8 @@ import pytest
 
 from cogbert.errors import ConfigError, ValidationError
 from cogbert.features import SynthConfig, synth_generate
-from cogbert.model import MODES, ModelConfig, build_batch, encoder_forward, random_params
+from cogbert.model import (MODES, ModelConfig, _param_spec, build_batch, encoder_forward,
+                           random_params)
 from cogbert.numerics import autodiff as ad
 from cogbert.numerics.rng import SeededRng
 from cogbert.tokenizer import build_vocab
@@ -219,7 +220,7 @@ class TestFlatAdam:
         values = {p.name: p.value.copy() for p in params.all()}
         m = {name: np.zeros_like(val) for name, val in values.items()}
         v = {name: np.zeros_like(val) for name, val in values.items()}
-        decay = {p.name: p.decay for p in params.all()}
+        decay = {name: flag for name, _, _, flag in _param_spec(cfg)}
         opt = Adam(params, weight_decay=weight_decay)
         rng = SeededRng(7).derive("grads")
         for t in range(1, 6):
