@@ -146,21 +146,14 @@ def _build_train_config(args) -> training.TrainConfig:
     return _build_config(training.TrainConfig, "train", args.train_config, flags, flag_names)
 
 
-def _report_csv(path: Path, mode: str, report: training.RunReport) -> None:
-    rows = [["mode", "run", "seed", "precision", "recall", "f1", "f1_std", "accuracy"]]
-    for i, run in enumerate(report.runs):
-        m = run.metrics
-        rows.append([
-            mode, i, run.seed,
-            f"{m.precision:.4f}", f"{m.recall:.4f}", f"{m.f1:.4f}", "",
-            f"{m.accuracy:.4f}",
-        ])
-    rows.append([
-        mode, "mean", report.train_config["seed"],
-        f"{report.precision:.4f}", f"{report.recall:.4f}", f"{report.f1:.4f}",
-        f"{report.f1_std:.4f}", f"{report.accuracy:.4f}",
-    ])
-    _write_csv(path, rows)
+def _score_cells(scores, report: dict | None = None) -> list[str]:
+    """A report-CSV row's precision, recall, f1, f1_std and accuracy cells, read
+    in that order: scores maps training.SCORES, the report dict gives f1_std
+    (blank in a single run's row)."""
+    cells = [f"{scores[name]:.4f}" for name in training.SCORES[:3]]
+    cells.append("" if report is None else f"{report['f1_std']:.4f}")
+    cells.append(f"{scores['accuracy']:.4f}")
+    return cells
 
 
 def cmd_train(args) -> int:
@@ -176,28 +169,39 @@ def cmd_train(args) -> int:
                          sort_keys=True, indent=2))
         return 0
 
-    if train_cfg.init_source != "random":
-        init_params(model_cfg, train_cfg.init_source)  # fail before anything is written
-    out = _out_dir(args.out)
+    # The split, the init checkpoint and the training share fail before anything is written.
     examples = training.make_examples(db, vocab, model_cfg.max_len)
     train_ex, test_ex = training.split(examples, args.split_ratio, train_cfg.seed)
+    if not train_ex:
+        raise ValidationError(f"--split-ratio {args.split_ratio} leaves none of the "
+                              f"{len(examples)} sentences to train on")
+    if train_cfg.init_source != "random":
+        init_params(model_cfg, train_cfg.init_source)
+    out = _out_dir(args.out)
     print(f"training mode={model_cfg.mode} on {len(train_ex)} sentences, "
           f"testing on {len(test_ex)}, repeats={train_cfg.repeats}")
 
     started = time.perf_counter()
-    report, run_params = training.repeat_runs(
+    report, best_params = training.repeat_runs(
         train_cfg.repeats, train_cfg, model_cfg, train_ex, test_ex, db)
     elapsed = time.perf_counter() - started
 
-    write_json(out / "report.json", report.to_dict())
-    _report_csv(out / "report.csv", model_cfg.mode, report)
+    summary = report.to_dict()
+    write_json(out / "report.json", summary)
+    _write_csv(out / "report.csv", [
+        ["mode", "run", "seed", "precision", "recall", "f1", "f1_std", "accuracy"],
+        *([model_cfg.mode, i, run["seed"], *_score_cells(run["metrics"])]
+          for i, run in enumerate(summary["runs"])),
+        [model_cfg.mode, "mean", train_cfg.seed, *_score_cells(summary["mean"], summary)],
+    ])
     vocab.save(out / "vocab.tsv")
-    best = training.best_run_index(report)
-    save_checkpoint(run_params[best], out / "model.ckpt")
+    save_checkpoint(best_params, out / "model.ckpt")
 
-    print(f"mean precision={report.precision:.4f} recall={report.recall:.4f} "
-          f"f1={report.f1:.4f} (std {report.f1_std:.4f}) accuracy={report.accuracy:.4f}")
-    print(f"best run: {best} (accuracy {report.runs[best].metrics.accuracy:.4f})")
+    mean = report.mean
+    print(f"mean precision={mean['precision']:.4f} recall={mean['recall']:.4f} "
+          f"f1={mean['f1']:.4f} (std {report.f1_std:.4f}) accuracy={mean['accuracy']:.4f}")
+    print(f"best run: {report.best} "
+          f"(accuracy {report.runs[report.best].metrics.accuracy:.4f})")
     print(f"wall clock: {elapsed:.1f}s")
     return 0
 
@@ -218,20 +222,24 @@ def _load_model_inputs(args) -> tuple[feat.FeatureDb, EncoderParams, Vocab]:
 def cmd_eval(args) -> int:
     db, params, vocab = _load_model_inputs(args)
     cfg = params.cfg
+    for sid in db.ids():
+        label = db.get(sid).label
+        if label >= cfg.n_classes:
+            raise DataError(
+                f"feature db {args.features} labels sentence {sid} as class {label}, but "
+                f"checkpoint {args.checkpoint} has only {cfg.n_classes} classes")
 
-    out = _out_dir(args.out)
     examples = training.make_examples(db, vocab, cfg.max_len)
     if args.split_ratio is not None:
         _, examples = training.split(examples, args.split_ratio, args.seed)
-    metrics = training.evaluate(params, examples, db)
-    result = {
+    scores = training.evaluate(params, examples, db).to_dict()
+    write_json(_out_dir(args.out) / "eval.json", {
         "model_config": cfg.to_dict(),
         "n_sentences": len(examples),
-        "metrics": metrics.to_dict(),
-    }
-    write_json(out / "eval.json", result)
-    print(f"evaluated {len(examples)} sentences: precision={metrics.precision:.4f} "
-          f"recall={metrics.recall:.4f} f1={metrics.f1:.4f} accuracy={metrics.accuracy:.4f}")
+        "metrics": scores,
+    })
+    print(f"evaluated {len(examples)} sentences: "
+          + " ".join(f"{name}={scores[name]:.4f}" for name in training.SCORES))
     return 0
 
 
@@ -287,22 +295,15 @@ def cmd_explain(args) -> int:
     sentence_ids = list(dict.fromkeys(sid.strip() for sid in args.ids.split(",") if sid.strip()))
     if not sentence_ids:
         raise ConfigError("--ids must name at least one sentence")
-    for sid in sentence_ids:
-        db.get(sid)  # an unknown id exits 3 before anything is written
+    # Every sentence is explained before anything is written, so a bad id,
+    # record or option leaves no output.
+    reports = [explain_sentence(params, db, vocab, sid, k=args.k, n_samples=args.n_samples,
+                                kernel_width=args.kernel_width,
+                                ridge_lambda=args.ridge_lambda, seed=args.seed)
+               for sid in sentence_ids]
     out = _out_dir(args.out)
 
-    overlaps = []
-    for sid in sentence_ids:
-        report = explain_sentence(
-            params, db, vocab, sid,
-            k=args.k,
-            n_samples=args.n_samples,
-            kernel_width=args.kernel_width,
-            ridge_lambda=args.ridge_lambda,
-            seed=args.seed,
-        )
-        overlaps.append(report.overlap)
-
+    for sid, report in zip(sentence_ids, reports):
         write_json(out / f"explain_{sid}.json", report.to_dict())
         _write_csv(out / f"heatmap_{sid}.csv", [
             ["word", "attention_score", "lime_weight"],
@@ -311,6 +312,7 @@ def cmd_explain(args) -> int:
         print(f"{sid}: predicted class {report.predicted_class}, "
               f"overlap@{args.k} = {report.overlap:.2f}")
 
+    overlaps = [report.overlap for report in reports]
     write_json(out / "explain_summary.json", {
         "k": args.k,
         "sentences": sentence_ids,
@@ -369,11 +371,7 @@ def cmd_report(args) -> int:
                 obj["train_config"]["repeats"],
                 obj["train_config"]["epochs"],
                 obj["train_config"]["seed"],
-                f"{obj['mean']['precision']:.4f}",
-                f"{obj['mean']['recall']:.4f}",
-                f"{obj['mean']['f1']:.4f}",
-                f"{obj['f1_std']:.4f}",
-                f"{obj['mean']['accuracy']:.4f}",
+                *_score_cells(obj["mean"], obj),
             ])
         except KeyError as exc:
             raise DataError(f"{path} is not a run report (missing {exc})") from exc

@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NumericError, ValidationError
+from .errors import DataError, NumericError, ValidationError
 from .features import FeatureDb
 from .model import EncoderParams, Example, build_batch, encoder_forward
 from .numerics import autodiff as ad
@@ -82,12 +82,17 @@ def lime_explain(
     is kept independently with p=0.5; all-removed draws are redrawn, so the
     rows are the first n_samples draws that keep a word.
     Sample weight = exp(-(100 * D)^2 / width^2) with D the cosine distance
-    between the keep-mask and the full sentence.
+    between the keep-mask and the full sentence. The kernel width must be
+    finite and > 0, the ridge lambda finite and >= 0 (ValidationError).
     """
     if n_words < 1:
         raise ValidationError("cannot explain an empty sentence")
     if n_samples < 10:
         raise ValidationError("need at least 10 perturbation samples")
+    if not 0 < kernel_width < np.inf:
+        raise ValidationError(f"kernel width must be a finite number > 0, got {kernel_width!r}")
+    if not 0 <= ridge_lambda < np.inf:
+        raise ValidationError(f"ridge lambda must be a finite number >= 0, got {ridge_lambda!r}")
     rng = SeededRng(seed).derive("lime")
 
     # Each row is the next draw of n uniforms with a kept word: redrawing only
@@ -217,10 +222,13 @@ def explain_sentence(
     batches of LIME_CHUNK: 1 + ceil(n_samples / LIME_CHUNK) forwards. The
     perturbations are batched in order of kept-word count (a stable sort),
     so a batch pads only to its own longest perturbation, and their
-    probabilities are returned in draw order.
+    probabilities are returned in draw order. A record with no words is a
+    DataError.
     """
     cfg = params.cfg
     rec = db.get(sentence_id)
+    if not rec.tokens:
+        raise DataError(f"feature record {sentence_id} has no words to explain")
     layout = encode(rec.tokens, vocab, cfg.max_len)
     words = rec.tokens[: layout.word_count]
     full = Example(sentence_id, layout, rec.label)

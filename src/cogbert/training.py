@@ -4,12 +4,16 @@ and macro precision/recall/F1 metrics.
 Every run is bit-reproducible from its seed: parameter init, batch order,
 and dropout each draw from independently derived streams, so repeated runs
 with the same master seed replay exactly.
+
+The run protocol's results live here: SCORES names the four scores, Metrics
+derives them from one confusion matrix, RunReport holds their means, the F1
+spread and the best run, and repeat_runs keeps only the best run's parameters.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -29,6 +33,9 @@ ADAM_EPS = 1e-8
 # Robustness protocol: random init, fewer repeats, shorter training.
 ROBUSTNESS_REPEATS = 5
 ROBUSTNESS_EPOCHS = 10
+
+# The scores of one evaluation, in report order.
+SCORES = ("precision", "recall", "f1", "accuracy")
 
 
 @dataclass
@@ -149,17 +156,24 @@ class Metrics:
 
     @classmethod
     def from_predictions(cls, truth, predicted, n_classes: int) -> "Metrics":
+        """Counts from the (truth, predicted) confusion matrix: tp is its diagonal, fp and
+        fn its column and row sums less the diagonal, so every sample is counted once. A
+        label or a prediction outside 0..n_classes-1 is a ValidationError."""
         truth = np.asarray(truth, dtype=np.int64)
         predicted = np.asarray(predicted, dtype=np.int64)
         if truth.shape != predicted.shape:
             raise ValidationError("truth and predictions must have equal length")
-        tp = np.zeros(n_classes, dtype=np.int64)
-        fp = np.zeros(n_classes, dtype=np.int64)
-        fn = np.zeros(n_classes, dtype=np.int64)
-        for k in range(n_classes):
-            tp[k] = int(((predicted == k) & (truth == k)).sum())
-            fp[k] = int(((predicted == k) & (truth != k)).sum())
-            fn[k] = int(((predicted != k) & (truth == k)).sum())
+        for what, values in (("label", truth), ("prediction", predicted)):
+            outside = (values < 0) | (values >= n_classes)
+            if outside.any():
+                i = int(np.argmax(outside))
+                raise ValidationError(
+                    f"{what} {values[i]} at index {i} lies outside 0..{n_classes - 1}")
+        confusion = np.bincount(truth * n_classes + predicted,
+                                minlength=n_classes * n_classes).reshape(n_classes, n_classes)
+        tp = confusion.diagonal().copy()
+        fp = confusion.sum(axis=0) - tp
+        fn = confusion.sum(axis=1) - tp
         tn = len(truth) - tp - fp - fn
         return cls(tp, fp, fn, tn)
 
@@ -198,15 +212,12 @@ class Metrics:
 
     @property
     def accuracy(self) -> float:
-        total = int(self.tp.sum() + self.fn.sum())  # every sample counted once
+        total = int(self.tp.sum() + self.fn.sum())  # the confusion matrix's total
         return float(self.tp.sum() / total) if total else 0.0
 
     def to_dict(self) -> dict:
         return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "accuracy": self.accuracy,
+            **{name: getattr(self, name) for name in SCORES},
             "tp": self.tp.tolist(),
             "fp": self.fp.tolist(),
             "fn": self.fn.tolist(),
@@ -293,37 +304,26 @@ class RunResult:
 class RunReport:
     """Aggregation of n independent train+evaluate cycles.
 
-    It holds no timings, so reports stay byte-reproducible across reruns.
+    `mean` (the mean of each of SCORES), `f1_std` (the sample standard
+    deviation of per-run F1, 0 for a single run) and `best` (the index of the
+    run with the highest accuracy, ties to the earliest) are computed once,
+    at construction. It holds no timings, so reports stay byte-reproducible
+    across reruns.
     """
 
     model_config: dict
     train_config: dict
     runs: list[RunResult]
+    mean: dict = field(init=False)
+    f1_std: float = field(init=False)
+    best: int = field(init=False)
 
-    def _mean(self, attr: str) -> float:
-        return float(np.mean([getattr(r.metrics, attr) for r in self.runs]))
-
-    @property
-    def precision(self) -> float:
-        return self._mean("precision")
-
-    @property
-    def recall(self) -> float:
-        return self._mean("recall")
-
-    @property
-    def f1(self) -> float:
-        return self._mean("f1")
-
-    @property
-    def accuracy(self) -> float:
-        return self._mean("accuracy")
-
-    @property
-    def f1_std(self) -> float:
-        """Sample standard deviation of per-run F1 (0 for a single run)."""
-        values = [r.metrics.f1 for r in self.runs]
-        return float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
+    def __post_init__(self):
+        self.mean = {name: float(np.mean([getattr(r.metrics, name) for r in self.runs]))
+                     for name in SCORES}
+        f1s = [r.metrics.f1 for r in self.runs]
+        self.f1_std = float(np.std(f1s, ddof=1)) if len(f1s) > 1 else 0.0
+        self.best = int(np.argmax([r.metrics.accuracy for r in self.runs]))
 
     def to_dict(self) -> dict:
         return {
@@ -337,12 +337,7 @@ class RunReport:
                 }
                 for r in self.runs
             ],
-            "mean": {
-                "precision": self.precision,
-                "recall": self.recall,
-                "f1": self.f1,
-                "accuracy": self.accuracy,
-            },
+            "mean": self.mean,
             "f1_std": self.f1_std,
         }
 
@@ -354,32 +349,25 @@ def repeat_runs(
     train_examples: list[Example],
     test_examples: list[Example],
     db: FeatureDb | None,
-) -> tuple[RunReport, list[EncoderParams]]:
+) -> tuple[RunReport, EncoderParams]:
     """n independent train+evaluate cycles with seeds derived from the master.
 
-    Returns the report and the trained parameters of each run (callers keep
-    the best run's checkpoint for the explanation pipeline).
+    Returns the report and the trained parameters of its best run (callers
+    keep that checkpoint for the explanation pipeline). After each run the
+    report of the runs so far picks the best one, so the kept parameters are
+    those of `report.best`, and only they are held while the next run
+    trains: memory does not grow with n.
     """
     if n < 1:
         raise ValidationError("need at least one run")
     master = SeededRng(train_cfg.seed)
     runs: list[RunResult] = []
-    all_params: list[EncoderParams] = []
     for i in range(n):
         run_seed = master.derive(f"run{i}").seed
         params, losses = train(train_cfg, model_cfg, train_examples, db, seed=run_seed)
-        metrics = evaluate(params, test_examples, db)
-        runs.append(RunResult(seed=run_seed, metrics=metrics, loss_history=losses))
-        all_params.append(params)
-    report = RunReport(
-        model_config=model_cfg.to_dict(),
-        train_config=train_cfg.to_dict(),
-        runs=runs,
-    )
-    return report, all_params
-
-
-def best_run_index(report: RunReport) -> int:
-    """Highest accuracy, ties to the earliest run."""
-    accs = [r.metrics.accuracy for r in report.runs]
-    return int(np.argmax(accs))
+        runs.append(RunResult(run_seed, evaluate(params, test_examples, db), losses))
+        report = RunReport(model_cfg.to_dict(), train_cfg.to_dict(), runs)  # of the runs so far
+        if report.best == i:
+            best_params = params
+        del params  # only the best run so far is held while the next one trains
+    return report, best_params

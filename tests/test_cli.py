@@ -283,6 +283,35 @@ class TestExplain:
         assert rc == 3
         assert capsys.readouterr().err == "error: no cognitive record for sentence id 'ghost'\n"
 
+    def test_bad_options_exit_2_before_any_output(self, trained_dir, synth_dir, tmp_path, capsys):
+        out = tmp_path / "e"
+        for extra, message in (
+            (["--kernel-width", "0"], "kernel width must be a finite number > 0, got 0.0"),
+            (["--kernel-width", "nan"], "kernel width must be a finite number > 0, got nan"),
+            (["--ridge-lambda", "-1"], "ridge lambda must be a finite number >= 0, got -1.0"),
+            (["--k", "0"], "k must be >= 1"),
+            (["--n-samples", "5"], "need at least 10 perturbation samples"),
+        ):
+            rc = cli_main(self.explain_args(trained_dir, synth_dir, out, "s0000,s0001") + extra)
+            captured = capsys.readouterr()
+            assert rc == 2, f"{extra}: exit {rc}"
+            assert captured.err == f"error: {message}\n", captured.err
+            assert captured.out == "" and not out.exists(), extra
+
+    def test_empty_record_after_a_valid_id_exits_3_writing_nothing(self, trained_dir, synth_dir,
+                                                                    tmp_path, capsys):
+        objs = [json.loads(line) for line in (synth_dir / "features.jsonl").read_text().splitlines()]
+        objs[1].update(tokens=[], n_fixations=[], eye_tokens=[], eeg_tokens=[])
+        path, out = tmp_path / "features.jsonl", tmp_path / "e"
+        path.write_text("".join(json.dumps(obj) + "\n" for obj in objs))
+        argv = self.explain_args(trained_dir, synth_dir, out, f"{objs[0]['id']},{objs[1]['id']}")
+        argv[argv.index("--features") + 1] = str(path)
+        rc = cli_main(argv)
+        captured = capsys.readouterr()
+        assert rc == 3, f"exit {rc}: {captured.err}"
+        assert captured.err == f"error: feature record {objs[1]['id']} has no words to explain\n"
+        assert captured.out == "" and not out.exists()
+
 
 class TestMalformedInputs:
     """Corrupt checkpoints and data files exit 3 with a message naming the file."""
@@ -384,6 +413,22 @@ class TestMalformedInputs:
                 assert rc == 3, f"{argv[0]} {extra!r}: exit {rc}"
                 assert f"{vocab}:{len(lines) + 1}: {what} is already assigned on line 5" in err, err
         assert not (tmp_path / "o").exists() and not (tmp_path / "e").exists()
+
+    def test_label_beyond_checkpoint_classes_exits_3(self, trained_dir, synth_dir, tmp_path,
+                                                      capsys):
+        sidecar = json.loads((trained_dir / "model.ckpt.config.json").read_text())
+        objs = [json.loads(line) for line in (synth_dir / "features.jsonl").read_text().splitlines()]
+        for obj in objs[5::2]:
+            obj["label"] = sidecar["n_classes"] + 1
+        path, out = tmp_path / "features.jsonl", tmp_path / "o"
+        path.write_text("".join(json.dumps(obj) + "\n" for obj in objs))
+        rc = cli_main(self.eval_args(synth_dir, trained_dir, out, features=path))
+        err = capsys.readouterr().err
+        assert rc == 3, f"exit {rc}: {err}"
+        assert err == (f"error: feature db {path} labels sentence {objs[5]['id']} as class "
+                       f"{sidecar['n_classes'] + 1}, but checkpoint {trained_dir / 'model.ckpt'} "
+                       f"has only {sidecar['n_classes']} classes\n"), err
+        assert not out.exists()
 
     def test_reordered_checkpoint_exits_3(self, trained_dir, synth_dir, tmp_path, capsys):
         """Two header entries swapped along with their data: not the header save_checkpoint
@@ -1047,6 +1092,27 @@ class TestBadConfigValues:
             assert rc == 2, f"{field}={value!r}: exit {rc}"
             assert f"{field} must be" in captured.err, captured.err
             assert "training mode" not in captured.out and not out.exists(), field
+
+    def test_bad_split_ratio_exits_2_before_output(self, trained_dir, synth_dir,
+                                                   model_config_path, tmp_path, capsys):
+        out = tmp_path / "o"
+        train = ["train", "--features", str(synth_dir / "features.jsonl"),
+                 "--config", str(model_config_path), "--mode", "none",
+                 "--repeats", "1", "--epochs", "1", "--out", str(out)]
+        evaluate = TestMalformedInputs.eval_args(synth_dir, trained_dir, out)
+        n_sentences = len((synth_dir / "features.jsonl").read_text().splitlines())
+        outside = "split ratio must lie strictly in (0, 1)"
+        for argv, message in (
+            (train + ["--split-ratio", "1.5"], outside),
+            (train + ["--split-ratio", "0.01"],
+             f"--split-ratio 0.01 leaves none of the {n_sentences} sentences to train on"),
+            (evaluate + ["--split-ratio", "1.5"], outside),
+        ):
+            rc = cli_main(argv)
+            captured = capsys.readouterr()
+            assert rc == 2, f"{argv[0]} {argv[-1]}: exit {rc}"
+            assert captured.err == f"error: {message}\n", captured.err
+            assert captured.out == "" and not out.exists(), f"{argv[0]} {argv[-1]}"
 
     def test_bad_synth_config_exits_2(self, tmp_path, capsys):
         for field, value in (("eeg_channels", 2.0), ("distractors", -1), ("n_sentences", 2.5)):

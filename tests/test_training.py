@@ -1,6 +1,7 @@
 """Training-loop contracts: splits, LR schedule, optimizer behavior,
 metric math against a brute-force confusion oracle, and reproducibility."""
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -172,6 +173,14 @@ class TestMetrics:
         sigma = np.sqrt(0.25 * 0.75 / n)
         assert abs(m.accuracy - 1 / k) < 3 * sigma
 
+    def test_labels_and_predictions_outside_classes_rejected(self):
+        for truth, pred, message in (([0, 3, 1], [0, 1, 1], "label 3 at index 1"),
+                                     ([0, -1], [0, 1], "label -1 at index 1"),
+                                     ([0, 1], [3, 1], "prediction 3 at index 0"),
+                                     ([0, 1], [0, -2], "prediction -2 at index 1")):
+            with pytest.raises(ValidationError, match=f"{message} lies outside 0..2"):
+                Metrics.from_predictions(truth, pred, 3)
+
     def test_confusion_counts_partition_the_samples(self):
         m = Metrics.from_predictions([0, 1, 2, 1], [0, 2, 2, 1], 3)
         for k in range(3):
@@ -304,7 +313,7 @@ class TestRepeatRuns:
             RunResult(1, SimpleNamespace(precision=0.7, recall=0.7, f1=0.7, accuracy=0.7), []),
         ]
         report = RunReport(model_config={}, train_config={}, runs=runs)
-        assert report.f1 == pytest.approx(0.65)
+        assert report.mean["f1"] == pytest.approx(0.65)
         assert report.f1_std == pytest.approx(0.0707, abs=1e-4)
 
     def test_four_decimal_presentation(self):
@@ -312,7 +321,28 @@ class TestRepeatRuns:
             RunResult(0, SimpleNamespace(precision=0.65021, recall=0.6, f1=0.6, accuracy=0.6), []),
         ]
         report = RunReport(model_config={}, train_config={}, runs=runs)
-        assert f"{report.precision:.4f}" == "0.6502"
+        assert f"{report.mean['precision']:.4f}" == "0.6502"
+
+    def test_best_is_highest_accuracy_ties_to_earliest(self):
+        runs = [RunResult(i, SimpleNamespace(precision=0.5, recall=0.5, f1=0.5, accuracy=acc), [])
+                for i, acc in enumerate([0.5, 0.7, 0.7])]
+        assert RunReport(model_config={}, train_config={}, runs=runs).best == 1
+
+    def test_keeps_only_the_best_runs_parameters(self):
+        cfg, examples, db = tiny_setup()
+        train_ex, test_ex = split(examples, 0.8, seed=1)
+        tcfg = TrainConfig(epochs=1, batch_size=8, lr=5e-4, seed=1, repeats=4)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            report, params = repeat_runs(4, tcfg, cfg, train_ex, test_ex, db)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        one_model = params.values.nbytes + params.grads.nbytes
+        assert retained < 2 * one_model, f"{retained} bytes retained, one model is {one_model}"
+        best, _ = train(tcfg, cfg, train_ex, db, seed=report.runs[report.best].seed)
+        np.testing.assert_array_equal(params.values, best.values)
 
     def test_deterministic_and_seeds_derived(self):
         cfg, examples, db = tiny_setup()
