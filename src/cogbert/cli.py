@@ -128,11 +128,15 @@ def cmd_synth(args) -> int:
 # train / eval
 # ---------------------------------------------------------------------------
 
-def _build_model_config(args, vocab: Vocab, db: feat.FeatureDb) -> ModelConfig:
-    labels = [db.get(sid).label for sid in db.ids()]
+def _eeg_channels(db: feat.FeatureDb) -> int:
+    """The sentence-EEG channel count of a non-empty db (load_jsonl checks that
+    every record has the first record's)."""
+    return len(db.get(db.ids()[0]).sentence_eeg)
+
+
+def _build_model_config(args, vocab: Vocab, db: feat.FeatureDb, n_classes: int) -> ModelConfig:
     return _build_config(ModelConfig, "model", args.config, {}, vocab_size=vocab.size,
-                         n_classes=max(labels) + 1,
-                         eeg_channels=len(db.get(db.ids()[0]).sentence_eeg), mode=args.mode)
+                         n_classes=n_classes, eeg_channels=_eeg_channels(db), mode=args.mode)
 
 
 def _build_train_config(args) -> training.TrainConfig:
@@ -160,8 +164,12 @@ def cmd_train(args) -> int:
     db = feat.FeatureDb.load_jsonl(_require_file(args.features, "feature db"))
     if len(db) < 2:
         raise DataError("feature db holds fewer than 2 sentences")
+    n_classes = 1 + max(db.get(sid).label for sid in db.ids())
+    if n_classes < 2:
+        raise DataError(f"feature db {args.features}: every sentence has label 0; "
+                        f"training needs at least 2 classes")
     vocab = build_vocab([db.get(sid).tokens for sid in db.ids()])
-    model_cfg = _build_model_config(args, vocab, db)
+    model_cfg = _build_model_config(args, vocab, db, n_classes)
     train_cfg = _build_train_config(args)
 
     if args.print_config:
@@ -207,14 +215,21 @@ def cmd_train(args) -> int:
 
 
 def _load_model_inputs(args) -> tuple[feat.FeatureDb, EncoderParams, Vocab]:
-    """Feature db, checkpoint and vocab of eval/explain, the vocab checked against the model."""
+    """Feature db, checkpoint and vocab of eval/explain, the vocab and, for a mode
+    that reads sentence EEG, the db's channel count checked against the model."""
     db = feat.FeatureDb.load_jsonl(_require_file(args.features, "feature db"))
     params = load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
     vocab = Vocab.load(_require_file(args.vocab, "vocab"))
-    if vocab.size > params.cfg.vocab_size:
+    cfg = params.cfg
+    if vocab.size > cfg.vocab_size:
         raise DataError(
             f"vocab {args.vocab} assigns ids up to {vocab.size - 1}, but checkpoint "
-            f"{args.checkpoint} has only {params.cfg.vocab_size} word embeddings"
+            f"{args.checkpoint} has only {cfg.vocab_size} word embeddings"
+        )
+    if cfg.uses_sentence_eeg and len(db) and _eeg_channels(db) != cfg.eeg_channels:
+        raise DataError(
+            f"feature db {args.features} holds {_eeg_channels(db)}-channel sentence EEG, but "
+            f"checkpoint {args.checkpoint} (mode {cfg.mode}) reads {cfg.eeg_channels} channels"
         )
     return db, params, vocab
 
@@ -264,6 +279,8 @@ def cmd_lexicon(args) -> int:
     if len(lexicon) == 0:
         raise EmptyResultError("lexicon file holds no entries")
     db = feat.FeatureDb.load_jsonl(_require_file(args.features, "feature db"))
+    if len(db) == 0:
+        raise EmptyResultError(f"feature db {args.features} holds no sentences")
     n_channels = len(next(iter(lexicon.vectors.values())))
     records = []
     coverages = {}

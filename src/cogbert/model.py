@@ -58,6 +58,11 @@ MODES = (
     "pool_concat", "pool_concat_nn", "pool_multiply", "pool_add_nn",
 )
 COG_TABLE_ROWS = 101  # cognitive tokens range over 0..100
+# The cognitive token tables each embed mode adds to the input embedding sum,
+# in the order they are summed; every other mode adds none. Table x is the
+# parameter `embed.x` (COG_TABLE_ROWS x d_model), indexed by the record field
+# `x_tokens`.
+TOKEN_TABLES = {"eeg_embed": ("eeg",), "eye_embed": ("eye",), "both_embed": ("eeg", "eye")}
 LN_EPS = 1e-5
 INIT_STD = 0.02
 GRADCHECK_MAX_ENTRIES = 48
@@ -102,22 +107,20 @@ class ModelConfig:
 
     def memory_terms(self) -> dict[str, int]:
         """Estimated bytes of training on one sentence (see check_memory): the
-        weight matrices with their gradients and Adam moments, and the
-        sentence's attention probabilities (layers, heads, max_len, max_len)."""
+        weight matrices with their gradients and Adam moments, the classifier
+        among them, and the sentence's attention probabilities (layers, heads,
+        max_len, max_len)."""
         d = self.d_model
         return {
             "vocab_size, max_len, d_model": (self.vocab_size + self.max_len) * d * _PARAM_BYTES,
             "layers, d_model, d_ff": self.layers * (4 * d + 2 * self.d_ff) * d * _PARAM_BYTES,
+            "n_classes, d_model": (self.classifier_in_dim + 1) * self.n_classes * _PARAM_BYTES,
             "layers, heads, max_len": self.layers * self.heads * self.max_len ** 2 * 8,
         }
 
     @property
-    def uses_eeg_tokens(self) -> bool:
-        return self.mode in ("eeg_embed", "both_embed")
-
-    @property
-    def uses_eye_tokens(self) -> bool:
-        return self.mode in ("eye_embed", "both_embed")
+    def token_tables(self) -> tuple[str, ...]:
+        return TOKEN_TABLES.get(self.mode, ())
 
     @property
     def uses_fusion_nn(self) -> bool:
@@ -150,12 +153,9 @@ def _param_spec(cfg: ModelConfig) -> list[tuple[str, int, int, bool]]:
     spec = [
         ("embed.word", cfg.vocab_size, d, True),
         ("embed.position", cfg.max_len, d, True),
+        *((f"embed.{table}", COG_TABLE_ROWS, d, True) for table in cfg.token_tables),
+        ("embed.ln.gamma", 1, d, False), ("embed.ln.beta", 1, d, False),
     ]
-    if cfg.uses_eeg_tokens:
-        spec.append(("embed.eeg", COG_TABLE_ROWS, d, True))
-    if cfg.uses_eye_tokens:
-        spec.append(("embed.eye", COG_TABLE_ROWS, d, True))
-    spec += [("embed.ln.gamma", 1, d, False), ("embed.ln.beta", 1, d, False)]
     for i in range(cfg.layers):
         p = f"layer{i}."
         for proj in ("q", "k", "v", "o"):
@@ -390,14 +390,15 @@ class Batch:
     """Model-ready arrays for a batch of tokenized sentences.
 
     T is the batch width chosen by build_batch (at most max_len); every
-    position array has it as its second axis. Positions beyond a sentence's
+    position array has it as its second axis. `tokens` maps each of the
+    mode's token tables (ModelConfig.token_tables) to its (B, T) int
+    cognitive tokens and holds no other key. Positions beyond a sentence's
     real row hold PAD_ID, a MASK_SUPPRESS mask and cognitive token 0.
     """
 
     ids: np.ndarray              # (B, T) int token ids
     masks: np.ndarray            # (B, T) additive attention masks
-    eeg_tokens: np.ndarray | None  # (B, T) EEG tokens, eeg modes only
-    eye_tokens: np.ndarray | None  # (B, T) eye tokens, eye modes only
+    tokens: dict[str, np.ndarray]  # table -> (B, T) cognitive tokens
     sent_eeg: np.ndarray | None  # (B, C)
     labels: np.ndarray           # (B,) int class labels
 
@@ -408,9 +409,11 @@ def build_batch(examples: list[Example], cfg: ModelConfig, db: FeatureDb | None 
     Every array is as wide as the batch width T: the longest sentence
     (len(ids) = word_count + 2) rounded up to a multiple of WIDTH_MULTIPLE,
     capped at max_len. Each sentence fills the first len(ids) positions of
-    its row; the rest is PAD_ID with a MASK_SUPPRESS mask. CLS, SEP, and PAD
-    positions carry cognitive token 0 (no measurement exists for them);
-    content position j + 1 takes the values of record word sentence.words[j].
+    its row; the rest is PAD_ID with a MASK_SUPPRESS mask. Each of the mode's
+    token tables x gets a (B, T) array from the record field `x_tokens`: CLS,
+    SEP, and PAD positions carry cognitive token 0 (no measurement exists for
+    them); content position j + 1 takes the value of record word
+    sentence.words[j].
     """
     if cfg.needs_features and db is None:
         raise ValidationError(f"mode {cfg.mode!r} requires a feature database")
@@ -423,8 +426,7 @@ def build_batch(examples: list[Example], cfg: ModelConfig, db: FeatureDb | None 
     n, t = len(examples), min(cfg.max_len, -(-longest // WIDTH_MULTIPLE) * WIDTH_MULTIPLE)
     ids = np.full((n, t), PAD_ID, dtype=np.int64)
     masks = np.full((n, t), MASK_SUPPRESS, dtype=np.float64)
-    eeg = np.zeros((n, t), dtype=np.int64) if cfg.uses_eeg_tokens else None
-    eye = np.zeros((n, t), dtype=np.int64) if cfg.uses_eye_tokens else None
+    tokens = {table: np.zeros((n, t), dtype=np.int64) for table in cfg.token_tables}
     sent = np.zeros((n, cfg.eeg_channels)) if cfg.uses_sentence_eeg else None
 
     for i, ex in enumerate(examples):
@@ -443,10 +445,8 @@ def build_batch(examples: list[Example], cfg: ModelConfig, db: FeatureDb | None 
             content = slice(1, 1 + ts.word_count)
             if cfg.mode == "cog_mask":
                 masks[i, real] = cognitive_mask(rec.n_fixations[ts.words], ts)
-            if eeg is not None:
-                eeg[i, content] = rec.eeg_tokens[ts.words]
-            if eye is not None:
-                eye[i, content] = rec.eye_tokens[ts.words]
+            for table, values in tokens.items():
+                values[i, content] = getattr(rec, f"{table}_tokens")[ts.words]
             if sent is not None:
                 if rec.sentence_eeg.shape != (cfg.eeg_channels,):
                     raise ValidationError(
@@ -458,8 +458,7 @@ def build_batch(examples: list[Example], cfg: ModelConfig, db: FeatureDb | None 
     return Batch(
         ids=ids,
         masks=masks,
-        eeg_tokens=eeg,
-        eye_tokens=eye,
+        tokens=tokens,
         sent_eeg=sent,
         labels=np.array([ex.label for ex in examples], dtype=np.int64),
     )
@@ -469,43 +468,32 @@ def build_batch(examples: list[Example], cfg: ModelConfig, db: FeatureDb | None 
 # Forward pass
 # ---------------------------------------------------------------------------
 
-def embedding_sum(
-    params: EncoderParams,
-    ids: np.ndarray,
-    eeg_tokens: np.ndarray | None = None,
-    eye_tokens: np.ndarray | None = None,
-) -> Node:
-    """Pre-norm sum of word + position (+ EEG token)(+ eye token) table rows.
+def embedding_sum(params: EncoderParams, ids: np.ndarray,
+                  tokens: dict[str, np.ndarray]) -> Node:
+    """Pre-norm sum of word + position table rows, then the rows of each of
+    the mode's token tables in ModelConfig.token_tables order.
 
-    The token arrays are (B, T); row b*T + j of the result is sentence b at
-    position j.
+    ids and every array of tokens are (B, T); tokens must hold exactly the
+    mode's tables. Row b*T + j of the result is sentence b at position j.
     """
     cfg = params.cfg
-    if cfg.uses_eeg_tokens != (eeg_tokens is not None):
-        raise ValidationError(f"mode {cfg.mode!r}: EEG tokens required iff mode uses them")
-    if cfg.uses_eye_tokens != (eye_tokens is not None):
-        raise ValidationError(f"mode {cfg.mode!r}: eye tokens required iff mode uses them")
+    if set(tokens) != set(cfg.token_tables):
+        raise ValidationError(f"mode {cfg.mode!r} needs cognitive tokens for exactly "
+                              f"{list(cfg.token_tables)}, got {sorted(tokens)}")
 
     n, t = ids.shape
     x = ad.add(
         ad.gather_rows(params["embed.word"], ids.reshape(-1)),
         ad.gather_rows(params["embed.position"], np.tile(np.arange(t), n)),
     )
-    if eeg_tokens is not None:
-        x = ad.add(x, ad.gather_rows(params["embed.eeg"], eeg_tokens.reshape(-1)))
-    if eye_tokens is not None:
-        x = ad.add(x, ad.gather_rows(params["embed.eye"], eye_tokens.reshape(-1)))
+    for table in cfg.token_tables:
+        x = ad.add(x, ad.gather_rows(params[f"embed.{table}"], tokens[table].reshape(-1)))
     return x
 
 
-def embed(
-    params: EncoderParams,
-    ids: np.ndarray,
-    eeg_tokens: np.ndarray | None = None,
-    eye_tokens: np.ndarray | None = None,
-) -> Node:
+def embed(params: EncoderParams, ids: np.ndarray, tokens: dict[str, np.ndarray]) -> Node:
     """Embedding sum, then layer norm (encoder_forward applies the dropout)."""
-    x = embedding_sum(params, ids, eeg_tokens, eye_tokens)
+    x = embedding_sum(params, ids, tokens)
     return ad.layer_norm_rows(x, params["embed.ln.gamma"], params["embed.ln.beta"], LN_EPS)
 
 
@@ -656,7 +644,7 @@ def encoder_forward(
         raise ValidationError("training forward with dropout needs an rng")
     n, t = batch.ids.shape
 
-    x = embed(params, batch.ids, batch.eeg_tokens, batch.eye_tokens)
+    x = embed(params, batch.ids, batch.tokens)
     x = _dropout(x, n, cfg, train, rng)
     cls = np.arange(n) * t  # CLS position of each sentence
     # Layer-major, so each layer's in-place softmax runs on a contiguous block.

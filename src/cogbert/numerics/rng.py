@@ -24,29 +24,17 @@ def _mix(seed: int, label: str) -> int:
     return int.from_bytes(digest, "little")
 
 
-class SeededRng:
-    """A numpy Generator plus the seed arithmetic for derived streams."""
+class SeededRng(np.random.Generator):
+    """A numpy Generator on PCG64(seed), the stream np.random.default_rng(seed)
+    gives, plus the seed arithmetic for derived streams."""
 
     def __init__(self, seed: int):
         self.seed = int(seed) & _MASK64
-        self.gen = np.random.default_rng(self.seed)
+        super().__init__(np.random.PCG64(self.seed))
 
     def derive(self, label: str) -> "SeededRng":
         """Independent stream for a named subsystem (e.g. "synth", "run3")."""
         return SeededRng(_mix(self.seed, label))
-
-    # Thin delegation; keeps call sites short.
-    def normal(self, loc=0.0, scale=1.0, size=None):
-        return self.gen.normal(loc, scale, size)
-
-    def uniform(self, low=0.0, high=1.0, size=None):
-        return self.gen.uniform(low, high, size)
-
-    def integers(self, low, high=None, size=None):
-        return self.gen.integers(low, high, size)
-
-    def random(self, size=None):
-        return self.gen.random(size)
 
     def random_blocks(self, shape: tuple[int, int, int], rows: int) -> np.ndarray:
         """random(shape)[:, :rows] for shape (n, W, d), drawing only the kept rows.
@@ -62,15 +50,6 @@ class SeededRng:
         out = np.empty((n, rows, d))
         skip = (width - rows) * d
         for block in out:
-            self.gen.random(out=block)
-            self.gen.bit_generator.advance(skip)
+            self.random(out=block)
+            self.bit_generator.advance(skip)
         return out
-
-    def permutation(self, n: int) -> np.ndarray:
-        return self.gen.permutation(n)
-
-    def choice(self, a, size=None, replace=True):
-        return self.gen.choice(a, size=size, replace=replace)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"SeededRng(seed={self.seed})"

@@ -231,7 +231,7 @@ def test_c04_structural_contracts():
     ids = rng.integers(0, cfg.vocab_size, size=(1, 10))
     eeg = rng.integers(0, 101, size=(1, 10))
     eye = rng.integers(0, 101, size=(1, 10))
-    got = embedding_sum(params, ids, eeg, eye).value
+    got = embedding_sum(params, ids, {"eeg": eeg, "eye": eye}).value
     for pos in range(10):
         expected = (params["embed.word"].value[ids[0, pos]]
                     + params["embed.position"].value[pos]

@@ -207,6 +207,20 @@ class TestLexicon:
                        "--out", str(tmp_path / "lex.jsonl")])
         assert rc == 4
 
+    def test_empty_feature_db_exits_4_writing_nothing(self, synth_dir, tmp_path, capsys):
+        lex_path = tmp_path / "lexicon.jsonl"
+        assert cli_main(["lexicon", "build", "--corpus", str(synth_dir / "corpus.jsonl"),
+                         "--out", str(lex_path)]) == 0
+        empty, out = tmp_path / "empty.jsonl", tmp_path / "applied.jsonl"
+        empty.write_text("")
+        capsys.readouterr()
+        rc = cli_main(["lexicon", "apply", "--lexicon", str(lex_path),
+                       "--features", str(empty), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 4
+        assert captured.err == f"error: feature db {empty} holds no sentences\n", captured.err
+        assert not out.exists() and not (tmp_path / "applied.jsonl.coverage.json").exists()
+
     def test_oov_corpus_gets_zero_vectors(self, synth_dir, tmp_path, capsys):
         lex_path = tmp_path / "lexicon.jsonl"
         assert cli_main(["lexicon", "build", "--corpus", str(synth_dir / "corpus.jsonl"),
@@ -395,6 +409,51 @@ class TestMalformedInputs:
             assert rc == 3, f"{argv[0]}: exit {rc}"
             assert str(vocab) in err and str(trained_dir / "model.ckpt") in err, err
             assert "4000" in err, err
+
+    def test_sentence_eeg_channels_unlike_checkpoint_exits_3(self, trained_dir, synth_dir,
+                                                              model_config_path, tmp_path, capsys):
+        """A db with fewer sentence-EEG channels than a pool-mode checkpoint reads exits 3
+        naming both files before --out; a mode that reads no sentence EEG evaluates it."""
+        pooled = tmp_path / "pooled"
+        assert cli_main(["train", "--features", str(synth_dir / "features.jsonl"),
+                         "--config", str(model_config_path), "--mode", "pool_concat",
+                         "--repeats", "1", "--epochs", "1", "--out", str(pooled)]) == 0
+        objs = [json.loads(line) for line in (synth_dir / "features.jsonl").read_text().splitlines()]
+        assert len(objs[0]["sentence_eeg"]) == 8
+        path, out = tmp_path / "features4.jsonl", tmp_path / "o"
+        path.write_text("".join(json.dumps({**obj, "sentence_eeg": obj["sentence_eeg"][:4]}) + "\n"
+                                for obj in objs))
+        ckpt = pooled / "model.ckpt"
+        explain = ["explain", "--features", str(path), "--checkpoint", str(ckpt),
+                   "--vocab", str(pooled / "vocab.tsv"), "--ids", "s0000", "--out", str(out)]
+        for argv in (self.eval_args(synth_dir, pooled, out, features=path), explain):
+            rc = cli_main(argv)
+            err = capsys.readouterr().err
+            assert rc == 3, f"{argv[0]}: exit {rc}: {err}"
+            assert err == (f"error: feature db {path} holds 4-channel sentence EEG, but checkpoint "
+                           f"{ckpt} (mode pool_concat) reads 8 channels\n"), err
+            assert not out.exists(), argv[0]
+        assert cli_main(self.eval_args(synth_dir, trained_dir, out, features=path)) == 0
+
+    def test_labels_that_fit_no_model_exit_before_output(self, synth_dir, tmp_path, capsys):
+        """A db whose labels are all 0 exits 3 naming the db; one whose largest label puts
+        the classifier over the memory budget exits 2 naming n_classes. Both before --out,
+        with or without --print-config."""
+        objs = [json.loads(line) for line in (synth_dir / "features.jsonl").read_text().splitlines()]
+        path, out = tmp_path / "features.jsonl", tmp_path / "o"
+        huge = [{**obj, "label": 10**12} if i == 3 else obj for i, obj in enumerate(objs)]
+        for labelled, rc_want, detail in (
+                ([{**obj, "label": 0} for obj in objs], 3,
+                 f"error: feature db {path}: every sentence has label 0; "
+                 f"training needs at least 2 classes\n"),
+                (huge, 2, "exceeds the 4 GiB budget; it grows with n_classes, d_model\n")):
+            path.write_text("".join(json.dumps(obj) + "\n" for obj in labelled))
+            for flags in ([], ["--print-config"]):
+                rc = cli_main(["train", "--features", str(path), "--out", str(out), *flags])
+                captured = capsys.readouterr()
+                assert rc == rc_want, f"{flags}: exit {rc}: {captured.err}"
+                assert captured.err.endswith(detail), captured.err
+                assert captured.out == "" and not out.exists(), flags
 
     def test_repeated_vocab_word_or_id_exits_3(self, trained_dir, synth_dir, tmp_path, capsys):
         lines = (trained_dir / "vocab.tsv").read_text().splitlines()

@@ -223,7 +223,7 @@ class TestLime:
 class TestPerturbationBatch:
     """A perturbation is keep_words of the sentence's layout, read against its one record."""
 
-    BATCH_FIELDS = ("ids", "masks", "eeg_tokens", "eye_tokens", "sent_eeg", "labels")
+    BATCH_FIELDS = ("ids", "masks", "sent_eeg", "labels")
 
     @staticmethod
     def record(rng, words):
@@ -268,6 +268,10 @@ class TestPerturbationBatch:
                         assert (a is None) == (b is None), (mode, field)
                         if a is not None:
                             assert a.dtype == b.dtype and np.array_equal(a, b), (mode, field)
+                    assert got.tokens.keys() == want.tokens.keys(), mode
+                    for table, a in got.tokens.items():
+                        b = want.tokens[table]
+                        assert a.dtype == b.dtype and np.array_equal(a, b), (mode, table)
 
     def test_selection_keeps_record_indices(self):
         layout = layout_for(5)

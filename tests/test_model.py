@@ -253,7 +253,7 @@ class TestEmbedding:
         ids = rng.integers(0, cfg.vocab_size, size=(b, t))
         eeg = rng.integers(0, 101, size=(b, t))
         eye = rng.integers(0, 101, size=(b, t))
-        out = embedding_sum(params, ids, eeg, eye).value
+        out = embedding_sum(params, ids, {"eeg": eeg, "eye": eye}).value
 
         expected = np.zeros((b * t, cfg.d_model))
         for i in range(b):
@@ -271,7 +271,7 @@ class TestEmbedding:
         params = random_params(cfg, seed=5)
         params["embed.position"].value[:] = 0.0
         ids = np.arange(cfg.max_len)[None, :] % 10
-        out = embed(params, ids).value
+        out = embed(params, ids, {}).value
         rows = params["embed.word"].value[ids[0]]
         mean = rows.mean(axis=1, keepdims=True)
         var = ((rows - mean) ** 2).mean(axis=1, keepdims=True)
@@ -284,23 +284,36 @@ class TestEmbedding:
         params = random_params(cfg, seed=5)
         ids = np.zeros((4, 1), dtype=int)  # four sentences, all at position 0
         eeg = np.zeros((4, 1), dtype=int)
-        out = embedding_sum(params, ids, eeg).value
+        out = embedding_sum(params, ids, {"eeg": eeg}).value
         assert np.ptp(out, axis=0).max() == 0.0  # identical rows
 
     def test_token_out_of_range_is_index_error(self):
         cfg = tiny_cfg(mode="eeg_embed")
         params = random_params(cfg, seed=5)
         with pytest.raises(IndexError):
-            embedding_sum(params, np.zeros((1, 2), dtype=int), np.array([[0, 101]]))
+            embedding_sum(params, np.zeros((1, 2), dtype=int), {"eeg": np.array([[0, 101]])})
+
+    def test_token_tables_per_mode(self):
+        """The embed modes add their tables, in summing and spec order; the others none."""
+        want = {"eeg_embed": ["eeg"], "eye_embed": ["eye"], "both_embed": ["eeg", "eye"]}
+        for mode in MODES:
+            cfg = tiny_cfg(mode=mode)
+            assert list(cfg.token_tables) == want.get(mode, []), mode
+            names = random_params(cfg, seed=1).names()
+            assert names[2:names.index("embed.ln.gamma")] == [
+                f"embed.{table}" for table in want.get(mode, [])], mode
 
     def test_token_arrays_present_iff_mode_requires(self):
-        params_plain = random_params(tiny_cfg(mode="none"), seed=1)
-        with pytest.raises(ValidationError):
-            embedding_sum(params_plain, np.zeros((1, 2), dtype=int),
-                          eeg_tokens=np.zeros((1, 2), dtype=int))
-        params_eeg = random_params(tiny_cfg(mode="eeg_embed"), seed=1)
-        with pytest.raises(ValidationError):
-            embedding_sum(params_eeg, np.zeros((1, 2), dtype=int))
+        ids = np.zeros((1, 2), dtype=int)
+        for mode in MODES:
+            params = random_params(tiny_cfg(mode=mode), seed=1)
+            tables = params.cfg.token_tables
+            embedding_sum(params, ids, dict.fromkeys(tables, ids))
+            wrong = [tables[:i] + tables[i + 1:] for i in range(len(tables))]  # one dropped
+            wrong += [tables + (extra,) for extra in ("eeg", "eye") if extra not in tables]
+            for keys in wrong:
+                with pytest.raises(ValidationError, match="needs cognitive tokens"):
+                    embedding_sum(params, ids, dict.fromkeys(keys, ids))
 
 
 class TestForward:
@@ -358,8 +371,8 @@ class TestForward:
         layout = encode(words, vocab, cfg.max_len)
         assert layout.word_count == 3 and layout.max_len == 5
         batch = build_batch([Example("t0", layout, 0)], cfg, FeatureDb(records))
-        np.testing.assert_array_equal(batch.eeg_tokens[0, 1:4], records[0].eeg_tokens[:3])
-        assert batch.eeg_tokens[0, 0] == 0 and batch.eeg_tokens[0, 4] == 0
+        np.testing.assert_array_equal(batch.tokens["eeg"][0, 1:4], records[0].eeg_tokens[:3])
+        assert batch.tokens["eeg"][0, 0] == 0 and batch.tokens["eeg"][0, 4] == 0
 
     def test_word_index_beyond_record_rejected(self):
         cfg = tiny_cfg(mode="eeg_embed")
@@ -410,16 +423,13 @@ def pad_to_max_len(batch, max_len):
     n, t = batch.ids.shape
 
     def widen(arr, fill):
-        if arr is None:
-            return None
         out = np.full((n, max_len), fill, dtype=arr.dtype)
         out[:, :t] = arr
         return out
 
     return dataclasses.replace(batch, ids=widen(batch.ids, PAD_ID),
                                masks=widen(batch.masks, MASK_SUPPRESS),
-                               eeg_tokens=widen(batch.eeg_tokens, 0),
-                               eye_tokens=widen(batch.eye_tokens, 0))
+                               tokens={k: widen(v, 0) for k, v in batch.tokens.items()})
 
 
 def spread_params(cfg, seed):
