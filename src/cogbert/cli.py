@@ -163,7 +163,8 @@ def _score_cells(scores, report: dict | None = None) -> list[str]:
 def cmd_train(args) -> int:
     db = feat.FeatureDb.load_jsonl(_require_file(args.features, "feature db"))
     if len(db) < 2:
-        raise DataError("feature db holds fewer than 2 sentences")
+        raise DataError(f"feature db {args.features} holds {len(db)} "
+                        f"sentence{'' if len(db) == 1 else 's'}; training needs at least 2")
     n_classes = 1 + max(db.get(sid).label for sid in db.ids())
     if n_classes < 2:
         raise DataError(f"feature db {args.features}: every sentence has label 0; "
@@ -215,9 +216,12 @@ def cmd_train(args) -> int:
 
 
 def _load_model_inputs(args) -> tuple[feat.FeatureDb, EncoderParams, Vocab]:
-    """Feature db, checkpoint and vocab of eval/explain, the vocab and, for a mode
-    that reads sentence EEG, the db's channel count checked against the model."""
+    """Feature db, checkpoint and vocab of eval/explain: a db with no sentences is
+    an empty result (exit 4), and the vocab and, for a mode that reads sentence
+    EEG, the db's channel count are checked against the model."""
     db = feat.FeatureDb.load_jsonl(_require_file(args.features, "feature db"))
+    if len(db) == 0:
+        raise EmptyResultError(f"feature db {args.features} holds no sentences")
     params = load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
     vocab = Vocab.load(_require_file(args.vocab, "vocab"))
     cfg = params.cfg
@@ -226,7 +230,7 @@ def _load_model_inputs(args) -> tuple[feat.FeatureDb, EncoderParams, Vocab]:
             f"vocab {args.vocab} assigns ids up to {vocab.size - 1}, but checkpoint "
             f"{args.checkpoint} has only {cfg.vocab_size} word embeddings"
         )
-    if cfg.uses_sentence_eeg and len(db) and _eeg_channels(db) != cfg.eeg_channels:
+    if cfg.uses_sentence_eeg and _eeg_channels(db) != cfg.eeg_channels:
         raise DataError(
             f"feature db {args.features} holds {_eeg_channels(db)}-channel sentence EEG, but "
             f"checkpoint {args.checkpoint} (mode {cfg.mode}) reads {cfg.eeg_channels} channels"

@@ -15,7 +15,12 @@ whose features build_batch reads from the sentence's one record, and the
 perturbations run through the encoder LIME_CHUNK at a time, shortest first.
 A sentence's logits depend neither on its batch peers nor on the batch
 width (a multiple of 8), so neither the chunk size nor the order changes
-any score.
+any score. Only the full sentence's forward returns attention maps, which
+the attention explainer accumulates; the perturbation chunks need only
+logits and run logits-only forwards (`encoder_forward(..., attention=False)`),
+whose last layer attends from the CLS rows alone. Those one-row products
+stack their row over a zero row (autodiff._rows_product), so the logits,
+and the LIME scores, are bit-identical to a forward over every query row.
 """
 
 from __future__ import annotations
@@ -232,7 +237,7 @@ def explain_sentence(
     layout = encode(rec.tokens, vocab, cfg.max_len)
     words = rec.tokens[: layout.word_count]
     full = Example(sentence_id, layout, rec.label)
-    result = encoder_forward(params, build_batch([full], cfg, db))
+    result = encoder_forward(params, build_batch([full], cfg, db), attention=True)
     predicted = int(result.predictions()[0])
     attention = accumulate_attention(result.attention[0], layout)
 
@@ -244,7 +249,8 @@ def explain_sentence(
             rows = order[start:start + LIME_CHUNK]
             chunk = [Example(sentence_id, keep_words(layout, keep_masks[r]), rec.label)
                      for r in rows]
-            logits = encoder_forward(params, build_batch(chunk, cfg, db)).logits.value
+            batch = build_batch(chunk, cfg, db)
+            logits = encoder_forward(params, batch, attention=False).logits.value
             probs[rows] = class_probability(logits, predicted)
         return probs
 

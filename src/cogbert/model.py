@@ -13,12 +13,12 @@ Augmentation modes:
 
 The fusion NN maps C -> d_model -> d_model -> d_model with GELU after the
 first two layers. The pooled output is the raw CLS hidden state of the last
-layer (no extra pooler). Every forward pass returns the per-layer, per-head
+layer (no extra pooler). A forward pass returns the per-layer, per-head
 attention probabilities of the whole batch as one (B, layers, heads, T, T)
-array for the explanation pipeline. The tape ops take the `Parameter`s
-directly as graph leaves, and backward accumulates into their `grad`.
-`gradcheck_mode` checks one mode's full backward pass against central
-differences.
+array for the explanation pipeline, unless its caller asks for the logits
+only. The tape ops take the `Parameter`s directly as graph leaves, and
+backward accumulates into their `grad`. `gradcheck_mode` checks one mode's
+full backward pass against central differences.
 
 Sentences carry only their real tokens (CLS + words + SEP); `build_batch`
 alone pads. A batch runs at its own width T, not at max_len: the longest
@@ -514,30 +514,34 @@ def self_attention(
     masks: np.ndarray,
     params: EncoderParams,
     layer: int,
-    probs_out: np.ndarray,
+    probs_out: np.ndarray | None = None,
     train: bool = False,
     rng: SeededRng | None = None,
     rows: np.ndarray | None = None,
 ) -> Node:
     """One multi-head self-attention block with residual and layer norm.
 
-    masks is (batch, T); the detached attention probabilities of every query
-    row are written into probs_out (batch, heads, T, T). With `rows`, only
+    masks is (batch, T). With probs_out (batch, heads, T, T), the detached
+    attention probabilities of every query row are written into it. With
+    `rows`, one row of each sentence in batch order (its CLS row), only
     those rows of the context and of the residual input go on through the
     output projection and the layer norm, so the result has len(rows) rows.
+    If no probs_out is given either, no caller reads the other rows'
+    probabilities, so only those rows' queries are projected and attend.
     """
     cfg = params.cfg
     p = f"layer{layer}."
-    q = ad.linear(x, params[p + "attn.wq"], params[p + "attn.bq"])
+    queries = x if rows is None or probs_out is not None else ad.select_rows(x, rows)
+    q = ad.linear(queries, params[p + "attn.wq"], params[p + "attn.bq"])
     k = ad.linear(x, params[p + "attn.wk"], params[p + "attn.bk"])
     v = ad.linear(x, params[p + "attn.wv"], params[p + "attn.bv"])
     ctx, _ = ad.multi_head_attention(q, k, v, masks, cfg.heads, probs_out)
-    if rows is not None:
-        ctx, x = ad.select_rows(ctx, rows), ad.select_rows(x, rows)
+    if rows is not None and queries is x:
+        ctx, queries = ad.select_rows(ctx, rows), ad.select_rows(x, rows)
     ctx = ad.linear(ctx, params[p + "attn.wo"], params[p + "attn.bo"])
     ctx = _dropout(ctx, masks.shape[0], cfg, train, rng)
-    return ad.layer_norm_rows(ad.add(x, ctx), params[p + "ln1.gamma"], params[p + "ln1.beta"],
-                              LN_EPS)
+    return ad.layer_norm_rows(ad.add(queries, ctx), params[p + "ln1.gamma"],
+                              params[p + "ln1.beta"], LN_EPS)
 
 
 def _feed_forward(x: Node, n: int, params: EncoderParams, layer: int,
@@ -596,6 +600,7 @@ class ForwardResult:
     `attention[b]` holds sentence b's per-layer, per-head attention
     probabilities; they are exactly zero on its PAD columns. A training
     forward's backward reads them, so they must not be written before it.
+    A logits-only forward (`attention=False`) has None here.
     """
 
     # (B, T, d_model) hidden states entering the last layer, detached. Only
@@ -603,7 +608,7 @@ class ForwardResult:
     # goes when perfbench takes that count from the batch shape.
     hidden: np.ndarray
     logits: Node                # (B, n_classes)
-    attention: np.ndarray       # (B, layers, heads, T, T) view of a layer-major array, detached
+    attention: np.ndarray | None  # (B, layers, heads, T, T) view of a layer-major array, detached
 
     def predictions(self) -> np.ndarray:
         """Argmax per row; ties resolve to the lowest class index."""
@@ -625,6 +630,7 @@ def encoder_forward(
     batch: Batch,
     train: bool = False,
     rng: SeededRng | None = None,
+    attention: bool = True,
 ) -> ForwardResult:
     """Run the stacked encoder and classification head over a batch.
 
@@ -638,6 +644,17 @@ def encoder_forward(
     layer run on B rows instead of B*T. A training forward runs them on
     every position. Dropout applies only when train is True; at dropout 0
     both kinds give bit-identical results.
+
+    attention=False asks for the logits only, as `training.evaluate` and
+    the LIME perturbation chunks do; `explain_sentence`'s full-sentence
+    forward asks for the attention maps it accumulates. The result's
+    `attention` is then None, and each layer writes its probabilities into
+    an array of its own instead of a slice of one (layers, B, heads, T, T)
+    array. An inference forward also projects the last layer's queries for
+    the CLS rows alone, so that attention computes (B, heads, 1, T)
+    probabilities. Its one-row products take the matrix-matrix path (see
+    autodiff._rows_product), so the logits stay bit-identical to those of
+    a forward that computes every query row.
     """
     cfg = params.cfg
     if train and cfg.dropout > 0.0 and rng is None:
@@ -648,12 +665,13 @@ def encoder_forward(
     x = _dropout(x, n, cfg, train, rng)
     cls = np.arange(n) * t  # CLS position of each sentence
     # Layer-major, so each layer's in-place softmax runs on a contiguous block.
-    attention = np.empty((cfg.layers, n, cfg.heads, t, t))
+    maps = np.empty((cfg.layers, n, cfg.heads, t, t)) if attention else None
     for layer in range(cfg.layers):  # rebinding x at each cut lets the block before it go
         x = _cut(x, train)
         hidden = x.value
         rows = None if train or layer < cfg.layers - 1 else cls
-        x = self_attention(x, batch.masks, params, layer, attention[layer], train, rng, rows)
+        probs_out = None if maps is None else maps[layer]
+        x = self_attention(x, batch.masks, params, layer, probs_out, train, rng, rows)
         x = _cut(x, train)
         x = _feed_forward(x, n, params, layer, train, rng)
     x = _cut(x, train)
@@ -665,7 +683,7 @@ def encoder_forward(
     return ForwardResult(
         hidden=hidden.reshape(n, t, cfg.d_model),
         logits=logits,
-        attention=attention.transpose(1, 0, 2, 3, 4),
+        attention=None if maps is None else maps.transpose(1, 0, 2, 3, 4),
     )
 
 

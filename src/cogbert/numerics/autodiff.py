@@ -147,16 +147,24 @@ def mul_const(x: Node, c: np.ndarray) -> Node:
     return out
 
 
-def _rows_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x @ y by the matrix-matrix path, also when x has one row.
+def _rows_product(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """x @ y by the matrix-matrix path, also where x's matrices have one row.
 
-    numpy multiplies a 1-row x by its matrix-vector path, which sums in
-    another order; the first row of [x; 0] @ y is bit-equal to x's row of
-    the product in a batch of any size.
+    x and y are matrices or stacks of them, as np.matmul takes them; out,
+    when given, receives the product. numpy multiplies a one-row matrix by
+    its matrix-vector path, which sums in another order; the first row of
+    [x; 0] @ y takes the matrix-matrix path, so it is bit-equal to x's row
+    of a product with more rows (a batch of sentences, or every query row of
+    an attention) where the BLAS runs both sizes with one kernel (see
+    README). One home for that rule: matmul and attention both use it.
     """
-    if x.shape[0] != 1:
-        return x @ y
-    return (np.concatenate([x, np.zeros_like(x)]) @ y)[:1]
+    if x.shape[-2] != 1:
+        return np.matmul(x, y, out=out)
+    product = (np.concatenate([x, np.zeros_like(x)], axis=-2) @ y)[..., :1, :]
+    if out is None:
+        return product
+    out[...] = product
+    return out
 
 
 def matmul(a: Node, b: Node) -> Node:
@@ -175,11 +183,12 @@ def linear(x: Node, w: Node, b: Node) -> Node:
     return add_bias(matmul(x, w), b)
 
 
-def _gelu(x: np.ndarray) -> np.ndarray:
-    """GELU via the tanh approximation 0.5*x*(1 + tanh(c*(x + a*x^3))).
+def _gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GELU via the tanh approximation 0.5*x*(1 + tanh(c*(x + a*x^3))), and that tanh.
 
     The steps of `0.5 * x * (1.0 + np.tanh(c * (x + a * x * x * x)))`, in
-    Python's evaluation order, run in place in two arrays (bit-equal).
+    Python's evaluation order, run in place (bit-equal); the tanh array is
+    returned too, for the backward.
     """
     t = _GELU_A * x
     t *= x
@@ -187,23 +196,22 @@ def _gelu(x: np.ndarray) -> np.ndarray:
     t += x
     t *= _GELU_C
     np.tanh(t, out=t)
-    t += 1.0
     out = 0.5 * x
-    out *= t
-    return out
+    out *= 1.0 + t
+    return out, t
 
 
-def _gelu_grad(x: np.ndarray) -> np.ndarray:
-    """Analytic derivative of the tanh-approximated GELU."""
-    u = _GELU_C * (x + _GELU_A * x * x * x)
-    t = np.tanh(u)
+def _gelu_grad(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Analytic derivative of the tanh-approximated GELU at x, where t is
+    the forward's tanh(c*(x + a*x^3))."""
     du = _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
     return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
 
 
 def gelu(x: Node) -> Node:
-    out = Node(_gelu(x.value), (x,))
-    out.bwd = lambda g: (g * _gelu_grad(x.value),)
+    value, t = _gelu(x.value)
+    out = Node(value, (x,))
+    out.bwd = lambda g: (g * _gelu_grad(x.value, t),)
     return out
 
 
@@ -320,44 +328,51 @@ def multi_head_attention(
 ) -> tuple[Node, np.ndarray]:
     """Scaled dot-product attention over a batch of stacked sentences.
 
-    q, k, v are (batch*seq, d) with sentences stacked row-wise; mask is a
+    k and v are (batch*seq, d) with sentences stacked row-wise; mask is a
     (batch, seq) additive mask (0 or -10000) applied to every query row of
-    its sentence. Returns the re-stacked context (batch*seq, d) and the
-    detached per-head probabilities with shape (batch, n_heads, seq, seq).
-    The scores are scaled, masked and turned into probabilities in place,
-    in probs_out when given (a float64 array of that shape, such as one
-    layer's slice of a whole forward's attention), else in a new array.
-    The backward reads them, so they must not change before it runs.
+    its sentence. q holds the same number r of query rows for every
+    sentence, stacked the same way as (batch*r, d): all seq rows, or fewer,
+    such as each sentence's CLS row alone (the last layer of a logits-only
+    forward, which reads no attention maps). Returns the re-stacked context
+    (batch*r, d) and the detached per-head probabilities with shape
+    (batch, n_heads, r, seq). The scores are scaled, masked and turned into
+    probabilities in place, in probs_out when given (a float64 array of that
+    shape, such as one layer's slice of a whole forward's attention), else
+    in a new array. The backward reads them, so they must not change before
+    it runs. Both products go through _rows_product, so with one query row
+    they take the matrix-matrix path, and the probabilities and the context
+    are bit-equal to that row's in the attention of all seq query rows.
     """
     n_batch, seq = mask.shape
-    d = q.value.shape[1]
+    d = k.value.shape[1]
     if d % n_heads:
         raise ShapeError(f"model dim {d} not divisible by {n_heads} heads")
-    hd = d // n_heads
+    if q.value.shape[0] % n_batch or q.value.shape[1] != d:
+        raise ShapeError(f"queries {q.value.shape} do not stack evenly over {n_batch} "
+                         f"sentences of width {d}")
+    n_q, hd = q.value.shape[0] // n_batch, d // n_heads
     inv_scale = 1.0 / math.sqrt(hd)
 
-    def split(m: np.ndarray) -> np.ndarray:
-        return m.reshape(n_batch, seq, n_heads, hd).transpose(0, 2, 1, 3)
+    def split(m: np.ndarray, rows: int) -> np.ndarray:
+        return m.reshape(n_batch, rows, n_heads, hd).transpose(0, 2, 1, 3)
 
-    qh, kh, vh = split(q.value), split(k.value), split(v.value)
-    probs = np.matmul(qh, kh.transpose(0, 1, 3, 2), out=probs_out)
+    def unsplit(m: np.ndarray) -> np.ndarray:
+        return m.transpose(0, 2, 1, 3).reshape(-1, d)
+
+    qh, kh, vh = split(q.value, n_q), split(k.value, seq), split(v.value, seq)
+    probs = _rows_product(qh, kh.transpose(0, 1, 3, 2), probs_out)
     probs *= inv_scale
     probs += mask[:, None, None, :]
     _softmax_in_place(probs)
-    ctx = probs @ vh
-    out = Node(ctx.transpose(0, 2, 1, 3).reshape(n_batch * seq, d), (q, k, v))
+    out = Node(unsplit(_rows_product(probs, vh)), (q, k, v))
 
     def bwd(g):
-        dctx = g.reshape(n_batch, seq, n_heads, hd).transpose(0, 2, 1, 3)
+        dctx = split(g, n_q)
         dprobs = dctx @ vh.transpose(0, 1, 3, 2)
         dv = probs.transpose(0, 1, 3, 2) @ dctx
         dscores = (dprobs - (dprobs * probs).sum(axis=3, keepdims=True)) * probs
         dq = dscores @ kh * inv_scale
         dk = dscores.transpose(0, 1, 3, 2) @ qh * inv_scale
-
-        def unsplit(m: np.ndarray) -> np.ndarray:
-            return m.transpose(0, 2, 1, 3).reshape(n_batch * seq, d)
-
         return unsplit(dq), unsplit(dk), unsplit(dv)
 
     out.bwd = bwd

@@ -287,7 +287,7 @@ def evaluate(
     predictions = []
     for start in range(0, len(examples), batch_size):
         chunk = examples[start:start + batch_size]
-        result = encoder_forward(params, build_batch(chunk, cfg, db), train=False)
+        result = encoder_forward(params, build_batch(chunk, cfg, db), attention=False)
         predictions.extend(result.predictions().tolist())
     truth = [ex.label for ex in examples]
     return Metrics.from_predictions(truth, predictions, cfg.n_classes)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from cogbert.errors import ShapeError
 from cogbert.numerics import autodiff as ad
 from cogbert.numerics.gradcheck import grad_check_report
 
@@ -201,6 +202,54 @@ class TestAttention:
         for got, ref in zip(*grads, strict=True):
             np.testing.assert_array_equal(got, ref)
 
+    @staticmethod
+    def first_rows(m, batch, n_q):
+        """The first n_q rows of each of batch stacked sentences of m."""
+        return m.reshape(batch, -1, m.shape[1])[:, :n_q].reshape(batch * n_q, m.shape[1])
+
+    def test_fewer_query_rows_gradcheck(self):
+        """1 or 2 query rows per sentence attend over all keys; k and v keep every row."""
+        batch, seq, heads, d = 2, 5, 2, 8
+        k = ad.Parameter("k", RNG.normal(size=(batch * seq, d)))
+        v = ad.Parameter("v", RNG.normal(size=(batch * seq, d)))
+        mask = np.zeros((batch, seq))
+        mask[0, -2:] = -10000.0
+        for n_q in (1, 2):
+            q = ad.Parameter("q", RNG.normal(size=(batch * n_q, d)))
+            red = reducer((batch * n_q, d))
+
+            def loss():
+                ctx, probs = ad.multi_head_attention(q, k, v, mask, heads)
+                assert probs.shape == (batch, heads, n_q, seq)
+                return red(ctx)
+
+            check(loss, [q, k, v])
+
+    def test_fewer_query_rows_match_full_query_rows_bit_for_bit(self):
+        """Probabilities and context of the first 1 or 2 query rows equal those rows of
+        the attention of every query row, at the model's head width of 16."""
+        seq, heads, d = 64, 2, 32
+        for batch in (1, 3, 32):
+            q, k, v = (ad.const(RNG.normal(0.0, 2.0, size=(batch * seq, d))) for _ in "qkv")
+            mask = np.zeros((batch, seq))
+            for b in range(batch):
+                mask[b, RNG.integers(3, seq + 1):] = -10000.0
+            full_ctx, full_probs = ad.multi_head_attention(q, k, v, mask, heads)
+            for n_q in (1, 2):
+                rows = ad.const(self.first_rows(q.value, batch, n_q))
+                ctx, probs = ad.multi_head_attention(rows, k, v, mask, heads)
+                np.testing.assert_array_equal(probs, full_probs[:, :, :n_q],
+                                              err_msg=f"batch {batch}, {n_q} rows")
+                np.testing.assert_array_equal(ctx.value, self.first_rows(full_ctx.value, batch, n_q),
+                                              err_msg=f"batch {batch}, {n_q} rows")
+
+    def test_query_rows_must_stack_evenly(self):
+        mask = np.zeros((2, 4))
+        k = v = ad.const(RNG.normal(size=(8, 4)))
+        for q in (ad.const(np.ones((3, 4))), ad.const(np.ones((2, 6)))):
+            with pytest.raises(ShapeError, match="do not stack evenly over 2 sentences"):
+                ad.multi_head_attention(q, k, v, mask, 2)
+
     def test_probabilities_are_row_stochastic_and_masked(self):
         batch, seq, heads, d = 3, 6, 2, 8
         q = ad.const(RNG.normal(size=(batch * seq, d)))
@@ -248,6 +297,8 @@ def one_run_of_every_op():
         ("concat_cols", ad.concat_cols(p(3, 2), p(3, 5))),
         ("multi_head_attention", ad.multi_head_attention(
             p(2 * 3, 4), p(2 * 3, 4), p(2 * 3, 4), np.zeros((2, 3)), 2)[0]),
+        ("multi_head_attention", ad.multi_head_attention(  # one query row per sentence
+            p(2, 4), p(2 * 3, 4), p(2 * 3, 4), np.zeros((2, 3)), 2)[0]),
         ("cross_entropy_mean", ad.cross_entropy_mean(p(3, 4), np.array([0, 3, 1]))),
     ]
 

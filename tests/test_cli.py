@@ -455,6 +455,36 @@ class TestMalformedInputs:
                 assert captured.err.endswith(detail), captured.err
                 assert captured.out == "" and not out.exists(), flags
 
+    def test_fewer_than_two_sentences_exits_3_naming_db_and_count(self, synth_dir, tmp_path,
+                                                                   capsys):
+        """train needs 2 sentences to split: a db with 1 or 0 exits 3 before --out."""
+        first = (synth_dir / "features.jsonl").read_text().splitlines(keepends=True)[0]
+        path, out = tmp_path / "features.jsonl", tmp_path / "o"
+        for text, count in ((first, "1 sentence"), ("", "0 sentences")):
+            path.write_text(text)
+            for flags in ([], ["--print-config"]):
+                rc = cli_main(["train", "--features", str(path), "--out", str(out), *flags])
+                captured = capsys.readouterr()
+                assert rc == 3, f"{count} {flags}: exit {rc}: {captured.err}"
+                assert captured.err == (f"error: feature db {path} holds {count}; "
+                                        f"training needs at least 2\n"), captured.err
+                assert captured.out == "" and not out.exists(), flags
+
+    def test_empty_feature_db_exits_4_before_output(self, trained_dir, synth_dir, tmp_path,
+                                                    capsys):
+        """eval and explain on a db with no sentences exit 4 naming it, as lexicon apply does."""
+        empty, out = tmp_path / "empty.jsonl", tmp_path / "o"
+        empty.write_text("")
+        explain = ["explain", "--features", str(empty), "--checkpoint",
+                   str(trained_dir / "model.ckpt"), "--vocab", str(trained_dir / "vocab.tsv"),
+                   "--ids", "s0000", "--out", str(out)]
+        for argv in (self.eval_args(synth_dir, trained_dir, out, features=empty), explain):
+            rc = cli_main(argv)
+            captured = capsys.readouterr()
+            assert rc == 4, f"{argv[0]}: exit {rc}: {captured.err}"
+            assert captured.err == f"error: feature db {empty} holds no sentences\n", captured.err
+            assert captured.out == "" and not out.exists(), argv[0]
+
     def test_repeated_vocab_word_or_id_exits_3(self, trained_dir, synth_dir, tmp_path, capsys):
         lines = (trained_dir / "vocab.tsv").read_text().splitlines()
         word, ident = lines[4].split("\t")

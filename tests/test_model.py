@@ -525,7 +525,8 @@ class TestBatchWidth:
 
 class TestInferenceForward:
     """train=False cuts the tape at every block boundary and finishes only the
-    CLS rows after the last attention; the outputs stay the same."""
+    CLS rows after the last attention, and a logits-only forward attends from
+    the CLS rows alone in the last layer; the outputs stay the same."""
 
     def test_matches_training_forward_bit_for_bit(self):
         """At every batch size up to 21 and at the eval batch of 32, so a BLAS
@@ -537,11 +538,16 @@ class TestInferenceForward:
             for size in [*range(1, 22), 32]:
                 batch = width_batch(cfg, rng.integers(0, 62, size=size).tolist())
                 infer, trained = (encoder_forward(params, batch, train=t) for t in (False, True))
+                logits_only = encoder_forward(params, batch, attention=False)
                 for field in ("hidden", "attention"):
                     np.testing.assert_array_equal(getattr(infer, field), getattr(trained, field),
                                                   err_msg=f"{mode} {size} {field}")
-                np.testing.assert_array_equal(infer.logits.value, trained.logits.value,
-                                              err_msg=f"{mode} {size}")
+                np.testing.assert_array_equal(logits_only.hidden, trained.hidden,
+                                              err_msg=f"{mode} {size} logits-only hidden")
+                assert logits_only.attention is None
+                for result in (infer, logits_only):
+                    np.testing.assert_array_equal(result.logits.value, trained.logits.value,
+                                                  err_msg=f"{mode} {size}")
 
     def test_last_feed_forward_runs_on_cls_rows_only(self, monkeypatch):
         cfg = tiny_cfg(layers=3)
@@ -560,6 +566,28 @@ class TestInferenceForward:
             encoder_forward(params, batch, train=train)
             last = (n * t if train else n, cfg.d_ff)
             assert shapes == [(n * t, cfg.d_ff)] * (cfg.layers - 1) + [last], train
+
+    def test_logits_only_last_attention_gets_cls_queries_only(self, monkeypatch):
+        """A logits-only inference forward attends from (B, d) queries in its last
+        layer; an attention forward and a training forward from all B*T rows."""
+        cfg = tiny_cfg(layers=3)
+        params = spread_params(cfg, seed=5)
+        batch = width_batch(cfg, [9, 3, 6])
+        n, t = batch.ids.shape
+        attention, shapes = ad.multi_head_attention, []
+
+        def recording_attention(q, k, v, *args):
+            shapes.append((q.value.shape, k.value.shape, v.value.shape))
+            return attention(q, k, v, *args)
+
+        monkeypatch.setattr(ad, "multi_head_attention", recording_attention)
+        full = ((n * t, cfg.d_model),) * 3
+        for train, maps, last in ((False, False, ((n, cfg.d_model), *full[1:])),
+                                  (False, True, full), (True, False, full), (True, True, full)):
+            shapes.clear()
+            result = encoder_forward(params, batch, train=train, attention=maps)
+            assert shapes == [full] * (cfg.layers - 1) + [last], (train, maps)
+            assert (result.attention is None) is not maps
 
     def test_peak_memory_at_most_half_of_training_forward(self):
         cfg = tiny_cfg(d_model=32, d_ff=64, max_len=48)

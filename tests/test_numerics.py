@@ -127,7 +127,9 @@ class TestGelu:
         np.testing.assert_allclose(gelu_grad(xs), fd, atol=1e-8)
 
     def test_matches_expression_bit_for_bit(self):
-        """The in-place GELU equals the expression it replaced, and leaves its input alone."""
+        """The in-place GELU equals the expression it replaced, and leaves its input
+        alone; its backward, which reuses the forward's tanh, equals the derivative
+        expression that recomputed it."""
         rng = np.random.default_rng(11)
         x = np.concatenate([rng.normal(0.0, 3.0, size=(64, 16)),
                             rng.uniform(-40.0, 40.0, size=(64, 16))])
@@ -135,6 +137,9 @@ class TestGelu:
         c, a = math.sqrt(2.0 / math.pi), 0.044715
         np.testing.assert_array_equal(gelu(x), 0.5 * x * (1.0 + np.tanh(c * (x + a * x * x * x))))
         np.testing.assert_array_equal(x, before)
+        t = np.tanh(c * (x + a * x * x * x))
+        du = c * (1.0 + 3.0 * a * x * x)
+        np.testing.assert_array_equal(gelu_grad(x), 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du)
 
 
 class TestLayerNorm:
