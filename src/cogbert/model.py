@@ -528,27 +528,34 @@ def self_attention(
     output projection and the layer norm, so the result has len(rows) rows.
     If no probs_out is given either, no caller reads the other rows'
     probabilities, so only those rows' queries are projected and attend.
+    The projections of the selected rows take x's layout for their
+    backward (see autodiff.matmul).
     """
     cfg = params.cfg
     p = f"layer{layer}."
+    layout = None if rows is None else (x.value.shape[0], rows)
     queries = x if rows is None or probs_out is not None else ad.select_rows(x, rows)
-    q = ad.linear(queries, params[p + "attn.wq"], params[p + "attn.bq"])
+    q = ad.linear(queries, params[p + "attn.wq"], params[p + "attn.bq"],
+                  None if queries is x else layout)
     k = ad.linear(x, params[p + "attn.wk"], params[p + "attn.bk"])
     v = ad.linear(x, params[p + "attn.wv"], params[p + "attn.bv"])
     ctx, _ = ad.multi_head_attention(q, k, v, masks, cfg.heads, probs_out)
     if rows is not None and queries is x:
         ctx, queries = ad.select_rows(ctx, rows), ad.select_rows(x, rows)
-    ctx = ad.linear(ctx, params[p + "attn.wo"], params[p + "attn.bo"])
+    ctx = ad.linear(ctx, params[p + "attn.wo"], params[p + "attn.bo"], layout)
     ctx = _dropout(ctx, masks.shape[0], cfg, train, rng)
     return ad.layer_norm_rows(ad.add(queries, ctx), params[p + "ln1.gamma"],
                               params[p + "ln1.beta"], LN_EPS)
 
 
 def _feed_forward(x: Node, n: int, params: EncoderParams, layer: int,
-                  train: bool, rng: SeededRng | None) -> Node:
+                  train: bool, rng: SeededRng | None,
+                  layout: tuple[int, np.ndarray] | None = None) -> Node:
+    """The feed-forward block of n stacked sentences, residual and layer norm;
+    layout as in autodiff.matmul, when x holds rows selected from a larger array."""
     p = f"layer{layer}."
-    h = ad.gelu(ad.linear(x, params[p + "ff.w1"], params[p + "ff.b1"]))
-    h = ad.linear(h, params[p + "ff.w2"], params[p + "ff.b2"])
+    h = ad.gelu(ad.linear(x, params[p + "ff.w1"], params[p + "ff.b1"], layout))
+    h = ad.linear(h, params[p + "ff.w2"], params[p + "ff.b2"], layout)
     h = _dropout(h, n, params.cfg, train, rng)
     return ad.layer_norm_rows(ad.add(x, h), params[p + "ln2.gamma"], params[p + "ln2.beta"],
                               LN_EPS)
@@ -639,22 +646,23 @@ def encoder_forward(
     after every attention and feed-forward block, so it holds one block's
     intermediates at a time, and the parameters below the last cut get no
     gradient. The head reads only the last layer's CLS rows, so after the
-    last attention an inference forward keeps only those rows: the output
+    last attention every forward keeps only those rows: the output
     projection, both layer norms and the feed-forward block of the last
-    layer run on B rows instead of B*T. A training forward runs them on
-    every position. Dropout applies only when train is True; at dropout 0
-    both kinds give bit-identical results.
+    layer run on B rows instead of B*T. Their backward runs on the B*T
+    layout (see autodiff.matmul), so the gradients are bit-equal to those of
+    a forward that runs them on every position. Dropout applies only when
+    train is True; at dropout 0 both kinds give bit-identical results.
 
-    attention=False asks for the logits only, as `training.evaluate` and
-    the LIME perturbation chunks do; `explain_sentence`'s full-sentence
-    forward asks for the attention maps it accumulates. The result's
-    `attention` is then None, and each layer writes its probabilities into
-    an array of its own instead of a slice of one (layers, B, heads, T, T)
-    array. An inference forward also projects the last layer's queries for
-    the CLS rows alone, so that attention computes (B, heads, 1, T)
+    attention=False asks for the logits only, as training, `gradcheck_mode`,
+    `training.evaluate` and the LIME perturbation chunks do;
+    `explain_sentence`'s full-sentence forward asks for the attention maps
+    it accumulates. The result's `attention` is then None, and each layer
+    writes its probabilities into an array of its own instead of a slice of
+    one (layers, B, heads, T, T) array. The last layer also projects queries
+    for the CLS rows alone, so that attention computes (B, heads, 1, T)
     probabilities. Its one-row products take the matrix-matrix path (see
-    autodiff._rows_product), so the logits stay bit-identical to those of
-    a forward that computes every query row.
+    autodiff._rows_product), so the logits and the gradients stay
+    bit-identical to those of a forward that computes every query row.
     """
     cfg = params.cfg
     if train and cfg.dropout > 0.0 and rng is None:
@@ -669,15 +677,14 @@ def encoder_forward(
     for layer in range(cfg.layers):  # rebinding x at each cut lets the block before it go
         x = _cut(x, train)
         hidden = x.value
-        rows = None if train or layer < cfg.layers - 1 else cls
+        rows = cls if layer == cfg.layers - 1 else None
         probs_out = None if maps is None else maps[layer]
         x = self_attention(x, batch.masks, params, layer, probs_out, train, rng, rows)
         x = _cut(x, train)
-        x = _feed_forward(x, n, params, layer, train, rng)
-    x = _cut(x, train)
+        x = _feed_forward(x, n, params, layer, train, rng, None if rows is None else (n * t, rows))
+    x = _cut(x, train)  # the last layer kept only the CLS rows: x is the pooled output
 
-    pooled = ad.select_rows(x, cls) if train else x  # an inference forward kept only CLS rows
-    fused = fuse_pooled(pooled, batch.sent_eeg, params)
+    fused = fuse_pooled(x, batch.sent_eeg, params)
     logits = classify(fused, params)
 
     return ForwardResult(
@@ -738,7 +745,7 @@ def gradcheck_mode(mode: str, seed: int = 0, layers: int = 2, heads: int = 2,
             p.value[:] = prng.normal(0.0, 0.3, p.value.shape)
 
     def loss_fn():
-        result = encoder_forward(params, batch, train=True)
+        result = encoder_forward(params, batch, train=True, attention=False)
         return ad.cross_entropy_mean(result.logits, batch.labels)
 
     return grad_check_report(loss_fn, params.all(), eps=1e-5,

@@ -156,7 +156,13 @@ def _rows_product(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -
     [x; 0] @ y takes the matrix-matrix path, so it is bit-equal to x's row
     of a product with more rows (a batch of sentences, or every query row of
     an attention) where the BLAS runs both sizes with one kernel (see
-    README). One home for that rule: matmul and attention both use it.
+    README). One home for that rule: matmul and attention both use it, in
+    the forward and in the backward.
+
+    Fewer rows can still take another kernel, or another blocking of a
+    weight gradient's sum over rows, than the product they were cut from.
+    So a matmul whose rows were selected from a larger array (the CLS rows
+    of a model's last layer) is given that array's layout: see `_full_rows`.
     """
     if x.shape[-2] != 1:
         return np.matmul(x, y, out=out)
@@ -167,20 +173,50 @@ def _rows_product(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -
     return out
 
 
-def matmul(a: Node, b: Node) -> Node:
+def _full_rows(layout: tuple[int, np.ndarray], m: np.ndarray) -> np.ndarray:
+    """m's rows at their positions `rows` of an otherwise zero (n, cols) array.
+
+    layout is (n, rows). A matmul given this layout runs its backward on the
+    full array: with g and a placed so, dx is the `rows` rows of
+    g_full @ W.T and dW is a_full.T @ g_full. Those are the products of the
+    full-row computation whose other rows get zero gradient, and the BLAS
+    picks the same kernel and blocking for them, so the gradients are
+    bit-equal to it; the zero rows add exact zeros to every sum.
+    """
+    n, rows = layout
+    full = np.zeros((n, m.shape[1]))
+    full[rows] = m
+    return full
+
+
+def matmul(a: Node, b: Node, layout: tuple[int, np.ndarray] | None = None) -> Node:
     """a @ b; every row's result is the same at any row count of a.
 
-    The backward gives a const leaf `a` no gradient (None).
+    The backward gives a const leaf `a` no gradient (None). With layout
+    (n, rows), a's rows are the rows `rows` of an n-row array that the
+    caller cut them from, and the backward runs on that full layout (see
+    `_full_rows`). The forward is the same either way.
     """
     if a.value.shape[1] != b.value.shape[0]:
         raise ShapeError(f"cannot multiply {a.value.shape} by {b.value.shape}: inner dimensions differ")
     out = Node(_rows_product(a.value, b.value), (a, b))
-    out.bwd = lambda g: (None if _is_const(a) else _rows_product(g, b.value.T), a.value.T @ g)
+    if layout is None:
+        out.bwd = lambda g: (None if _is_const(a) else _rows_product(g, b.value.T), a.value.T @ g)
+        return out
+    rows = layout[1]
+
+    def bwd(g):
+        g_full = _full_rows(layout, g)
+        da = None if _is_const(a) else _rows_product(g_full, b.value.T)[rows]
+        return da, _full_rows(layout, a.value).T @ g_full
+
+    out.bwd = bwd
     return out
 
 
-def linear(x: Node, w: Node, b: Node) -> Node:
-    return add_bias(matmul(x, w), b)
+def linear(x: Node, w: Node, b: Node, layout: tuple[int, np.ndarray] | None = None) -> Node:
+    """x @ w + b; layout as in `matmul`."""
+    return add_bias(matmul(x, w, layout), b)
 
 
 def _gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -339,9 +375,11 @@ def multi_head_attention(
     probabilities in place, in probs_out when given (a float64 array of that
     shape, such as one layer's slice of a whole forward's attention), else
     in a new array. The backward reads them, so they must not change before
-    it runs. Both products go through _rows_product, so with one query row
-    they take the matrix-matrix path, and the probabilities and the context
-    are bit-equal to that row's in the attention of all seq query rows.
+    it runs. Both products, and the backward's two products with one row
+    per query (dctx @ vh^T and dscores @ kh), go through _rows_product, so
+    with one query row they take the matrix-matrix path: the probabilities,
+    the context and every gradient are bit-equal to those of the attention
+    of all seq query rows where only that row's context gets a gradient.
     """
     n_batch, seq = mask.shape
     d = k.value.shape[1]
@@ -368,10 +406,10 @@ def multi_head_attention(
 
     def bwd(g):
         dctx = split(g, n_q)
-        dprobs = dctx @ vh.transpose(0, 1, 3, 2)
+        dprobs = _rows_product(dctx, vh.transpose(0, 1, 3, 2))
         dv = probs.transpose(0, 1, 3, 2) @ dctx
         dscores = (dprobs - (dprobs * probs).sum(axis=3, keepdims=True)) * probs
-        dq = dscores @ kh * inv_scale
+        dq = _rows_product(dscores, kh) * inv_scale
         dk = dscores.transpose(0, 1, 3, 2) @ qh * inv_scale
         return unsplit(dq), unsplit(dk), unsplit(dv)
 

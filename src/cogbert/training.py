@@ -241,7 +241,11 @@ def train(
     db: FeatureDb | None,
     seed: int | None = None,
 ) -> tuple[EncoderParams, list[float]]:
-    """One fine-tuning run. Returns trained parameters and per-epoch mean loss."""
+    """One fine-tuning run. Returns trained parameters and per-epoch mean loss.
+
+    A non-finite loss raises NumericError naming the epoch and the step
+    (both counted from 0) and the sentence ids of the batch, in batch order.
+    """
     if not examples:
         raise ValidationError("cannot train on an empty dataset")
     run_seed = train_cfg.seed if seed is None else seed
@@ -255,17 +259,19 @@ def train(
     total_steps = train_cfg.epochs * n_batches
     step = 0
     epoch_losses: list[float] = []
-    for _ in range(train_cfg.epochs):
+    for epoch in range(train_cfg.epochs):
         order = order_rng.permutation(len(examples))
         losses = []
         for chunk in _batches(examples, order, train_cfg.batch_size):
             batch = build_batch(chunk, model_cfg, db)
             params.zero_grads()
-            result = encoder_forward(params, batch, train=True, rng=dropout_rng)
+            result = encoder_forward(params, batch, train=True, rng=dropout_rng, attention=False)
             loss = ad.cross_entropy_mean(result.logits, batch.labels)
             value = loss.item()
             if not np.isfinite(value):
-                raise NumericError(f"training diverged: non-finite loss at step {step}")
+                raise NumericError(
+                    f"training diverged: non-finite loss at epoch {epoch}, step {step}, on the "
+                    f"batch of sentences {', '.join(ex.sentence_id for ex in chunk)}")
             ad.backward(loss)
             optimizer.step(params, lr_at(step, total_steps, train_cfg.lr))
             step += 1

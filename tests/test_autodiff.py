@@ -76,6 +76,45 @@ class TestMatrixOps:
             ones = np.ones((n, 1))
             check(lambda: ad.matmul(ad.mul_const(ad.matmul(*one), w), ad.const(ones)), one)
 
+    def test_full_layout_backward_gradcheck(self):
+        """matmul and linear on rows cut from a 7-row array, given its layout; a
+        const left operand gets no gradient (None)."""
+        layout = (7, np.array([0, 3, 5]))
+        x = ad.Parameter("x", RNG.normal(size=(3, 4)))
+        w = ad.Parameter("w", RNG.normal(size=(4, 2)))
+        b = ad.Parameter("b", RNG.normal(size=(1, 2)))
+        c = ad.const(RNG.normal(size=(3, 4)))
+        red = reducer((3, 2))
+        check(lambda: red(ad.matmul(x, w, layout)), [x, w])
+        check(lambda: red(ad.linear(x, w, b, layout)), [x, w, b])
+        check(lambda: red(ad.matmul(c, w, layout)), [w])
+        check(lambda: red(ad.linear(c, w, b, layout)), [w, b])
+        g = RNG.normal(size=(3, 2))
+        da, dw = ad.matmul(c, w, layout).bwd(g)
+        assert da is None
+        np.testing.assert_allclose(dw, c.value.T @ g, rtol=1e-13)
+
+    def test_full_layout_matches_selecting_after_the_product_bit_for_bit(self):
+        """Selecting rows and then multiplying with the layout gives the value and
+        gradients of multiplying all rows and then selecting, at row counts that
+        take the BLAS's small-matrix kernel and that block the sum over rows."""
+        rng = np.random.default_rng(31)
+        for n_rows, d in ((16, 32), (512, 32), (2048, 64), (512, 16)):
+            rows = np.sort(rng.choice(n_rows, size=max(1, n_rows // 64), replace=False))
+            x_value, w_value = rng.normal(size=(n_rows, d)), rng.normal(size=(d, d))
+            weight = rng.normal(size=(len(rows), d))
+            grads = []
+            for cut_first in (True, False):
+                x, w = ad.Parameter("x", x_value), ad.Parameter("w", w_value)
+                if cut_first:
+                    out = ad.matmul(ad.select_rows(x, rows), w, (n_rows, rows))
+                else:
+                    out = ad.select_rows(ad.matmul(x, w), rows)
+                ad.backward(ad.mul_const(out, weight))
+                grads.append((out.value, x.grad, w.grad))
+            for got, want in zip(*grads, strict=True):
+                np.testing.assert_array_equal(got, want, err_msg=f"{n_rows} rows, width {d}")
+
     def test_concat_cols(self):
         a = ad.Parameter("a", RNG.normal(size=(3, 2)))
         b = ad.Parameter("b", RNG.normal(size=(3, 3)))
@@ -290,6 +329,7 @@ def one_run_of_every_op():
         ("add_bias", ad.add_bias(p(3, 4), p(1, 4))),
         ("mul_const", ad.mul_const(p(3, 4), RNG.normal(size=(3, 4)))),
         ("matmul", ad.matmul(p(3, 5), p(5, 2))),
+        ("matmul", ad.matmul(p(3, 5), p(5, 2), (7, np.array([0, 2, 6])))),  # full layout
         ("gelu", ad.gelu(p(3, 4))),
         ("layer_norm_rows", ad.layer_norm_rows(p(3, 4), p(1, 4), p(1, 4))),
         ("gather_rows", ad.gather_rows(p(6, 3), np.array([0, 2, 2, 5]))),

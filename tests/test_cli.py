@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 import cogbert
+from cogbert import training
 from cogbert.cli import main as cli_main
 from cogbert.features import (
     EEGLexicon,
@@ -120,6 +121,28 @@ class TestTrain:
             outs.append(out)
         for name in ("report.json", "report.csv", "model.ckpt", "vocab.tsv"):
             assert sha256(outs[0] / name) == sha256(outs[1] / name)
+
+    def test_non_finite_loss_exits_1_naming_the_batch(self, tmp_path, synth_dir, model_config_path,
+                                                      monkeypatch, capsys):
+        init_params = training.init_params
+
+        def planted(*args, **kwargs):
+            params = init_params(*args, **kwargs)
+            params["classifier.b"].value[0, 0] = np.inf
+            return params
+
+        monkeypatch.setattr(training, "init_params", planted)
+        with np.errstate(invalid="ignore"):
+            rc = cli_main(["train", "--features", str(synth_dir / "features.jsonl"),
+                           "--out", str(tmp_path / "o"), "--config", str(model_config_path),
+                           "--mode", "none", "--repeats", "1", "--epochs", "1"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        prefix = ("error: training diverged: non-finite loss at epoch 0, step 0, "
+                  "on the batch of sentences ")
+        assert err.startswith(prefix), err
+        ids = err[len(prefix):].strip().split(", ")
+        assert len(ids) == TrainConfig().batch_size and all(i.startswith("s") for i in ids), err
 
     def test_missing_features_exits_3(self, tmp_path):
         rc = cli_main(["train", "--features", str(tmp_path / "nope.jsonl"),

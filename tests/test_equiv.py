@@ -86,3 +86,15 @@ def test_script_covers_every_mode_and_command(tmp_path):
     assert any(args[args.index("--checkpoint") + 1].startswith("train10/")
                and int(args[args.index("--k") + 1]) > 8
                for args in script if args[0] == "explain" and "--k" in args)
+    # A training run whose batches can reach 8 sentences of 64 positions (B*T = 512).
+    long_runs = [args for args in script if args[0] == "train" and "model64.json" in args]
+    assert long_runs
+    features = long_runs[0][long_runs[0].index("--features") + 1]
+    synth = next(args for args in script if args[0] == "synth"
+                 and features == f"{args[args.index('--out') + 1]}/features.jsonl")
+    generator = json.loads((tmp_path / synth[synth.index("--config") + 1]).read_text())
+    model = json.loads((tmp_path / "model64.json").read_text())
+    train_cfg = json.loads((tmp_path / long_runs[0][long_runs[0].index("--train-config") + 1])
+                           .read_text())
+    assert generator["max_words"] + 2 == model["max_len"] == 64
+    assert train_cfg["batch_size"] * model["max_len"] == 512

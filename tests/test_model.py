@@ -16,6 +16,8 @@ from cogbert.model import (
     WIDTH_MULTIPLE,
     Example,
     ModelConfig,
+    _dropout,
+    _feed_forward,
     _header,
     _param_spec,
     build_batch,
@@ -28,6 +30,7 @@ from cogbert.model import (
     load_checkpoint,
     random_params,
     save_checkpoint,
+    self_attention,
 )
 from cogbert.numerics import autodiff as ad
 from cogbert.numerics.gradcheck import grad_check_report
@@ -524,9 +527,9 @@ class TestBatchWidth:
 
 
 class TestInferenceForward:
-    """train=False cuts the tape at every block boundary and finishes only the
-    CLS rows after the last attention, and a logits-only forward attends from
-    the CLS rows alone in the last layer; the outputs stay the same."""
+    """train=False cuts the tape at every block boundary; every forward finishes
+    only the CLS rows after the last attention, and a logits-only forward
+    attends from the CLS rows alone in the last layer; the outputs stay the same."""
 
     def test_matches_training_forward_bit_for_bit(self):
         """At every batch size up to 21 and at the eval batch of 32, so a BLAS
@@ -562,14 +565,15 @@ class TestInferenceForward:
 
         monkeypatch.setattr(ad, "gelu", recording_gelu)  # the module model.py calls as ad
         for train in (False, True):
-            shapes.clear()
-            encoder_forward(params, batch, train=train)
-            last = (n * t if train else n, cfg.d_ff)
-            assert shapes == [(n * t, cfg.d_ff)] * (cfg.layers - 1) + [last], train
+            for maps in (False, True):
+                shapes.clear()
+                encoder_forward(params, batch, train=train, attention=maps)
+                last = (n, cfg.d_ff)
+                assert shapes == [(n * t, cfg.d_ff)] * (cfg.layers - 1) + [last], (train, maps)
 
     def test_logits_only_last_attention_gets_cls_queries_only(self, monkeypatch):
-        """A logits-only inference forward attends from (B, d) queries in its last
-        layer; an attention forward and a training forward from all B*T rows."""
+        """A logits-only forward, training or not, attends from (B, d) queries in
+        its last layer; an attention forward from all B*T rows."""
         cfg = tiny_cfg(layers=3)
         params = spread_params(cfg, seed=5)
         batch = width_batch(cfg, [9, 3, 6])
@@ -582,8 +586,9 @@ class TestInferenceForward:
 
         monkeypatch.setattr(ad, "multi_head_attention", recording_attention)
         full = ((n * t, cfg.d_model),) * 3
-        for train, maps, last in ((False, False, ((n, cfg.d_model), *full[1:])),
-                                  (False, True, full), (True, False, full), (True, True, full)):
+        cls_queries = ((n, cfg.d_model), *full[1:])
+        for train, maps, last in ((False, False, cls_queries), (False, True, full),
+                                  (True, False, cls_queries), (True, True, full)):
             shapes.clear()
             result = encoder_forward(params, batch, train=train, attention=maps)
             assert shapes == [full] * (cfg.layers - 1) + [last], (train, maps)
@@ -603,6 +608,57 @@ class TestInferenceForward:
             finally:
                 tracemalloc.stop()
         assert peaks[False] <= 0.5 * peaks[True], peaks
+
+
+def full_rows_training_logits(params, batch, rng):
+    """The training forward that runs every layer on all B*T rows and selects the
+    CLS rows at the end, built from the model's blocks."""
+    cfg = params.cfg
+    n, t = batch.ids.shape
+    x = _dropout(embed(params, batch.ids, batch.tokens), n, cfg, True, rng)
+    for layer in range(cfg.layers):
+        x = self_attention(x, batch.masks, params, layer, None, True, rng)
+        x = _feed_forward(x, n, params, layer, True, rng)
+    pooled = ad.select_rows(x, np.arange(n) * t)
+    return classify(fuse_pooled(pooled, batch.sent_eeg, params), params)
+
+
+class TestTrainingLastLayer:
+    """A training forward runs its last layer on the CLS rows alone, and its
+    backward runs the row-restricted products on the B*T layout: the loss and
+    every gradient equal those of the full-row forward, bit for bit."""
+
+    @staticmethod
+    def loss_and_grads(params, batch, logits_fn):
+        params.zero_grads()
+        logits = logits_fn(SeededRng(11))
+        ad.backward(ad.cross_entropy_mean(logits, batch.labels))
+        return logits.value.copy(), {p.name: p.grad.copy() for p in params.all()}
+
+    def test_matches_full_rows_bit_for_bit(self):
+        """Batch widths 8, 16 and 64 (B*T >= 512 blocks the weight gradients' sums
+        over rows), head widths 8 and 16, batch sizes 1 to 32, with dropout."""
+        rng = np.random.default_rng(23)
+        for mode in MODES:
+            for d_model in (16, 32):  # head width 8, 16
+                cfg = tiny_cfg(mode=mode, d_model=d_model, d_ff=2 * d_model, max_len=64,
+                               dropout=0.1)
+                params = spread_params(cfg, seed=9)
+                for width in (8, 16, 64):
+                    for size in (1, 3, 8, 32):
+                        lengths = rng.integers(0, width - 1, size=size)
+                        lengths[0] = width - 2
+                        batch = width_batch(cfg, lengths.tolist())
+                        assert batch.ids.shape == (size, width)
+                        case = f"{mode} d={d_model} T={width} B={size}"
+                        fast = self.loss_and_grads(params, batch, lambda r: encoder_forward(
+                            params, batch, train=True, rng=r, attention=False).logits)
+                        slow = self.loss_and_grads(
+                            params, batch, lambda r: full_rows_training_logits(params, batch, r))
+                        np.testing.assert_array_equal(fast[0], slow[0], err_msg=case)
+                        for name, grad in slow[1].items():
+                            np.testing.assert_array_equal(fast[1][name], grad,
+                                                          err_msg=f"{case} {name}")
 
 
 class TestFusion:

@@ -2,12 +2,14 @@
 metric math against a brute-force confusion oracle, and reproducibility."""
 
 import tracemalloc
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from cogbert.errors import ConfigError, ValidationError
+from cogbert import training
+from cogbert.errors import ConfigError, NumericError, ValidationError
 from cogbert.features import SynthConfig, synth_generate
 from cogbert.model import (MODES, ModelConfig, _param_spec, build_batch, encoder_forward,
                            random_params)
@@ -281,6 +283,32 @@ class TestTrain:
         cfg, _, db = tiny_setup()
         with pytest.raises(ValidationError):
             train(TrainConfig(), cfg, [], db)
+
+    def test_non_finite_loss_names_epoch_step_and_batch(self, monkeypatch):
+        """An inf embedding row of a word that one sentence alone uses diverges
+        the batch that holds that sentence, and no batch before it."""
+        cfg, examples, db = tiny_setup()
+        uses = Counter(i for ex in examples for i in set(ex.sentence.ids.tolist()))
+        word, index = next((i, k) for k, ex in enumerate(examples)
+                           for i in ex.sentence.ids.tolist() if uses[i] == 1)
+        init_params = training.init_params
+
+        def planted(*args, **kwargs):
+            params = init_params(*args, **kwargs)
+            params["embed.word"].value[word] = np.inf
+            return params
+
+        monkeypatch.setattr(training, "init_params", planted)
+        tcfg = TrainConfig(epochs=2, batch_size=4, lr=5e-4, seed=5, repeats=1)
+        order = SeededRng(tcfg.seed).derive("batch-order").permutation(len(examples))
+        step = int(np.flatnonzero(order == index)[0]) // tcfg.batch_size
+        start = step * tcfg.batch_size
+        batch_ids = [examples[i].sentence_id for i in order[start:start + tcfg.batch_size]]
+        with pytest.raises(NumericError) as err, np.errstate(invalid="ignore"):  # decay of inf
+            train(tcfg, cfg, examples, db)
+        assert str(err.value) == (f"training diverged: non-finite loss at epoch 0, step {step}, "
+                                  f"on the batch of sentences {', '.join(batch_ids)}")
+        assert examples[index].sentence_id in batch_ids
 
     def test_evaluate_runs_against_oracle(self):
         cfg, examples, db = tiny_setup()

@@ -19,7 +19,10 @@ process with one BLAS thread:
   word count; lexicon build and apply, train pool_add_nn
   on the lexicon features; report over every run; gradcheck --mode all;
   synth with a generator config that plants unfixated distractor keywords,
-  and lexicon build over that corpus.
+  and lexicon build over that corpus. Training on a long-sentence synth corpus
+  (48-62 words) at max_len 64, batch 8, d_model 32 and d_ff 64, in eeg_embed
+  for 1 repeat x 1 epoch: each full batch has B*T = 512 rows, where the BLAS
+  blocks the feed-forward weight gradients' sums over rows.
   The config paths: synth --print-config with a generator config file, train
   --print-config with --robustness and with --epochs and --seed over a train
   config, and a fine-tuning train whose train config's init_source is an
@@ -112,6 +115,11 @@ def script() -> list[tuple[str, list[str]]]:
                                    "--seed", "9", "--out", "unused", "--print-config"]),
         ("finetune", ["train", "--features", feats, "--config", "model24.json", "--mode",
                       "eeg_embed", "--train-config", "finetune.json", "--out", "finetune"]),
+        ("synth-long", ["synth", "--out", "data-long", "--config", "synth-long.json",
+                        "--seed", "17", "--n-sentences", "40"]),
+        ("train-long", ["train", "--features", "data-long/features.jsonl", "--config",
+                        "model64.json", "--mode", "eeg_embed", "--train-config", "train-long.json",
+                        "--repeats", "1", "--epochs", "1", "--seed", "3", "--out", "train-long"]),
     ]
     return cmds
 
@@ -128,6 +136,10 @@ def write_configs(out: Path) -> None:
         '"epochs": 1, "repeats": 1, "seed": 4, "weight_decay": 0}\n')
     (out / "synth.json").write_text(
         '{"n_classes": 4, "distractors": 2, "eeg_noise": 0.5, "filler_fix_prob": 0.5}\n')
+    (out / "synth-long.json").write_text('{"min_words": 48, "max_words": 62}\n')
+    (out / "model64.json").write_text(
+        '{"layers": 2, "heads": 2, "d_model": 32, "d_ff": 64, "max_len": 64, "dropout": 0.1}\n')
+    (out / "train-long.json").write_text('{"lr": 0.001, "batch_size": 8}\n')
 
 
 def run_script(tree: Path, out: Path) -> list[str]:
