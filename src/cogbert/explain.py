@@ -9,14 +9,17 @@ perturbation by an exponential kernel over the cosine distance from the full
 sentence, and fits a weighted ridge surrogate whose coefficients (an array
 over the words) score the words. `top_k` ranks word positions, so a repeated
 word is told apart by its position. `explain_sentence` runs both on one
-sentence of a feature database and reports their top-k agreement; each
-perturbation is a word selection of that sentence's layout (`keep_words`),
-whose features build_batch reads from the sentence's one record, and the
-perturbations run through the encoder LIME_CHUNK at a time, shortest first.
+sentence of a feature database and reports their top-k agreement. Each
+perturbation is a word selection of that sentence: `model.word_selections`
+gathers its positions from the sentence's own batch row. The perturbations
+run through the encoder shortest first, each forward taking consecutive
+ones that share one batch width, up to LIME_POSITIONS positions.
 A sentence's logits depend neither on its batch peers nor on the batch
-width (a multiple of 8), so neither the chunk size nor the order changes
-any score. Only the full sentence's forward returns attention maps, which
-the attention explainer accumulates; the perturbation chunks need only
+width (a multiple of 8), so neither the grouping nor the order changes any
+score at the default head width of 16 (see README, "Batch width": at a
+head width of 32 or more the BLAS moves logits in the last bit between row
+counts). Only the full sentence's forward returns attention maps, which
+the attention explainer accumulates; the perturbation forwards need only
 logits and run logits-only forwards (`encoder_forward(..., attention=False)`),
 whose last layer attends from the CLS rows alone. Those one-row products
 stack their row over a zero row (autodiff._rows_product), so the logits,
@@ -33,7 +36,8 @@ import numpy as np
 
 from .errors import DataError, NumericError, ValidationError
 from .features import FeatureDb
-from .model import EncoderParams, Example, build_batch, encoder_forward
+from .model import (EncoderParams, Example, batch_width, build_batch, encoder_forward,
+                    word_selections)
 from .numerics import autodiff as ad
 from .numerics.rng import SeededRng
 from .tokenizer import TokenizedSentence, Vocab, encode
@@ -44,7 +48,9 @@ DEFAULT_SAMPLES = 200
 DEFAULT_KERNEL_WIDTH = 25.0
 DEFAULT_RIDGE_LAMBDA = 1e-3
 DISTANCE_SCALE = 100.0  # cosine distances are scaled to percent before the kernel
-LIME_CHUNK = 20  # perturbations per encoder forward; memory grows with chunk size x width
+# Positions (rows x batch width) per perturbation forward, one row at least;
+# a forward's memory grows with its positions x batch width.
+LIME_POSITIONS = 640
 
 
 def accumulate_attention(attention: np.ndarray, layout: TokenizedSentence) -> np.ndarray:
@@ -81,14 +87,17 @@ def lime_explain(
 
     predict_fn receives the (n_samples, n_words) boolean keep-masks of all
     perturbations in draw order (callers holding word-aligned features need
-    the indices, not just the kept words; `keep_words` turns a row into a
-    layout) and returns n_samples finite probabilities of the class being
-    explained, one per row; anything else raises ValidationError. Each word
-    is kept independently with p=0.5; all-removed draws are redrawn, so the
-    rows are the first n_samples draws that keep a word.
+    the indices, not just the kept words; `model.word_selections` turns rows
+    into a batch) and returns n_samples finite probabilities of the class
+    being explained, one per row; anything else raises ValidationError.
+    Each word is kept independently with p=0.5; all-removed draws are
+    redrawn, so the rows are the first n_samples draws that keep a word.
     Sample weight = exp(-(100 * D)^2 / width^2) with D the cosine distance
     between the keep-mask and the full sentence. The kernel width must be
-    finite and > 0, the ridge lambda finite and >= 0 (ValidationError).
+    finite and > 0, the ridge lambda finite and >= 0 (ValidationError). A
+    width so narrow that no sample weight is positive (each underflows to 0
+    when no sample keeps every word; a width whose square underflows gives
+    NaN) is a NumericError, raised before predict_fn runs.
     """
     if n_words < 1:
         raise ValidationError("cannot explain an empty sentence")
@@ -107,15 +116,19 @@ def lime_explain(
         draws = rng.random((n_samples - len(kept), n_words)) < 0.5
         kept = np.concatenate([kept, draws[draws.any(axis=1)]])
     masks = kept.astype(np.float64)
+    # Cosine distance to the all-ones mask; no mask is all zeros.
+    distances = 1.0 - np.sqrt(masks.sum(axis=1) / n_words)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a width whose square is 0 gives NaN
+        weights = np.exp(-((DISTANCE_SCALE * distances) ** 2) / kernel_width**2)
+    if not (weights > 0).any():
+        raise NumericError(f"kernel width {kernel_width!r} leaves none of the {n_samples} "
+                           f"perturbations a positive weight; use a wider kernel")
 
     targets = np.asarray(predict_fn(kept), dtype=np.float64)
     if targets.shape != (n_samples,) or not np.isfinite(targets).all():
         raise ValidationError(
             f"predict_fn must return {n_samples} finite probabilities, got shape "
             f"{targets.shape} with {int((~np.isfinite(targets)).sum())} non-finite")
-    # Cosine distance to the all-ones mask; no mask is all zeros.
-    distances = 1.0 - np.sqrt(masks.sum(axis=1) / n_words)
-    weights = np.exp(-((DISTANCE_SCALE * distances) ** 2) / kernel_width**2)
     return weighted_ridge(masks, targets, weights, ridge_lambda)
 
 
@@ -187,19 +200,6 @@ class ExplanationReport:
         return list(zip(self.words, self.attention[1:-1].tolist(), self.lime.tolist()))
 
 
-def keep_words(layout: TokenizedSentence, keep_mask: np.ndarray) -> TokenizedSentence:
-    """The layout with only the kept content words, still between CLS and SEP.
-
-    keep_mask has one entry per content word. Each kept word keeps its
-    record index in `words`, so build_batch gives it its own eye/EEG features.
-    """
-    idx = np.flatnonzero(keep_mask)
-    ids = np.empty(len(idx) + 2, dtype=layout.ids.dtype)
-    ids[0], ids[-1] = layout.ids[0], layout.ids[-1]
-    ids[1:-1] = layout.ids[idx + 1]
-    return TokenizedSentence(ids, layout.words[idx], layout.max_len)
-
-
 def class_probability(logits: np.ndarray, class_idx: int) -> np.ndarray:
     """Softmax probability of class_idx in every row of the (S, C) logits."""
     if np.isnan(logits).any():
@@ -220,15 +220,16 @@ def explain_sentence(
 ) -> ExplanationReport:
     """Attention and LIME explanations of the model's predicted class for one sentence.
 
-    The sentence is encoded once. A LIME perturbation is `keep_words` of that
-    layout, so it drops words together with their aligned eye/EEG features
-    (build_batch reads them from the same record); the sentence EEG vector
-    is kept whole. The full sentence runs alone, the perturbations in
-    batches of LIME_CHUNK: 1 + ceil(n_samples / LIME_CHUNK) forwards. The
-    perturbations are batched in order of kept-word count (a stable sort),
-    so a batch pads only to its own longest perturbation, and their
+    The sentence is encoded once and its one-row batch built once. A LIME
+    perturbation is a word selection of that row (`model.word_selections`),
+    so it drops words together with their aligned eye/EEG features; the
+    sentence EEG vector is kept whole. The full sentence runs alone. The
+    perturbations are sorted by kept-word count (a stable sort), and each
+    forward takes the next ones that share one batch width, up to
+    LIME_POSITIONS positions (rows x width) and one row at least; their
     probabilities are returned in draw order. A record with no words is a
-    DataError.
+    DataError; a LIME NumericError (a kernel too narrow for every sample)
+    is raised again naming the sentence.
     """
     cfg = params.cfg
     rec = db.get(sentence_id)
@@ -236,24 +237,31 @@ def explain_sentence(
         raise DataError(f"feature record {sentence_id} has no words to explain")
     layout = encode(rec.tokens, vocab, cfg.max_len)
     words = rec.tokens[: layout.word_count]
-    full = Example(sentence_id, layout, rec.label)
-    result = encoder_forward(params, build_batch([full], cfg, db), attention=True)
+    row = build_batch([Example(sentence_id, layout, rec.label)], cfg, db)
+    result = encoder_forward(params, row, attention=True)
     predicted = int(result.predictions()[0])
     attention = accumulate_attention(result.attention[0], layout)
 
     def predict_fn(keep_masks: np.ndarray) -> np.ndarray:
-        # Chunks of similar length pad to the narrowest width that fits them.
-        order = np.argsort(keep_masks.sum(axis=1), kind="stable")
+        kept = keep_masks.sum(axis=1)
+        order = np.argsort(kept, kind="stable")
+        widths = batch_width(kept[order] + 2, cfg.max_len)  # non-decreasing
         probs = np.empty(len(keep_masks))
-        for start in range(0, len(order), LIME_CHUNK):
-            rows = order[start:start + LIME_CHUNK]
-            chunk = [Example(sentence_id, keep_words(layout, keep_masks[r]), rec.label)
-                     for r in rows]
-            batch = build_batch(chunk, cfg, db)
+        start = 0
+        while start < len(order):
+            width = widths[start]
+            stop = min(int(np.searchsorted(widths, width, side="right")),
+                       start + max(1, LIME_POSITIONS // int(width)))
+            rows = order[start:stop]
+            batch = word_selections(row, keep_masks[rows], cfg)
             logits = encoder_forward(params, batch, attention=False).logits.value
             probs[rows] = class_probability(logits, predicted)
+            start = stop
         return probs
 
-    lime = lime_explain(predict_fn, len(words), n_samples=n_samples, kernel_width=kernel_width,
-                        ridge_lambda=ridge_lambda, seed=seed)
+    try:
+        lime = lime_explain(predict_fn, len(words), n_samples=n_samples,
+                            kernel_width=kernel_width, ridge_lambda=ridge_lambda, seed=seed)
+    except NumericError as exc:
+        raise NumericError(f"sentence {sentence_id}: {exc}") from exc
     return ExplanationReport(sentence_id, predicted, words, attention, lime, k)

@@ -20,9 +20,12 @@ only. The tape ops take the `Parameter`s directly as graph leaves, and
 backward accumulates into their `grad`. `gradcheck_mode` checks one mode's
 full backward pass against central differences.
 
-Sentences carry only their real tokens (CLS + words + SEP); `build_batch`
-alone pads. A batch runs at its own width T, not at max_len: the longest
-real row rounded up to a multiple of WIDTH_MULTIPLE. Padding keys carry a
+Sentences carry only their real tokens (CLS + words + SEP); batches pad.
+A batch runs at its own width T, not at max_len: the longest real row
+rounded up to a multiple of WIDTH_MULTIPLE (`batch_width`). `build_batch`
+builds a batch of sentences; `word_selections` builds the batch of a
+sentence's LIME perturbations by gathering positions from that sentence's
+own batch row, under the same width rule and padding. Padding keys carry a
 -10000 additive mask, so their attention weights are exactly zero in
 float64 and a wider batch could not change any real row.
 
@@ -376,8 +379,8 @@ def init_params(cfg: ModelConfig, source: str = "random", seed: int = 0) -> Enco
 class Example:
     """A tokenized sentence with the id of its feature record and its label.
 
-    The id names the record whose features build_batch reads at
-    sentence.words; the sentence may keep any subset of the record's words.
+    The id names the record whose first sentence.word_count words build_batch
+    reads the features of.
     """
 
     sentence_id: str
@@ -389,11 +392,11 @@ class Example:
 class Batch:
     """Model-ready arrays for a batch of tokenized sentences.
 
-    T is the batch width chosen by build_batch (at most max_len); every
-    position array has it as its second axis. `tokens` maps each of the
-    mode's token tables (ModelConfig.token_tables) to its (B, T) int
-    cognitive tokens and holds no other key. Positions beyond a sentence's
-    real row hold PAD_ID, a MASK_SUPPRESS mask and cognitive token 0.
+    T is the batch width (batch_width, at most max_len); every position
+    array has it as its second axis. `tokens` maps each of the mode's token
+    tables (ModelConfig.token_tables) to its (B, T) int cognitive tokens and
+    holds no other key. Positions beyond a sentence's real row hold PAD_ID,
+    a MASK_SUPPRESS mask and cognitive token 0.
     """
 
     ids: np.ndarray              # (B, T) int token ids
@@ -403,17 +406,31 @@ class Batch:
     labels: np.ndarray           # (B,) int class labels
 
 
+def batch_width(longest, max_len: int):
+    """The width T of a batch whose longest real row has `longest` positions:
+    rounded up to a multiple of WIDTH_MULTIPLE, capped at max_len. longest may
+    be an int array, giving one width per entry."""
+    return np.minimum(max_len, -(-longest // WIDTH_MULTIPLE) * WIDTH_MULTIPLE)
+
+
+def _fill(n: int, t: int, cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
+    """(n, t) ids, masks and mode token arrays holding only padding: PAD_ID,
+    MASK_SUPPRESS and cognitive token 0."""
+    return (np.full((n, t), PAD_ID, dtype=np.int64),
+            np.full((n, t), MASK_SUPPRESS, dtype=np.float64),
+            {table: np.zeros((n, t), dtype=np.int64) for table in cfg.token_tables})
+
+
 def build_batch(examples: list[Example], cfg: ModelConfig, db: FeatureDb | None = None) -> Batch:
     """Pad the examples' sentences into ids, masks, per-mode feature arrays and labels.
 
-    Every array is as wide as the batch width T: the longest sentence
-    (len(ids) = word_count + 2) rounded up to a multiple of WIDTH_MULTIPLE,
-    capped at max_len. Each sentence fills the first len(ids) positions of
-    its row; the rest is PAD_ID with a MASK_SUPPRESS mask. Each of the mode's
-    token tables x gets a (B, T) array from the record field `x_tokens`: CLS,
-    SEP, and PAD positions carry cognitive token 0 (no measurement exists for
-    them); content position j + 1 takes the value of record word
-    sentence.words[j].
+    Every array is batch_width of the longest sentence (len(ids) =
+    word_count + 2) wide. Each sentence fills the first len(ids) positions
+    of its row; the rest is PAD_ID with a MASK_SUPPRESS mask. Each of the
+    mode's token tables x gets a (B, T) array from the record field
+    `x_tokens`: CLS, SEP, and PAD positions carry cognitive token 0 (no
+    measurement exists for them); content position j + 1 takes the value
+    of record word j.
     """
     if cfg.needs_features and db is None:
         raise ValidationError(f"mode {cfg.mode!r} requires a feature database")
@@ -423,10 +440,8 @@ def build_batch(examples: list[Example], cfg: ModelConfig, db: FeatureDb | None 
             raise ValidationError(
                 f"sentence max_len {ex.sentence.max_len} != model max_len {cfg.max_len}")
     longest = max((len(ex.sentence.ids) for ex in examples), default=0)
-    n, t = len(examples), min(cfg.max_len, -(-longest // WIDTH_MULTIPLE) * WIDTH_MULTIPLE)
-    ids = np.full((n, t), PAD_ID, dtype=np.int64)
-    masks = np.full((n, t), MASK_SUPPRESS, dtype=np.float64)
-    tokens = {table: np.zeros((n, t), dtype=np.int64) for table in cfg.token_tables}
+    n, t = len(examples), batch_width(longest, cfg.max_len)
+    ids, masks, tokens = _fill(n, t, cfg)
     sent = np.zeros((n, cfg.eeg_channels)) if cfg.uses_sentence_eeg else None
 
     for i, ex in enumerate(examples):
@@ -436,17 +451,17 @@ def build_batch(examples: list[Example], cfg: ModelConfig, db: FeatureDb | None 
         masks[i, real] = MASK_KEEP
         if cfg.needs_features:
             rec = db.get(ex.sentence_id)
-            last = int(ts.words.max(initial=-1))
-            if last >= len(rec.tokens):
+            words = ts.word_count
+            if words > len(rec.tokens):
                 raise ValidationError(
                     f"{rec.sentence_id}: record covers {len(rec.tokens)} words, "
-                    f"sentence reads word {last}"
+                    f"sentence reads word {words - 1}"
                 )
-            content = slice(1, 1 + ts.word_count)
+            content = slice(1, 1 + words)
             if cfg.mode == "cog_mask":
-                masks[i, real] = cognitive_mask(rec.n_fixations[ts.words], ts)
+                masks[i, real] = cognitive_mask(rec.n_fixations[:words], ts)
             for table, values in tokens.items():
-                values[i, content] = getattr(rec, f"{table}_tokens")[ts.words]
+                values[i, content] = getattr(rec, f"{table}_tokens")[:words]
             if sent is not None:
                 if rec.sentence_eeg.shape != (cfg.eeg_channels,):
                     raise ValidationError(
@@ -461,6 +476,40 @@ def build_batch(examples: list[Example], cfg: ModelConfig, db: FeatureDb | None 
         tokens=tokens,
         sent_eeg=sent,
         labels=np.array([ex.label for ex in examples], dtype=np.int64),
+    )
+
+
+def word_selections(row: Batch, keep: np.ndarray, cfg: ModelConfig) -> Batch:
+    """A batch of word selections of the one sentence in `row`.
+
+    row is build_batch of that sentence alone; keep is (R, word_count) bool.
+    Row r holds CLS, the words keep[r] marks, in order, and SEP, padded to
+    batch_width of the longest selection. Every position array is gathered
+    from row's columns, which hold per-position values (ids, the cog_mask
+    fixation mask, the cognitive tokens), and the sentence EEG vector and
+    label are repeated, so the result equals build_batch of the selections
+    as sentences with records of their own.
+    """
+    n_rows, n_words = keep.shape
+    if row.ids.shape[0] != 1 or n_words != int((row.ids[0] != PAD_ID).sum()) - 2:
+        raise ValidationError(f"word selections need one sentence's batch row with {n_words} "
+                              f"words, got a batch of shape {row.ids.shape}")
+    picked = np.ones((n_rows, n_words + 2), dtype=bool)  # CLS and SEP stay
+    picked[:, 1:-1] = keep
+    lengths = picked.sum(axis=1)
+    ids, masks, tokens = _fill(n_rows, batch_width(lengths.max(), cfg.max_len), cfg)
+    real = np.arange(ids.shape[1]) < lengths[:, None]
+    cols = np.nonzero(picked)[1]  # row-major, as real's positions are
+    ids[real] = row.ids[0, cols]
+    masks[real] = row.masks[0, cols]
+    for table, values in tokens.items():
+        values[real] = row.tokens[table][0, cols]
+    return Batch(
+        ids=ids,
+        masks=masks,
+        tokens=tokens,
+        sent_eeg=None if row.sent_eeg is None else np.repeat(row.sent_eeg, n_rows, axis=0),
+        labels=np.repeat(row.labels, n_rows),
     )
 
 
@@ -654,7 +703,7 @@ def encoder_forward(
     train is True; at dropout 0 both kinds give bit-identical results.
 
     attention=False asks for the logits only, as training, `gradcheck_mode`,
-    `training.evaluate` and the LIME perturbation chunks do;
+    `training.evaluate` and the LIME perturbation forwards do;
     `explain_sentence`'s full-sentence forward asks for the attention maps
     it accumulates. The result's `attention` is then None, and each layer
     writes its probabilities into an array of its own instead of a slice of

@@ -102,21 +102,19 @@ def build_vocab(corpus: list[list[str]]) -> Vocab:
 class TokenizedSentence:
     """Id sequence [CLS] words... [SEP], with no padding.
 
-    words[j] is the index, in the sentence's feature record, of the word at
-    content position j + 1: `encode` keeps a prefix (0, 1, ...), a LIME
-    perturbation keeps any increasing subset. build_batch reads each
-    position's features at that index. max_len is the position budget the
-    words were truncated to; build_batch pads to the batch width.
+    The words are the first word_count words of the sentence's feature
+    record, whose features build_batch reads at the same indices. max_len is
+    the position budget the words were truncated to; build_batch pads to the
+    batch width.
     """
 
     ids: np.ndarray
-    words: np.ndarray
     max_len: int
 
     @property
     def word_count(self) -> int:
         """Number of content tokens (excludes CLS and SEP)."""
-        return len(self.words)
+        return len(self.ids) - 2
 
     def real_positions(self) -> range:
         """Every position (CLS, words and SEP)."""
@@ -131,4 +129,4 @@ def encode(words: list[str], vocab: Vocab, max_len: int = 64) -> TokenizedSenten
         log.warning("truncating %d word(s) to fit max_len=%d", len(words) - capacity, max_len)
         words = words[:capacity]
     ids = np.array([CLS_ID, *(vocab.id_of(w) for w in words), SEP_ID], dtype=np.int64)
-    return TokenizedSentence(ids=ids, words=np.arange(len(words)), max_len=max_len)
+    return TokenizedSentence(ids=ids, max_len=max_len)

@@ -335,6 +335,20 @@ class TestExplain:
             assert captured.err == f"error: {message}\n", captured.err
             assert captured.out == "" and not out.exists(), extra
 
+    def test_kernel_too_narrow_for_every_sample_exits_1_writing_nothing(self, trained_dir,
+                                                                         synth_dir, tmp_path,
+                                                                         capsys):
+        """s0005 keeps 13 words and none of its 60 samples at seed 7 keeps 12 or 13 of
+        them, so every sample weight underflows to 0 at width 0.25 (no NaN scores)."""
+        out = tmp_path / "e"
+        argv = self.explain_args(trained_dir, synth_dir, out, "s0000,s0005")
+        rc = cli_main(argv + ["--kernel-width", "0.25"])
+        captured = capsys.readouterr()
+        assert rc == 1, f"exit {rc}: {captured.err}"
+        assert captured.err == ("error: sentence s0005: kernel width 0.25 leaves none of the "
+                                "60 perturbations a positive weight; use a wider kernel\n")
+        assert captured.out == "" and not out.exists()
+
     def test_empty_record_after_a_valid_id_exits_3_writing_nothing(self, trained_dir, synth_dir,
                                                                     tmp_path, capsys):
         objs = [json.loads(line) for line in (synth_dir / "features.jsonl").read_text().splitlines()]

@@ -98,3 +98,7 @@ def test_script_covers_every_mode_and_command(tmp_path):
                            .read_text())
     assert generator["max_words"] + 2 == model["max_len"] == 64
     assert train_cfg["batch_size"] * model["max_len"] == 512
+    # Its checkpoint explains sentences of that corpus, under the LIME position budget.
+    out = long_runs[0][long_runs[0].index("--out") + 1]
+    assert any(args[0] == "explain" and args[args.index("--checkpoint") + 1].startswith(out + "/")
+               and args[args.index("--features") + 1] == features for args in script)

@@ -1,7 +1,8 @@
 """Explanation pipelines: accumulation against a triple-loop oracle, keyword
 ranking rules, surrogate fidelity against exhaustive enumeration, LIME
-perturbation batches against a per-sample record oracle, chunked LIME
-forwards against one-at-a-time forwards, agreement, the explain file formats."""
+perturbation batches against a per-sample record oracle, LIME forwards under
+the position budget against one-at-a-time forwards, agreement, the explain
+file formats."""
 
 import json
 import math
@@ -10,19 +11,19 @@ import numpy as np
 import pytest
 
 from cogbert import explain
-from cogbert.errors import ValidationError
+from cogbert.errors import NumericError, ValidationError
 from cogbert.explain import (
     DISTANCE_SCALE,
     ExplanationReport,
     accumulate_attention,
     explain_sentence,
-    keep_words,
     lime_explain,
     top_k,
     weighted_ridge,
 )
 from cogbert.features import CognitiveRecord, FeatureDb
-from cogbert.model import MODES, Example, ModelConfig, build_batch, random_params
+from cogbert.model import (MODES, Example, ModelConfig, batch_width, build_batch,
+                           random_params, word_selections)
 from cogbert.numerics.rng import SeededRng
 from cogbert.tokenizer import build_vocab, encode
 
@@ -176,6 +177,24 @@ class TestLime:
         oracle = exhaustive_surrogate(teacher_on_mask, words, 25.0, 1e-3)
         assert int(np.argmax(oracle)) == 3
 
+    def test_kernel_too_narrow_for_every_sample_is_a_numeric_error(self, recwarn):
+        """No sample keeps all 9 words at seed 2, so at width 1e-3 every weight
+        underflows to 0. At 1e-200 the width's square is 0, and the 2-word
+        samples that keep both words get NaN. The error comes before any
+        prediction, with no numpy warning."""
+        calls = []
+        for n_words, width in ((9, 1e-3), (2, 1e-200)):
+            with pytest.raises(NumericError, match=rf"^kernel width {width!r} leaves none of the "
+                                                   r"30 perturbations a positive weight; use a "
+                                                   r"wider kernel$"):
+                lime_explain(lambda masks: calls.append(masks) or np.zeros(len(masks)), n_words,
+                             n_samples=30, kernel_width=width, seed=2)
+        assert calls == [] and len(recwarn) == 0
+        # A sample that keeps every word has weight 1 at any width whose square is > 0.
+        scores = lime_explain(lambda masks: masks.mean(axis=1), 2, n_samples=30,
+                              kernel_width=1e-3, seed=2)
+        assert np.isfinite(scores).all()
+
     def test_same_seed_identical_coefficients(self):
         def predict(masks):
             return masks.mean(axis=1)
@@ -221,7 +240,7 @@ class TestLime:
 
 
 class TestPerturbationBatch:
-    """A perturbation is keep_words of the sentence's layout, read against its one record."""
+    """word_selections of a sentence's batch row, against a per-sample record oracle."""
 
     BATCH_FIELDS = ("ids", "masks", "sent_eeg", "labels")
 
@@ -236,61 +255,96 @@ class TestPerturbationBatch:
         )
 
     @staticmethod
-    def per_sample_batch(rec, keep_mask, cfg):
-        """Oracle: a sub-record of the kept words, encoded afresh, in a one-record db."""
-        idx = np.flatnonzero(keep_mask)
-        sub = CognitiveRecord(
-            sentence_id=rec.sentence_id, tokens=[rec.tokens[i] for i in idx], label=rec.label,
-            n_fixations=rec.n_fixations[idx], eye_tokens=rec.eye_tokens[idx],
-            eeg_tokens=rec.eeg_tokens[idx], sentence_eeg=rec.sentence_eeg,
-        )
-        example = Example(sub.sentence_id, encode(sub.tokens, VOCAB, cfg.max_len), sub.label)
-        return build_batch([example], cfg, FeatureDb([sub]))
+    def per_sample_batch(rec, keep_masks, cfg):
+        """Oracle: per row, a sub-record of the kept words, encoded afresh, all in one batch."""
+        subs = []
+        for r, keep in enumerate(keep_masks):
+            idx = np.flatnonzero(keep)
+            subs.append(CognitiveRecord(
+                sentence_id=f"{rec.sentence_id}/{r}", tokens=[rec.tokens[i] for i in idx],
+                label=rec.label, n_fixations=rec.n_fixations[idx], eye_tokens=rec.eye_tokens[idx],
+                eeg_tokens=rec.eeg_tokens[idx], sentence_eeg=rec.sentence_eeg,
+            ))
+        examples = [Example(sub.sentence_id, encode(sub.tokens, VOCAB, cfg.max_len), sub.label)
+                    for sub in subs]
+        return build_batch(examples, cfg, FeatureDb(subs))
+
+    def assert_batches_equal(self, got, want, context):
+        for name in self.BATCH_FIELDS:
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a is None) == (b is None), (context, name)
+            if a is not None:
+                assert a.dtype == b.dtype and np.array_equal(a, b), (context, name)
+        assert got.tokens.keys() == want.tokens.keys(), context
+        for table, a in got.tokens.items():
+            b = want.tokens[table]
+            assert a.dtype == b.dtype and np.array_equal(a, b), (context, table)
 
     def test_matches_per_sample_record_path(self):
         rng = np.random.default_rng(21)
-        rec = self.record(rng, WORDS10[:8] + ["zz"])  # "zz" is out of vocabulary
-        db = FeatureDb([rec])
-        for max_len in (12, 8):  # 9 words fit at 12; at 8 the layout keeps the first 6
-            for mode in MODES:
-                cfg = ModelConfig(vocab_size=120, n_classes=4, max_len=max_len, eeg_channels=4,
-                                  mode=mode)
+        records = {
+            "9 words": self.record(rng, WORDS10[:8] + ["zz"]),  # "zz" is out of vocabulary
+            "11 words": self.record(rng, WORDS10 + ["zz"]),
+            "1 word": self.record(rng, ["cc"]),
+        }
+        # At max_len 12, 9 words fit and 11 are truncated to 10 = max_len - 2, so
+        # the selections keeping 7 or more words are capped at width 12; at 8 the
+        # layouts keep their first 6 words.
+        for name, rec in records.items():
+            db = FeatureDb([rec])
+            for max_len in (12, 8):
                 layout = encode(rec.tokens, VOCAB, max_len)
-                for _ in range(25):
-                    keep = rng.random(layout.word_count) < 0.5
-                    if not keep.any():
-                        continue
-                    sub = keep_words(layout, keep)
-                    got = build_batch([Example("s", sub, rec.label)], cfg, db)
-                    want = self.per_sample_batch(rec, keep, cfg)
-                    for field in self.BATCH_FIELDS:
-                        a, b = getattr(got, field), getattr(want, field)
-                        assert (a is None) == (b is None), (mode, field)
-                        if a is not None:
-                            assert a.dtype == b.dtype and np.array_equal(a, b), (mode, field)
-                    assert got.tokens.keys() == want.tokens.keys(), mode
-                    for table, a in got.tokens.items():
-                        b = want.tokens[table]
-                        assert a.dtype == b.dtype and np.array_equal(a, b), (mode, table)
+                for mode in MODES:
+                    cfg = ModelConfig(vocab_size=120, n_classes=4, max_len=max_len,
+                                      eeg_channels=4, mode=mode)
+                    row = build_batch([Example("s", layout, rec.label)], cfg, db)
+                    keep = rng.random((40, layout.word_count)) < 0.5
+                    keep = np.vstack([keep[keep.any(axis=1)], np.ones(layout.word_count, bool)])
+                    context = (name, max_len, mode)
+                    got = word_selections(row, keep, cfg)
+                    self.assert_batches_equal(got, self.per_sample_batch(rec, keep, cfg), context)
+                    assert got.ids.shape[1] == batch_width(layout.word_count + 2, max_len)
+                    for r in range(0, len(keep), 7):  # one row at a time: its own width
+                        self.assert_batches_equal(word_selections(row, keep[r:r + 1], cfg),
+                                                  self.per_sample_batch(rec, keep[r:r + 1], cfg),
+                                                  (*context, r))
 
     def test_selection_keeps_record_indices(self):
+        rng = np.random.default_rng(5)
+        rec = self.record(rng, WORDS10[:5])
+        cfg = ModelConfig(vocab_size=120, n_classes=4, max_len=12, eeg_channels=4,
+                          mode="both_embed")
+        layout = encode(rec.tokens, VOCAB, cfg.max_len)
+        row = build_batch([Example("s", layout, rec.label)], cfg, FeatureDb([rec]))
+        keep = np.array([[False, True, False, True, True], [True] * 5])
+        got = word_selections(row, keep, cfg)
+        assert got.ids.shape == (2, 8)
+        assert got.ids[0].tolist() == [*layout.ids[[0, 2, 4, 5, 6]], 0, 0, 0]
+        assert got.ids[1, :7].tolist() == layout.ids.tolist()
+        for table in ("eeg", "eye"):
+            values = getattr(rec, f"{table}_tokens")
+            assert got.tokens[table][0].tolist() == [0, *values[[1, 3, 4]], 0, 0, 0, 0]
+            assert got.tokens[table][1].tolist() == [0, *values, 0, 0]
+
+    def test_row_must_be_the_sentence_alone(self):
+        cfg = ModelConfig(vocab_size=120, n_classes=4, max_len=12, eeg_channels=4)
         layout = layout_for(5)
-        sub = keep_words(layout, np.array([False, True, False, True, True]))
-        assert sub.ids.tolist() == [layout.ids[0], *layout.ids[[2, 4, 5]], layout.ids[-1]]
-        assert sub.words.tolist() == [1, 3, 4] and sub.max_len == layout.max_len
-        whole = keep_words(layout, np.ones(5, dtype=bool))
-        assert whole.ids.tolist() == layout.ids.tolist()
-        assert whole.words.tolist() == layout.words.tolist()
+        row = build_batch([Example("s", layout, 0)], cfg)
+        with pytest.raises(ValidationError, match="with 4 words"):
+            word_selections(row, np.ones((2, 4), dtype=bool), cfg)
+        two = build_batch([Example("s", layout, 0)] * 2, cfg)
+        with pytest.raises(ValidationError, match=r"shape \(2, 8\)"):
+            word_selections(two, np.ones((2, 5), dtype=bool), cfg)
 
 
 class TestChunkedLime:
-    """LIME runs its perturbations LIME_CHUNK at a time, with one-at-a-time results."""
+    """LIME runs its perturbations under the LIME_POSITIONS budget, with one-at-a-time results."""
 
     WORDS = WORDS10[:8] + ["zz"]  # "zz" is out of vocabulary
 
-    def model_and_db(self, mode, max_len, seed=31):
+    def model_and_db(self, mode, max_len, seed=31, words=WORDS):
         rng = np.random.default_rng(seed)
-        rec = TestPerturbationBatch.record(rng, self.WORDS)
+        rec = TestPerturbationBatch.record(rng, words)
         cfg = ModelConfig(vocab_size=120, n_classes=4, layers=2, heads=2, d_model=16, d_ff=32,
                           max_len=max_len, eeg_channels=4, dropout=0.0, mode=mode)
         params = random_params(cfg, seed)
@@ -299,19 +353,19 @@ class TestChunkedLime:
         return params, FeatureDb([rec])
 
     def test_reports_equal_at_chunk_one_and_default(self, monkeypatch):
-        default = explain.LIME_CHUNK
+        default = explain.LIME_POSITIONS
         for max_len in (64, 8):  # 9 words fit at 64; at 8 the layout keeps the first 6
             for mode in MODES:
                 params, db = self.model_and_db(mode, max_len)
                 reports = []
-                for chunk in (1, default):  # 50 samples leave a partial last chunk
-                    monkeypatch.setattr(explain, "LIME_CHUNK", chunk)
+                for budget in (1, default):  # 1: one perturbation per forward
+                    monkeypatch.setattr(explain, "LIME_POSITIONS", budget)
                     reports.append(explain_sentence(params, db, VOCAB, "s", k=3, n_samples=50,
                                                     seed=4).to_dict())
                 assert reports[0] == reports[1], (mode, max_len)
                 assert len({s["score"] for s in reports[0]["lime_scores"]}) > 1, (mode, max_len)
 
-    def test_forward_count(self, monkeypatch):
+    def count_forwards(self, monkeypatch, params, db, n_samples):
         calls = []
         forward = explain.encoder_forward
 
@@ -320,13 +374,35 @@ class TestChunkedLime:
             return forward(params, batch, *args, **kwargs)
 
         monkeypatch.setattr(explain, "encoder_forward", counting_forward)
+        explain_sentence(params, db, VOCAB, "s", n_samples=n_samples)
+        return calls
+
+    def test_forward_count(self, monkeypatch):
+        long_words = [WORDS10[i % 10] for i in range(40)]
+        for words, max_len, budget in ((self.WORDS, 64, explain.LIME_POSITIONS),
+                                       (long_words, 64, explain.LIME_POSITIONS),
+                                       (long_words, 64, 100), (long_words, 24, 100),
+                                       (long_words, 24, 20)):  # 20: one row per forward
+            monkeypatch.setattr(explain, "LIME_POSITIONS", budget)
+            params, db = self.model_and_db("eeg_embed", max_len, words=words)
+            calls = self.count_forwards(monkeypatch, params, db, n_samples=200)
+            monkeypatch.undo()
+            sizes, widths = [b for b, _ in calls], [t for _, t in calls]
+            n_words = min(len(words), max_len - 2)
+            assert sizes[0] == 1 and widths[0] == batch_width(n_words + 2, max_len)
+            assert sum(sizes[1:]) == 200
+            assert widths[1:] == sorted(widths[1:])  # shortest first
+            for b, t in calls[1:]:
+                assert b * t <= budget or b == 1, (len(words), budget, b, t)
+            # A width is split into forwards only where the budget runs out.
+            for (b, t), (_, t_next) in zip(calls[1:], calls[2:]):
+                assert t != t_next or (b + 1) * t > budget, (len(words), budget, b, t)
+        # The whole 9-word sentence runs at width 16, its perturbations at widths
+        # 8 (80 rows a forward) and 16 (40 rows): 5 forwards instead of 1 + 200.
         params, db = self.model_and_db("eeg_embed", 64)
-        explain_sentence(params, db, VOCAB, "s", n_samples=200)
-        sizes, widths = [b for b, _ in calls], [t for _, t in calls]
-        assert len(calls) == 1 + math.ceil(200 / explain.LIME_CHUNK)
-        assert sizes[0] == 1 and sum(sizes[1:]) == 200
-        # 11 positions for the whole 9-word sentence; chunks run shortest first
-        assert widths[0] == 16 and widths[1] == 8 and widths[1:] == sorted(widths[1:])
+        calls = self.count_forwards(monkeypatch, params, db, n_samples=200)
+        assert [t for _, t in calls] == [16, 8, 8, 8, 16]
+        assert [b for b, _ in calls[1:3]] == [80, 80]
 
     def test_masks_match_a_row_by_row_draw(self):
         """One draw of all rows, redrawing the all-removed ones, gives the masks

@@ -22,7 +22,10 @@ process with one BLAS thread:
   and lexicon build over that corpus. Training on a long-sentence synth corpus
   (48-62 words) at max_len 64, batch 8, d_model 32 and d_ff 64, in eeg_embed
   for 1 repeat x 1 epoch: each full batch has B*T = 512 rows, where the BLAS
-  blocks the feed-forward weight gradients' sums over rows.
+  blocks the feed-forward weight gradients' sums over rows; then explain two
+  of those sentences with that checkpoint (200 samples), whose perturbations
+  fill widths 24-48, so the LIME position budget splits a width's
+  perturbations over several forwards.
   The config paths: synth --print-config with a generator config file, train
   --print-config with --robustness and with --epochs and --seed over a train
   config, and a fine-tuning train whose train config's init_source is an
@@ -120,6 +123,9 @@ def script() -> list[tuple[str, list[str]]]:
         ("train-long", ["train", "--features", "data-long/features.jsonl", "--config",
                         "model64.json", "--mode", "eeg_embed", "--train-config", "train-long.json",
                         "--repeats", "1", "--epochs", "1", "--seed", "3", "--out", "train-long"]),
+        ("explain-long", ["explain", "--features", "data-long/features.jsonl", "--checkpoint",
+                          "train-long/model.ckpt", "--vocab", "train-long/vocab.tsv", "--ids",
+                          "s0000,s0001", "--seed", "5", "--out", "explain-long"]),
     ]
     return cmds
 
