@@ -48,6 +48,8 @@ DEFAULT_SAMPLES = 200
 DEFAULT_KERNEL_WIDTH = 25.0
 DEFAULT_RIDGE_LAMBDA = 1e-3
 DISTANCE_SCALE = 100.0  # cosine distances are scaled to percent before the kernel
+# Below this effective sample size, (sum w)^2 / sum w^2, lime_explain warns.
+MIN_EFFECTIVE_SAMPLES = 2.0
 # Positions (rows x batch width) per perturbation forward, one row at least;
 # a forward's memory grows with its positions x batch width.
 LIME_POSITIONS = 640
@@ -97,7 +99,10 @@ def lime_explain(
     finite and > 0, the ridge lambda finite and >= 0 (ValidationError). A
     width so narrow that no sample weight is positive (each underflows to 0
     when no sample keeps every word; a width whose square underflows gives
-    NaN) is a NumericError, raised before predict_fn runs.
+    NaN) is a NumericError, raised before predict_fn runs. A width that
+    leaves an effective sample size, (sum w)^2 / sum w^2, below
+    MIN_EFFECTIVE_SAMPLES logs a warning: the fit then rests on about one
+    perturbation.
     """
     if n_words < 1:
         raise ValidationError("cannot explain an empty sentence")
@@ -123,6 +128,12 @@ def lime_explain(
     if not (weights > 0).any():
         raise NumericError(f"kernel width {kernel_width!r} leaves none of the {n_samples} "
                            f"perturbations a positive weight; use a wider kernel")
+    relative = weights / weights.max()
+    effective = relative.sum() ** 2 / (relative * relative).sum()
+    if effective < MIN_EFFECTIVE_SAMPLES:
+        log.warning("lime: kernel width %r leaves an effective sample size of %.2f of %d "
+                    "perturbations; the surrogate fits about one, so its scores say little",
+                    kernel_width, effective, n_samples)
 
     targets = np.asarray(predict_fn(kept), dtype=np.float64)
     if targets.shape != (n_samples,) or not np.isfinite(targets).all():

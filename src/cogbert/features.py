@@ -9,11 +9,14 @@ map to token 0 and are the words a cognitive attention mask suppresses.
 
 A FeatureDb keyed by sentence id is the model's lookup table at train and
 eval time; its JSON-lines form is the canonical interchange format. The
-feature db and raw-corpus loaders (_load_columns) type-check all lines into
-flat arrays in one pass, check all their values at once (check_records,
-check_measurements, which a record built in code also runs) and give each
-record views into those arrays. The word-EEG lexicon approximates sentence
-EEG for corpora without recordings.
+feature db, lexicon and raw-corpus loaders decode each line as json.loads
+does (_read_jsonl). The feature db and raw-corpus loaders (_load_columns)
+type-check all lines into flat arrays in one pass and check all their
+values at once (check_records, check_measurements, which a record built in
+code also runs). A raw corpus gives each sentence views into those arrays;
+a loaded or derived FeatureDb keeps the checked arrays and cuts a record's
+views from them on its first lookup. The word-EEG lexicon approximates
+sentence EEG for corpora without recordings.
 """
 
 from __future__ import annotations
@@ -334,6 +337,20 @@ def _line_error(path: str | Path, lineno: int, obj, id_key: str, exc: Exception)
 _LINE_ERRORS = (ValueError, KeyError, TypeError, OverflowError)
 _JSON_NAMES = {list: "an array", str: "a string", int: "a number", float: "a number",
                bool: "a boolean", type(None): "null"}
+_DECODER = json.JSONDecoder()
+
+
+def _decode(line: str):
+    """json.loads(line), by one raw_decode call when that consumes the whole
+    line; any other line (whitespace, a BOM, extra data, bad JSON) goes to
+    json.loads, which parses or rejects it with its own message."""
+    try:
+        obj, end = _DECODER.raw_decode(line)
+        if end == len(line):
+            return obj
+    except ValueError:
+        pass
+    return json.loads(line)
 
 
 def _read_jsonl(path: str | Path, id_key: str, parse: Callable[[dict], object],
@@ -357,7 +374,7 @@ def _read_jsonl(path: str | Path, id_key: str, parse: Callable[[dict], object],
             continue
         obj = None
         try:
-            obj = json.loads(line)
+            obj = _decode(line)
             if type(obj) is not dict:
                 raise ValidationError(f"expected a JSON object, got {_JSON_NAMES[type(obj)]}")
             parsed = parse(obj)
@@ -420,39 +437,56 @@ def _record_columns(objs: list[dict]) -> tuple[list, list, dict[str, tuple[np.nd
     return tokens, labels, fields
 
 
-def _split_records(ids: list[str], tokens: list[list[str]], labels: list[int],
-                   fields: dict[str, tuple[np.ndarray, np.ndarray]]) -> list[CognitiveRecord]:
-    """The CognitiveRecords of flat fields that check_records has passed (at
-    least one record), each holding views into the flat arrays."""
-    bounds = fields["n_fixations"][1].tolist()
-    segments = [[vals[a:b] for a, b in zip(bounds, bounds[1:])]
-                for vals in (fields[name][0] for name in _TOKEN_FIELDS)]
-    sentence_eeg, sentence_offsets = fields["sentence_eeg"]
-    rows = sentence_eeg.reshape(len(ids), int(sentence_offsets[1]))
-    return _unchecked(CognitiveRecord, zip(ids, tokens, labels, *segments, rows))
-
-
 class FeatureDb:
-    """Immutable sentence-id -> CognitiveRecord map."""
+    """Immutable sentence-id -> CognitiveRecord map.
+
+    A db read from a file (load_jsonl) or derived from measurements
+    (derive_records) keeps the flat columns that check_records has passed,
+    and cuts a record's views into them on its first lookup; later lookups
+    return the same record.
+    """
 
     def __init__(self, records: list[CognitiveRecord]):
-        self._records = {r.sentence_id: r for r in records}
+        self._records = {r.sentence_id: r for r in records}  # the records cut so far
+        self._rows = dict.fromkeys(self._records)  # every id, in order: its row of _columns
+        self._columns: tuple = ()
+
+    @classmethod
+    def _of_columns(cls, ids: list[str], tokens: list[list[str]], labels: list[int],
+                    fields: dict[str, tuple[np.ndarray, np.ndarray]]) -> "FeatureDb":
+        """The db of flat fields that check_records has passed; no record is cut yet."""
+        db = cls([])
+        db._rows = {sid: row for row, sid in enumerate(ids)}
+        db._columns = (tokens, labels, *((fields[name][0], fields[name][1].tolist())
+                                         for name in (*_TOKEN_FIELDS, "sentence_eeg")))
+        return db
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._rows)
 
     def ids(self) -> list[str]:
-        return list(self._records)
+        return list(self._rows)
 
     def get(self, sentence_id: str) -> CognitiveRecord:
+        record = self._records.get(sentence_id)
+        return self._cut(sentence_id) if record is None else record
+
+    def _cut(self, sentence_id: str) -> CognitiveRecord:
+        """The record of sentence_id as views of the flat columns, kept for later lookups."""
         try:
-            return self._records[sentence_id]
+            row = self._rows[sentence_id]
         except KeyError:
             raise FeatureLookupError(f"no cognitive record for sentence id {sentence_id!r}") from None
+        tokens, labels, *fields = self._columns
+        record, = _unchecked(CognitiveRecord, [(
+            sentence_id, tokens[row], labels[row],
+            *(values[offsets[row]:offsets[row + 1]] for values, offsets in fields))])
+        self._records[sentence_id] = record
+        return record
 
     def save_jsonl(self, path: str | Path) -> None:
         with atomic_open(path, "w", encoding="utf-8") as fh:
-            for rec in self._records.values():
+            for rec in map(self.get, self._rows):
                 fh.write(json.dumps({
                     "id": rec.sentence_id,
                     "tokens": rec.tokens,
@@ -471,7 +505,7 @@ class FeatureDb:
             path, _record_columns,
             lambda ids, tokens, labels, fields: check_records(
                 ids, np.fromiter(map(len, tokens), np.int64, len(tokens)), fields))
-        return cls(_split_records(ids, tokens, labels, fields) if ids else [])
+        return cls._of_columns(ids, tokens, labels, fields)
 
 
 # ---------------------------------------------------------------------------
@@ -590,8 +624,8 @@ def derive_records(measurements: list[SentenceMeasurement]) -> FeatureDb:
     failure = check_records(ids, np.diff(word_offsets), fields)
     if failure is not None:
         raise ValidationError(failure[1])
-    return FeatureDb(_split_records(ids, [list(m.words) for m in measurements],
-                                    [m.label for m in measurements], fields))
+    return FeatureDb._of_columns(ids, [list(m.words) for m in measurements],
+                                 [m.label for m in measurements], fields)
 
 
 # ---------------------------------------------------------------------------

@@ -217,8 +217,7 @@ class EncoderParams:
         value_views, grad_views = self.views(self.values), self.views(self.grads)
         self._params: dict[str, Parameter] = {}
         for name, _, _, _ in spec:
-            p = self._params[name] = Parameter(name, value_views[name])
-            p.grad = grad_views[name]  # in place of the zeros Parameter made
+            self._params[name] = Parameter(name, value_views[name], grad_views[name])
 
     def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """Each tensor's slot of a buffer laid out like `values`, shaped as the tensor."""
@@ -343,18 +342,19 @@ def load_checkpoint(path: str | Path) -> EncoderParams:
         raise CheckpointError(
             f"{path}: header line {i + 1} is {have.decode('utf-8', 'backslashreplace')!r}, "
             f"the config in {sidecar} needs {need.decode('utf-8')!r}")
-    data = 8 * sum(rows * cols for _, rows, cols, _ in _param_spec(cfg))
-    if len(blob) - len(header) != data:
+    spec = _param_spec(cfg)
+    ends = np.cumsum([rows * cols for _, rows, cols, _ in spec])  # where each tensor's data ends
+    if len(blob) - len(header) != 8 * ends[-1]:
         raise CheckpointError(f"{path}: tensor data is {len(blob) - len(header)} bytes, "
-                              f"the config in {sidecar} needs {data}")
+                              f"the config in {sidecar} needs {8 * ends[-1]}")
 
-    params, offset = EncoderParams(cfg), len(header)
-    for p in params.all():  # spec order
-        value = np.frombuffer(blob, "<f8", p.value.size, offset).reshape(p.shape)
-        if not np.isfinite(value).all():
-            raise CheckpointError(f"{path}: tensor {p.name} holds non-finite values")
-        p.value[...] = value
-        offset += value.nbytes
+    values = np.frombuffer(blob, "<f8", offset=len(header))  # every tensor, in spec order
+    if not np.isfinite(values).all():
+        first = np.searchsorted(ends, np.argmin(np.isfinite(values)), side="right")
+        raise CheckpointError(f"{path}: tensor {spec[first][0]} holds non-finite values")
+    params = EncoderParams(cfg)
+    for p, end in zip(params.all(), ends.tolist()):
+        p.value[...] = values[end - p.value.size:end].reshape(p.shape)
     return params
 
 

@@ -46,8 +46,9 @@ class Node:
 class Parameter(Node):
     """A named trainable 2-D tensor: a graph leaf with a persistent gradient.
 
-    `grad` starts zeroed and `backward` adds every use's gradient into it in
-    place, so it stays the same array until `zero_grad` clears it.
+    `grad` starts zeroed (a new array, or the given zeroed buffer) and
+    `backward` adds every use's gradient into it in place, so it stays the
+    same array until `zero_grad` clears it.
 
     Inside a model's `EncoderParams`, `value` and `grad` are views into its
     flat buffers: write through them (`p.value[:] = ...`), never rebind them.
@@ -56,13 +57,13 @@ class Parameter(Node):
 
     __slots__ = ("name",)
 
-    def __init__(self, name: str, value):
+    def __init__(self, name: str, value, grad: np.ndarray | None = None):
         value = np.ascontiguousarray(value, dtype=np.float64)
         if value.ndim != 2:
             raise ShapeError(f"parameter {name!r} must be 2-D, got {value.shape}")
         super().__init__(value)
         self.name = name
-        self.grad = np.zeros_like(value)
+        self.grad = np.zeros_like(value) if grad is None else grad
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -261,9 +262,16 @@ def softmax(scores: np.ndarray) -> np.ndarray:
     return _softmax_in_place(np.array(scores, dtype=np.float64))
 
 
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """x.max(axis=-1, keepdims=True) of a non-empty last axis: the same maxima,
+    by a reduction with an initial value, which numpy runs about twice as
+    fast. Where a row's maximum is a zero, its sign may differ."""
+    return np.maximum.reduce(x, axis=-1, keepdims=True, initial=-np.inf)
+
+
 def _softmax_in_place(x: np.ndarray) -> np.ndarray:
     """Overwrite x with its softmax over the last axis and return it."""
-    x -= x.max(axis=-1, keepdims=True)
+    x -= _row_max(x)
     np.exp(x, out=x)
     x /= x.sum(axis=-1, keepdims=True)
     return x
@@ -423,7 +431,7 @@ def cross_entropy_mean(logits: Node, labels: np.ndarray) -> Node:
     lv = logits.value
     if labels.min() < 0 or labels.max() >= lv.shape[1]:
         raise IndexError(f"label out of range for {lv.shape[1]} classes")
-    shifted = lv - lv.max(axis=1, keepdims=True)
+    shifted = lv - _row_max(lv)
     lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     logp = shifted - lse
     n = lv.shape[0]

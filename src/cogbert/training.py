@@ -115,6 +115,7 @@ class Adam:
         self.v = np.zeros(n)
         self._scratch = (np.empty(n), np.empty(n))
 
+    @np.errstate(invalid="ignore", over="ignore")  # a non-finite weight fails the next loss check
     def step(self, params: EncoderParams, lr: float) -> None:
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1 ** self.t

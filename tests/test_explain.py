@@ -195,6 +195,30 @@ class TestLime:
                               kernel_width=1e-3, seed=2)
         assert np.isfinite(scores).all()
 
+    def test_kernel_that_weighs_about_one_sample_warns(self, caplog):
+        """At width 0.25 only the samples that keep all 9 words, or all but one
+        (weight ~1e-227), keep a weight: the effective sample size is 1.00, the
+        fit sees one mask and every coefficient is ~0."""
+        teacher = np.linspace(0.0, 0.9, 9)
+        with caplog.at_level("WARNING", logger="cogbert.explain"):
+            scores = lime_explain(lambda m: m @ teacher / 3, 9, n_samples=200, kernel_width=0.25,
+                                  seed=0)
+        assert np.abs(scores).max() < 1e-6
+        assert [r.getMessage() for r in caplog.records] == [
+            "lime: kernel width 0.25 leaves an effective sample size of 1.00 of 200 "
+            "perturbations; the surrogate fits about one, so its scores say little"]
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="cogbert.explain"):
+            scores = lime_explain(lambda m: m @ teacher / 3, 9, n_samples=200, seed=0)
+        assert caplog.records == [] and (np.diff(scores) > 0.03).all()  # the teacher's order
+
+    def test_default_kernel_does_not_warn(self, caplog):
+        with caplog.at_level("WARNING", logger="cogbert.explain"):
+            for n_words in range(1, 65):
+                for n_samples in (10, 200):
+                    lime_explain(lambda m: m.mean(axis=1), n_words, n_samples=n_samples, seed=0)
+        assert caplog.records == []
+
     def test_same_seed_identical_coefficients(self):
         def predict(masks):
             return masks.mean(axis=1)

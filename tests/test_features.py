@@ -536,7 +536,42 @@ class TestDeriveRecords:
             assert ((rec.eeg_tokens >= 0) & (rec.eeg_tokens <= 100)).all()
 
 
+def eager_split(objs):
+    """Reference: every record of parsed feature lines cut at once from flat arrays,
+    as (tokens, label, n_fixations, eye_tokens, eeg_tokens, sentence_eeg) by id."""
+    token_fields = ("n_fixations", "eye_tokens", "eeg_tokens")
+    bounds = np.cumsum([0, *(len(obj["tokens"]) for obj in objs)]).tolist()
+    flat = [np.array([v for obj in objs for v in obj[f]], dtype=np.int64) for f in token_fields]
+    eeg = np.array([obj["sentence_eeg"] for obj in objs], dtype=np.float64)  # (N, C)
+    return {obj["id"]: (obj["tokens"], obj["label"], *(vals[a:b] for vals in flat), eeg[i])
+            for i, (obj, a, b) in enumerate(zip(objs, bounds, bounds[1:]))}
+
+
 class TestFeatureDb:
+    def test_records_cut_on_lookup_equal_the_eager_split(self, tmp_path):
+        """A loaded or derived db cuts each record on its first lookup, in any order,
+        into views with the values, dtypes and shapes of the eager split; a second
+        lookup returns the same record."""
+        fields = ("tokens", "label", "n_fixations", "eye_tokens", "eeg_tokens", "sentence_eeg")
+        for cfg, seed in ((SynthConfig(n_sentences=40, distractors=2), 2),
+                          (SynthConfig(n_sentences=16, filler_fix_prob=0.0, eeg_channels=1), 13)):
+            meas, _, _ = synth_generate(cfg, seed)
+            path = tmp_path / f"features{seed}.jsonl"
+            derive_records(meas).save_jsonl(path)
+            want = eager_split([json.loads(line) for line in path.read_text().splitlines()])
+            for db in (FeatureDb.load_jsonl(path), derive_records(meas)):
+                assert db.ids() == list(want) and len(db) == len(want)
+                for sid in reversed(db.ids()):
+                    got = db.get(sid)
+                    assert got.sentence_id == sid and db.get(sid) is got
+                    for f, w in zip(fields, want[sid]):
+                        a = getattr(got, f)
+                        if isinstance(w, np.ndarray):
+                            assert a.dtype == w.dtype and a.shape == w.shape, (sid, f)
+                            assert np.array_equal(a, w) and a.base is not None, (sid, f)
+                        else:
+                            assert type(a) is type(w) and a == w, (sid, f)
+
     def test_missing_id_names_the_sentence(self):
         _, db, _ = synth_generate(SynthConfig(n_sentences=16), seed=5)
         with pytest.raises(FeatureLookupError, match="nope"):
@@ -644,6 +679,54 @@ class TestFirstBadLine:
     def test_value_error_before_line_that_is_not_json(self, tmp_path):
         assert self.load_error(tmp_path, {2: self.non_finite, 6: lambda obj: "{"}) == (
             "3 (id 's0002'): s0002: sentence_eeg holds non-finite values")
+
+    # Line 2 of an 8-record file, made from the file's lines, and its DataError after
+    # path:, as the parent's json.loads and checks gave it (whitespace around a line
+    # is JSON whitespace).
+    BAD_LINES = [
+        ("truncated", lambda lines: '{"id": "a", "tokens": ["x"',
+         "2: Expecting ',' delimiter: line 1 column 27 (char 26)"),
+        ("array", lambda lines: "[1, 2]", "2: expected a JSON object, got an array"),
+        ("nan_literal", lambda lines: "NaN", "2: expected a JSON object, got a number"),
+        ("bom", lambda lines: '\ufeff{"id": "a"}',
+         "2: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+        ("space_bom", lambda lines: ' \ufeff{"id": "a"}',
+         "2: Expecting value: line 1 column 2 (char 1)"),
+        ("blank", lambda lines: "   ", "2: Expecting value: line 1 column 4 (char 3)"),
+        ("leading_space", lambda lines: '  {"id": "a"}', "2 (id 'a'): missing key 'tokens'"),
+        ("trailing_tab", lambda lines: '{"id": "a"}\t', "2 (id 'a'): missing key 'tokens'"),
+        ("extra_object", lambda lines: '{"id": "a"} {"id": "b"}',
+         "2: Extra data: line 1 column 13 (char 12)"),
+        ("extra_text", lambda lines: '{"id": "a"}x', "2: Extra data: line 1 column 12 (char 11)"),
+        ("spaced_extra", lambda lines: ' {"id": "a"} 1',
+         "2: Extra data: line 1 column 14 (char 13)"),
+        ("nan_value", lambda lines: TestFirstBadLine.non_finite(json.loads(lines[1])),
+         "2 (id 's0001'): s0001: sentence_eeg holds non-finite values"),
+        ("spaced_duplicate", lambda lines: f" {lines[0]} ",
+         "2 (id 's0000'): duplicate id, first on line 1"),
+    ]
+
+    @pytest.mark.parametrize("line, message",
+                             [pytest.param(line, message, id=name) for name, line, message in BAD_LINES])
+    def test_bad_line_message(self, tmp_path, line, message):
+        _, db, _ = synth_generate(SynthConfig(n_sentences=8), seed=5)
+        path = tmp_path / "features.jsonl"
+        db.save_jsonl(path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([lines[0], line(lines), *lines[2:]]) + "\n")
+        with pytest.raises(DataError) as err:
+            FeatureDb.load_jsonl(path)
+        assert str(err.value) == f"{path}:{message}"
+
+    def test_whitespace_around_lines_is_json_whitespace(self, tmp_path):
+        _, db, _ = synth_generate(SynthConfig(n_sentences=8), seed=5)
+        path = tmp_path / "features.jsonl"
+        db.save_jsonl(path)
+        padded = tmp_path / "padded.jsonl"
+        padded.write_text("\n".join(f" \t{line}  " if i % 2 else f"{line}\t"
+                                    for i, line in enumerate(path.read_text().splitlines())) + "\n")
+        FeatureDb.load_jsonl(padded).save_jsonl(padded)
+        assert padded.read_bytes() == path.read_bytes()
 
     def test_line_that_is_not_an_object_exits_3(self, synth_dir, tmp_path, capsys):
         lexicon = tmp_path / "lexicon.jsonl"

@@ -174,6 +174,22 @@ class TestInitAndCheckpoints:
             with pytest.raises(CheckpointError, match=re.escape(message)):
                 load_checkpoint(path)
 
+    def test_first_non_finite_tensor_named(self, tmp_path):
+        """Two tensors hold a non-finite value: the error names the first in the
+        checkpoint's order, also when its bad value is its last or first entry."""
+        params = random_params(tiny_cfg(mode="both_embed"), seed=3)
+        names = params.names()
+        path = tmp_path / "model.ckpt"
+        cases = ((3, 9, (-1, -1)), (0, 1, (0, 0)), (4, len(names) - 1, (0, -1)))
+        for first, second, (row, col) in cases:  # tensor indices, and where first's bad value sits
+            bad = random_params(params.cfg, seed=3)
+            bad[names[first]].value[row, col] = np.nan
+            bad[names[second]].value[0, 0] = -np.inf
+            save_checkpoint(bad, path)
+            with pytest.raises(CheckpointError) as err:
+                load_checkpoint(path)
+            assert str(err.value) == f"{path}: tensor {names[first]} holds non-finite values"
+
     def test_init_params_dispatches_to_checkpoint(self, tmp_path):
         cfg = tiny_cfg()
         params = random_params(cfg, seed=11)

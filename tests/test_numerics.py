@@ -109,6 +109,30 @@ class TestSoftmaxRows:
         np.testing.assert_array_equal(ad.softmax(m), e / e.sum(axis=-1, keepdims=True))
         np.testing.assert_array_equal(m, before)
 
+    def test_row_max_equals_max_on_masked_scores(self):
+        """The reduction with an initial value takes the same maxima as .max, so the
+        softmax and the loss stay bit-identical, also on rows whose max is +0 or -0."""
+        rng = np.random.default_rng(9)
+        scores = rng.normal(0.0, 3.0, size=(6, 2, 9, 12))
+        scores[..., 8:] -= 10000.0  # masked keys, as attention adds them
+        scores[0, 0, :3] = -np.abs(scores[0, 0, :3])
+        scores[0, 0, 0, 5], scores[0, 0, 1, 2], scores[0, 0, 2, [1, 4]] = 0.0, -0.0, [0.0, -0.0]
+        scores[1, 1, 0, :8] = -0.0  # a row of -0 keys alone
+        scores[1, 1, 1] = -np.inf  # every key at -inf
+        want = scores.max(axis=-1, keepdims=True)
+        got = ad._row_max(scores)
+        assert got.shape == want.shape and np.array_equal(got, want)
+        assert (got[0, 0, :3] == 0).all()
+        for rows in (scores[:, :, 2:], scores[0, 0, :2], scores[1, 1, 0]):  # rows with a finite key
+            e = np.exp(rows - rows.max(axis=-1, keepdims=True))
+            np.testing.assert_array_equal(ad.softmax(rows), e / e.sum(axis=-1, keepdims=True))
+        logits = np.array([[0.0, -3.0, -1.0], [-0.0, -2.0, -0.0], [1.5, 0.2, -4.0]])
+        labels = np.array([1, 2, 0])
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        loss = ad.cross_entropy_mean(ad.const(logits), labels)
+        assert loss.value[0, 0] == -logp[np.arange(3), labels].mean()
+
 
 class TestGelu:
     def test_zero(self):

@@ -2,6 +2,7 @@
 metric math against a brute-force confusion oracle, and reproducibility."""
 
 import tracemalloc
+import warnings
 from collections import Counter
 from types import SimpleNamespace
 
@@ -254,6 +255,23 @@ class TestFlatAdam:
         for flat in (params.values, params.grads, opt.m, opt.v):
             np.testing.assert_array_equal(flat[~slots], 0.0)  # slot padding stays zero
 
+    def test_non_finite_weight_steps_without_a_warning(self):
+        """An inf weight, and an inf gradient, leave non-finite values that the next
+        loss check reports; the step itself prints no numpy warning."""
+        params = random_params(ModelConfig(vocab_size=110, n_classes=3, layers=1, heads=2,
+                                           d_model=12, d_ff=20, max_len=10, eeg_channels=5), seed=4)
+        params["embed.word"].value[7] = np.inf
+        params["embed.word"].grad[7] = 1.0
+        params["classifier.w"].grad[0] = np.inf
+        params["classifier.w"].grad[1] = 1e300  # its square overflows
+        opt = Adam(params, weight_decay=0.01)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(2):
+                opt.step(params, lr=1e-3)
+        assert not np.isfinite(params["embed.word"].value[7]).any()
+        assert not np.isfinite(params["classifier.w"].value[0]).any()
+
 
 class TestTrain:
     def test_bit_reproducible(self):
@@ -304,7 +322,8 @@ class TestTrain:
         step = int(np.flatnonzero(order == index)[0]) // tcfg.batch_size
         start = step * tcfg.batch_size
         batch_ids = [examples[i].sentence_id for i in order[start:start + tcfg.batch_size]]
-        with pytest.raises(NumericError) as err, np.errstate(invalid="ignore"):  # decay of inf
+        with pytest.raises(NumericError) as err, warnings.catch_warnings():
+            warnings.simplefilter("error")  # the diverging run prints nothing before the error
             train(tcfg, cfg, examples, db)
         assert str(err.value) == (f"training diverged: non-finite loss at epoch 0, step {step}, "
                                   f"on the batch of sentences {', '.join(batch_ids)}")
