@@ -40,7 +40,7 @@ from .model import (EncoderParams, Example, batch_width, build_batch, encoder_fo
                     word_selections)
 from .numerics import autodiff as ad
 from .numerics.rng import SeededRng
-from .tokenizer import TokenizedSentence, Vocab, encode
+from .tokenizer import Vocab, encode
 
 log = logging.getLogger(__name__)
 
@@ -55,16 +55,16 @@ MIN_EFFECTIVE_SAMPLES = 2.0
 LIME_POSITIONS = 640
 
 
-def accumulate_attention(attention: np.ndarray, layout: TokenizedSentence) -> np.ndarray:
+def accumulate_attention(attention: np.ndarray, n: int) -> np.ndarray:
     """Incoming attention per token: sum over layers, heads, and source rows.
 
-    attention is one sentence's (layers, heads, T, T) probabilities, T at
-    least its real length. Returns the (word_count + 2,) scores of CLS, the
-    words and SEP. The sum is restricted to real rows and columns (PAD
-    excluded); it includes CLS and SEP entries so the scores account for all
-    real attention mass.
+    attention is one sentence's (layers, heads, T, T) probabilities and n its
+    number of real positions (len(ids)), n <= T. Returns the (n,) scores of
+    CLS, the words and SEP. The sum is restricted to the first n rows and
+    columns (PAD excluded); it includes CLS and SEP entries so the scores
+    account for all real attention mass.
     """
-    real = np.asarray(layout.real_positions())
+    real = np.arange(n)
     return attention[:, :, real][:, :, :, real].sum(axis=(0, 1, 2))
 
 
@@ -170,9 +170,10 @@ class ExplanationReport:
     """Both explainers' scores for one sentence of n words plus their top-k agreement.
 
     attention holds the (n + 2,) scores of CLS, the words and SEP, lime the
-    (n,) word coefficients. The top lists name each explainer's top_k words;
-    overlap is the share of top-k positions the two have in common, out of
-    min(k, n), so a repeated word counts once per position.
+    (n,) word coefficients. The top lists name each explainer's top min(k, n)
+    words (a k above n logs one warning naming the sentence); overlap is the
+    share of those positions the two have in common, out of min(k, n), so a
+    repeated word counts once per position.
     """
 
     sentence_id: str
@@ -186,10 +187,14 @@ class ExplanationReport:
     overlap: float = field(init=False)
 
     def __post_init__(self):
-        attention_top, lime_top = top_k(self.attention[1:-1], self.k), top_k(self.lime, self.k)
+        k = min(self.k, len(self.words))
+        attention_top, lime_top = top_k(self.attention[1:-1], k), top_k(self.lime, k)
+        if k < self.k:
+            log.warning("sentence %s: asked for %d keywords but only %d content tokens",
+                        self.sentence_id, self.k, k)
         self.attention_top = [self.words[i] for i in attention_top]
         self.lime_top = [self.words[i] for i in lime_top]
-        self.overlap = int(np.isin(attention_top, lime_top).sum()) / min(self.k, len(self.words))
+        self.overlap = int(np.isin(attention_top, lime_top).sum()) / k
 
     def to_dict(self) -> dict:
         labels = ["[CLS]", *self.words, "[SEP]"]
@@ -240,18 +245,18 @@ def explain_sentence(
     LIME_POSITIONS positions (rows x width) and one row at least; their
     probabilities are returned in draw order. A record with no words is a
     DataError; a LIME NumericError (a kernel too narrow for every sample)
-    is raised again naming the sentence.
+    is raised again naming the sentence; each warning LIME logs names it too.
     """
     cfg = params.cfg
     rec = db.get(sentence_id)
     if not rec.tokens:
         raise DataError(f"feature record {sentence_id} has no words to explain")
-    layout = encode(rec.tokens, vocab, cfg.max_len)
-    words = rec.tokens[: layout.word_count]
-    row = build_batch([Example(sentence_id, layout, rec.label)], cfg, db)
+    ids = encode(rec.tokens, vocab, cfg.max_len)
+    words = rec.tokens[: len(ids) - 2]
+    row = build_batch([Example(sentence_id, ids, rec.label)], cfg, db)
     result = encoder_forward(params, row, attention=True)
     predicted = int(result.predictions()[0])
-    attention = accumulate_attention(result.attention[0], layout)
+    attention = accumulate_attention(result.attention[0], len(ids))
 
     def predict_fn(keep_masks: np.ndarray) -> np.ndarray:
         kept = keep_masks.sum(axis=1)
@@ -270,9 +275,18 @@ def explain_sentence(
             start = stop
         return probs
 
+    prefix = f"sentence {sentence_id}: "
+
+    def name_sentence(record: logging.LogRecord) -> bool:
+        record.msg, record.args = prefix + record.getMessage(), ()
+        return True
+
+    log.addFilter(name_sentence)
     try:
         lime = lime_explain(predict_fn, len(words), n_samples=n_samples,
                             kernel_width=kernel_width, ridge_lambda=ridge_lambda, seed=seed)
     except NumericError as exc:
-        raise NumericError(f"sentence {sentence_id}: {exc}") from exc
+        raise NumericError(prefix + str(exc)) from exc
+    finally:
+        log.removeFilter(name_sentence)
     return ExplanationReport(sentence_id, predicted, words, attention, lime, k)

@@ -34,7 +34,7 @@ from .checks import check_field_types, is_integer
 from .errors import ConfigError, DataError, FeatureLookupError, ValidationError
 from .files import atomic_open
 from .numerics.rng import SeededRng
-from .tokenizer import MASK_KEEP, MASK_SUPPRESS, TokenizedSentence
+from .tokenizer import MASK_KEEP, MASK_SUPPRESS
 
 FRPS = ("ffd", "trt", "gd", "gpt")
 BANDS = ("t1", "t2", "a1", "a2", "b1", "b2", "g1", "g2")
@@ -579,20 +579,17 @@ def sentence_eeg(bands) -> np.ndarray:
     return bands.mean(axis=0)
 
 
-def cognitive_mask(n_fixations, layout: TokenizedSentence) -> np.ndarray:
-    """Additive attention mask over the layout's positions from fixation counts.
+def cognitive_mask(n_fixations) -> np.ndarray:
+    """Additive attention mask over CLS, the words and SEP from the words' fixation counts.
 
-    Keeps (-0) tokens fixated more than once plus CLS and SEP; suppresses
-    (-10000) words fixated at most once. build_batch pads the mask.
+    One count per word, in order: the mask has len(n_fixations) + 2
+    entries. Keeps (-0) tokens fixated more than once plus CLS and SEP;
+    suppresses (-10000) words fixated at most once. build_batch passes the
+    counts of the sentence's words and pads the mask.
     """
     n_fixations = np.asarray(n_fixations, dtype=np.int64)
-    if len(n_fixations) != layout.word_count:
-        raise ValidationError(
-            f"fixation counts ({len(n_fixations)}) not aligned with "
-            f"{layout.word_count} content tokens"
-        )
     # CLS carries the classification signal; SEP stays attended, as without cog_mask.
-    mask = np.full(len(layout.ids), MASK_KEEP, dtype=np.float64)
+    mask = np.full(len(n_fixations) + 2, MASK_KEEP, dtype=np.float64)
     mask[1:-1] = np.where(n_fixations > 1, MASK_KEEP, MASK_SUPPRESS)
     return mask
 

@@ -53,8 +53,7 @@ from .numerics import autodiff as ad
 from .numerics.autodiff import Node, Parameter
 from .numerics.gradcheck import grad_check_report
 from .numerics.rng import SeededRng
-from .tokenizer import (MASK_KEEP, MASK_SUPPRESS, PAD_ID, SEP_ID, TokenizedSentence,
-                        build_vocab, encode)
+from .tokenizer import MASK_KEEP, MASK_SUPPRESS, PAD_ID, SEP_ID, build_vocab, encode
 
 MODES = (
     "none", "eeg_embed", "eye_embed", "both_embed", "cog_mask",
@@ -377,14 +376,14 @@ def init_params(cfg: ModelConfig, source: str = "random", seed: int = 0) -> Enco
 
 @dataclass
 class Example:
-    """A tokenized sentence with the id of its feature record and its label.
+    """A sentence's ids (tokenizer.encode) with the id of its feature record and its label.
 
-    The id names the record whose first sentence.word_count words build_batch
-    reads the features of.
+    The ids are [CLS] words... [SEP], unpadded; build_batch reads the
+    features of the record's first len(ids) - 2 words.
     """
 
     sentence_id: str
-    sentence: TokenizedSentence
+    ids: np.ndarray
     label: int
 
 
@@ -424,34 +423,33 @@ def _fill(n: int, t: int, cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray, dic
 def build_batch(examples: list[Example], cfg: ModelConfig, db: FeatureDb | None = None) -> Batch:
     """Pad the examples' sentences into ids, masks, per-mode feature arrays and labels.
 
-    Every array is batch_width of the longest sentence (len(ids) =
-    word_count + 2) wide. Each sentence fills the first len(ids) positions
-    of its row; the rest is PAD_ID with a MASK_SUPPRESS mask. Each of the
-    mode's token tables x gets a (B, T) array from the record field
-    `x_tokens`: CLS, SEP, and PAD positions carry cognitive token 0 (no
-    measurement exists for them); content position j + 1 takes the value
-    of record word j.
+    Every array is batch_width of the longest len(ids) wide; ids longer than
+    cfg.max_len are a ValidationError naming their sentence. Each sentence
+    fills the first len(ids) positions of its row; the rest is PAD_ID with a
+    MASK_SUPPRESS mask. Each of the mode's token tables x gets a (B, T) array
+    from the record field `x_tokens`: CLS, SEP, and PAD positions carry
+    cognitive token 0 (no measurement exists for them); content position
+    j + 1 takes the value of record word j, for j < len(ids) - 2.
     """
     if cfg.needs_features and db is None:
         raise ValidationError(f"mode {cfg.mode!r} requires a feature database")
 
     for ex in examples:
-        if ex.sentence.max_len != cfg.max_len:
-            raise ValidationError(
-                f"sentence max_len {ex.sentence.max_len} != model max_len {cfg.max_len}")
-    longest = max((len(ex.sentence.ids) for ex in examples), default=0)
+        if len(ex.ids) > cfg.max_len:
+            raise ValidationError(f"{ex.sentence_id}: sentence has {len(ex.ids)} positions, "
+                                  f"model max_len is {cfg.max_len}")
+    longest = max((len(ex.ids) for ex in examples), default=0)
     n, t = len(examples), batch_width(longest, cfg.max_len)
     ids, masks, tokens = _fill(n, t, cfg)
     sent = np.zeros((n, cfg.eeg_channels)) if cfg.uses_sentence_eeg else None
 
     for i, ex in enumerate(examples):
-        ts = ex.sentence
-        real = slice(0, len(ts.ids))
-        ids[i, real] = ts.ids
+        real = slice(0, len(ex.ids))
+        ids[i, real] = ex.ids
         masks[i, real] = MASK_KEEP
         if cfg.needs_features:
             rec = db.get(ex.sentence_id)
-            words = ts.word_count
+            words = len(ex.ids) - 2
             if words > len(rec.tokens):
                 raise ValidationError(
                     f"{rec.sentence_id}: record covers {len(rec.tokens)} words, "
@@ -459,7 +457,7 @@ def build_batch(examples: list[Example], cfg: ModelConfig, db: FeatureDb | None 
                 )
             content = slice(1, 1 + words)
             if cfg.mode == "cog_mask":
-                masks[i, real] = cognitive_mask(rec.n_fixations[:words], ts)
+                masks[i, real] = cognitive_mask(rec.n_fixations[:words])
             for table, values in tokens.items():
                 values[i, content] = getattr(rec, f"{table}_tokens")[:words]
             if sent is not None:
@@ -482,7 +480,7 @@ def build_batch(examples: list[Example], cfg: ModelConfig, db: FeatureDb | None 
 def word_selections(row: Batch, keep: np.ndarray, cfg: ModelConfig) -> Batch:
     """A batch of word selections of the one sentence in `row`.
 
-    row is build_batch of that sentence alone; keep is (R, word_count) bool.
+    row is build_batch of that sentence alone; keep is (R, n) bool over its n words.
     Row r holds CLS, the words keep[r] marks, in order, and SEP, padded to
     batch_width of the longest selection. Every position array is gathered
     from row's columns, which hold per-position values (ids, the cog_mask

@@ -1,8 +1,11 @@
 """Word-level tokenization with BERT-style special tokens.
 
 Whole words are the token unit (no subword pieces) so that each token stays
-aligned one-to-one with its cognitive feature record. Reserved ids follow
-the BERT convention: PAD=0, UNK=100, CLS=101, SEP=102.
+aligned one-to-one with its cognitive feature record. A sentence is its id
+array [CLS] words... [SEP] (encode): position j + 1 holds record word j, so
+the array's length alone says which words a batch reads, the first
+len(ids) - 2. Reserved ids follow the BERT convention: PAD=0, UNK=100,
+CLS=101, SEP=102.
 """
 
 from __future__ import annotations
@@ -98,35 +101,13 @@ def build_vocab(corpus: list[list[str]]) -> Vocab:
     return Vocab(word_to_id)
 
 
-@dataclass
-class TokenizedSentence:
-    """Id sequence [CLS] words... [SEP], with no padding.
-
-    The words are the first word_count words of the sentence's feature
-    record, whose features build_batch reads at the same indices. max_len is
-    the position budget the words were truncated to; build_batch pads to the
-    batch width.
-    """
-
-    ids: np.ndarray
-    max_len: int
-
-    @property
-    def word_count(self) -> int:
-        """Number of content tokens (excludes CLS and SEP)."""
-        return len(self.ids) - 2
-
-    def real_positions(self) -> range:
-        """Every position (CLS, words and SEP)."""
-        return range(0, self.word_count + 2)
-
-
-def encode(words: list[str], vocab: Vocab, max_len: int = 64) -> TokenizedSentence:
+def encode(words: list[str], vocab: Vocab, max_len: int = 64) -> np.ndarray:
+    """The (n + 2,) int64 ids [CLS] words... [SEP] of the first n words that
+    fit max_len positions, unpadded; build_batch pads them to the batch width."""
     if max_len < 3:
         raise ValidationError(f"max_len must be >= 3, got {max_len}")
     capacity = max_len - 2
     if len(words) > capacity:
         log.warning("truncating %d word(s) to fit max_len=%d", len(words) - capacity, max_len)
         words = words[:capacity]
-    ids = np.array([CLS_ID, *(vocab.id_of(w) for w in words), SEP_ID], dtype=np.int64)
-    return TokenizedSentence(ids=ids, max_len=max_len)
+    return np.array([CLS_ID, *(vocab.id_of(w) for w in words), SEP_ID], dtype=np.int64)

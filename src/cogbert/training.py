@@ -92,11 +92,11 @@ def lr_at(step: int, total_steps: int, lr0: float) -> float:
 
 
 class Adam:
-    """Adam with decoupled weight decay (applied only to decay-flagged params).
+    """Adam with decoupled weight decay (decay-flagged only) over the params it is built for.
 
     The moments `m` and `v` are flat buffers laid out like
     `EncoderParams.values` (`params.views(opt.m)` splits them per tensor).
-    `step` runs the per-tensor update
+    `step(lr)` runs the per-tensor update
 
         m += (1 - beta1) * (g - m);  v += (1 - beta2) * (g * g - v)
         w -= lr * ((m / bc1) / (sqrt(v / bc2) + eps));  w -= lr * wd * w  (decay only)
@@ -108,6 +108,7 @@ class Adam:
     """
 
     def __init__(self, params: EncoderParams, weight_decay: float = 0.01):
+        self.params = params
         self.weight_decay = weight_decay
         self.t = 0
         n = params.values.size
@@ -116,11 +117,11 @@ class Adam:
         self._scratch = (np.empty(n), np.empty(n))
 
     @np.errstate(invalid="ignore", over="ignore")  # a non-finite weight fails the next loss check
-    def step(self, params: EncoderParams, lr: float) -> None:
+    def step(self, lr: float) -> None:
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1 ** self.t
         bc2 = 1.0 - ADAM_BETA2 ** self.t
-        g, m, v, w = params.grads, self.m, self.v, params.values
+        g, m, v, w = self.params.grads, self.m, self.v, self.params.values
         s, r = self._scratch
         np.subtract(g, m, out=s)
         s *= 1.0 - ADAM_BETA1
@@ -137,7 +138,7 @@ class Adam:
         s *= lr
         w -= s
         if self.weight_decay:
-            k = params.n_decay
+            k = self.params.n_decay
             np.multiply(w[:k], lr * self.weight_decay, out=s[:k])
             w[:k] -= s[:k]
 
@@ -274,7 +275,7 @@ def train(
                     f"training diverged: non-finite loss at epoch {epoch}, step {step}, on the "
                     f"batch of sentences {', '.join(ex.sentence_id for ex in chunk)}")
             ad.backward(loss)
-            optimizer.step(params, lr_at(step, total_steps, train_cfg.lr))
+            optimizer.step(lr_at(step, total_steps, train_cfg.lr))
             step += 1
             losses.append(value)
         epoch_losses.append(float(np.mean(losses)))

@@ -99,13 +99,12 @@ def test_c02_mask_semantics():
             chunk = examples[start:start + 20]
             result = encoder_forward(params, build_batch(chunk, cfg, db))
             for ex, attention in zip(chunk, result.attention, strict=True):
-                layout = ex.sentence
                 pad = np.ones(attention.shape[-1], dtype=bool)
-                pad[: layout.word_count + 2] = False
+                pad[: len(ex.ids)] = False
                 assert attention[:, :, :, pad].max(initial=0.0) < 1e-4
                 if mode == "cog_mask":
                     rec = db.get(ex.sentence_id)
-                    for pos in range(1, layout.word_count + 1):
+                    for pos in range(1, len(ex.ids) - 1):
                         if rec.n_fixations[pos - 1] <= 1:
                             assert attention[:, :, :, pos].max() < 1e-4
     passed(2, "mask semantics", "100 sentences x {none, cog_mask}")
@@ -250,14 +249,14 @@ def test_c05_attention_accumulation():
     layers, heads, max_len = 2, 2, 12
     for _ in range(50):
         n_words = int(rng.integers(1, 9))
-        layout = encode(words_pool[:n_words], vocab, max_len)
+        ids = encode(words_pool[:n_words], vocab, max_len)
         scores = rng.normal(size=(layers, heads, max_len, max_len))
-        scores[..., len(layout.ids):] = -np.inf
+        scores[..., len(ids):] = -np.inf
         e = np.exp(scores - scores.max(axis=3, keepdims=True))
         attention = e / e.sum(axis=3, keepdims=True)
 
-        got = accumulate_attention(attention, layout)
-        real = list(layout.real_positions())
+        got = accumulate_attention(attention, len(ids))
+        real = range(len(ids))
         oracle = {j: 0.0 for j in real}
         for layer in range(layers):
             for head in range(heads):

@@ -86,6 +86,10 @@ def test_script_covers_every_mode_and_command(tmp_path):
     assert any(args[args.index("--checkpoint") + 1].startswith("train10/")
                and int(args[args.index("--k") + 1]) > 8
                for args in script if args[0] == "explain" and "--k" in args)
+    # An explain of two sentences at a kernel narrow enough for LIME to warn about each.
+    assert any(float(args[args.index("--kernel-width") + 1]) <= 1.0
+               and len(args[args.index("--ids") + 1].split(",")) == 2
+               for args in script if args[0] == "explain" and "--kernel-width" in args)
     # A training run whose batches can reach 8 sentences of 64 positions (B*T = 512).
     long_runs = [args for args in script if args[0] == "train" and "model64.json" in args]
     assert long_runs

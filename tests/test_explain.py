@@ -31,82 +31,71 @@ WORDS10 = ["aa", "bb", "cc", "dd", "ee", "ff", "gg", "hh", "jj", "kk"]
 VOCAB = build_vocab([WORDS10])
 
 
-def layout_for(n_words, max_len=12):
-    return encode(WORDS10[:n_words], VOCAB, max_len)
-
-
-def random_attention(layers, heads, layout, rng):
-    """Row-stochastic (layers, heads, T, T) attention, T = max_len, zero mass on PAD columns."""
-    t = layout.max_len
+def random_attention(layers, heads, n, t, rng):
+    """Row-stochastic (layers, heads, t, t) attention with zero mass past the n real columns."""
     scores = rng.normal(size=(layers, heads, t, t))
-    scores[..., len(layout.ids):] = -np.inf
+    scores[..., n:] = -np.inf
     e = np.exp(scores - scores.max(axis=3, keepdims=True))
     return e / e.sum(axis=3, keepdims=True)
 
 
-def accumulate_oracle(attention, layout):
-    """Triple loop over (layer, head, row), summing real-token columns."""
-    real = list(layout.real_positions())
-    scores = {j: 0.0 for j in real}
+def accumulate_oracle(attention, n):
+    """Triple loop over (layer, head, row), summing the n real columns."""
+    scores = {j: 0.0 for j in range(n)}
     layers, heads = attention.shape[:2]
     for layer in range(layers):
         for head in range(heads):
-            for i in real:
-                for j in real:
+            for i in range(n):
+                for j in range(n):
                     scores[j] += attention[layer, head, i, j]
     return scores
 
 
 class TestAccumulateAttention:
     def test_hand_column_sums(self):
-        # One layer, one head, two real tokens: columns sum to 0.7 and 1.3.
-        layout = layout_for(0, max_len=4)  # CLS and SEP only
+        # One layer, one head, two real tokens (CLS and SEP): columns sum to 0.7 and 1.3.
         probs = np.zeros((1, 1, 4, 4))
         probs[0, 0, :2, :2] = [[0.5, 0.5], [0.2, 0.8]]
-        assert accumulate_attention(probs, layout).tolist() == pytest.approx([0.7, 1.3])
+        assert accumulate_attention(probs, 2).tolist() == pytest.approx([0.7, 1.3])
 
     def test_identity_matrices_score_layers_times_heads(self):
-        layout = layout_for(3, max_len=6)
         probs = np.tile(np.eye(6), (2, 2, 1, 1))
-        assert accumulate_attention(probs, layout).tolist() == pytest.approx([4.0] * 5)
+        assert accumulate_attention(probs, 5).tolist() == pytest.approx([4.0] * 5)
 
     def test_uniform_attention_arithmetic(self):
         # 4 real tokens, uniform rows: every token collects L*H*n*(1/n) = 4.
-        layout = layout_for(2, max_len=4)
         probs = np.full((2, 2, 4, 4), 0.25)
-        assert accumulate_attention(probs, layout).tolist() == pytest.approx([4.0] * 4)
+        assert accumulate_attention(probs, 4).tolist() == pytest.approx([4.0] * 4)
 
     def test_matches_triple_loop_oracle(self):
         rng = np.random.default_rng(101)
         for _ in range(25):
-            layout = layout_for(int(rng.integers(1, 9)), max_len=12)
-            attention = random_attention(2, 2, layout, rng)
-            scores = accumulate_attention(attention, layout)
-            oracle = accumulate_oracle(attention, layout)
-            assert scores.shape == (layout.word_count + 2,)
+            n = int(rng.integers(1, 9)) + 2
+            attention = random_attention(2, 2, n, 12, rng)
+            scores = accumulate_attention(attention, n)
+            oracle = accumulate_oracle(attention, n)
+            assert scores.shape == (n,)
             assert scores.tolist() == pytest.approx([oracle[j] for j in range(len(scores))], abs=1e-12)
 
     def test_strided_view_sums_like_contiguous_array(self):
         """encoder_forward returns a (B, L, ...) view of a layer-major array; the
         fancy index copies it, so the sums run in the same order."""
         rng = np.random.default_rng(107)
-        layout = layout_for(7, max_len=16)
-        layer_major = np.stack([np.stack([random_attention(1, 2, layout, rng)[0]
+        layer_major = np.stack([np.stack([random_attention(1, 2, 9, 16, rng)[0]
                                           for _ in range(3)]) for _ in range(2)])
         view = layer_major.transpose(1, 0, 2, 3, 4)  # (B=3, L=2, H=2, T, T)
         for b in range(3):
-            got = accumulate_attention(view[b], layout)
-            want = accumulate_attention(np.ascontiguousarray(view[b]), layout)
+            got = accumulate_attention(view[b], 9)
+            want = accumulate_attention(np.ascontiguousarray(view[b]), 9)
             assert got.tolist() == want.tolist()
 
     def test_total_mass_equals_layers_heads_rows(self):
         rng = np.random.default_rng(103)
         for _ in range(25):
-            layout = layout_for(int(rng.integers(1, 9)), max_len=12)
-            attention = random_attention(3, 2, layout, rng)
-            total = accumulate_attention(attention, layout).sum()
-            n_real = layout.word_count + 2
-            assert total == pytest.approx(3 * 2 * n_real, abs=1e-6)
+            n = int(rng.integers(1, 9)) + 2
+            attention = random_attention(3, 2, n, 12, rng)
+            total = accumulate_attention(attention, n).sum()
+            assert total == pytest.approx(3 * 2 * n, abs=1e-6)
 
 
 
@@ -269,10 +258,10 @@ class TestPerturbationBatch:
     BATCH_FIELDS = ("ids", "masks", "sent_eeg", "labels")
 
     @staticmethod
-    def record(rng, words):
+    def record(rng, words, sentence_id="s"):
         n_fix = rng.integers(0, 4, size=len(words))
         return CognitiveRecord(
-            sentence_id="s", tokens=words, label=2, n_fixations=n_fix,
+            sentence_id=sentence_id, tokens=words, label=2, n_fixations=n_fix,
             eye_tokens=np.where(n_fix > 0, rng.integers(1, 101, size=len(words)), 0),
             eeg_tokens=np.where(n_fix > 0, rng.integers(1, 101, size=len(words)), 0),
             sentence_eeg=rng.normal(size=4),
@@ -313,21 +302,22 @@ class TestPerturbationBatch:
         }
         # At max_len 12, 9 words fit and 11 are truncated to 10 = max_len - 2, so
         # the selections keeping 7 or more words are capped at width 12; at 8 the
-        # layouts keep their first 6 words.
+        # sentences keep their first 6 words.
         for name, rec in records.items():
             db = FeatureDb([rec])
             for max_len in (12, 8):
-                layout = encode(rec.tokens, VOCAB, max_len)
+                ids = encode(rec.tokens, VOCAB, max_len)
+                n_words = len(ids) - 2
                 for mode in MODES:
                     cfg = ModelConfig(vocab_size=120, n_classes=4, max_len=max_len,
                                       eeg_channels=4, mode=mode)
-                    row = build_batch([Example("s", layout, rec.label)], cfg, db)
-                    keep = rng.random((40, layout.word_count)) < 0.5
-                    keep = np.vstack([keep[keep.any(axis=1)], np.ones(layout.word_count, bool)])
+                    row = build_batch([Example("s", ids, rec.label)], cfg, db)
+                    keep = rng.random((40, n_words)) < 0.5
+                    keep = np.vstack([keep[keep.any(axis=1)], np.ones(n_words, bool)])
                     context = (name, max_len, mode)
                     got = word_selections(row, keep, cfg)
                     self.assert_batches_equal(got, self.per_sample_batch(rec, keep, cfg), context)
-                    assert got.ids.shape[1] == batch_width(layout.word_count + 2, max_len)
+                    assert got.ids.shape[1] == batch_width(len(ids), max_len)
                     for r in range(0, len(keep), 7):  # one row at a time: its own width
                         self.assert_batches_equal(word_selections(row, keep[r:r + 1], cfg),
                                                   self.per_sample_batch(rec, keep[r:r + 1], cfg),
@@ -338,13 +328,13 @@ class TestPerturbationBatch:
         rec = self.record(rng, WORDS10[:5])
         cfg = ModelConfig(vocab_size=120, n_classes=4, max_len=12, eeg_channels=4,
                           mode="both_embed")
-        layout = encode(rec.tokens, VOCAB, cfg.max_len)
-        row = build_batch([Example("s", layout, rec.label)], cfg, FeatureDb([rec]))
+        ids = encode(rec.tokens, VOCAB, cfg.max_len)
+        row = build_batch([Example("s", ids, rec.label)], cfg, FeatureDb([rec]))
         keep = np.array([[False, True, False, True, True], [True] * 5])
         got = word_selections(row, keep, cfg)
         assert got.ids.shape == (2, 8)
-        assert got.ids[0].tolist() == [*layout.ids[[0, 2, 4, 5, 6]], 0, 0, 0]
-        assert got.ids[1, :7].tolist() == layout.ids.tolist()
+        assert got.ids[0].tolist() == [*ids[[0, 2, 4, 5, 6]], 0, 0, 0]
+        assert got.ids[1, :7].tolist() == ids.tolist()
         for table in ("eeg", "eye"):
             values = getattr(rec, f"{table}_tokens")
             assert got.tokens[table][0].tolist() == [0, *values[[1, 3, 4]], 0, 0, 0, 0]
@@ -352,11 +342,11 @@ class TestPerturbationBatch:
 
     def test_row_must_be_the_sentence_alone(self):
         cfg = ModelConfig(vocab_size=120, n_classes=4, max_len=12, eeg_channels=4)
-        layout = layout_for(5)
-        row = build_batch([Example("s", layout, 0)], cfg)
+        ids = encode(WORDS10[:5], VOCAB, cfg.max_len)
+        row = build_batch([Example("s", ids, 0)], cfg)
         with pytest.raises(ValidationError, match="with 4 words"):
             word_selections(row, np.ones((2, 4), dtype=bool), cfg)
-        two = build_batch([Example("s", layout, 0)] * 2, cfg)
+        two = build_batch([Example("s", ids, 0)] * 2, cfg)
         with pytest.raises(ValidationError, match=r"shape \(2, 8\)"):
             word_selections(two, np.ones((2, 5), dtype=bool), cfg)
 
@@ -378,7 +368,7 @@ class TestChunkedLime:
 
     def test_reports_equal_at_chunk_one_and_default(self, monkeypatch):
         default = explain.LIME_POSITIONS
-        for max_len in (64, 8):  # 9 words fit at 64; at 8 the layout keeps the first 6
+        for max_len in (64, 8):  # 9 words fit at 64; at 8 the sentence keeps the first 6
             for mode in MODES:
                 params, db = self.model_and_db(mode, max_len)
                 reports = []
@@ -448,6 +438,33 @@ class TestChunkedLime:
 def report(words, attention, lime, k):
     """The report of a sentence whose CLS and SEP score 0."""
     return ExplanationReport("s", 0, words, np.array([0.0, *attention, 0.0]), np.array(lime), k)
+
+
+class TestExplainSentenceWarnings:
+    """explain_sentence names its sentence in every warning, and warns once for each cause."""
+
+    def test_one_k_line_and_one_lime_line_per_sentence(self, caplog):
+        rng = np.random.default_rng(31)
+        db = FeatureDb([TestPerturbationBatch.record(rng, WORDS10[:8] + ["zz"], "a"),
+                        TestPerturbationBatch.record(rng, WORDS10[3:], "b")])
+        cfg = ModelConfig(vocab_size=120, n_classes=4, layers=2, heads=2, d_model=16, d_ff=32,
+                          max_len=12, eeg_channels=4, dropout=0.0, mode="eeg_embed")
+        params = random_params(cfg, 31)
+        with caplog.at_level("WARNING", logger="cogbert"):
+            for sid in ("a", "b"):  # at seed 1 one sample outweighs the rest in both
+                explain_sentence(params, db, VOCAB, sid, k=12, n_samples=50, kernel_width=1.0,
+                                 seed=1)
+        lime_line = ("lime: kernel width 1.0 leaves an effective sample size of 1.00 of 50 "
+                     "perturbations; the surrogate fits about one, so its scores say little")
+        assert [r.getMessage() for r in caplog.records] == [
+            f"sentence a: {lime_line}",
+            "sentence a: asked for 12 keywords but only 9 content tokens",
+            f"sentence b: {lime_line}",
+            "sentence b: asked for 12 keywords but only 7 content tokens"]
+        assert explain.log.filters == []
+        with pytest.raises(NumericError, match="^sentence a: kernel width 0.01 leaves none of"):
+            explain_sentence(params, db, VOCAB, "a", n_samples=50, kernel_width=0.01, seed=1)
+        assert explain.log.filters == []
 
 
 class TestCorrelate:

@@ -376,19 +376,19 @@ class TestForward:
     def test_missing_record_names_sentence(self):
         cfg = tiny_cfg(mode="eeg_embed")
         vocab = build_vocab([["alpha", "beta"]])
-        layout = encode(["alpha", "beta"], vocab, cfg.max_len)
+        ids = encode(["alpha", "beta"], vocab, cfg.max_len)
         db = FeatureDb([])
         with pytest.raises(FeatureLookupError, match="ghost"):
-            build_batch([Example("ghost", layout, 0)], cfg, db)
+            build_batch([Example("ghost", ids, 0)], cfg, db)
 
     def test_truncated_sentence_keeps_feature_alignment(self):
         cfg = tiny_cfg(mode="eeg_embed", max_len=5)  # room for 3 content words
         words = ["alpha", "beta", "gamma", "delta", "epsilon"]
         vocab = build_vocab([words])
         records = make_records(cfg, [words], seed=6)
-        layout = encode(words, vocab, cfg.max_len)
-        assert layout.word_count == 3 and layout.max_len == 5
-        batch = build_batch([Example("t0", layout, 0)], cfg, FeatureDb(records))
+        ids = encode(words, vocab, cfg.max_len)
+        assert len(ids) == 5
+        batch = build_batch([Example("t0", ids, 0)], cfg, FeatureDb(records))
         np.testing.assert_array_equal(batch.tokens["eeg"][0, 1:4], records[0].eeg_tokens[:3])
         assert batch.tokens["eeg"][0, 0] == 0 and batch.tokens["eeg"][0, 4] == 0
 
@@ -397,12 +397,40 @@ class TestForward:
         words = ["alpha", "beta", "gamma"]
         vocab = build_vocab([words])
         db = FeatureDb(make_records(cfg, [words[:2]], seed=6))  # t0 covers 2 words
-        layout = encode(words, vocab, cfg.max_len)
+        ids = encode(words, vocab, cfg.max_len)
         with pytest.raises(ValidationError,
                            match="t0: record covers 2 words, sentence reads word 2"):
-            build_batch([Example("t0", layout, 0)], cfg, db)
-        batch = build_batch([Example("t0", layout, 0)], tiny_cfg(), db)  # mode none reads no features
-        np.testing.assert_array_equal(batch.ids[0, :5], layout.ids)
+            build_batch([Example("t0", ids, 0)], cfg, db)
+        batch = build_batch([Example("t0", ids, 0)], tiny_cfg(), db)  # mode none reads no features
+        np.testing.assert_array_equal(batch.ids[0, :5], ids)
+
+    def test_sentence_longer_than_max_len_named(self):
+        words = ["alpha", "beta", "gamma", "delta"]
+        vocab = build_vocab([words])
+        cfg = tiny_cfg(max_len=5)
+        db = FeatureDb(make_records(cfg, [words[:2], words], seed=6))
+        examples = [Example("t0", encode(words[:2], vocab, cfg.max_len), 0),
+                    Example("t1", encode(words, vocab, 8), 0)]  # 6 positions
+        for mode in ("none", "eeg_embed", "cog_mask"):
+            with pytest.raises(ValidationError,
+                               match="^t1: sentence has 6 positions, model max_len is 5$"):
+                build_batch(examples, tiny_cfg(mode=mode, max_len=5), db)
+
+    def test_sentence_encoded_at_smaller_max_len_batches_by_its_length(self):
+        words = ["alpha", "beta", "gamma", "delta", "epsilon"]
+        vocab = build_vocab([words])
+        for mode in MODES:
+            cfg = tiny_cfg(mode=mode)
+            db = FeatureDb(make_records(cfg, [words], seed=6))
+            short = encode(words, vocab, max_len=5)  # keeps the first 3 words
+            got = build_batch([Example("t0", short, 0)], cfg, db)
+            want = build_batch([Example("t0", encode(words[:3], vocab, cfg.max_len), 0)], cfg, db)
+            for name in ("ids", "masks", "sent_eeg", "labels"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name),
+                                              err_msg=f"{mode} {name}")
+            assert got.tokens.keys() == want.tokens.keys()
+            for table, values in got.tokens.items():
+                np.testing.assert_array_equal(values, want.tokens[table], err_msg=f"{mode} {table}")
 
     def test_full_forward_gradcheck_two_modes(self):
         for mode in ("none", "pool_add_nn"):

@@ -66,24 +66,21 @@ class TestEncode:
         self.vocab = build_vocab([["he", "won", "the", "nobel", "prize"]])
 
     def test_empty_sentence_layout(self):
-        ts = encode([], self.vocab, max_len=6)
-        assert ts.ids.tolist() == [CLS_ID, SEP_ID]
-        assert ts.word_count == 0 and ts.max_len == 6
+        ids = encode([], self.vocab, max_len=6)
+        assert ids.tolist() == [CLS_ID, SEP_ID] and ids.dtype == np.int64
 
     def test_two_word_layout(self):
-        ts = encode(["he", "won"], self.vocab, max_len=6)
+        ids = encode(["he", "won"], self.vocab, max_len=6)
         expected = [CLS_ID, self.vocab.id_of("he"), self.vocab.id_of("won"), SEP_ID]
-        assert ts.ids.tolist() == expected
-        assert ts.max_len == 6
+        assert ids.tolist() == expected
 
     def test_oov_maps_to_unk(self):
-        ts = encode(["zebra"], self.vocab, max_len=5)
-        assert ts.ids[1] == UNK_ID
+        ids = encode(["zebra"], self.vocab, max_len=5)
+        assert ids[1] == UNK_ID
 
     def test_truncation_recorded(self, caplog):
-        ts = encode(["he", "won", "the", "nobel", "prize"], self.vocab, max_len=4)
-        assert ts.word_count == 2 and ts.max_len == 4
-        assert ts.ids.tolist() == [CLS_ID, self.vocab.id_of("he"), self.vocab.id_of("won"), SEP_ID]
+        ids = encode(["he", "won", "the", "nobel", "prize"], self.vocab, max_len=4)
+        assert ids.tolist() == [CLS_ID, self.vocab.id_of("he"), self.vocab.id_of("won"), SEP_ID]
         assert "truncating 3 word(s) to fit max_len=4" in caplog.text
 
     def test_max_len_floor(self):
@@ -95,17 +92,17 @@ class TestEncode:
         words = ["he", "won", "the", "nobel", "prize", "zebra"]
         for _ in range(50):
             n = int(rng.integers(0, 7))
-            ts = encode(words[:n], self.vocab, max_len=int(rng.integers(3, 10)))
-            assert len(ts.ids) == ts.word_count + 2 <= ts.max_len
-            assert PAD_ID not in ts.ids.tolist()
+            max_len = int(rng.integers(3, 10))
+            ids = encode(words[:n], self.vocab, max_len=max_len)
+            assert len(ids) == min(n, max_len - 2) + 2
+            assert PAD_ID not in ids.tolist()
 
     def test_round_trip_for_in_vocab_sentences(self):
         words = ["the", "nobel", "prize"]
-        ts = encode(words, self.vocab, max_len=10)
-        assert ts.ids[1:-1].tolist() == [self.vocab.word_to_id[w] for w in words]
+        ids = encode(words, self.vocab, max_len=10)
+        assert ids[1:-1].tolist() == [self.vocab.word_to_id[w] for w in words]
 
     def test_deterministic(self):
         a = encode(["he", "won"], self.vocab, max_len=8)
         b = encode(["he", "won"], self.vocab, max_len=8)
-        np.testing.assert_array_equal(a.ids, b.ids)
-        assert (a.word_count, a.max_len) == (b.word_count, b.max_len)
+        np.testing.assert_array_equal(a, b)

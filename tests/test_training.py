@@ -204,7 +204,7 @@ class TestOptimizer:
         params.zero_grads()
         loss = batch_loss()
         ad.backward(loss)
-        Adam(params, weight_decay=0.01).step(params, lr=1e-6)
+        Adam(params, weight_decay=0.01).step(lr=1e-6)
         after = batch_loss().item()
         assert after < before
 
@@ -242,7 +242,7 @@ class TestFlatAdam:
             for p in params.all():
                 p.grad[...] = grads[p.name]
             lr = lr_at(t - 1, 5, 1e-2)
-            opt.step(params, lr)
+            opt.step(lr)
             reference_adam_step(values, m, v, grads, t, lr, weight_decay, decay)
             opt_m, opt_v = params.views(opt.m), params.views(opt.v)
             for p in params.all():
@@ -268,7 +268,7 @@ class TestFlatAdam:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for _ in range(2):
-                opt.step(params, lr=1e-3)
+                opt.step(lr=1e-3)
         assert not np.isfinite(params["embed.word"].value[7]).any()
         assert not np.isfinite(params["classifier.w"].value[0]).any()
 
@@ -306,9 +306,9 @@ class TestTrain:
         """An inf embedding row of a word that one sentence alone uses diverges
         the batch that holds that sentence, and no batch before it."""
         cfg, examples, db = tiny_setup()
-        uses = Counter(i for ex in examples for i in set(ex.sentence.ids.tolist()))
+        uses = Counter(i for ex in examples for i in set(ex.ids.tolist()))
         word, index = next((i, k) for k, ex in enumerate(examples)
-                           for i in ex.sentence.ids.tolist() if uses[i] == 1)
+                           for i in ex.ids.tolist() if uses[i] == 1)
         init_params = training.init_params
 
         def planted(*args, **kwargs):

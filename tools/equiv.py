@@ -16,7 +16,9 @@ process with one BLAS thread:
   in eeg_embed, both_embed, cog_mask and pool_add_nn (per-word EEG tokens,
   both token tables, the fixation mask, the fusion NN: what each perturbation
   carries), and once more in eeg_embed at max_len 10 with --k 12, past the
-  word count; lexicon build and apply, train pool_add_nn
+  word count, and at max_len 24 with --kernel-width 1.0, which leaves both
+  sentences an effective sample size below 2 (a LIME warning on stderr for
+  each); lexicon build and apply, train pool_add_nn
   on the lexicon features; report over every run; gradcheck --mode all;
   synth with a generator config that plants unfixated distractor keywords,
   and lexicon build over that corpus. Training on a long-sentence synth corpus
@@ -95,6 +97,11 @@ def script() -> list[tuple[str, list[str]]]:
         "explain", "--features", feats, "--checkpoint", "train10/eeg_embed/model.ckpt",
         "--vocab", "train10/eeg_embed/vocab.tsv", "--ids", "s0000,s0007", "--n-samples", "100",
         "--k", "12", "--seed", "5", "--out", "explain10/eeg_embed-k12"]))
+    # At kernel width 1.0 one perturbation outweighs the rest: LIME warns for each sentence.
+    cmds.append(("explain24-narrow", [
+        "explain", "--features", feats, "--checkpoint", "train24/eeg_embed/model.ckpt",
+        "--vocab", "train24/eeg_embed/vocab.tsv", "--ids", "s0000,s0007", "--n-samples", "100",
+        "--kernel-width", "1.0", "--seed", "5", "--out", "explain24/eeg_embed-narrow"]))
     cmds += [
         ("lexicon-build", ["lexicon", "build", "--corpus", "data/corpus.jsonl",
                            "--out", "lexicon/lexicon.jsonl"]),
