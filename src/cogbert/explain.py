@@ -253,6 +253,9 @@ def explain_sentence(
         raise DataError(f"feature record {sentence_id} has no words to explain")
     ids = encode(rec.tokens, vocab, cfg.max_len)
     words = rec.tokens[: len(ids) - 2]
+    if len(words) < len(rec.tokens):
+        log.warning("%s: truncating %d word(s) to fit max_len=%d",
+                    sentence_id, len(rec.tokens) - len(words), cfg.max_len)
     row = build_batch([Example(sentence_id, ids, rec.label)], cfg, db)
     result = encoder_forward(params, row, attention=True)
     predicted = int(result.predictions()[0])

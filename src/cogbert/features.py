@@ -2,10 +2,12 @@
 
 Per-word eye-tracking measurements become "eye tokens" (0-100 integers,
 scaled per sentence) and per-word EEG band power becomes "EEG tokens"
-(0-100 integers, scaled over the corpus), both by column operations over a
-raw corpus of per-sentence arrays (SentenceMeasurement). Per-sentence EEG
-band vectors collapse to a single channel vector. Unfixated words always
-map to token 0 and are the words a cognitive attention mask suppresses.
+(0-100 integers, scaled over the corpus), and per-sentence EEG band
+vectors collapse to a single channel vector. derive_records does all three
+in one pass over the flat columns of a raw corpus of per-sentence arrays
+(SentenceMeasurement): one segment max per sentence for the eye scale and
+one band mean over the stacked bands. Unfixated words always map to token 0
+and are the words a cognitive attention mask suppresses.
 
 A FeatureDb keyed by sentence id is the model's lookup table at train and
 eval time; its JSON-lines form is the canonical interchange format. The
@@ -525,18 +527,28 @@ def _round_half_up(x: np.ndarray) -> np.ndarray:
     return np.floor(x + 0.5).astype(np.int64)
 
 
-def scale_eye_tokens(raw) -> np.ndarray:
+@np.errstate(over="ignore", invalid="ignore")  # a value beyond float64 is a ValidationError
+def scale_eye_tokens(raw, offsets=None) -> np.ndarray:
     """Per-sentence scaling of raw eye values to integers 0..100.
 
-    The sentence maximum maps to 100; an all-zero sentence stays all zero.
+    raw is one sentence's values, or with offsets the N sentences
+    raw[offsets[i]:offsets[i + 1]] one after the other. Each sentence's
+    maximum maps to 100; an all-zero sentence stays all zero. The first
+    sentence holding a negative value, or a value beyond float64 once scaled,
+    raises its ValidationError.
     """
     raw = np.asarray(raw, dtype=np.float64)
-    if (raw < 0).any():
+    offsets = np.array([0, raw.size]) if offsets is None else np.asarray(offsets)
+    lengths = np.diff(offsets)
+    peaks = np.zeros(len(lengths))
+    filled = lengths > 0  # reduceat gives an empty segment the next value, not the identity
+    peaks[filled] = np.maximum.reduceat(raw, offsets[:-1][filled])
+    scaled = TOKEN_SCALE * raw / np.repeat(np.where(peaks == 0.0, 1.0, peaks), lengths)
+    negative = _segments(len(lengths), offsets, raw < 0)
+    first = np.flatnonzero(negative | _segments(len(lengths), offsets, ~np.isfinite(scaled)))[:1]
+    if negative[first].any():
         raise ValidationError("raw eye token values must be non-negative")
-    peak = raw.max(initial=0.0)
-    if peak == 0.0:
-        return np.zeros(raw.shape, dtype=np.int64)
-    return _round_half_up(TOKEN_SCALE * raw / peak)
+    return _round_half_up(scaled)
 
 
 def eeg_token_raw(word_eeg) -> np.ndarray:
@@ -572,7 +584,7 @@ def scale_eeg_tokens(raw, fixated=None) -> np.ndarray:
 
 
 def sentence_eeg(bands) -> np.ndarray:
-    """Element-wise mean of the eight per-band channel vectors."""
+    """Element-wise mean of the eight per-band channel vectors, (8, C) -> (C,)."""
     bands = np.asarray(bands, dtype=np.float64)
     if bands.ndim != 2 or bands.shape[0] != len(BANDS):
         raise ValidationError(f"expected 8 equal-length band vectors, got shape {bands.shape}")
@@ -596,11 +608,14 @@ def cognitive_mask(n_fixations) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore")  # a value beyond float64 is a ValidationError
 def derive_records(measurements: list[SentenceMeasurement]) -> FeatureDb:
-    """Full feature derivation: eye tokens (per-sentence scale), EEG tokens
-    (corpus-level scale), and sentence EEG vectors. All records are checked at
-    once (check_records): a bad one raises the ValidationError its
-    CognitiveRecord would, and sentence EEG of different lengths is rejected.
-    Values that overflow float64 while being scaled raise a ValidationError."""
+    """Full feature derivation in one pass over the corpus's flat columns: eye
+    tokens (per-sentence scale, one segment max per sentence), EEG tokens
+    (corpus-level scale), and sentence EEG vectors (one band mean over the
+    stacked bands when every sentence has the same channel count). All
+    records are checked at once (check_records): a bad one raises the
+    ValidationError its CognitiveRecord would, and sentence EEG of different
+    lengths is rejected. Values that overflow float64 while being scaled
+    raise a ValidationError."""
     if not measurements:
         return FeatureDb([])
     n_fixations = np.concatenate([m.n_fixations for m in measurements])
@@ -609,11 +624,14 @@ def derive_records(measurements: list[SentenceMeasurement]) -> FeatureDb:
     fixated = n_fixations > 0
     raw_eeg = np.zeros(len(n_fixations))
     raw_eeg[fixated] = np.concatenate([eeg_token_raw(m.word_eeg) for m in measurements])
-    sentence = [sentence_eeg(m.sentence_bands) for m in measurements]
+    bands = [m.sentence_bands for m in measurements]
+    if len({b.shape for b in bands}) == 1 and bands[0].ndim == 2 and len(bands[0]) == len(BANDS):
+        sentence = np.stack(bands).mean(axis=1)  # each row bit for bit its sentence_eeg
+    else:  # the first shape that is not (8, C) fails here, differing channel counts in check_records
+        sentence = [sentence_eeg(b) for b in bands]
     fields = {
         "n_fixations": (n_fixations, word_offsets),
-        "eye_tokens": (np.concatenate([scale_eye_tokens(raw) for raw in
-                                       np.split(raw_eye, word_offsets[1:-1])]), word_offsets),
+        "eye_tokens": (scale_eye_tokens(raw_eye, word_offsets), word_offsets),
         "eeg_tokens": (scale_eeg_tokens(raw_eeg, fixated), word_offsets),
         "sentence_eeg": (np.concatenate(sentence), np.cumsum([0, *map(len, sentence)])),
     }
@@ -796,15 +814,20 @@ def _class_profile(cfg: SynthConfig, label: int, base: float) -> np.ndarray:
 def synth_generate(cfg: SynthConfig, seed: int) -> tuple[list[SentenceMeasurement], FeatureDb, list[int]]:
     """Deterministic corpus + derived feature database + per-sentence labels.
 
-    Each word draws from its sentence's stream in word order. The sentences'
-    arrays pass check_measurements by construction, unless the EEG fields are
-    so large that a value overflows float64: then deriving the features
-    fails, and that is a ConfigError naming those fields.
+    Each word draws from its sentence's stream in word order. A pick from a
+    keyword list is seq[rng.integers(len(seq))], the draw rng.choice(seq)
+    makes, and an EEG block is profile + eeg_noise * rng.standard_normal(shape),
+    the sum rng.normal(profile, eeg_noise, shape) computes (both pinned by
+    tests). The sentences' arrays pass check_measurements by construction,
+    unless the EEG fields are so large that a value overflows float64: then
+    deriving the features fails, and that is a ConfigError naming those fields.
     """
     master = SeededRng(seed).derive("synth")
     rows = []  # each sentence's SentenceMeasurement fields
-    eeg_shape = (N_EEG_VECTORS, cfg.eeg_channels)
+    eeg_shape, bands_shape = (N_EEG_VECTORS, cfg.eeg_channels), (len(BANDS), cfg.eeg_channels)
     filler_profile = np.full(cfg.eeg_channels, cfg.filler_eeg_mean, dtype=np.float64)
+    kw_profiles, band_profiles = ([_class_profile(cfg, label, base) for label in range(cfg.n_classes)]
+                                  for base in (cfg.keyword_eeg_mean, cfg.filler_eeg_mean))
 
     for i in range(cfg.n_sentences):
         label = i % cfg.n_classes
@@ -818,18 +841,17 @@ def synth_generate(cfg: SynthConfig, seed: int) -> tuple[list[SentenceMeasuremen
         dis_pos = set(order[n_kw:n_kw + n_dis].tolist())
         wrong = int((label + 1 + rng.integers(cfg.n_classes - 1)) % cfg.n_classes)
         keywords, distractors = cfg.keywords(label), cfg.keywords(wrong)
-        kw_profile = _class_profile(cfg, label, cfg.keyword_eeg_mean)
 
         words, fixations, word_eeg = [], [], []
         for pos in range(n_words):
             fixation = None  # (n, *DURATIONS) of a fixated word
             if pos in kw_pos:
-                words.append(str(rng.choice(keywords)))
+                words.append(keywords[rng.integers(len(keywords))])
                 fixation = (int(rng.integers(2, 6)), rng.uniform(80, 200), rng.uniform(200, 600),
                             rng.uniform(80, 300), rng.uniform(100, 400), 0.0)
-                profile = kw_profile
+                profile = kw_profiles[label]
             elif pos in dis_pos:
-                words.append(str(rng.choice(distractors)))
+                words.append(distractors[rng.integers(len(distractors))])
             else:
                 words.append(f"f{int(rng.integers(cfg.filler_vocab))}")
                 if rng.random() < cfg.filler_fix_prob:
@@ -839,13 +861,12 @@ def synth_generate(cfg: SynthConfig, seed: int) -> tuple[list[SentenceMeasuremen
                     profile = filler_profile
             fixations.append(fixation or (0,) * (1 + len(DURATIONS)))
             if fixation:
-                word_eeg.append(rng.normal(profile, cfg.eeg_noise, size=eeg_shape))
+                word_eeg.append(profile + cfg.eeg_noise * rng.standard_normal(eeg_shape))
 
         table = np.array(fixations, dtype=np.float64)
         rows.append((f"s{i:04d}", words, label, table[:, 0].astype(np.int64), table[:, 1:],
                      np.array(word_eeg).reshape(-1, *eeg_shape),
-                     rng.normal(_class_profile(cfg, label, cfg.filler_eeg_mean), cfg.eeg_noise,
-                                size=(len(BANDS), cfg.eeg_channels))))
+                     band_profiles[label] + cfg.eeg_noise * rng.standard_normal(bands_shape)))
 
     measurements = _unchecked(SentenceMeasurement, rows)
     try:

@@ -10,7 +10,6 @@ CLS=101, SEP=102.
 
 from __future__ import annotations
 
-import logging
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,8 +18,6 @@ import numpy as np
 
 from .errors import DataError, ValidationError
 from .files import write_text_atomic
-
-log = logging.getLogger(__name__)
 
 PAD_ID = 0
 UNK_ID = 100
@@ -103,11 +100,8 @@ def build_vocab(corpus: list[list[str]]) -> Vocab:
 
 def encode(words: list[str], vocab: Vocab, max_len: int = 64) -> np.ndarray:
     """The (n + 2,) int64 ids [CLS] words... [SEP] of the first n words that
-    fit max_len positions, unpadded; build_batch pads them to the batch width."""
+    fit max_len positions, unpadded; build_batch pads them to the batch width.
+    The callers, which know the sentence's id, warn when words are cut."""
     if max_len < 3:
         raise ValidationError(f"max_len must be >= 3, got {max_len}")
-    capacity = max_len - 2
-    if len(words) > capacity:
-        log.warning("truncating %d word(s) to fit max_len=%d", len(words) - capacity, max_len)
-        words = words[:capacity]
-    return np.array([CLS_ID, *(vocab.id_of(w) for w in words), SEP_ID], dtype=np.int64)
+    return np.array([CLS_ID, *(vocab.id_of(w) for w in words[:max_len - 2]), SEP_ID], dtype=np.int64)

@@ -12,6 +12,7 @@ spread and the best run, and repeat_runs keeps only the best run's parameters.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -25,6 +26,8 @@ from .model import EncoderParams, Example, ModelConfig, build_batch, encoder_for
 from .numerics import autodiff as ad
 from .numerics.rng import SeededRng
 from .tokenizer import Vocab, encode
+
+log = logging.getLogger(__name__)
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -64,11 +67,16 @@ class TrainConfig:
 
 
 def make_examples(db: FeatureDb, vocab: Vocab, max_len: int) -> list[Example]:
-    """Encode every record in the feature database."""
-    return [
-        Example(rec.sentence_id, encode(rec.tokens, vocab, max_len), rec.label)
-        for rec in (db.get(sid) for sid in db.ids())
-    ]
+    """Encode every record in the feature database. A sentence with more words
+    than max_len - 2 keeps its first ones, and one warning names it."""
+    examples = []
+    for rec in map(db.get, db.ids()):
+        ids = encode(rec.tokens, vocab, max_len)
+        if len(ids) - 2 < len(rec.tokens):
+            log.warning("%s: truncating %d word(s) to fit max_len=%d",
+                        rec.sentence_id, len(rec.tokens) - len(ids) + 2, max_len)
+        examples.append(Example(rec.sentence_id, ids, rec.label))
+    return examples
 
 
 def split(items: Sequence, ratio: float = 0.8, seed: int = 0) -> tuple[list, list]:

@@ -82,6 +82,14 @@ def test_script_covers_every_mode_and_command(tmp_path):
     assert planted and json.loads((tmp_path / "synth.json").read_text())["distractors"] > 0
     corpus = f"{planted[0][planted[0].index('--out') + 1]}/corpus.jsonl"
     assert any(args[:2] == ["lexicon", "build"] and corpus in args for args in script)
+    # Another has one keyword per class, every filler fixated and a non-default channel
+    # count, and a lexicon is built over its corpus too.
+    small = [args for args in planted if json.loads((tmp_path / args[args.index("--config") + 1])
+                                                    .read_text()).get("keywords_per_class") == 1]
+    generator = json.loads((tmp_path / small[0][small[0].index("--config") + 1]).read_text())
+    assert generator["filler_fix_prob"] == 1.0 and generator["eeg_channels"] != 8
+    corpus = f"{small[0][small[0].index('--out') + 1]}/corpus.jsonl"
+    assert any(args[:2] == ["lexicon", "build"] and corpus in args for args in script)
     # An explain asks for more keywords than a max_len 10 sentence keeps (8 words).
     assert any(args[args.index("--checkpoint") + 1].startswith("train10/")
                and int(args[args.index("--k") + 1]) > 8

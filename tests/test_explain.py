@@ -466,6 +466,16 @@ class TestExplainSentenceWarnings:
             explain_sentence(params, db, VOCAB, "a", n_samples=50, kernel_width=0.01, seed=1)
         assert explain.log.filters == []
 
+    def test_truncation_line_names_the_sentence_once(self, caplog):
+        rng = np.random.default_rng(32)
+        db = FeatureDb([TestPerturbationBatch.record(rng, WORDS10[:9], "a")])
+        cfg = ModelConfig(vocab_size=120, n_classes=4, layers=1, heads=2, d_model=16, d_ff=32,
+                          max_len=8, eeg_channels=4, dropout=0.0, mode="eeg_embed")
+        with caplog.at_level("WARNING", logger="cogbert"):
+            got = explain_sentence(random_params(cfg, 32), db, VOCAB, "a", k=3, n_samples=20, seed=1)
+        assert got.words == WORDS10[:6]
+        assert [r.getMessage() for r in caplog.records] == ["a: truncating 3 word(s) to fit max_len=8"]
+
 
 class TestCorrelate:
     """overlap: the top-k positions the two explainers share, out of min(k, words)."""

@@ -168,6 +168,17 @@ class TestScaleEyeTokens:
             if peak > 0:
                 assert got[np.argmax(raw)] == 100
 
+    def test_segments_match_one_sentence_calls(self):
+        """With offsets, each sentence, empty ones included, scales as it would alone."""
+        rng = np.random.default_rng(19)
+        for _ in range(50):
+            sentences = [rng.uniform(0, 1000, size=rng.integers(0, 6)) * rng.integers(0, 2)
+                         for _ in range(rng.integers(1, 8))]
+            offsets = np.cumsum([0, *map(len, sentences)])
+            want = [scale_eye_tokens(raw) for raw in sentences]
+            got = scale_eye_tokens(np.concatenate(sentences), offsets)
+            assert got.dtype == np.int64 and got.tolist() == np.concatenate(want).tolist()
+
 
 class TestEEGTokens:
     def test_all_zero_vectors(self):
@@ -452,6 +463,22 @@ def derive_one_by_one(measurements):
     return records
 
 
+def per_sentence_fields(measurements):
+    """Reference: each derived field per sentence from the one-sentence helpers."""
+    fixated = np.concatenate([m.n_fixations for m in measurements]) > 0
+    raw_eeg = np.zeros(len(fixated))
+    raw_eeg[fixated] = np.concatenate([eeg_token_raw(m.word_eeg) for m in measurements])
+    eeg_tokens = scale_eeg_tokens(raw_eeg, fixated)
+    cuts = np.cumsum([len(m.words) for m in measurements])[:-1]
+    return {
+        "n_fixations": [m.n_fixations for m in measurements],
+        "eye_tokens": [scale_eye_tokens(eye_token_raw(m.n_fixations, m.durations))
+                       for m in measurements],
+        "eeg_tokens": np.split(eeg_tokens, cuts),
+        "sentence_eeg": [sentence_eeg(m.sentence_bands) for m in measurements],
+    }
+
+
 class TestDeriveRecords:
     FIELDS = ("n_fixations", "eye_tokens", "eeg_tokens", "sentence_eeg")
 
@@ -494,6 +521,63 @@ class TestDeriveRecords:
                 warnings.simplefilter("error")
                 with pytest.raises(ValidationError, match="token values overflow float64 when scaled"):
                     derive_records(meas)
+
+    def test_matches_per_sentence_helpers(self):
+        """derive_records array for array against the per-sentence helpers: scale_eye_tokens
+        per sentence, eeg_token_raw per measurement, sentence_eeg per sentence and
+        scale_eeg_tokens over the corpus."""
+        for cfg, seed in ((SynthConfig(), 1), (SynthConfig(n_sentences=60, distractors=2), 4),
+                          (SynthConfig(n_sentences=60, eeg_channels=3), 5)):
+            meas, _, _ = synth_generate(cfg, seed)
+            db = derive_records(meas)
+            want = per_sentence_fields(meas)
+            for f, arrays in want.items():
+                got = [getattr(db.get(m.sentence_id), f) for m in meas]
+                assert all(a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+                           for a, b in zip(got, arrays)), (cfg, f)
+
+    def test_unfixated_and_empty_sentences(self):
+        """A sentence with no fixated word gets eye and EEG tokens 0 and no EEG rows; one
+        with no words gets empty token fields; the sentences around them are unaffected."""
+        rng = np.random.default_rng(9)
+        fixed = [(2, 100, 200, 100, 100), (0,), (1, 50, 60, 70, 80)]
+
+        def empty(sid):
+            return SentenceMeasurement(sid, [], 0, [], np.zeros((0, 5)), np.zeros((0, N_EEG_VECTORS, 4)),
+                                       rng.normal(size=(8, 4)))
+
+        meas = [toy_measurement("m0", ["a", "b", "c"], fixed, rng),
+                toy_measurement("m1", ["a", "b"], [(0,), (0,)], rng), empty("m2"),
+                toy_measurement("m3", ["a", "b", "c"], fixed, rng), empty("m4")]
+        assert meas[1].word_eeg.shape == (0, N_EEG_VECTORS, 4)
+        db = derive_records(meas)
+        want = per_sentence_fields(meas)
+        for i, m in enumerate(meas):
+            rec = db.get(m.sentence_id)
+            for f, arrays in want.items():
+                assert getattr(rec, f).tobytes() == arrays[i].tobytes(), (m.sentence_id, f)
+        assert db.get("m1").eye_tokens.tolist() == db.get("m1").eeg_tokens.tolist() == [0, 0]
+        assert db.get("m2").eye_tokens.size == db.get("m4").eeg_tokens.size == 0
+        assert db.get("m0").eye_tokens.tolist() == db.get("m3").eye_tokens.tolist() == [100, 0, 26]
+
+    def test_first_failing_sentence_names_the_eye_error(self):
+        """An overflowing eye value before a negative one raises the overflow error, and
+        the other way round, as scaling each sentence in turn does."""
+        rng = np.random.default_rng(10)
+        for bad, message in (((1, 2), "token values overflow float64 when scaled"),
+                             ((2, 1), "raw eye token values must be non-negative")):
+            meas = [toy_measurement(f"m{i}", ["a", "b"], [(2, 10, 20, 10, 10), (1, 1, 0, 0, 0)], rng)
+                    for i in range(4)]
+            overflow, negative = bad
+            meas[overflow].durations[0, 0] = 5e306  # 2 x (5e306 + 40) is finite, 100 x that is not
+            meas[negative].durations[1, 0] = -5.0  # after construction, which rejects it
+            with pytest.raises(ValidationError, match=message) as want:
+                per_sentence_fields(meas)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValidationError) as got:
+                    derive_records(meas)
+            assert str(got.value) == str(want.value)
 
     def test_changed_channel_count_rejected(self):
         rng = np.random.default_rng(6)
@@ -852,6 +936,22 @@ class TestSynthGenerate:
                 if w in own:
                     assert n >= 2
         assert saw_distractor
+
+    def test_numpy_draw_identities(self):
+        """The generator draws a list item as seq[rng.integers(len(seq))] and an EEG block as
+        loc + s * rng.standard_normal(shape); both must give rng.choice's and rng.normal's
+        values bit for bit and leave the stream where they leave it, or corpora change."""
+        loc = np.array([1.0, 3.0, -2.5])
+        for seed in range(6):
+            for seq in (["kw0x0"], [f"kw1x{i}" for i in range(5)]):
+                a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+                assert [seq[a.integers(len(seq))] for _ in range(20)] == [
+                    str(b.choice(seq)) for _ in range(20)]
+                assert a.random() == b.random()
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            got, want = loc + 0.3 * a.standard_normal((32, 3)), b.normal(loc, 0.3, size=(32, 3))
+            assert got.tobytes() == want.tobytes()
+            assert a.random() == b.random()
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ConfigError):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cogbert.errors import DataError, ValidationError
+from cogbert.features import CognitiveRecord, FeatureDb
 from cogbert.tokenizer import (
     CLS_ID,
     PAD_ID,
@@ -13,6 +14,7 @@ from cogbert.tokenizer import (
     build_vocab,
     encode,
 )
+from cogbert.training import make_examples
 
 
 class TestBuildVocab:
@@ -79,9 +81,18 @@ class TestEncode:
         assert ids[1] == UNK_ID
 
     def test_truncation_recorded(self, caplog):
-        ids = encode(["he", "won", "the", "nobel", "prize"], self.vocab, max_len=4)
+        """encode keeps the first words; make_examples, which knows the id, warns once per cut sentence."""
+        words = ["he", "won", "the", "nobel", "prize"]
+        ids = encode(words, self.vocab, max_len=4)
         assert ids.tolist() == [CLS_ID, self.vocab.id_of("he"), self.vocab.id_of("won"), SEP_ID]
-        assert "truncating 3 word(s) to fit max_len=4" in caplog.text
+        assert caplog.records == []
+        db = FeatureDb([CognitiveRecord(sid, words[:n], 0, [0] * n, [0] * n, [0] * n, [0.0])
+                        for sid, n in (("s1", 5), ("s2", 2), ("s3", 4))])
+        with caplog.at_level("WARNING", logger="cogbert"):
+            examples = make_examples(db, self.vocab, max_len=4)
+        assert [ex.ids.tolist() for ex in examples] == [ids.tolist()] * 3
+        assert [r.getMessage() for r in caplog.records] == [
+            "s1: truncating 3 word(s) to fit max_len=4", "s3: truncating 2 word(s) to fit max_len=4"]
 
     def test_max_len_floor(self):
         with pytest.raises(ValidationError):

@@ -28,6 +28,9 @@ process with one BLAS thread:
   of those sentences with that checkpoint (200 samples), whose perturbations
   fill widths 24-48, so the LIME position budget splits a width's
   perturbations over several forwards.
+  Last, synth of 30 sentences with 3 classes, 3 EEG channels, one keyword
+  per class, every filler word fixated and one distractor, and lexicon build
+  over that corpus.
   The config paths: synth --print-config with a generator config file, train
   --print-config with --robustness and with --epochs and --seed over a train
   config, and a fine-tuning train whose train config's init_source is an
@@ -133,6 +136,10 @@ def script() -> list[tuple[str, list[str]]]:
         ("explain-long", ["explain", "--features", "data-long/features.jsonl", "--checkpoint",
                           "train-long/model.ckpt", "--vocab", "train-long/vocab.tsv", "--ids",
                           "s0000,s0001", "--seed", "5", "--out", "explain-long"]),
+        ("synth-small", ["synth", "--out", "data-small", "--config", "synth-small.json",
+                         "--seed", "19"]),
+        ("lexicon-build-small", ["lexicon", "build", "--corpus", "data-small/corpus.jsonl",
+                                 "--out", "lexicon-small/lexicon.jsonl"]),
     ]
     return cmds
 
@@ -150,6 +157,9 @@ def write_configs(out: Path) -> None:
     (out / "synth.json").write_text(
         '{"n_classes": 4, "distractors": 2, "eeg_noise": 0.5, "filler_fix_prob": 0.5}\n')
     (out / "synth-long.json").write_text('{"min_words": 48, "max_words": 62}\n')
+    (out / "synth-small.json").write_text(
+        '{"n_sentences": 30, "n_classes": 3, "eeg_channels": 3, "keywords_per_class": 1, '
+        '"filler_fix_prob": 1.0, "distractors": 1}\n')
     (out / "model64.json").write_text(
         '{"layers": 2, "heads": 2, "d_model": 32, "d_ff": 64, "max_len": 64, "dropout": 0.1}\n')
     (out / "train-long.json").write_text('{"lr": 0.001, "batch_size": 8}\n')
