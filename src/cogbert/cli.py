@@ -4,7 +4,9 @@ Commands: synth, train, eval, lexicon build|apply, explain, gradcheck, report.
 Exit codes: 0 success, 1 verification failure, 2 config error, 3 data error,
 4 empty result. Every command is deterministic given --seed; wall-clock
 timings go to stdout only, never into report files, so reruns with the same
-seed produce byte-identical outputs.
+seed produce byte-identical outputs. Warnings, the library's and the CLI's
+own, are logged under the `cogbert` logger and reach stderr as
+`warning: <message>` lines; errors are `error: <message>` lines on stderr.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import logging
 import sys
 import time
 from pathlib import Path
@@ -35,6 +38,9 @@ from .files import atomic_open, write_json
 from .model import (MODES, EncoderParams, ModelConfig, gradcheck_mode, init_params, load_checkpoint,
                     save_checkpoint)
 from .tokenizer import Vocab, build_vocab
+
+# Named, not __name__: run as `python -m cogbert.cli` this module is __main__.
+log = logging.getLogger("cogbert.cli")
 
 GRADCHECK_TOLERANCE = 1e-4
 
@@ -293,7 +299,7 @@ def cmd_lexicon(args) -> int:
         vec, coverage = feat.lexicon_sentence_eeg(rec.tokens, lexicon, n_channels)
         coverages[sid] = coverage
         if coverage == 0.0:
-            print(f"warning: no lexicon coverage for {sid}; zero vector substituted")
+            log.warning("no lexicon coverage for %s; zero vector substituted", sid)
         records.append(dataclasses.replace(rec, sentence_eeg=vec))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -491,8 +497,31 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _StderrWarnings(logging.Handler):
+    """Writes each warning as `warning: <message>` to sys.stderr as it is when
+    the record arrives, so a stderr redirected after setup still gets it."""
+
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.setFormatter(logging.Formatter("warning: %(message)s"))
+
+    def emit(self, record: logging.LogRecord) -> None:
+        try:
+            sys.stderr.write(self.format(record) + "\n")
+        except Exception:  # as logging.StreamHandler does
+            self.handleError(record)
+
+
+def _attach_warning_handler() -> None:
+    """Route the `cogbert` logger's warnings to stderr, once per process."""
+    logger = logging.getLogger("cogbert")
+    if not any(isinstance(h, _StderrWarnings) for h in logger.handlers):
+        logger.addHandler(_StderrWarnings())
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
+    _attach_warning_handler()
     if args.command == "lexicon":
         if args.action == "build" and not args.corpus:
             print("error: lexicon build requires --corpus", file=sys.stderr)

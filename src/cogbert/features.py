@@ -553,8 +553,14 @@ def scale_eye_tokens(raw, offsets=None) -> np.ndarray:
 
 def eeg_token_raw(word_eeg) -> np.ndarray:
     """Grand mean of each fixated word's (32, C) EEG, (k, 32, C) -> (k,): the mean
-    of its occurrence vector (the mean over the 32 event/band vectors)."""
-    return np.asarray(word_eeg, dtype=np.float64).mean(axis=1).mean(axis=1)
+    of its occurrence vector (the mean over the 32 event/band vectors).
+
+    Each mean is the sum's reduction divided by the count, the steps np.mean
+    takes, so the result is bit-equal to `.mean(axis=1).mean(axis=1)` at a
+    fraction of its call overhead."""
+    x = np.asarray(word_eeg, dtype=np.float64)
+    n_vectors, channels = x.shape[1:]
+    return np.add.reduce(np.add.reduce(x, axis=1) / n_vectors, axis=1) / channels
 
 
 def scale_eeg_tokens(raw, fixated=None) -> np.ndarray:

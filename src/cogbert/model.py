@@ -38,6 +38,7 @@ that header for its sidecar's config and nothing else.
 
 from __future__ import annotations
 
+import contextlib
 import json
 from dataclasses import dataclass, replace
 from itertools import zip_longest
@@ -586,7 +587,7 @@ def self_attention(
                   None if queries is x else layout)
     k = ad.linear(x, params[p + "attn.wk"], params[p + "attn.bk"])
     v = ad.linear(x, params[p + "attn.wv"], params[p + "attn.bv"])
-    ctx, _ = ad.multi_head_attention(q, k, v, masks, cfg.heads, probs_out)
+    ctx = ad.multi_head_attention(q, k, v, masks, cfg.heads, probs_out)[0]
     if rows is not None and queries is x:
         ctx, queries = ad.select_rows(ctx, rows), ad.select_rows(x, rows)
     ctx = ad.linear(ctx, params[p + "attn.wo"], params[p + "attn.bo"], layout)
@@ -654,7 +655,9 @@ class ForwardResult:
     `attention[b]` holds sentence b's per-layer, per-head attention
     probabilities; they are exactly zero on its PAD columns. A training
     forward's backward reads them, so they must not be written before it.
-    A logits-only forward (`attention=False`) has None here.
+    A logits-only forward (`attention=False`) has None here. An inference
+    forward's `logits` node has no backward rule and links only to its
+    direct inputs (see autodiff.no_tape).
     """
 
     # (B, T, d_model) hidden states entering the last layer, detached. Only
@@ -669,16 +672,6 @@ class ForwardResult:
         return self.logits.value.argmax(axis=1)
 
 
-def _cut(x: Node, train: bool) -> Node:
-    """An inference forward's block boundary: start a new tape at x's value.
-
-    Nothing then holds the finished block's nodes and backward closures, so
-    its intermediates are freed while the next block runs. A training
-    forward keeps the whole tape for backward.
-    """
-    return x if train else ad.const(x.value)
-
-
 def encoder_forward(
     params: EncoderParams,
     batch: Batch,
@@ -688,17 +681,17 @@ def encoder_forward(
 ) -> ForwardResult:
     """Run the stacked encoder and classification head over a batch.
 
-    Only a `train=True` forward can be backpropagated through the encoder:
-    an inference forward (the default) cuts its tape after the embedding and
-    after every attention and feed-forward block, so it holds one block's
-    intermediates at a time, and the parameters below the last cut get no
-    gradient. The head reads only the last layer's CLS rows, so after the
-    last attention every forward keeps only those rows: the output
-    projection, both layer norms and the feed-forward block of the last
-    layer run on B rows instead of B*T. Their backward runs on the B*T
-    layout (see autodiff.matmul), so the gradients are bit-equal to those of
-    a forward that runs them on every position. Dropout applies only when
-    train is True; at dropout 0 both kinds give bit-identical results.
+    Only a `train=True` forward can be backpropagated: an inference forward
+    (the default) runs under `autodiff.no_tape()`, so it records no backward
+    rule, each intermediate is freed once the op after its consumer has run,
+    and a backward from its logits gives no parameter a gradient. The head
+    reads only the last layer's CLS rows, so after the last attention every
+    forward keeps only those rows: the output projection, both layer norms
+    and the feed-forward block of the last layer run on B rows instead of
+    B*T. Their backward runs on the B*T layout (see autodiff.matmul), so the
+    gradients are bit-equal to those of a forward that runs them on every
+    position. Dropout applies only when train is True; at dropout 0 both
+    kinds give bit-identical results.
 
     attention=False asks for the logits only, as training, `gradcheck_mode`,
     `training.evaluate` and the LIME perturbation forwards do;
@@ -716,23 +709,21 @@ def encoder_forward(
         raise ValidationError("training forward with dropout needs an rng")
     n, t = batch.ids.shape
 
-    x = embed(params, batch.ids, batch.tokens)
-    x = _dropout(x, n, cfg, train, rng)
-    cls = np.arange(n) * t  # CLS position of each sentence
-    # Layer-major, so each layer's in-place softmax runs on a contiguous block.
-    maps = np.empty((cfg.layers, n, cfg.heads, t, t)) if attention else None
-    for layer in range(cfg.layers):  # rebinding x at each cut lets the block before it go
-        x = _cut(x, train)
-        hidden = x.value
-        rows = cls if layer == cfg.layers - 1 else None
-        probs_out = None if maps is None else maps[layer]
-        x = self_attention(x, batch.masks, params, layer, probs_out, train, rng, rows)
-        x = _cut(x, train)
-        x = _feed_forward(x, n, params, layer, train, rng, None if rows is None else (n * t, rows))
-    x = _cut(x, train)  # the last layer kept only the CLS rows: x is the pooled output
-
-    fused = fuse_pooled(x, batch.sent_eeg, params)
-    logits = classify(fused, params)
+    with contextlib.nullcontext() if train else ad.no_tape():
+        x = embed(params, batch.ids, batch.tokens)
+        x = _dropout(x, n, cfg, train, rng)
+        cls = np.arange(n) * t  # CLS position of each sentence
+        # Layer-major, so each layer's in-place softmax runs on a contiguous block.
+        maps = np.empty((cfg.layers, n, cfg.heads, t, t)) if attention else None
+        for layer in range(cfg.layers):
+            hidden = x.value
+            rows = cls if layer == cfg.layers - 1 else None
+            probs_out = None if maps is None else maps[layer]
+            x = self_attention(x, batch.masks, params, layer, probs_out, train, rng, rows)
+            x = _feed_forward(x, n, params, layer, train, rng,
+                              None if rows is None else (n * t, rows))
+        # The last layer kept only the CLS rows: x is the pooled output.
+        logits = classify(fuse_pooled(x, batch.sent_eeg, params), params)
 
     return ForwardResult(
         hidden=hidden.reshape(n, t, cfg.d_model),

@@ -9,14 +9,20 @@ topological order and alone adds those gradients up, so a parameter's
 here is hand-derived and covered by finite-difference checks in the test
 suite (see gradcheck.grad_check_report).
 
-Constant inputs (sentence EEG vectors, an inference forward's block inputs)
-enter the graph as `const` leaves, which take no gradient: `backward` stores
-none on them, and `matmul` returns None for a const left operand instead of
-computing its `g @ b.T` product.
+Constant inputs (sentence EEG vectors) enter the graph as `const` leaves,
+which take no gradient: `backward` stores none on them, and `matmul`
+returns None for a const left operand instead of computing its `g @ b.T`
+product.
+
+Inside `no_tape()` the ops compute the same values but record no tape: a
+node keeps no backward rule and links only to its direct inputs, so each
+intermediate is freed as soon as the op after its consumer has run. An
+inference forward runs so.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -28,8 +34,31 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
 
+# False inside no_tape(): ops then record no backward rule and no links past one op.
+_taping = True
+
+
+@contextlib.contextmanager
+def no_tape():
+    """Build nodes without a tape while the block runs; restores the previous
+    state on exit, also on an exception, so it nests.
+
+    Each node built meanwhile keeps no backward rule (`bwd` is None) and
+    empties its inputs' own `parents`, so a live node holds its direct inputs
+    only. That one hop stays because perfbench/tracing.py reads a matmul's
+    left operand shape from `out.parents[0]` to count its flops. A backward
+    from such a node reaches no parameter.
+    """
+    global _taping
+    previous, _taping = _taping, False
+    try:
+        yield
+    finally:
+        _taping = previous
+
+
 class Node:
-    """One value in the computation graph."""
+    """One value in the computation graph; bwd is its backward rule, if any."""
 
     __slots__ = ("value", "grad", "parents", "bwd")
 
@@ -38,6 +67,10 @@ class Node:
         self.grad = None
         self.parents = parents
         self.bwd = bwd
+        if not _taping:
+            self.bwd = None
+            for parent in parents:
+                parent.parents = ()
 
     def item(self) -> float:
         return float(self.value.reshape(-1)[0])
@@ -127,25 +160,19 @@ def backward(root: Node) -> None:
 def add(a: Node, b: Node) -> Node:
     if a.value.shape != b.value.shape:
         raise ShapeError(f"add shape mismatch: {a.value.shape} vs {b.value.shape}")
-    out = Node(a.value + b.value, (a, b))
-    out.bwd = lambda g: (g, g)
-    return out
+    return Node(a.value + b.value, (a, b), lambda g: (g, g))
 
 
 def add_bias(x: Node, b: Node) -> Node:
     """x (n, d) + b (1, d), broadcasting the bias row over all rows."""
     if b.value.shape != (1, x.value.shape[1]):
         raise ShapeError(f"bias {b.value.shape} does not broadcast over {x.value.shape}")
-    out = Node(x.value + b.value, (x, b))
-    out.bwd = lambda g: (g, g.sum(axis=0, keepdims=True))
-    return out
+    return Node(x.value + b.value, (x, b), lambda g: (g, g.sum(axis=0, keepdims=True)))
 
 
 def mul_const(x: Node, c: np.ndarray) -> Node:
     """Elementwise multiply by a constant (broadcastable) array."""
-    out = Node(x.value * c, (x,))
-    out.bwd = lambda g: (g * c,)
-    return out
+    return Node(x.value * c, (x,), lambda g: (g * c,))
 
 
 def _rows_product(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -200,10 +227,10 @@ def matmul(a: Node, b: Node, layout: tuple[int, np.ndarray] | None = None) -> No
     """
     if a.value.shape[1] != b.value.shape[0]:
         raise ShapeError(f"cannot multiply {a.value.shape} by {b.value.shape}: inner dimensions differ")
-    out = Node(_rows_product(a.value, b.value), (a, b))
+    value = _rows_product(a.value, b.value)
     if layout is None:
-        out.bwd = lambda g: (None if _is_const(a) else _rows_product(g, b.value.T), a.value.T @ g)
-        return out
+        return Node(value, (a, b), lambda g: (
+            None if _is_const(a) else _rows_product(g, b.value.T), a.value.T @ g))
     rows = layout[1]
 
     def bwd(g):
@@ -211,8 +238,7 @@ def matmul(a: Node, b: Node, layout: tuple[int, np.ndarray] | None = None) -> No
         da = None if _is_const(a) else _rows_product(g_full, b.value.T)[rows]
         return da, _full_rows(layout, a.value).T @ g_full
 
-    out.bwd = bwd
-    return out
+    return Node(value, (a, b), bwd)
 
 
 def linear(x: Node, w: Node, b: Node, layout: tuple[int, np.ndarray] | None = None) -> Node:
@@ -247,9 +273,7 @@ def _gelu_grad(x: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def gelu(x: Node) -> Node:
     value, t = _gelu(x.value)
-    out = Node(value, (x,))
-    out.bwd = lambda g: (g * _gelu_grad(x.value, t),)
-    return out
+    return Node(value, (x,), lambda g: (g * _gelu_grad(x.value, t),))
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
@@ -294,7 +318,6 @@ def layer_norm_rows(x: Node, gamma: Node, beta: Node, eps: float = 1e-5) -> Node
     xhat *= inv_std
     np.multiply(xhat, gamma.value, out=y)
     y += beta.value
-    out = Node(y, (x, gamma, beta))
 
     def bwd(g):
         # dx = inv_std * (dxhat - mean(dxhat) - xhat * sum(dxhat * xhat) / d)
@@ -306,8 +329,7 @@ def layer_norm_rows(x: Node, gamma: Node, beta: Node, eps: float = 1e-5) -> Node
         dx *= inv_std
         return dx, (g * xhat).sum(axis=0, keepdims=True), g.sum(axis=0, keepdims=True)
 
-    out.bwd = bwd
-    return out
+    return Node(y, (x, gamma, beta), bwd)
 
 
 def _scatter_rows(shape: tuple[int, int], rows: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -329,26 +351,22 @@ def gather_rows(table: Node, ids: np.ndarray) -> Node:
             f"row index out of range for table with {table.value.shape[0]} rows: "
             f"[{ids.min()}, {ids.max()}]"
         )
-    out = Node(table.value[ids], (table,))
-    out.bwd = lambda g: (_scatter_rows(table.value.shape, ids, g),)
-    return out
+    return Node(table.value[ids], (table,),
+                lambda g: (_scatter_rows(table.value.shape, ids, g),))
 
 
 def select_rows(x: Node, idx: np.ndarray) -> Node:
     """Pick a subset of rows (e.g. the CLS position of each sentence)."""
     idx = np.asarray(idx, dtype=np.int64)
-    out = Node(x.value[idx], (x,))
-    out.bwd = lambda g: (_scatter_rows(x.value.shape, idx, g),)
-    return out
+    return Node(x.value[idx], (x,), lambda g: (_scatter_rows(x.value.shape, idx, g),))
 
 
 def concat_cols(a: Node, b: Node) -> Node:
     if a.value.shape[0] != b.value.shape[0]:
         raise ShapeError(f"cannot concat {a.value.shape} with {b.value.shape}: row counts differ")
     na = a.value.shape[1]
-    out = Node(np.concatenate([a.value, b.value], axis=1), (a, b))
-    out.bwd = lambda g: (g[:, :na], g[:, na:])
-    return out
+    return Node(np.concatenate([a.value, b.value], axis=1), (a, b),
+                lambda g: (g[:, :na], g[:, na:]))
 
 
 def dropout(x: Node, rate: float, rng, draw_shape: tuple[int, int, int]) -> Node:
@@ -410,7 +428,7 @@ def multi_head_attention(
     probs *= inv_scale
     probs += mask[:, None, None, :]
     _softmax_in_place(probs)
-    out = Node(unsplit(_rows_product(probs, vh)), (q, k, v))
+    context = unsplit(_rows_product(probs, vh))
 
     def bwd(g):
         dctx = split(g, n_q)
@@ -421,8 +439,7 @@ def multi_head_attention(
         dk = dscores.transpose(0, 1, 3, 2) @ qh * inv_scale
         return unsplit(dq), unsplit(dk), unsplit(dv)
 
-    out.bwd = bwd
-    return out, probs
+    return Node(context, (q, k, v), bwd), probs
 
 
 def cross_entropy_mean(logits: Node, labels: np.ndarray) -> Node:
@@ -436,12 +453,10 @@ def cross_entropy_mean(logits: Node, labels: np.ndarray) -> Node:
     logp = shifted - lse
     n = lv.shape[0]
     loss = -logp[np.arange(n), labels].mean()
-    out = Node(np.array([[loss]]), (logits,))
 
     def bwd(g):
         dl = np.exp(logp)
         dl[np.arange(n), labels] -= 1.0
         return (dl * (g[0, 0] / n),)
 
-    out.bwd = bwd
-    return out
+    return Node(np.array([[loss]]), (logits,), bwd)

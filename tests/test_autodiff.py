@@ -320,10 +320,12 @@ class TestAttention:
         np.testing.assert_allclose(probs, 1.0 / seq, atol=1e-12)
 
 
-def one_run_of_every_op():
-    """(op name, output node) for one call of every differentiable op."""
+def one_run_of_every_op(intermediate_inputs=False):
+    """(op name, output node) for one call of every differentiable op; its
+    inputs are Parameters, or with intermediate_inputs, ops' outputs."""
     def p(*shape):
-        return ad.Parameter("p", RNG.normal(size=shape))
+        param = ad.Parameter("p", RNG.normal(size=shape))
+        return ad.mul_const(param, 1.0) if intermediate_inputs else param
     return [
         ("add", ad.add(p(3, 4), p(3, 4))),
         ("add_bias", ad.add_bias(p(3, 4), p(1, 4))),
@@ -348,7 +350,8 @@ class TestTapeContract:
     `backward` alone adds gradients up."""
 
     def test_every_op_is_covered(self):
-        not_ops = {"const", "backward", "softmax", "linear", "dropout", "Node", "Parameter"}
+        not_ops = {"const", "backward", "softmax", "linear", "dropout", "no_tape", "Node",
+                   "Parameter"}
         ops = {name for name, value in vars(ad).items()
                if callable(value) and not name.startswith("_")
                and getattr(value, "__module__", None) == ad.__name__} - not_ops
@@ -391,6 +394,36 @@ class TestTapeContract:
             return red(ad.add(s, u))
 
         check(loss, [w])
+
+
+class TestNoTape:
+    """Inside no_tape() an op records no backward rule, and a node links only
+    to its direct inputs."""
+
+    def test_op_keeps_no_rule_and_empties_its_inputs_parents(self):
+        with ad.no_tape():
+            runs = one_run_of_every_op(intermediate_inputs=True)
+        for name, out in runs:
+            assert out.bwd is None, name
+            assert out.parents and all(p.parents == () for p in out.parents), name
+        taped = one_run_of_every_op(intermediate_inputs=True)
+        for name, out in taped:
+            assert out.bwd is not None and all(p.parents for p in out.parents), name
+
+    def test_restores_recording_after_an_exception_and_when_nested(self):
+        w = ad.Parameter("w", RNG.normal(size=(2, 3)))
+
+        def taping():
+            return ad.gelu(w).bwd is not None
+
+        with ad.no_tape():
+            with ad.no_tape():
+                assert not taping()
+            assert not taping()
+        assert taping()
+        with pytest.raises(RuntimeError), ad.no_tape():
+            raise RuntimeError("inside no_tape")
+        assert taping()
 
 
 class TestGraphBehavior:

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import logging
 import math
 import os
 import shutil
@@ -14,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 import cogbert
-from cogbert import training
+from cogbert import cli, training
 from cogbert.cli import main as cli_main
 from cogbert.features import (
     EEGLexicon,
@@ -260,13 +261,28 @@ class TestLexicon:
         rc = cli_main(["lexicon", "apply", "--lexicon", str(lex_path),
                        "--features", str(foreign_path), "--out", str(out)])
         assert rc == 0
-        assert "no lexicon coverage" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "no lexicon coverage" not in captured.out
+        assert captured.err == "".join(f"warning: no lexicon coverage for {sid}; zero vector "
+                                       f"substituted\n" for sid in foreign.ids()[:4])
         out_db = FeatureDb.load_jsonl(out)
         for sid in out_db.ids():
             assert not out_db.get(sid).sentence_eeg.any()
 
     def test_build_without_corpus_exits_2(self, tmp_path):
         assert cli_main(["lexicon", "build", "--out", str(tmp_path / "x")]) == 2
+
+
+def test_warnings_reach_current_stderr_once_with_prefix(tmp_path, capsys):
+    """main attaches one handler however often it runs, and it writes to the
+    stderr of the moment, so a library warning logged later lands in capsys."""
+    for _ in range(3):
+        assert cli_main(["lexicon", "build", "--out", str(tmp_path / "x")]) == 2
+    capsys.readouterr()
+    logging.getLogger("cogbert.training").warning("s1: truncating %d word(s)", 2)
+    assert capsys.readouterr() == ("", "warning: s1: truncating 2 word(s)\n")
+    handlers = logging.getLogger("cogbert").handlers
+    assert sum(isinstance(h, cli._StderrWarnings) for h in handlers) == 1
 
 
 class TestExplain:

@@ -114,3 +114,8 @@ def test_script_covers_every_mode_and_command(tmp_path):
     out = long_runs[0][long_runs[0].index("--out") + 1]
     assert any(args[0] == "explain" and args[args.index("--checkpoint") + 1].startswith(out + "/")
                and args[args.index("--features") + 1] == features for args in script)
+    # And it evaluates that whole corpus: a full eval batch of 32 at widths 56-64.
+    assert any(args[0] == "eval" and args[args.index("--checkpoint") + 1].startswith(out + "/")
+               and args[args.index("--features") + 1] == features and "--split-ratio" not in args
+               for args in script)
+    assert int(synth[synth.index("--n-sentences") + 1]) >= 32

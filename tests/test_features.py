@@ -207,6 +207,14 @@ class TestEEGTokens:
             expected = float(np.mean([np.mean(col) for col in channels.T]))
             assert eeg_token_raw([channels])[0] == pytest.approx(expected, abs=1e-12)
 
+    def test_equals_two_means_bit_for_bit_on_synth_corpora(self):
+        for channels in (1, 3, 8):
+            meas, _, _ = synth_generate(SynthConfig(n_sentences=24, eeg_channels=channels), 6)
+            for m in meas:
+                want = np.asarray(m.word_eeg, dtype=np.float64).mean(axis=1).mean(axis=1)
+                np.testing.assert_array_equal(eeg_token_raw(m.word_eeg), want,
+                                              err_msg=f"{channels} {m.sentence_id}")
+
 
 class TestScaleEEGTokens:
     def test_min_max_example(self):

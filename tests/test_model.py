@@ -568,9 +568,9 @@ class TestBatchWidth:
 
 
 class TestInferenceForward:
-    """train=False cuts the tape at every block boundary; every forward finishes
-    only the CLS rows after the last attention, and a logits-only forward
-    attends from the CLS rows alone in the last layer; the outputs stay the same."""
+    """train=False records no tape; every forward finishes only the CLS rows
+    after the last attention, and a logits-only forward attends from the CLS
+    rows alone in the last layer; the outputs stay the same."""
 
     def test_matches_training_forward_bit_for_bit(self):
         """At every batch size up to 21 and at the eval batch of 32, so a BLAS
@@ -649,6 +649,33 @@ class TestInferenceForward:
             finally:
                 tracemalloc.stop()
         assert peaks[False] <= 0.5 * peaks[True], peaks
+
+    def test_logits_only_peak_memory_at_most_035_of_training_forward(self):
+        """No tape: each intermediate goes once the op after its consumer has run."""
+        cfg = tiny_cfg(d_model=32, d_ff=64, max_len=48)
+        params = random_params(cfg, seed=1)
+        batch = width_batch(cfg, [46] * 16)
+        peaks = {}
+        for train in (False, True):
+            tracemalloc.start()
+            try:
+                encoder_forward(params, batch, train=train, attention=False)
+                peaks[train] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[False] <= 0.35 * peaks[True], peaks
+
+    def test_backward_from_logits_reaches_no_parameter(self):
+        for mode in MODES:
+            cfg = tiny_cfg(mode=mode)
+            params = spread_params(cfg, seed=5)
+            batch = width_batch(cfg, [9, 3, 6])
+            params.zero_grads()
+            for maps in (False, True):
+                logits = encoder_forward(params, batch, attention=maps).logits
+                assert logits.bwd is None, mode
+                ad.backward(ad.cross_entropy_mean(logits, batch.labels))
+            assert not any(p.grad.any() for p in params.all()), mode
 
 
 def full_rows_training_logits(params, batch, rng):

@@ -27,7 +27,9 @@ process with one BLAS thread:
   blocks the feed-forward weight gradients' sums over rows; then explain two
   of those sentences with that checkpoint (200 samples), whose perturbations
   fill widths 24-48, so the LIME position budget splits a width's
-  perturbations over several forwards.
+  perturbations over several forwards; and eval that checkpoint on all 40
+  of its sentences, whose batch of 32 runs at widths 56-64, the size of the
+  benchmark's inference forwards.
   Last, synth of 30 sentences with 3 classes, 3 EEG channels, one keyword
   per class, every filler word fixated and one distractor, and lexicon build
   over that corpus.
@@ -136,6 +138,11 @@ def script() -> list[tuple[str, list[str]]]:
         ("explain-long", ["explain", "--features", "data-long/features.jsonl", "--checkpoint",
                           "train-long/model.ckpt", "--vocab", "train-long/vocab.tsv", "--ids",
                           "s0000,s0001", "--seed", "5", "--out", "explain-long"]),
+        # Every sentence, no split: batches of 32 and 8 at widths 56-64, the
+        # benchmark's inference size.
+        ("eval-long", ["eval", "--features", "data-long/features.jsonl", "--checkpoint",
+                       "train-long/model.ckpt", "--vocab", "train-long/vocab.tsv",
+                       "--out", "eval-long"]),
         ("synth-small", ["synth", "--out", "data-small", "--config", "synth-small.json",
                          "--seed", "19"]),
         ("lexicon-build-small", ["lexicon", "build", "--corpus", "data-small/corpus.jsonl",
