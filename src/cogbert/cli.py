@@ -4,16 +4,15 @@ Commands: synth, train, eval, lexicon build|apply, explain, gradcheck, report.
 Exit codes: 0 success, 1 verification failure, 2 config error, 3 data error,
 4 empty result. Every command is deterministic given --seed; wall-clock
 timings go to stdout only, never into report files, so reruns with the same
-seed produce byte-identical outputs. Warnings, the library's and the CLI's
-own, are logged under the `cogbert` logger and reach stderr as
-`warning: <message>` lines; errors are `error: <message>` lines on stderr.
+seed produce byte-identical outputs. The library logs its warnings under
+the `cogbert` logger, and they reach stderr as `warning: <message>` lines;
+errors are `error: <message>` lines on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import logging
 import sys
@@ -38,9 +37,6 @@ from .files import atomic_open, write_json
 from .model import (MODES, EncoderParams, ModelConfig, gradcheck_mode, init_params, load_checkpoint,
                     save_checkpoint)
 from .tokenizer import Vocab, build_vocab
-
-# Named, not __name__: run as `python -m cogbert.cli` this module is __main__.
-log = logging.getLogger("cogbert.cli")
 
 GRADCHECK_TOLERANCE = 1e-4
 
@@ -274,6 +270,8 @@ def cmd_eval(args) -> int:
 
 def cmd_lexicon(args) -> int:
     if args.action == "build":
+        if not args.corpus:
+            raise ConfigError("lexicon build requires --corpus")
         measurements = feat.load_measurements(_require_file(args.corpus, "corpus"))
         lexicon = feat.build_lexicon(measurements)
         if len(lexicon) == 0:
@@ -284,30 +282,22 @@ def cmd_lexicon(args) -> int:
         print(f"lexicon contains {len(lexicon)} words -> {out}")
         return 0
 
-    # apply: replace each record's sentence EEG with the lexicon average
+    if not (args.lexicon and args.features):
+        raise ConfigError("lexicon apply requires --lexicon and --features")
     lexicon = feat.EEGLexicon.load_jsonl(_require_file(args.lexicon, "lexicon"))
     if len(lexicon) == 0:
         raise EmptyResultError("lexicon file holds no entries")
     db = feat.FeatureDb.load_jsonl(_require_file(args.features, "feature db"))
     if len(db) == 0:
         raise EmptyResultError(f"feature db {args.features} holds no sentences")
-    n_channels = len(next(iter(lexicon.vectors.values())))
-    records = []
-    coverages = {}
-    for sid in db.ids():
-        rec = db.get(sid)
-        vec, coverage = feat.lexicon_sentence_eeg(rec.tokens, lexicon, n_channels)
-        coverages[sid] = coverage
-        if coverage == 0.0:
-            log.warning("no lexicon coverage for %s; zero vector substituted", sid)
-        records.append(dataclasses.replace(rec, sentence_eeg=vec))
+    applied, coverages = feat.apply_lexicon(db, lexicon)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    feat.FeatureDb(records).save_jsonl(out)
+    applied.save_jsonl(out)
     mean_coverage = float(np.mean(list(coverages.values())))
     write_json(Path(str(out) + ".coverage.json"),
                {"mean_coverage": mean_coverage, "per_sentence": coverages})
-    print(f"applied lexicon to {len(records)} sentences "
+    print(f"applied lexicon to {len(applied)} sentences "
           f"(mean coverage {mean_coverage:.3f}) -> {out}")
     return 0
 
@@ -522,13 +512,6 @@ def _attach_warning_handler() -> None:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     _attach_warning_handler()
-    if args.command == "lexicon":
-        if args.action == "build" and not args.corpus:
-            print("error: lexicon build requires --corpus", file=sys.stderr)
-            return 2
-        if args.action == "apply" and not (args.lexicon and args.features):
-            print("error: lexicon apply requires --lexicon and --features", file=sys.stderr)
-            return 2
     try:
         return args.fn(args)
     except (ConfigError, ValidationError) as exc:

@@ -36,11 +36,11 @@ import numpy as np
 
 from .errors import DataError, NumericError, ValidationError
 from .features import FeatureDb
-from .model import (EncoderParams, Example, batch_width, build_batch, encoder_forward,
-                    word_selections)
+from .model import EncoderParams, batch_width, build_batch, encoder_forward, word_selections
 from .numerics import autodiff as ad
 from .numerics.rng import SeededRng
-from .tokenizer import Vocab, encode
+from .tokenizer import Vocab
+from .training import make_example
 
 log = logging.getLogger(__name__)
 
@@ -251,15 +251,12 @@ def explain_sentence(
     rec = db.get(sentence_id)
     if not rec.tokens:
         raise DataError(f"feature record {sentence_id} has no words to explain")
-    ids = encode(rec.tokens, vocab, cfg.max_len)
-    words = rec.tokens[: len(ids) - 2]
-    if len(words) < len(rec.tokens):
-        log.warning("%s: truncating %d word(s) to fit max_len=%d",
-                    sentence_id, len(rec.tokens) - len(words), cfg.max_len)
-    row = build_batch([Example(sentence_id, ids, rec.label)], cfg, db)
+    example = make_example(rec, vocab, cfg.max_len)
+    words = rec.tokens[: len(example.ids) - 2]
+    row = build_batch([example], cfg, db)
     result = encoder_forward(params, row, attention=True)
     predicted = int(result.predictions()[0])
-    attention = accumulate_attention(result.attention[0], len(ids))
+    attention = accumulate_attention(result.attention[0], len(example.ids))
 
     def predict_fn(keep_masks: np.ndarray) -> np.ndarray:
         kept = keep_masks.sum(axis=1)

@@ -11,32 +11,34 @@ and are the words a cognitive attention mask suppresses.
 
 A FeatureDb keyed by sentence id is the model's lookup table at train and
 eval time; its JSON-lines form is the canonical interchange format. The
-feature db, lexicon and raw-corpus loaders decode each line as json.loads
-does (_read_jsonl). The feature db and raw-corpus loaders (_load_columns)
-type-check all lines into flat arrays in one pass and check all their
-values at once (check_records, check_measurements, which a record built in
-code also runs). A raw corpus gives each sentence views into those arrays;
-a loaded or derived FeatureDb keeps the checked arrays and cuts a record's
-views from them on its first lookup. The word-EEG lexicon approximates
-sentence EEG for corpora without recordings.
+feature db, raw corpus and lexicon have one writer (files.write_jsonl) and
+one loader (_load_columns): it decodes each line as json.loads does
+(_read_jsonl), type-checks all lines into flat arrays in one pass and checks
+their values at once (check_records, check_measurements, _check_lexicon). A
+raw corpus gives each sentence views into those arrays; a loaded or derived
+FeatureDb cuts a record's views from them on its first lookup. The word-EEG
+lexicon (build_lexicon, apply_lexicon) stands in for unrecorded sentence EEG.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .checks import check_field_types, is_integer
+from .checks import check_field_types
 from .errors import ConfigError, DataError, FeatureLookupError, ValidationError
-from .files import atomic_open
+from .files import write_jsonl
 from .numerics.rng import SeededRng
 from .tokenizer import MASK_KEEP, MASK_SUPPRESS
+
+log = logging.getLogger(__name__)
 
 FRPS = ("ffd", "trt", "gd", "gpt")
 BANDS = ("t1", "t2", "a1", "a2", "b1", "b2", "g1", "g2")
@@ -123,6 +125,7 @@ def _unchecked(cls, rows) -> list:
 
 _TOKEN_FIELDS = ("n_fixations", "eye_tokens", "eeg_tokens")
 _INT64_MAX = int(np.iinfo(np.int64).max)
+_LABEL_RULE = f"label must be an integer in 0..{_INT64_MAX}"
 
 
 def _segments(n: int, offsets: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -277,12 +280,12 @@ def _fits(value, dtype) -> bool:
         return False
 
 
-def _check_labels(labels: list) -> None:
-    """Raise a ValidationError naming the first label that is not an integer in 0..int64 max."""
-    if not (set(map(type, labels)) <= {int} and 0 <= min(labels, default=0)
-            and max(labels, default=0) <= _INT64_MAX):
-        bad = next(v for v in labels if not (_fits(v, np.int64) and v >= 0))
-        raise ValidationError(f"label must be an integer in 0..{_INT64_MAX}, got {bad!r}")
+def _check_naturals(values: list, rule: str, high: float = math.inf) -> None:
+    """Raise a ValidationError, the rule and the first of values that is not a JSON integer in 0..high."""
+    if not (set(map(type, values)) <= {int} and 0 <= min(values, default=0)
+            and max(values, default=0) <= high):
+        bad = next(v for v in values if not (type(v) is int and 0 <= v <= high))
+        raise ValidationError(f"{rule}, got {bad!r}")
 
 
 def _array(values: list, dtype, rule: str) -> np.ndarray:
@@ -335,8 +338,6 @@ def _line_error(path: str | Path, lineno: int, obj, id_key: str, exc: Exception)
     return DataError(f"{where}: {detail}")
 
 
-# What a line's parse or checks may raise; a DataError naming the line replaces it.
-_LINE_ERRORS = (ValueError, KeyError, TypeError, OverflowError)
 _JSON_NAMES = {list: "an array", str: "a string", int: "a number", float: "a number",
                bool: "a boolean", type(None): "null"}
 _DECODER = json.JSONDecoder()
@@ -355,15 +356,13 @@ def _decode(line: str):
     return json.loads(line)
 
 
-def _read_jsonl(path: str | Path, id_key: str, parse: Callable[[dict], object],
-                ) -> tuple[list[tuple[int, dict, object]], DataError | None]:
+def _read_jsonl(path: str | Path, id_key: str) -> tuple[list[tuple[int, dict]], DataError | None]:
     """Read the non-empty lines of a JSON-lines file up to the first bad one.
 
-    Each line must parse to a JSON object; then parse(obj) runs, and
-    obj[id_key] must be a string no earlier line holds. Returns the
-    (line number, object, parse result) of each line before the first that
-    fails, and that line's DataError (None if no line fails), which names
-    path:line and, when the line is an object holding one, its id.
+    Each line must parse to a JSON object whose obj[id_key] is a string no
+    earlier line holds. Returns the (line number, object) of each line before
+    the first that fails, and that line's DataError (None if no line fails),
+    which names path:line and, when the line is an object holding one, its id.
     """
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
@@ -379,23 +378,22 @@ def _read_jsonl(path: str | Path, id_key: str, parse: Callable[[dict], object],
             obj = _decode(line)
             if type(obj) is not dict:
                 raise ValidationError(f"expected a JSON object, got {_JSON_NAMES[type(obj)]}")
-            parsed = parse(obj)
             key = obj[id_key]
             if not isinstance(key, str):
                 raise ValidationError(f"{id_key} must be a string, got {key!r}")
             if key in first_line:
                 raise ValidationError(f"duplicate {id_key}, first on line {first_line[key]}")
-        except _LINE_ERRORS as exc:
+        except (ValueError, KeyError) as exc:  # a DataError naming the line replaces it
             return items, _line_error(path, lineno, obj, id_key, exc)
         first_line[key] = lineno
-        items.append((lineno, obj, parsed))
+        items.append((lineno, obj))
     return items, None
 
 
-def _load_columns(path: str | Path, columns: Callable[[list[dict]], tuple],
+def _load_columns(path: str | Path, id_key: str, columns: Callable[[list[dict]], tuple],
                   check: Callable[..., tuple[int, str] | None]) -> tuple[list[str], tuple]:
-    """The ids and columns(objects) of a JSON-lines file's lines, which
-    check(ids, *columns) has passed; the first bad line is a DataError.
+    """The ids (each line's id_key) and columns(objects) of a JSON-lines file's
+    lines, which check(ids, *columns) has passed; the first bad line is a DataError.
 
     _read_jsonl reads the lines up to the first that is not an object with a
     new string id. columns type-checks them in one pass, and only if that
@@ -403,23 +401,23 @@ def _load_columns(path: str | Path, columns: Callable[[list[dict]], tuple],
     to find the first bad one. check then checks the lines before it at once;
     the error names the first failing line.
     """
-    items, error = _read_jsonl(path, "id", lambda obj: None)
+    items, error = _read_jsonl(path, id_key)
     try:
-        cols = columns([obj for _, obj, _ in items])
+        cols = columns([obj for _, obj in items])
     except ValidationError:
-        for n, (lineno, obj, _) in enumerate(items):
+        for n, (lineno, obj) in enumerate(items):
             try:
                 columns([obj])
             except ValidationError as exc:
-                error = _line_error(path, lineno, obj, "id", exc)
+                error = _line_error(path, lineno, obj, id_key, exc)
                 break
         items = items[:n]
-        cols = columns([obj for _, obj, _ in items])
-    ids = [obj["id"] for _, obj, _ in items]
+        cols = columns([obj for _, obj in items])
+    ids = [obj[id_key] for _, obj in items]
     failure = check(ids, *cols)
     if failure is not None:
-        lineno, obj, _ = items[failure[0]]
-        raise _line_error(path, lineno, obj, "id", ValidationError(failure[1]))
+        lineno, obj = items[failure[0]]
+        raise _line_error(path, lineno, obj, id_key, ValidationError(failure[1]))
     if error is not None:
         raise error
     return ids, cols
@@ -433,7 +431,7 @@ def _record_columns(objs: list[dict]) -> tuple[list, list, dict[str, tuple[np.nd
     columns = _key_columns(objs, ("tokens", "label", *_TOKEN_FIELDS, "sentence_eeg"))
     tokens, labels = columns["tokens"], columns["label"]
     _check_strings("tokens", tokens)
-    _check_labels(labels)
+    _check_naturals(labels, _LABEL_RULE, _INT64_MAX)
     fields = {name: _concat(name, columns[name], np.int64 if name in _TOKEN_FIELDS else np.float64)
               for name in (*_TOKEN_FIELDS, "sentence_eeg")}
     return tokens, labels, fields
@@ -487,24 +485,22 @@ class FeatureDb:
         return record
 
     def save_jsonl(self, path: str | Path) -> None:
-        with atomic_open(path, "w", encoding="utf-8") as fh:
-            for rec in map(self.get, self._rows):
-                fh.write(json.dumps({
-                    "id": rec.sentence_id,
-                    "tokens": rec.tokens,
-                    "label": int(rec.label),
-                    "n_fixations": rec.n_fixations.tolist(),
-                    "eye_tokens": rec.eye_tokens.tolist(),
-                    "eeg_tokens": rec.eeg_tokens.tolist(),
-                    "sentence_eeg": rec.sentence_eeg.tolist(),
-                }, sort_keys=True) + "\n")
+        write_jsonl(path, ({
+            "id": rec.sentence_id,
+            "tokens": rec.tokens,
+            "label": int(rec.label),
+            "n_fixations": rec.n_fixations.tolist(),
+            "eye_tokens": rec.eye_tokens.tolist(),
+            "eeg_tokens": rec.eeg_tokens.tolist(),
+            "sentence_eeg": rec.sentence_eeg.tolist(),
+        } for rec in map(self.get, self._rows)))
 
     @classmethod
     def load_jsonl(cls, path: str | Path) -> "FeatureDb":
         """Read a feature db, one record per line, into views of flat arrays; the first
         bad line is a DataError (_load_columns, _record_columns, check_records)."""
         ids, (tokens, labels, fields) = _load_columns(
-            path, _record_columns,
+            path, "id", _record_columns,
             lambda ids, tokens, labels, fields: check_records(
                 ids, np.fromiter(map(len, tokens), np.int64, len(tokens)), fields))
         return cls._of_columns(ids, tokens, labels, fields)
@@ -667,39 +663,35 @@ class EEGLexicon:
         return word in self.vectors
 
     def save_jsonl(self, path: str | Path) -> None:
-        with atomic_open(path, "w", encoding="utf-8") as fh:
-            for word in sorted(self.vectors):
-                fh.write(json.dumps({
-                    "word": word,
-                    "count": int(self.counts[word]),
-                    "vector": self.vectors[word].tolist(),
-                }, sort_keys=True) + "\n")
+        write_jsonl(path, ({"word": word, "count": int(self.counts[word]),
+                            "vector": self.vectors[word].tolist()} for word in sorted(self.vectors)))
 
     @classmethod
     def load_jsonl(cls, path: str | Path) -> "EEGLexicon":
-        """Read a lexicon: distinct string words, counts integers >= 0, and
-        non-empty vectors of the first entry's length."""
-        lengths: list[int] = []
+        """Read a lexicon, one word per line; the first bad line is a DataError
+        (_load_columns, _lexicon_columns, _check_lexicon)."""
+        words, ((values, offsets), counts) = _load_columns(path, "word", _lexicon_columns, _check_lexicon)
+        return cls(dict(zip(words, np.split(values, offsets[1:-1]))), dict(zip(words, counts)))
 
-        def entry(obj: dict) -> tuple[str, np.ndarray, int]:
-            vector, _ = _concat("vector", [obj["vector"]], np.float64)
-            if not vector.size or not np.isfinite(vector).all():
-                raise ValidationError("vector must be a non-empty flat list of finite numbers")
-            count = obj["count"]
-            if not (is_integer(count) and count >= 0):
-                raise ValidationError(f"count must be an integer >= 0, got {count!r}")
-            if not lengths:
-                lengths.append(len(vector))
-            elif len(vector) != lengths[0]:
-                raise ValidationError(
-                    f"vector has {len(vector)} channels, the first entry has {lengths[0]}"
-                )
-            return obj["word"], vector, count
 
-        items, error = _read_jsonl(path, "word", entry)
-        if error is not None:
-            raise error
-        return cls({w: v for _, _, (w, v, _) in items}, {w: c for _, _, (w, _, c) in items})
+def _lexicon_columns(objs: list[dict]) -> tuple[tuple[np.ndarray, np.ndarray], list]:
+    """The vectors (values, offsets) and counts of lexicon lines, type-checked in one pass: a
+    ValidationError names the first key that a line lacks or holds with a wrong value (vector
+    a non-empty flat list of finite numbers, count an integer >= 0, kept a Python int)."""
+    columns = _key_columns(objs, ("vector", "count"))
+    values, offsets = _concat("vector", columns["vector"], np.float64)
+    if not (np.diff(offsets).all() and np.isfinite(values).all()):
+        raise ValidationError("vector must be a non-empty flat list of finite numbers")
+    _check_naturals(columns["count"], "count must be an integer >= 0")
+    return (values, offsets), columns["count"]
+
+
+def _check_lexicon(words: list[str], vectors: tuple, counts: list) -> tuple[int, str] | None:
+    """The first of N lexicon entries whose vector is not as long as the first
+    entry's, with its message; None if all are. vectors: (values, offsets)."""
+    lengths = np.diff(vectors[1])
+    return _first_failure([(lengths != lengths[:1], lambda i: (
+        f"vector has {lengths[i]} channels, the first entry has {lengths[0]}"))])
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a sum beyond float64 is a DataError
@@ -738,6 +730,23 @@ def lexicon_sentence_eeg(words: list[str], lexicon: EEGLexicon, n_channels: int)
         return np.zeros(n_channels, dtype=np.float64), 0.0
     coverage = len(hits) / len(words)
     return np.mean(hits, axis=0), coverage
+
+
+def apply_lexicon(db: FeatureDb, lexicon: EEGLexicon) -> tuple[FeatureDb, dict[str, float]]:
+    """A new db whose sentence EEG is each record's lexicon_sentence_eeg, with the
+    lexicon's channel count, and each sentence's coverage, in db order. A
+    sentence with no word in the lexicon also gets one warning naming it."""
+    if not lexicon:
+        raise ValidationError("an empty lexicon gives no sentence EEG")
+    n_channels = len(next(iter(lexicon.vectors.values())))
+    records, coverages = [], {}
+    for rec in map(db.get, db.ids()):
+        vector, coverage = lexicon_sentence_eeg(rec.tokens, lexicon, n_channels)
+        coverages[rec.sentence_id] = coverage
+        if coverage == 0.0:
+            log.warning("no lexicon coverage for %s; zero vector substituted", rec.sentence_id)
+        records.append(replace(rec, sentence_eeg=vector))
+    return FeatureDb(records), coverages
 
 
 # ---------------------------------------------------------------------------
@@ -888,18 +897,18 @@ def synth_generate(cfg: SynthConfig, seed: int) -> tuple[list[SentenceMeasuremen
 # ---------------------------------------------------------------------------
 
 def save_measurements(measurements: list[SentenceMeasurement], path: str | Path) -> None:
-    with atomic_open(path, "w", encoding="utf-8") as fh:
-        for m in measurements:
-            counts, eeg = m.n_fixations.tolist(), iter(m.word_eeg.tolist())
-            fh.write(json.dumps({
-                "id": m.sentence_id,
-                "words": m.words,
-                "label": int(m.label),
-                "fixations": [{"n": n, **dict(zip(DURATIONS, d))}
-                              for n, d in zip(counts, m.durations.tolist())],
-                "word_eeg": [next(eeg) if n > 0 else None for n in counts],
-                "sentence_bands": m.sentence_bands.tolist(),
-            }, sort_keys=True) + "\n")
+    def line(m: SentenceMeasurement) -> dict:
+        counts, eeg = m.n_fixations.tolist(), iter(m.word_eeg.tolist())
+        return {
+            "id": m.sentence_id,
+            "words": m.words,
+            "label": int(m.label),
+            "fixations": [{"n": n, **dict(zip(DURATIONS, d))}
+                          for n, d in zip(counts, m.durations.tolist())],
+            "word_eeg": [next(eeg) if n > 0 else None for n in counts],
+            "sentence_bands": m.sentence_bands.tolist(),
+        }
+    write_jsonl(path, map(line, measurements))
 
 
 def _matrices(name: str, matrices: list) -> tuple[np.ndarray, np.ndarray]:
@@ -920,7 +929,7 @@ def _measurement_columns(objs: list[dict]) -> tuple:
     takes them (with their values), type-checked in one pass; see README "raw corpus"."""
     columns = _key_columns(objs, ("words", "label", "fixations", "word_eeg", "sentence_bands"))
     _check_strings("words", columns["words"])
-    _check_labels(columns["label"])
+    _check_naturals(columns["label"], _LABEL_RULE, _INT64_MAX)
     for name in ("fixations", "word_eeg"):
         _lists(name, columns[name])
     fixations = list(chain.from_iterable(columns["fixations"]))
@@ -942,7 +951,7 @@ def load_measurements(path: str | Path) -> list[SentenceMeasurement]:
     """Read a raw corpus, one sentence per line, into views of flat arrays; the first
     bad line is a DataError (_load_columns, _measurement_columns, check_measurements)."""
     ids, (words, labels, (counts, durations, offsets), eeg, (band_shapes, bands)) = _load_columns(
-        path, _measurement_columns,
+        path, "id", _measurement_columns,
         lambda ids, words, labels, *arrays: check_measurements(ids, words, *arrays))
     if not ids:
         return []

@@ -35,3 +35,10 @@ def write_text_atomic(path: str | Path, text: str) -> None:
 
 def write_json(path: str | Path, obj) -> None:
     write_text_atomic(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+
+
+def write_jsonl(path: str | Path, objects) -> None:
+    """Write each of objects as one line of JSON with sorted keys, atomically."""
+    with atomic_open(path, "w", encoding="utf-8") as fh:
+        for obj in objects:
+            fh.write(json.dumps(obj, sort_keys=True) + "\n")

@@ -101,7 +101,7 @@ def build_vocab(corpus: list[list[str]]) -> Vocab:
 def encode(words: list[str], vocab: Vocab, max_len: int = 64) -> np.ndarray:
     """The (n + 2,) int64 ids [CLS] words... [SEP] of the first n words that
     fit max_len positions, unpadded; build_batch pads them to the batch width.
-    The callers, which know the sentence's id, warn when words are cut."""
+    training.make_example, which knows the sentence's id, warns when words are cut."""
     if max_len < 3:
         raise ValidationError(f"max_len must be >= 3, got {max_len}")
     return np.array([CLS_ID, *(vocab.id_of(w) for w in words[:max_len - 2]), SEP_ID], dtype=np.int64)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .checks import check_field_types
 from .errors import ConfigError, NumericError, ValidationError
-from .features import FeatureDb
+from .features import CognitiveRecord, FeatureDb
 from .model import EncoderParams, Example, ModelConfig, build_batch, encoder_forward, init_params
 from .numerics import autodiff as ad
 from .numerics.rng import SeededRng
@@ -66,17 +66,19 @@ class TrainConfig:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
+def make_example(rec: CognitiveRecord, vocab: Vocab, max_len: int) -> Example:
+    """The Example of a feature record. A record with more words than
+    max_len - 2 keeps its first ones, and one warning names it."""
+    ids = encode(rec.tokens, vocab, max_len)
+    if len(ids) - 2 < len(rec.tokens):
+        log.warning("%s: truncating %d word(s) to fit max_len=%d",
+                    rec.sentence_id, len(rec.tokens) - len(ids) + 2, max_len)
+    return Example(rec.sentence_id, ids, rec.label)
+
+
 def make_examples(db: FeatureDb, vocab: Vocab, max_len: int) -> list[Example]:
-    """Encode every record in the feature database. A sentence with more words
-    than max_len - 2 keeps its first ones, and one warning names it."""
-    examples = []
-    for rec in map(db.get, db.ids()):
-        ids = encode(rec.tokens, vocab, max_len)
-        if len(ids) - 2 < len(rec.tokens):
-            log.warning("%s: truncating %d word(s) to fit max_len=%d",
-                        rec.sentence_id, len(rec.tokens) - len(ids) + 2, max_len)
-        examples.append(Example(rec.sentence_id, ids, rec.label))
-    return examples
+    """Every record in the feature database as its Example (make_example)."""
+    return [make_example(rec, vocab, max_len) for rec in map(db.get, db.ids())]
 
 
 def split(items: Sequence, ratio: float = 0.8, seed: int = 0) -> tuple[list, list]:

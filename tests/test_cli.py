@@ -269,8 +269,16 @@ class TestLexicon:
         for sid in out_db.ids():
             assert not out_db.get(sid).sentence_eeg.any()
 
-    def test_build_without_corpus_exits_2(self, tmp_path):
+    def test_build_without_corpus_exits_2(self, tmp_path, capsys):
         assert cli_main(["lexicon", "build", "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == "error: lexicon build requires --corpus\n"
+
+    def test_apply_without_lexicon_or_features_exits_2(self, tmp_path, capsys):
+        for given in (["--lexicon", "lexicon.jsonl"], ["--features", "features.jsonl"], []):
+            assert cli_main(["lexicon", "apply", *given, "--out", str(tmp_path / "x")]) == 2
+            err = capsys.readouterr().err
+            assert err == "error: lexicon apply requires --lexicon and --features\n", given
+        assert not (tmp_path / "x").exists()
 
 
 def test_warnings_reach_current_stderr_once_with_prefix(tmp_path, capsys):

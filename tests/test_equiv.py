@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
+from cogbert.features import SynthConfig, apply_lexicon, build_lexicon, synth_generate
 from cogbert.model import random_params, save_checkpoint
 from test_model import tiny_cfg
 
@@ -119,3 +120,38 @@ def test_script_covers_every_mode_and_command(tmp_path):
                and args[args.index("--features") + 1] == features and "--split-ratio" not in args
                for args in script)
     assert int(synth[synth.index("--n-sentences") + 1]) >= 32
+
+
+def test_script_applies_a_lexicon_that_misses_some_sentences(tmp_path):
+    """A lexicon apply whose lexicon comes from another synth corpus leaves some
+    sentences of its feature db uncovered and others partly covered, so the
+    coverage warnings reach the compared stderr."""
+    equiv = load_equiv()
+    script = [args for _, args in equiv.script()]
+    equiv.write_configs(tmp_path)
+
+    def flag(args, name):
+        return args[args.index(name) + 1]
+
+    synths = {flag(args, "--out"): args for args in script
+              if args[0] == "synth" and "--print-config" not in args}
+    corpora = {flag(args, "--out"): flag(args, "--corpus") for args in script
+               if args[:2] == ["lexicon", "build"]}
+
+    def generated(out_dir):
+        """The measurements and db that the script's synth into out_dir writes."""
+        args = synths[out_dir]
+        cfg = json.loads((tmp_path / flag(args, "--config")).read_text()) if "--config" in args else {}
+        if "--n-sentences" in args:
+            cfg["n_sentences"] = int(flag(args, "--n-sentences"))
+        measurements, db, _ = synth_generate(SynthConfig(**cfg), int(flag(args, "--seed")))
+        return measurements, db
+
+    coverages = []
+    for args in script:
+        if args[:2] == ["lexicon", "apply"]:
+            corpus_dir = corpora[flag(args, "--lexicon")].removesuffix("/corpus.jsonl")
+            features_dir = flag(args, "--features").removesuffix("/features.jsonl")
+            lexicon = build_lexicon(generated(corpus_dir)[0])
+            coverages.append(list(apply_lexicon(generated(features_dir)[1], lexicon)[1].values()))
+    assert any(0.0 in c and any(0.0 < v < 1.0 for v in c) for c in coverages)

@@ -17,6 +17,7 @@ from cogbert.features import (
     N_EEG_VECTORS,
     SentenceMeasurement,
     SynthConfig,
+    apply_lexicon,
     build_lexicon,
     check_records,
     cognitive_mask,
@@ -449,6 +450,59 @@ class TestLexicon:
                                             r"vector has 5 channels, the first entry has 8"):
             EEGLexicon.load_jsonl(path)
 
+    def test_line_with_bad_word_and_bad_vector_reports_the_word(self, tmp_path):
+        path = tmp_path / "lexicon.jsonl"
+        path.write_text('{"word": "a", "count": 1, "vector": [1.0]}\n'
+                        '{"word": 5, "count": 1, "vector": "x"}\n')
+        with pytest.raises(DataError, match=rf"^{path}:2 \(word 5\): word must be a string, got 5$"):
+            EEGLexicon.load_jsonl(path)
+
+    def test_save_jsonl_bytes(self, tmp_path):
+        lex = EEGLexicon(vectors={"é": np.array([0.5, -1.25]), "b": np.array([3.0, 1e-300])},
+                         counts={"é": 10**30, "b": 1})
+        path = tmp_path / "lexicon.jsonl"
+        lex.save_jsonl(path)
+        assert path.read_bytes() == (b'{"count": 1, "vector": [3.0, 1e-300], "word": "b"}\n'
+                                     b'{"count": 1000000000000000000000000000000, '
+                                     b'"vector": [0.5, -1.25], "word": "\\u00e9"}\n')
+        assert EEGLexicon.load_jsonl(path).counts == lex.counts
+
+    def test_apply_lexicon_equals_per_sentence_eeg(self, tmp_path, caplog):
+        """apply_lexicon gives each record lexicon_sentence_eeg's vector, bit for bit,
+        returns each coverage in db order, warns once per uncovered sentence naming
+        it, and leaves the db it reads unchanged."""
+        rng = np.random.default_rng(67)
+        lex = EEGLexicon(vectors={w: rng.normal(size=3) for w in ("a", "b", "c")},
+                         counts={"a": 2, "b": 1, "c": 5})
+        sentences = {"covered": ["a", "b", "c", "a"], "partly": ["zz", "b", "yy"],
+                     "uncovered": ["zz"], "wordless": []}
+        db = FeatureDb([CognitiveRecord(sid, words, label, [2] * len(words), [50] * len(words),
+                                        [7] * len(words), rng.normal(size=4))
+                        for label, (sid, words) in enumerate(sentences.items())])
+        path = tmp_path / "features.jsonl"
+        db.save_jsonl(path)
+        before = path.read_bytes()
+        with caplog.at_level("WARNING", logger="cogbert.features"):
+            applied, coverages = apply_lexicon(db, lex)
+        assert [(r.name, r.getMessage()) for r in caplog.records] == [
+            ("cogbert.features", f"no lexicon coverage for {sid}; zero vector substituted")
+            for sid in ("uncovered", "wordless")]
+        want = {sid: lexicon_sentence_eeg(words, lex, 3) for sid, words in sentences.items()}
+        assert list(coverages.items()) == [(sid, coverage) for sid, (_, coverage) in want.items()]
+        assert coverages == {"covered": 1.0, "partly": 1 / 3, "uncovered": 0.0, "wordless": 0.0}
+        assert applied.ids() == db.ids()
+        for sid, (vector, _) in want.items():
+            got, rec = applied.get(sid), db.get(sid)
+            assert got.sentence_eeg.dtype == np.float64
+            assert got.sentence_eeg.tobytes() == vector.tobytes(), sid
+            assert (got.tokens, got.label) == (rec.tokens, rec.label)
+            for name in ("n_fixations", "eye_tokens", "eeg_tokens"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(rec, name))
+        db.save_jsonl(path)
+        assert path.read_bytes() == before
+        with pytest.raises(ValidationError, match="empty lexicon"):
+            apply_lexicon(db, EEGLexicon({}, {}))
+
 
 def derive_one_by_one(measurements):
     """Reference: derive_records building and checking one CognitiveRecord per sentence."""
@@ -653,6 +707,17 @@ class TestFeatureDb:
                             assert np.array_equal(a, w) and a.base is not None, (sid, f)
                         else:
                             assert type(a) is type(w) and a == w, (sid, f)
+
+    def test_save_jsonl_bytes(self, tmp_path):
+        db = FeatureDb([CognitiveRecord("s1", ["a", "é"], 1, [0, 2], [0, 100], [0, 37], [0.5, -1.25]),
+                        CognitiveRecord("s0", [], 0, [], [], [], [3.0])])
+        path = tmp_path / "features.jsonl"
+        db.save_jsonl(path)
+        assert path.read_bytes() == (
+            b'{"eeg_tokens": [0, 37], "eye_tokens": [0, 100], "id": "s1", "label": 1, '
+            b'"n_fixations": [0, 2], "sentence_eeg": [0.5, -1.25], "tokens": ["a", "\\u00e9"]}\n'
+            b'{"eeg_tokens": [], "eye_tokens": [], "id": "s0", "label": 0, "n_fixations": [], '
+            b'"sentence_eeg": [3.0], "tokens": []}\n')
 
     def test_missing_id_names_the_sentence(self):
         _, db, _ = synth_generate(SynthConfig(n_sentences=16), seed=5)

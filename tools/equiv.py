@@ -30,9 +30,12 @@ process with one BLAS thread:
   perturbations over several forwards; and eval that checkpoint on all 40
   of its sentences, whose batch of 32 runs at widths 56-64, the size of the
   benchmark's inference forwards.
-  Last, synth of 30 sentences with 3 classes, 3 EEG channels, one keyword
+  Then synth of 30 sentences with 3 classes, 3 EEG channels, one keyword
   per class, every filler word fixated and one distractor, and lexicon build
-  over that corpus.
+  over that corpus. Last, synth of 20 sentences with 2 classes, one keyword
+  per class and 2 filler words, a lexicon build over that corpus, and its
+  apply to the first corpus's features: most of those sentences hold none of
+  its 4 words, so the apply warns for each on stderr.
   The config paths: synth --print-config with a generator config file, train
   --print-config with --robustness and with --epochs and --seed over a train
   config, and a fine-tuning train whose train config's init_source is an
@@ -147,6 +150,14 @@ def script() -> list[tuple[str, list[str]]]:
                          "--seed", "19"]),
         ("lexicon-build-small", ["lexicon", "build", "--corpus", "data-small/corpus.jsonl",
                                  "--out", "lexicon-small/lexicon.jsonl"]),
+        # Two classes, one keyword each and two filler words: most sentences of
+        # data/ hold none of the lexicon's words, and lexicon apply warns for each.
+        ("synth-sparse", ["synth", "--out", "data-sparse", "--config", "synth-sparse.json",
+                          "--seed", "23"]),
+        ("lexicon-build-sparse", ["lexicon", "build", "--corpus", "data-sparse/corpus.jsonl",
+                                  "--out", "lexicon-sparse/lexicon.jsonl"]),
+        ("lexicon-apply-sparse", ["lexicon", "apply", "--lexicon", "lexicon-sparse/lexicon.jsonl",
+                                  "--features", feats, "--out", "lexicon-sparse/features-lex.jsonl"]),
     ]
     return cmds
 
@@ -167,6 +178,8 @@ def write_configs(out: Path) -> None:
     (out / "synth-small.json").write_text(
         '{"n_sentences": 30, "n_classes": 3, "eeg_channels": 3, "keywords_per_class": 1, '
         '"filler_fix_prob": 1.0, "distractors": 1}\n')
+    (out / "synth-sparse.json").write_text(
+        '{"n_sentences": 20, "n_classes": 2, "keywords_per_class": 1, "filler_vocab": 2}\n')
     (out / "model64.json").write_text(
         '{"layers": 2, "heads": 2, "d_model": 32, "d_ff": 64, "max_len": 64, "dropout": 0.1}\n')
     (out / "train-long.json").write_text('{"lr": 0.001, "batch_size": 8}\n')
