@@ -286,7 +286,7 @@ def cmd_lexicon(args) -> int:
         raise ConfigError("lexicon apply requires --lexicon and --features")
     lexicon = feat.EEGLexicon.load_jsonl(_require_file(args.lexicon, "lexicon"))
     if len(lexicon) == 0:
-        raise EmptyResultError("lexicon file holds no entries")
+        raise EmptyResultError(f"lexicon file {args.lexicon} holds no entries")
     db = feat.FeatureDb.load_jsonl(_require_file(args.features, "feature db"))
     if len(db) == 0:
         raise EmptyResultError(f"feature db {args.features} holds no sentences")

@@ -567,7 +567,8 @@ def self_attention(
     rng: SeededRng | None = None,
     rows: np.ndarray | None = None,
 ) -> Node:
-    """One multi-head self-attention block with residual and layer norm.
+    """One multi-head self-attention block, then the residual sum and layer
+    norm as one node (autodiff.layer_norm_rows).
 
     masks is (batch, T). With probs_out (batch, heads, T, T), the detached
     attention probabilities of every query row are written into it. With
@@ -577,7 +578,9 @@ def self_attention(
     If no probs_out is given either, no caller reads the other rows'
     probabilities, so only those rows' queries are projected and attend.
     The projections of the selected rows take x's layout for their
-    backward (see autodiff.matmul).
+    backward (see autodiff.matmul). Without probs_out, an inference
+    forward's attention runs in sentence blocks and keeps no probabilities
+    (see autodiff.multi_head_attention).
     """
     cfg = params.cfg
     p = f"layer{layer}."
@@ -592,21 +595,22 @@ def self_attention(
         ctx, queries = ad.select_rows(ctx, rows), ad.select_rows(x, rows)
     ctx = ad.linear(ctx, params[p + "attn.wo"], params[p + "attn.bo"], layout)
     ctx = _dropout(ctx, masks.shape[0], cfg, train, rng)
-    return ad.layer_norm_rows(ad.add(queries, ctx), params[p + "ln1.gamma"],
-                              params[p + "ln1.beta"], LN_EPS)
+    return ad.layer_norm_rows(queries, params[p + "ln1.gamma"], params[p + "ln1.beta"],
+                              LN_EPS, residual=ctx)
 
 
 def _feed_forward(x: Node, n: int, params: EncoderParams, layer: int,
                   train: bool, rng: SeededRng | None,
                   layout: tuple[int, np.ndarray] | None = None) -> Node:
-    """The feed-forward block of n stacked sentences, residual and layer norm;
-    layout as in autodiff.matmul, when x holds rows selected from a larger array."""
+    """The feed-forward block of n stacked sentences, then the residual sum and
+    layer norm as one node (autodiff.layer_norm_rows); layout as in
+    autodiff.matmul, when x holds rows selected from a larger array."""
     p = f"layer{layer}."
     h = ad.gelu(ad.linear(x, params[p + "ff.w1"], params[p + "ff.b1"], layout))
     h = ad.linear(h, params[p + "ff.w2"], params[p + "ff.b2"], layout)
     h = _dropout(h, n, params.cfg, train, rng)
-    return ad.layer_norm_rows(ad.add(x, h), params[p + "ln2.gamma"], params[p + "ln2.beta"],
-                              LN_EPS)
+    return ad.layer_norm_rows(x, params[p + "ln2.gamma"], params[p + "ln2.beta"], LN_EPS,
+                              residual=h)
 
 
 def _fusion_nn(params: EncoderParams, sent_eeg: np.ndarray) -> Node:
@@ -655,9 +659,10 @@ class ForwardResult:
     `attention[b]` holds sentence b's per-layer, per-head attention
     probabilities; they are exactly zero on its PAD columns. A training
     forward's backward reads them, so they must not be written before it.
-    A logits-only forward (`attention=False`) has None here. An inference
-    forward's `logits` node has no backward rule and links only to its
-    direct inputs (see autodiff.no_tape).
+    A logits-only forward (`attention=False`) has None here; its inference
+    form keeps at most one block of sentences' probabilities at a time.
+    An inference forward's `logits` node has no backward rule and links
+    only to its direct inputs (see autodiff.no_tape).
     """
 
     # (B, T, d_model) hidden states entering the last layer, detached. Only

@@ -17,7 +17,11 @@ product.
 Inside `no_tape()` the ops compute the same values but record no tape: a
 node keeps no backward rule and links only to its direct inputs, so each
 intermediate is freed as soon as the op after its consumer has run. An
-inference forward runs so.
+inference forward runs so. Where no backward will read an array, the ops
+then also save memory, bit-identically: attention without `probs_out`
+runs in blocks of sentences whose probabilities are no bigger than its
+keys, and GELU adds its 1 into its `tanh` array in place. `layer_norm_rows` with a `residual`
+normalises the residual sum as one node, taped or not.
 """
 
 from __future__ import annotations
@@ -246,12 +250,13 @@ def linear(x: Node, w: Node, b: Node, layout: tuple[int, np.ndarray] | None = No
     return add_bias(matmul(x, w, layout), b)
 
 
-def _gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """GELU via the tanh approximation 0.5*x*(1 + tanh(c*(x + a*x^3))), and that tanh.
 
     The steps of `0.5 * x * (1.0 + np.tanh(c * (x + a * x * x * x)))`, in
     Python's evaluation order, run in place (bit-equal); the tanh array is
-    returned too, for the backward.
+    returned too, for the backward. Without a tape no backward reads it: the
+    1 is added into it in place, and None is returned in its stead.
     """
     t = _GELU_A * x
     t *= x
@@ -260,6 +265,10 @@ def _gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     t *= _GELU_C
     np.tanh(t, out=t)
     out = 0.5 * x
+    if not _taping:
+        t += 1.0
+        out *= t
+        return out, None
     out *= 1.0 + t
     return out, t
 
@@ -301,18 +310,33 @@ def _softmax_in_place(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def layer_norm_rows(x: Node, gamma: Node, beta: Node, eps: float = 1e-5) -> Node:
-    """Row-wise layer norm; gamma and beta are (1, d) rows.
+def layer_norm_rows(x: Node, gamma: Node, beta: Node, eps: float = 1e-5,
+                    residual: Node | None = None) -> Node:
+    """Row-wise layer norm of x, or of x + residual; gamma and beta are (1, d) rows.
 
     The mean and the biased variance are `sum / d` of the row and of the
     squared centred row, bit-equal to np.mean and np.var. The input is
-    centred once, into the array that becomes xhat, and the squares' array
-    is reused for the output; the backward also works in place. Each step
-    is the same operation on the same operands as the textbook form.
+    centred once, into the array that becomes xhat: with a residual, the
+    sum is that array, centred in place. The squares' array is reused for
+    the output; the backward also works in place. Each step is the same
+    operation on the same operands as the textbook form, after `add`.
+
+    With a residual the node's parents are (x, residual, gamma, beta) and
+    both summands get the same gradient array, as `add` hands its two: the
+    graph walk, and so every gradient sum, is that of the layer norm of
+    `add(x, residual)`, one node fewer.
     """
     xv = x.value
     d = xv.shape[1]
-    xhat = xv - xv.sum(axis=1, keepdims=True) / d
+    if residual is None:
+        xhat = xv - xv.sum(axis=1, keepdims=True) / d
+        parents = (x, gamma, beta)
+    else:
+        if residual.value.shape != xv.shape:
+            raise ShapeError(f"residual shape mismatch: {xv.shape} vs {residual.value.shape}")
+        xhat = xv + residual.value
+        xhat -= xhat.sum(axis=1, keepdims=True) / d
+        parents = (x, residual, gamma, beta)
     y = xhat * xhat
     inv_std = 1.0 / np.sqrt(y.sum(axis=1, keepdims=True) / d + eps)
     xhat *= inv_std
@@ -327,9 +351,10 @@ def layer_norm_rows(x: Node, gamma: Node, beta: Node, eps: float = 1e-5) -> Node
         dx -= dx.sum(axis=1, keepdims=True) / d
         dx -= proj
         dx *= inv_std
-        return dx, (g * xhat).sum(axis=0, keepdims=True), g.sum(axis=0, keepdims=True)
+        grads = (dx, (g * xhat).sum(axis=0, keepdims=True), g.sum(axis=0, keepdims=True))
+        return grads if residual is None else (dx, *grads)
 
-    return Node(y, (x, gamma, beta), bwd)
+    return Node(y, parents, bwd)
 
 
 def _scatter_rows(shape: tuple[int, int], rows: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -387,7 +412,7 @@ def dropout(x: Node, rate: float, rng, draw_shape: tuple[int, int, int]) -> Node
 def multi_head_attention(
     q: Node, k: Node, v: Node, mask: np.ndarray, n_heads: int,
     probs_out: np.ndarray | None = None,
-) -> tuple[Node, np.ndarray]:
+) -> tuple[Node, np.ndarray | None]:
     """Scaled dot-product attention over a batch of stacked sentences.
 
     k and v are (batch*seq, d) with sentences stacked row-wise; mask is a
@@ -401,11 +426,20 @@ def multi_head_attention(
     probabilities in place, in probs_out when given (a float64 array of that
     shape, such as one layer's slice of a whole forward's attention), else
     in a new array. The backward reads them, so they must not change before
-    it runs. Both products, and the backward's two products with one row
-    per query (dctx @ vh^T and dscores @ kh), go through _rows_product, so
-    with one query row they take the matrix-matrix path: the probabilities,
-    the context and every gradient are bit-equal to those of the attention
-    of all seq query rows where only that row's context gets a gradient.
+    it runs. Each sentence's context is written straight into its rows of
+    the result, through a (batch, heads, r, head width) view of it.
+
+    When neither a tape nor probs_out keeps the probabilities (inside
+    no_tape()), the sentences run in blocks whose probabilities hold no
+    more entries than k, each block's overwriting the last's, and None is
+    returned for the probabilities. Every step works per sentence, so the
+    context is the same, bit for bit, at any block size.
+
+    Both products, and the backward's two products with one row per query
+    (dctx @ vh^T and dscores @ kh), go through _rows_product, so with one
+    query row they take the matrix-matrix path: the probabilities, the
+    context and every gradient are bit-equal to those of the attention of
+    all seq query rows where only that row's context gets a gradient.
     """
     n_batch, seq = mask.shape
     d = k.value.shape[1]
@@ -423,12 +457,19 @@ def multi_head_attention(
     def unsplit(m: np.ndarray) -> np.ndarray:
         return m.transpose(0, 2, 1, 3).reshape(-1, d)
 
-    qh, kh, vh = split(q.value, n_q), split(k.value, seq), split(v.value, seq)
-    probs = _rows_product(qh, kh.transpose(0, 1, 3, 2), probs_out)
-    probs *= inv_scale
-    probs += mask[:, None, None, :]
-    _softmax_in_place(probs)
-    context = unsplit(_rows_product(probs, vh))
+    kept = _taping or probs_out is not None
+    step = n_batch if kept else min(n_batch, max(1, k.value.size // (n_heads * n_q * seq)))
+    probs = np.empty((step, n_heads, n_q, seq)) if probs_out is None else probs_out
+    context = np.empty((n_batch * n_q, d))
+    qh, kh, vh, ctx_h = (split(q.value, n_q), split(k.value, seq), split(v.value, seq),
+                         split(context, n_q))
+    for start in range(0, n_batch, step):
+        b = slice(start, start + step)
+        block = _rows_product(qh[b], kh[b].transpose(0, 1, 3, 2), probs[:len(qh[b])])
+        block *= inv_scale
+        block += mask[b, None, None, :]
+        _softmax_in_place(block)
+        _rows_product(block, vh[b], ctx_h[b])
 
     def bwd(g):
         dctx = split(g, n_q)
@@ -439,7 +480,7 @@ def multi_head_attention(
         dk = dscores.transpose(0, 1, 3, 2) @ qh * inv_scale
         return unsplit(dq), unsplit(dk), unsplit(dv)
 
-    return Node(context, (q, k, v), bwd), probs
+    return Node(context, (q, k, v), bwd), probs if kept else None
 
 
 def cross_entropy_mean(logits: Node, labels: np.ndarray) -> Node:

@@ -158,6 +158,46 @@ class TestNormalizers:
         red = reducer((5, 8))
         check(lambda: red(ad.layer_norm_rows(x, g, b)), [x, g, b])
 
+    def test_layer_norm_rows_with_residual(self):
+        x = ad.Parameter("x", RNG.normal(size=(5, 8)))
+        h = ad.Parameter("h", RNG.normal(size=(5, 8)))
+        g = ad.Parameter("g", RNG.normal(1.0, 0.3, size=(1, 8)))
+        b = ad.Parameter("b", RNG.normal(size=(1, 8)))
+        red = reducer((5, 8))
+        check(lambda: red(ad.layer_norm_rows(x, g, b, residual=h)), [x, h, g, b])
+        with pytest.raises(ShapeError, match="residual shape mismatch"):
+            ad.layer_norm_rows(x, g, b, residual=ad.const(np.ones((4, 8))))
+
+    def test_residual_matches_layer_norm_of_add_bit_for_bit(self):
+        """As at an encoder layer's input: x also feeds three other ops (the
+        attention's q, k and v), whose result is the residual h. x's own input w
+        reaches h by two more paths, so w's gradient is a sum of three terms whose
+        order follows backward's walk: the fused node must keep that walk."""
+        seq, d = 16, 8
+        w = ad.Parameter("w", RNG.normal(size=(2 * seq, d)))
+        wq, wk, wv = (ad.Parameter(name, RNG.normal(size=(d, d))) for name in ("wq", "wk", "wv"))
+        gamma = ad.Parameter("gamma", RNG.normal(1.0, 0.3, size=(1, d)))
+        beta = ad.Parameter("beta", RNG.normal(size=(1, d)))
+        red = reducer((2 * seq, d))
+        mask = np.zeros((2, seq))
+        mask[1, 11:] = -10000.0
+
+        def run(fused):
+            for p in (w, wq, wk, wv, gamma, beta):
+                p.zero_grad()
+            x = ad.gelu(w)
+            h = ad.multi_head_attention(ad.matmul(x, wq), ad.matmul(x, wk), ad.matmul(x, wv),
+                                        mask, 2)[0]
+            h = ad.add(h, ad.add(ad.mul_const(w, 0.3), ad.mul_const(w, -1.7)))
+            out = (ad.layer_norm_rows(x, gamma, beta, residual=h) if fused
+                   else ad.layer_norm_rows(ad.add(x, h), gamma, beta))
+            ad.backward(red(out))
+            return [out.value, x.grad, h.grad,
+                    *(p.grad.copy() for p in (gamma, beta, w, wq, wk, wv))]
+
+        for got, want in zip(run(True), run(False), strict=True):
+            np.testing.assert_array_equal(got, want)
+
     @pytest.mark.parametrize("rows", [1, 2, 128, 2048])
     @pytest.mark.parametrize("d", [32, 13])
     def test_layer_norm_matches_mean_var_reference_bit_for_bit(self, rows, d):
@@ -209,37 +249,61 @@ class TestAttention:
 
     def test_in_place_scores_match_reference_bit_for_bit(self):
         """Probabilities, context and gradients equal the out-of-place form they replaced,
-        also when the probabilities go into a layer's slice of a 5-D array."""
-        batch, seq, heads, d = 3, 16, 2, 12  # head width 6: 1/sqrt(6) is inexact
-        q, k, v = (ad.Parameter(name, RNG.normal(0.0, 2.0, size=(batch * seq, d)))
-                   for name in "qkv")
-        mask = np.zeros((batch, seq))
-        mask[0, 9:] = mask[2, 13:] = -10000.0
+        also when the probabilities go into a layer's slice of a 5-D array. Without a
+        tape the sentences run in blocks (a quarter of the batch, at least one sentence,
+        at seq 64; one block at seq 8 or with one query row), and the context is the
+        same; with probs_out they run as one block."""
+        cases = [(3, 16, 12, 16)]  # head width 6: 1/sqrt(6) is inexact
+        cases += [(batch, seq, 32, n_q) for batch in (1, 7, 8, 9, 32) for seq in (8, 64)
+                  for n_q in (seq, 1)]  # head width 16, as in the model
+        heads = 2
+        for batch, seq, d, n_q in cases:
+            case = f"batch {batch}, seq {seq}, {n_q} query rows"
+            q, k, v = (ad.Parameter(name, RNG.normal(0.0, 2.0, size=(batch * seq, d)))
+                       for name in "qkv")
+            mask = np.zeros((batch, seq))
+            mask[0, seq // 2 + 1:] = mask[-1, seq - 3:] = -10000.0
 
-        def split(m):
-            return m.reshape(batch, seq, heads, d // heads).transpose(0, 2, 1, 3)
+            def split(m):
+                return m.reshape(batch, seq, heads, d // heads).transpose(0, 2, 1, 3)
 
-        qh, kh, vh = split(q.value), split(k.value), split(v.value)
-        scores = qh @ kh.transpose(0, 1, 3, 2) * (1.0 / math.sqrt(d // heads)) + mask[:, None, None, :]
-        shifted = scores - scores.max(axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        want = e / e.sum(axis=-1, keepdims=True)
-        want_ctx = (want @ vh).transpose(0, 2, 1, 3).reshape(batch * seq, d)
+            qh, kh, vh = split(q.value), split(k.value), split(v.value)
+            scores = (qh @ kh.transpose(0, 1, 3, 2) * (1.0 / math.sqrt(d // heads))
+                      + mask[:, None, None, :])
+            shifted = scores - scores.max(axis=-1, keepdims=True)
+            e = np.exp(shifted)
+            want = e / e.sum(axis=-1, keepdims=True)
+            want_ctx = (want @ vh).transpose(0, 2, 1, 3).reshape(batch * seq, d)
+            # One query row takes the matrix-matrix path: it equals the first row of
+            # all of them (test_fewer_query_rows_match_full_query_rows_bit_for_bit).
+            want, want_ctx = want[:, :, :n_q], self.first_rows(want_ctx, batch, n_q)
+            if n_q < seq:
+                q = ad.Parameter("q", self.first_rows(q.value, batch, n_q))
 
-        g = RNG.normal(size=(batch * seq, d))
-        grads = []
-        for layer, attention in ((None, None), (1, np.full((batch, 3, heads, seq, seq), np.nan))):
-            probs_out = None if attention is None else attention[:, layer]
-            ctx, probs = ad.multi_head_attention(q, k, v, mask, heads, probs_out)
-            np.testing.assert_array_equal(probs, want)
-            np.testing.assert_array_equal(ctx.value, want_ctx)
-            grads.append(ctx.bwd(g))
-            if attention is not None:
-                assert probs is probs_out
-                np.testing.assert_array_equal(attention[:, layer], want)
-                assert np.isnan(np.delete(attention, layer, axis=1)).all()
-        for got, ref in zip(*grads, strict=True):
-            np.testing.assert_array_equal(got, ref)
+            g = RNG.normal(size=(batch * n_q, d))
+            grads = []
+            for layer, attention in ((None, None),
+                                     (1, np.full((batch, 3, heads, n_q, seq), np.nan))):
+                probs_out = None if attention is None else attention[:, layer]
+                ctx, probs = ad.multi_head_attention(q, k, v, mask, heads, probs_out)
+                np.testing.assert_array_equal(probs, want, err_msg=case)
+                np.testing.assert_array_equal(ctx.value, want_ctx, err_msg=case)
+                grads.append(ctx.bwd(g))
+                if attention is not None:
+                    assert probs is probs_out
+                    np.testing.assert_array_equal(attention[:, layer], want, err_msg=case)
+                    assert np.isnan(np.delete(attention, layer, axis=1)).all()
+            for got, ref in zip(*grads, strict=True):
+                np.testing.assert_array_equal(got, ref, err_msg=case)
+
+            written = np.full((batch, heads, n_q, seq), np.nan)
+            with ad.no_tape():
+                blocked, no_probs = ad.multi_head_attention(q, k, v, mask, heads)
+                kept, probs = ad.multi_head_attention(q, k, v, mask, heads, written)
+            assert no_probs is None and probs is written, case
+            np.testing.assert_array_equal(written, want, err_msg=case)
+            for ctx in (blocked, kept):
+                np.testing.assert_array_equal(ctx.value, want_ctx, err_msg=case)
 
     @staticmethod
     def first_rows(m, batch, n_q):
@@ -334,6 +398,7 @@ def one_run_of_every_op(intermediate_inputs=False):
         ("matmul", ad.matmul(p(3, 5), p(5, 2), (7, np.array([0, 2, 6])))),  # full layout
         ("gelu", ad.gelu(p(3, 4))),
         ("layer_norm_rows", ad.layer_norm_rows(p(3, 4), p(1, 4), p(1, 4))),
+        ("layer_norm_rows", ad.layer_norm_rows(p(3, 4), p(1, 4), p(1, 4), residual=p(3, 4))),
         ("gather_rows", ad.gather_rows(p(6, 3), np.array([0, 2, 2, 5]))),
         ("select_rows", ad.select_rows(p(6, 3), np.array([1, 4]))),
         ("concat_cols", ad.concat_cols(p(3, 2), p(3, 5))),

@@ -245,6 +245,16 @@ class TestLexicon:
         assert captured.err == f"error: feature db {empty} holds no sentences\n", captured.err
         assert not out.exists() and not (tmp_path / "applied.jsonl.coverage.json").exists()
 
+    def test_empty_lexicon_exits_4_writing_nothing(self, synth_dir, tmp_path, capsys):
+        empty, out = tmp_path / "empty.jsonl", tmp_path / "applied.jsonl"
+        empty.write_text("")
+        rc = cli_main(["lexicon", "apply", "--lexicon", str(empty),
+                       "--features", str(synth_dir / "features.jsonl"), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 4
+        assert captured.err == f"error: lexicon file {empty} holds no entries\n", captured.err
+        assert not out.exists() and not (tmp_path / "applied.jsonl.coverage.json").exists()
+
     def test_oov_corpus_gets_zero_vectors(self, synth_dir, tmp_path, capsys):
         lex_path = tmp_path / "lexicon.jsonl"
         assert cli_main(["lexicon", "build", "--corpus", str(synth_dir / "corpus.jsonl"),

@@ -665,6 +665,24 @@ class TestInferenceForward:
                 tracemalloc.stop()
         assert peaks[False] <= 0.35 * peaks[True], peaks
 
+    def test_logits_only_peak_memory_in_activations(self):
+        """Attention in sentence blocks, GELU's 1 + tanh and the residual sum in
+        place: the eval forward's peak is at most 11 (B*T, d_model) activations.
+        The batch's (B, heads, T, T) probabilities are 4 of them, a block is 1."""
+        cfg = tiny_cfg(mode="eeg_embed", d_model=32, d_ff=64, max_len=64)
+        params = random_params(cfg, seed=1)
+        batch = width_batch(cfg, [62] * 32)
+        n, t = batch.ids.shape
+        assert (n, t) == (32, 64)
+        tracemalloc.start()
+        try:
+            encoder_forward(params, batch, attention=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        activation = n * t * cfg.d_model * 8  # 512 KiB
+        assert peak <= 11 * activation, peak / activation
+
     def test_backward_from_logits_reaches_no_parameter(self):
         for mode in MODES:
             cfg = tiny_cfg(mode=mode)
