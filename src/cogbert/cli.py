@@ -24,14 +24,7 @@ import numpy as np
 from . import features as feat
 from . import training
 from .checks import check_memory
-from .errors import (
-    CheckpointError,
-    CogbertError,
-    ConfigError,
-    DataError,
-    EmptyResultError,
-    ValidationError,
-)
+from .errors import CogbertError, ConfigError, DataError, EmptyResultError, ValidationError
 from .explain import DEFAULT_KERNEL_WIDTH, DEFAULT_RIDGE_LAMBDA, DEFAULT_SAMPLES, explain_sentence
 from .files import atomic_open, write_json
 from .model import (MODES, EncoderParams, ModelConfig, gradcheck_mode, init_params, load_checkpoint,
@@ -90,10 +83,35 @@ def _build_config(cls, what: str, path: str | None, flags: dict,
         raise ConfigError(f"{what} config {path}{with_flags}: {exc}") from None
 
 
+def _check_makeable(path: str, directory: Path) -> None:
+    """A ConfigError naming --out `path` unless `directory` is a directory or
+    mkdir can make it: its nearest existing ancestor must be a directory."""
+    existing = next(p for p in (directory, *directory.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"--out {path}: {existing} is not a directory")
+
+
 def _out_dir(path: str) -> Path:
+    """--out as an output directory, checked before the command's work without
+    creating anything; `_made` makes it when the command writes."""
     out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
+    _check_makeable(path, out)
     return out
+
+
+def _out_file(path: str) -> Path:
+    """--out as an output file, checked before the command's work without
+    creating anything; `_made(out.parent)` makes its directory."""
+    out = Path(path)
+    if out.is_dir():
+        raise ConfigError(f"--out {path} is a directory; it must name a file")
+    _check_makeable(path, out.parent)
+    return out
+
+
+def _made(directory: Path) -> Path:
+    directory.mkdir(parents=True, exist_ok=True)
+    return directory
 
 
 def _require_file(path: str, what: str) -> Path:
@@ -117,8 +135,9 @@ def cmd_synth(args) -> int:
         print(json.dumps(cfg.to_dict(), sort_keys=True, indent=2))
         return 0
 
-    measurements, db, labels = feat.synth_generate(cfg, args.seed)
     out = _out_dir(args.out)
+    measurements, db, labels = feat.synth_generate(cfg, args.seed)
+    _made(out)
     feat.save_measurements(measurements, out / "corpus.jsonl")
     db.save_jsonl(out / "features.jsonl")
     print(f"wrote {len(measurements)} sentences over {cfg.n_classes} classes to {out}")
@@ -180,6 +199,7 @@ def cmd_train(args) -> int:
                          sort_keys=True, indent=2))
         return 0
 
+    out = _out_dir(args.out)
     # The split, the init checkpoint and the training share fail before anything is written.
     examples = training.make_examples(db, vocab, model_cfg.max_len)
     train_ex, test_ex = training.split(examples, args.split_ratio, train_cfg.seed)
@@ -188,7 +208,7 @@ def cmd_train(args) -> int:
                               f"{len(examples)} sentences to train on")
     if train_cfg.init_source != "random":
         init_params(model_cfg, train_cfg.init_source)
-    out = _out_dir(args.out)
+    _made(out)
     print(f"training mode={model_cfg.mode} on {len(train_ex)} sentences, "
           f"testing on {len(test_ex)}, repeats={train_cfg.repeats}")
 
@@ -241,6 +261,7 @@ def _load_model_inputs(args) -> tuple[feat.FeatureDb, EncoderParams, Vocab]:
 
 
 def cmd_eval(args) -> int:
+    out = _out_dir(args.out)
     db, params, vocab = _load_model_inputs(args)
     cfg = params.cfg
     for sid in db.ids():
@@ -254,7 +275,7 @@ def cmd_eval(args) -> int:
     if args.split_ratio is not None:
         _, examples = training.split(examples, args.split_ratio, args.seed)
     scores = training.evaluate(params, examples, db).to_dict()
-    write_json(_out_dir(args.out) / "eval.json", {
+    write_json(_made(out) / "eval.json", {
         "model_config": cfg.to_dict(),
         "n_sentences": len(examples),
         "metrics": scores,
@@ -272,18 +293,19 @@ def cmd_lexicon(args) -> int:
     if args.action == "build":
         if not args.corpus:
             raise ConfigError("lexicon build requires --corpus")
+        out = _out_file(args.out)
         measurements = feat.load_measurements(_require_file(args.corpus, "corpus"))
         lexicon = feat.build_lexicon(measurements)
         if len(lexicon) == 0:
             raise EmptyResultError("no fixated word occurrences; lexicon is empty")
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
+        _made(out.parent)
         lexicon.save_jsonl(out)
         print(f"lexicon contains {len(lexicon)} words -> {out}")
         return 0
 
     if not (args.lexicon and args.features):
         raise ConfigError("lexicon apply requires --lexicon and --features")
+    out, coverage = _out_file(args.out), _out_file(args.out + ".coverage.json")
     lexicon = feat.EEGLexicon.load_jsonl(_require_file(args.lexicon, "lexicon"))
     if len(lexicon) == 0:
         raise EmptyResultError(f"lexicon file {args.lexicon} holds no entries")
@@ -291,12 +313,10 @@ def cmd_lexicon(args) -> int:
     if len(db) == 0:
         raise EmptyResultError(f"feature db {args.features} holds no sentences")
     applied, coverages = feat.apply_lexicon(db, lexicon)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    _made(out.parent)
     applied.save_jsonl(out)
     mean_coverage = float(np.mean(list(coverages.values())))
-    write_json(Path(str(out) + ".coverage.json"),
-               {"mean_coverage": mean_coverage, "per_sentence": coverages})
+    write_json(coverage, {"mean_coverage": mean_coverage, "per_sentence": coverages})
     print(f"applied lexicon to {len(applied)} sentences "
           f"(mean coverage {mean_coverage:.3f}) -> {out}")
     return 0
@@ -307,6 +327,7 @@ def cmd_lexicon(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_explain(args) -> int:
+    out = _out_dir(args.out)
     db, params, vocab = _load_model_inputs(args)
     # A repeated id is explained once, at its first place.
     sentence_ids = list(dict.fromkeys(sid.strip() for sid in args.ids.split(",") if sid.strip()))
@@ -318,7 +339,7 @@ def cmd_explain(args) -> int:
                                 kernel_width=args.kernel_width,
                                 ridge_lambda=args.ridge_lambda, seed=args.seed)
                for sid in sentence_ids]
-    out = _out_dir(args.out)
+    _made(out)
 
     for sid, report in zip(sentence_ids, reports):
         write_json(out / f"explain_{sid}.json", report.to_dict())
@@ -347,6 +368,7 @@ def cmd_explain(args) -> int:
 def cmd_gradcheck(args) -> int:
     if args.layers > 2 or args.d_model > 32:
         raise ConfigError("gradcheck enforces a tiny config: layers <= 2, d_model <= 32")
+    out = _out_dir(args.out) if args.out else None
     modes = MODES if args.mode == "all" else (args.mode,)
     failures = []
     results = {}
@@ -360,9 +382,8 @@ def cmd_gradcheck(args) -> int:
         print(f"{mode:16s} worst relative error {worst:.3e}  {status}")
         if bad:
             failures.append((mode, bad))
-    if args.out:
-        out = _out_dir(args.out)
-        write_json(out / "gradcheck.json", {
+    if out is not None:
+        write_json(_made(out) / "gradcheck.json", {
             "tolerance": GRADCHECK_TOLERANCE,
             "worst_error_per_mode": results,
         })
@@ -378,6 +399,7 @@ def cmd_gradcheck(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_report(args) -> int:
+    out = _out_file(args.out)
     rows = []
     for path in args.inputs:
         report = _require_file(path, "report")
@@ -396,8 +418,7 @@ def cmd_report(args) -> int:
             raise DataError(f"{path} is not a run report: {exc}") from exc
     if not rows:
         raise EmptyResultError("no reports to aggregate")
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    _made(out.parent)
     _write_csv(out, [["mode", "repeats", "epochs", "seed",
                       "precision", "recall", "f1", "f1_std", "accuracy"], *rows])
     print(f"wrote {len(rows)} rows to {out}")
@@ -514,18 +535,12 @@ def main(argv: list[str] | None = None) -> int:
     _attach_warning_handler()
     try:
         return args.fn(args)
-    except (ConfigError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except EmptyResultError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (DataError, CheckpointError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except CogbertError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return exc.exit_code
+    except FileNotFoundError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

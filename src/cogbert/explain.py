@@ -72,8 +72,6 @@ def top_k(scores: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k highest of the words' scores, highest first; the earlier word wins ties."""
     if k < 1:
         raise ValidationError("k must be >= 1")
-    if k > len(scores):
-        log.warning("top_k: asked for %d keywords but only %d content tokens", k, len(scores))
     return np.argsort(-scores, kind="stable")[:k]
 
 

@@ -516,13 +516,15 @@ def word_selections(row: Batch, keep: np.ndarray, cfg: ModelConfig) -> Batch:
 # Forward pass
 # ---------------------------------------------------------------------------
 
-def embedding_sum(params: EncoderParams, ids: np.ndarray,
-                  tokens: dict[str, np.ndarray]) -> Node:
-    """Pre-norm sum of word + position table rows, then the rows of each of
-    the mode's token tables in ModelConfig.token_tables order.
+def embed(params: EncoderParams, ids: np.ndarray, tokens: dict[str, np.ndarray]) -> Node:
+    """Layer norm of the sum of word + position table rows, then the rows of
+    each of the mode's token tables in ModelConfig.token_tables order, as one
+    node (encoder_forward applies the dropout).
 
     ids and every array of tokens are (B, T); tokens must hold exactly the
     mode's tables. Row b*T + j of the result is sentence b at position j.
+    The node's summands (autodiff.layer_norm_rows) are the sum of all
+    tables' rows but the last, and the last table's rows.
     """
     cfg = params.cfg
     if set(tokens) != set(cfg.token_tables):
@@ -530,31 +532,26 @@ def embedding_sum(params: EncoderParams, ids: np.ndarray,
                               f"{list(cfg.token_tables)}, got {sorted(tokens)}")
 
     n, t = ids.shape
-    x = ad.add(
-        ad.gather_rows(params["embed.word"], ids.reshape(-1)),
-        ad.gather_rows(params["embed.position"], np.tile(np.arange(t), n)),
-    )
+    x = ad.gather_rows(params["embed.word"], ids.reshape(-1))
+    last = ad.gather_rows(params["embed.position"], np.tile(np.arange(t), n))
     for table in cfg.token_tables:
-        x = ad.add(x, ad.gather_rows(params[f"embed.{table}"], tokens[table].reshape(-1)))
-    return x
-
-
-def embed(params: EncoderParams, ids: np.ndarray, tokens: dict[str, np.ndarray]) -> Node:
-    """Embedding sum, then layer norm (encoder_forward applies the dropout)."""
-    x = embedding_sum(params, ids, tokens)
-    return ad.layer_norm_rows(x, params["embed.ln.gamma"], params["embed.ln.beta"], LN_EPS)
+        x = ad.add(x, last)
+        last = ad.gather_rows(params[f"embed.{table}"], tokens[table].reshape(-1))
+    return ad.layer_norm_rows(x, last, params["embed.ln.gamma"], params["embed.ln.beta"], LN_EPS)
 
 
 def _dropout(x: Node, n: int, cfg: ModelConfig, train: bool, rng: SeededRng | None) -> Node:
-    """Training-only dropout of n stacked sentences, masks drawn at max_len.
+    """Training-only inverted dropout of n stacked sentences, masks drawn at max_len.
 
-    Drawing (n, max_len, d) and keeping each sentence's first T positions
-    leaves the dropout stream, and the mask of every kept element, the same
-    at any batch width T.
+    Its uniforms are each sentence's first T rows of an (n, max_len, d) draw,
+    and the stream skips the rest (SeededRng.random_blocks), so the dropout
+    stream, and the mask of every kept element, are the same at any width T.
     """
     if not train or cfg.dropout == 0.0:
         return x
-    return ad.dropout(x, cfg.dropout, rng, draw_shape=(n, cfg.max_len, x.value.shape[1]))
+    u = rng.random_blocks((n, cfg.max_len, x.value.shape[1]), x.value.shape[0] // n)
+    keep = (u.reshape(x.value.shape) >= cfg.dropout).astype(np.float64) / (1.0 - cfg.dropout)
+    return ad.mul_const(x, keep)
 
 
 def self_attention(
@@ -571,7 +568,8 @@ def self_attention(
     norm as one node (autodiff.layer_norm_rows).
 
     masks is (batch, T). With probs_out (batch, heads, T, T), the detached
-    attention probabilities of every query row are written into it. With
+    attention probabilities of every query row are written into it, the one
+    place a caller reads them. With
     `rows`, one row of each sentence in batch order (its CLS row), only
     those rows of the context and of the residual input go on through the
     output projection and the layer norm, so the result has len(rows) rows.
@@ -590,13 +588,13 @@ def self_attention(
                   None if queries is x else layout)
     k = ad.linear(x, params[p + "attn.wk"], params[p + "attn.bk"])
     v = ad.linear(x, params[p + "attn.wv"], params[p + "attn.bv"])
-    ctx = ad.multi_head_attention(q, k, v, masks, cfg.heads, probs_out)[0]
+    ctx = ad.multi_head_attention(q, k, v, masks, cfg.heads, probs_out)
     if rows is not None and queries is x:
         ctx, queries = ad.select_rows(ctx, rows), ad.select_rows(x, rows)
     ctx = ad.linear(ctx, params[p + "attn.wo"], params[p + "attn.bo"], layout)
     ctx = _dropout(ctx, masks.shape[0], cfg, train, rng)
-    return ad.layer_norm_rows(queries, params[p + "ln1.gamma"], params[p + "ln1.beta"],
-                              LN_EPS, residual=ctx)
+    return ad.layer_norm_rows(queries, ctx, params[p + "ln1.gamma"], params[p + "ln1.beta"],
+                              LN_EPS)
 
 
 def _feed_forward(x: Node, n: int, params: EncoderParams, layer: int,
@@ -609,8 +607,7 @@ def _feed_forward(x: Node, n: int, params: EncoderParams, layer: int,
     h = ad.gelu(ad.linear(x, params[p + "ff.w1"], params[p + "ff.b1"], layout))
     h = ad.linear(h, params[p + "ff.w2"], params[p + "ff.b2"], layout)
     h = _dropout(h, n, params.cfg, train, rng)
-    return ad.layer_norm_rows(x, params[p + "ln2.gamma"], params[p + "ln2.beta"], LN_EPS,
-                              residual=h)
+    return ad.layer_norm_rows(x, h, params[p + "ln2.gamma"], params[p + "ln2.beta"], LN_EPS)
 
 
 def _fusion_nn(params: EncoderParams, sent_eeg: np.ndarray) -> Node:

@@ -9,6 +9,9 @@ topological order and alone adds those gradients up, so a parameter's
 here is hand-derived and covered by finite-difference checks in the test
 suite (see gradcheck.grad_check_report).
 
+Every op below returns one `Node` with one layout of `parents`; `const`,
+`softmax`, `linear` and `no_tape` are helpers, not ops.
+
 Constant inputs (sentence EEG vectors) enter the graph as `const` leaves,
 which take no gradient: `backward` stores none on them, and `matmul`
 returns None for a const left operand instead of computing its `g @ b.T`
@@ -20,8 +23,8 @@ intermediate is freed as soon as the op after its consumer has run. An
 inference forward runs so. Where no backward will read an array, the ops
 then also save memory, bit-identically: attention without `probs_out`
 runs in blocks of sentences whose probabilities are no bigger than its
-keys, and GELU adds its 1 into its `tanh` array in place. `layer_norm_rows` with a `residual`
-normalises the residual sum as one node, taped or not.
+keys, and GELU adds its 1 into its `tanh` array in place. `layer_norm_rows`
+normalises a sum `x + residual` as one node, taped or not.
 """
 
 from __future__ import annotations
@@ -310,33 +313,22 @@ def _softmax_in_place(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def layer_norm_rows(x: Node, gamma: Node, beta: Node, eps: float = 1e-5,
-                    residual: Node | None = None) -> Node:
-    """Row-wise layer norm of x, or of x + residual; gamma and beta are (1, d) rows.
+def layer_norm_rows(x: Node, residual: Node, gamma: Node, beta: Node,
+                    eps: float = 1e-5) -> Node:
+    """Row-wise layer norm of x + residual ("Add & Norm"); gamma and beta are (1, d) rows.
 
-    The mean and the biased variance are `sum / d` of the row and of the
-    squared centred row, bit-equal to np.mean and np.var. The input is
-    centred once, into the array that becomes xhat: with a residual, the
-    sum is that array, centred in place. The squares' array is reused for
-    the output; the backward also works in place. Each step is the same
-    operation on the same operands as the textbook form, after `add`.
-
-    With a residual the node's parents are (x, residual, gamma, beta) and
-    both summands get the same gradient array, as `add` hands its two: the
-    graph walk, and so every gradient sum, is that of the layer norm of
-    `add(x, residual)`, one node fewer.
+    The sum is centred in place into xhat, and the mean and biased variance
+    are `sum / d`, bit-equal to np.mean and np.var: each step is the
+    textbook form's after `add`. Both summands get the same gradient array,
+    as `add` hands its two, so the graph walk and every gradient sum are
+    those of the layer norm of `add(x, residual)`, one node fewer.
     """
     xv = x.value
     d = xv.shape[1]
-    if residual is None:
-        xhat = xv - xv.sum(axis=1, keepdims=True) / d
-        parents = (x, gamma, beta)
-    else:
-        if residual.value.shape != xv.shape:
-            raise ShapeError(f"residual shape mismatch: {xv.shape} vs {residual.value.shape}")
-        xhat = xv + residual.value
-        xhat -= xhat.sum(axis=1, keepdims=True) / d
-        parents = (x, residual, gamma, beta)
+    if residual.value.shape != xv.shape:
+        raise ShapeError(f"residual shape mismatch: {xv.shape} vs {residual.value.shape}")
+    xhat = xv + residual.value
+    xhat -= xhat.sum(axis=1, keepdims=True) / d
     y = xhat * xhat
     inv_std = 1.0 / np.sqrt(y.sum(axis=1, keepdims=True) / d + eps)
     xhat *= inv_std
@@ -351,10 +343,9 @@ def layer_norm_rows(x: Node, gamma: Node, beta: Node, eps: float = 1e-5,
         dx -= dx.sum(axis=1, keepdims=True) / d
         dx -= proj
         dx *= inv_std
-        grads = (dx, (g * xhat).sum(axis=0, keepdims=True), g.sum(axis=0, keepdims=True))
-        return grads if residual is None else (dx, *grads)
+        return dx, dx, (g * xhat).sum(axis=0, keepdims=True), g.sum(axis=0, keepdims=True)
 
-    return Node(y, parents, bwd)
+    return Node(y, (x, residual, gamma, beta), bwd)
 
 
 def _scatter_rows(shape: tuple[int, int], rows: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -394,25 +385,10 @@ def concat_cols(a: Node, b: Node) -> Node:
                 lambda g: (g[:, :na], g[:, na:]))
 
 
-def dropout(x: Node, rate: float, rng, draw_shape: tuple[int, int, int]) -> Node:
-    """Inverted dropout; identity when rate == 0. rng is a SeededRng.
-
-    x holds n stacked blocks of T <= W rows each and draw_shape is (n, W, d).
-    The uniforms are the first T rows of every block of a (n, W, d) draw;
-    only those are generated and the stream skips the rest, so the masks and
-    the stream position do not depend on T.
-    """
-    if rate == 0.0:
-        return x
-    u = rng.random_blocks(draw_shape, x.value.shape[0] // draw_shape[0]).reshape(x.value.shape)
-    keep = (u >= rate).astype(np.float64) / (1.0 - rate)
-    return mul_const(x, keep)
-
-
 def multi_head_attention(
     q: Node, k: Node, v: Node, mask: np.ndarray, n_heads: int,
     probs_out: np.ndarray | None = None,
-) -> tuple[Node, np.ndarray | None]:
+) -> Node:
     """Scaled dot-product attention over a batch of stacked sentences.
 
     k and v are (batch*seq, d) with sentences stacked row-wise; mask is a
@@ -421,19 +397,19 @@ def multi_head_attention(
     sentence, stacked the same way as (batch*r, d): all seq rows, or fewer,
     such as each sentence's CLS row alone (the last layer of a logits-only
     forward, which reads no attention maps). Returns the re-stacked context
-    (batch*r, d) and the detached per-head probabilities with shape
-    (batch, n_heads, r, seq). The scores are scaled, masked and turned into
-    probabilities in place, in probs_out when given (a float64 array of that
-    shape, such as one layer's slice of a whole forward's attention), else
-    in a new array. The backward reads them, so they must not change before
-    it runs. Each sentence's context is written straight into its rows of
-    the result, through a (batch, heads, r, head width) view of it.
+    (batch*r, d) alone. The scores are scaled, masked and turned into per-head
+    probabilities in place, in probs_out when given, where a caller reads
+    them (a float64 (batch, n_heads, r, seq) array, such as one layer's slice
+    of a whole forward's attention), else in a new array. The backward reads
+    them, so they must not change before it runs. Each sentence's context is
+    written straight into its rows of the result, through a
+    (batch, heads, r, head width) view of it.
 
     When neither a tape nor probs_out keeps the probabilities (inside
     no_tape()), the sentences run in blocks whose probabilities hold no
-    more entries than k, each block's overwriting the last's, and None is
-    returned for the probabilities. Every step works per sentence, so the
-    context is the same, bit for bit, at any block size.
+    more entries than k, each block's overwriting the last's. Every step
+    works per sentence, so the context is the same, bit for bit, at any
+    block size.
 
     Both products, and the backward's two products with one row per query
     (dctx @ vh^T and dscores @ kh), go through _rows_product, so with one
@@ -480,7 +456,7 @@ def multi_head_attention(
         dk = dscores.transpose(0, 1, 3, 2) @ qh * inv_scale
         return unsplit(dq), unsplit(dk), unsplit(dv)
 
-    return Node(context, (q, k, v), bwd), probs if kept else None
+    return Node(context, (q, k, v), bwd)
 
 
 def cross_entropy_mean(logits: Node, labels: np.ndarray) -> Node:

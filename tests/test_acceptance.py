@@ -34,7 +34,7 @@ from cogbert.model import (
     Example,
     ModelConfig,
     build_batch,
-    embedding_sum,
+    embed,
     encoder_forward,
     fuse_pooled,
     gradcheck_mode,
@@ -223,20 +223,22 @@ def test_c04_structural_contracts():
     out = fuse_pooled(ad.const(np.zeros((1, 16))), np.zeros((1, 4)), random_params(desk, 0))
     assert out.value.shape == (1, 20)
 
-    cfg = ModelConfig(vocab_size=120, n_classes=4, d_model=16, heads=2, max_len=10,
-                      eeg_channels=4, dropout=0.0, mode="both_embed")
-    params = random_params(cfg, seed=3)
-    rng = SeededRng(44).derive("embed")
-    ids = rng.integers(0, cfg.vocab_size, size=(1, 10))
-    eeg = rng.integers(0, 101, size=(1, 10))
-    eye = rng.integers(0, 101, size=(1, 10))
-    got = embedding_sum(params, ids, {"eeg": eeg, "eye": eye}).value
-    for pos in range(10):
-        expected = (params["embed.word"].value[ids[0, pos]]
-                    + params["embed.position"].value[pos]
-                    + params["embed.eeg"].value[eeg[0, pos]]
-                    + params["embed.eye"].value[eye[0, pos]])
-        np.testing.assert_allclose(got[pos], expected, atol=1e-12)
+    # embed's layer-norm node sums its two summands: every table's rows, per table set.
+    for mode in ("none", "eeg_embed", "eye_embed", "both_embed"):
+        cfg = ModelConfig(vocab_size=120, n_classes=4, d_model=16, heads=2, max_len=10,
+                          eeg_channels=4, dropout=0.0, mode=mode)
+        params = random_params(cfg, seed=3)
+        rng = SeededRng(44).derive("embed")
+        ids = rng.integers(0, cfg.vocab_size, size=(1, 10))
+        tokens = {table: rng.integers(0, 101, size=(1, 10)) for table in cfg.token_tables}
+        node = embed(params, ids, tokens)
+        got = node.parents[0].value + node.parents[1].value
+        for pos in range(10):
+            expected = (params["embed.word"].value[ids[0, pos]]
+                        + params["embed.position"].value[pos])
+            for table, values in tokens.items():
+                expected = expected + params[f"embed.{table}"].value[values[0, pos]]
+            np.testing.assert_allclose(got[pos], expected, atol=1e-12, err_msg=mode)
 
     passed(4, "structural contracts", "873/1536 at paper scale; embed sum <= 1e-12")
 

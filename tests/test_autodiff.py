@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from cogbert.errors import ShapeError
+from cogbert.model import ModelConfig, _dropout
 from cogbert.numerics import autodiff as ad
 from cogbert.numerics.gradcheck import grad_check_report
+from cogbert.numerics.rng import SeededRng
 
 RNG = np.random.default_rng(20240902)
 
@@ -152,11 +154,12 @@ class TestMatrixOps:
 
 class TestNormalizers:
     def test_layer_norm_rows(self):
+        # x is both summands: its gradient is the sum of the two the rule returns.
         x = ad.Parameter("x", RNG.normal(size=(5, 8)))
         g = ad.Parameter("g", RNG.normal(1.0, 0.3, size=(1, 8)))
         b = ad.Parameter("b", RNG.normal(size=(1, 8)))
         red = reducer((5, 8))
-        check(lambda: red(ad.layer_norm_rows(x, g, b)), [x, g, b])
+        check(lambda: red(ad.layer_norm_rows(x, x, g, b)), [x, g, b])
 
     def test_layer_norm_rows_with_residual(self):
         x = ad.Parameter("x", RNG.normal(size=(5, 8)))
@@ -164,15 +167,17 @@ class TestNormalizers:
         g = ad.Parameter("g", RNG.normal(1.0, 0.3, size=(1, 8)))
         b = ad.Parameter("b", RNG.normal(size=(1, 8)))
         red = reducer((5, 8))
-        check(lambda: red(ad.layer_norm_rows(x, g, b, residual=h)), [x, h, g, b])
+        check(lambda: red(ad.layer_norm_rows(x, h, g, b)), [x, h, g, b])
         with pytest.raises(ShapeError, match="residual shape mismatch"):
-            ad.layer_norm_rows(x, g, b, residual=ad.const(np.ones((4, 8))))
+            ad.layer_norm_rows(x, ad.const(np.ones((4, 8))), g, b)
 
     def test_residual_matches_layer_norm_of_add_bit_for_bit(self):
         """As at an encoder layer's input: x also feeds three other ops (the
         attention's q, k and v), whose result is the residual h. x's own input w
         reaches h by two more paths, so w's gradient is a sum of three terms whose
-        order follows backward's walk: the fused node must keep that walk."""
+        order follows backward's walk: the fused node must keep the walk of
+        `add(x, h)`, normalised here with a zero const residual, which adds
+        exact zeros and takes no gradient."""
         seq, d = 16, 8
         w = ad.Parameter("w", RNG.normal(size=(2 * seq, d)))
         wq, wk, wv = (ad.Parameter(name, RNG.normal(size=(d, d))) for name in ("wq", "wk", "wv"))
@@ -187,10 +192,11 @@ class TestNormalizers:
                 p.zero_grad()
             x = ad.gelu(w)
             h = ad.multi_head_attention(ad.matmul(x, wq), ad.matmul(x, wk), ad.matmul(x, wv),
-                                        mask, 2)[0]
+                                        mask, 2)
             h = ad.add(h, ad.add(ad.mul_const(w, 0.3), ad.mul_const(w, -1.7)))
-            out = (ad.layer_norm_rows(x, gamma, beta, residual=h) if fused
-                   else ad.layer_norm_rows(ad.add(x, h), gamma, beta))
+            out = (ad.layer_norm_rows(x, h, gamma, beta) if fused
+                   else ad.layer_norm_rows(ad.add(x, h), ad.const(np.zeros((2 * seq, d))),
+                                           gamma, beta))
             ad.backward(red(out))
             return [out.value, x.grad, h.grad,
                     *(p.grad.copy() for p in (gamma, beta, w, wq, wk, wv))]
@@ -201,26 +207,31 @@ class TestNormalizers:
     @pytest.mark.parametrize("rows", [1, 2, 128, 2048])
     @pytest.mark.parametrize("d", [32, 13])
     def test_layer_norm_matches_mean_var_reference_bit_for_bit(self, rows, d):
-        """The sum/d form equals the np.mean/np.var form it replaces, forward and backward."""
+        """The sum/d form of the layer norm of x + h equals the np.mean/np.var form it
+        replaces, forward and backward; both summands get the same gradient."""
         rng = np.random.default_rng(rows * 100 + d)
         xv = rng.normal(0.5, 2.0, size=(rows, d))
+        hv = rng.normal(-0.3, 1.0, size=(rows, d))
         gv, bv = rng.normal(1.0, 0.3, size=(1, d)), rng.normal(size=(1, d))
         g = rng.normal(size=(rows, d))
 
-        mean = xv.mean(axis=1, keepdims=True)
-        var = xv.var(axis=1, keepdims=True)
+        sv = xv + hv
+        mean = sv.mean(axis=1, keepdims=True)
+        var = sv.var(axis=1, keepdims=True)
         inv_std = 1.0 / np.sqrt(var + 1e-5)
-        xhat = (xv - mean) * inv_std
+        xhat = (sv - mean) * inv_std
         dxhat = g * gv
+        dx = inv_std * (dxhat - dxhat.mean(axis=1, keepdims=True)
+                        - xhat * (dxhat * xhat).sum(axis=1, keepdims=True) / d)
         want = [
             xhat * gv + bv,
-            inv_std * (dxhat - dxhat.mean(axis=1, keepdims=True)
-                       - xhat * (dxhat * xhat).sum(axis=1, keepdims=True) / d),
+            dx,
+            dx,
             (g * xhat).sum(axis=0, keepdims=True),
             g.sum(axis=0, keepdims=True),
         ]
 
-        out = ad.layer_norm_rows(ad.const(xv), ad.const(gv), ad.const(bv), 1e-5)
+        out = ad.layer_norm_rows(ad.const(xv), ad.const(hv), ad.const(gv), ad.const(bv), 1e-5)
         for got, ref in zip([out.value, *out.bwd(g)], want, strict=True):
             np.testing.assert_array_equal(got, ref)
 
@@ -228,6 +239,13 @@ class TestNormalizers:
         logits = ad.Parameter("l", RNG.normal(size=(6, 4)))
         labels = np.array([0, 3, 1, 1, 2, 0])
         check(lambda: ad.cross_entropy_mean(logits, labels), [logits])
+
+
+def attend(q, k, v, mask, heads):
+    """The attention's context node and its probabilities, read through probs_out."""
+    n_batch, seq = mask.shape
+    probs = np.full((n_batch, heads, q.value.shape[0] // n_batch, seq), np.nan)
+    return ad.multi_head_attention(q, k, v, mask, heads, probs), probs
 
 
 class TestAttention:
@@ -242,8 +260,7 @@ class TestAttention:
         red = reducer((batch * seq, d))
 
         def loss():
-            ctx, _ = ad.multi_head_attention(q, k, v, mask, heads)
-            return red(ctx)
+            return red(ad.multi_head_attention(q, k, v, mask, heads))
 
         check(loss, [q, k, v])
 
@@ -285,12 +302,10 @@ class TestAttention:
             for layer, attention in ((None, None),
                                      (1, np.full((batch, 3, heads, n_q, seq), np.nan))):
                 probs_out = None if attention is None else attention[:, layer]
-                ctx, probs = ad.multi_head_attention(q, k, v, mask, heads, probs_out)
-                np.testing.assert_array_equal(probs, want, err_msg=case)
+                ctx = ad.multi_head_attention(q, k, v, mask, heads, probs_out)
                 np.testing.assert_array_equal(ctx.value, want_ctx, err_msg=case)
                 grads.append(ctx.bwd(g))
                 if attention is not None:
-                    assert probs is probs_out
                     np.testing.assert_array_equal(attention[:, layer], want, err_msg=case)
                     assert np.isnan(np.delete(attention, layer, axis=1)).all()
             for got, ref in zip(*grads, strict=True):
@@ -298,9 +313,8 @@ class TestAttention:
 
             written = np.full((batch, heads, n_q, seq), np.nan)
             with ad.no_tape():
-                blocked, no_probs = ad.multi_head_attention(q, k, v, mask, heads)
-                kept, probs = ad.multi_head_attention(q, k, v, mask, heads, written)
-            assert no_probs is None and probs is written, case
+                blocked = ad.multi_head_attention(q, k, v, mask, heads)
+                kept = ad.multi_head_attention(q, k, v, mask, heads, written)
             np.testing.assert_array_equal(written, want, err_msg=case)
             for ctx in (blocked, kept):
                 np.testing.assert_array_equal(ctx.value, want_ctx, err_msg=case)
@@ -322,8 +336,8 @@ class TestAttention:
             red = reducer((batch * n_q, d))
 
             def loss():
-                ctx, probs = ad.multi_head_attention(q, k, v, mask, heads)
-                assert probs.shape == (batch, heads, n_q, seq)
+                ctx, probs = attend(q, k, v, mask, heads)
+                assert not np.isnan(probs).any()  # every query row's probabilities written
                 return red(ctx)
 
             check(loss, [q, k, v])
@@ -337,10 +351,10 @@ class TestAttention:
             mask = np.zeros((batch, seq))
             for b in range(batch):
                 mask[b, RNG.integers(3, seq + 1):] = -10000.0
-            full_ctx, full_probs = ad.multi_head_attention(q, k, v, mask, heads)
+            full_ctx, full_probs = attend(q, k, v, mask, heads)
             for n_q in (1, 2):
                 rows = ad.const(self.first_rows(q.value, batch, n_q))
-                ctx, probs = ad.multi_head_attention(rows, k, v, mask, heads)
+                ctx, probs = attend(rows, k, v, mask, heads)
                 np.testing.assert_array_equal(probs, full_probs[:, :, :n_q],
                                               err_msg=f"batch {batch}, {n_q} rows")
                 np.testing.assert_array_equal(ctx.value, self.first_rows(full_ctx.value, batch, n_q),
@@ -360,7 +374,7 @@ class TestAttention:
         v = ad.const(RNG.normal(size=(batch * seq, d)))
         mask = np.zeros((batch, seq))
         mask[:, 4:] = -10000.0
-        _, probs = ad.multi_head_attention(q, k, v, mask, heads)
+        _, probs = attend(q, k, v, mask, heads)
         np.testing.assert_allclose(probs.sum(axis=3), 1.0, atol=1e-9)
         assert probs[:, :, :, 4:].max() < 1e-4
 
@@ -371,7 +385,7 @@ class TestAttention:
         v = ad.const(RNG.normal(size=(seq, d)))
         mask = np.full((batch, seq), -10000.0)
         mask[0, 2] = 0.0
-        _, probs = ad.multi_head_attention(q, k, v, mask, heads)
+        _, probs = attend(q, k, v, mask, heads)
         np.testing.assert_allclose(probs[0, :, :, 2], 1.0, atol=1e-9)
 
     def test_uniform_queries_give_uniform_probabilities(self):
@@ -380,34 +394,40 @@ class TestAttention:
         k = ad.const(np.ones((seq, d)))
         v = ad.const(RNG.normal(size=(seq, d)))
         mask = np.zeros((batch, seq))
-        _, probs = ad.multi_head_attention(q, k, v, mask, heads)
+        _, probs = attend(q, k, v, mask, heads)
         np.testing.assert_allclose(probs, 1.0 / seq, atol=1e-12)
 
 
 def one_run_of_every_op(intermediate_inputs=False):
     """(op name, output node) for one call of every differentiable op; its
-    inputs are Parameters, or with intermediate_inputs, ops' outputs."""
+    inputs are Parameters, or with intermediate_inputs, ops' outputs. Each
+    op returns one node."""
     def p(*shape):
         param = ad.Parameter("p", RNG.normal(size=shape))
         return ad.mul_const(param, 1.0) if intermediate_inputs else param
-    return [
+    runs = [
         ("add", ad.add(p(3, 4), p(3, 4))),
         ("add_bias", ad.add_bias(p(3, 4), p(1, 4))),
         ("mul_const", ad.mul_const(p(3, 4), RNG.normal(size=(3, 4)))),
         ("matmul", ad.matmul(p(3, 5), p(5, 2))),
         ("matmul", ad.matmul(p(3, 5), p(5, 2), (7, np.array([0, 2, 6])))),  # full layout
         ("gelu", ad.gelu(p(3, 4))),
-        ("layer_norm_rows", ad.layer_norm_rows(p(3, 4), p(1, 4), p(1, 4))),
-        ("layer_norm_rows", ad.layer_norm_rows(p(3, 4), p(1, 4), p(1, 4), residual=p(3, 4))),
+        ("layer_norm_rows", ad.layer_norm_rows(p(3, 4), p(3, 4), p(1, 4), p(1, 4))),
         ("gather_rows", ad.gather_rows(p(6, 3), np.array([0, 2, 2, 5]))),
         ("select_rows", ad.select_rows(p(6, 3), np.array([1, 4]))),
         ("concat_cols", ad.concat_cols(p(3, 2), p(3, 5))),
         ("multi_head_attention", ad.multi_head_attention(
-            p(2 * 3, 4), p(2 * 3, 4), p(2 * 3, 4), np.zeros((2, 3)), 2)[0]),
+            p(2 * 3, 4), p(2 * 3, 4), p(2 * 3, 4), np.zeros((2, 3)), 2)),
         ("multi_head_attention", ad.multi_head_attention(  # one query row per sentence
-            p(2, 4), p(2 * 3, 4), p(2 * 3, 4), np.zeros((2, 3)), 2)[0]),
+            p(2, 4), p(2 * 3, 4), p(2 * 3, 4), np.zeros((2, 3)), 2)),
+        ("multi_head_attention", ad.multi_head_attention(  # probabilities into probs_out
+            p(2 * 3, 4), p(2 * 3, 4), p(2 * 3, 4), np.zeros((2, 3)), 2,
+            np.empty((2, 2, 3, 3)))),
         ("cross_entropy_mean", ad.cross_entropy_mean(p(3, 4), np.array([0, 3, 1]))),
     ]
+    for name, out in runs:
+        assert type(out) is ad.Node, name
+    return runs
 
 
 class TestTapeContract:
@@ -415,8 +435,7 @@ class TestTapeContract:
     `backward` alone adds gradients up."""
 
     def test_every_op_is_covered(self):
-        not_ops = {"const", "backward", "softmax", "linear", "dropout", "no_tape", "Node",
-                   "Parameter"}
+        not_ops = {"const", "backward", "softmax", "linear", "no_tape", "Node", "Parameter"}
         ops = {name for name, value in vars(ad).items()
                if callable(value) and not name.startswith("_")
                and getattr(value, "__module__", None) == ad.__name__} - not_ops
@@ -514,10 +533,11 @@ class TestGraphBehavior:
         x = ad.Parameter("x", RNG.normal(size=(5, 4)))
         beta = ad.Parameter("beta", RNG.normal(size=(1, 4)))
         w = ad.Parameter("w", RNG.normal(1.0, 0.3, size=(1, 4)))
+        h = ad.const(RNG.normal(size=(5, 4)))
         red = reducer((5, 4))
 
         def loss(bias, gamma):
-            return red(ad.layer_norm_rows(ad.add_bias(x, bias), gamma, beta))
+            return red(ad.layer_norm_rows(ad.add_bias(x, bias), h, gamma, beta))
 
         check(lambda: loss(w, w), [x, beta, w])
         # The same graph with two separate copies of w: their sum is w's gradient.
@@ -547,17 +567,24 @@ class TestGraphBehavior:
         ad.backward(loss())
         np.testing.assert_array_equal(w.grad, once)
 
+    # Inverted dropout is model._dropout: ad.mul_const by a mask drawn at max_len.
+
+    @staticmethod
+    def dropout_cfg(max_len, rate):
+        return ModelConfig(vocab_size=110, n_classes=2, d_model=6, max_len=max_len, dropout=rate)
+
     def test_dropout_zero_rate_is_identity(self):
         x = ad.const(RNG.normal(size=(3, 3)))
-        assert ad.dropout(x, 0.0, None, (1, 3, 3)) is x
+        assert _dropout(x, 1, self.dropout_cfg(3, 0.0), True, None) is x
+        assert _dropout(x, 1, self.dropout_cfg(3, 0.5), False, None) is x  # inference
 
     @pytest.mark.parametrize("n, width, rows", [(3, 16, 5), (2, 8, 8), (1, 24, 1)])
     def test_dropout_masks_and_stream_match_full_width_draw(self, n, width, rows):
         """Drawing only the kept rows gives the full-width draw's masks and next draw."""
-        from cogbert.numerics.rng import SeededRng
         d, rate = 6, 0.3
         rng, ref = SeededRng(11), SeededRng(11)
-        out = ad.dropout(ad.const(np.ones((n * rows, d))), rate, rng, (n, width, d))
+        out = _dropout(ad.const(np.ones((n * rows, d))), n, self.dropout_cfg(width, rate),
+                       True, rng)
         u = ref.random((n, width, d))[:, :rows].reshape(n * rows, d)
         np.testing.assert_array_equal(out.value, (u >= rate).astype(np.float64) / (1.0 - rate))
         np.testing.assert_array_equal(rng.random((2, 5)), ref.random((2, 5)))
@@ -566,8 +593,11 @@ class TestGraphBehavior:
         np.testing.assert_array_equal(blocks, SeededRng(12).random((n, width, d))[:, :rows])
 
     def test_dropout_scales_kept_entries(self):
-        from cogbert.numerics.rng import SeededRng
         x = ad.const(np.ones((100, 10)))
-        out = ad.dropout(x, 0.5, SeededRng(0), (1, 100, 10))
-        values = np.unique(out.value)
-        assert set(values.tolist()) <= {0.0, 2.0}
+        out = _dropout(x, 1, self.dropout_cfg(100, 0.5), True, SeededRng(0))
+        assert set(np.unique(out.value).tolist()) == {0.0, 2.0}
+        x = ad.const(RNG.normal(size=(100, 10)))
+        out = _dropout(x, 1, self.dropout_cfg(100, 0.3), True, SeededRng(0))
+        kept = out.value != 0.0
+        assert 0 < kept.sum() < kept.size
+        np.testing.assert_array_equal(out.value[kept], x.value[kept] * (1.0 / 0.7))

@@ -13,10 +13,22 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import cogbert
 from cogbert import cli, training
 from cogbert.cli import main as cli_main
+from cogbert.errors import (
+    CheckpointError,
+    CogbertError,
+    ConfigError,
+    DataError,
+    EmptyResultError,
+    FeatureLookupError,
+    NumericError,
+    ShapeError,
+    ValidationError,
+)
 from cogbert.features import (
     EEGLexicon,
     FeatureDb,
@@ -301,6 +313,92 @@ def test_warnings_reach_current_stderr_once_with_prefix(tmp_path, capsys):
     assert capsys.readouterr() == ("", "warning: s1: truncating 2 word(s)\n")
     handlers = logging.getLogger("cogbert").handlers
     assert sum(isinstance(h, cli._StderrWarnings) for h in handlers) == 1
+
+
+def test_exit_code_lives_on_the_error_type(monkeypatch, capsys):
+    """main returns the raised error's exit_code after one `error:` line;
+    FileNotFoundError exits 3."""
+    codes = {CogbertError: 1, ShapeError: 1, NumericError: 1, ValidationError: 2,
+             ConfigError: 2, DataError: 3, FeatureLookupError: 3, CheckpointError: 3,
+             EmptyResultError: 4, FileNotFoundError: 3}
+    for error, code in codes.items():
+        def fail(*args, **kwargs):
+            raise error(f"boom {error.__name__}")
+        monkeypatch.setattr(cli, "gradcheck_mode", fail)
+        assert cli_main(["gradcheck", "--mode", "none"]) == code, error
+        assert capsys.readouterr() == ("", f"error: boom {error.__name__}\n"), error
+
+
+# The work each command does after checking --out; none of it may run when --out is unusable.
+OUT_WORK = ((cogbert.features, "synth_generate"), (training, "repeat_runs"),
+            (training, "evaluate"), (cli, "explain_sentence"), (cli, "gradcheck_mode"),
+            (cogbert.features, "build_lexicon"), (cogbert.features, "apply_lexicon"),
+            (cli, "_score_cells"))
+DIR_OUT = ("synth", "train", "eval", "explain", "gradcheck")
+FILE_OUT = ("lexicon build", "lexicon apply", "report")
+
+
+class TestUnusableOut:
+    """An --out that cannot be written exits 2 with one `error:` line naming it,
+    before the command's work and creating or overwriting nothing."""
+
+    @staticmethod
+    def argv(command, out, synth_dir, trained_dir, model_config_path, lexicon):
+        features = str(synth_dir / "features.jsonl")
+        model = ["--checkpoint", str(trained_dir / "model.ckpt"),
+                 "--vocab", str(trained_dir / "vocab.tsv")]
+        return {
+            "synth": ["synth", "--seed", "1", "--n-sentences", "16"],
+            "train": ["train", "--features", features, "--config", str(model_config_path),
+                      "--repeats", "1", "--epochs", "1"],
+            "eval": ["eval", "--features", features, *model],
+            "explain": ["explain", "--features", features, *model,
+                        "--ids", FeatureDb.load_jsonl(features).ids()[0], "--n-samples", "10"],
+            "gradcheck": ["gradcheck", "--mode", "none"],
+            "lexicon build": ["lexicon", "build", "--corpus", str(synth_dir / "corpus.jsonl")],
+            "lexicon apply": ["lexicon", "apply", "--lexicon", str(lexicon),
+                              "--features", features],
+            "report": ["report", "--inputs", str(trained_dir / "report.json")],
+        }[command] + ["--out", str(out)]
+
+    @pytest.mark.parametrize("command, kind", [
+        *((command, kind) for command in DIR_OUT for kind in ("existing file", "under a file")),
+        *((command, kind) for command in FILE_OUT
+          for kind in ("existing directory", "under a file")),
+    ])
+    def test_exits_2_before_any_work(self, command, kind, synth_dir, trained_dir,
+                                     model_config_path, tmp_path, monkeypatch, capsys):
+        lexicon = tmp_path / "lexicon.jsonl"
+        assert cli_main(["lexicon", "build", "--corpus", str(synth_dir / "corpus.jsonl"),
+                         "--out", str(lexicon)]) == 0
+        blocker = tmp_path / "blocker"
+        if kind == "existing directory":
+            blocker.mkdir()
+            (blocker / "kept.txt").write_text("kept")
+        else:
+            blocker.write_text("kept")
+        out = blocker if kind.startswith("existing") else blocker / "x"
+        for owner, name in OUT_WORK:
+            monkeypatch.setattr(owner, name, lambda *a, **k: pytest.fail("the work ran"))
+        before = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        rc = cli_main(self.argv(command, out, synth_dir, trained_dir, model_config_path, lexicon))
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: --out {out}")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert sorted(tmp_path.rglob("*")) == before
+        kept = blocker / "kept.txt" if blocker.is_dir() else blocker
+        assert kept.read_text() == "kept"
+
+    def test_print_config_reads_no_out(self, synth_dir, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept")
+        for argv in (["synth"], ["train", "--features", str(synth_dir / "features.jsonl")]):
+            assert cli_main([*argv, "--out", str(blocker), "--print-config"]) == 0
+            assert json.loads(capsys.readouterr().out)
+        assert blocker.read_text() == "kept"
 
 
 class TestExplain:

@@ -107,9 +107,8 @@ class TestTopK:
         assert top_k(np.array([2.0, 2.0, 1.0]), 1).tolist() == [0]
         assert top_k(np.array([1.0, 0.0, -0.0, 1.0]), 4).tolist() == [0, 3, 1, 2]
 
-    def test_k_larger_than_sentence_returns_all(self, caplog):
+    def test_k_larger_than_sentence_returns_all(self):
         assert top_k(np.array([3.0, 1.0, 2.0]), 5).tolist() == [0, 2, 1]
-        assert "asked for 5 keywords but only 3 content tokens" in caplog.text
         with pytest.raises(ValidationError, match="k must be >= 1"):
             top_k(np.array([3.0]), 0)
 

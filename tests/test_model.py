@@ -23,7 +23,6 @@ from cogbert.model import (
     build_batch,
     classify,
     embed,
-    embedding_sum,
     encoder_forward,
     fuse_pooled,
     init_params,
@@ -262,27 +261,31 @@ class TestFlatStorage:
                     == Path(str(second) + ".config.json").read_bytes())
 
 
+def pre_norm_sum(params, ids, tokens):
+    """The table sum embed normalises: the sum of its layer-norm node's two summands."""
+    node = embed(params, ids, tokens)
+    return node.parents[0].value + node.parents[1].value
+
+
 class TestEmbedding:
     def test_matches_brute_force_table_sum(self):
-        cfg = tiny_cfg(mode="both_embed")
-        params = random_params(cfg, seed=5)
-        rng = SeededRng(9).derive("ids")
-        b, t = 3, cfg.max_len - 2
-        ids = rng.integers(0, cfg.vocab_size, size=(b, t))
-        eeg = rng.integers(0, 101, size=(b, t))
-        eye = rng.integers(0, 101, size=(b, t))
-        out = embedding_sum(params, ids, {"eeg": eeg, "eye": eye}).value
+        for mode in ("none", "eeg_embed", "eye_embed", "both_embed"):
+            cfg = tiny_cfg(mode=mode)
+            params = random_params(cfg, seed=5)
+            rng = SeededRng(9).derive("ids")
+            b, t = 3, cfg.max_len - 2
+            ids = rng.integers(0, cfg.vocab_size, size=(b, t))
+            tokens = {table: rng.integers(0, 101, size=(b, t)) for table in cfg.token_tables}
+            out = pre_norm_sum(params, ids, tokens)
 
-        expected = np.zeros((b * t, cfg.d_model))
-        for i in range(b):
-            for pos in range(t):
-                expected[i * t + pos] = (
-                    params["embed.word"].value[ids[i, pos]]
-                    + params["embed.position"].value[pos]
-                    + params["embed.eeg"].value[eeg[i, pos]]
-                    + params["embed.eye"].value[eye[i, pos]]
-                )
-        np.testing.assert_allclose(out, expected, atol=1e-12)
+            expected = np.zeros((b * t, cfg.d_model))
+            for i in range(b):
+                for pos in range(t):
+                    expected[i * t + pos] = (params["embed.word"].value[ids[i, pos]]
+                                             + params["embed.position"].value[pos])
+                    for table, values in tokens.items():
+                        expected[i * t + pos] += params[f"embed.{table}"].value[values[i, pos]]
+            np.testing.assert_allclose(out, expected, atol=1e-12, err_msg=mode)
 
     def test_zeroed_position_table_leaves_normalized_word_rows(self):
         cfg = tiny_cfg(mode="none")
@@ -302,14 +305,14 @@ class TestEmbedding:
         params = random_params(cfg, seed=5)
         ids = np.zeros((4, 1), dtype=int)  # four sentences, all at position 0
         eeg = np.zeros((4, 1), dtype=int)
-        out = embedding_sum(params, ids, {"eeg": eeg}).value
+        out = pre_norm_sum(params, ids, {"eeg": eeg})
         assert np.ptp(out, axis=0).max() == 0.0  # identical rows
 
     def test_token_out_of_range_is_index_error(self):
         cfg = tiny_cfg(mode="eeg_embed")
         params = random_params(cfg, seed=5)
         with pytest.raises(IndexError):
-            embedding_sum(params, np.zeros((1, 2), dtype=int), {"eeg": np.array([[0, 101]])})
+            embed(params, np.zeros((1, 2), dtype=int), {"eeg": np.array([[0, 101]])})
 
     def test_token_tables_per_mode(self):
         """The embed modes add their tables, in summing and spec order; the others none."""
@@ -326,12 +329,12 @@ class TestEmbedding:
         for mode in MODES:
             params = random_params(tiny_cfg(mode=mode), seed=1)
             tables = params.cfg.token_tables
-            embedding_sum(params, ids, dict.fromkeys(tables, ids))
+            embed(params, ids, dict.fromkeys(tables, ids))
             wrong = [tables[:i] + tables[i + 1:] for i in range(len(tables))]  # one dropped
             wrong += [tables + (extra,) for extra in ("eeg", "eye") if extra not in tables]
             for keys in wrong:
                 with pytest.raises(ValidationError, match="needs cognitive tokens"):
-                    embedding_sum(params, ids, dict.fromkeys(keys, ids))
+                    embed(params, ids, dict.fromkeys(keys, ids))
 
 
 class TestForward:

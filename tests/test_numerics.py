@@ -32,11 +32,10 @@ def gelu_grad(x):
     return p.grad
 
 
-def layer_norm(x, gamma, beta, eps=1e-5):
-    """ad.layer_norm_rows on a single row."""
-    row = ad.const(np.atleast_2d(x))
-    return ad.layer_norm_rows(row, ad.const(np.atleast_2d(gamma)),
-                              ad.const(np.atleast_2d(beta)), eps).value[0]
+def layer_norm(x, residual, gamma, beta, eps=1e-5):
+    """ad.layer_norm_rows of x + residual on a single row."""
+    return ad.layer_norm_rows(*(ad.const(np.atleast_2d(a)) for a in (x, residual, gamma, beta)),
+                              eps).value[0]
 
 
 def cross_entropy(logits, label):
@@ -168,24 +167,26 @@ class TestGelu:
 
 class TestLayerNorm:
     def test_constant_input_returns_beta(self):
-        x = np.full(8, 3.7)
-        out = layer_norm(x, np.ones(8), np.full(8, 1.5))
+        # The summands vary; their sum is exactly the constant 3.75.
+        x = np.linspace(-2.0, 1.5, 8)
+        out = layer_norm(x, 3.75 - x, np.ones(8), np.full(8, 1.5))
         np.testing.assert_allclose(out, 1.5)
 
     def test_unit_variance_input_passthrough(self):
-        out = layer_norm(np.array([-1.0, 1.0]), np.ones(2), np.zeros(2), eps=1e-12)
+        out = layer_norm(np.array([-3.0, 0.5]), np.array([2.0, 0.5]), np.ones(2), np.zeros(2),
+                         eps=1e-12)
         np.testing.assert_allclose(out, [-1.0, 1.0], atol=1e-6)
 
     def test_zero_gamma_annihilates(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=16)
         beta = rng.normal(size=16)
-        np.testing.assert_array_equal(layer_norm(x, np.zeros(16), beta), beta)
+        np.testing.assert_array_equal(layer_norm(x, rng.normal(size=16), np.zeros(16), beta), beta)
 
     def test_normalized_moments(self):
         rng = np.random.default_rng(9)
         x = rng.normal(2.0, 5.0, size=64)
-        out = layer_norm(x, np.ones(64), np.zeros(64))
+        out = layer_norm(x, rng.normal(-1.0, 3.0, size=64), np.ones(64), np.zeros(64))
         assert abs(out.mean()) < 1e-12
         assert abs(out.var() - 1.0) < 1e-4  # eps-induced shrinkage only
 
