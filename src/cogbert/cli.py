@@ -29,7 +29,7 @@ from .explain import DEFAULT_KERNEL_WIDTH, DEFAULT_RIDGE_LAMBDA, DEFAULT_SAMPLES
 from .files import atomic_open, write_json
 from .model import (MODES, EncoderParams, ModelConfig, gradcheck_mode, init_params, load_checkpoint,
                     save_checkpoint)
-from .tokenizer import Vocab, build_vocab
+from .tokenizer import Vocab, build_vocab, check_vocab_words
 
 GRADCHECK_TOLERANCE = 1e-4
 
@@ -190,7 +190,9 @@ def cmd_train(args) -> int:
     if n_classes < 2:
         raise DataError(f"feature db {args.features}: every sentence has label 0; "
                         f"training needs at least 2 classes")
-    vocab = build_vocab([db.get(sid).tokens for sid in db.ids()])
+    sentences = {sid: db.get(sid).tokens for sid in db.ids()}
+    check_vocab_words(sentences, f"feature db {args.features}")
+    vocab = build_vocab(list(sentences.values()))
     model_cfg = _build_model_config(args, vocab, db, n_classes)
     train_cfg = _build_train_config(args)
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from .checks import check_field_types
 from .errors import ConfigError, DataError, FeatureLookupError, ValidationError
-from .files import write_jsonl
+from .files import read_lines, write_jsonl
 from .numerics.rng import SeededRng
 from .tokenizer import MASK_KEEP, MASK_SUPPRESS
 
@@ -365,7 +365,7 @@ def _read_jsonl(path: str | Path, id_key: str) -> tuple[list[tuple[int, dict]], 
     which names path:line and, when the line is an object holding one, its id.
     """
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = read_lines(path)
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not a UTF-8 JSON-lines file: {exc}") from None
     items = []

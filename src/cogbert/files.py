@@ -1,4 +1,5 @@
-"""Atomic file writes: every output file appears whole or not at all."""
+"""Atomic file writes: every output file appears whole or not at all; and the
+one line reader of the text files the program reads line by line."""
 
 from __future__ import annotations
 
@@ -26,6 +27,18 @@ def atomic_open(path: str | Path, mode: str = "w", **kwargs):
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+
+
+def read_lines(path: str | Path) -> list[str]:
+    r"""The lines of a UTF-8 text file, split at "\n" alone, each less one trailing "\r".
+
+    So a CRLF file reads as an LF one, and a line keeps every other character
+    a JSON string or a word may hold: str.splitlines would also split at
+    U+2028, U+2029, U+0085 and \x0b, \x0c, \x1c-\x1e, and text mode at a
+    lone "\r". Raises UnicodeDecodeError for a file that is not UTF-8.
+    """
+    with open(path, encoding="utf-8", newline="") as fh:
+        return [line.removesuffix("\r") for line in fh.read().split("\n")]
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:

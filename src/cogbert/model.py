@@ -524,7 +524,8 @@ def embed(params: EncoderParams, ids: np.ndarray, tokens: dict[str, np.ndarray])
     ids and every array of tokens are (B, T); tokens must hold exactly the
     mode's tables. Row b*T + j of the result is sentence b at position j.
     The node's summands (autodiff.layer_norm_rows) are the sum of all
-    tables' rows but the last, and the last table's rows.
+    tables' rows but the last, and the last table's rows; each table's rows
+    are added into the running sum's array, and the layer norm keeps both.
     """
     cfg = params.cfg
     if set(tokens) != set(cfg.token_tables):
@@ -535,7 +536,7 @@ def embed(params: EncoderParams, ids: np.ndarray, tokens: dict[str, np.ndarray])
     x = ad.gather_rows(params["embed.word"], ids.reshape(-1))
     last = ad.gather_rows(params["embed.position"], np.tile(np.arange(t), n))
     for table in cfg.token_tables:
-        x = ad.add(x, last)
+        x = ad.add(x, last, overwrite=True)
         last = ad.gather_rows(params[f"embed.{table}"], tokens[table].reshape(-1))
     return ad.layer_norm_rows(x, last, params["embed.ln.gamma"], params["embed.ln.beta"], LN_EPS)
 
@@ -546,12 +547,14 @@ def _dropout(x: Node, n: int, cfg: ModelConfig, train: bool, rng: SeededRng | No
     Its uniforms are each sentence's first T rows of an (n, max_len, d) draw,
     and the stream skips the rest (SeededRng.random_blocks), so the dropout
     stream, and the mask of every kept element, are the same at any width T.
+    The result is written into x's array (autodiff.mul_const's overwrite):
+    x must be an output that nothing else reads: the embedding's or a block's.
     """
     if not train or cfg.dropout == 0.0:
         return x
     u = rng.random_blocks((n, cfg.max_len, x.value.shape[1]), x.value.shape[0] // n)
     keep = (u.reshape(x.value.shape) >= cfg.dropout).astype(np.float64) / (1.0 - cfg.dropout)
-    return ad.mul_const(x, keep)
+    return ad.mul_const(x, keep, overwrite=True)
 
 
 def self_attention(
@@ -594,7 +597,7 @@ def self_attention(
     ctx = ad.linear(ctx, params[p + "attn.wo"], params[p + "attn.bo"], layout)
     ctx = _dropout(ctx, masks.shape[0], cfg, train, rng)
     return ad.layer_norm_rows(queries, ctx, params[p + "ln1.gamma"], params[p + "ln1.beta"],
-                              LN_EPS)
+                              LN_EPS, overwrite=True)
 
 
 def _feed_forward(x: Node, n: int, params: EncoderParams, layer: int,
@@ -604,10 +607,11 @@ def _feed_forward(x: Node, n: int, params: EncoderParams, layer: int,
     layer norm as one node (autodiff.layer_norm_rows); layout as in
     autodiff.matmul, when x holds rows selected from a larger array."""
     p = f"layer{layer}."
-    h = ad.gelu(ad.linear(x, params[p + "ff.w1"], params[p + "ff.b1"], layout))
+    h = ad.gelu(ad.linear(x, params[p + "ff.w1"], params[p + "ff.b1"], layout), overwrite=True)
     h = ad.linear(h, params[p + "ff.w2"], params[p + "ff.b2"], layout)
     h = _dropout(h, n, params.cfg, train, rng)
-    return ad.layer_norm_rows(x, h, params[p + "ln2.gamma"], params[p + "ln2.beta"], LN_EPS)
+    return ad.layer_norm_rows(x, h, params[p + "ln2.gamma"], params[p + "ln2.beta"], LN_EPS,
+                              overwrite=True)
 
 
 def _fusion_nn(params: EncoderParams, sent_eeg: np.ndarray) -> Node:

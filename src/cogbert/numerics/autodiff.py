@@ -25,6 +25,18 @@ then also save memory, bit-identically: attention without `probs_out`
 runs in blocks of sentences whose probabilities are no bigger than its
 keys, and GELU adds its 1 into its `tanh` array in place. `layer_norm_rows`
 normalises a sum `x + residual` as one node, taped or not.
+
+`add`, `add_bias`, `mul_const`, `layer_norm_rows` and `gelu` take
+`overwrite=False`. With `overwrite=True` the caller hands over one operand's
+array (add's a, add_bias's and mul_const's x, layer_norm_rows' residual,
+gelu's x) and promises that nothing reads it again: the op writes its result
+into that array, bit for bit the value it would allocate. `gelu` overwrites
+only without a tape, because its taped backward reads x. Once a node is
+consumed so, its `value` holds its consumer's result (a layer norm's: the
+normalised sum xhat its backward reads), and only the node's own backward
+rule remains, which never reads that value: no rule reads its own node's
+value (matmul's reads its inputs; add's, add_bias', mul_const's and
+gather_rows' read g, a constant or ids).
 """
 
 from __future__ import annotations
@@ -164,22 +176,28 @@ def backward(root: Node) -> None:
 # Differentiable ops
 # ---------------------------------------------------------------------------
 
-def add(a: Node, b: Node) -> Node:
+def add(a: Node, b: Node, overwrite: bool = False) -> Node:
+    """a + b; with overwrite, written into a's array (see the module docstring)."""
     if a.value.shape != b.value.shape:
         raise ShapeError(f"add shape mismatch: {a.value.shape} vs {b.value.shape}")
-    return Node(a.value + b.value, (a, b), lambda g: (g, g))
+    value = np.add(a.value, b.value, out=a.value if overwrite else None)
+    return Node(value, (a, b), lambda g: (g, g))
 
 
-def add_bias(x: Node, b: Node) -> Node:
-    """x (n, d) + b (1, d), broadcasting the bias row over all rows."""
+def add_bias(x: Node, b: Node, overwrite: bool = False) -> Node:
+    """x (n, d) + b (1, d), broadcasting the bias row over all rows; with
+    overwrite, written into x's array."""
     if b.value.shape != (1, x.value.shape[1]):
         raise ShapeError(f"bias {b.value.shape} does not broadcast over {x.value.shape}")
-    return Node(x.value + b.value, (x, b), lambda g: (g, g.sum(axis=0, keepdims=True)))
+    value = np.add(x.value, b.value, out=x.value if overwrite else None)
+    return Node(value, (x, b), lambda g: (g, g.sum(axis=0, keepdims=True)))
 
 
-def mul_const(x: Node, c: np.ndarray) -> Node:
-    """Elementwise multiply by a constant (broadcastable) array."""
-    return Node(x.value * c, (x,), lambda g: (g * c,))
+def mul_const(x: Node, c: np.ndarray, overwrite: bool = False) -> Node:
+    """Elementwise multiply by a constant (broadcastable) array; with overwrite,
+    written into x's array."""
+    value = np.multiply(x.value, c, out=x.value if overwrite else None)
+    return Node(value, (x,), lambda g: (g * c,))
 
 
 def _rows_product(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -249,17 +267,21 @@ def matmul(a: Node, b: Node, layout: tuple[int, np.ndarray] | None = None) -> No
 
 
 def linear(x: Node, w: Node, b: Node, layout: tuple[int, np.ndarray] | None = None) -> Node:
-    """x @ w + b; layout as in `matmul`."""
-    return add_bias(matmul(x, w, layout), b)
+    """x @ w + b; layout as in `matmul`. The bias is added into the product's
+    own array, which only the `add_bias` node reads: the matmul node keeps
+    its backward rule, which reads x and w alone."""
+    return add_bias(matmul(x, w, layout), b, overwrite=True)
 
 
-def _gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+def _gelu(x: np.ndarray, overwrite: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
     """GELU via the tanh approximation 0.5*x*(1 + tanh(c*(x + a*x^3))), and that tanh.
 
     The steps of `0.5 * x * (1.0 + np.tanh(c * (x + a * x * x * x)))`, in
     Python's evaluation order, run in place (bit-equal); the tanh array is
     returned too, for the backward. Without a tape no backward reads it: the
-    1 is added into it in place, and None is returned in its stead.
+    1 is added into it in place, and None is returned in its stead. Without
+    a tape, overwrite also writes the result into x's array; a taped
+    backward reads x, so with a tape x is kept.
     """
     t = _GELU_A * x
     t *= x
@@ -267,11 +289,12 @@ def _gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     t += x
     t *= _GELU_C
     np.tanh(t, out=t)
-    out = 0.5 * x
     if not _taping:
+        out = np.multiply(x, 0.5, out=x if overwrite else None)
         t += 1.0
         out *= t
         return out, None
+    out = 0.5 * x
     out *= 1.0 + t
     return out, t
 
@@ -283,8 +306,9 @@ def _gelu_grad(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
 
 
-def gelu(x: Node) -> Node:
-    value, t = _gelu(x.value)
+def gelu(x: Node, overwrite: bool = False) -> Node:
+    """GELU of x; overwrite as in `_gelu`."""
+    value, t = _gelu(x.value, overwrite)
     return Node(value, (x,), lambda g: (g * _gelu_grad(x.value, t),))
 
 
@@ -314,20 +338,22 @@ def _softmax_in_place(x: np.ndarray) -> np.ndarray:
 
 
 def layer_norm_rows(x: Node, residual: Node, gamma: Node, beta: Node,
-                    eps: float = 1e-5) -> Node:
+                    eps: float = 1e-5, overwrite: bool = False) -> Node:
     """Row-wise layer norm of x + residual ("Add & Norm"); gamma and beta are (1, d) rows.
 
     The sum is centred in place into xhat, and the mean and biased variance
     are `sum / d`, bit-equal to np.mean and np.var: each step is the
     textbook form's after `add`. Both summands get the same gradient array,
     as `add` hands its two, so the graph walk and every gradient sum are
-    those of the layer norm of `add(x, residual)`, one node fewer.
+    those of the layer norm of `add(x, residual)`, one node fewer. With
+    overwrite, xhat is the residual's array: residual + x is bit-equal to
+    x + residual, and the backward reads xhat, not the residual.
     """
     xv = x.value
     d = xv.shape[1]
     if residual.value.shape != xv.shape:
         raise ShapeError(f"residual shape mismatch: {xv.shape} vs {residual.value.shape}")
-    xhat = xv + residual.value
+    xhat = np.add(residual.value, xv, out=residual.value if overwrite else None)
     xhat -= xhat.sum(axis=1, keepdims=True) / d
     y = xhat * xhat
     inv_std = 1.0 / np.sqrt(y.sum(axis=1, keepdims=True) / d + eps)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, ValidationError
-from .files import write_text_atomic
+from .files import read_lines, write_text_atomic
 
 PAD_ID = 0
 UNK_ID = 100
@@ -54,7 +54,7 @@ class Vocab:
     @classmethod
     def load(cls, path: str | Path) -> "Vocab":
         try:
-            lines = Path(path).read_text(encoding="utf-8").splitlines()
+            lines = read_lines(path)
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: not a UTF-8 vocab file: {exc}") from None
         word_to_id: dict[str, int] = {}
@@ -76,6 +76,17 @@ class Vocab:
             if word_to_id.get(name) != ident:
                 raise DataError(f"{path}: vocab file missing reserved token {name}={ident}")
         return cls(word_to_id)
+
+
+def check_vocab_words(sentences: dict[str, list[str]], source: str | Path) -> None:
+    """Raise a DataError naming the first sentence of source (id -> words) that
+    holds a word with a line feed: vocab.tsv stores one word per line, so
+    `Vocab.load` could not read that word back."""
+    for sentence_id, words in sentences.items():
+        for word in words:
+            if "\n" in word:
+                raise DataError(f"{source}: sentence {sentence_id!r}: word {word!r} holds a "
+                                f"line feed, which a vocab file cannot store")
 
 
 def build_vocab(corpus: list[list[str]]) -> Vocab:

@@ -54,6 +54,83 @@ class TestElementwiseOps:
         check(lambda: red(ad.gelu(x)), [x])
 
 
+# The ops that take overwrite: (name, input shapes, the handed operand's index, op).
+# A taped gelu keeps x, which its backward reads: it overwrites only without a tape.
+MUL_CONST = np.random.default_rng(5).normal(size=(3, 4))
+OVERWRITE_OPS = [
+    ("add", [(3, 4), (3, 4)], 0, lambda i, o: ad.add(*i, overwrite=o)),
+    ("add_bias", [(5, 4), (1, 4)], 0, lambda i, o: ad.add_bias(*i, overwrite=o)),
+    ("mul_const", [(3, 4)], 0, lambda i, o: ad.mul_const(i[0], MUL_CONST, overwrite=o)),
+    ("layer_norm_rows", [(5, 8), (5, 8), (1, 8), (1, 8)], 1,
+     lambda i, o: ad.layer_norm_rows(*i, overwrite=o)),
+    ("gelu", [(4, 4)], 0, lambda i, o: ad.gelu(i[0], overwrite=o)),
+]
+
+
+@pytest.mark.parametrize("name, shapes, handed, op",
+                         [pytest.param(*case, id=case[0]) for case in OVERWRITE_OPS])
+class TestOverwrite:
+    """overwrite=True writes an op's result into the handed operand's array; the value
+    and every gradient stay bit-equal, and no other input (none, by default) changes."""
+
+    @staticmethod
+    def params(shapes):
+        """One Parameter per input; a third input (layer_norm_rows' gamma) is near 1."""
+        rng = np.random.default_rng(len(shapes))
+        return [ad.Parameter(f"p{k}", rng.normal(1.0 if k == 2 else 0.0, 1.0, size=shape))
+                for k, shape in enumerate(shapes)]
+
+    @staticmethod
+    def check_inputs(name, out, inputs, before, handed):
+        """Every input's bytes are as before, but the handed one's: it holds out's value,
+        or for layer_norm_rows its normalised sum xhat."""
+        for k, (x, was) in enumerate(zip(inputs, before, strict=True)):
+            if k != handed:
+                assert x.value.tobytes() == was, k
+            elif name == "layer_norm_rows":
+                assert x.value.tobytes() != was and x.value is not out.value
+            else:
+                assert out.value is x.value
+
+    @staticmethod
+    def run(op, params, overwrite):
+        """op on fresh intermediate copies of params' values (x * 1.0 is x), its input
+        nodes and the bytes of their values before it ran."""
+        inputs = [ad.mul_const(p, 1.0) for p in params]
+        before = [x.value.tobytes() for x in inputs]
+        return op(inputs, overwrite), inputs, before
+
+    def test_value_and_gradients_bit_equal(self, name, shapes, handed, op):
+        params = self.params(shapes)
+        red = reducer(self.run(op, params, False)[0].value.shape)
+        results = []
+        for overwrite in (False, True):
+            for p in params:
+                p.zero_grad()
+            out, inputs, before = self.run(op, params, overwrite)
+            ad.backward(red(out))
+            results.append([out.value, *(p.grad.copy() for p in params)])
+            taped_overwrite = overwrite and name != "gelu"
+            self.check_inputs(name, out, inputs, before, handed if taped_overwrite else None)
+        for got, want in zip(*results, strict=True):
+            np.testing.assert_array_equal(got, want)
+
+    def test_value_bit_equal_without_tape(self, name, shapes, handed, op):
+        params = self.params(shapes)
+        values = []
+        for overwrite in (False, True):
+            with ad.no_tape():
+                out, inputs, before = self.run(op, params, overwrite)
+            values.append(out.value)
+            self.check_inputs(name, out, inputs, before, handed if overwrite else None)
+        np.testing.assert_array_equal(*values)
+
+    def test_gradcheck(self, name, shapes, handed, op):
+        params = self.params(shapes)
+        red = reducer(self.run(op, params, False)[0].value.shape)
+        check(lambda: red(op([ad.mul_const(p, 1.0) for p in params], True)), params, tol=1e-4)
+
+
 class TestMatrixOps:
     def test_matmul(self):
         a = ad.Parameter("a", RNG.normal(size=(3, 5)))
@@ -597,7 +674,8 @@ class TestGraphBehavior:
         out = _dropout(x, 1, self.dropout_cfg(100, 0.5), True, SeededRng(0))
         assert set(np.unique(out.value).tolist()) == {0.0, 2.0}
         x = ad.const(RNG.normal(size=(100, 10)))
+        before = x.value.copy()  # the dropout writes into x's array
         out = _dropout(x, 1, self.dropout_cfg(100, 0.3), True, SeededRng(0))
         kept = out.value != 0.0
         assert 0 < kept.sum() < kept.size
-        np.testing.assert_array_equal(out.value[kept], x.value[kept] * (1.0 / 0.7))
+        np.testing.assert_array_equal(out.value[kept], before[kept] * (1.0 / 0.7))

@@ -39,6 +39,7 @@ from cogbert.features import (
     save_measurements,
 )
 from cogbert.model import ModelConfig, load_checkpoint, save_checkpoint
+from cogbert.tokenizer import Vocab
 from cogbert.training import TrainConfig
 
 
@@ -156,6 +157,27 @@ class TestTrain:
         assert err.startswith(prefix), err
         ids = err[len(prefix):].strip().split(", ")
         assert len(ids) == TrainConfig().batch_size and all(i.startswith("s") for i in ids), err
+
+    def test_words_with_line_separators_reach_eval_and_explain(self, synth_dir,
+                                                                model_config_path, tmp_path):
+        """A word may hold any character str.splitlines splits at but a line feed: train
+        stores it in vocab.tsv, and eval and explain read it back."""
+        objs = [json.loads(line) for line in (synth_dir / "features.jsonl").read_text().splitlines()]
+        for obj, char in zip(objs, "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"):
+            obj["tokens"][0] += char
+        features, out = tmp_path / "features.jsonl", tmp_path / "o"
+        features.write_text("".join(json.dumps(obj, ensure_ascii=False) + "\n" for obj in objs),
+                            encoding="utf-8")
+        assert cli_main(["train", "--features", str(features), "--out", str(out),
+                         "--config", str(model_config_path), "--mode", "none",
+                         "--repeats", "1", "--epochs", "1"]) == 0
+        words = Vocab.load(out / "vocab.tsv").word_to_id
+        assert all(obj["tokens"][0] in words for obj in objs)
+        model = ["--features", str(features), "--checkpoint", str(out / "model.ckpt"),
+                 "--vocab", str(out / "vocab.tsv")]
+        assert cli_main(["eval", *model, "--out", str(tmp_path / "eval")]) == 0
+        assert cli_main(["explain", *model, "--ids", objs[7]["id"], "--n-samples", "20",
+                         "--out", str(tmp_path / "explain")]) == 0
 
     def test_missing_features_exits_3(self, tmp_path):
         rc = cli_main(["train", "--features", str(tmp_path / "nope.jsonl"),
@@ -623,6 +645,22 @@ class TestMalformedInputs:
                 assert rc == rc_want, f"{flags}: exit {rc}: {captured.err}"
                 assert captured.err.endswith(detail), captured.err
                 assert captured.out == "" and not out.exists(), flags
+
+    def test_word_with_line_feed_exits_3_before_output(self, synth_dir, tmp_path, capsys):
+        """vocab.tsv holds one word per line, so train rejects a word with a line feed,
+        naming the db and the sentence, before --out, with or without --print-config."""
+        objs = [json.loads(line) for line in (synth_dir / "features.jsonl").read_text().splitlines()]
+        objs[5]["tokens"][2] = "two\nlines"
+        path, out = tmp_path / "features.jsonl", tmp_path / "o"
+        path.write_text("".join(json.dumps(obj) + "\n" for obj in objs))
+        for flags in ([], ["--print-config"]):
+            rc = cli_main(["train", "--features", str(path), "--out", str(out), *flags])
+            captured = capsys.readouterr()
+            assert rc == 3, f"{flags}: exit {rc}: {captured.err}"
+            assert captured.err == (f"error: feature db {path}: sentence {objs[5]['id']!r}: "
+                                    f"word 'two\\nlines' holds a line feed, which a vocab "
+                                    f"file cannot store\n"), captured.err
+            assert captured.out == "" and not out.exists(), flags
 
     def test_fewer_than_two_sentences_exits_3_naming_db_and_count(self, synth_dir, tmp_path,
                                                                    capsys):

@@ -875,6 +875,36 @@ class TestFirstBadLine:
         FeatureDb.load_jsonl(padded).save_jsonl(padded)
         assert padded.read_bytes() == path.read_bytes()
 
+    def test_json_strings_keep_unicode_line_separators(self, tmp_path):
+        """U+0085, U+2028 and U+2029 are valid raw inside a JSON string; a line holding
+        one is one record, and its token keeps the character."""
+        _, db, _ = synth_generate(SynthConfig(n_sentences=8), seed=5)
+        path = tmp_path / "features.jsonl"
+        db.save_jsonl(path)
+        objs = [json.loads(line) for line in path.read_text().splitlines()]
+        for obj, char in zip(objs, "\x85\u2028\u2029"):
+            obj["tokens"][0] += char + "x"
+        path.write_text("".join(json.dumps(obj, ensure_ascii=False) + "\n" for obj in objs),
+                        encoding="utf-8")
+        assert "\u2028" in path.read_text(encoding="utf-8")
+        loaded = FeatureDb.load_jsonl(path)
+        assert [loaded.get(obj["id"]).tokens for obj in objs] == [obj["tokens"] for obj in objs]
+
+    def test_crlf_file_and_its_blank_lines_read_as_lf(self, tmp_path):
+        """CRLF line ends, blank CRLF lines among them, read as the LF file does, and a
+        bad line keeps its line number."""
+        _, db, _ = synth_generate(SynthConfig(n_sentences=8), seed=5)
+        path = tmp_path / "features.jsonl"
+        db.save_jsonl(path)
+        lines = path.read_text().splitlines()
+        crlf = tmp_path / "crlf.jsonl"
+        crlf.write_bytes("\r\n".join([lines[0], "", *lines[1:], ""]).encode())
+        FeatureDb.load_jsonl(crlf).save_jsonl(crlf)
+        assert crlf.read_bytes() == path.read_bytes()
+        crlf.write_bytes("\r\n".join([lines[0], "", "[1]", *lines[1:]]).encode())
+        with pytest.raises(DataError, match=rf"^{crlf}:3: expected a JSON object, got an array$"):
+            FeatureDb.load_jsonl(crlf)
+
     def test_line_that_is_not_an_object_exits_3(self, synth_dir, tmp_path, capsys):
         lexicon = tmp_path / "lexicon.jsonl"
         assert cli_main(["lexicon", "build", "--corpus", str(synth_dir / "corpus.jsonl"),

@@ -12,6 +12,7 @@ from cogbert.tokenizer import (
     UNK_ID,
     Vocab,
     build_vocab,
+    check_vocab_words,
     encode,
 )
 from cogbert.training import make_examples
@@ -48,6 +49,28 @@ class TestBuildVocab:
         vocab.save(path)
         loaded = Vocab.load(path)
         assert loaded.word_to_id == vocab.word_to_id
+
+    def test_words_with_line_separators_round_trip(self, tmp_path):
+        """Only a line feed ends a vocab line: a word keeps every other character that
+        str.splitlines splits at, and a carriage return."""
+        words = [f"a{char}b" for char in "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"]
+        vocab = build_vocab([words + ["c\r", "\u2028"]])
+        path = tmp_path / "vocab.tsv"
+        vocab.save(path)
+        assert Vocab.load(path).word_to_id == vocab.word_to_id
+
+    def test_crlf_file_reads_as_lf(self, tmp_path):
+        vocab = build_vocab([["the", "fox"]])
+        path = tmp_path / "vocab.tsv"
+        vocab.save(path)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n\r\n"))
+        assert Vocab.load(path).word_to_id == vocab.word_to_id
+
+    def test_word_with_line_feed_names_its_sentence(self):
+        check_vocab_words({"s1": ["a", "b\rc"], "s2": ["\u2028"]}, "f.jsonl")
+        with pytest.raises(DataError,
+                           match=r"^f.jsonl: sentence 's2': word 'b\\nc' holds a line feed"):
+            check_vocab_words({"s1": ["a"], "s2": ["x", "b\nc"], "s3": ["d\ne"]}, "f.jsonl")
 
     def test_load_rejects_malformed_files(self, tmp_path):
         path = tmp_path / "vocab.tsv"
